@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment harness.
 //!
 //! Each `src/bin/*.rs` binary regenerates one table or figure of the paper
-//! (see DESIGN.md's experiment index); this library provides the common
-//! table formatting and the measured-speedup plumbing they share.
+//! (named in the binary's own module doc); this library provides the
+//! common table formatting and the measured-speedup plumbing they share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 //! Cycle-level DDR4 DRAM timing model (the workspace's Ramulator
-//! substitute; see DESIGN.md's substitution table).
+//! substitute).
 //!
 //! The model covers what the Ironman evaluation depends on:
 //!

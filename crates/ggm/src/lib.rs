@@ -11,10 +11,32 @@
 //! * [`GgmTree`] — the sender's full local expansion with level sums
 //!   (`K^i_j`, Table 1) and primitive-call accounting.
 //! * [`PuncturedTree`] — the receiver's reconstruction from level sums,
-//!   generic over arity.
+//!   generic over arity. Both own their level buffers and re-run in
+//!   place, so a batch of trees streams through one allocation.
 //! * [`schedule`] — the hardware expansion schedules of §4.3 (depth-first,
 //!   breadth-first, hybrid) with an 8-stage-pipeline cycle model that
 //!   reproduces the bubble/utilization arithmetic of Fig. 8.
+//!
+//! # The software schedule: lanes as pipeline stages
+//!
+//! §4.3's Hybrid schedule keeps the pipelined ChaCha8 core busy by
+//! issuing a level's independent parents back to back and letting other
+//! trees fill the bubbles of the narrow top levels ([`schedule`] counts
+//! those cycles). The software trees run the same order with SIMD lanes
+//! standing in for pipeline stages: [`GgmTree::expand_from`] and
+//! [`PuncturedTree::reconstruct_at`] hand each level to
+//! [`ironman_prg::TreePrg::expand_level`] in one call (the receiver in
+//! two runs, split around its punctured parent), which for ChaCha fills
+//! an eight-lane vector per instruction; a level narrower than a vector
+//! is the software's pipeline bubble and runs on the scalar tail. Branch
+//! sums and the leaf sum are folded in one strided pass per level, right
+//! after the kernel wrote it.
+//!
+//! **Bit-identity contract.** The level-at-a-time trees produce exactly
+//! the nodes, level sums, leaf sums and [`ironman_prg::PrgCounter`]
+//! totals of the per-parent loops they replaced; those loops live on as
+//! the `#[cfg(test)]` oracle (`src/oracle.rs`) every arity, tree size
+//! and punctured index is checked against.
 //!
 //! # Example
 //!
@@ -42,6 +64,8 @@
 
 pub mod arity;
 pub mod halftree;
+#[cfg(test)]
+mod oracle;
 pub mod punctured;
 pub mod schedule;
 pub mod tree;

@@ -5,15 +5,24 @@
 //! branch `j ≠ α_i`. From those it reconstructs all nodes of the tree except
 //! the ones on the punctured path; in particular, all leaves except leaf `α`.
 
+use crate::tree::{branch_sums, calls_of};
 use crate::{Arity, LevelShape};
-use ironman_prg::{Block, PrgCounter, PrgKind, TreePrg};
+use ironman_prg::{Block, PrgCounter, TreePrg};
 
 /// A GGM tree with one unknown (punctured) leaf.
+///
+/// Like [`crate::GgmTree`], a punctured tree owns its level buffers and
+/// [`PuncturedTree::reconstruct_at`] rebuilds it in place for a new `α`
+/// and new sums — the batched SPCOT receiver runs its `t`
+/// reconstructions through one scratch tree.
 #[derive(Clone, Debug)]
 pub struct PuncturedTree {
     shape: LevelShape,
     alpha: usize,
-    leaves: Vec<Block>,
+    levels: Vec<Vec<Block>>,
+    /// Scratch for one level's branch sums (widest fanout).
+    sums: Vec<Block>,
+    known_sum: Block,
     counter: PrgCounter,
 }
 
@@ -37,72 +46,81 @@ impl PuncturedTree {
         P: TreePrg + ?Sized,
         F: Fn(usize, usize) -> Block,
     {
-        let shape = LevelShape::new(arity, leaves);
+        let mut tree = PuncturedTree::with_shape(LevelShape::new(arity, leaves));
+        tree.reconstruct_at(prg, alpha, sum_for);
+        tree
+    }
+
+    /// An all-zero tree of the given shape, ready for
+    /// [`Self::reconstruct_at`].
+    pub fn with_shape(shape: LevelShape) -> Self {
+        let levels = shape.zeroed_levels();
+        let widest = shape.fanouts().iter().copied().max().unwrap_or(0);
+        PuncturedTree {
+            shape,
+            alpha: 0,
+            levels,
+            sums: vec![Block::ZERO; widest],
+            known_sum: Block::ZERO,
+            counter: PrgCounter::new(),
+        }
+    }
+
+    /// Rebuilds this tree in place for a new punctured index and new
+    /// sums, reusing its buffers: afterwards it is exactly
+    /// `PuncturedTree::reconstruct(prg, .., alpha, sum_for)` of the same
+    /// shape.
+    ///
+    /// Per level, the known parents on either side of the punctured one
+    /// go through [`TreePrg::expand_level`] (two runs, so the punctured
+    /// parent costs no PRG call), then one strided pass over the level
+    /// yields every branch's known-node XOR, from which the punctured
+    /// parent's other children follow: `sibling_j = K_j ⊕ ⊕(known level
+    /// nodes at branch j)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is out of range for the shape's leaf count.
+    pub fn reconstruct_at<P, F>(&mut self, prg: &P, alpha: usize, sum_for: F)
+    where
+        P: TreePrg + ?Sized,
+        F: Fn(usize, usize) -> Block,
+    {
+        let leaves = self.shape.leaves();
         assert!(
             alpha < leaves,
             "alpha {alpha} out of range for {leaves} leaves"
         );
-        let digits = shape.digits(alpha);
-        let mut counter = PrgCounter::new();
-
-        // `known[idx]` for the current level; the punctured node's slot is
-        // ZERO and tracked by `punct_idx`.
-        let mut current: Vec<Block> = Vec::new();
-        let mut punct_idx = 0usize;
-
-        for (lvl, (&fanout, &width)) in shape
-            .fanouts()
-            .iter()
-            .zip(shape.widths().iter())
-            .enumerate()
-        {
-            let mut next = vec![Block::ZERO; width];
-            let mut calls = 0u64;
-            // Expand all known parents.
-            if lvl == 0 {
-                // Root is never known to the receiver; level 0 comes
-                // entirely from sums.
-            } else {
-                for (p, parent) in current.iter().enumerate() {
-                    if p == punct_idx {
-                        continue;
-                    }
-                    let start = p * fanout;
-                    calls += prg.expand(*parent, &mut next[start..start + fanout]);
+        let digits = self.shape.digits(alpha);
+        let mut calls = 0u64;
+        // Index of the punctured node in the level above (level 0's
+        // parent is the root, which the receiver never knows).
+        let mut punct = 0usize;
+        for (lvl, &fanout) in self.shape.fanouts().iter().enumerate() {
+            let (above, below) = self.levels.split_at_mut(lvl);
+            let nodes = &mut below[0];
+            let hole = punct * fanout..(punct + 1) * fanout;
+            if let Some(parents) = above.last() {
+                calls += prg.expand_level(&parents[..punct], fanout, &mut nodes[..hole.start]);
+                calls += prg.expand_level(&parents[punct + 1..], fanout, &mut nodes[hole.end..]);
+            }
+            nodes[hole.clone()].fill(Block::ZERO);
+            let sums = &mut self.sums[..fanout];
+            branch_sums(nodes, sums);
+            for (j, (slot, known)) in nodes[hole.clone()].iter_mut().zip(sums.iter()).enumerate() {
+                if j != digits[lvl] {
+                    *slot = sum_for(lvl, j) ^ *known;
                 }
             }
-            // Recover the punctured parent's children (except branch α_lvl)
-            // from the branch sums: sibling_j = K^lvl_j ⊕ XOR(all known
-            // level nodes at branch j).
-            let a = digits[lvl];
-            let new_punct_parent = if lvl == 0 { 0 } else { punct_idx };
-            for j in 0..fanout {
-                if j == a {
-                    continue;
-                }
-                let mut acc = sum_for(lvl, j);
-                for (idx, node) in next.iter().enumerate() {
-                    if idx % fanout == j && idx / fanout != new_punct_parent {
-                        acc ^= *node;
-                    }
-                }
-                next[new_punct_parent * fanout + j] = acc;
-            }
-            punct_idx = new_punct_parent * fanout + a;
-            match prg.kind() {
-                PrgKind::Aes => counter.add_aes(calls),
-                PrgKind::ChaCha { .. } => counter.add_chacha(calls),
-            }
-            current = next;
+            punct = hole.start + digits[lvl];
+            // Every known node of this level: those outside the hole plus
+            // the recovered siblings inside it (the path slot is still
+            // ZERO). The last level's is the known leaf sum.
+            self.known_sum = Block::xor_all(sums.iter().chain(&nodes[hole]).copied());
         }
-
-        debug_assert_eq!(punct_idx, alpha);
-        PuncturedTree {
-            shape,
-            alpha,
-            leaves: current,
-            counter,
-        }
+        debug_assert_eq!(punct, alpha);
+        self.alpha = alpha;
+        self.counter = calls_of(prg, calls);
     }
 
     /// The punctured leaf index `α`.
@@ -118,12 +136,12 @@ impl PuncturedTree {
     /// The leaf layer; position [`Self::alpha`] is ZERO (or the recovered
     /// value after [`Self::recover_punctured`]).
     pub fn leaves(&self) -> &[Block] {
-        &self.leaves
+        self.levels.last().expect("tree has at least one level")
     }
 
     /// Consumes the tree, returning the leaf vector.
-    pub fn into_leaves(self) -> Vec<Block> {
-        self.leaves
+    pub fn into_leaves(mut self) -> Vec<Block> {
+        self.levels.pop().expect("tree has at least one level")
     }
 
     /// PRG primitive calls consumed by the reconstruction.
@@ -131,22 +149,19 @@ impl PuncturedTree {
         self.counter
     }
 
-    /// XOR of all *known* leaves (everything except `α`).
+    /// XOR of all *known* leaves (everything except `α`), accumulated
+    /// during reconstruction.
     pub fn known_leaf_sum(&self) -> Block {
-        Block::xor_all(
-            self.leaves
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != self.alpha)
-                .map(|(_, b)| *b),
-        )
+        self.known_sum
     }
 
     /// Step ④ (α-th node recovery): given the sender's `c = Δ ⊕ ⊕_i w_i`,
     /// fills in the punctured leaf with `v_α = c ⊕ ⊕_{i≠α} v_i`, which
     /// satisfies `w_α = v_α ⊕ Δ`.
     pub fn recover_punctured(&mut self, masked_leaf_sum: Block) {
-        self.leaves[self.alpha] = masked_leaf_sum ^ self.known_leaf_sum();
+        let recovered = masked_leaf_sum ^ self.known_sum;
+        let alpha = self.alpha;
+        self.levels.last_mut().expect("tree has at least one level")[alpha] = recovered;
     }
 }
 

@@ -58,6 +58,11 @@ impl LevelShape {
         *self.widths.last().expect("shape has at least one level")
     }
 
+    /// One all-zero node buffer per level.
+    pub(crate) fn zeroed_levels(&self) -> Vec<Vec<Block>> {
+        self.widths.iter().map(|&w| vec![Block::ZERO; w]).collect()
+    }
+
     /// Decomposes a leaf index into per-level branch digits
     /// (most-significant level first). Digit `i` is the branch taken at
     /// level `i`.
@@ -95,14 +100,65 @@ impl LevelShape {
 
 /// A fully expanded GGM tree (sender side, Step ① of Fig. 3(b)).
 ///
-/// All levels are retained so that level sums — the `K^i_j` values fed into
-/// the per-level OTs — can be computed, and so tests can cross-check the
-/// receiver's reconstruction node by node.
+/// All levels are retained so tests can cross-check the receiver's
+/// reconstruction node by node. The level sums — the `K^i_j` values fed
+/// into the per-level OTs — and the leaf sum are accumulated while each
+/// freshly expanded level is still hot in cache, so reading them later
+/// costs nothing.
+///
+/// A tree owns its level buffers: [`GgmTree::expand_from`] re-expands the
+/// same shape from a new seed in place, which is how the batched SPCOT
+/// sender streams through its `t` trees without holding more than one.
 #[derive(Clone, Debug)]
 pub struct GgmTree {
     shape: LevelShape,
     levels: Vec<Vec<Block>>,
+    sums: Vec<Vec<Block>>,
     counter: PrgCounter,
+}
+
+/// XORs `nodes` into one sum per within-parent branch position:
+/// `sums[j] = ⊕ nodes[p·fanout + j]` over all parents `p`, with
+/// `fanout = sums.len()`.
+///
+/// One strided pass: the level is folded onto a fixed row of `ROW`
+/// accumulators (a compile-time width the compiler keeps in vector
+/// registers, with no sum waiting on the previous sibling group's store),
+/// and the row is folded onto the `fanout` sums at the end. Any fanout
+/// dividing `ROW` — every [`Arity`] fanout — takes that path; others fall
+/// through to the node-by-node tail.
+pub(crate) fn branch_sums(nodes: &[Block], sums: &mut [Block]) {
+    const ROW: usize = 32;
+    let fanout = sums.len();
+    let body = if ROW.is_multiple_of(fanout) {
+        nodes.len() / ROW * ROW
+    } else {
+        0
+    };
+    let mut row = [Block::ZERO; ROW];
+    for chunk in nodes[..body].chunks_exact(ROW) {
+        for (acc, node) in row.iter_mut().zip(chunk) {
+            *acc ^= *node;
+        }
+    }
+    sums.fill(Block::ZERO);
+    for (i, acc) in row.iter().enumerate() {
+        sums[i % fanout] ^= *acc;
+    }
+    // `body` is a multiple of `fanout`, so the tail keeps its branches.
+    for (i, node) in nodes[body..].iter().enumerate() {
+        sums[i % fanout] ^= *node;
+    }
+}
+
+/// `calls` primitive calls of `prg`'s family, as a counter.
+pub(crate) fn calls_of<P: TreePrg + ?Sized>(prg: &P, calls: u64) -> PrgCounter {
+    let mut counter = PrgCounter::new();
+    match prg.kind() {
+        PrgKind::Aes => counter.add_aes(calls),
+        PrgKind::ChaCha { .. } => counter.add_chacha(calls),
+    }
+    counter
 }
 
 impl GgmTree {
@@ -114,28 +170,44 @@ impl GgmTree {
     /// produce the required fanout (AES PRGs are built with a fixed key
     /// count).
     pub fn expand<P: TreePrg + ?Sized>(prg: &P, seed: Block, arity: Arity, leaves: usize) -> Self {
-        let shape = LevelShape::new(arity, leaves);
-        let mut levels: Vec<Vec<Block>> = Vec::with_capacity(shape.depth());
-        let mut counter = PrgCounter::new();
-        let mut current = vec![seed];
-        for (&fanout, &width) in shape.fanouts().iter().zip(shape.widths().iter()) {
-            let mut next = vec![Block::ZERO; width];
-            let mut calls = 0u64;
-            for (parent, chunk) in current.iter().zip(next.chunks_mut(fanout)) {
-                calls += prg.expand(*parent, chunk);
-            }
-            match prg.kind() {
-                PrgKind::Aes => counter.add_aes(calls),
-                PrgKind::ChaCha { .. } => counter.add_chacha(calls),
-            }
-            levels.push(next.clone());
-            current = next;
-        }
+        let mut tree = GgmTree::with_shape(LevelShape::new(arity, leaves));
+        tree.expand_from(prg, seed);
+        tree
+    }
+
+    /// An all-zero tree of the given shape, ready for
+    /// [`Self::expand_from`].
+    pub fn with_shape(shape: LevelShape) -> Self {
+        let levels = shape.zeroed_levels();
+        let sums = shape
+            .fanouts()
+            .iter()
+            .map(|&f| vec![Block::ZERO; f])
+            .collect();
         GgmTree {
             shape,
             levels,
-            counter,
+            sums,
+            counter: PrgCounter::new(),
         }
+    }
+
+    /// Re-expands this tree from `seed` in place, reusing its buffers:
+    /// afterwards it is exactly `GgmTree::expand(prg, seed, ..)` of the
+    /// same shape. Each level is one [`TreePrg::expand_level`] call — the
+    /// breadth-first issue order that keeps the PRG's lanes full.
+    pub fn expand_from<P: TreePrg + ?Sized>(&mut self, prg: &P, seed: Block) {
+        let mut calls = 0u64;
+        for lvl in 0..self.levels.len() {
+            let (above, below) = self.levels.split_at_mut(lvl);
+            let parents = above
+                .last()
+                .map_or(std::slice::from_ref(&seed), Vec::as_slice);
+            let nodes = &mut below[0];
+            calls += prg.expand_level(parents, self.shape.fanouts[lvl], nodes);
+            branch_sums(nodes, &mut self.sums[lvl]);
+        }
+        self.counter = calls_of(prg, calls);
     }
 
     /// The tree's level shape.
@@ -162,24 +234,14 @@ impl GgmTree {
     /// within-parent branch position is `j` (Step ② of Fig. 3(b); for the
     /// binary case these are the paper's "even" and "odd" sums).
     pub fn level_sums(&self) -> Vec<Vec<Block>> {
-        self.shape
-            .fanouts()
-            .iter()
-            .zip(self.levels.iter())
-            .map(|(&fanout, nodes)| {
-                let mut sums = vec![Block::ZERO; fanout];
-                for (idx, node) in nodes.iter().enumerate() {
-                    sums[idx % fanout] ^= *node;
-                }
-                sums
-            })
-            .collect()
+        self.sums.clone()
     }
 
     /// XOR of all leaves — the value the sender masks with `Δ` and transmits
     /// for the receiver's α-th node recovery (Step ④).
     pub fn leaf_sum(&self) -> Block {
-        Block::xor_all(self.leaves().iter().copied())
+        let leaf_branches = self.sums.last().expect("tree has at least one level");
+        Block::xor_all(leaf_branches.iter().copied())
     }
 }
 

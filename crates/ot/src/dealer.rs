@@ -4,7 +4,8 @@
 //! produced once by public-key OT in the paper's initialization phase
 //! (excluded from every measurement in §6, as is standard). We substitute
 //! an ideal trusted dealer that samples correlations with exactly the right
-//! distribution; see DESIGN.md's substitution table.
+//! distribution (ROADMAP.md's parked items name the real two-party
+//! bootstrap this stands in for).
 //!
 //! The dealer is deterministic in its seed so experiments are reproducible.
 

@@ -13,7 +13,12 @@ use crate::channel::{ChannelError, Transport};
 use crate::chosen::{recv_chosen, send_chosen};
 use crate::cot::{CotReceiver, CotSender};
 use ironman_ggm::{Arity, GgmTree, PuncturedTree};
-use ironman_prg::{AesTreePrg, Block};
+use ironman_prg::{Aes128, AesTreePrg, Block};
+
+/// Domain separators deriving the pad-tree keys from the session key
+/// (`"mot"` in ASCII, and a leet-speak "level").
+const PAD_PRG_DOMAIN: u128 = 0x6d6f74;
+const LEVEL_SEED_DOMAIN: u128 = 0x1e7e1;
 
 /// Number of base COTs one (m−1)-out-of-m OT consumes.
 pub fn base_cots_needed(m: usize) -> usize {
@@ -28,8 +33,20 @@ pub fn base_cots_needed(m: usize) -> usize {
 /// (m ≤ 32 leaves) so a binary AES expansion is used regardless of the
 /// outer tree's PRG; this matches the paper's observation that the inner
 /// OT "follows the same procedure as SPCOT" and needs no extra hardware.
-fn pad_prg(session_key: Block) -> AesTreePrg {
-    AesTreePrg::new(session_key ^ Block::from(0x6d6f74u128), 2)
+pub(crate) fn pad_prg(session_key: Block) -> AesTreePrg {
+    AesTreePrg::new(session_key ^ Block::from(PAD_PRG_DOMAIN), 2)
+}
+
+/// The cipher that derives every pad tree's seed for a session — one key
+/// schedule per SPCOT (batch), not per tree and level.
+pub(crate) fn level_seeder(session_key: Block) -> Aes128 {
+    Aes128::new(session_key ^ Block::from(LEVEL_SEED_DOMAIN))
+}
+
+/// Seed of the level-`lvl` inner pad tree of the outer tree grown from
+/// `outer_seed`.
+pub(crate) fn level_seed(seeder: &Aes128, outer_seed: Block, lvl: usize) -> Block {
+    seeder.encrypt_block(outer_seed ^ Block::from(lvl as u128))
 }
 
 /// Sender side: transfers all of `messages` except the receiver's hidden

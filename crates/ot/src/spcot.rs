@@ -16,9 +16,9 @@
 use crate::channel::{ChannelError, Transport};
 use crate::chosen::{recv_chosen, send_chosen};
 use crate::cot::{CotReceiver, CotSender};
-use crate::mot::{recv_all_but_one, send_all_but_one};
+use crate::mot::{level_seed, level_seeder, recv_all_but_one, send_all_but_one};
 use ironman_ggm::{Arity, GgmTree, LevelShape, PuncturedTree};
-use ironman_prg::{tree_prg::build_tree_prg, Aes128, Block, PrgCounter, PrgKind};
+use ironman_prg::{tree_prg::build_tree_prg, Block, PrgCounter, PrgKind};
 use serde::{Deserialize, Serialize};
 
 /// Static configuration of one SPCOT execution.
@@ -82,12 +82,6 @@ pub struct SpcotReceiverOutput {
     pub counter: PrgCounter,
 }
 
-/// Derives the seed of the level-`lvl` inner pad tree from the outer seed.
-fn level_seed(session_key: Block, outer_seed: Block, lvl: usize) -> Block {
-    Aes128::new(session_key ^ Block::from(0x1e7e1u128))
-        .encrypt_block(outer_seed ^ Block::from(lvl as u128))
-}
-
 /// Runs the sender side of one SPCOT over `ch`, consuming
 /// [`SpcotConfig::base_cots_needed`] correlations from `base`.
 ///
@@ -107,6 +101,7 @@ pub fn spcot_send<T: Transport + ?Sized>(
     let prg = build_tree_prg(cfg.prg, cfg.session_key, cfg.arity.get());
     let tree = GgmTree::expand(prg.as_ref(), seed, cfg.arity, cfg.leaves);
     let sums = tree.level_sums();
+    let seeder = level_seeder(cfg.session_key);
     for (lvl, level_sums) in sums.iter().enumerate() {
         let fanout = level_sums.len();
         if fanout == 2 {
@@ -118,7 +113,7 @@ pub fn spcot_send<T: Transport + ?Sized>(
                 base,
                 level_sums,
                 cfg.session_key,
-                level_seed(cfg.session_key, seed, lvl),
+                level_seed(&seeder, seed, lvl),
                 *tweak,
             )?;
             *tweak += fanout.trailing_zeros() as u64;

@@ -12,19 +12,10 @@
 use crate::channel::{ChannelError, Transport};
 use crate::chosen::{recv_chosen, send_chosen};
 use crate::cot::{CotReceiver, CotSender};
+use crate::mot::{level_seed, level_seeder, pad_prg};
 use crate::spcot::{SpcotConfig, SpcotReceiverOutput, SpcotSenderOutput};
 use ironman_ggm::{Arity, GgmTree, LevelShape, PuncturedTree};
-use ironman_prg::{tree_prg::build_tree_prg, Aes128, Block, PrgCounter};
-
-/// Inner pad-tree PRG (shared with the sequential (m−1)-out-of-m OT).
-fn pad_prg(session_key: Block) -> ironman_prg::AesTreePrg {
-    ironman_prg::AesTreePrg::new(session_key ^ Block::from(0x6d6f74u128), 2)
-}
-
-fn level_seed(session_key: Block, outer_seed: Block, lvl: usize) -> Block {
-    Aes128::new(session_key ^ Block::from(0x1e7e1u128))
-        .encrypt_block(outer_seed ^ Block::from(lvl as u128))
-}
+use ironman_prg::{tree_prg::build_tree_prg, Block, PrgCounter};
 
 /// Sender side: runs `seeds.len()` SPCOTs with per-level batching.
 ///
@@ -54,6 +45,12 @@ pub fn spcot_batch_send<T: Transport + ?Sized>(
 /// — the extension loop XORs straight into its length-`n` LPN
 /// accumulator stripe.
 ///
+/// The sender streams: one tree buffer is expanded, drained into `sink`
+/// and reused, in index order and before the first message goes out; per
+/// tree only the level sums and the masked leaf sum the messages need
+/// stay resident (a few hundred bytes instead of every level of every
+/// tree).
+///
 /// # Errors
 ///
 /// Propagates channel failures.
@@ -66,13 +63,19 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
     mut sink: impl FnMut(usize, &[Block], PrgCounter),
 ) -> Result<(), ChannelError> {
     let prg = build_tree_prg(cfg.prg, cfg.session_key, cfg.arity.get());
-    let trees: Vec<GgmTree> = seeds
-        .iter()
-        .map(|&s| GgmTree::expand(prg.as_ref(), s, cfg.arity, cfg.leaves))
-        .collect();
-    let sums: Vec<Vec<Vec<Block>>> = trees.iter().map(|t| t.level_sums()).collect();
     let shape = LevelShape::new(cfg.arity, cfg.leaves);
+    let mut tree = GgmTree::with_shape(shape.clone());
+    let mut sums: Vec<Vec<Vec<Block>>> = Vec::with_capacity(seeds.len());
+    let mut finals = Vec::with_capacity(seeds.len());
+    for (i, &seed) in seeds.iter().enumerate() {
+        tree.expand_from(prg.as_ref(), seed);
+        sums.push(tree.level_sums());
+        finals.push(base.delta() ^ tree.leaf_sum());
+        sink(i, tree.leaves(), tree.counter());
+    }
 
+    let inner = pad_prg(cfg.session_key);
+    let seeder = level_seeder(cfg.session_key);
     for (lvl, &fanout) in shape.fanouts().iter().enumerate() {
         if fanout == 2 {
             // One chosen-OT batch covering every tree's (K0, K1).
@@ -82,47 +85,32 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
         } else {
             // Batched (f−1)-out-of-f OT: per inner level one chosen-OT
             // batch across trees, then one message with all masked sums.
-            let inner = pad_prg(cfg.session_key);
-            let pad_trees: Vec<GgmTree> = seeds
-                .iter()
-                .map(|&s| {
-                    GgmTree::expand(
-                        &inner,
-                        level_seed(cfg.session_key, s, lvl),
-                        Arity::BINARY,
-                        fanout,
-                    )
-                })
-                .collect();
-            let inner_depth = fanout.trailing_zeros() as usize;
-            for inner_lvl in 0..inner_depth {
-                let pairs: Vec<(Block, Block)> = pad_trees
+            let mut pad_tree = GgmTree::with_shape(LevelShape::new(Arity::BINARY, fanout));
+            let mut pad_sums = Vec::with_capacity(seeds.len());
+            let mut masked = Vec::with_capacity(seeds.len() * fanout);
+            for (&seed, sum) in seeds.iter().zip(sums.iter()) {
+                pad_tree.expand_from(&inner, level_seed(&seeder, seed, lvl));
+                pad_sums.push(pad_tree.level_sums());
+                masked.extend(
+                    sum[lvl]
+                        .iter()
+                        .zip(pad_tree.leaves())
+                        .map(|(&k, &pad)| k ^ pad),
+                );
+            }
+            for inner_lvl in 0..fanout.trailing_zeros() as usize {
+                let pairs: Vec<(Block, Block)> = pad_sums
                     .iter()
-                    .map(|t| {
-                        let s = t.level_sums();
-                        (s[inner_lvl][0], s[inner_lvl][1])
-                    })
+                    .map(|s| (s[inner_lvl][0], s[inner_lvl][1]))
                     .collect();
                 send_chosen(ch, base, &pairs, *tweak)?;
                 *tweak += pairs.len() as u64;
-            }
-            let mut masked = Vec::with_capacity(seeds.len() * fanout);
-            for (sum, pad) in sums.iter().zip(pad_trees.iter()) {
-                for (j, &k) in sum[lvl].iter().enumerate() {
-                    masked.push(k ^ pad.leaves()[j]);
-                }
             }
             ch.send_blocks(&masked)?;
         }
     }
     // One message with every tree's masked leaf sum (step ④, batched).
-    let finals: Vec<Block> = trees.iter().map(|t| base.delta() ^ t.leaf_sum()).collect();
-    ch.send_blocks(&finals)?;
-
-    for (i, t) in trees.iter().enumerate() {
-        sink(i, t.leaves(), t.counter());
-    }
-    Ok(())
+    ch.send_blocks(&finals)
 }
 
 /// Receiver side of the batched protocol.
@@ -174,7 +162,6 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
     let prg = build_tree_prg(cfg.prg, cfg.session_key, cfg.arity.get());
     let shape = LevelShape::new(cfg.arity, cfg.leaves);
     let digits: Vec<Vec<usize>> = alphas.iter().map(|&a| shape.digits(a)).collect();
-    let inner_shape_cache: Vec<usize> = shape.fanouts().to_vec();
 
     // Collected per-tree, per-level branch sums.
     let mut level_sums: Vec<Vec<Vec<Block>>> = alphas
@@ -182,7 +169,8 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
         .map(|_| Vec::with_capacity(shape.depth()))
         .collect();
 
-    for (lvl, &fanout) in inner_shape_cache.iter().enumerate() {
+    let inner = pad_prg(cfg.session_key);
+    for (lvl, &fanout) in shape.fanouts().iter().enumerate() {
         if fanout == 2 {
             let choices: Vec<bool> = digits.iter().map(|d| d[lvl] == 0).collect();
             let got = recv_chosen(ch, base, &choices, *tweak)?;
@@ -193,7 +181,6 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
                 sums.push(s);
             }
         } else {
-            let inner = pad_prg(cfg.session_key);
             let inner_depth = fanout.trailing_zeros() as usize;
             let inner_shape = LevelShape::new(Arity::BINARY, fanout);
             let inner_digits: Vec<Vec<usize>> =
@@ -210,17 +197,12 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
             }
             let masked = ch.recv_blocks()?;
             assert_eq!(masked.len(), alphas.len() * fanout, "masked sum batch size");
+            let mut pads = PuncturedTree::with_shape(inner_shape);
             for (t, sums) in level_sums.iter_mut().enumerate() {
-                let pads = PuncturedTree::reconstruct(
-                    &inner,
-                    Arity::BINARY,
-                    fanout,
-                    digits[t][lvl],
-                    |l, j| {
-                        debug_assert_ne!(j, inner_digits[t][l]);
-                        inner_sums[t][l]
-                    },
-                );
+                pads.reconstruct_at(&inner, digits[t][lvl], |l, j| {
+                    debug_assert_ne!(j, inner_digits[t][l]);
+                    inner_sums[t][l]
+                });
                 let mut s = vec![Block::ZERO; fanout];
                 for j in 0..fanout {
                     if j != digits[t][lvl] {
@@ -234,12 +216,13 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
 
     let finals = ch.recv_blocks()?;
     assert_eq!(finals.len(), alphas.len(), "final masked-sum batch size");
+    // One scratch tree serves all `t` reconstructions.
+    let mut punct = PuncturedTree::with_shape(shape);
     for (t, &alpha) in alphas.iter().enumerate() {
-        let mut punct =
-            PuncturedTree::reconstruct(prg.as_ref(), cfg.arity, cfg.leaves, alpha, |l, j| {
-                debug_assert_ne!(j, digits[t][l]);
-                level_sums[t][l][j]
-            });
+        punct.reconstruct_at(prg.as_ref(), alpha, |l, j| {
+            debug_assert_ne!(j, digits[t][l]);
+            level_sums[t][l][j]
+        });
         punct.recover_punctured(finals[t]);
         sink(t, alpha, punct.leaves(), punct.counter());
     }
@@ -312,12 +295,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_equals_sequential_outputs() {
-        // Same seeds/alphas through both protocol shapes: identical w and v.
-        let cfg = SpcotConfig::ironman(64, Block::from(3u128));
-        let trees = 6;
-        let (_, mut sb, mut rb, seeds, alphas) = setup(&cfg, trees, 3);
+    /// Same seeds/alphas through both protocol shapes: identical `w`,
+    /// `v` and PRG call counts.
+    fn assert_batched_equals_sequential(cfg: SpcotConfig, trees: usize, seed: u64) {
+        let (_, mut sb, mut rb, seeds, alphas) = setup(&cfg, trees, seed);
         let seeds2 = seeds.clone();
         let alphas2 = alphas.clone();
         let (batch_s, batch_r, _, _) = run_protocol(
@@ -357,6 +338,65 @@ mod tests {
         for t in 0..trees {
             assert_eq!(batch_s[t].w, seq_s[t].w, "tree {t} sender output");
             assert_eq!(batch_r[t].v, seq_r[t].v, "tree {t} receiver output");
+            assert_eq!(
+                batch_s[t].counter, seq_s[t].counter,
+                "tree {t} sender calls"
+            );
+            assert_eq!(
+                batch_r[t].counter, seq_r[t].counter,
+                "tree {t} receiver calls"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_equals_sequential_outputs() {
+        assert_batched_equals_sequential(SpcotConfig::ironman(64, Block::from(3u128)), 6, 3);
+    }
+
+    #[test]
+    fn batched_equals_sequential_outputs_table4_shape() {
+        // The `OT_2POW20` tree: 4096 leaves, six quad levels, ChaCha8.
+        assert_batched_equals_sequential(SpcotConfig::ironman(4096, Block::from(6u128)), 5, 6);
+    }
+
+    #[test]
+    fn batched_equals_sequential_outputs_mixed_fanout() {
+        // ℓ = 512: four quad levels and a binary one.
+        assert_batched_equals_sequential(SpcotConfig::ironman(512, Block::from(7u128)), 9, 7);
+    }
+
+    #[test]
+    fn sender_streams_trees_in_order_through_one_buffer() {
+        // `sink` sees tree 0, 1, 2, … and every leaf slice is the same
+        // allocation: the sender holds one expanded tree, not `t`.
+        let cfg = SpcotConfig::ironman(256, Block::from(8u128));
+        let trees = 10;
+        let (_, mut sb, mut rb, seeds, alphas) = setup(&cfg, trees, 8);
+        let expected: Vec<Block> = {
+            let prg = build_tree_prg(cfg.prg, cfg.session_key, cfg.arity.get());
+            seeds
+                .iter()
+                .map(|&s| GgmTree::expand(prg.as_ref(), s, cfg.arity, cfg.leaves).leaves()[0])
+                .collect()
+        };
+        let (seen, _, _, _) = run_protocol(
+            move |ch| {
+                let mut seen = Vec::new();
+                spcot_batch_send_into(ch, &cfg, &mut sb, &seeds, &mut 0, |i, leaves, _| {
+                    seen.push((i, leaves.as_ptr() as usize, leaves.len(), leaves[0]));
+                })
+                .unwrap();
+                seen
+            },
+            move |ch| spcot_batch_recv(ch, &cfg, &mut rb, &alphas, &mut 0).unwrap(),
+        );
+        assert_eq!(seen.len(), trees);
+        for (t, &(i, ptr, len, first)) in seen.iter().enumerate() {
+            assert_eq!(i, t, "sink order");
+            assert_eq!(ptr, seen[0].1, "tree {t} borrowed a second leaf buffer");
+            assert_eq!(len, cfg.leaves);
+            assert_eq!(first, expected[t], "tree {t} leaves");
         }
     }
 

@@ -213,6 +213,20 @@ impl Block {
     }
 }
 
+/// Whether this process runs its AVX2 kernels — [`Block::xor_into`]'s
+/// wide lane and the ChaCha level kernel: feature detected and not
+/// force-disabled by `IRONMAN_SIMD=scalar`. Decided once per process.
+pub(crate) fn wide_enabled() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        wide::enabled()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// The AVX2 bulk-XOR lane for [`Block::xor_into`]: 256-bit unaligned
 /// loads/XORs/stores over pairs of blocks, with a scalar tail for an odd
 /// final block. Feature presence is runtime-checked once per process

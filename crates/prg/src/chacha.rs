@@ -16,7 +16,7 @@ pub const CHACHA_BLOCK_BYTES: usize = 64;
 /// property the m-ary expansion exploits, §4.1).
 pub const CHACHA_BLOCKS_PER_CALL: usize = 4;
 
-const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+pub(crate) const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
 /// A keyed ChaCha instance with `rounds ∈ {8, 12, 20}`.
 ///
@@ -76,17 +76,21 @@ impl ChaCha {
         self.rounds
     }
 
-    /// The ChaCha block function: 64 bytes of keystream for a given
-    /// 32-bit counter and 96-bit nonce.
-    pub fn block(&self, counter: u32, nonce: [u8; 12]) -> [u8; CHACHA_BLOCK_BYTES] {
+    /// The session key as the eight state words 4..12 (what the lane-parallel
+    /// level kernel broadcasts).
+    pub(crate) fn key_words(&self) -> &[u32; 8] {
+        &self.key
+    }
+
+    /// The ChaCha block function on words: the sixteen output words for
+    /// input words 12..16 (`counter`, then the three nonce words). Output
+    /// word `i` is bytes `4i..4i+4` of the keystream block, little-endian.
+    #[inline]
+    pub(crate) fn block_words(&self, input: [u32; 4]) -> [u32; 16] {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&CONSTANTS);
         state[4..12].copy_from_slice(&self.key);
-        state[12] = counter;
-        for i in 0..3 {
-            state[13 + i] =
-                u32::from_le_bytes(nonce[4 * i..4 * i + 4].try_into().expect("4-byte chunk"));
-        }
+        state[12..].copy_from_slice(&input);
         let mut working = state;
         for _ in 0..self.rounds / 2 {
             // Column round.
@@ -100,10 +104,22 @@ impl ChaCha {
             quarter(&mut working, 2, 7, 8, 13);
             quarter(&mut working, 3, 4, 9, 14);
         }
+        for (w, s) in working.iter_mut().zip(state) {
+            *w = w.wrapping_add(s);
+        }
+        working
+    }
+
+    /// The ChaCha block function: 64 bytes of keystream for a given
+    /// 32-bit counter and 96-bit nonce.
+    pub fn block(&self, counter: u32, nonce: [u8; 12]) -> [u8; CHACHA_BLOCK_BYTES] {
+        let mut input = [counter, 0, 0, 0];
+        for (word, chunk) in input[1..].iter_mut().zip(nonce.chunks_exact(4)) {
+            *word = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
         let mut out = [0u8; CHACHA_BLOCK_BYTES];
-        for i in 0..16 {
-            let word = working[i].wrapping_add(state[i]);
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.block_words(input)) {
+            chunk.copy_from_slice(&word.to_le_bytes());
         }
         out
     }
@@ -112,16 +128,27 @@ impl ChaCha {
     /// `(counter, nonce)` words, returning four 128-bit output blocks.
     ///
     /// This is the quad-length PRG of §4.1: `PRG(s)` with `s` a GGM node.
+    /// The block's little-endian bytes are the state's little-endian
+    /// words, so the words move straight between `u128` and the state
+    /// without a byte buffer.
+    #[inline]
     pub fn expand_block(&self, input: Block) -> [Block; CHACHA_BLOCKS_PER_CALL] {
-        let bytes = input.to_le_bytes();
-        let counter = u32::from_le_bytes(bytes[..4].try_into().expect("4-byte chunk"));
-        let nonce: [u8; 12] = bytes[4..].try_into().expect("12-byte chunk");
-        let stream = self.block(counter, nonce);
-        let mut out = [Block::ZERO; CHACHA_BLOCKS_PER_CALL];
-        for (i, chunk) in stream.chunks_exact(16).enumerate() {
-            out[i] = Block::from_le_bytes(chunk.try_into().expect("16-byte chunk"));
-        }
-        out
+        let v = input.0;
+        let words = self.block_words([
+            v as u32,
+            (v >> 32) as u32,
+            (v >> 64) as u32,
+            (v >> 96) as u32,
+        ]);
+        std::array::from_fn(|j| {
+            let w = &words[4 * j..4 * j + 4];
+            Block(
+                u128::from(w[0])
+                    | u128::from(w[1]) << 32
+                    | u128::from(w[2]) << 64
+                    | u128::from(w[3]) << 96,
+            )
+        })
     }
 }
 

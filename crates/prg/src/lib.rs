@@ -14,6 +14,10 @@
 //! * [`TreePrg`] — the *m*-output PRG abstraction the GGM-tree layer builds
 //!   on, with primitive-call accounting so that the paper's operation-count
 //!   arguments (Fig. 6, Fig. 7a) can be measured rather than asserted.
+//! * [`level`] — the lane-parallel ChaCha level kernel behind
+//!   [`TreePrg::expand_level`]: eight parents per AVX2 vector, the SIMD
+//!   lanes standing in for the stages of the paper's pipelined ChaCha8
+//!   core (§4.3), bit-identical to the per-parent [`TreePrg::expand`].
 //! * [`crhf::Crhf`] — the correlation-robust hash used to convert COT
 //!   correlations into standard OTs (Fig. 2).
 //!
@@ -29,9 +33,10 @@
 //! assert!(children.iter().all(|c| *c != Block::ZERO));
 //! ```
 
-// `deny` (not `forbid`) so [`block`] alone may opt in to the wide-XOR
-// intrinsics and the little-endian wire cast behind scoped
-// `#[allow(unsafe_code)]`; every other module still rejects `unsafe`.
+// `deny` (not `forbid`) so [`block`] (wide-XOR intrinsics, little-endian
+// wire cast) and [`level`] (the lane-parallel ChaCha kernel) may opt in
+// behind scoped `#[allow(unsafe_code)]`; every other module still
+// rejects `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -40,6 +45,7 @@ pub mod block;
 pub mod chacha;
 pub mod counter;
 pub mod crhf;
+pub mod level;
 pub mod stream;
 pub mod tree_prg;
 
@@ -48,5 +54,6 @@ pub use block::Block;
 pub use chacha::{ChaCha, CHACHA_BLOCK_BYTES};
 pub use counter::PrgCounter;
 pub use crhf::Crhf;
+pub use level::LevelTier;
 pub use stream::PrgStream;
 pub use tree_prg::{AesTreePrg, ChaChaTreePrg, PrgKind, TreePrg};

@@ -6,8 +6,23 @@
 //! four children). [`TreePrg`] captures exactly that interface and reports
 //! the primitive-call count of every expansion so the m-ary / ChaCha
 //! operation-reduction claims can be measured.
+//!
+//! # Lanes as pipeline stages
+//!
+//! The paper's hardware keeps one pipelined ChaCha8 core full by issuing
+//! the independent parents of a level back to back (§4.3's breadth-first
+//! and Hybrid schedules, modelled cycle by cycle in
+//! `ironman_ggm::schedule`). [`TreePrg::expand_level`] is the software
+//! form of that issue order: the GGM layer hands over a whole level, and
+//! [`ChaChaTreePrg`] runs it eight parents per AVX2 vector
+//! ([`crate::level`]) — each SIMD lane playing one pipeline stage's
+//! in-flight parent. **Bit-identity contract:** `expand_level` writes
+//! exactly what calling [`TreePrg::expand`] on each parent in turn would
+//! write, child `j` of parent `p` at `children[p·fanout + j]`, and
+//! returns the same call count, on every dispatch tier.
 
 use crate::chacha::CHACHA_BLOCKS_PER_CALL;
+use crate::level::{self, LevelTier};
 use crate::{Aes128, Block, ChaCha};
 use serde::{Deserialize, Serialize};
 
@@ -65,6 +80,29 @@ pub trait TreePrg {
     /// Child `j` must depend only on `(parent, j)`, so that a receiver who
     /// learns `parent` can recompute any subset of children.
     fn expand(&self, parent: Block, children: &mut [Block]) -> u64;
+
+    /// Expands every parent of one tree level: child `j` of `parents[p]`
+    /// lands at `children[p * fanout + j]`, exactly as [`Self::expand`] on
+    /// each parent in turn would write it, and the total primitive calls
+    /// are returned. Implementations override this to issue the level's
+    /// independent parents together (see [`ChaChaTreePrg`]); the default
+    /// is the per-parent loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fanout == 0` or `children.len() != parents.len() * fanout`.
+    fn expand_level(&self, parents: &[Block], fanout: usize, children: &mut [Block]) -> u64 {
+        assert_eq!(
+            children.len(),
+            parents.len() * fanout,
+            "children must hold fanout slots per parent"
+        );
+        parents
+            .iter()
+            .zip(children.chunks_exact_mut(fanout))
+            .map(|(parent, chunk)| self.expand(*parent, chunk))
+            .sum()
+    }
 
     /// Primitive calls needed to produce `count` children (without running
     /// the expansion).
@@ -171,6 +209,31 @@ impl ChaChaTreePrg {
     pub fn rounds(&self) -> u32 {
         self.cipher.rounds()
     }
+
+    /// [`TreePrg::expand_level`] on an explicit dispatch tier (the trait
+    /// method uses [`LevelTier::detect`]); lets equivalence tests cover
+    /// every tier in one process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fanout == 0` or `children.len() != parents.len() * fanout`.
+    pub fn expand_level_on(
+        &self,
+        tier: LevelTier,
+        parents: &[Block],
+        fanout: usize,
+        children: &mut [Block],
+    ) -> u64 {
+        level::expand_level(&self.cipher, tier, parents, fanout, children)
+    }
+}
+
+/// Wraps an already-keyed cipher (any 256-bit key and round count, e.g.
+/// a published test vector's) instead of deriving one from a session key.
+impl From<ChaCha> for ChaChaTreePrg {
+    fn from(cipher: ChaCha) -> Self {
+        ChaChaTreePrg { cipher }
+    }
 }
 
 impl TreePrg for ChaChaTreePrg {
@@ -179,17 +242,11 @@ impl TreePrg for ChaChaTreePrg {
     }
 
     fn expand(&self, parent: Block, children: &mut [Block]) -> u64 {
-        let mut calls = 0u64;
-        for (segment, chunk) in children.chunks_mut(CHACHA_BLOCKS_PER_CALL).enumerate() {
-            // Distinct keystream per 4-child segment: perturb the parent with
-            // the segment index in the high half (the low 128 bits carry the
-            // node value through counter+nonce).
-            let tweak = Block::from((segment as u128) << 96);
-            let out = self.cipher.expand_block(parent ^ tweak);
-            chunk.copy_from_slice(&out[..chunk.len()]);
-            calls += 1;
-        }
-        calls
+        level::expand_parent(&self.cipher, parent, children)
+    }
+
+    fn expand_level(&self, parents: &[Block], fanout: usize, children: &mut [Block]) -> u64 {
+        self.expand_level_on(LevelTier::detect(), parents, fanout, children)
     }
 
     fn kind(&self) -> PrgKind {

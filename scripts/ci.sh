@@ -18,6 +18,19 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test, SPCOT crates, forced-scalar dispatch"
+# The ChaCha level kernel and Block::xor_into pick their tier once per
+# process; on an AVX2 host the pass above only ever ran the wide one.
+IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-ot
+
+echo "==> benchmark harness: its own unit tests, then a --smoke run of every workload"
+# benchmark/ is its own package (own workspace and lock file, path
+# dependencies on crates/); read-only here. The smoke run drives the
+# same code paths and correctness checks as the real one in < 10 s and
+# exits non-zero if any delivered COT fails verification.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "==> cargo test -q --test net_loopback (TCP loopback e2e)"
 cargo test -q --test net_loopback
 
