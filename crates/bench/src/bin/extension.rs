@@ -12,12 +12,10 @@
 //! * **LPN bit kernels**: the receiver's `x = e·A ⊕ u` half as
 //!   `Vec<bool>` (naive) vs packed `u64` words, row-major and tiled.
 //! * **SIMD dispatch head-to-head**: every [`ironman_lpn::simd`] entry
-//!   point (blocks, packed bits, skip-zero probe, fused pair; row-major
-//!   and tiled) at each runtime-available level — scalar vs AVX2/BMI2
-//!   wide — so lane-selection claims are measured, not assumed. The
-//!   skip-zero rows bench the input-bit test against the branchless
-//!   lane honestly (it loses on dense pseudorandom inputs; the rows
-//!   prove it).
+//!   point (blocks, packed bits, the split and the fused tiled receiver
+//!   pair; row-major and tiled) at each runtime-available level — scalar
+//!   vs AVX2/BMI2 wide — so lane-selection claims are measured, not
+//!   assumed.
 //! * **Session LPN composite**: one extension's LPN compute across both
 //!   party threads (sender blocks + receiver half — they share the
 //!   single core in a `CotSession`), naive vs the fused tiled+packed
@@ -322,9 +320,7 @@ fn main() {
     ];
     // The simd dispatch layer, lane by lane at every level this host can
     // run: the scalar row is the dispatch-overhead baseline, the wide
-    // row is the AVX2/BMI2 code path, same matrix and inputs. The
-    // skip-zero rows give the input-bit-testing kernel its honest
-    // head-to-head against the branchless packed lane.
+    // row is the AVX2/BMI2 code path, same matrix and inputs.
     let mut simd_results: Vec<KernelResult> = Vec::new();
     for &level in SimdLevel::available() {
         let sc = level == SimdLevel::Scalar;
@@ -374,44 +370,6 @@ fn main() {
                 kernel_iters,
                 gathers,
                 || simd::encode_bits_packed_tiled(level, tiles, &input_packed, &mut acc_packed),
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "skipzero_bits_scalar"
-                } else {
-                    "skipzero_bits_wide"
-                },
-                kernel_iters,
-                gathers,
-                || {
-                    simd::encode_bits_packed_skipzero(
-                        level,
-                        &matrix,
-                        &input_packed,
-                        &mut acc_packed,
-                    )
-                },
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "skipzero_bits_tiled_scalar"
-                } else {
-                    "skipzero_bits_tiled_wide"
-                },
-                kernel_iters,
-                gathers,
-                || {
-                    simd::encode_bits_packed_skipzero_tiled(
-                        level,
-                        tiles,
-                        &input_packed,
-                        &mut acc_packed,
-                    )
-                },
             )
         }));
         simd_results.push(best_of(attempts, score, || {
@@ -495,30 +453,14 @@ fn main() {
         best_of(attempts, score, || {
             time_kernel("session_lpn_split", kernel_iters, 3 * gathers, || {
                 simd::encode_blocks_tiled(auto_level, tiles, &input_blocks, &mut acc_blocks);
-                match auto_level {
-                    SimdLevel::Wide => simd::encode_cot_pair(
-                        auto_level,
-                        &matrix,
-                        &input_blocks,
-                        &input_packed,
-                        &mut acc_blocks,
-                        &mut acc_packed,
-                    ),
-                    SimdLevel::Scalar => {
-                        simd::encode_blocks_tiled(
-                            auto_level,
-                            tiles,
-                            &input_blocks,
-                            &mut acc_blocks,
-                        );
-                        simd::encode_bits_packed(
-                            auto_level,
-                            &matrix,
-                            &input_packed,
-                            &mut acc_packed,
-                        );
-                    }
-                }
+                simd::encode_cot_pair(
+                    auto_level,
+                    &matrix,
+                    &input_blocks,
+                    &input_packed,
+                    &mut acc_blocks,
+                    &mut acc_packed,
+                );
             })
         }),
     ];

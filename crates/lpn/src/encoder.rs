@@ -211,89 +211,6 @@ impl<P: BitProbe> XorLane for PackedLane<'_, P> {
     }
 }
 
-/// The skip-zero packed lane: identical algebra to [`PackedLane`], but
-/// each gather *tests* the input bit and only touches the accumulator
-/// when it is set. Roughly half of a pseudorandom `e`'s bits are zero,
-/// so half the accumulator XORs disappear — at the price of one
-/// 50/50 data-dependent branch per gather, which is exactly the kind a
-/// predictor cannot learn. Benched head-to-head against the branchless
-/// lane in `BENCH_extension.json`; the branch predictability depends on
-/// the traversal layout (the tiled bucket order revisits the same input
-/// window, the row-major order does not), which is why both layouts get
-/// a bench row.
-pub struct SkipZeroPackedLane<'a, P: BitProbe = TableProbe> {
-    input: &'a PackedBits,
-    acc: &'a mut PackedBits,
-    _probe: PhantomData<P>,
-}
-
-impl<'a> SkipZeroPackedLane<'a, TableProbe> {
-    /// Borrows the input/accumulator pair (mask-table probe).
-    pub fn new(input: &'a PackedBits, acc: &'a mut PackedBits) -> Self {
-        SkipZeroPackedLane::with_probe(input, acc)
-    }
-}
-
-impl<'a, P: BitProbe> SkipZeroPackedLane<'a, P> {
-    /// Borrows the input/accumulator pair with an explicit probe.
-    pub fn with_probe(input: &'a PackedBits, acc: &'a mut PackedBits) -> Self {
-        SkipZeroPackedLane {
-            input,
-            acc,
-            _probe: PhantomData,
-        }
-    }
-}
-
-impl<P: BitProbe> XorLane for SkipZeroPackedLane<'_, P> {
-    #[inline(always)]
-    fn xor_gather(&mut self, row: usize, col: usize) {
-        if P::bit(self.input.words(), col) {
-            self.acc.xor_bit(row, true);
-        }
-    }
-
-    #[inline(always)]
-    fn xor_gather_row(&mut self, row: usize, cols: &[u32]) {
-        // Count set bits with branches (the skip under test), touch the
-        // accumulator only for odd parity.
-        let words = self.input.words();
-        let mut parity = false;
-        for &c in cols {
-            if P::bit(words, c as usize) {
-                parity = !parity;
-            }
-        }
-        if parity {
-            self.acc.xor_bit(row, true);
-        }
-    }
-
-    #[inline(always)]
-    fn xor_gather_bucket(
-        &mut self,
-        row_base: usize,
-        col_base: usize,
-        col_bits: u32,
-        entries: &[u32],
-    ) {
-        let mask = (1u32 << col_bits) - 1;
-        let words = self.input.words();
-        let mut pending = PendingWord::at(row_base);
-        for &e in entries {
-            let col = col_base + (e & mask) as usize;
-            // Zero input bits skip the pending-word update entirely;
-            // the word-change write-back below still triggers on the
-            // next *set* bit, so skipped rows cost nothing.
-            if P::bit(words, col) {
-                let row = row_base + (e >> col_bits) as usize;
-                pending.xor_bit(self.acc, row, true);
-            }
-        }
-        pending.flush(self.acc);
-    }
-}
-
 /// One packed accumulator word buffered in locals (registers) across a
 /// bucket: `TileSchedule::build` emits rows ascending within a bucket,
 /// so consecutive entries share a 64-row word for long runs and the
@@ -348,12 +265,11 @@ fn row_parity<P: BitProbe>(words: &[u64], cols: &[u32]) -> bool {
     even ^ odd
 }
 
-/// The receiver's fused lane: one traversal drives **both** receiver
-/// halves — `y[row] ^= s[col]` (blocks) and `x[row] ^= e[col]` (packed
-/// bits) — sharing a single pass over the index stream and a single
-/// gather address per entry. The bit half rides almost free on the
-/// block gathers: its input is an L1-resident packed word away from the
-/// block element just fetched.
+/// The receiver's fused lane: one tile-major traversal
+/// ([`crate::tile::TileSchedule::encode_cot_pair`]) drives **both**
+/// receiver halves — `y[row] ^= s[col]` (blocks) and `x[row] ^= e[col]`
+/// (packed bits) — sharing a single pass over the index stream and a
+/// single gather address per entry.
 pub struct CotPairLane<'a, P: BitProbe = TableProbe> {
     s: &'a [Block],
     e: &'a PackedBits,
@@ -399,17 +315,6 @@ impl<P: BitProbe> XorLane for CotPairLane<'_, P> {
         let v = self.s[col];
         self.y[row] ^= v;
         self.x.xor_bit(row, P::bit(self.e.words(), col));
-    }
-
-    #[inline(always)]
-    fn xor_gather_row(&mut self, row: usize, cols: &[u32]) {
-        let words = self.e.words();
-        let mut v = self.y[row];
-        for &c in cols {
-            v ^= self.s[c as usize];
-        }
-        self.y[row] = v;
-        self.x.xor_bit(row, row_parity::<P>(words, cols));
     }
 
     #[inline(always)]
@@ -513,48 +418,6 @@ pub fn encode_bits_packed(matrix: &LpnMatrix, input: &PackedBits, acc: &mut Pack
     encode_rows(matrix, &mut PackedLane::new(input, acc));
 }
 
-/// Skip-zero variant of [`encode_bits_packed`]: tests each input bit and
-/// only accumulates the set ones (see [`SkipZeroPackedLane`] for the
-/// branch-prediction trade). Bit-identical output to the branchless lane.
-///
-/// # Panics
-///
-/// Panics if lengths do not match the matrix dimensions.
-pub fn encode_bits_packed_skipzero(matrix: &LpnMatrix, input: &PackedBits, acc: &mut PackedBits) {
-    assert_eq!(input.len(), matrix.cols(), "input length must equal k");
-    assert_eq!(acc.len(), matrix.rows(), "accumulator length must equal n");
-    encode_rows(matrix, &mut SkipZeroPackedLane::new(input, acc));
-}
-
-/// Fused receiver encode (row-major): one pass computing
-/// `y ^= s·A` (blocks) and `x ^= e·A` (packed bits) together — see
-/// [`CotPairLane`].
-///
-/// # Panics
-///
-/// Panics if lengths do not match the matrix dimensions.
-pub fn encode_cot_pair(
-    matrix: &LpnMatrix,
-    s: &[Block],
-    e: &PackedBits,
-    y: &mut [Block],
-    x: &mut PackedBits,
-) {
-    assert_eq!(s.len(), matrix.cols(), "block input length must equal k");
-    assert_eq!(e.len(), matrix.cols(), "bit input length must equal k");
-    assert_eq!(
-        y.len(),
-        matrix.rows(),
-        "block accumulator length must equal n"
-    );
-    assert_eq!(
-        x.len(),
-        matrix.rows(),
-        "bit accumulator length must equal n"
-    );
-    encode_rows(matrix, &mut CotPairLane::new(s, e, y, x));
-}
-
 /// The random-access address trace of one encode pass: the sequence of
 /// input-vector element indices touched, in execution order. This is the
 /// exact stream the Rank-NMP module replays against its memory-side cache
@@ -627,7 +490,8 @@ mod tests {
         let mut x_fused = PackedBits::from_bools(&x_sep);
         encode_blocks(&m, &s, &mut y_sep);
         encode_bits(&m, &e, &mut x_sep);
-        encode_cot_pair(&m, &s, &e_packed, &mut y_fused, &mut x_fused);
+        m.tile_schedule()
+            .encode_cot_pair(&s, &e_packed, &mut y_fused, &mut x_fused);
         assert_eq!(y_fused, y_sep);
         assert_eq!(x_fused.to_bools(), x_sep);
     }

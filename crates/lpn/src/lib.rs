@@ -31,7 +31,7 @@
 //! | [`sorting::SortedLpnMatrix`] column swap + row look-ahead (offline), composable with tiling via [`sorting::SortedLpnMatrix::tile_schedule`] | §5.3 `Colidx`/`Rowidx` sorting | spatial + temporal locality mined from the fixed matrix offline |
 //! | [`encoder::XorLane`] — one generic XOR-accumulate core behind every traversal × element type | the paper's single LPN datapath parameterized by operand width | the kernel is one circuit; only the operand format varies |
 //! | [`simd`] — runtime-dispatched AVX2/BMI2 lanes (XMM 128-bit `Block` XORs, `SHRX` bit probes) behind [`simd::SimdLevel::detect`], scalar fallback always available | the paper's datapath is a *wide* XOR engine (rank-level parallel XOR units) | the XOR circuit is wider than one word; use the widest the hardware offers |
-//! | [`encoder::SkipZeroPackedLane`] — tests each input bit and only accumulates set ones (≈half of a pseudorandom `e` is zero) | NMP skips work per useful bit moved, not per scheduled access | don't spend an operation proving a zero contributes nothing — benched honestly against the branchless lane, which wins when the 50/50 branch mispredicts |
+//! | the wide tier's row-major bit pass ([`simd::encode_bits_packed`]) — eight column indices per `VPGATHERDD` of the packed `e`, probed bits collected by `VMOVMSKPS`, each row's `d`-bit window folded to one parity bit | rank-level parallelism: every rank probes its own slice of a memory-side-cache-resident operand at once | when the operand fits the nearest memory (21 KB of `e` in L1), the gathers stop being memory accesses and become lanes of one instruction |
 //!
 //! # Example
 //!

@@ -10,7 +10,7 @@
 
 use crate::tile::{TileConfig, TileSchedule};
 use ironman_prg::{Aes128, Block};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -20,7 +20,12 @@ use std::sync::OnceLock;
 static GENERATION_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// A fixed `n × k` sparse binary matrix with `d` nonzeros per row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Invariant (the wide bit pass in [`crate::simd`] gathers unchecked on
+/// it): every stored column index is `< cols`. Both constructors
+/// establish it — hence `Serialize` only: no deserializer may mint a
+/// matrix that skipped them.
+#[derive(Clone, Debug, Serialize)]
 pub struct LpnMatrix {
     rows: usize,
     cols: usize,
@@ -28,7 +33,8 @@ pub struct LpnMatrix {
     colidx: Vec<u32>,
     /// Default-geometry tile schedule, built once on first use (the
     /// matrix never changes, so the schedule is a pure function of it —
-    /// derived state, excluded from equality).
+    /// derived state, excluded from equality and serialization).
+    #[serde(skip)]
     tiles: OnceLock<TileSchedule>,
 }
 

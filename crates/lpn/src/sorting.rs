@@ -68,7 +68,7 @@ pub enum SortStrategy {
 }
 
 /// A sorted LPN matrix: same code, better locality.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SortedLpnMatrix {
     matrix: LpnMatrix,
     /// `row_order[pos]` = original row computed at position `pos`
@@ -78,6 +78,7 @@ pub struct SortedLpnMatrix {
     col_perm: Vec<u32>,
     /// Cache-blocked schedule composing both permutations with tiling
     /// (derived state, built on first use).
+    #[serde(skip)]
     tiles: OnceLock<TileSchedule>,
 }
 

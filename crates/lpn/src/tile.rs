@@ -61,7 +61,13 @@ impl TileConfig {
 /// A precomputed tile-major execution order for one fixed matrix: the
 /// offline product the online kernels replay (the analogue of the
 /// paper's sorted `Colidx`/`Rowidx` arrays living beside the CSR).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Invariant (the wide block lane in [`crate::simd`] indexes unchecked on
+/// it): every entry of bucket `(block, tile)` decodes to a
+/// `(row, col)` with `row < rows` and `col < cols`. The only constructor
+/// is [`TileSchedule::build_with`], which asserts it per gather — hence
+/// no `Deserialize`: nothing may mint a schedule that skipped that check.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TileSchedule {
     rows: usize,
     cols: usize,
@@ -99,7 +105,8 @@ impl TileSchedule {
     /// # Panics
     ///
     /// Panics if `rows == 0`, `cols == 0`, the geometry cannot pack an
-    /// entry into 32 bits, or an emitted index is out of range.
+    /// entry into 32 bits, an emitted index is out of range, or the two
+    /// `for_each` calls emit different gather sets.
     pub fn build_with(
         rows: usize,
         cols: usize,
@@ -123,14 +130,20 @@ impl TileSchedule {
 
         // Counting sort into (row-block, tile) buckets: one count pass,
         // one placement pass, no per-bucket allocations.
-        let mut counts = vec![0usize; n_blocks * n_tiles];
-        let mut total = 0usize;
-        for_each(&mut |row, col| {
+        // Both passes check the range: the bucket an entry lands in and
+        // the bases it is later decoded against are only right for
+        // in-range gathers (see the type's invariant).
+        let bucket_of = |row: u32, col: u32| {
             assert!(
                 (row as usize) < rows && (col as usize) < cols,
                 "entry out of range"
             );
-            counts[(row as usize / row_block) * n_tiles + col as usize / col_tile] += 1;
+            (row as usize / row_block) * n_tiles + col as usize / col_tile
+        };
+        let mut counts = vec![0usize; n_blocks * n_tiles];
+        let mut total = 0usize;
+        for_each(&mut |row, col| {
+            counts[bucket_of(row, col)] += 1;
             total += 1;
         });
         let mut cursors = Vec::with_capacity(counts.len());
@@ -141,12 +154,19 @@ impl TileSchedule {
         }
         let mut entries = vec![0u32; total];
         for_each(&mut |row, col| {
-            let bucket = (row as usize / row_block) * n_tiles + col as usize / col_tile;
+            let bucket = bucket_of(row, col);
             let local_row = (row as usize % row_block) as u32;
             let local_col = (col as usize % col_tile) as u32;
             entries[cursors[bucket]] = (local_row << col_bits) | local_col;
             cursors[bucket] += 1;
         });
+        // Every bucket received exactly the gathers counted for it, so no
+        // placement spilled into a neighbour's range.
+        let mut end = 0usize;
+        for (&cursor, &count) in cursors.iter().zip(&counts) {
+            end += count;
+            assert_eq!(cursor, end, "for_each must emit the same gathers twice");
+        }
         TileSchedule {
             rows,
             cols,
@@ -176,6 +196,16 @@ impl TileSchedule {
     /// Whether the schedule holds no gathers.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Entries per bucket, in bucket order (tests pick geometries by it).
+    #[cfg(test)]
+    pub(crate) fn bucket_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        let starts = std::iter::once(&0).chain(&self.bucket_ends);
+        self.bucket_ends
+            .iter()
+            .zip(starts)
+            .map(|(end, start)| end - start)
     }
 
     /// The tile-major traversal — the single tiled kernel, generic over
@@ -368,6 +398,40 @@ mod tests {
         let a = m.tile_schedule() as *const TileSchedule;
         let b = m.tile_schedule() as *const TileSchedule;
         assert_eq!(a, b, "tile_schedule must build once and cache");
+    }
+
+    #[test]
+    #[should_panic(expected = "entry out of range")]
+    fn out_of_range_row_rejected_at_build() {
+        // The invariant the unchecked wide block lane stands on.
+        TileSchedule::build_with(10, 10, small_cfg(), |emit| emit(10, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "entry out of range")]
+    fn out_of_range_col_rejected_at_build() {
+        TileSchedule::build_with(10, 10, small_cfg(), |emit| emit(0, 10));
+    }
+
+    #[test]
+    #[should_panic(expected = "same gathers twice")]
+    fn unstable_gather_set_rejected_at_build() {
+        // A second pass that moves a gather to another bucket would be
+        // decoded against the wrong bases.
+        let mut calls = 0;
+        TileSchedule::build_with(
+            10,
+            10,
+            TileConfig {
+                row_block: 4,
+                col_tile: 4,
+            },
+            |emit| {
+                calls += 1;
+                emit(0, 0);
+                emit(if calls == 1 { 9 } else { 0 }, 1);
+            },
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Kernel-equivalence properties: every LPN kernel variant — row-major
 //! naive, cache-blocked tiled (arbitrary geometries), §5.3-sorted,
-//! sorted+tiled, packed bits, the fused receiver pair, the skip-zero
-//! probe lanes, and the whole [`ironman_lpn::simd`] dispatch layer at
+//! sorted+tiled, packed bits, the fused receiver pair, and the whole
+//! [`ironman_lpn::simd`] dispatch layer (including the gather bit pass
+//! and the split receiver pair) at
 //! every runtime-available SIMD level (scalar always; AVX2/BMI2 where
 //! the host has it) — computes the same GF(2)/GF(2^128) product, onto
 //! dirty accumulators, across matrix shapes including the `toy()` and
@@ -68,12 +69,7 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
     tiles.encode_bits_packed(&e_packed, &mut x);
     assert_eq!(x.to_bools(), x_ref, "tiled packed bits ({tile_cfg:?})");
 
-    // Fused receiver pair: row-major and tiled.
-    let mut y = dirty_blocks.clone();
-    let mut x = PackedBits::from_bools(&dirty_bits);
-    encoder::encode_cot_pair(m, &s, &e_packed, &mut y, &mut x);
-    assert_eq!(y, y_ref, "fused row-major blocks");
-    assert_eq!(x.to_bools(), x_ref, "fused row-major bits");
+    // Fused receiver pair (tile-major).
     let mut y = dirty_blocks.clone();
     let mut x = PackedBits::from_bools(&dirty_bits);
     tiles.encode_cot_pair(&s, &e_packed, &mut y, &mut x);
@@ -81,8 +77,7 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
     assert_eq!(x.to_bools(), x_ref, "fused tiled bits");
 
     // The simd dispatch layer: every entry point × every level the host
-    // can actually run (Scalar everywhere; Wide on AVX2+BMI2 machines),
-    // including both skip-zero probe lanes.
+    // can actually run (Scalar everywhere; Wide on AVX2+BMI2 machines).
     for &level in SimdLevel::available() {
         let mut y = dirty_blocks.clone();
         simd::encode_blocks(level, m, &s, &mut y);
@@ -98,22 +93,11 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
         simd::encode_bits_packed_tiled(level, &tiles, &e_packed, &mut x);
         assert_eq!(x.to_bools(), x_ref, "simd tiled packed bits ({level:?})");
 
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        simd::encode_bits_packed_skipzero(level, m, &e_packed, &mut x);
-        assert_eq!(x.to_bools(), x_ref, "skip-zero packed bits ({level:?})");
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        simd::encode_bits_packed_skipzero_tiled(level, &tiles, &e_packed, &mut x);
-        assert_eq!(
-            x.to_bools(),
-            x_ref,
-            "skip-zero tiled packed bits ({level:?})"
-        );
-
         let mut y = dirty_blocks.clone();
         let mut x = PackedBits::from_bools(&dirty_bits);
         simd::encode_cot_pair(level, m, &s, &e_packed, &mut y, &mut x);
-        assert_eq!(y, y_ref, "simd fused blocks ({level:?})");
-        assert_eq!(x.to_bools(), x_ref, "simd fused bits ({level:?})");
+        assert_eq!(y, y_ref, "simd split-pair blocks ({level:?})");
+        assert_eq!(x.to_bools(), x_ref, "simd split-pair bits ({level:?})");
         let mut y = dirty_blocks.clone();
         let mut x = PackedBits::from_bools(&dirty_bits);
         simd::encode_cot_pair_tiled(level, &tiles, &s, &e_packed, &mut y, &mut x);

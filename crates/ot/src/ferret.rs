@@ -10,9 +10,15 @@
 //!    vectors through the fixed sparse matrix `A` and XOR onto the SPCOT
 //!    outputs: sender `z = r·A ⊕ w`; receiver `x = e·A ⊕ u`,
 //!    `y = s·A ⊕ v`. The result is `n` COTs with `z = y ⊕ x·Δ`.
-//! 3. **Bootstrap** — the first `k + t·log2(ℓ)` outputs are retained as the
-//!    next iteration's base correlations; the rest are handed to the
-//!    application.
+//! 3. **Bootstrap** — the *last* `k + t·log2(ℓ)` outputs are retained as
+//!    the next iteration's base correlations; the front `n − k − t·log2(ℓ)`
+//!    are handed to the application in place (the output vector is the
+//!    encode's accumulator, truncated — only the small base is copied
+//!    out). Every output row is an equally valid COT, so which end
+//!    bootstraps is a free choice both parties must merely agree on;
+//!    sessions before PR 14 retained the front, so for the same seeds
+//!    the application stream is a different (equally correlated)
+//!    selection of rows than those versions produced.
 //!
 //! Both the plain and the locality-sorted LPN matrices are supported; they
 //! produce bit-identical outputs (§5.3's correctness argument is checked in
@@ -47,13 +53,18 @@ pub enum LpnKernel {
     /// one fused pass ([`ironman_lpn::encoder::CotPairLane`]). The software twin of
     /// the paper's memory-side cache (§5.3).
     Tiled,
-    /// The measured winner at Table-4 scale: the block half runs
-    /// tile-major (its `k · 16 B` input spills L2, so blocking pays) and
-    /// the packed-bit half runs row-major as its own pass (its `k`-bit
-    /// input is L1-resident, where tiling's bucket bookkeeping only adds
-    /// overhead). Separate passes beat the fused [`LpnKernel::Tiled`]
-    /// pair under both SIMD tiers — the fused lane drags the
-    /// cache-resident bit gathers through the block half's tile walk.
+    /// The measured winner at Table-4 scale, one shape on both SIMD
+    /// tiers ([`ironman_lpn::simd::encode_cot_pair`]): the block half
+    /// runs tile-major (its `k · 16 B` input spills L2, so blocking
+    /// pays) and the packed-bit half runs row-major as its own pass (its
+    /// `k`-bit input is L1-resident, where tiling's bucket bookkeeping
+    /// only adds overhead — and where the wide tier probes it eight
+    /// indices at a time with `VPGATHERDD`). Two passes over the index
+    /// stream beat every fused pair at full scale (table on
+    /// [`FerretConfig::recommended`]): a fused lane drags the
+    /// cache-resident bit gathers through the block half's memory
+    /// stalls, and the receiver then costs the sender's block pass plus
+    /// a bit pass that is mostly its index stream (4–8 ns/row wide).
     Split,
 }
 
@@ -120,26 +131,46 @@ impl FerretConfig {
     }
 
     /// The fastest known (matrix kind × kernel) combination for `params`
-    /// on the reference single-core box, regenerated from the per-lane
-    /// head-to-head in `BENCH_extension.json` (the `kernels[]` rows; the
-    /// shape below is `n = 2^18`, `k = 168 000`, `d = 10`, best-of-5 ms):
+    /// on the reference box, regenerated from
+    /// `ironman_lpn::simd::tests::level_head_to_head_at_table4_shape`
+    /// (`cargo test --release -p ironman-lpn --lib -- --ignored
+    /// --nocapture level_head_to_head`, one pinned CPU) at the size an
+    /// extension really runs — `n = 2^20`, `k = 168 000`, `d = 10`, so
+    /// every pass streams its 42 MB of indices and 16 MB of accumulator
+    /// from memory. Median of 7 reps in ms (best in parentheses):
     ///
     /// | pass | scalar row | scalar tiled | wide row | wide tiled |
     /// |---|---|---|---|---|
-    /// | blocks (`s·A`)      | 5.27 | **3.97** | 4.25 | **3.85** |
-    /// | packed bits (`e·A`) | **2.87** | 5.52 | **2.47** | 5.34 |
-    /// | fused COT pair      | 9.74 | 7.88 | 7.49 | 8.02 |
+    /// | blocks (`s·A`)      | 30.1 (28.7) | **16.4 (15.6)** | 28.8 (27.8) | **10.9 (10.7)** |
+    /// | packed bits (`e·A`) | **13.6 (12.3)** | 21.7 (20.9) | **6.2 (3.6)** | 21.8 (21.2) |
+    /// | fused tiled pair    | — | 32.6 (31.0) | — | 32.2 (31.0) |
+    /// | split pair (tiled blocks + row bits) | — | **31.9 (30.3)** | — | **19.4 (18.6)** |
+    ///
+    /// (A shared two-vCPU host: the same binary reads ±15 % from hour
+    /// to hour, and a pass whose 42 MB index stream survives in the
+    /// last-level cache between reps reads better than it will inside
+    /// an extension — the wide bit pass alone is 3.2–3.6 ms, but in the
+    /// split pair, alternating with the block pass's own 42 MB of
+    /// schedule entries, the pair costs 4–8 ms more than the block pass
+    /// — calmer hours measured the wide pair at 14.2–15.5.)
     ///
     /// * the **block** half wins tiled under both SIMD tiers — its
     ///   `k · 16 B` input spills the L2-class window at every Table-4
-    ///   row, so cache-blocking pays;
+    ///   row, so cache-blocking pays 2–3×;
     /// * the **packed-bit** half wins row-major — its `k`-bit input is
     ///   L1-resident, so the tile walk's bucket bookkeeping only adds
-    ///   cost (tiled bits measure ~2× slower);
+    ///   cost, and on the wide tier the row-major pass is a
+    ///   `VPGATHERDD` kernel at 3–6 ns/row;
     /// * the **fused** pair loses to running the two winning passes
-    ///   separately (wide: 3.85 + 2.47 = 6.32 vs 7.49 fused), so the
-    ///   receiver's best shape is [`LpnKernel::Split`] — which also
-    ///   gives the sender's single block pass the tiled traversal;
+    ///   separately on the wide tier (19.4 vs 32.2) and ties on the
+    ///   scalar one, so the receiver's shape is [`LpnKernel::Split`] on
+    ///   both — which also gives the sender's single block pass the
+    ///   tiled traversal. An earlier table drawn at `n = 2^18` chose a
+    ///   fused *row-major* prefetched pair for the wide tier: at that
+    ///   size best-of-5 reps keep the 10 MB index stream and the
+    ///   accumulator L2/L3-warm, which hides exactly the streaming cost
+    ///   a second pass adds and flatters the one-pass lane; at full
+    ///   scale it measured 31 ns/row against the split pair's 14–19;
     /// * the §5.3 **sorted** matrix never wins in software — its
     ///   look-ahead order targets the NMP memory-side cache, and on a CPU
     ///   the row scatter it adds costs more than the locality it buys
@@ -348,15 +379,13 @@ impl SessionMatrix {
     /// The receiver's online encode: `x ^= e·A` (packed bits) and
     /// `y ^= s·A` (blocks). `Tiled` runs both halves as one fused pass
     /// over the index stream; `Naive` runs the legacy separate
-    /// row-major passes. `Split` is level-aware, following the measured
-    /// winners: the `Wide` lanes software-prefetch their gather columns,
-    /// which makes the fused *row-major* pair pass fastest (one index
-    /// stream, both operands prefetched); without prefetch the scalar
-    /// tier instead wants the block half tile-major and the
-    /// (L1-resident) bit half row-major. The sorted matrix keeps its
-    /// scalar traversals (§5.3 ordering never wins in software, so it
-    /// gets no SIMD lanes; `Split` there falls back to the fused tiled
-    /// pass).
+    /// row-major passes. `Split` is the measured winner at full scale on
+    /// both tiers (table on [`FerretConfig::recommended`]): the block
+    /// half tile-major — the same pass the sender runs — then the
+    /// (L1-resident) bit half row-major, ~13 ms scalar / 4–8 ms wide
+    /// per 2^20 rows on top of it. The sorted matrix keeps its scalar
+    /// traversals (§5.3 ordering never wins in software, so it gets no
+    /// SIMD lanes; `Split` there falls back to the fused tiled pass).
     fn encode_receiver(&self, e: &PackedBits, s: &[Block], x: &mut PackedBits, y: &mut [Block]) {
         match (&self.repr, self.kernel) {
             (MatrixRepr::Plain(m), LpnKernel::Naive) => {
@@ -366,13 +395,9 @@ impl SessionMatrix {
             (MatrixRepr::Plain(m), LpnKernel::Tiled) => {
                 simd::encode_cot_pair_tiled(self.level, m.tile_schedule(), s, e, y, x);
             }
-            (MatrixRepr::Plain(m), LpnKernel::Split) => match self.level {
-                SimdLevel::Wide => simd::encode_cot_pair(self.level, m, s, e, y, x),
-                SimdLevel::Scalar => {
-                    simd::encode_blocks_tiled(self.level, m.tile_schedule(), s, y);
-                    simd::encode_bits_packed(self.level, m, e, x);
-                }
-            },
+            (MatrixRepr::Plain(m), LpnKernel::Split) => {
+                simd::encode_cot_pair(self.level, m, s, e, y, x);
+            }
             (MatrixRepr::Sorted(srt), LpnKernel::Naive) => {
                 srt.encode_bits_packed(e, x);
                 srt.encode_blocks(s, y);
@@ -482,11 +507,12 @@ impl FerretSender {
         let mut z = w_full;
         self.matrix.encode_blocks(self.base.r0(), &mut z);
 
-        // Bootstrap: retain the front as next iteration's base.
-        let required = self.cfg.base_cots_required();
-        let output = z.split_off(required);
-        self.base = CotSender::new(self.base.delta(), z);
-        Ok(output)
+        // Bootstrap: retain the tail as next iteration's base; `z`
+        // itself, truncated, is the application's output (no copy of the
+        // large half).
+        let base = z.split_off(p.n - self.cfg.base_cots_required());
+        self.base = CotSender::new(self.base.delta(), base);
+        Ok(z)
     }
 }
 
@@ -620,24 +646,24 @@ impl FerretReceiver {
 
         let spcot_nanos = spcot_watch.elapsed_nanos();
 
-        // LPN phase: x = e·A ⊕ u, y = s·A ⊕ v (one fused pass under the
-        // tiled kernels).
+        // LPN phase: x = e·A ⊕ u, y = s·A ⊕ v.
         let lpn_watch = ironman_telemetry::Stopwatch::start();
         let e = self.base_bits.slice(spcot_budget, p.k);
         self.matrix
             .encode_receiver(&e, &self.base_rb[spcot_budget..], &mut x, &mut y);
         self.last_phase_nanos = (spcot_nanos, lpn_watch.elapsed_nanos());
 
-        // Bootstrap: the front `k + t·log2(ℓ)` outputs become the next
-        // iteration's base (bits stay packed); the rest unpack at the
-        // application boundary.
+        // Bootstrap: the last `k + t·log2(ℓ)` outputs become the next
+        // iteration's base (bits stay packed); the front unpacks at the
+        // application boundary and `y` itself, truncated, is the block
+        // output.
         let required = self.cfg.base_cots_required();
-        let out_y = y.split_off(required);
-        let mut out_x = Vec::with_capacity(p.n - required);
-        x.extend_bools(required, p.n - required, &mut out_x);
-        self.base_bits = x.slice(0, required);
-        self.base_rb = y;
-        Ok((out_x, out_y))
+        let usable = p.n - required;
+        self.base_rb = y.split_off(usable);
+        self.base_bits = x.slice(usable, required);
+        let mut out_x = Vec::with_capacity(usable);
+        x.extend_bools(0, usable, &mut out_x);
+        Ok((out_x, y))
     }
 }
 
@@ -869,28 +895,43 @@ mod tests {
 
     #[test]
     fn mixed_kernel_parties_interoperate() {
-        // The kernel choice never touches the wire, so a tiled party
-        // correlates with a naive peer.
+        // The kernel choice never touches the wire, so a tiled sender
+        // correlates with a naive receiver, and a naive sender with a
+        // split receiver.
         let naive_cfg = FerretConfig::new(FerretParams::toy());
-        let tiled_cfg = FerretConfig {
-            kernel: LpnKernel::Tiled,
-            ..naive_cfg.clone()
-        };
-        let mut dealer = Dealer::new(42);
-        let delta = dealer.random_delta();
-        let (s_base, r_base) = dealer.deal_cot(delta, naive_cfg.base_cots_required());
-        let (out_z, (out_x, out_y), _, _) = crate::channel::run_protocol(
-            move |ch| {
-                let mut sender = FerretSender::new(tiled_cfg, s_base, 42);
-                sender.extend(ch).expect("sender extension")
-            },
-            move |ch| {
-                let mut receiver = FerretReceiver::new(naive_cfg, r_base, 42);
-                receiver.extend(ch).expect("receiver extension")
-            },
-        );
-        for i in 0..out_z.len() {
-            assert_eq!(out_z[i], out_y[i] ^ delta.and_bit(out_x[i]), "index {i}");
+        for (sender_kernel, receiver_kernel) in [
+            (LpnKernel::Tiled, LpnKernel::Naive),
+            (LpnKernel::Naive, LpnKernel::Split),
+        ] {
+            let sender_cfg = FerretConfig {
+                kernel: sender_kernel,
+                ..naive_cfg.clone()
+            };
+            let receiver_cfg = FerretConfig {
+                kernel: receiver_kernel,
+                ..naive_cfg.clone()
+            };
+            let mut dealer = Dealer::new(42);
+            let delta = dealer.random_delta();
+            let (s_base, r_base) = dealer.deal_cot(delta, naive_cfg.base_cots_required());
+            let (out_z, (out_x, out_y), _, _) = crate::channel::run_protocol(
+                move |ch| {
+                    let mut sender = FerretSender::new(sender_cfg, s_base, 42);
+                    sender.extend(ch).expect("sender extension")
+                },
+                move |ch| {
+                    let mut receiver = FerretReceiver::new(receiver_cfg, r_base, 42);
+                    receiver.extend(ch).expect("receiver extension")
+                },
+            );
+            assert_eq!(out_z.len(), naive_cfg.usable_outputs());
+            for i in 0..out_z.len() {
+                assert_eq!(
+                    out_z[i],
+                    out_y[i] ^ delta.and_bit(out_x[i]),
+                    "{sender_kernel:?}/{receiver_kernel:?} index {i}"
+                );
+            }
         }
     }
 
@@ -912,20 +953,25 @@ mod tests {
     #[test]
     fn split_kernel_matches_naive() {
         // Split only reorders the receiver's two passes (and tiles the
-        // block half) ⇒ bit-identical outputs, bootstrap included.
+        // block half) ⇒ bit-identical outputs, bootstrap included — on
+        // the scalar tier and on whatever `Auto` resolves to here (the
+        // gather bit pass and the unchecked tiled lane on AVX2 hosts).
         let naive_cfg = FerretConfig::new(FerretParams::toy());
-        let split_cfg = FerretConfig {
-            kernel: LpnKernel::Split,
-            ..naive_cfg.clone()
-        };
         let naive = run_extensions(&naive_cfg, 44, 2);
-        let split = run_extensions(&split_cfg, 44, 2);
-        for (a, b) in naive.iter().zip(&split) {
-            assert_eq!(a.z, b.z);
-            assert_eq!(a.x, b.x);
-            assert_eq!(a.y, b.y);
+        for simd in [SimdMode::Auto, SimdMode::ForceScalar] {
+            let split_cfg = FerretConfig {
+                kernel: LpnKernel::Split,
+                simd,
+                ..naive_cfg.clone()
+            };
+            let split = run_extensions(&split_cfg, 44, 2);
+            for (a, b) in naive.iter().zip(&split) {
+                assert_eq!(a.z, b.z, "{simd:?}");
+                assert_eq!(a.x, b.x, "{simd:?}");
+                assert_eq!(a.y, b.y, "{simd:?}");
+            }
+            split.last().unwrap().verify().unwrap();
         }
-        split.last().unwrap().verify().unwrap();
     }
 
     #[test]
@@ -1006,6 +1052,26 @@ mod tests {
         }
         // Outputs across iterations must differ (fresh randomness).
         assert_ne!(outs[0].z, outs[1].z);
+    }
+
+    #[test]
+    fn tail_retained_bootstrap_stays_correlated_at_mixed_fanout() {
+        // Each extension's base is the *tail* of the previous one's
+        // output rows (step 3 of the module header), retained
+        // identically by both parties: four chained extensions at
+        // toy_large (mixed final tree level) all verify, full length.
+        let cfg = FerretConfig {
+            kernel: LpnKernel::Split,
+            ..FerretConfig::new(FerretParams::toy_large())
+        };
+        let outs = run_extensions(&cfg, 9, 4);
+        for (i, out) in outs.iter().enumerate() {
+            assert_eq!(out.len(), cfg.usable_outputs(), "iteration {i}");
+            assert_eq!((out.x.len(), out.y.len()), (out.len(), out.len()));
+            out.verify()
+                .unwrap_or_else(|j| panic!("iteration {i}, COT {j} broken"));
+        }
+        assert_ne!(outs[2].z, outs[3].z);
     }
 
     #[test]

@@ -18,10 +18,13 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> cargo test, SPCOT crates, forced-scalar dispatch"
-# The ChaCha level kernel and Block::xor_into pick their tier once per
-# process; on an AVX2 host the pass above only ever ran the wide one.
-IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-ot
+echo "==> cargo test, kernel crates, forced-scalar dispatch"
+# The ChaCha level kernel, Block::xor_into and the LPN session kernels
+# (SimdMode::Auto) pick their tier once per process; on an AVX2 host the
+# pass above only ever ran the wide one. ironman-lpn rides along so the
+# scalar Split receiver shape the wide tier now shares is exercised under
+# the override too.
+IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
 
 echo "==> benchmark harness: its own unit tests, then a --smoke run of every workload"
 # benchmark/ is its own package (own workspace and lock file, path
