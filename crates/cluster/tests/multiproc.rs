@@ -131,12 +131,17 @@ impl Proxy {
     }
 
     /// Drops the cut: every proxied byte stream goes silent (reads
-    /// block, writes vanish) until [`Proxy::heal`].
+    /// block, writes vanish) until [`Proxy::heal`]. Returns once the cut
+    /// is complete: a pump already parked in `read()` when the plan arms
+    /// finishes that one read un-gated (and would carry one more gossip
+    /// exchange across), so wait out one pump read timeout, after which
+    /// every pump's next read goes through the armed injector.
     fn partition(&self) {
         self.injector.set_plan(FaultPlan {
             blackhole: true,
             ..FaultPlan::default()
         });
+        std::thread::sleep(PUMP_READ_TIMEOUT + Duration::from_millis(20));
     }
 
     /// Lifts the cut. Connections that lived through the blackhole are
@@ -150,12 +155,16 @@ impl Proxy {
     }
 }
 
+/// How long a proxy pump sits in one socket read before it re-checks
+/// `stop` — and so the longest a read can outlive [`Proxy::partition`].
+const PUMP_READ_TIMEOUT: Duration = Duration::from_millis(100);
+
 /// One proxy direction: bytes from `src` (read through the injector) to
 /// `dst`. Socket read timeouts keep the thread responsive to `stop`;
 /// injected `TimedOut` (a blackhole hitting its cap, or healing
 /// mid-read) closes the connection — the peers redial clean.
 fn pump(src: TcpStream, mut dst: TcpStream, injector: &FaultInjector, stop: &AtomicBool) {
-    let _ = src.set_read_timeout(Some(Duration::from_millis(100)));
+    let _ = src.set_read_timeout(Some(PUMP_READ_TIMEOUT));
     let mut faulty = injector.wrap(src);
     let mut buf = [0u8; 16 * 1024];
     loop {

@@ -78,28 +78,41 @@ impl LpnMatrix {
         );
         assert!(cols <= u32::MAX as usize, "column count must fit in u32");
         let aes = Aes128::new(seed ^ Block::from(MATRIX_DOMAIN));
-        let mut colidx = Vec::with_capacity(rows * weight);
+        let modulus = FastMod::new(cols as u64);
+        // Row `r` consumes counters `r·⌈d/2⌉ + 1 ..= (r+1)·⌈d/2⌉`, two
+        // indices per block (an odd row drops the low half of its last
+        // block), so a batch of rows is one contiguous counter range:
+        // fill it, encrypt it in one bulk call, derive the indices.
+        let blocks_per_row = weight.div_ceil(2);
+        let rows_per_batch = (GENERATION_BATCH / blocks_per_row.max(1)).max(1);
+        let mut batch = vec![Block::ZERO; rows_per_batch * blocks_per_row];
         let mut ctr = 0u128;
-        let mut row_buf: Vec<u32> = Vec::with_capacity(weight);
-        for _ in 0..rows {
-            row_buf.clear();
-            while row_buf.len() < weight {
+        let mut colidx: Vec<u32> = Vec::with_capacity(rows * weight);
+        for first_row in (0..rows).step_by(rows_per_batch) {
+            let batch_rows = rows_per_batch.min(rows - first_row);
+            let blocks = &mut batch[..batch_rows * blocks_per_row];
+            for slot in blocks.iter_mut() {
                 ctr += 1;
-                let blk = aes.encrypt_block(Block::from(ctr));
-                let (hi, lo) = blk.to_halves();
-                for half in [hi, lo] {
-                    if row_buf.len() >= weight {
-                        break;
-                    }
-                    let mut idx = (half % cols as u64) as u32;
+                *slot = Block::from(ctr);
+            }
+            aes.encrypt_blocks(blocks);
+            // `weight == 0` leaves `blocks` empty, so the `max(1)` only
+            // keeps the chunk size legal; no row is visited.
+            for row_blocks in blocks.chunks_exact(blocks_per_row.max(1)) {
+                let row_start = colidx.len();
+                let halves = row_blocks.iter().flat_map(|blk| {
+                    let (hi, lo) = blk.to_halves();
+                    [hi, lo]
+                });
+                for half in halves.take(weight) {
+                    let mut idx = modulus.reduce(half) as u32;
                     // Linear probe past duplicates within the row.
-                    while row_buf.contains(&idx) {
+                    while colidx[row_start..].contains(&idx) {
                         idx = (idx + 1) % cols as u32;
                     }
-                    row_buf.push(idx);
+                    colidx.push(idx);
                 }
             }
-            colidx.extend_from_slice(&row_buf);
         }
         LpnMatrix {
             rows,
@@ -196,9 +209,137 @@ impl LpnMatrix {
 /// (ASCII "LPN_MATRIX").
 const MATRIX_DOMAIN: u128 = 0x4c50_4e5f_4d41_5452_4958;
 
+/// Counter blocks per bulk cipher call in [`LpnMatrix::generate`],
+/// rounded down to whole rows: 4 KB, L1-resident, and long enough that the
+/// cipher's 8-block stride leaves a negligible tail.
+const GENERATION_BATCH: usize = 256;
+
+/// Exact `n % d` for any `u64` dividend by one multiplication chain
+/// instead of a hardware divide (Lemire, Kaser & Kurz, "Faster remainder
+/// by direct computation", 2019): with `magic = ⌈2¹²⁸ / d⌉`,
+/// `n % d = ⌊((magic · n) mod 2¹²⁸) · d / 2¹²⁸⌋` whenever
+/// `128 ≥ 64 + log₂ d`.
+struct FastMod {
+    magic: u128,
+    d: u64,
+}
+
+impl FastMod {
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ d ≤ 2³²` (keeps [`FastMod::reduce`]'s partial
+    /// products inside `u128`).
+    fn new(d: u64) -> Self {
+        assert!((1..=1 << 32).contains(&d), "modulus out of range");
+        // ⌈2¹²⁸ / d⌉ for d ≥ 2; d = 1 wraps to 0, which reduces every
+        // dividend to 0 — also right.
+        let magic = (u128::MAX / d as u128).wrapping_add(1);
+        FastMod { magic, d }
+    }
+
+    #[inline]
+    fn reduce(&self, n: u64) -> u64 {
+        let low = self.magic.wrapping_mul(n as u128);
+        // ⌊low · d / 2¹²⁸⌋ from the two 64-bit halves of `low`.
+        let d = self.d as u128;
+        let r = (((low >> 64) * d + (((low as u64 as u128) * d) >> 64)) >> 64) as u64;
+        debug_assert_eq!(r, n % self.d);
+        r
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The generator's definition: one counter block at a time, a hardware
+    /// `%` per index, duplicates probed in a scratch row.
+    fn generate_row_at_a_time(rows: usize, cols: usize, weight: usize, seed: Block) -> Vec<u32> {
+        let aes = Aes128::new(seed ^ Block::from(MATRIX_DOMAIN));
+        let mut colidx = Vec::with_capacity(rows * weight);
+        let mut ctr = 0u128;
+        let mut row_buf: Vec<u32> = Vec::with_capacity(weight);
+        for _ in 0..rows {
+            row_buf.clear();
+            while row_buf.len() < weight {
+                ctr += 1;
+                let blk = aes.encrypt_block(Block::from(ctr));
+                let (hi, lo) = blk.to_halves();
+                for half in [hi, lo] {
+                    if row_buf.len() >= weight {
+                        break;
+                    }
+                    let mut idx = (half % cols as u64) as u32;
+                    while row_buf.contains(&idx) {
+                        idx = (idx + 1) % cols as u32;
+                    }
+                    row_buf.push(idx);
+                }
+            }
+            colidx.extend_from_slice(&row_buf);
+        }
+        colidx
+    }
+
+    proptest! {
+        /// Batched generation is the row-at-a-time definition: empty rows,
+        /// odd weights (spare half dropped, next row on a fresh counter),
+        /// `weight == cols` (probing wraps through every column),
+        /// `cols == 1`, and row counts on both sides of a batch boundary.
+        #[test]
+        fn generate_matches_row_at_a_time(
+            rows in 1usize..200,
+            cols in 1usize..300,
+            weight in 0usize..14,
+            seed in any::<u128>(),
+        ) {
+            let weight = weight.min(cols);
+            let m = LpnMatrix::generate_untracked(rows, cols, weight, Block::from(seed));
+            prop_assert_eq!(
+                m.colidx(),
+                generate_row_at_a_time(rows, cols, weight, Block::from(seed)).as_slice()
+            );
+        }
+
+        #[test]
+        fn fastmod_matches_hardware_remainder(n in any::<u64>(), pick in 0usize..6) {
+            let d = [1, 2, 3, 1 << 32, 168_000, u32::MAX as u64][pick];
+            let m = FastMod::new(d);
+            for n in [n, 0, 1, d - 1, d, d + 1, n / d * d, u64::MAX - 1, u64::MAX] {
+                prop_assert_eq!(m.reduce(n), n % d, "{} % {}", n, d);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_wider_than_a_batch_and_full_width_rows_match() {
+        // ⌈d/2⌉ above the batch size (one row per bulk call), and a row
+        // that must take every column.
+        for (rows, cols, weight) in [(3, 700, 2 * GENERATION_BATCH + 3), (5, 41, 41)] {
+            let m = LpnMatrix::generate_untracked(rows, cols, weight, Block::from(21u128));
+            assert_eq!(
+                m.colidx(),
+                generate_row_at_a_time(rows, cols, weight, Block::from(21u128))
+            );
+        }
+    }
+
+    /// The Table-4 matrix is the matrix the pre-batching generator made:
+    /// `Σ colidx` recorded at commit 11170f3 (software cipher, `%`).
+    #[test]
+    #[ignore = "full-scale: three 2^20 x 168000 matrices"]
+    fn table4_matrix_is_pinned() {
+        for (seed, sum) in [
+            (7u128, 880_904_398_888u64),
+            (8, 880_897_169_122),
+            (9, 880_695_904_440),
+        ] {
+            let m = LpnMatrix::generate_untracked(1 << 20, 168_000, 10, Block::from(seed));
+            let got: u64 = m.colidx().iter().map(|&c| c as u64).sum();
+            assert_eq!(got, sum, "seed {seed}");
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -64,9 +64,10 @@ impl TileConfig {
 ///
 /// Invariant (the wide block lane in [`crate::simd`] indexes unchecked on
 /// it): every entry of bucket `(block, tile)` decodes to a
-/// `(row, col)` with `row < rows` and `col < cols`. The only constructor
-/// is [`TileSchedule::build_with`], which asserts it per gather — hence
-/// no `Deserialize`: nothing may mint a schedule that skipped that check.
+/// `(row, col)` with `row < rows` and `col < cols`. Both constructors
+/// ([`TileSchedule::build`], [`TileSchedule::build_with`]) assert it per
+/// gather — hence no `Deserialize`: nothing may mint a schedule that
+/// skipped that check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TileSchedule {
     rows: usize,
@@ -84,17 +85,123 @@ pub struct TileSchedule {
     bucket_ends: Vec<usize>,
 }
 
+/// The counting sort both [`TileSchedule`] constructors run: geometry
+/// checks and zeroed bucket counts ([`Buckets::new`]), a count pass by the
+/// caller, start cursors and the entry array ([`Buckets::place`]), a
+/// placement pass by the caller, and the every-bucket-filled check
+/// ([`Buckets::finish`]).
+struct Buckets {
+    rows: usize,
+    cols: usize,
+    row_block: usize,
+    col_tile: usize,
+    col_bits: u32,
+    n_tiles: usize,
+    /// Gathers per bucket, row blocks outer, column tiles inner.
+    counts: Vec<usize>,
+}
+
+impl Buckets {
+    fn new(rows: usize, cols: usize, cfg: TileConfig) -> Self {
+        assert!(rows > 0 && cols > 0, "schedule dimensions must be positive");
+        let row_block = cfg.row_block.max(1).min(rows);
+        let col_tile = cfg.col_tile.max(1).min(cols);
+        let col_bits = TileConfig {
+            row_block,
+            col_tile,
+        }
+        .col_bits();
+        assert!(
+            (row_block.max(2) - 1).ilog2() + 1 + col_bits <= 32,
+            "tile geometry {row_block}x{col_tile} does not pack into u32 entries"
+        );
+        let n_tiles = cols.div_ceil(col_tile);
+        Buckets {
+            rows,
+            cols,
+            row_block,
+            col_tile,
+            col_bits,
+            n_tiles,
+            counts: vec![0; rows.div_ceil(row_block) * n_tiles],
+        }
+    }
+
+    /// Each bucket's first slot, and the entry array the placement pass
+    /// fills through those cursors.
+    fn place(&self) -> (Vec<usize>, Vec<u32>) {
+        let mut cursors = Vec::with_capacity(self.counts.len());
+        let mut total = 0usize;
+        for &c in &self.counts {
+            cursors.push(total);
+            total += c;
+        }
+        (cursors, vec![0u32; total])
+    }
+
+    /// Checks that every bucket received exactly the gathers counted for
+    /// it — so no placement spilled into a neighbour's range — which
+    /// leaves each cursor at its bucket's end.
+    fn finish(self, cursors: Vec<usize>, entries: Vec<u32>) -> TileSchedule {
+        let mut end = 0usize;
+        for (&cursor, &count) in cursors.iter().zip(&self.counts) {
+            end += count;
+            assert_eq!(cursor, end, "for_each must emit the same gathers twice");
+        }
+        TileSchedule {
+            rows: self.rows,
+            cols: self.cols,
+            row_block: self.row_block,
+            col_tile: self.col_tile,
+            col_bits: self.col_bits,
+            entries,
+            bucket_ends: cursors,
+        }
+    }
+}
+
 impl TileSchedule {
     /// Builds the schedule for `matrix` (row `j` accumulates into
-    /// `acc[j]`, exactly like the row-major encoder).
+    /// `acc[j]`, exactly like the row-major encoder) — the schedule
+    /// [`TileSchedule::build_with`] produces from the row-major gather
+    /// set, built by walking `colidx` one row block at a time so the
+    /// block's bucket row and each row's `local_row << col_bits` are
+    /// hoisted out of the per-gather loop.
     pub fn build(matrix: &LpnMatrix, cfg: TileConfig) -> Self {
-        Self::build_with(matrix.rows(), matrix.cols(), cfg, |emit| {
-            for j in 0..matrix.rows() {
-                for &c in matrix.row(j) {
-                    emit(j as u32, c);
+        let mut b = Buckets::new(matrix.rows(), matrix.cols(), cfg);
+        let (cols, weight, n_tiles, col_bits) = (b.cols, matrix.weight(), b.n_tiles, b.col_bits);
+        // The packing check bounds `col_bits` by 31, so the tile width
+        // (and with it every quotient and remainder below) fits `u32`.
+        let col_tile = b.col_tile as u32;
+        // A weight-0 matrix has no gathers: `max(1)` only keeps the chunk
+        // size legal, and no chunk is visited.
+        let block_len = (b.row_block * weight).max(1);
+        let blocks = || matrix.colidx().chunks(block_len);
+        // Rows are in range by position; columns are checked in both
+        // passes, as in `build_with`.
+        let in_range = |c: u32| assert!((c as usize) < cols, "entry out of range");
+
+        for (block, gathers) in blocks().enumerate() {
+            let counts = &mut b.counts[block * n_tiles..][..n_tiles];
+            for &c in gathers {
+                in_range(c);
+                counts[(c / col_tile) as usize] += 1;
+            }
+        }
+        let (mut cursors, mut entries) = b.place();
+        for (block, gathers) in blocks().enumerate() {
+            let cursors = &mut cursors[block * n_tiles..][..n_tiles];
+            for (local_row, row) in gathers.chunks_exact(weight).enumerate() {
+                let row_bits = (local_row as u32) << col_bits;
+                for &c in row {
+                    in_range(c);
+                    let cursor = &mut cursors[(c / col_tile) as usize];
+                    entries[*cursor] = row_bits | (c % col_tile);
+                    *cursor += 1;
                 }
             }
-        })
+        }
+        b.finish(cursors, entries)
     }
 
     /// Builds a schedule from an arbitrary gather set: `for_each` must
@@ -113,23 +220,9 @@ impl TileSchedule {
         cfg: TileConfig,
         mut for_each: impl FnMut(&mut dyn FnMut(u32, u32)),
     ) -> Self {
-        assert!(rows > 0 && cols > 0, "schedule dimensions must be positive");
-        let row_block = cfg.row_block.max(1).min(rows);
-        let col_tile = cfg.col_tile.max(1).min(cols);
-        let col_bits = TileConfig {
-            row_block,
-            col_tile,
-        }
-        .col_bits();
-        assert!(
-            (row_block.max(2) - 1).ilog2() + 1 + col_bits <= 32,
-            "tile geometry {row_block}x{col_tile} does not pack into u32 entries"
-        );
-        let n_blocks = rows.div_ceil(row_block);
-        let n_tiles = cols.div_ceil(col_tile);
-
-        // Counting sort into (row-block, tile) buckets: one count pass,
-        // one placement pass, no per-bucket allocations.
+        let mut b = Buckets::new(rows, cols, cfg);
+        let (row_block, col_tile, col_bits, n_tiles) =
+            (b.row_block, b.col_tile, b.col_bits, b.n_tiles);
         // Both passes check the range: the bucket an entry lands in and
         // the bases it is later decoded against are only right for
         // in-range gathers (see the type's invariant).
@@ -140,19 +233,8 @@ impl TileSchedule {
             );
             (row as usize / row_block) * n_tiles + col as usize / col_tile
         };
-        let mut counts = vec![0usize; n_blocks * n_tiles];
-        let mut total = 0usize;
-        for_each(&mut |row, col| {
-            counts[bucket_of(row, col)] += 1;
-            total += 1;
-        });
-        let mut cursors = Vec::with_capacity(counts.len());
-        let mut acc = 0usize;
-        for &c in &counts {
-            cursors.push(acc);
-            acc += c;
-        }
-        let mut entries = vec![0u32; total];
+        for_each(&mut |row, col| b.counts[bucket_of(row, col)] += 1);
+        let (mut cursors, mut entries) = b.place();
         for_each(&mut |row, col| {
             let bucket = bucket_of(row, col);
             let local_row = (row as usize % row_block) as u32;
@@ -160,22 +242,7 @@ impl TileSchedule {
             entries[cursors[bucket]] = (local_row << col_bits) | local_col;
             cursors[bucket] += 1;
         });
-        // Every bucket received exactly the gathers counted for it, so no
-        // placement spilled into a neighbour's range.
-        let mut end = 0usize;
-        for (&cursor, &count) in cursors.iter().zip(&counts) {
-            end += count;
-            assert_eq!(cursor, end, "for_each must emit the same gathers twice");
-        }
-        TileSchedule {
-            rows,
-            cols,
-            row_block,
-            col_tile,
-            col_bits,
-            entries,
-            bucket_ends: cursors,
-        }
+        b.finish(cursors, entries)
     }
 
     /// Accumulator length the schedule was built for (`n`).
@@ -343,6 +410,44 @@ mod tests {
         s.encode_bits_packed(&packed_input, &mut packed);
         assert_eq!(plain, tiled);
         assert_eq!(packed.to_bools(), plain);
+    }
+
+    #[test]
+    fn build_is_build_with_on_the_row_major_gather_set() {
+        // Last partial row block and column tile, sizes that are and are
+        // not powers of two, one-row / one-column / whole-matrix tiles,
+        // an empty matrix, and the default geometry clamped to the matrix.
+        for (rows, cols, weight, row_block, col_tile) in [
+            (10usize, 23usize, 3usize, 4usize, 5usize),
+            (37, 19, 5, 7, 3),
+            (9, 50, 9, 2, 16),
+            (130, 70, 4, 64, 32),
+            (5, 3, 1, 2, 2),
+            (3000, 1000, 10, 100, 300),
+            (257, 129, 7, 1, 1),
+            (64, 64, 8, 1024, 1024),
+            (12, 7, 0, 5, 2),
+            (500, 40, 10, 131_072, 32_768),
+        ] {
+            let cfg = TileConfig {
+                row_block,
+                col_tile,
+            };
+            let m = LpnMatrix::generate(rows, cols, weight, Block::from(cols as u128));
+            let general = TileSchedule::build_with(rows, cols, cfg, |emit| {
+                for j in 0..rows {
+                    for &c in m.row(j) {
+                        emit(j as u32, c);
+                    }
+                }
+            });
+            assert_eq!(
+                TileSchedule::build(&m, cfg),
+                general,
+                "{rows}x{cols} {cfg:?}"
+            );
+            assert_eq!(general.len(), rows * weight);
+        }
     }
 
     #[test]

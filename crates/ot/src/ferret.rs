@@ -327,8 +327,11 @@ impl SharedLpnMatrix {
         }
     }
 
-    /// The matrix-plus-schedule heap bytes this handle keeps alive —
-    /// what each additional sharing session *avoids* allocating.
+    /// The LPN working set of the shared matrix in bytes: its `colidx`
+    /// array plus one `k`-vector of blocks
+    /// ([`LpnMatrix::working_set_bytes`]). The lazily built tile schedule
+    /// (another `colidx`-sized array the handle also keeps alive) is not
+    /// counted.
     pub fn working_set_bytes(&self) -> u64 {
         match &self.repr {
             MatrixRepr::Plain(m) => m.working_set_bytes(),

@@ -213,6 +213,17 @@ impl Block {
     }
 }
 
+/// Whether `IRONMAN_SIMD=scalar` (or `off` / `0`) pins every kernel of
+/// this crate — wide XOR, ChaCha level kernel, AES — to its portable
+/// tier. Reads the environment; the per-kernel decisions that call it
+/// cache their answer once per process.
+pub(crate) fn forced_scalar() -> bool {
+    matches!(
+        std::env::var("IRONMAN_SIMD"),
+        Ok(v) if v.eq_ignore_ascii_case("scalar") || v == "off" || v == "0"
+    )
+}
+
 /// Whether this process runs its AVX2 kernels — [`Block::xor_into`]'s
 /// wide lane and the ChaCha level kernel: feature detected and not
 /// force-disabled by `IRONMAN_SIMD=scalar`. Decided once per process.
@@ -242,15 +253,8 @@ mod wide {
     /// Whether the AVX2 path runs: feature detected and not force-disabled.
     pub(super) fn enabled() -> bool {
         static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            match std::env::var("IRONMAN_SIMD") {
-                Ok(v) if v.eq_ignore_ascii_case("scalar") || v == "off" || v == "0" => {
-                    return false;
-                }
-                _ => {}
-            }
-            std::arch::is_x86_feature_detected!("avx2")
-        })
+        *ENABLED
+            .get_or_init(|| !super::forced_scalar() && std::arch::is_x86_feature_detected!("avx2"))
     }
 
     /// # Safety

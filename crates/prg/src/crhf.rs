@@ -70,10 +70,14 @@ impl Crhf {
     /// Hashes a slice of correlated blocks with their positions as tweaks —
     /// the bulk COT→ROT conversion of the online phase.
     pub fn hash_all(&self, base_index: u64, xs: &[Block]) -> Vec<Block> {
-        xs.iter()
-            .enumerate()
-            .map(|(i, &x)| self.hash(base_index + i as u64, x))
-            .collect()
+        let tweaked: Vec<Block> = (base_index..)
+            .zip(xs)
+            .map(|(i, &x)| Self::sigma(x) ^ Block::from(i as u128))
+            .collect();
+        let mut out = tweaked.clone();
+        self.pi.encrypt_blocks(&mut out);
+        Block::xor_into(&mut out, &tweaked);
+        out
     }
 }
 
@@ -112,11 +116,13 @@ mod tests {
 
     #[test]
     fn hash_all_matches_individual() {
+        // Every remainder of the cipher's 8-block body.
         let h = Crhf::new();
-        let xs = [Block::from(1u128), Block::from(2u128), Block::from(3u128)];
-        let out = h.hash_all(10, &xs);
-        assert_eq!(out[0], h.hash(10, xs[0]));
-        assert_eq!(out[2], h.hash(12, xs[2]));
+        for len in 0..=17u128 {
+            let xs: Vec<Block> = (0..len).map(|i| Block::from(i * 0x1_0001 + 1)).collect();
+            let each: Vec<Block> = (10..).zip(&xs).map(|(i, &x)| h.hash(i, x)).collect();
+            assert_eq!(h.hash_all(10, &xs), each, "len {len}");
+        }
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //!
 //! * [`Block`] — a 128-bit block (the unit of all COT correlations, GGM tree
 //!   nodes and LPN vector elements; `λ = 128` throughout the paper).
-//! * [`aes::Aes128`] — a from-scratch, table-based FIPS-197 AES-128
-//!   implementation used to instantiate the paper's baseline double-length
-//!   PRG `G(s) = (AES_{k0}(s) ⊕ s, AES_{k1}(s) ⊕ s)`.
+//! * [`aes::Aes128`] — FIPS-197 AES-128, the cipher behind the paper's
+//!   baseline double-length PRG `G(s) = (AES_{k0}(s) ⊕ s, AES_{k1}(s) ⊕ s)`,
+//!   the LPN index stream and the CRHF. It runs on `AESENC` where x86-64
+//!   has the `aes` feature and on a from-scratch byte-wise cipher
+//!   elsewhere (and under `IRONMAN_SIMD=scalar`); both tiers are pinned to
+//!   the FIPS-197 vectors and to each other.
 //! * [`chacha::ChaCha`] — a from-scratch ChaCha permutation with a
 //!   configurable round count (ChaCha8 is the paper's hardware PRG of
 //!   choice; it emits 512 bits — four blocks — per call).
@@ -34,9 +37,9 @@
 //! ```
 
 // `deny` (not `forbid`) so [`block`] (wide-XOR intrinsics, little-endian
-// wire cast) and [`level`] (the lane-parallel ChaCha kernel) may opt in
-// behind scoped `#[allow(unsafe_code)]`; every other module still
-// rejects `unsafe`.
+// wire cast), [`level`] (the lane-parallel ChaCha kernel) and [`aes`]
+// (the AES-NI kernel) may opt in behind scoped `#[allow(unsafe_code)]`;
+// every other module still rejects `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -49,7 +52,7 @@ pub mod level;
 pub mod stream;
 pub mod tree_prg;
 
-pub use aes::Aes128;
+pub use aes::{Aes128, AesTier};
 pub use block::Block;
 pub use chacha::{ChaCha, CHACHA_BLOCK_BYTES};
 pub use counter::PrgCounter;

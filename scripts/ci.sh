@@ -96,6 +96,14 @@ check_floor() { # file name floor
     printf "floor ok: %s at %.0f COTs/s (floor %.0f)\n", n, v, f
   }'
 }
+check_ceiling() { # file section key ceiling
+  v=$(sed -n "s/.*\"$2\": {.*\"$3\": \([0-9.]*\).*/\1/p" "$1")
+  if [ -z "$v" ]; then echo "CEILING CHECK: $2.$3 missing from $1"; exit 1; fi
+  awk -v v="$v" -v c="$4" -v n="$2.$3" 'BEGIN {
+    if (v + 0 > c + 0) { printf "CEILING CHECK: %s at %.3f is above ceiling %.3f\n", n, v, c; exit 1 }
+    printf "ceiling ok: %s at %.3f (ceiling %.3f)\n", n, v, c
+  }'
+}
 # The serving floors are latency-sensitive: on the shared one-core CI
 # box a host-slowness burst can depress an entire best-of-5 window
 # (observed 120K draws on trees that measure 200K+ in a calm window —
@@ -143,6 +151,13 @@ if ! extension_floors; then
     [ "$retry" = 2 ] && { echo "extension floors failed after settled retries"; exit 1; }
   done
 fi
+# Matrix-build ceiling: generating the Table-4 matrix (2^20 x 168 000,
+# d = 10) measures ~0.10-0.18 s on the AES-NI tier and ~0.9-1.2 s on the
+# software cipher, so 0.45 s sits 2.5x above one regime and 2x below the
+# other: a silent fall-back to the software tier fails here, a slow window
+# does not. BENCH_extension_scalar.json is not gated - that tier keeps the
+# software cipher by design.
+check_ceiling BENCH_extension.json shared_matrix matrix_build_secs 0.45
 
 echo "==> telemetry-overhead head-to-head (--quick; refreshes BENCH_telemetry.json)"
 # Two builds of one binary: --features telemetry-noop compiles every
