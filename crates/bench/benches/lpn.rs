@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ironman_lpn::sorting::SortConfig;
-use ironman_lpn::{encoder, LpnMatrix, SortedLpnMatrix};
+use ironman_lpn::{encoder, LpnMatrix, PackedBits, SortedLpnMatrix};
 use ironman_prg::Block;
 use std::hint::black_box;
 use std::time::Duration;
@@ -38,12 +38,13 @@ fn bench_lpn(c: &mut Criterion) {
             acc[0]
         })
     });
-    g.bench_function("bits", |b| {
-        let bits: Vec<bool> = (0..K).map(|i| i % 3 == 0).collect();
+    g.bench_function("bits_packed", |b| {
+        let bools: Vec<bool> = (0..K).map(|i| i % 3 == 0).collect();
+        let bits = PackedBits::from_bools(&bools);
         b.iter(|| {
-            let mut acc = vec![false; N];
-            encoder::encode_bits(&matrix, black_box(&bits), &mut acc);
-            acc[0]
+            let mut acc = PackedBits::zeros(N);
+            encoder::encode_bits_packed(&matrix, black_box(&bits), &mut acc);
+            acc.get(0)
         })
     });
     g.finish();

@@ -1,6 +1,7 @@
 //! Runs every table/figure generator in sequence — the one-shot command
-//! behind EXPERIMENTS.md. Equivalent to running each `fig*`/`tab*` binary
-//! individually.
+//! that regenerates every paper table and figure this repository models
+//! (nothing it prints is checked in). Equivalent to running each
+//! `fig*`/`tab*` binary individually.
 
 use std::process::Command;
 

@@ -9,18 +9,16 @@
 //!   `d = 10`): row-major naive vs cache-blocked tiled, each with and
 //!   without the §5.3 offline sort — all four against the same matrix
 //!   and inputs, best-of-N.
-//! * **LPN bit kernels**: the receiver's `x = e·A ⊕ u` half as
-//!   `Vec<bool>` (naive) vs packed `u64` words, row-major and tiled.
-//! * **SIMD dispatch head-to-head**: every [`ironman_lpn::simd`] entry
-//!   point (blocks, packed bits, the split and the fused tiled receiver
-//!   pair; row-major and tiled) at each runtime-available level — scalar
+//! * **SIMD dispatch head-to-head**: the [`ironman_lpn::simd`] block
+//!   pass, row-major and tiled, at each runtime-available level — scalar
 //!   vs AVX2/BMI2 wide — so lane-selection claims are measured, not
-//!   assumed.
+//!   assumed. (The packed-bit and pair entry points no session runs any
+//!   more are timed only by `benchmark/`'s `lpn.receiver_ns_per_cot`
+//!   probe.)
 //! * **Session LPN composite**: one extension's LPN compute across both
-//!   party threads (sender blocks + receiver half — they share the
-//!   single core in a `CotSession`), naive vs the fused tiled+packed
-//!   pair vs the split receiver (tiled block half + row-major packed
-//!   bit half) that [`FerretConfig::recommended`] now picks.
+//!   party threads — the same block pass twice (they share the single
+//!   core in a `CotSession`), row-major vs the tiled pass
+//!   [`FerretConfig::recommended`] picks.
 //! * **Raw single-session `extend`**: a persistent [`CotSession`] at an
 //!   LPN-heavy parameter set, naive kernels vs
 //!   [`FerretConfig::recommended`], COTs/s.
@@ -42,7 +40,7 @@
 
 use ironman_bench::{best_of, f2, header, row, times};
 use ironman_lpn::sorting::SortConfig;
-use ironman_lpn::{encoder, simd, LpnMatrix, PackedBits, SimdLevel, SortedLpnMatrix};
+use ironman_lpn::{encoder, simd, LpnMatrix, SimdLevel, SortedLpnMatrix};
 use ironman_ot::ferret::{FerretConfig, LpnKernel};
 use ironman_ot::params::FerretParams;
 use ironman_ot::session::CotSession;
@@ -266,17 +264,13 @@ fn main() {
          ({sorted_tiles_len} gathers)"
     );
 
-    // Shared inputs: pseudorandom blocks/bits, dirty accumulators.
+    // Shared inputs: pseudorandom blocks, a dirty accumulator.
     let input_blocks: Vec<Block> = (0..k as u128)
         .map(|i| Block::from(i * 0x9e37 + 1))
         .collect();
-    let input_bools: Vec<bool> = (0..k).map(|i| (i * 7 + i / 11) % 3 == 0).collect();
-    let input_packed = PackedBits::from_bools(&input_bools);
     let gathers = (n * d) as u64;
 
     let mut acc_blocks = vec![Block::from(0xA5u128); n];
-    let mut acc_bools = vec![false; n];
-    let mut acc_packed = PackedBits::zeros(n);
 
     let score = KernelResult::gathers_per_sec;
     let block_results = [
@@ -298,23 +292,6 @@ fn main() {
         best_of(attempts, score, || {
             time_kernel("blocks_tiled_sorted", kernel_iters, gathers, || {
                 sorted.encode_blocks_tiled(&input_blocks, &mut acc_blocks)
-            })
-        }),
-    ];
-    let bit_results = [
-        best_of(attempts, score, || {
-            time_kernel("bits_bool_naive", kernel_iters, gathers, || {
-                encoder::encode_bits(&matrix, &input_bools, &mut acc_bools)
-            })
-        }),
-        best_of(attempts, score, || {
-            time_kernel("bits_packed_naive", kernel_iters, gathers, || {
-                encoder::encode_bits_packed(&matrix, &input_packed, &mut acc_packed)
-            })
-        }),
-        best_of(attempts, score, || {
-            time_kernel("bits_packed_tiled", kernel_iters, gathers, || {
-                tiles.encode_bits_packed(&input_packed, &mut acc_packed)
             })
         }),
     ];
@@ -348,119 +325,25 @@ fn main() {
                 || simd::encode_blocks_tiled(level, tiles, &input_blocks, &mut acc_blocks),
             )
         }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "simd_bits_packed_scalar"
-                } else {
-                    "simd_bits_packed_wide"
-                },
-                kernel_iters,
-                gathers,
-                || simd::encode_bits_packed(level, &matrix, &input_packed, &mut acc_packed),
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "simd_bits_packed_tiled_scalar"
-                } else {
-                    "simd_bits_packed_tiled_wide"
-                },
-                kernel_iters,
-                gathers,
-                || simd::encode_bits_packed_tiled(level, tiles, &input_packed, &mut acc_packed),
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "simd_pair_scalar"
-                } else {
-                    "simd_pair_wide"
-                },
-                kernel_iters,
-                2 * gathers,
-                || {
-                    simd::encode_cot_pair(
-                        level,
-                        &matrix,
-                        &input_blocks,
-                        &input_packed,
-                        &mut acc_blocks,
-                        &mut acc_packed,
-                    )
-                },
-            )
-        }));
-        simd_results.push(best_of(attempts, score, || {
-            time_kernel(
-                if sc {
-                    "simd_pair_tiled_scalar"
-                } else {
-                    "simd_pair_tiled_wide"
-                },
-                kernel_iters,
-                2 * gathers,
-                || {
-                    simd::encode_cot_pair_tiled(
-                        level,
-                        tiles,
-                        &input_blocks,
-                        &input_packed,
-                        &mut acc_blocks,
-                        &mut acc_packed,
-                    )
-                },
-            )
-        }));
     }
 
     // Session-level composite: one extension's LPN compute across both
     // party threads (they share this core in a `CotSession`) — the
-    // sender's `z = r·A ⊕ w` block pass plus the receiver's
-    // `x = e·A ⊕ u` / `y = s·A ⊕ v` half. Naive runs the pre-PR shape
-    // (row-major, separate passes, `bool` bits); tiled+packed runs the
-    // fused receiver pair the tile schedule and packed words were built
-    // for; split runs what `recommended()` now picks from measurement —
-    // tiled block passes plus a row-major packed bit pass, at the
-    // auto-detected SIMD level.
+    // sender's `z = r·A ⊕ w` and the receiver's `y = s·A ⊕ v`, the same
+    // block pass twice. Naive runs it row-major; tiled is what
+    // `recommended()` picks, at the auto-detected SIMD level.
     let auto_level = SimdLevel::detect();
     let composite_results = [
         best_of(attempts, score, || {
-            time_kernel("session_lpn_naive", kernel_iters, 3 * gathers, || {
-                encoder::encode_blocks(&matrix, &input_blocks, &mut acc_blocks);
-                encoder::encode_bits(&matrix, &input_bools, &mut acc_bools);
-                encoder::encode_blocks(&matrix, &input_blocks, &mut acc_blocks);
+            time_kernel("session_lpn_naive", kernel_iters, 2 * gathers, || {
+                simd::encode_blocks(auto_level, &matrix, &input_blocks, &mut acc_blocks);
+                simd::encode_blocks(auto_level, &matrix, &input_blocks, &mut acc_blocks);
             })
         }),
         best_of(attempts, score, || {
-            time_kernel(
-                "session_lpn_tiled_packed",
-                kernel_iters,
-                3 * gathers,
-                || {
-                    tiles.encode_blocks(&input_blocks, &mut acc_blocks);
-                    tiles.encode_cot_pair(
-                        &input_blocks,
-                        &input_packed,
-                        &mut acc_blocks,
-                        &mut acc_packed,
-                    );
-                },
-            )
-        }),
-        best_of(attempts, score, || {
-            time_kernel("session_lpn_split", kernel_iters, 3 * gathers, || {
+            time_kernel("session_lpn_tiled", kernel_iters, 2 * gathers, || {
                 simd::encode_blocks_tiled(auto_level, tiles, &input_blocks, &mut acc_blocks);
-                simd::encode_cot_pair(
-                    auto_level,
-                    &matrix,
-                    &input_blocks,
-                    &input_packed,
-                    &mut acc_blocks,
-                    &mut acc_packed,
-                );
+                simd::encode_blocks_tiled(auto_level, tiles, &input_blocks, &mut acc_blocks);
             })
         }),
     ];
@@ -532,7 +415,6 @@ fn main() {
         }
     };
     print_group(&block_results, block_results[0].gathers_per_sec());
-    print_group(&bit_results, bit_results[0].gathers_per_sec());
     header(
         &format!("simd dispatch head-to-head (detected: {auto_level:?})"),
         &["kernel", "gathers", "secs", "gathers/s", "vs naive"],
@@ -557,16 +439,10 @@ fn main() {
         ]);
     }
 
-    let tiled_packed_speedup =
+    let tiled_speedup =
         composite_results[1].gathers_per_sec() / composite_results[0].gathers_per_sec();
-    let split_speedup =
-        composite_results[2].gathers_per_sec() / composite_results[0].gathers_per_sec();
     let extend_speedup = extends[1].cots_per_sec() / extends[0].cots_per_sec();
-    println!(
-        "\nsession LPN tiled+packed vs naive: {}",
-        times(tiled_packed_speedup)
-    );
-    println!("session LPN split vs naive: {}", times(split_speedup));
+    println!("\nsession LPN tiled vs naive: {}", times(tiled_speedup));
     println!("extend recommended vs naive: {}", times(extend_speedup));
     println!(
         "spawn-to-first-batch: unshared {spawn_unshared_secs:.2}s \
@@ -580,7 +456,7 @@ fn main() {
         "  \"quick\": {quick},\n  \"simd_level\": \"{auto_level:?}\",\n  \"params\": {{\"n\": {n}, \"k\": {k}, \"d\": {d}}},\n"
     ));
     json.push_str(&format!(
-        "  \"tiled_packed_speedup\": {tiled_packed_speedup:.3},\n  \"split_speedup\": {split_speedup:.3},\n  \"extend_speedup\": {extend_speedup:.3},\n"
+        "  \"tiled_speedup\": {tiled_speedup:.3},\n  \"extend_speedup\": {extend_speedup:.3},\n"
     ));
     json.push_str(&format!(
         "  \"shared_matrix\": {{\"matrix_build_secs\": {matrix_build_secs:.3}, \"matrix_bytes\": {matrix_bytes}, \
@@ -601,7 +477,6 @@ fn main() {
     json.push_str("  ],\n  \"kernels\": [\n");
     let all: Vec<&KernelResult> = block_results
         .iter()
-        .chain(&bit_results)
         .chain(&simd_results)
         .chain(&composite_results)
         .collect();

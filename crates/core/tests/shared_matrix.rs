@@ -8,7 +8,7 @@
 
 use ironman_core::{Backend, CotPool, Engine, SharedCotPool};
 use ironman_lpn::LpnMatrix;
-use ironman_ot::ferret::FerretConfig;
+use ironman_ot::ferret::{FerretConfig, LpnKernel};
 use ironman_ot::params::FerretParams;
 
 #[test]
@@ -64,5 +64,23 @@ fn n_shards_generate_one_matrix() {
         LpnMatrix::generated_count() - before,
         1,
         "a prepared engine must add no generations at spawn time"
+    );
+
+    // A tiled kernel stores the streamed tile schedule instead of
+    // row-major `colidx`: still one tracked generation for all shards.
+    let tiled = Engine::new(
+        FerretConfig {
+            kernel: LpnKernel::Tiled,
+            ..FerretConfig::new(FerretParams::toy())
+        },
+        Backend::ironman_default(),
+    );
+    let before = LpnMatrix::generated_count();
+    let pool = SharedCotPool::new_pipelined(&tiled, 3, 15);
+    pool.take(64).verify().unwrap();
+    assert_eq!(
+        LpnMatrix::generated_count() - before,
+        1,
+        "3 tiled-kernel shards must share one streamed schedule"
     );
 }

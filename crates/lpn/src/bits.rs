@@ -1,17 +1,18 @@
-//! Packed bit vectors: the receiver's GF(2) lane in `u64` words.
+//! Packed bit vectors: a GF(2) lane in `u64` words.
 //!
-//! The receiver's LPN half `x = e·A ⊕ u` is pure bit algebra, but the
-//! original pipeline carried it as `Vec<bool>` — one **byte** per bit, so
-//! the `k = 168,000`-element input of the 2^20 parameter set occupied
-//! 168 KB (spilling L1/L2) and every gather loaded a whole byte to fetch
-//! one bit. [`PackedBits`] stores 64 bits per word: the same input is
+//! `x = e·A ⊕ u` is pure bit algebra, but the original pipeline carried
+//! it as `Vec<bool>` — one **byte** per bit, so the `k = 168,000`-element
+//! input of the 2^20 parameter set occupied 168 KB (spilling L1/L2) and
+//! every gather loaded a whole byte to fetch one bit. [`PackedBits`] stores 64 bits per word: the same input is
 //! ~21 KB — L1-resident on any deployment target — which is the software
 //! twin of the paper's observation that rank-level NMP wins by moving
 //! less DRAM data per useful bit (§5.3, Fig. 1c).
 //!
-//! The type deliberately exposes only what the extension pipeline needs:
-//! construction from/unpacking to `bool`s at the batch boundary, bit
-//! get/toggle for the kernels, and word-level XOR for bulk accumulation.
+//! Sessions no longer run a bit lane at all (the choice bit rides in
+//! bit 0 of the receiver's block — see `ironman-ot`'s `ferret` module),
+//! so the type keeps only what the packed kernels the benchmark harness
+//! still probes need: construction from/unpacking to `bool`s, bit
+//! get/toggle, and word-level XOR for bulk accumulation.
 
 use serde::{Deserialize, Serialize};
 
@@ -66,22 +67,6 @@ impl PackedBits {
         (self.words[i >> 6] >> (i & 63)) & 1 == 1
     }
 
-    /// Sets bit `i` to `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn set(&mut self, i: usize, b: bool) {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        let mask = 1u64 << (i & 63);
-        if b {
-            self.words[i >> 6] |= mask;
-        } else {
-            self.words[i >> 6] &= !mask;
-        }
-    }
-
     /// XORs `b` onto bit `i` — the GF(2) accumulate the kernels run.
     ///
     /// # Panics
@@ -105,92 +90,11 @@ impl PackedBits {
         self.words[idx] ^= bits;
     }
 
-    /// Word-level XOR of an equal-length vector onto `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn xor_with(&mut self, other: &PackedBits) {
-        assert_eq!(self.len, other.len, "bit-vector lengths must match");
-        for (d, s) in self.words.iter_mut().zip(&other.words) {
-            *d ^= s;
-        }
-    }
-
-    /// Copies bits `[start, start + count)` into a fresh vector starting
-    /// at bit 0 (word-shift repack, not a per-bit loop for aligned
-    /// starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds `len()`.
-    pub fn slice(&self, start: usize, count: usize) -> PackedBits {
-        assert!(
-            start + count <= self.len,
-            "range {start}..{} out of {}",
-            start + count,
-            self.len
-        );
-        let mut out = PackedBits::zeros(count);
-        let shift = start & 63;
-        let first = start >> 6;
-        if shift == 0 {
-            out.words
-                .copy_from_slice(&self.words[first..first + count.div_ceil(64)]);
-        } else {
-            for (w, out_word) in out.words.iter_mut().enumerate() {
-                let lo = self.words[first + w] >> shift;
-                let hi = match self.words.get(first + w + 1) {
-                    Some(&next) => next << (64 - shift),
-                    None => 0,
-                };
-                *out_word = lo | hi;
-            }
-        }
-        out.mask_tail();
-        out
-    }
-
-    /// Appends the bits of `[start, start + count)` as `bool`s onto `out`
-    /// — the unpack half of the batch boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds `len()`.
-    pub fn extend_bools(&self, start: usize, count: usize, out: &mut Vec<bool>) {
-        assert!(
-            start + count <= self.len,
-            "range {start}..{} out of {}",
-            start + count,
-            self.len
-        );
-        out.reserve(count);
-        for i in start..start + count {
-            out.push((self.words[i >> 6] >> (i & 63)) & 1 == 1);
-        }
-    }
-
     /// The whole vector as `bool`s.
     pub fn to_bools(&self) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.extend_bools(0, self.len, &mut out);
-        out
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Zeroes any bits of the last word past `len` (kept as an invariant
-    /// so word-level operations agree with bit-level ones).
-    fn mask_tail(&mut self) {
-        let tail = self.len & 63;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
+        (0..self.len)
+            .map(|i| (self.words[i >> 6] >> (i & 63)) & 1 == 1)
+            .collect()
     }
 }
 
@@ -213,17 +117,12 @@ mod tests {
     }
 
     #[test]
-    fn get_set_agree_with_bools() {
+    fn get_agrees_with_bools() {
         let bits = pattern(130);
-        let mut packed = PackedBits::zeros(130);
-        for (i, &b) in bits.iter().enumerate() {
-            packed.set(i, b);
-        }
+        let packed = PackedBits::from_bools(&bits);
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(packed.get(i), b, "bit {i}");
         }
-        packed.set(5, false);
-        assert!(!packed.get(5));
     }
 
     #[test]
@@ -238,63 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn xor_with_matches_elementwise() {
-        let a = pattern(150);
-        let b: Vec<bool> = (0..150).map(|i| i % 5 == 1).collect();
-        let mut pa = PackedBits::from_bools(&a);
-        let pb = PackedBits::from_bools(&b);
-        pa.xor_with(&pb);
-        let expect: Vec<bool> = a.iter().zip(&b).map(|(&x, &y)| x ^ y).collect();
-        assert_eq!(pa.to_bools(), expect);
-    }
-
-    #[test]
-    fn slice_matches_bool_slicing() {
-        let bits = pattern(300);
-        let packed = PackedBits::from_bools(&bits);
-        for (start, count) in [(0, 300), (0, 64), (64, 64), (7, 120), (191, 109), (299, 1)] {
-            let sliced = packed.slice(start, count);
-            assert_eq!(
-                sliced.to_bools(),
-                bits[start..start + count].to_vec(),
-                "slice({start}, {count})"
-            );
-            // Tail invariant: bits past len are zero.
-            assert_eq!(
-                sliced.count_ones(),
-                sliced.to_bools().iter().filter(|&&b| b).count()
-            );
-        }
-    }
-
-    #[test]
-    fn extend_bools_appends() {
-        let bits = pattern(100);
-        let packed = PackedBits::from_bools(&bits);
-        let mut out = vec![true, false];
-        packed.extend_bools(10, 30, &mut out);
-        assert_eq!(out.len(), 32);
-        assert_eq!(&out[2..], &bits[10..40]);
-    }
-
-    #[test]
-    fn count_ones_matches() {
-        let bits = pattern(500);
-        let packed = PackedBits::from_bools(&bits);
-        assert_eq!(packed.count_ones(), bits.iter().filter(|&&b| b).count());
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         let p = PackedBits::zeros(10);
         let _ = p.get(10);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn out_of_range_slice_panics() {
-        let p = PackedBits::zeros(10);
-        let _ = p.slice(5, 6);
     }
 }

@@ -2,17 +2,18 @@
 //! GF(2^128), shared by every kernel variant.
 //!
 //! Each output element is the XOR of `d` randomly indexed input elements,
-//! accumulated onto the SPCOT output in place. The same routine serves:
-//!
-//! * the sender (`z = r·A ⊕ w`, blocks),
-//! * the receiver's block half (`y = s·A ⊕ v`), and
-//! * the receiver's bit half (`x = e·A ⊕ u`).
+//! accumulated onto the SPCOT output in place. An extension runs one
+//! routine on both parties — the sender's `z = r·A ⊕ w` and the
+//! receiver's `y = s·A ⊕ v` are the same block pass, the receiver's
+//! choice bit riding in bit 0 of each block — and the packed-bit lanes
+//! (`x = e·A ⊕ u` as its own GF(2) product) remain for the benchmark
+//! harness's probe of the older receiver shapes.
 //!
 //! All kernels are expressed over one generic XOR-accumulate core — the
 //! [`XorLane`] trait, whose defining operation is `acc[row] ^= input[col]`
 //! — so the row-major (naive) and tile-major ([`crate::tile`]) traversals
-//! each exist **once** and serve blocks, `bool` bits, packed bits and the
-//! receiver's fused block+bit pair alike. Monomorphization inlines the
+//! each exist **once** and serve blocks, packed bits and the fused
+//! block+bit pair alike. Monomorphization inlines the
 //! lane into each traversal; there is no dynamic dispatch on the hot
 //! path. Lanes override the batched trait methods only to keep their
 //! accumulation state in registers (one store per row / per packed word
@@ -21,8 +22,6 @@
 use crate::bits::PackedBits;
 use crate::LpnMatrix;
 use ironman_prg::Block;
-use std::marker::PhantomData;
-use std::ops::BitXorAssign;
 
 /// One gather-XOR lane: an input vector indexed by column, an accumulator
 /// indexed by row, and the single operation every LPN kernel is built
@@ -77,16 +76,15 @@ pub trait XorLane {
     }
 }
 
-/// The dense-slice lane: serves both `Block` vectors (GF(2^128)) and
-/// `bool` vectors (GF(2) carried one byte per element).
-pub struct SliceLane<'a, T> {
+/// The block lane (GF(2^128)) over plain slices.
+pub struct SliceLane<'a> {
     /// The length-`k` input vector.
-    pub input: &'a [T],
+    pub input: &'a [Block],
     /// The length-`n` accumulator.
-    pub acc: &'a mut [T],
+    pub acc: &'a mut [Block],
 }
 
-impl<T: Copy + BitXorAssign> XorLane for SliceLane<'_, T> {
+impl XorLane for SliceLane<'_> {
     #[inline(always)]
     fn xor_gather(&mut self, row: usize, col: usize) {
         let v = self.input[col];
@@ -115,99 +113,52 @@ const BIT_MASK: [u64; 64] = {
     m
 };
 
-/// How a packed lane tests one bit of its input words — the only
-/// instruction-selection difference between the scalar and wide packed
-/// kernels, factored out so every lane exists once for both.
-pub trait BitProbe {
-    /// Bit `col` of `words` (LSB-first packing, as [`PackedBits`]).
-    fn bit(words: &[u64], col: usize) -> bool;
-}
-
-/// Mask-table bit test: one word load plus one mask load (64-entry
-/// table, a pair of L1 lines) and an AND. The table lookup replaces a
-/// variable shift, which baseline x86-64 serializes through the
-/// shift-count register — the right trade *without* BMI2.
-pub struct TableProbe;
-
-impl BitProbe for TableProbe {
-    #[inline(always)]
-    fn bit(words: &[u64], col: usize) -> bool {
-        words[col >> 6] & BIT_MASK[col & 63] != 0
-    }
+/// Mask-table bit test of bit `col` of `words` (LSB-first packing, as
+/// [`PackedBits`]): one word load plus one mask load (64-entry table, a
+/// pair of L1 lines) and an AND. The table lookup replaces a variable
+/// shift, which baseline x86-64 serializes through the shift-count
+/// register — the right trade *without* BMI2, so the scalar lanes use it.
+#[inline(always)]
+fn table_bit(words: &[u64], col: usize) -> bool {
+    words[col >> 6] & BIT_MASK[col & 63] != 0
 }
 
 /// Variable-shift bit test: `(word >> (col & 63)) & 1`. Loses to the
 /// mask table on baseline x86-64 (shift-count serialization) but wins
 /// once BMI2 is enabled, where it compiles to a single `SHRX` with no
-/// table traffic — the probe the [`crate::simd`] wide kernels
-/// instantiate.
-pub struct ShiftProbe;
-
-impl BitProbe for ShiftProbe {
-    #[inline(always)]
-    fn bit(words: &[u64], col: usize) -> bool {
-        (words[col >> 6] >> (col & 63)) & 1 != 0
-    }
+/// table traffic — the probe of the [`crate::simd`] wide kernels.
+#[inline(always)]
+pub(crate) fn shift_bit(words: &[u64], col: usize) -> bool {
+    (words[col >> 6] >> (col & 63)) & 1 != 0
 }
 
 /// The packed-bit lane: input and accumulator are [`PackedBits`] words,
 /// so the `k`-bit input window is 8× smaller than its `bool` twin
-/// (L1-resident at Table-4 scale). Generic over the [`BitProbe`]
-/// (defaulting to the baseline-friendly mask table).
-pub struct PackedLane<'a, P: BitProbe = TableProbe> {
+/// (L1-resident at Table-4 scale). Row-major only: nothing drives it
+/// through a tile schedule.
+pub struct PackedLane<'a> {
     input: &'a PackedBits,
     acc: &'a mut PackedBits,
-    _probe: PhantomData<P>,
 }
 
-impl<'a> PackedLane<'a, TableProbe> {
-    /// Borrows the input/accumulator pair (mask-table probe).
+impl<'a> PackedLane<'a> {
+    /// Borrows the input/accumulator pair.
     pub fn new(input: &'a PackedBits, acc: &'a mut PackedBits) -> Self {
-        PackedLane::with_probe(input, acc)
+        PackedLane { input, acc }
     }
 }
 
-impl<'a, P: BitProbe> PackedLane<'a, P> {
-    /// Borrows the input/accumulator pair with an explicit probe.
-    pub fn with_probe(input: &'a PackedBits, acc: &'a mut PackedBits) -> Self {
-        PackedLane {
-            input,
-            acc,
-            _probe: PhantomData,
-        }
-    }
-}
-
-impl<P: BitProbe> XorLane for PackedLane<'_, P> {
+impl XorLane for PackedLane<'_> {
     #[inline(always)]
     fn xor_gather(&mut self, row: usize, col: usize) {
-        let b = P::bit(self.input.words(), col);
+        let b = table_bit(self.input.words(), col);
         self.acc.xor_bit(row, b);
     }
 
     #[inline(always)]
     fn xor_gather_row(&mut self, row: usize, cols: &[u32]) {
         let words = self.input.words();
-        self.acc.xor_bit(row, row_parity::<P>(words, cols));
-    }
-
-    #[inline(always)]
-    fn xor_gather_bucket(
-        &mut self,
-        row_base: usize,
-        col_base: usize,
-        col_bits: u32,
-        entries: &[u32],
-    ) {
-        let mask = (1u32 << col_bits) - 1;
-        let words = self.input.words();
-        let mut pending = PendingWord::at(row_base);
-        for &e in entries {
-            let row = row_base + (e >> col_bits) as usize;
-            let b = P::bit(words, col_base + (e & mask) as usize);
-            pending.xor_bit(self.acc, row, b);
-        }
-        pending.flush(self.acc);
+        self.acc.xor_bit(row, row_parity(words, cols));
     }
 }
 
@@ -251,70 +202,51 @@ impl PendingWord {
 /// Two-lane parity of `cols`' bits in `words` — short XOR chains, no
 /// accumulator traffic.
 #[inline(always)]
-fn row_parity<P: BitProbe>(words: &[u64], cols: &[u32]) -> bool {
+fn row_parity(words: &[u64], cols: &[u32]) -> bool {
     let mut even = false;
     let mut odd = false;
     let mut pairs = cols.chunks_exact(2);
     for pair in &mut pairs {
-        even ^= P::bit(words, pair[0] as usize);
-        odd ^= P::bit(words, pair[1] as usize);
+        even ^= table_bit(words, pair[0] as usize);
+        odd ^= table_bit(words, pair[1] as usize);
     }
     for &c in pairs.remainder() {
-        even ^= P::bit(words, c as usize);
+        even ^= table_bit(words, c as usize);
     }
     even ^ odd
 }
 
-/// The receiver's fused lane: one tile-major traversal
-/// ([`crate::tile::TileSchedule::encode_cot_pair`]) drives **both**
-/// receiver halves — `y[row] ^= s[col]` (blocks) and `x[row] ^= e[col]`
-/// (packed bits) — sharing a single pass over the index stream and a
-/// single gather address per entry.
-pub struct CotPairLane<'a, P: BitProbe = TableProbe> {
+/// The fused receiver lane of the pre-bit-0 protocol: one tile-major
+/// traversal drives both `y[row] ^= s[col]` (blocks) and
+/// `x[row] ^= e[col]` (packed bits), sharing a single pass over the index
+/// stream and a single gather address per entry. No session runs it any
+/// more; it is the scalar tier of [`crate::simd::encode_cot_pair_tiled`],
+/// kept for the benchmark harness's probe.
+pub struct CotPairLane<'a> {
     s: &'a [Block],
     e: &'a PackedBits,
     y: &'a mut [Block],
     x: &'a mut PackedBits,
-    _probe: PhantomData<P>,
 }
 
-impl<'a> CotPairLane<'a, TableProbe> {
-    /// Borrows the receiver's two input/accumulator pairs.
+impl<'a> CotPairLane<'a> {
+    /// Borrows the two input/accumulator pairs.
     pub fn new(
         s: &'a [Block],
         e: &'a PackedBits,
         y: &'a mut [Block],
         x: &'a mut PackedBits,
     ) -> Self {
-        CotPairLane::with_probe(s, e, y, x)
+        CotPairLane { s, e, y, x }
     }
 }
 
-impl<'a, P: BitProbe> CotPairLane<'a, P> {
-    /// Borrows the receiver's two input/accumulator pairs with an
-    /// explicit probe.
-    pub fn with_probe(
-        s: &'a [Block],
-        e: &'a PackedBits,
-        y: &'a mut [Block],
-        x: &'a mut PackedBits,
-    ) -> Self {
-        CotPairLane {
-            s,
-            e,
-            y,
-            x,
-            _probe: PhantomData,
-        }
-    }
-}
-
-impl<P: BitProbe> XorLane for CotPairLane<'_, P> {
+impl XorLane for CotPairLane<'_> {
     #[inline(always)]
     fn xor_gather(&mut self, row: usize, col: usize) {
         let v = self.s[col];
         self.y[row] ^= v;
-        self.x.xor_bit(row, P::bit(self.e.words(), col));
+        self.x.xor_bit(row, table_bit(self.e.words(), col));
     }
 
     #[inline(always)]
@@ -336,7 +268,7 @@ impl<P: BitProbe> XorLane for CotPairLane<'_, P> {
             let col = col_base + (en & mask) as usize;
             let v = self.s[col];
             self.y[row] ^= v;
-            pending.xor_bit(self.x, row, P::bit(words, col));
+            pending.xor_bit(self.x, row, table_bit(words, col));
         }
         pending.flush(self.x);
     }
@@ -395,19 +327,8 @@ pub fn encode_blocks(matrix: &LpnMatrix, input: &[Block], acc: &mut [Block]) {
     encode_rows(matrix, &mut SliceLane { input, acc });
 }
 
-/// Accumulates `A·input` onto `acc` (bits): `acc[j] ^= ⊕_{i∈row_j} input[i]`.
-///
-/// # Panics
-///
-/// Panics if lengths do not match the matrix dimensions.
-pub fn encode_bits(matrix: &LpnMatrix, input: &[bool], acc: &mut [bool]) {
-    assert_eq!(input.len(), matrix.cols(), "input length must equal k");
-    assert_eq!(acc.len(), matrix.rows(), "accumulator length must equal n");
-    encode_rows(matrix, &mut SliceLane { input, acc });
-}
-
-/// Packed-bit variant of [`encode_bits`]: same algebra, 8× smaller
-/// working set for the receiver's `x = e·A ⊕ u` half.
+/// Accumulates `A·input` onto `acc` over GF(2), 64 bits to the word:
+/// `acc[j] ^= ⊕_{i∈row_j} input[i]`.
 ///
 /// # Panics
 ///
@@ -451,49 +372,16 @@ mod tests {
     }
 
     #[test]
-    fn encode_bits_matches_naive() {
+    fn packed_bits_match_naive() {
         let m = toy_matrix();
         let input: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
-        let mut acc: Vec<bool> = (0..64).map(|j| j % 5 == 0).collect();
-        let orig = acc.clone();
-        encode_bits(&m, &input, &mut acc);
-        for j in 0..64 {
-            let mut expect = orig[j];
-            for &c in m.row(j) {
-                expect ^= input[c as usize];
-            }
-            assert_eq!(acc[j], expect, "row {j}");
+        let orig: Vec<bool> = (0..64).map(|j| j % 5 == 0).collect();
+        let mut acc = PackedBits::from_bools(&orig);
+        encode_bits_packed(&m, &PackedBits::from_bools(&input), &mut acc);
+        for (j, &was) in orig.iter().enumerate() {
+            let expect = m.row(j).iter().fold(was, |x, &c| x ^ input[c as usize]);
+            assert_eq!(acc.get(j), expect, "row {j}");
         }
-    }
-
-    #[test]
-    fn packed_bits_match_bool_bits() {
-        let m = toy_matrix();
-        let input: Vec<bool> = (0..32).map(|i| i % 3 == 0).collect();
-        let mut acc: Vec<bool> = (0..64).map(|j| j % 5 == 0).collect();
-        let mut packed_acc = PackedBits::from_bools(&acc);
-        let packed_input = PackedBits::from_bools(&input);
-        encode_bits(&m, &input, &mut acc);
-        encode_bits_packed(&m, &packed_input, &mut packed_acc);
-        assert_eq!(packed_acc.to_bools(), acc);
-    }
-
-    #[test]
-    fn fused_pair_matches_separate_passes() {
-        let m = toy_matrix();
-        let s: Vec<Block> = (0..32u128).map(|i| Block::from(i * 13 + 2)).collect();
-        let e: Vec<bool> = (0..32).map(|i| i % 5 == 2).collect();
-        let e_packed = PackedBits::from_bools(&e);
-        let mut y_sep: Vec<Block> = (0..64u128).map(Block::from).collect();
-        let mut x_sep: Vec<bool> = (0..64).map(|j| j % 3 == 0).collect();
-        let mut y_fused = y_sep.clone();
-        let mut x_fused = PackedBits::from_bools(&x_sep);
-        encode_blocks(&m, &s, &mut y_sep);
-        encode_bits(&m, &e, &mut x_sep);
-        m.tile_schedule()
-            .encode_cot_pair(&s, &e_packed, &mut y_fused, &mut x_fused);
-        assert_eq!(y_fused, y_sep);
-        assert_eq!(x_fused.to_bools(), x_sep);
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! * sender:   `z = r·A ⊕ w`
 //! * receiver: `x = e·A ⊕ u` (bits), `y = s·A ⊕ v` (blocks)
 //!
+//! `ironman-ot` carries the receiver's choice bit in bit 0 of its block
+//! (`Δ` has bit 0 set), so `x` is bit 0 of `y` and an extension runs the
+//! *same single block pass* on both parties; the packed-bit lanes below
+//! are what a separate `x = e·A ⊕ u` pass costs, kept for the benchmark
+//! harness's probe.
+//!
 //! Because `A`'s entries are bits, each output element is the XOR of `d`
 //! randomly indexed elements of the input vector — a pure random-access
 //! workload, which is why LPN is memory-bandwidth-bound (Fig. 1c) and why
@@ -26,11 +32,11 @@
 //!
 //! | software kernel | paper mechanism | shared idea |
 //! |---|---|---|
-//! | [`tile::TileSchedule`] — offline (row-block × column-tile) bucketing of the fixed gather set, executed tile-major | memory-side cache fed by §5.3 offline index sorting | the access stream is known ahead of time, so reorder it **once** so the live window always fits the nearest memory |
-//! | [`bits::PackedBits`] — the receiver's `e`/`u`/`x` bit lane in `u64` words (8× smaller than `Vec<bool>`; `k = 168K` shrinks 168 KB → ~21 KB, L1-resident) | rank-level bandwidth: NMP wins by moving fewer DRAM bytes per useful bit | shrink bytes-per-bit so the same cache holds 8× more of the working set |
+//! | [`tile::TileSchedule`] — offline (row-block × column-tile) bucketing of the fixed gather set, executed tile-major; at Table-4 scale the only stored form of the matrix ([`tile::TileSchedule::generate`]) | memory-side cache fed by §5.3 offline index sorting | the access stream is known ahead of time, so reorder it **once** so the live window always fits the nearest memory |
+//! | [`bits::PackedBits`] — a GF(2) `e`/`u`/`x` bit lane in `u64` words (8× smaller than `Vec<bool>`; `k = 168K` shrinks 168 KB → ~21 KB, L1-resident) | rank-level bandwidth: NMP wins by moving fewer DRAM bytes per useful bit | shrink bytes-per-bit so the same cache holds 8× more of the working set |
 //! | [`sorting::SortedLpnMatrix`] column swap + row look-ahead (offline), composable with tiling via [`sorting::SortedLpnMatrix::tile_schedule`] | §5.3 `Colidx`/`Rowidx` sorting | spatial + temporal locality mined from the fixed matrix offline |
 //! | [`encoder::XorLane`] — one generic XOR-accumulate core behind every traversal × element type | the paper's single LPN datapath parameterized by operand width | the kernel is one circuit; only the operand format varies |
-//! | [`simd`] — runtime-dispatched AVX2/BMI2 lanes (XMM 128-bit `Block` XORs, `SHRX` bit probes) behind [`simd::SimdLevel::detect`], scalar fallback always available | the paper's datapath is a *wide* XOR engine (rank-level parallel XOR units) | the XOR circuit is wider than one word; use the widest the hardware offers |
+//! | [`simd`] — runtime-dispatched AVX2/BMI2 lanes (XMM 128-bit `Block` XORs, unchecked 4-way-pipelined bucket loop) behind [`simd::SimdLevel::detect`], scalar fallback always available | the paper's datapath is a *wide* XOR engine (rank-level parallel XOR units) | the XOR circuit is wider than one word; use the widest the hardware offers |
 //! | the wide tier's row-major bit pass ([`simd::encode_bits_packed`]) — eight column indices per `VPGATHERDD` of the packed `e`, probed bits collected by `VMOVMSKPS`, each row's `d`-bit window folded to one parity bit | rank-level parallelism: every rank probes its own slice of a memory-side-cache-resident operand at once | when the operand fits the nearest memory (21 KB of `e` in L1), the gathers stop being memory accesses and become lanes of one instruction |
 //!
 //! # Example

@@ -19,6 +19,12 @@ use std::sync::OnceLock;
 /// matrix must bump this once, not N times). Monotonic; never reset.
 static GENERATION_COUNT: AtomicU64 = AtomicU64::new(0);
 
+/// Bumps [`LpnMatrix::generated_count`]: one tracked run of the index
+/// generator, whichever form it is stored in.
+pub(crate) fn count_generation() {
+    GENERATION_COUNT.fetch_add(1, Ordering::Relaxed);
+}
+
 /// A fixed `n × k` sparse binary matrix with `d` nonzeros per row.
 ///
 /// Invariant (the wide bit pass in [`crate::simd`] gathers unchecked on
@@ -61,7 +67,7 @@ impl LpnMatrix {
     /// Panics if `weight > cols`, `cols == 0`, `rows == 0`, or
     /// `cols > u32::MAX as usize`.
     pub fn generate(rows: usize, cols: usize, weight: usize, seed: Block) -> Self {
-        GENERATION_COUNT.fetch_add(1, Ordering::Relaxed);
+        count_generation();
         Self::generate_untracked(rows, cols, weight, seed)
     }
 
@@ -71,49 +77,8 @@ impl LpnMatrix {
     /// estimate), which would otherwise drown the session-spawn
     /// observable the counter exists for.
     pub fn generate_untracked(rows: usize, cols: usize, weight: usize, seed: Block) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
-        assert!(
-            weight <= cols,
-            "row weight {weight} exceeds column count {cols}"
-        );
-        assert!(cols <= u32::MAX as usize, "column count must fit in u32");
-        let aes = Aes128::new(seed ^ Block::from(MATRIX_DOMAIN));
-        let modulus = FastMod::new(cols as u64);
-        // Row `r` consumes counters `r·⌈d/2⌉ + 1 ..= (r+1)·⌈d/2⌉`, two
-        // indices per block (an odd row drops the low half of its last
-        // block), so a batch of rows is one contiguous counter range:
-        // fill it, encrypt it in one bulk call, derive the indices.
-        let blocks_per_row = weight.div_ceil(2);
-        let rows_per_batch = (GENERATION_BATCH / blocks_per_row.max(1)).max(1);
-        let mut batch = vec![Block::ZERO; rows_per_batch * blocks_per_row];
-        let mut ctr = 0u128;
-        let mut colidx: Vec<u32> = Vec::with_capacity(rows * weight);
-        for first_row in (0..rows).step_by(rows_per_batch) {
-            let batch_rows = rows_per_batch.min(rows - first_row);
-            let blocks = &mut batch[..batch_rows * blocks_per_row];
-            for slot in blocks.iter_mut() {
-                ctr += 1;
-                *slot = Block::from(ctr);
-            }
-            aes.encrypt_blocks(blocks);
-            // `weight == 0` leaves `blocks` empty, so the `max(1)` only
-            // keeps the chunk size legal; no row is visited.
-            for row_blocks in blocks.chunks_exact(blocks_per_row.max(1)) {
-                let row_start = colidx.len();
-                let halves = row_blocks.iter().flat_map(|blk| {
-                    let (hi, lo) = blk.to_halves();
-                    [hi, lo]
-                });
-                for half in halves.take(weight) {
-                    let mut idx = modulus.reduce(half) as u32;
-                    // Linear probe past duplicates within the row.
-                    while colidx[row_start..].contains(&idx) {
-                        idx = (idx + 1) % cols as u32;
-                    }
-                    colidx.push(idx);
-                }
-            }
-        }
+        let mut colidx = Vec::with_capacity(rows * weight);
+        RowGenerator::new(rows, cols, weight, seed).extend_rows(0..rows, &mut colidx);
         LpnMatrix {
             rows,
             cols,
@@ -245,6 +210,83 @@ impl FastMod {
         let r = (((low >> 64) * d + (((low as u64 as u128) * d) >> 64)) >> 64) as u64;
         debug_assert_eq!(r, n % self.d);
         r
+    }
+}
+
+/// The counter-mode index generator behind [`LpnMatrix::generate`]: row
+/// `r` consumes counters `r·⌈d/2⌉ + 1 ..= (r+1)·⌈d/2⌉`, two indices per
+/// block (an odd row drops the low half of its last block), so a row's
+/// indices are a pure function of `(seed, r)` and any row range can be
+/// generated on its own — which is how
+/// [`TileSchedule::generate`](crate::tile::TileSchedule::generate) streams
+/// the matrix a row block at a time without ever holding `colidx`.
+pub(crate) struct RowGenerator {
+    aes: Aes128,
+    modulus: FastMod,
+    cols: u32,
+    weight: usize,
+    rows_per_batch: usize,
+    /// Counter blocks of one bulk cipher call: `rows_per_batch` rows.
+    batch: Vec<Block>,
+}
+
+impl RowGenerator {
+    /// # Panics
+    ///
+    /// Panics if `weight > cols`, `cols == 0`, `rows == 0`, or
+    /// `cols > u32::MAX as usize`.
+    pub(crate) fn new(rows: usize, cols: usize, weight: usize, seed: Block) -> Self {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
+        assert!(
+            weight <= cols,
+            "row weight {weight} exceeds column count {cols}"
+        );
+        assert!(cols <= u32::MAX as usize, "column count must fit in u32");
+        let blocks_per_row = weight.div_ceil(2);
+        let rows_per_batch = (GENERATION_BATCH / blocks_per_row.max(1)).max(1);
+        RowGenerator {
+            aes: Aes128::new(seed ^ Block::from(MATRIX_DOMAIN)),
+            modulus: FastMod::new(cols as u64),
+            cols: cols as u32,
+            weight,
+            rows_per_batch,
+            batch: vec![Block::ZERO; rows_per_batch * blocks_per_row],
+        }
+    }
+
+    /// Appends the column indices of `rows`, row-major, to `out`. A batch
+    /// of rows is one contiguous counter range: fill it, encrypt it in one
+    /// bulk call, derive the indices.
+    pub(crate) fn extend_rows(&mut self, rows: std::ops::Range<usize>, out: &mut Vec<u32>) {
+        let (weight, cols) = (self.weight, self.cols);
+        // `weight == 0` leaves every batch empty, so the `max(1)`s only
+        // keep the chunk sizes legal; no row is visited.
+        let blocks_per_row = weight.div_ceil(2);
+        for first_row in rows.clone().step_by(self.rows_per_batch) {
+            let batch_rows = self.rows_per_batch.min(rows.end - first_row);
+            let blocks = &mut self.batch[..batch_rows * blocks_per_row];
+            let mut ctr = (first_row * blocks_per_row) as u128;
+            for slot in blocks.iter_mut() {
+                ctr += 1;
+                *slot = Block::from(ctr);
+            }
+            self.aes.encrypt_blocks(blocks);
+            for row_blocks in blocks.chunks_exact(blocks_per_row.max(1)) {
+                let row_start = out.len();
+                let halves = row_blocks.iter().flat_map(|blk| {
+                    let (hi, lo) = blk.to_halves();
+                    [hi, lo]
+                });
+                for half in halves.take(weight) {
+                    let mut idx = self.modulus.reduce(half) as u32;
+                    // Linear probe past duplicates within the row.
+                    while out[row_start..].contains(&idx) {
+                        idx = (idx + 1) % cols;
+                    }
+                    out.push(idx);
+                }
+            }
+        }
     }
 }
 

@@ -20,9 +20,9 @@
 //!   and each row's `d`-bit window of that bit stream folds to one
 //!   parity bit (prefix-XOR + `PEXT` at the row ends) — no scalar probe
 //!   chain, one accumulator XOR per 64 rows;
-//! * the tiled packed-bit lanes use the [`encoder::ShiftProbe`] — with
-//!   BMI2 enabled a variable shift is a single `SHRX`, deleting the mask
-//!   table's load traffic from every gather;
+//! * the fused pair's bit half probes with a variable shift — with BMI2
+//!   enabled a single `SHRX`, deleting the mask table's load traffic from
+//!   every gather;
 //! * the whole traversal is compiled under
 //!   `#[target_feature(enable = "avx2", enable = "bmi2")]`, so LLVM may
 //!   additionally autovectorize (e.g. 256-bit `VPXOR` on the bulk
@@ -152,12 +152,31 @@ pub fn encode_blocks(level: SimdLevel, matrix: &LpnMatrix, input: &[Block], acc:
 /// # Panics
 ///
 /// Panics if lengths do not match the schedule dimensions.
-#[allow(unsafe_code)]
 pub fn encode_blocks_tiled(
     level: SimdLevel,
     tiles: &TileSchedule,
     input: &[Block],
     acc: &mut [Block],
+) {
+    encode_blocks_tiled_with(level, tiles, input, acc, |_| {});
+}
+
+/// [`encode_blocks_tiled`], handing each finished row block's accumulator
+/// rows to `finished` as soon as its last bucket is done
+/// ([`TileSchedule::encode_with`]): consecutive slices, ascending, that
+/// together are the final `acc` — what lets an extension read its choice
+/// bits off bit 0 while the 2 MB block is still cache-warm.
+///
+/// # Panics
+///
+/// Panics if lengths do not match the schedule dimensions.
+#[allow(unsafe_code)]
+pub fn encode_blocks_tiled_with(
+    level: SimdLevel,
+    tiles: &TileSchedule,
+    input: &[Block],
+    acc: &mut [Block],
+    mut finished: impl FnMut(&[Block]),
 ) {
     assert_eq!(input.len(), tiles.cols(), "input length must equal k");
     assert_eq!(acc.len(), tiles.rows(), "accumulator length must equal n");
@@ -165,11 +184,13 @@ pub fn encode_blocks_tiled(
     if level == SimdLevel::Wide && wide_available() {
         // SAFETY: AVX2 + BMI2 presence was just verified at runtime, and
         // the two asserts above are the length contract.
-        unsafe { wide::encode_blocks_tiled(tiles, input, acc) };
+        unsafe { wide::encode_blocks_tiled(tiles, input, acc, finished) };
         return;
     }
     let _ = level;
-    tiles.encode(&mut encoder::SliceLane { input, acc });
+    tiles.encode_with(&mut encoder::SliceLane { input, acc }, |lane, rows| {
+        finished(&lane.acc[rows])
+    });
 }
 
 /// [`encoder::encode_bits_packed`] at the chosen level.
@@ -196,36 +217,13 @@ pub fn encode_bits_packed(
     encoder::encode_rows(matrix, &mut encoder::PackedLane::new(input, acc));
 }
 
-/// Tiled [`encode_bits_packed`] over a prebuilt schedule.
-///
-/// # Panics
-///
-/// Panics if lengths do not match the schedule dimensions.
-#[allow(unsafe_code)]
-pub fn encode_bits_packed_tiled(
-    level: SimdLevel,
-    tiles: &TileSchedule,
-    input: &PackedBits,
-    acc: &mut PackedBits,
-) {
-    assert_eq!(input.len(), tiles.cols(), "input length must equal k");
-    assert_eq!(acc.len(), tiles.rows(), "accumulator length must equal n");
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
-        unsafe { wide::encode_bits_packed_tiled(tiles, input, acc) };
-        return;
-    }
-    let _ = level;
-    tiles.encode(&mut encoder::PackedLane::new(input, acc));
-}
-
-/// The receiver's `LpnKernel::Split` encode at the chosen level, one
-/// shape on both tiers: `y ^= s·A` tile-major over the matrix's cached
-/// schedule ([`encode_blocks_tiled`]), then `x ^= e·A` as its own
-/// row-major packed-bit pass ([`encode_bits_packed`]). Two passes over
-/// the index stream beat one fused pass at full scale — see the table
-/// on `FerretConfig::recommended`.
+/// The pre-bit-0 receiver's split encode at the chosen level: `y ^= s·A`
+/// tile-major over the matrix's cached schedule
+/// ([`encode_blocks_tiled`]), then `x ^= e·A` as its own row-major
+/// packed-bit pass ([`encode_bits_packed`]). No session runs it any more
+/// (the choice bit rides in bit 0 of `y`, so the second pass does not
+/// exist); kept for the benchmark harness's `lpn.receiver_ns_per_cot`
+/// probe.
 ///
 /// # Panics
 ///
@@ -249,7 +247,8 @@ pub fn encode_cot_pair(
     encode_bits_packed(level, matrix, e, x);
 }
 
-/// Fused receiver encode (tiled) at the chosen level.
+/// Fused block + packed-bit encode (tiled) at the chosen level. Like
+/// [`encode_cot_pair`], kept for the benchmark harness's probe only.
 ///
 /// # Panics
 ///
@@ -281,8 +280,8 @@ pub fn encode_cot_pair_tiled(
     tiles.encode(&mut encoder::CotPairLane::new(s, e, y, x));
 }
 
-/// The wide tier: XMM block lanes, the `VPGATHERDD` bit pass and
-/// `ShiftProbe` tiled bit lanes, every traversal compiled under
+/// The wide tier: XMM block lanes, the `VPGATHERDD` bit pass and the
+/// shift-probe fused pair, every traversal compiled under
 /// `avx2,bmi2`. The lanes are `#[inline(always)]` so their bodies inherit
 /// the wrapper's target features; the SSE2 intrinsics they use are
 /// baseline x86-64 (always present), the gain comes from AVX2 codegen
@@ -292,7 +291,7 @@ pub fn encode_cot_pair_tiled(
 #[allow(unsafe_code)]
 mod wide {
     use crate::bits::PackedBits;
-    use crate::encoder::{self, PackedLane, ShiftProbe, XorLane};
+    use crate::encoder::{self, shift_bit, XorLane};
     use crate::tile::TileSchedule;
     use crate::LpnMatrix;
     use ironman_prg::Block;
@@ -403,15 +402,15 @@ mod wide {
             let mask = (1u32 << col_bits) - 1;
             // SAFETY: buckets reach this lane only through
             // `encode_blocks_tiled` below, whose contract — asserted by
-            // its one caller, `simd::encode_blocks_tiled` — is
+            // its one caller, `simd::encode_blocks_tiled_with` — is
             // `input.len() == tiles.cols()` and `acc.len() == tiles.rows()`
-            // for the schedule whose buckets `TileSchedule::encode`
-            // replays here. A `TileSchedule` can only come from
-            // `TileSchedule::build_with` (private fields, no
-            // deserializer), which asserts `row < rows && col < cols` for
-            // every gather it places and stores it as
-            // `(row - row_base, col - col_base)` in the bucket that
-            // `encode` hands back with the same bases. So every
+            // for the schedule whose buckets `TileSchedule::encode_with`
+            // replays here. A `TileSchedule` can only come from its three
+            // constructors (private fields, no deserializer), each of
+            // which asserts `row < rows && col < cols` for every gather
+            // it places (rows by position in the row-major ones) and
+            // stores it as `(row - row_base, col - col_base)` in the
+            // bucket that the traversal hands back with the same bases. So every
             // `row_base + (e >> col_bits)` indexes inside `acc` and every
             // `col_base + (e & mask)` inside `input`; `acc` and `input`
             // are distinct live borrows, and unaligned 16-byte accesses
@@ -482,12 +481,6 @@ mod wide {
         }
     }
 
-    /// `SHRX` bit probe (compiles to one variable shift under BMI2).
-    #[inline(always)]
-    fn shift_bit(words: &[u64], col: usize) -> bool {
-        <ShiftProbe as encoder::BitProbe>::bit(words, col)
-    }
-
     #[target_feature(enable = "avx2", enable = "bmi2")]
     pub(super) fn encode_blocks(matrix: &LpnMatrix, input: &[Block], acc: &mut [Block]) {
         encoder::encode_rows(matrix, &mut XmmBlockLane { input, acc });
@@ -503,8 +496,11 @@ mod wide {
         tiles: &TileSchedule,
         input: &[Block],
         acc: &mut [Block],
+        mut finished: impl FnMut(&[Block]),
     ) {
-        tiles.encode(&mut XmmBlockLane { input, acc });
+        tiles.encode_with(&mut XmmBlockLane { input, acc }, |lane, rows| {
+            finished(&lane.acc[rows])
+        });
     }
 
     /// Where the rows of a `d`-gathers-per-row index stream end, one
@@ -628,15 +624,6 @@ mod wide {
     }
 
     #[target_feature(enable = "avx2", enable = "bmi2")]
-    pub(super) fn encode_bits_packed_tiled(
-        tiles: &TileSchedule,
-        input: &PackedBits,
-        acc: &mut PackedBits,
-    ) {
-        tiles.encode(&mut PackedLane::<ShiftProbe>::with_probe(input, acc));
-    }
-
-    #[target_feature(enable = "avx2", enable = "bmi2")]
     pub(super) fn encode_cot_pair_tiled(
         tiles: &TileSchedule,
         s: &[Block],
@@ -712,9 +699,6 @@ mod tests {
             time(&format!("{level:?} packed row-major"), &mut || {
                 encode_bits_packed(level, &m, &e, &mut x)
             });
-            time(&format!("{level:?} packed tiled"), &mut || {
-                encode_bits_packed_tiled(level, tiles, &e, &mut x)
-            });
             time(&format!("{level:?} pair split"), &mut || {
                 encode_cot_pair(level, &m, &s, &e, &mut y, &mut x)
             });
@@ -762,9 +746,6 @@ mod tests {
             let mut x = dirty_bits.clone();
             encode_bits_packed(level, &m, &e, &mut x);
             assert_eq!(x, x_ref, "{level:?} packed bits");
-            let mut x = dirty_bits.clone();
-            encode_bits_packed_tiled(level, tiles, &e, &mut x);
-            assert_eq!(x, x_ref, "{level:?} packed bits tiled");
 
             let mut y = dirty.clone();
             let mut x = dirty_bits.clone();

@@ -19,8 +19,7 @@
 //! The paper's sorting-overhead mitigation — "divide the matrix into
 //! smaller blocks and sort them separately" — is the `block_rows` knob.
 
-use crate::bits::PackedBits;
-use crate::encoder::{self, PackedLane, RowMappedLane, SliceLane, XorLane};
+use crate::encoder::{self, RowMappedLane, SliceLane};
 use crate::tile::{TileConfig, TileSchedule};
 use crate::LpnMatrix;
 use ironman_prg::Block;
@@ -158,41 +157,9 @@ impl SortedLpnMatrix {
         out
     }
 
-    /// Permutes a packed-bit input vector to match the relabeled columns
-    /// (the [`PackedBits`] twin of [`Self::permute_input`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != cols`.
-    pub fn permute_input_packed(&self, input: &PackedBits) -> PackedBits {
-        assert_eq!(
-            input.len(),
-            self.col_perm.len(),
-            "input length must equal k"
-        );
-        let mut out = PackedBits::zeros(input.len());
-        for (i, &p) in self.col_perm.iter().enumerate() {
-            out.set(p as usize, input.get(i));
-        }
-        out
-    }
-
-    /// Runs the sorted traversal (execution-order rows, original-row
-    /// scatter) over any lane — the single sorted kernel behind the
-    /// blocks/bits/packed variants. `lane` must index its input in the
-    /// *relabeled* column space (see [`Self::permute_input`]).
-    fn encode_sorted(&self, lane: impl XorLane) {
-        encoder::encode_rows(
-            &self.matrix,
-            &mut RowMappedLane {
-                rows: &self.row_order,
-                lane,
-            },
-        );
-    }
-
-    /// Encodes blocks with the sorted matrix, scattering results to their
-    /// original row positions. Produces bit-identical output to
+    /// Encodes blocks with the sorted matrix — execution-order rows over
+    /// the relabeled input, results scattered to their original row
+    /// positions. Produces bit-identical output to
     /// [`encoder::encode_blocks`] on the unsorted matrix.
     ///
     /// # Panics
@@ -205,43 +172,16 @@ impl SortedLpnMatrix {
             "accumulator length must equal n"
         );
         let permuted = self.permute_input(input);
-        self.encode_sorted(SliceLane {
-            input: &permuted,
-            acc,
-        });
-    }
-
-    /// Bit-vector variant of [`Self::encode_blocks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_bits(&self, input: &[bool], acc: &mut [bool]) {
-        assert_eq!(
-            acc.len(),
-            self.matrix.rows(),
-            "accumulator length must equal n"
+        encoder::encode_rows(
+            &self.matrix,
+            &mut RowMappedLane {
+                rows: &self.row_order,
+                lane: SliceLane {
+                    input: &permuted,
+                    acc,
+                },
+            },
         );
-        let permuted = self.permute_input(input);
-        self.encode_sorted(SliceLane {
-            input: &permuted,
-            acc,
-        });
-    }
-
-    /// Packed-bit variant of [`Self::encode_bits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_bits_packed(&self, input: &PackedBits, acc: &mut PackedBits) {
-        assert_eq!(
-            acc.len(),
-            self.matrix.rows(),
-            "accumulator length must equal n"
-        );
-        let permuted = self.permute_input_packed(input);
-        self.encode_sorted(PackedLane::new(&permuted, acc));
     }
 
     /// The cache-blocked schedule composing §5.3's permutations with
@@ -249,7 +189,7 @@ impl SortedLpnMatrix {
     /// relabeled columns, then re-bucketed tile-major with the scatter to
     /// original rows baked into the entries. Built once, cached.
     /// Inputs handed to the returned schedule must be permuted first
-    /// ([`Self::permute_input`]/[`Self::permute_input_packed`]).
+    /// ([`Self::permute_input`]).
     pub fn tile_schedule(&self) -> &TileSchedule {
         self.tiles.get_or_init(|| {
             TileSchedule::build_with(
@@ -275,35 +215,6 @@ impl SortedLpnMatrix {
     pub fn encode_blocks_tiled(&self, input: &[Block], acc: &mut [Block]) {
         let permuted = self.permute_input(input);
         self.tile_schedule().encode_blocks(&permuted, acc);
-    }
-
-    /// Tiled [`Self::encode_bits_packed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_bits_packed_tiled(&self, input: &PackedBits, acc: &mut PackedBits) {
-        let permuted = self.permute_input_packed(input);
-        self.tile_schedule().encode_bits_packed(&permuted, acc);
-    }
-
-    /// Tiled fused receiver encode over the sorted matrix: both halves
-    /// in one tile-major pass (see [`crate::tile::TileSchedule::encode_cot_pair`]),
-    /// with the column permutation applied to both inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_cot_pair_tiled(
-        &self,
-        s: &[Block],
-        e: &PackedBits,
-        y: &mut [Block],
-        x: &mut PackedBits,
-    ) {
-        let s_perm = self.permute_input(s);
-        let e_perm = self.permute_input_packed(e);
-        self.tile_schedule().encode_cot_pair(&s_perm, &e_perm, y, x);
     }
 
     /// The sorted access trace (element indices in execution order) — what
@@ -482,18 +393,6 @@ mod tests {
         let mut via_sorted = plain.clone();
         encoder::encode_blocks(&m, &input, &mut plain);
         sorted.encode_blocks(&input, &mut via_sorted);
-        assert_eq!(plain, via_sorted);
-    }
-
-    #[test]
-    fn sorted_encode_matches_unsorted_bits() {
-        let m = toy();
-        let sorted = SortedLpnMatrix::sort(&m, SortConfig::default());
-        let input: Vec<bool> = (0..m.cols()).map(|i| i % 7 == 0).collect();
-        let mut plain = vec![false; m.rows()];
-        let mut via_sorted = plain.clone();
-        encoder::encode_bits(&m, &input, &mut plain);
-        sorted.encode_bits(&input, &mut via_sorted);
         assert_eq!(plain, via_sorted);
     }
 

@@ -6,8 +6,9 @@
 //! attacks in hardware with a memory-side cache fed by §5.3's offline
 //! index sorting. [`TileSchedule`] is the software twin of that idea for
 //! the **online** path: the matrix is fixed, so we precompute — once,
-//! offline, cached on the matrix — a partition of its gathers into
-//! (row-block × column-tile) buckets and execute bucket-major:
+//! offline — a partition of its gathers into (row-block × column-tile)
+//! buckets and execute bucket-major. At Table-4 scale the schedule is the
+//! *only* stored form of the matrix ([`TileSchedule::generate`]):
 //!
 //! * within a bucket, every gather reads a `col_tile`-wide input window
 //!   (512 KB of blocks, 4 KB of packed bits at the default tile) that
@@ -19,10 +20,10 @@
 //!   schedule streams exactly as many index bytes as the CSR it replaces.
 //!
 //! The traversal is generic over [`encoder::XorLane`], so the tiled
-//! kernel exists once for blocks, `bool` bits and packed bits.
+//! kernel exists once for every lane.
 
-use crate::bits::PackedBits;
 use crate::encoder::{self, XorLane};
+use crate::matrix::{count_generation, RowGenerator};
 use crate::LpnMatrix;
 use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
@@ -64,17 +65,13 @@ impl TileConfig {
 ///
 /// Invariant (the wide block lane in [`crate::simd`] indexes unchecked on
 /// it): every entry of bucket `(block, tile)` decodes to a
-/// `(row, col)` with `row < rows` and `col < cols`. Both constructors
-/// ([`TileSchedule::build`], [`TileSchedule::build_with`]) assert it per
-/// gather — hence no `Deserialize`: nothing may mint a schedule that
-/// skipped that check.
+/// `(row, col)` with `row < rows` and `col < cols`. Every constructor
+/// ([`TileSchedule::build`], [`TileSchedule::generate`],
+/// [`TileSchedule::build_with`]) asserts it per gather — hence no
+/// `Deserialize`: nothing may mint a schedule that skipped that check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TileSchedule {
-    rows: usize,
-    cols: usize,
-    row_block: usize,
-    col_tile: usize,
-    col_bits: u32,
+    g: Geometry,
     /// `(local_row << col_bits) | local_col`, bucket-major: row blocks
     /// outer, column tiles inner, emission order within a bucket
     /// (ascending rows for [`TileSchedule::build`]; look-ahead execution
@@ -85,23 +82,19 @@ pub struct TileSchedule {
     bucket_ends: Vec<usize>,
 }
 
-/// The counting sort both [`TileSchedule`] constructors run: geometry
-/// checks and zeroed bucket counts ([`Buckets::new`]), a count pass by the
-/// caller, start cursors and the entry array ([`Buckets::place`]), a
-/// placement pass by the caller, and the every-bucket-filled check
-/// ([`Buckets::finish`]).
-struct Buckets {
+/// The clamped tile geometry every constructor starts from, and the
+/// bases a schedule's entries decode against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Geometry {
     rows: usize,
     cols: usize,
     row_block: usize,
     col_tile: usize,
     col_bits: u32,
     n_tiles: usize,
-    /// Gathers per bucket, row blocks outer, column tiles inner.
-    counts: Vec<usize>,
 }
 
-impl Buckets {
+impl Geometry {
     fn new(rows: usize, cols: usize, cfg: TileConfig) -> Self {
         assert!(rows > 0 && cols > 0, "schedule dimensions must be positive");
         let row_block = cfg.row_block.max(1).min(rows);
@@ -115,48 +108,124 @@ impl Buckets {
             (row_block.max(2) - 1).ilog2() + 1 + col_bits <= 32,
             "tile geometry {row_block}x{col_tile} does not pack into u32 entries"
         );
-        let n_tiles = cols.div_ceil(col_tile);
-        Buckets {
+        Geometry {
             rows,
             cols,
             row_block,
             col_tile,
             col_bits,
-            n_tiles,
-            counts: vec![0; rows.div_ceil(row_block) * n_tiles],
+            n_tiles: cols.div_ceil(col_tile),
         }
     }
 
-    /// Each bucket's first slot, and the entry array the placement pass
-    /// fills through those cursors.
-    fn place(&self) -> (Vec<usize>, Vec<u32>) {
-        let mut cursors = Vec::with_capacity(self.counts.len());
-        let mut total = 0usize;
-        for &c in &self.counts {
-            cursors.push(total);
-            total += c;
-        }
-        (cursors, vec![0u32; total])
+    fn n_buckets(&self) -> usize {
+        self.rows.div_ceil(self.row_block) * self.n_tiles
     }
 
-    /// Checks that every bucket received exactly the gathers counted for
-    /// it — so no placement spilled into a neighbour's range — which
-    /// leaves each cursor at its bucket's end.
-    fn finish(self, cursors: Vec<usize>, entries: Vec<u32>) -> TileSchedule {
-        let mut end = 0usize;
-        for (&cursor, &count) in cursors.iter().zip(&self.counts) {
-            end += count;
-            assert_eq!(cursor, end, "for_each must emit the same gathers twice");
-        }
+    /// The row range of each row block, in bucket order.
+    fn row_blocks(self) -> impl Iterator<Item = std::ops::Range<usize>> {
+        (0..self.rows)
+            .step_by(self.row_block)
+            .map(move |first| first..(first + self.row_block).min(self.rows))
+    }
+
+    fn schedule(self, entries: Vec<u32>, bucket_ends: Vec<usize>) -> TileSchedule {
+        assert_eq!(bucket_ends.len(), self.n_buckets(), "a bucket was skipped");
         TileSchedule {
-            rows: self.rows,
-            cols: self.cols,
-            row_block: self.row_block,
-            col_tile: self.col_tile,
-            col_bits: self.col_bits,
+            g: self,
             entries,
-            bucket_ends: cursors,
+            bucket_ends,
         }
+    }
+}
+
+/// The row-major constructor core behind [`TileSchedule::build`] and
+/// [`TileSchedule::generate`]: buckets are row-block-major, so a row
+/// block's gathers occupy one contiguous range of `entries` and each
+/// block is counted and placed on its own, in order — the block's bucket
+/// row and each row's `local_row << col_bits` hoisted out of the
+/// per-gather loop, and nothing but the current block's indices needed at
+/// any time.
+struct RowBlocks {
+    g: Geometry,
+    weight: usize,
+    entries: Vec<u32>,
+    bucket_ends: Vec<usize>,
+    /// The current block's per-tile counts, then placement cursors.
+    cursors: Vec<usize>,
+}
+
+impl RowBlocks {
+    fn new(rows: usize, cols: usize, weight: usize, cfg: TileConfig) -> Self {
+        let g = Geometry::new(rows, cols, cfg);
+        RowBlocks {
+            g,
+            weight,
+            entries: Vec::with_capacity(rows * weight),
+            bucket_ends: Vec::with_capacity(g.n_buckets()),
+            cursors: vec![0; g.n_tiles],
+        }
+    }
+
+    /// Places the next row block from its row-major column indices.
+    /// Rows are in range by position; columns are checked in both passes,
+    /// as in [`TileSchedule::build_with`].
+    fn place(&mut self, gathers: &[u32]) {
+        // The packing check bounds `col_bits` by 31, so the tile width
+        // (and with it every quotient and remainder) fits `u32`. The
+        // default width is a power of two, where the per-gather divide is
+        // a shift and a mask — a third of the build's time.
+        let col_tile = self.g.col_tile as u32;
+        if col_tile.is_power_of_two() {
+            let shift = col_tile.trailing_zeros();
+            self.place_by(gathers, |c| (c >> shift, c & (col_tile - 1)));
+        } else {
+            self.place_by(gathers, |c| (c / col_tile, c % col_tile));
+        }
+    }
+
+    fn place_by(&mut self, gathers: &[u32], split: impl Fn(u32) -> (u32, u32)) {
+        let Geometry { cols, col_bits, .. } = self.g;
+        // Every `local_row` below is a row of this block, so it decodes
+        // in range (the type's invariant) and packs beside `col_bits`.
+        let first_row = self.bucket_ends.len() / self.g.n_tiles * self.g.row_block;
+        let block_rows = self.g.row_block.min(self.g.rows - first_row);
+        assert_eq!(
+            gathers.len(),
+            block_rows * self.weight,
+            "a row block is placed whole"
+        );
+        let in_range = |c: u32| assert!((c as usize) < cols, "entry out of range");
+
+        self.cursors.fill(0);
+        for &c in gathers {
+            in_range(c);
+            self.cursors[split(c).0 as usize] += 1;
+        }
+        let mut end = self.entries.len();
+        for cursor in &mut self.cursors {
+            let start = end;
+            end += *cursor;
+            *cursor = start;
+            self.bucket_ends.push(end);
+        }
+        self.entries.resize(end, 0);
+        // A weight-0 block has no gathers: `max(1)` only keeps the chunk
+        // size legal, and no row is visited.
+        for (local_row, row) in gathers.chunks_exact(self.weight.max(1)).enumerate() {
+            let row_bits = (local_row as u32) << col_bits;
+            for &c in row {
+                in_range(c);
+                let (tile, local_col) = split(c);
+                let cursor = &mut self.cursors[tile as usize];
+                self.entries[*cursor] = row_bits | local_col;
+                *cursor += 1;
+            }
+        }
+    }
+
+    fn finish(self) -> TileSchedule {
+        self.g.schedule(self.entries, self.bucket_ends)
     }
 }
 
@@ -164,44 +233,38 @@ impl TileSchedule {
     /// Builds the schedule for `matrix` (row `j` accumulates into
     /// `acc[j]`, exactly like the row-major encoder) — the schedule
     /// [`TileSchedule::build_with`] produces from the row-major gather
-    /// set, built by walking `colidx` one row block at a time so the
-    /// block's bucket row and each row's `local_row << col_bits` are
-    /// hoisted out of the per-gather loop.
+    /// set, built by walking `colidx` one row block at a time.
     pub fn build(matrix: &LpnMatrix, cfg: TileConfig) -> Self {
-        let mut b = Buckets::new(matrix.rows(), matrix.cols(), cfg);
-        let (cols, weight, n_tiles, col_bits) = (b.cols, matrix.weight(), b.n_tiles, b.col_bits);
-        // The packing check bounds `col_bits` by 31, so the tile width
-        // (and with it every quotient and remainder below) fits `u32`.
-        let col_tile = b.col_tile as u32;
-        // A weight-0 matrix has no gathers: `max(1)` only keeps the chunk
-        // size legal, and no chunk is visited.
-        let block_len = (b.row_block * weight).max(1);
-        let blocks = || matrix.colidx().chunks(block_len);
-        // Rows are in range by position; columns are checked in both
-        // passes, as in `build_with`.
-        let in_range = |c: u32| assert!((c as usize) < cols, "entry out of range");
+        let weight = matrix.weight();
+        let mut b = RowBlocks::new(matrix.rows(), matrix.cols(), weight, cfg);
+        for rows in b.g.row_blocks() {
+            b.place(&matrix.colidx()[rows.start * weight..rows.end * weight]);
+        }
+        b.finish()
+    }
 
-        for (block, gathers) in blocks().enumerate() {
-            let counts = &mut b.counts[block * n_tiles..][..n_tiles];
-            for &c in gathers {
-                in_range(c);
-                counts[(c / col_tile) as usize] += 1;
-            }
+    /// [`TileSchedule::build`] of [`LpnMatrix::generate`]'s matrix, entry
+    /// for entry, without materialising its `colidx`: a row's indices are
+    /// a pure function of `(seed, row)`, so each row block is generated
+    /// into a scratch buffer (≈ 5 MB at the default geometry), placed and
+    /// forgotten. One stored form and one pass over the index stream at
+    /// set-up where generate-then-build keeps two and makes three. Counts
+    /// as one generation in [`LpnMatrix::generated_count`].
+    ///
+    /// # Panics
+    ///
+    /// As [`LpnMatrix::generate`] and [`TileSchedule::build`].
+    pub fn generate(rows: usize, cols: usize, weight: usize, seed: Block, cfg: TileConfig) -> Self {
+        count_generation();
+        let mut generator = RowGenerator::new(rows, cols, weight, seed);
+        let mut b = RowBlocks::new(rows, cols, weight, cfg);
+        let mut scratch = Vec::with_capacity(b.g.row_block * weight);
+        for rows in b.g.row_blocks() {
+            scratch.clear();
+            generator.extend_rows(rows, &mut scratch);
+            b.place(&scratch);
         }
-        let (mut cursors, mut entries) = b.place();
-        for (block, gathers) in blocks().enumerate() {
-            let cursors = &mut cursors[block * n_tiles..][..n_tiles];
-            for (local_row, row) in gathers.chunks_exact(weight).enumerate() {
-                let row_bits = (local_row as u32) << col_bits;
-                for &c in row {
-                    in_range(c);
-                    let cursor = &mut cursors[(c / col_tile) as usize];
-                    entries[*cursor] = row_bits | (c % col_tile);
-                    *cursor += 1;
-                }
-            }
-        }
-        b.finish(cursors, entries)
+        b.finish()
     }
 
     /// Builds a schedule from an arbitrary gather set: `for_each` must
@@ -220,9 +283,7 @@ impl TileSchedule {
         cfg: TileConfig,
         mut for_each: impl FnMut(&mut dyn FnMut(u32, u32)),
     ) -> Self {
-        let mut b = Buckets::new(rows, cols, cfg);
-        let (row_block, col_tile, col_bits, n_tiles) =
-            (b.row_block, b.col_tile, b.col_bits, b.n_tiles);
+        let g = Geometry::new(rows, cols, cfg);
         // Both passes check the range: the bucket an entry lands in and
         // the bases it is later decoded against are only right for
         // in-range gathers (see the type's invariant).
@@ -231,28 +292,47 @@ impl TileSchedule {
                 (row as usize) < rows && (col as usize) < cols,
                 "entry out of range"
             );
-            (row as usize / row_block) * n_tiles + col as usize / col_tile
+            (row as usize / g.row_block) * g.n_tiles + col as usize / g.col_tile
         };
-        for_each(&mut |row, col| b.counts[bucket_of(row, col)] += 1);
-        let (mut cursors, mut entries) = b.place();
+        let mut counts = vec![0usize; g.n_buckets()];
+        for_each(&mut |row, col| counts[bucket_of(row, col)] += 1);
+        // Each bucket's first slot, and the entry array the placement
+        // pass fills through those cursors.
+        let mut total = 0usize;
+        let mut cursors: Vec<usize> = counts
+            .iter()
+            .map(|&c| {
+                total += c;
+                total - c
+            })
+            .collect();
+        let mut entries = vec![0u32; total];
         for_each(&mut |row, col| {
             let bucket = bucket_of(row, col);
-            let local_row = (row as usize % row_block) as u32;
-            let local_col = (col as usize % col_tile) as u32;
-            entries[cursors[bucket]] = (local_row << col_bits) | local_col;
+            let local_row = (row as usize % g.row_block) as u32;
+            let local_col = (col as usize % g.col_tile) as u32;
+            entries[cursors[bucket]] = (local_row << g.col_bits) | local_col;
             cursors[bucket] += 1;
         });
-        b.finish(cursors, entries)
+        // Every bucket received exactly the gathers counted for it — so
+        // no placement spilled into a neighbour's range — which leaves
+        // each cursor at its bucket's end.
+        let mut end = 0usize;
+        for (&cursor, &count) in cursors.iter().zip(&counts) {
+            end += count;
+            assert_eq!(cursor, end, "for_each must emit the same gathers twice");
+        }
+        g.schedule(entries, cursors)
     }
 
     /// Accumulator length the schedule was built for (`n`).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.g.rows
     }
 
     /// Input length the schedule was built for (`k`).
     pub fn cols(&self) -> usize {
-        self.cols
+        self.g.cols
     }
 
     /// Total gathers in the schedule (`n·d` for a plain matrix).
@@ -275,16 +355,40 @@ impl TileSchedule {
             .map(|(end, start)| end - start)
     }
 
+    /// The `colidx`-sized entry array plus one `k`-vector of blocks, in
+    /// bytes — [`LpnMatrix::working_set_bytes`] of the matrix this
+    /// schedule replaces.
+    pub fn working_set_bytes(&self) -> u64 {
+        (self.entries.len() * std::mem::size_of::<u32>()) as u64
+            + (self.g.cols * Block::BYTES) as u64
+    }
+
     /// The tile-major traversal — the single tiled kernel, generic over
-    /// the lane (blocks, `bool` bits, packed bits, the fused pair).
+    /// the lane.
     pub fn encode(&self, lane: &mut impl XorLane) {
-        let n_tiles = self.cols.div_ceil(self.col_tile);
+        self.encode_with(lane, |_, _| {});
+    }
+
+    /// [`TileSchedule::encode`], calling `finished(lane, rows)` after the
+    /// last bucket of each row block: no later bucket touches `rows`, so
+    /// the caller may read those accumulator rows off while the block is
+    /// still cache-warm instead of sweeping the whole accumulator again.
+    /// Blocks finish in ascending row order and cover `0..rows()` once.
+    pub fn encode_with<L: XorLane>(
+        &self,
+        lane: &mut L,
+        mut finished: impl FnMut(&mut L, std::ops::Range<usize>),
+    ) {
+        let g = self.g;
         let mut start = 0usize;
-        for (bucket, &end) in self.bucket_ends.iter().enumerate() {
-            let row_base = (bucket / n_tiles) * self.row_block;
-            let col_base = (bucket % n_tiles) * self.col_tile;
-            lane.xor_gather_bucket(row_base, col_base, self.col_bits, &self.entries[start..end]);
-            start = end;
+        for (block, ends) in self.bucket_ends.chunks(g.n_tiles).enumerate() {
+            let row_base = block * g.row_block;
+            for (tile, &end) in ends.iter().enumerate() {
+                let col_base = tile * g.col_tile;
+                lane.xor_gather_bucket(row_base, col_base, g.col_bits, &self.entries[start..end]);
+                start = end;
+            }
+            finished(lane, row_base..(row_base + g.row_block).min(g.rows));
         }
     }
 
@@ -294,65 +398,22 @@ impl TileSchedule {
     ///
     /// Panics if lengths do not match the schedule dimensions.
     pub fn encode_blocks(&self, input: &[Block], acc: &mut [Block]) {
-        assert_eq!(input.len(), self.cols, "input length must equal k");
-        assert_eq!(acc.len(), self.rows, "accumulator length must equal n");
+        assert_eq!(input.len(), self.g.cols, "input length must equal k");
+        assert_eq!(acc.len(), self.g.rows, "accumulator length must equal n");
         self.encode(&mut encoder::SliceLane { input, acc });
-    }
-
-    /// Tiled [`encoder::encode_bits`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the schedule dimensions.
-    pub fn encode_bits(&self, input: &[bool], acc: &mut [bool]) {
-        assert_eq!(input.len(), self.cols, "input length must equal k");
-        assert_eq!(acc.len(), self.rows, "accumulator length must equal n");
-        self.encode(&mut encoder::SliceLane { input, acc });
-    }
-
-    /// Tiled [`encoder::encode_bits_packed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the schedule dimensions.
-    pub fn encode_bits_packed(&self, input: &PackedBits, acc: &mut PackedBits) {
-        assert_eq!(input.len(), self.cols, "input length must equal k");
-        assert_eq!(acc.len(), self.rows, "accumulator length must equal n");
-        self.encode(&mut encoder::PackedLane::new(input, acc));
-    }
-
-    /// Tiled fused receiver encode: both halves (`y ^= s·A`,
-    /// `x ^= e·A`) in one tile-major pass over the index stream — see
-    /// [`encoder::CotPairLane`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the schedule dimensions.
-    pub fn encode_cot_pair(
-        &self,
-        s: &[Block],
-        e: &PackedBits,
-        y: &mut [Block],
-        x: &mut PackedBits,
-    ) {
-        assert_eq!(s.len(), self.cols, "block input length must equal k");
-        assert_eq!(e.len(), self.cols, "bit input length must equal k");
-        assert_eq!(y.len(), self.rows, "block accumulator length must equal n");
-        assert_eq!(x.len(), self.rows, "bit accumulator length must equal n");
-        self.encode(&mut encoder::CotPairLane::new(s, e, y, x));
     }
 
     /// The input-column trace in execution order — comparable against
     /// [`encoder::access_trace`] with [`crate::sorting::trace_hit_rate`].
     pub fn access_trace(&self) -> impl Iterator<Item = u32> + '_ {
-        let n_tiles = self.cols.div_ceil(self.col_tile);
-        let col_mask = (1u32 << self.col_bits) - 1;
+        let g = self.g;
+        let col_mask = (1u32 << g.col_bits) - 1;
         let mut bucket = 0usize;
         self.entries.iter().enumerate().map(move |(i, &e)| {
             while i >= self.bucket_ends[bucket] {
                 bucket += 1;
             }
-            ((bucket % n_tiles) * self.col_tile) as u32 + (e & col_mask)
+            ((bucket % g.n_tiles) * g.col_tile) as u32 + (e & col_mask)
         })
     }
 }
@@ -361,6 +422,56 @@ impl TileSchedule {
 mod tests {
     use super::*;
     use crate::sorting::trace_hit_rate;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The streamed constructor is generate-then-build, entry for
+        /// entry, for any shape and geometry — row blocks that start
+        /// inside a cipher batch included.
+        #[test]
+        fn streamed_schedule_is_generate_then_build(
+            rows in 1usize..700,
+            cols in 1usize..300,
+            weight in 0usize..14,
+            row_block in 1usize..300,
+            col_tile in 1usize..300,
+            seed in any::<u128>(),
+        ) {
+            let weight = weight.min(cols);
+            let cfg = TileConfig { row_block, col_tile };
+            let m = LpnMatrix::generate_untracked(rows, cols, weight, Block::from(seed));
+            prop_assert_eq!(
+                TileSchedule::generate(rows, cols, weight, Block::from(seed), cfg),
+                TileSchedule::build(&m, cfg)
+            );
+        }
+    }
+
+    /// The Table-4 schedule decodes to the matrix the pre-batching
+    /// generator made: `Σ` decoded columns equals `matrix.rs`'s `Σ colidx`
+    /// pins, and the working set keeps the row-major form's value.
+    #[test]
+    #[ignore = "full-scale: three 2^20 x 168000 schedules"]
+    fn table4_schedule_is_pinned() {
+        for (seed, sum) in [
+            (7u128, 880_904_398_888u64),
+            (8, 880_897_169_122),
+            (9, 880_695_904_440),
+        ] {
+            let s = TileSchedule::generate(
+                1 << 20,
+                168_000,
+                10,
+                Block::from(seed),
+                TileConfig::default(),
+            );
+            let got: u64 = s.access_trace().map(u64::from).sum();
+            assert_eq!(got, sum, "seed {seed}");
+            assert_eq!(s.working_set_bytes(), (10 << 20) * 4 + 168_000 * 16);
+        }
+    }
 
     fn matrix() -> LpnMatrix {
         LpnMatrix::generate(3000, 1000, 10, Block::from(77u128))
@@ -397,26 +508,12 @@ mod tests {
     }
 
     #[test]
-    fn tiled_bits_match_row_major() {
-        let m = matrix();
-        let s = TileSchedule::build(&m, small_cfg());
-        let input: Vec<bool> = (0..m.cols()).map(|i| i % 3 == 1).collect();
-        let mut plain: Vec<bool> = (0..m.rows()).map(|j| j % 7 == 0).collect();
-        let mut tiled = plain.clone();
-        let packed_input = PackedBits::from_bools(&input);
-        let mut packed = PackedBits::from_bools(&tiled);
-        encoder::encode_bits(&m, &input, &mut plain);
-        s.encode_bits(&input, &mut tiled);
-        s.encode_bits_packed(&packed_input, &mut packed);
-        assert_eq!(plain, tiled);
-        assert_eq!(packed.to_bools(), plain);
-    }
-
-    #[test]
     fn build_is_build_with_on_the_row_major_gather_set() {
         // Last partial row block and column tile, sizes that are and are
         // not powers of two, one-row / one-column / whole-matrix tiles,
-        // an empty matrix, and the default geometry clamped to the matrix.
+        // an empty matrix, odd weights, a single column, and the default
+        // geometry clamped to the matrix — and the streamed constructor
+        // gives the same schedule without the matrix.
         for (rows, cols, weight, row_block, col_tile) in [
             (10usize, 23usize, 3usize, 4usize, 5usize),
             (37, 19, 5, 7, 3),
@@ -428,12 +525,20 @@ mod tests {
             (64, 64, 8, 1024, 1024),
             (12, 7, 0, 5, 2),
             (500, 40, 10, 131_072, 32_768),
+            (41, 1, 1, 8, 1),
+            (300, 90, 11, 37, 64),
         ] {
             let cfg = TileConfig {
                 row_block,
                 col_tile,
             };
-            let m = LpnMatrix::generate(rows, cols, weight, Block::from(cols as u128));
+            let seed = Block::from(cols as u128);
+            let m = LpnMatrix::generate(rows, cols, weight, seed);
+            assert_eq!(
+                TileSchedule::generate(rows, cols, weight, seed, cfg),
+                TileSchedule::build(&m, cfg),
+                "streamed {rows}x{cols} {cfg:?}"
+            );
             let general = TileSchedule::build_with(rows, cols, cfg, |emit| {
                 for j in 0..rows {
                     for &c in m.row(j) {
@@ -495,6 +600,31 @@ mod tests {
             tiled > base + 0.2,
             "tiling should lift hit rate decisively: {base:.3} -> {tiled:.3}"
         );
+    }
+
+    #[test]
+    fn row_blocks_finish_in_order_and_cover_the_accumulator() {
+        // `encode_with` reports each row block once, ascending, after its
+        // last gather: reading the finished rows off inside the callback
+        // sees the final accumulator.
+        let m = matrix();
+        let s = TileSchedule::build(&m, small_cfg());
+        let input: Vec<Block> = (0..m.cols() as u128).map(|i| Block::from(i + 2)).collect();
+        let mut reference = vec![Block::from(9u128); m.rows()];
+        encoder::encode_blocks(&m, &input, &mut reference);
+        let mut acc = vec![Block::from(9u128); m.rows()];
+        let mut seen = Vec::new();
+        s.encode_with(
+            &mut encoder::SliceLane {
+                input: &input,
+                acc: &mut acc,
+            },
+            |lane, rows| {
+                assert_eq!(rows.start, seen.len());
+                seen.extend_from_slice(&lane.acc[rows]);
+            },
+        );
+        assert_eq!(seen, reference);
     }
 
     #[test]

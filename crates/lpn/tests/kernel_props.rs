@@ -1,8 +1,8 @@
 //! Kernel-equivalence properties: every LPN kernel variant — row-major
 //! naive, cache-blocked tiled (arbitrary geometries), §5.3-sorted,
-//! sorted+tiled, packed bits, the fused receiver pair, and the whole
-//! [`ironman_lpn::simd`] dispatch layer (including the gather bit pass
-//! and the split receiver pair) at
+//! sorted+tiled, packed bits, and the whole [`ironman_lpn::simd`] dispatch layer (including
+//! the gather bit pass, the per-row-block hand-off and the split and
+//! fused pairs the benchmark harness still probes) at
 //! every runtime-available SIMD level (scalar always; AVX2/BMI2 where
 //! the host has it) — computes the same GF(2)/GF(2^128) product, onto
 //! dirty accumulators, across matrix shapes including the `toy()` and
@@ -35,6 +35,16 @@ fn bools_from(seed: u64, len: usize) -> Vec<bool> {
         .collect()
 }
 
+/// Row `j` of `A·e` over GF(2) onto `acc`, one bit at a time — the
+/// definition the packed lanes are checked against.
+fn encode_bits_reference(m: &LpnMatrix, e: &[bool], acc: &mut [bool]) {
+    for (j, a) in acc.iter_mut().enumerate() {
+        for &c in m.row(j) {
+            *a ^= e[c as usize];
+        }
+    }
+}
+
 /// Asserts all block-kernel variants match the naive encoder on the
 /// given matrix with dirty accumulators, and likewise for bits.
 fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortConfig, seed: u64) {
@@ -50,7 +60,7 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
     let mut y_ref = dirty_blocks.clone();
     let mut x_ref = dirty_bits.clone();
     encoder::encode_blocks(m, &s, &mut y_ref);
-    encoder::encode_bits(m, &e, &mut x_ref);
+    encode_bits_reference(m, &e, &mut x_ref);
 
     // Tiled (explicit geometry + the cached default schedule).
     let tiles = TileSchedule::build(m, tile_cfg);
@@ -61,20 +71,10 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
     m.tile_schedule().encode_blocks(&s, &mut y);
     assert_eq!(y, y_ref, "default-schedule blocks");
 
-    // Packed bits: row-major and tiled.
+    // Packed bits, row-major.
     let mut x = PackedBits::from_bools(&dirty_bits);
     encoder::encode_bits_packed(m, &e_packed, &mut x);
     assert_eq!(x.to_bools(), x_ref, "packed bits");
-    let mut x = PackedBits::from_bools(&dirty_bits);
-    tiles.encode_bits_packed(&e_packed, &mut x);
-    assert_eq!(x.to_bools(), x_ref, "tiled packed bits ({tile_cfg:?})");
-
-    // Fused receiver pair (tile-major).
-    let mut y = dirty_blocks.clone();
-    let mut x = PackedBits::from_bools(&dirty_bits);
-    tiles.encode_cot_pair(&s, &e_packed, &mut y, &mut x);
-    assert_eq!(y, y_ref, "fused tiled blocks");
-    assert_eq!(x.to_bools(), x_ref, "fused tiled bits");
 
     // The simd dispatch layer: every entry point × every level the host
     // can actually run (Scalar everywhere; Wide on AVX2+BMI2 machines).
@@ -89,9 +89,13 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
         let mut x = PackedBits::from_bools(&dirty_bits);
         simd::encode_bits_packed(level, m, &e_packed, &mut x);
         assert_eq!(x.to_bools(), x_ref, "simd packed bits ({level:?})");
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        simd::encode_bits_packed_tiled(level, &tiles, &e_packed, &mut x);
-        assert_eq!(x.to_bools(), x_ref, "simd tiled packed bits ({level:?})");
+        let mut y = dirty_blocks.clone();
+        let mut handed = Vec::new();
+        simd::encode_blocks_tiled_with(level, &tiles, &s, &mut y, |rows| {
+            handed.extend_from_slice(rows)
+        });
+        assert_eq!(y, y_ref, "simd tiled blocks, row-block hook ({level:?})");
+        assert_eq!(handed, y_ref, "finished row blocks ({level:?})");
 
         let mut y = dirty_blocks.clone();
         let mut x = PackedBits::from_bools(&dirty_bits);
@@ -105,7 +109,7 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
         assert_eq!(x.to_bools(), x_ref, "simd fused tiled bits ({level:?})");
     }
 
-    // Sorted, sorted+tiled, sorted packed, sorted fused.
+    // Sorted and sorted+tiled.
     for strategy in [SortStrategy::ColumnOnly, SortStrategy::Full] {
         let sorted = SortedLpnMatrix::sort_with(m, sort_cfg, strategy);
         let mut y = dirty_blocks.clone();
@@ -114,14 +118,6 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
         let mut y = dirty_blocks.clone();
         sorted.encode_blocks_tiled(&s, &mut y);
         assert_eq!(y, y_ref, "sorted tiled blocks ({strategy:?})");
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        sorted.encode_bits_packed(&e_packed, &mut x);
-        assert_eq!(x.to_bools(), x_ref, "sorted packed bits ({strategy:?})");
-        let mut y = dirty_blocks.clone();
-        let mut x = PackedBits::from_bools(&dirty_bits);
-        sorted.encode_cot_pair_tiled(&s, &e_packed, &mut y, &mut x);
-        assert_eq!(y, y_ref, "sorted fused blocks ({strategy:?})");
-        assert_eq!(x.to_bools(), x_ref, "sorted fused bits ({strategy:?})");
     }
 }
 

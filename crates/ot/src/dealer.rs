@@ -4,8 +4,8 @@
 //! produced once by public-key OT in the paper's initialization phase
 //! (excluded from every measurement in §6, as is standard). We substitute
 //! an ideal trusted dealer that samples correlations with exactly the right
-//! distribution (ROADMAP.md's parked items name the real two-party
-//! bootstrap this stands in for).
+//! distribution (README.md's substitution table; ROADMAP.md's parked items
+//! name the real two-party bootstrap this stands in for).
 //!
 //! The dealer is deterministic in its seed so experiments are reproducible.
 
@@ -62,29 +62,31 @@ impl Dealer {
         (self.random_block().mix() % bound as u64) as usize
     }
 
-    /// Draws a global correlation offset `Δ` (forced nonzero).
+    /// Draws a global correlation offset `Δ` with bit 0 set — the
+    /// convention [`crate::ferret`] extends under (a string's bit 0 carries
+    /// its choice bit), which also makes `Δ` non-zero by construction. The
+    /// other 127 bits are pseudorandom.
     pub fn random_delta(&mut self) -> Block {
-        loop {
-            let d = self.random_block();
-            if d != Block::ZERO {
-                return d;
-            }
-        }
+        self.random_block().with_lsb(true)
     }
 
-    /// Deals `count` COT correlations under `delta` with random choice bits.
+    /// Deals `count` COT correlations under `delta` with random choice
+    /// bits. The `2·count` pseudorandom blocks (strings, then the blocks
+    /// the choice bits are read from) come from one bulk cipher call.
     pub fn deal_cot(&mut self, delta: Block, count: usize) -> (CotSender, CotReceiver) {
-        let mut r0 = Vec::with_capacity(count);
-        let mut bits = Vec::with_capacity(count);
-        let mut rb = Vec::with_capacity(count);
-        for _ in 0..count {
-            let r = self.random_block();
-            let b = self.random_bit();
-            r0.push(r);
-            bits.push(b);
-            rb.push(r ^ delta.and_bit(b));
-        }
-        (CotSender::new(delta, r0), CotReceiver::new(bits, rb))
+        let mut drawn: Vec<Block> = (1..=2 * count as u128)
+            .map(|i| Block::from(self.counter + i))
+            .collect();
+        self.counter += 2 * count as u128;
+        self.prf.encrypt_blocks(&mut drawn);
+        let bits: Vec<bool> = drawn[count..].iter().map(|b| b.lsb()).collect();
+        drawn.truncate(count);
+        let rb = drawn
+            .iter()
+            .zip(&bits)
+            .map(|(&r, &b)| r ^ delta.and_bit(b))
+            .collect();
+        (CotSender::new(delta, drawn), CotReceiver::new(bits, rb))
     }
 }
 
@@ -115,6 +117,22 @@ mod tests {
         let (s, r) = d.deal_cot(delta, 128);
         assert!(verify_correlation(&s, &r).is_ok());
         assert_eq!(s.len(), 128);
+    }
+
+    #[test]
+    fn delta_is_odd_and_deal_draws_like_single_blocks() {
+        // Bit 0 of Δ is fixed; the bulk draw consumes the same counter
+        // stream `random_block` would (strings first, then bit blocks).
+        let mut d = Dealer::new(11);
+        let delta = d.random_delta();
+        assert!(delta.lsb());
+        let mut single = d.clone();
+        let (s, r) = d.deal_cot(delta, 5);
+        let strings: Vec<Block> = (0..5).map(|_| single.random_block()).collect();
+        let bits: Vec<bool> = (0..5).map(|_| single.random_bit()).collect();
+        assert_eq!(s.r0(), strings.as_slice());
+        assert_eq!(r.bits(), bits.as_slice());
+        assert_eq!(d.random_block(), single.random_block());
     }
 
     #[test]

@@ -1,24 +1,38 @@
 //! The Ferret-style PCG OT-extension main loop (paper §2.3, Fig. 3a).
 //!
 //! One extension turns `k + t·log2(ℓ)` base COT correlations into `n` fresh
-//! correlations:
+//! correlations. Inside the extension every string carries its choice bit
+//! in **bit 0**, as FERRET's reference implementation does: `Δ` has bit 0
+//! set (so 127 of its bits are free), every sender string has bit 0 clear,
+//! and every receiver string `y = z ⊕ x·Δ` therefore has `x` in bit 0. The
+//! parties' constructors put dealt bases into that form
+//! ([`FerretSender::new`], [`FerretReceiver::new`]) and every output is in
+//! it again, so the receiver keeps no separate bit vector.
 //!
 //! 1. **SPCOT phase** — `t` GGM trees are built and punctured interactively
 //!    ([`crate::spcot`]); tree `i` contributes a one-hot stripe of the
 //!    length-`n` noise vector `u` and the corresponding `w`/`v` blocks.
-//! 2. **LPN phase** — both parties locally encode their pre-generated
-//!    vectors through the fixed sparse matrix `A` and XOR onto the SPCOT
-//!    outputs: sender `z = r·A ⊕ w`; receiver `x = e·A ⊕ u`,
-//!    `y = s·A ⊕ v`. The result is `n` COTs with `z = y ⊕ x·Δ`.
+//!    Leaves are folded into the LPN accumulator with bit 0 masked off
+//!    (`acc ^= leaf & !1`, both parties); the receiver then flips bit 0 at
+//!    its punctured position `α`, which is `u` riding in the block lane.
+//!    The `t·log2(ℓ)` choice bits SPCOT consumes are read back from bit 0
+//!    of the base strings it consumes.
+//! 2. **LPN phase** — each party runs the same single block pass over the
+//!    fixed sparse matrix `A`, onto its accumulator: sender `z = r·A ⊕ w`,
+//!    receiver `y = s·A ⊕ v`. LPN over blocks *is* LPN over bits in lane
+//!    0, so `x = e·A ⊕ u` is bit 0 of `y` — read off per finished row
+//!    block — and the result is `n` COTs with `z = y ⊕ x·Δ`.
 //! 3. **Bootstrap** — the *last* `k + t·log2(ℓ)` outputs are retained as
 //!    the next iteration's base correlations; the front `n − k − t·log2(ℓ)`
 //!    are handed to the application in place (the output vector is the
 //!    encode's accumulator, truncated — only the small base is copied
 //!    out). Every output row is an equally valid COT, so which end
-//!    bootstraps is a free choice both parties must merely agree on;
-//!    sessions before PR 14 retained the front, so for the same seeds
-//!    the application stream is a different (equally correlated)
-//!    selection of rows than those versions produced.
+//!    bootstraps is a free choice both parties must merely agree on.
+//!
+//! Outputs for a given seed are specific to this revision of the protocol
+//! (which end bootstraps, the bit-0 lane, the dealer's draw order):
+//! compare kernels and tiers against each other, not against fixtures
+//! from older builds.
 //!
 //! Both the plain and the locality-sorted LPN matrices are supported; they
 //! produce bit-identical outputs (§5.3's correctness argument is checked in
@@ -33,38 +47,32 @@ use crate::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
 use ironman_ggm::Arity;
 use ironman_lpn::sorting::SortConfig;
 use ironman_lpn::{
-    simd, LpnMatrix, PackedBits, SimdLevel, SimdMode, SortedLpnMatrix, DEFAULT_ROW_WEIGHT,
+    simd, LpnMatrix, SimdLevel, SimdMode, SortedLpnMatrix, TileConfig, TileSchedule,
+    DEFAULT_ROW_WEIGHT,
 };
 use ironman_prg::{Block, PrgCounter, PrgKind};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Which LPN kernel family the extension's online encode runs — the
-/// traversals of `ironman_lpn` over the same matrix, bit-identical in
-/// output and interchangeable per party (the choice never touches the
-/// wire).
+/// Which traversal of `ironman_lpn` the extension's one LPN block pass
+/// runs — and with it which form of the matrix the session stores.
+/// Bit-identical in output and interchangeable per party (the choice
+/// never touches the wire).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LpnKernel {
-    /// Row-major gathers, separate passes per output vector — the CPU
-    /// baseline shape of Fig. 1(c).
+    /// Row-major gathers over the row-major `colidx` — the CPU baseline
+    /// shape of Fig. 1(c), and the simple path at toy scale.
     Naive,
-    /// Cache-blocked (tile-major) gathers from the matrix's precomputed
-    /// [`ironman_lpn::TileSchedule`]; the receiver's two halves run as
-    /// one fused pass ([`ironman_lpn::encoder::CotPairLane`]). The software twin of
-    /// the paper's memory-side cache (§5.3).
+    /// Cache-blocked (tile-major) gathers replayed from a
+    /// [`ironman_lpn::TileSchedule`], the only form of the matrix such a
+    /// session stores. The software twin of the paper's memory-side cache
+    /// (§5.3).
     Tiled,
-    /// The measured winner at Table-4 scale, one shape on both SIMD
-    /// tiers ([`ironman_lpn::simd::encode_cot_pair`]): the block half
-    /// runs tile-major (its `k · 16 B` input spills L2, so blocking
-    /// pays) and the packed-bit half runs row-major as its own pass (its
-    /// `k`-bit input is L1-resident, where tiling's bucket bookkeeping
-    /// only adds overhead — and where the wide tier probes it eight
-    /// indices at a time with `VPGATHERDD`). Two passes over the index
-    /// stream beat every fused pair at full scale (table on
-    /// [`FerretConfig::recommended`]): a fused lane drags the
-    /// cache-resident bit gathers through the block half's memory
-    /// stalls, and the receiver then costs the sender's block pass plus
-    /// a bit pass that is mostly its index stream (4–8 ns/row wide).
+    /// The same pass as [`LpnKernel::Tiled`]. The name is what
+    /// [`FerretConfig::recommended`] returns at Table-4 scale, from when
+    /// the receiver ran a second, packed-bit pass after the tiled block
+    /// pass; the choice bit now rides in bit 0 of the block and that pass
+    /// does not exist.
     Split,
 }
 
@@ -131,46 +139,23 @@ impl FerretConfig {
     }
 
     /// The fastest known (matrix kind × kernel) combination for `params`
-    /// on the reference box, regenerated from
+    /// on the reference box, from
     /// `ironman_lpn::simd::tests::level_head_to_head_at_table4_shape`
     /// (`cargo test --release -p ironman-lpn --lib -- --ignored
     /// --nocapture level_head_to_head`, one pinned CPU) at the size an
     /// extension really runs — `n = 2^20`, `k = 168 000`, `d = 10`, so
-    /// every pass streams its 42 MB of indices and 16 MB of accumulator
-    /// from memory. Median of 7 reps in ms (best in parentheses):
+    /// the pass streams its 42 MB of indices and 16 MB of accumulator
+    /// from memory. Median of 7 reps in ms (best in parentheses), on a
+    /// shared two-vCPU host that reads ±15 % from hour to hour:
     ///
     /// | pass | scalar row | scalar tiled | wide row | wide tiled |
     /// |---|---|---|---|---|
-    /// | blocks (`s·A`)      | 30.1 (28.7) | **16.4 (15.6)** | 28.8 (27.8) | **10.9 (10.7)** |
-    /// | packed bits (`e·A`) | **13.6 (12.3)** | 21.7 (20.9) | **6.2 (3.6)** | 21.8 (21.2) |
-    /// | fused tiled pair    | — | 32.6 (31.0) | — | 32.2 (31.0) |
-    /// | split pair (tiled blocks + row bits) | — | **31.9 (30.3)** | — | **19.4 (18.6)** |
+    /// | blocks (`r·A`, `s·A`) | 30.1 (28.7) | **16.4 (15.6)** | 28.8 (27.8) | **10.9 (10.7)** |
     ///
-    /// (A shared two-vCPU host: the same binary reads ±15 % from hour
-    /// to hour, and a pass whose 42 MB index stream survives in the
-    /// last-level cache between reps reads better than it will inside
-    /// an extension — the wide bit pass alone is 3.2–3.6 ms, but in the
-    /// split pair, alternating with the block pass's own 42 MB of
-    /// schedule entries, the pair costs 4–8 ms more than the block pass
-    /// — calmer hours measured the wide pair at 14.2–15.5.)
-    ///
-    /// * the **block** half wins tiled under both SIMD tiers — its
-    ///   `k · 16 B` input spills the L2-class window at every Table-4
-    ///   row, so cache-blocking pays 2–3×;
-    /// * the **packed-bit** half wins row-major — its `k`-bit input is
-    ///   L1-resident, so the tile walk's bucket bookkeeping only adds
-    ///   cost, and on the wide tier the row-major pass is a
-    ///   `VPGATHERDD` kernel at 3–6 ns/row;
-    /// * the **fused** pair loses to running the two winning passes
-    ///   separately on the wide tier (19.4 vs 32.2) and ties on the
-    ///   scalar one, so the receiver's shape is [`LpnKernel::Split`] on
-    ///   both — which also gives the sender's single block pass the
-    ///   tiled traversal. An earlier table drawn at `n = 2^18` chose a
-    ///   fused *row-major* prefetched pair for the wide tier: at that
-    ///   size best-of-5 reps keep the 10 MB index stream and the
-    ///   accumulator L2/L3-warm, which hides exactly the streaming cost
-    ///   a second pass adds and flatters the one-pass lane; at full
-    ///   scale it measured 31 ns/row against the split pair's 14–19;
+    /// * the block pass — the only LPN pass either party runs — wins
+    ///   tiled under both SIMD tiers: its `k · 16 B` input spills the
+    ///   L2-class window at every Table-4 row, so cache-blocking pays
+    ///   2–3×;
     /// * the §5.3 **sorted** matrix never wins in software — its
     ///   look-ahead order targets the NMP memory-side cache, and on a CPU
     ///   the row scatter it adds costs more than the locality it buys
@@ -178,6 +163,10 @@ impl FerretConfig {
     ///   is recommended for every set;
     /// * at toy scale the whole input is cache-resident and the kernels
     ///   tie, so the naive encoder keeps its simpler code path.
+    ///
+    /// (The packed-bit, fused-pair and split-pair rows this table used to
+    /// carry decided the shape of a receiver-only second pass; they are
+    /// in CHANGES.md's PR-14 entry.)
     ///
     /// SIMD stays [`SimdMode::Auto`]: the wide tier wins or ties every
     /// lane it covers and `IRONMAN_SIMD=scalar` remains the escape hatch.
@@ -257,31 +246,18 @@ impl FerretConfig {
             }
             None => SharedLpnMatrix::build(self).repr,
         };
-        if self.kernel != LpnKernel::Naive {
-            // Build the tile schedule now (offline, cached on the
-            // matrix) so no extension pays for it on the hot path. A
-            // shared matrix caches it once for every session.
-            match &repr {
-                MatrixRepr::Plain(m) => {
-                    m.tile_schedule();
-                }
-                MatrixRepr::Sorted(s) => {
-                    s.tile_schedule();
-                }
-            }
-        }
         SessionMatrix {
             repr,
-            kernel: self.kernel,
+            tiled: self.kernel != LpnKernel::Naive,
             level: self.simd.resolve(),
         }
     }
 }
 
-/// The matrix-generation inputs a [`SharedLpnMatrix`] was built from;
-/// [`FerretConfig::build_matrix`] refuses a shared matrix whose
-/// fingerprint disagrees with the config consuming it (a silent mismatch
-/// would desynchronize the parties' LPN encodes).
+/// The matrix-generation inputs a [`SharedLpnMatrix`] was built from,
+/// and the form it is stored in; [`FerretConfig::build_matrix`] refuses
+/// a shared matrix whose fingerprint disagrees with the config consuming
+/// it (a silent mismatch would desynchronize the parties' LPN encodes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct MatrixFingerprint {
     rows: usize,
@@ -289,6 +265,9 @@ struct MatrixFingerprint {
     weight: usize,
     seed: Block,
     sort: Option<SortConfig>,
+    /// Whether the kernel replays a tile schedule (which decides the
+    /// stored form).
+    tiled: bool,
 }
 
 impl MatrixFingerprint {
@@ -299,13 +278,14 @@ impl MatrixFingerprint {
             weight: cfg.row_weight,
             seed: cfg.lpn_seed,
             sort: cfg.sort,
+            tiled: cfg.kernel != LpnKernel::Naive,
         }
     }
 }
 
-/// A prebuilt, reference-counted LPN matrix (plus its cached tile
-/// schedule) shared across sessions whose configs pin the same matrix.
-/// Cloning is an `Arc` bump; see [`FerretConfig::ensure_shared_matrix`].
+/// A prebuilt, reference-counted LPN matrix shared across sessions whose
+/// configs pin the same matrix and traversal. Cloning is an `Arc` bump;
+/// see [`FerretConfig::ensure_shared_matrix`].
 #[derive(Clone, Debug)]
 pub struct SharedLpnMatrix {
     repr: MatrixRepr,
@@ -313,102 +293,99 @@ pub struct SharedLpnMatrix {
 }
 
 impl SharedLpnMatrix {
-    /// Generates the matrix `cfg` pins (ignoring any shared matrix
-    /// already attached to `cfg`).
+    /// Generates the matrix `cfg` pins, in the one form `cfg.kernel`
+    /// reads (ignoring any shared matrix already attached to `cfg`): a
+    /// tiled kernel's schedule is streamed straight from the index
+    /// generator and row-major `colidx` is never materialised.
     pub fn build(cfg: &FerretConfig) -> Self {
-        let plain = LpnMatrix::generate(cfg.params.n, cfg.params.k, cfg.row_weight, cfg.lpn_seed);
+        let p = cfg.params;
+        let fingerprint = MatrixFingerprint::of(cfg);
+        let plain = || LpnMatrix::generate(p.n, p.k, cfg.row_weight, cfg.lpn_seed);
         let repr = match cfg.sort {
-            Some(sort_cfg) => MatrixRepr::Sorted(Arc::new(SortedLpnMatrix::sort(&plain, sort_cfg))),
-            None => MatrixRepr::Plain(Arc::new(plain)),
+            Some(sort_cfg) => {
+                let sorted = SortedLpnMatrix::sort(&plain(), sort_cfg);
+                if fingerprint.tiled {
+                    // Offline, so no extension builds it on the hot path.
+                    sorted.tile_schedule();
+                }
+                MatrixRepr::Sorted(Arc::new(sorted))
+            }
+            None if fingerprint.tiled => MatrixRepr::Tiled(Arc::new(TileSchedule::generate(
+                p.n,
+                p.k,
+                cfg.row_weight,
+                cfg.lpn_seed,
+                TileConfig::default(),
+            ))),
+            None => MatrixRepr::RowMajor(Arc::new(plain())),
         };
-        SharedLpnMatrix {
-            repr,
-            fingerprint: MatrixFingerprint::of(cfg),
-        }
+        SharedLpnMatrix { repr, fingerprint }
     }
 
-    /// The LPN working set of the shared matrix in bytes: its `colidx`
-    /// array plus one `k`-vector of blocks
-    /// ([`LpnMatrix::working_set_bytes`]). The lazily built tile schedule
-    /// (another `colidx`-sized array the handle also keeps alive) is not
-    /// counted.
+    /// The LPN working set of the shared matrix in bytes: its index
+    /// array (`n·d` `u32`s, row-major or tile-major) plus one `k`-vector
+    /// of blocks ([`LpnMatrix::working_set_bytes`]).
     pub fn working_set_bytes(&self) -> u64 {
         match &self.repr {
-            MatrixRepr::Plain(m) => m.working_set_bytes(),
+            MatrixRepr::RowMajor(m) => m.working_set_bytes(),
+            MatrixRepr::Tiled(t) => t.working_set_bytes(),
             MatrixRepr::Sorted(s) => s.matrix().working_set_bytes(),
         }
     }
 }
 
-/// The session's matrix storage: an `Arc` either to the plain CSR matrix
-/// or to its §5.3-sorted form, shared freely across party threads and
-/// shards (the matrix is immutable after generation; its lazily built
-/// tile schedule sits behind a `OnceLock`).
+/// The session's matrix storage, shared freely across party threads and
+/// shards (immutable after generation): the one form the session's kernel
+/// reads, or the §5.3-sorted matrix (which keeps its own lazily built
+/// schedule).
 #[derive(Clone, Debug)]
 enum MatrixRepr {
-    Plain(Arc<LpnMatrix>),
+    RowMajor(Arc<LpnMatrix>),
+    Tiled(Arc<TileSchedule>),
     Sorted(Arc<SortedLpnMatrix>),
 }
 
-/// The session's fixed matrix plus the kernel family and SIMD tier that
-/// traverse it. Every combination produces bit-identical outputs; only
+/// The session's fixed matrix plus the traversal and SIMD tier that
+/// replay it. Every combination produces bit-identical outputs; only
 /// the memory access order and instruction selection differ.
 #[derive(Clone, Debug)]
 struct SessionMatrix {
     repr: MatrixRepr,
-    kernel: LpnKernel,
+    tiled: bool,
     level: SimdLevel,
 }
 
 impl SessionMatrix {
-    /// The sender's (and the receiver's block-half) encode: `acc ^= input·A`.
-    /// `Tiled` and `Split` agree here — both run the cache-blocked
-    /// traversal, which wins for the block operand at every Table-4 row.
-    fn encode_blocks(&self, input: &[Block], acc: &mut [Block]) {
-        match (&self.repr, self.kernel) {
-            (MatrixRepr::Plain(m), LpnKernel::Naive) => {
-                simd::encode_blocks(self.level, m, input, acc)
+    /// Either party's whole LPN phase: `acc ^= input·A`. `finished` is
+    /// handed consecutive, ascending runs of finished accumulator rows
+    /// that together are the final `acc` — per 2 MB row block on the
+    /// tiled path, so the receiver reads its choice bits off cache-warm
+    /// rows. The sorted matrix keeps its scalar traversals (§5.3 ordering
+    /// never wins in software, so it gets no SIMD lanes).
+    fn encode_blocks(
+        &self,
+        input: &[Block],
+        acc: &mut [Block],
+        mut finished: impl FnMut(&[Block]),
+    ) {
+        match &self.repr {
+            MatrixRepr::RowMajor(m) => simd::encode_blocks(self.level, m, input, acc),
+            MatrixRepr::Tiled(t) => {
+                return simd::encode_blocks_tiled_with(self.level, t, input, acc, finished)
             }
-            (MatrixRepr::Plain(m), LpnKernel::Tiled | LpnKernel::Split) => {
-                simd::encode_blocks_tiled(self.level, m.tile_schedule(), input, acc)
-            }
-            (MatrixRepr::Sorted(s), LpnKernel::Naive) => s.encode_blocks(input, acc),
-            (MatrixRepr::Sorted(s), LpnKernel::Tiled | LpnKernel::Split) => {
-                s.encode_blocks_tiled(input, acc)
-            }
+            MatrixRepr::Sorted(s) if self.tiled => s.encode_blocks_tiled(input, acc),
+            MatrixRepr::Sorted(s) => s.encode_blocks(input, acc),
         }
+        finished(acc);
     }
+}
 
-    /// The receiver's online encode: `x ^= e·A` (packed bits) and
-    /// `y ^= s·A` (blocks). `Tiled` runs both halves as one fused pass
-    /// over the index stream; `Naive` runs the legacy separate
-    /// row-major passes. `Split` is the measured winner at full scale on
-    /// both tiers (table on [`FerretConfig::recommended`]): the block
-    /// half tile-major — the same pass the sender runs — then the
-    /// (L1-resident) bit half row-major, ~13 ms scalar / 4–8 ms wide
-    /// per 2^20 rows on top of it. The sorted matrix keeps its scalar
-    /// traversals (§5.3 ordering never wins in software, so it gets no
-    /// SIMD lanes; `Split` there falls back to the fused tiled pass).
-    fn encode_receiver(&self, e: &PackedBits, s: &[Block], x: &mut PackedBits, y: &mut [Block]) {
-        match (&self.repr, self.kernel) {
-            (MatrixRepr::Plain(m), LpnKernel::Naive) => {
-                simd::encode_bits_packed(self.level, m, e, x);
-                simd::encode_blocks(self.level, m, s, y);
-            }
-            (MatrixRepr::Plain(m), LpnKernel::Tiled) => {
-                simd::encode_cot_pair_tiled(self.level, m.tile_schedule(), s, e, y, x);
-            }
-            (MatrixRepr::Plain(m), LpnKernel::Split) => {
-                simd::encode_cot_pair(self.level, m, s, e, y, x);
-            }
-            (MatrixRepr::Sorted(srt), LpnKernel::Naive) => {
-                srt.encode_bits_packed(e, x);
-                srt.encode_blocks(s, y);
-            }
-            (MatrixRepr::Sorted(srt), LpnKernel::Tiled | LpnKernel::Split) => {
-                srt.encode_cot_pair_tiled(s, e, y, x);
-            }
-        }
+/// Folds one tree's SPCOT leaves into an LPN accumulator stripe with
+/// bit 0 — the choice-bit lane — masked off: `acc ^= leaf & !1`.
+fn fold_leaves(acc: &mut [Block], leaves: &[Block]) {
+    const STRING_BITS: Block = Block(!1);
+    for (a, &leaf) in acc.iter_mut().zip(leaves) {
+        *a ^= leaf & STRING_BITS;
     }
 }
 
@@ -424,17 +401,27 @@ pub struct FerretSender {
 }
 
 impl FerretSender {
-    /// Creates the sender from its base correlations.
+    /// Creates the sender from its base correlations, clearing bit 0 of
+    /// every base string (the choice-bit lane; the receiver's matching
+    /// strings get their choice bit there, so the pair stays correlated
+    /// under an odd `Δ`).
     ///
     /// # Panics
     ///
-    /// Panics if `base.len() != cfg.base_cots_required()`.
+    /// Panics if `base.len() != cfg.base_cots_required()`, or if `Δ` has
+    /// bit 0 clear ([`Dealer::random_delta`] never deals one).
     pub fn new(cfg: FerretConfig, base: CotSender, seed: u64) -> Self {
         assert_eq!(
             base.len(),
             cfg.base_cots_required(),
             "sender base must hold exactly k + t*log2(l) correlations"
         );
+        assert!(
+            base.delta().lsb(),
+            "the extension carries choice bits in bit 0, so delta must have bit 0 set"
+        );
+        let strings = base.r0().iter().map(|r| r.with_lsb(false)).collect();
+        let base = CotSender::new(base.delta(), strings);
         let matrix = cfg.build_matrix();
         FerretSender {
             cfg,
@@ -492,7 +479,7 @@ impl FerretSender {
                     *prg_counter += counter;
                     let start = (i % stripes) * p.leaves;
                     let width = p.leaves.min(p.n - start);
-                    Block::xor_into(&mut w_full[start..start + width], &leaves[..width]);
+                    fold_leaves(&mut w_full[start..start + width], &leaves[..width]);
                 },
             )?;
         } else {
@@ -502,13 +489,13 @@ impl FerretSender {
                 self.prg_counter += out.counter;
                 let start = (i % stripes) * p.leaves;
                 let width = p.leaves.min(p.n - start);
-                Block::xor_into(&mut w_full[start..start + width], &out.w[..width]);
+                fold_leaves(&mut w_full[start..start + width], &out.w[..width]);
             }
         }
 
         // LPN phase: z = r·A ⊕ w.
         let mut z = w_full;
-        self.matrix.encode_blocks(self.base.r0(), &mut z);
+        self.matrix.encode_blocks(self.base.r0(), &mut z, |_| {});
 
         // Bootstrap: retain the tail as next iteration's base; `z`
         // itself, truncated, is the application's output (no copy of the
@@ -519,20 +506,13 @@ impl FerretSender {
     }
 }
 
-/// The receiver's long-lived extension state.
-///
-/// The bit half of the base correlations lives **packed**
-/// ([`PackedBits`]) for the receiver's whole lifetime: the constructor
-/// packs the dealt choice bits once, every extension's `x = e·A ⊕ u`
-/// runs entirely on packed words, and bits are only unpacked at the
-/// output boundary (the application's `Vec<bool>`) plus the few
-/// `t·log2(ℓ)` bits the SPCOT layer consumes.
+/// The receiver's long-lived extension state. Its base correlations are
+/// blocks only: each carries its choice bit in bit 0.
 #[derive(Debug)]
 pub struct FerretReceiver {
     cfg: FerretConfig,
-    /// Choice bits of the base correlations (length `k + t·log2(ℓ)`).
-    base_bits: PackedBits,
-    /// Blocks of the base correlations (same length).
+    /// The base correlations (length `k + t·log2(ℓ)`), choice bit in
+    /// bit 0.
     base_rb: Vec<Block>,
     matrix: SessionMatrix,
     alphas: Dealer,
@@ -546,7 +526,9 @@ pub struct FerretReceiver {
 }
 
 impl FerretReceiver {
-    /// Creates the receiver from its base correlations.
+    /// Creates the receiver from its base correlations, folding each
+    /// dealt choice bit into bit 0 of its string (see
+    /// [`FerretSender::new`]).
     ///
     /// # Panics
     ///
@@ -558,11 +540,14 @@ impl FerretReceiver {
             "receiver base must hold exactly k + t*log2(l) correlations"
         );
         let matrix = cfg.build_matrix();
-        let base_bits = PackedBits::from_bools(base.bits());
-        let base_rb = base.rb().to_vec();
+        let base_rb = base
+            .rb()
+            .iter()
+            .zip(base.bits())
+            .map(|(r, &b)| r.with_lsb(b))
+            .collect();
         FerretReceiver {
             cfg,
-            base_bits,
             base_rb,
             matrix,
             alphas: Dealer::new(seed ^ 0xa1fa),
@@ -598,25 +583,26 @@ impl FerretReceiver {
         let p = self.cfg.params;
         let spcot_cfg = self.cfg.spcot_config();
         let spcot_budget = p.t * p.leaves.trailing_zeros() as usize;
-        // SPCOT consumes the first `budget` base correlations (the only
-        // bits unpacked this extension besides the output boundary);
-        // the remaining k stay packed as the LPN input `e`.
-        let mut spcot_bits = Vec::with_capacity(spcot_budget);
-        self.base_bits
-            .extend_bools(0, spcot_budget, &mut spcot_bits);
-        let mut spcot_base = CotReceiver::new(spcot_bits, self.base_rb[..spcot_budget].to_vec());
+        // SPCOT consumes the first `budget` base correlations, its choice
+        // bits read back from bit 0; the remaining k are the LPN input.
+        let spcot_rb = self.base_rb[..spcot_budget].to_vec();
+        let spcot_bits = spcot_rb.iter().map(|r| r.lsb()).collect();
+        let mut spcot_base = CotReceiver::new(spcot_bits, spcot_rb);
 
-        // SPCOT phase: the one-hot noise bits land directly in the
-        // packed x accumulator and each tree's leaves XOR straight into
-        // the y accumulator stripe (no per-tree vectors on the batched
-        // path).
+        // SPCOT phase: each tree's leaves fold straight into the y
+        // accumulator stripe (no per-tree vectors on the batched path)
+        // and its one-hot noise bit lands in bit 0 at α.
         let stripes = p.stripes();
         let spcot_watch = ironman_telemetry::Stopwatch::start();
-        let mut x = PackedBits::zeros(p.n);
         let mut y = vec![Block::ZERO; p.n];
         let stripe_width = |i: usize| {
             let start = (i % stripes) * p.leaves;
             (start, p.leaves.min(p.n - start))
+        };
+        let mut fold_tree = |i: usize, alpha: usize, leaves: &[Block]| {
+            let (start, width) = stripe_width(i);
+            fold_leaves(&mut y[start..start + width], &leaves[..width]);
+            y[start + alpha] ^= Block::from(1u128);
         };
         if self.cfg.batched_spcot {
             let alphas: Vec<usize> = (0..p.t)
@@ -631,42 +617,36 @@ impl FerretReceiver {
                 &mut self.tweak,
                 |i, alpha, leaves, counter| {
                     *prg_counter += counter;
-                    let (start, width) = stripe_width(i);
-                    x.xor_bit(start + alpha, true);
-                    Block::xor_into(&mut y[start..start + width], &leaves[..width]);
+                    fold_tree(i, alpha, leaves);
                 },
             )?;
         } else {
             for i in 0..p.t {
-                let (start, width) = stripe_width(i);
-                let alpha = self.alphas.random_index(width);
+                let alpha = self.alphas.random_index(stripe_width(i).1);
                 let out = spcot_recv(ch, &spcot_cfg, &mut spcot_base, alpha, &mut self.tweak)?;
                 self.prg_counter += out.counter;
-                x.xor_bit(start + out.alpha, true);
-                Block::xor_into(&mut y[start..start + width], &out.v[..width]);
+                fold_tree(i, out.alpha, &out.v);
             }
         }
 
         let spcot_nanos = spcot_watch.elapsed_nanos();
 
-        // LPN phase: x = e·A ⊕ u, y = s·A ⊕ v.
+        // LPN phase: y = s·A ⊕ v — the sender's pass — and x, bit 0 of
+        // y, read off each row block as it finishes. The last
+        // `k + t·log2(ℓ)` rows are the next base and stay blocks.
         let lpn_watch = ironman_telemetry::Stopwatch::start();
-        let e = self.base_bits.slice(spcot_budget, p.k);
+        let usable = p.n - self.cfg.base_cots_required();
+        let mut x = Vec::with_capacity(usable);
         self.matrix
-            .encode_receiver(&e, &self.base_rb[spcot_budget..], &mut x, &mut y);
+            .encode_blocks(&self.base_rb[spcot_budget..], &mut y, |rows| {
+                let wanted = usable - x.len();
+                x.extend(rows.iter().take(wanted).map(|r| r.lsb()));
+            });
         self.last_phase_nanos = (spcot_nanos, lpn_watch.elapsed_nanos());
 
-        // Bootstrap: the last `k + t·log2(ℓ)` outputs become the next
-        // iteration's base (bits stay packed); the front unpacks at the
-        // application boundary and `y` itself, truncated, is the block
-        // output.
-        let required = self.cfg.base_cots_required();
-        let usable = p.n - required;
+        // Bootstrap: `y` itself, truncated, is the block output.
         self.base_rb = y.split_off(usable);
-        self.base_bits = x.slice(usable, required);
-        let mut out_x = Vec::with_capacity(usable);
-        x.extend_bools(0, usable, &mut out_x);
-        Ok((out_x, y))
+        Ok((x, y))
     }
 }
 
@@ -955,10 +935,9 @@ mod tests {
 
     #[test]
     fn split_kernel_matches_naive() {
-        // Split only reorders the receiver's two passes (and tiles the
-        // block half) ⇒ bit-identical outputs, bootstrap included — on
-        // the scalar tier and on whatever `Auto` resolves to here (the
-        // gather bit pass and the unchecked tiled lane on AVX2 hosts).
+        // Split only tiles the block pass ⇒ bit-identical outputs,
+        // bootstrap included — on the scalar tier and on whatever `Auto`
+        // resolves to here (the unchecked tiled lane on AVX2 hosts).
         let naive_cfg = FerretConfig::new(FerretParams::toy());
         let naive = run_extensions(&naive_cfg, 44, 2);
         for simd in [SimdMode::Auto, SimdMode::ForceScalar] {
@@ -979,7 +958,7 @@ mod tests {
 
     #[test]
     fn split_sorted_matches_plain() {
-        // Split on a sorted matrix falls back to the fused tiled pass.
+        // Split on a sorted matrix is the sorted tiled block pass.
         let plain_cfg = FerretConfig::new(FerretParams::toy());
         let cfg = FerretConfig {
             kernel: LpnKernel::Split,
@@ -1041,6 +1020,49 @@ mod tests {
             ..cfg
         };
         let _ = stale.build_matrix();
+    }
+
+    #[test]
+    #[should_panic(expected = "different LPN configuration")]
+    fn shared_matrix_of_the_other_stored_form_rejected() {
+        // A naive-kernel config shares row-major `colidx`; a tiled kernel
+        // replays a schedule and cannot read it.
+        let mut cfg = FerretConfig::new(FerretParams::toy());
+        cfg.ensure_shared_matrix();
+        let tiled = FerretConfig {
+            kernel: LpnKernel::Tiled,
+            ..cfg
+        };
+        let _ = tiled.build_matrix();
+    }
+
+    #[test]
+    #[should_panic(expected = "delta must have bit 0 set")]
+    fn even_delta_rejected() {
+        let cfg = FerretConfig::new(FerretParams::toy());
+        let mut dealer = Dealer::new(50);
+        let delta = dealer.random_delta().with_lsb(false);
+        let (s_base, _) = dealer.deal_cot(delta, cfg.base_cots_required());
+        let _ = FerretSender::new(cfg, s_base, 50);
+    }
+
+    #[test]
+    fn parties_put_dealt_bases_into_bit0_form() {
+        // Whatever bit 0 the dealt strings had, the constructors leave
+        // the sender's clear and the receiver's equal to its choice bit —
+        // still correlated under the odd Δ.
+        let cfg = FerretConfig::new(FerretParams::toy());
+        let mut dealer = Dealer::new(51);
+        let delta = dealer.random_delta();
+        let (s_base, r_base) = dealer.deal_cot(delta, cfg.base_cots_required());
+        let bits = r_base.bits().to_vec();
+        let sender = FerretSender::new(cfg.clone(), s_base, 51);
+        let receiver = FerretReceiver::new(cfg, r_base, 51);
+        for (i, (&r0, &rb)) in sender.base.r0().iter().zip(&receiver.base_rb).enumerate() {
+            assert!(!r0.lsb(), "sender string {i}");
+            assert_eq!(rb.lsb(), bits[i], "receiver string {i}");
+            assert_eq!(rb, r0 ^ delta.and_bit(bits[i]), "correlation {i}");
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! accept corrupted or truncated transcripts — corruption must surface as
 //! a framing error or a violated output correlation.
 
-use ironman_ot::channel::{ChannelError, LocalChannel, Transport};
-use ironman_ot::cot::verify_correlation;
+use ironman_ot::channel::{run_protocol, ChannelError, LocalChannel, Transport};
+use ironman_ot::cot::{verify_correlation, CotReceiver};
 use ironman_ot::dealer::Dealer;
-use ironman_ot::ferret::{run_extension, FerretConfig};
+use ironman_ot::ferret::{run_extension, FerretConfig, FerretReceiver, FerretSender};
 use ironman_ot::params::FerretParams;
 use ironman_ot::spcot::{spcot_recv, spcot_send, verify_spcot, SpcotConfig};
 use ironman_prg::Block;
@@ -129,4 +129,41 @@ fn extension_outputs_are_never_trivially_structured() {
         assert_ne!(z, Block::ZERO);
         assert!(seen.insert(z), "duplicate output block");
     }
+}
+
+/// One toy extension whose receiver base went through `tamper` first;
+/// returns the first output index violating `z = y ⊕ x·Δ`, if any.
+fn extend_with_receiver_base(tamper: impl FnOnce(&mut [bool], &mut [Block])) -> Option<usize> {
+    let cfg = FerretConfig::new(FerretParams::toy());
+    let mut dealer = Dealer::new(31);
+    let delta = dealer.random_delta();
+    let (s_base, r_base) = dealer.deal_cot(delta, cfg.base_cots_required());
+    let (mut bits, mut rb) = (r_base.bits().to_vec(), r_base.rb().to_vec());
+    tamper(&mut bits, &mut rb);
+    let r_base = CotReceiver::new(bits, rb);
+    let (cfg_s, cfg_r) = (cfg.clone(), cfg);
+    let (z, (x, y), _, _) = run_protocol(
+        move |ch| FerretSender::new(cfg_s, s_base, 31).extend(ch).unwrap(),
+        move |ch| FerretReceiver::new(cfg_r, r_base, 31).extend(ch).unwrap(),
+    );
+    (0..z.len()).find(|&i| z[i] != y[i] ^ delta.and_bit(x[i]))
+}
+
+#[test]
+fn flipping_bit0_of_a_receiver_base_string_breaks_the_extension() {
+    // Inside the extension bit 0 of a receiver string *is* its choice
+    // bit (FerretReceiver::new folds the dealt bit in), and both ride
+    // through LPN in that one lane: a base string whose bit 0 is wrong —
+    // an LPN input, past the SPCOT budget — corrupts `x` on every row
+    // that gathers it.
+    let last = FerretConfig::new(FerretParams::toy()).base_cots_required() - 1;
+    assert!(extend_with_receiver_base(|bits, _| bits[last] ^= true).is_some());
+    // Control: the dealt block's own bit 0 is not part of the
+    // correlation (the sender clears it, the receiver overwrites it), and
+    // an untouched base is clean.
+    assert_eq!(
+        extend_with_receiver_base(|_, rb| rb[last] ^= Block::from(1u128)),
+        None
+    );
+    assert_eq!(extend_with_receiver_base(|_, _| {}), None);
 }

@@ -105,7 +105,7 @@ impl CpuModel {
     /// its effective rates sit well below the machine's peaks: with these
     /// constants one 2^20-set execution costs ≈0.11 s and one 2^24-set
     /// execution ≈1.5 s, reproducing the per-execution latencies implied by
-    /// Fig. 1(b) and the speedup bands of Fig. 12 (see EXPERIMENTS.md).
+    /// Fig. 1(b) and the speedup bands of Fig. 12.
     pub fn ferret_reference() -> Self {
         CpuModel {
             aes_ops_per_s: 0.6e9,

@@ -3,8 +3,9 @@
 //! Everything here is *analytical*: closed-form models whose constants come
 //! either from the paper itself (Tables 2, 3, 6; §6.1's GPU measurements)
 //! or from first-principles DDR4/AES-NI arithmetic, calibrated so the CPU
-//! baseline reproduces the paper's full-thread Ferret performance. The
-//! calibration story for every constant is written down in EXPERIMENTS.md.
+//! baseline reproduces the paper's full-thread Ferret performance. Each
+//! constant's source is stated where it is defined; README.md's
+//! substitution table says what is modelled rather than measured.
 //!
 //! * [`roofline`] — the roofline model of Fig. 1(c).
 //! * [`area_power`] — PRG core and Ironman-NMP area/power (Tables 2 & 6).

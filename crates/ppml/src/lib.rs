@@ -19,8 +19,9 @@
 //!   with and without the unified (role-switching) architecture.
 //!
 //! Everything here is an *analytical composition* of paper-reported
-//! baselines with speedups measured from this workspace's simulators; the
-//! calibration provenance of every constant is in EXPERIMENTS.md.
+//! baselines with speedups measured from this workspace's simulators
+//! (README.md's substitution table); each constant's source is stated
+//! where it is defined.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

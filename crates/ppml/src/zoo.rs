@@ -53,8 +53,8 @@ pub struct Workload {
     /// OT-extension share of execution time (Fig. 1(a); Table 5's LAN
     /// columns pin the per-model value).
     pub ote_fraction: f64,
-    /// Paper-reported Ironman latency, WAN (for the EXPERIMENTS.md
-    /// side-by-side).
+    /// Paper-reported Ironman latency, WAN (for the side-by-side
+    /// `tab05_e2e` prints).
     pub paper_ours_wan_s: f64,
     /// Paper-reported Ironman latency, LAN.
     pub paper_ours_lan_s: f64,

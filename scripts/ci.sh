@@ -21,9 +21,9 @@ cargo test -q --workspace
 echo "==> cargo test, kernel crates, forced-scalar dispatch"
 # The ChaCha level kernel, Block::xor_into and the LPN session kernels
 # (SimdMode::Auto) pick their tier once per process; on an AVX2 host the
-# pass above only ever ran the wide one. ironman-lpn rides along so the
-# scalar Split receiver shape the wide tier now shares is exercised under
-# the override too.
+# pass above only ever ran the wide one. ironman-lpn rides along so its
+# portable lanes and the software cipher behind the index generator are
+# exercised under the override too.
 IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
 
 echo "==> benchmark harness: its own unit tests, then a --smoke run of every workload"
@@ -33,6 +33,10 @@ echo "==> benchmark harness: its own unit tests, then a --smoke run of every wor
 # exits non-zero if any delivered COT fails verification.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+# Again on the portable tier, so every workload's in-window z = y ^ x*delta
+# check also covers the scalar lanes of the single-pass extension (the
+# line above only ever ran the tier the host detects).
+IRONMAN_SIMD=scalar cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "==> cargo test -q --test net_loopback (TCP loopback e2e)"
 cargo test -q --test net_loopback

@@ -75,6 +75,28 @@ fn five_iteration_bootstrap_stays_correlated() {
 }
 
 #[test]
+fn recommended_extension_keeps_the_bit0_convention() {
+    // The path `FerretConfig::recommended` picks (tiled kernel over the
+    // streamed schedule at Table-4 scale), shrunk until it is quick in a
+    // debug build but still tiled: Δ odd, sender strings even, the
+    // receiver's choice bit in bit 0 of its string, across a bootstrap.
+    let cfg = FerretConfig::recommended(FerretParams {
+        log_target: 16,
+        n: 90_000,
+        leaves: 256,
+        k: 65_536,
+        t: 64,
+    });
+    assert_ne!(cfg.kernel, ironman_ot::ferret::LpnKernel::Naive);
+    for out in run_extensions(&cfg, 17, 2) {
+        out.verify().expect("z = y ^ x*delta");
+        assert!(out.delta.lsb());
+        assert!(out.z.iter().all(|z| !z.lsb()));
+        assert!(out.x.iter().zip(&out.y).all(|(&x, y)| x == y.lsb()));
+    }
+}
+
+#[test]
 fn arity_and_prg_grid_all_verify() {
     for arity in [Arity::BINARY, Arity::QUAD, Arity::new(8).unwrap()] {
         for prg in [PrgKind::Aes, PrgKind::CHACHA8] {

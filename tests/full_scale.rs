@@ -35,7 +35,9 @@ fn full_2pow20_baseline_binary_aes_verifies() {
 #[test]
 #[ignore = "production-scale, two bootstrap iterations"]
 fn full_2pow20_bootstrap_second_iteration() {
-    let cfg = FerretConfig::new(FerretParams::OT_2POW20);
+    // The recommended config: eight row blocks of the streamed schedule,
+    // each handing its choice bits off as it finishes.
+    let cfg = FerretConfig::recommended(FerretParams::OT_2POW20);
     let outs = ironman_ot::ferret::run_extensions(&cfg, 2022, 2);
     for out in &outs {
         out.verify().unwrap();
