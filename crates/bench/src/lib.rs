@@ -1,8 +1,7 @@
-//! Shared helpers for the experiment harness.
-//!
-//! Each `src/bin/*.rs` binary regenerates one table or figure of the paper
-//! (named in the binary's own module doc); this library provides the
-//! common table formatting and the measured-speedup plumbing they share.
+//! Table formatting shared by this crate's two binaries: `paper`, which
+//! regenerates the paper's tables and figures, and `telemetry_overhead`.
+//! Throughput, set-up time and per-layer costs are measured by the
+//! `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,22 +40,6 @@ pub fn times(x: f64) -> String {
 /// Formats a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
-}
-
-/// Runs `run` `attempts` times and keeps the attempt with the highest
-/// `score` — the bench-noise policy on the one-core CI box, where the OS
-/// scheduler (and background warm-up refills landing inside a short
-/// timed window) add run-to-run noise: the best attempt is the one that
-/// measured the path under test rather than the interference.
-pub fn best_of<T>(attempts: usize, score: impl Fn(&T) -> f64, mut run: impl FnMut() -> T) -> T {
-    let mut best = run();
-    for _ in 1..attempts {
-        let next = run();
-        if score(&next) > score(&best) {
-            best = next;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

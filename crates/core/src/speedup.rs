@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn speedups_in_paper_band() {
         // Paper: 3.66×–39.26× (256 KB) and 5.03×–237× (1 MB). We accept a
-        // wider tolerance band; `fig12_ote_speedup` prints exact values.
+        // wider tolerance band; `paper fig12` prints exact values.
         let worst = speedup_cell(FerretParams::OT_2POW24, 2, 256 * 1024, 2);
         let best = speedup_cell(FerretParams::OT_2POW20, 16, 1024 * 1024, 2);
         assert!(

@@ -54,7 +54,7 @@ impl Default for SortConfig {
 }
 
 /// Which of the two §5.3 transformations to apply — the ablation axis of
-/// the `ablation_sorting` bench.
+/// `paper sorting` (`crates/bench`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SortStrategy {
     /// Column swapping only (spatial locality; the paper measures this

@@ -83,9 +83,10 @@
 //! and the claim is *observable*, not just benchmarked: the service
 //! counts scratch-buffer reuse hits vs. growths per response
 //! ([`ServiceStats::scratch_reuses`] / [`ServiceStats::scratch_allocs`]),
-//! readable from any session via a `Stats` request. The `hot_path` bench
-//! bin measures each stage (pool take, encode, round trip, stream) in
-//! isolation and writes `BENCH_hot_path.json`.
+//! readable from any session via a `Stats` request. `benchmark/` times
+//! each stage at Table-4 scale: `core.take_ns_per_cot`,
+//! `net.encode_ns_per_cot`, `net.rtt_1cot_p50_us`, and the `serve_burst` /
+//! `serve_stream` workloads for the whole pipe.
 //!
 //! # Wire format
 //!
@@ -185,7 +186,7 @@
 //!   `ironman-telemetry/noop` feature compiles telemetry out. CI runs the
 //!   serving hot path head-to-head in both configurations and fails if
 //!   the instrumented build falls more than 3% below the no-op one
-//!   (`BENCH_telemetry.json`).
+//!   (`telemetry_overhead` in `crates/bench`, run by `scripts/ci.sh`).
 //! * **Quantile error.** Histograms bucket values at 16 sub-buckets per
 //!   octave: quantiles read from a snapshot (p50/p90/p99/p999) are upper
 //!   bucket bounds within 6.25% of the true sample quantile (exact below

@@ -42,7 +42,7 @@ use crate::channel::{ChannelError, ChannelStats, Transport};
 use crate::cot::{CotReceiver, CotSender};
 use crate::dealer::Dealer;
 use crate::params::FerretParams;
-use crate::spcot::{spcot_recv, spcot_send, SpcotConfig};
+use crate::spcot::SpcotConfig;
 use crate::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
 use ironman_ggm::Arity;
 use ironman_lpn::sorting::SortConfig;
@@ -97,10 +97,6 @@ pub struct FerretConfig {
     /// LPN kernel family for the online encode (output-identical; see
     /// [`LpnKernel`]).
     pub kernel: LpnKernel,
-    /// Level-batched SPCOT (one message per GGM level across all `t`
-    /// trees, as production Ferret implementations do) instead of one
-    /// conversation per tree. Outputs are identical either way.
-    pub batched_spcot: bool,
     /// SIMD dispatch policy for the plain-matrix LPN kernels
     /// (output-identical; local to each party, never on the wire). The
     /// default [`SimdMode::Auto`] uses the widest tier the CPU offers;
@@ -132,7 +128,6 @@ impl FerretConfig {
             row_weight: DEFAULT_ROW_WEIGHT,
             sort: None,
             kernel: LpnKernel::Naive,
-            batched_spcot: true,
             simd: SimdMode::Auto,
             shared_matrix: None,
         }
@@ -463,35 +458,24 @@ impl FerretSender {
 
         // SPCOT phase: t trees, stripes assigned round-robin; each
         // tree's leaves accumulate straight into the LPN accumulator
-        // stripe (no per-tree leaf vectors on the batched path).
+        // stripe (no per-tree leaf vectors).
         let stripes = p.stripes();
         let mut w_full = vec![Block::ZERO; p.n];
-        if self.cfg.batched_spcot {
-            let seeds: Vec<Block> = (0..p.t).map(|_| self.seeds.random_block()).collect();
-            let prg_counter = &mut self.prg_counter;
-            spcot_batch_send_into(
-                ch,
-                &spcot_cfg,
-                &mut spcot_base,
-                &seeds,
-                &mut self.tweak,
-                |i, leaves, counter| {
-                    *prg_counter += counter;
-                    let start = (i % stripes) * p.leaves;
-                    let width = p.leaves.min(p.n - start);
-                    fold_leaves(&mut w_full[start..start + width], &leaves[..width]);
-                },
-            )?;
-        } else {
-            for i in 0..p.t {
-                let seed = self.seeds.random_block();
-                let out = spcot_send(ch, &spcot_cfg, &mut spcot_base, seed, &mut self.tweak)?;
-                self.prg_counter += out.counter;
+        let seeds: Vec<Block> = (0..p.t).map(|_| self.seeds.random_block()).collect();
+        let prg_counter = &mut self.prg_counter;
+        spcot_batch_send_into(
+            ch,
+            &spcot_cfg,
+            &mut spcot_base,
+            &seeds,
+            &mut self.tweak,
+            |i, leaves, counter| {
+                *prg_counter += counter;
                 let start = (i % stripes) * p.leaves;
                 let width = p.leaves.min(p.n - start);
-                fold_leaves(&mut w_full[start..start + width], &out.w[..width]);
-            }
-        }
+                fold_leaves(&mut w_full[start..start + width], &leaves[..width]);
+            },
+        )?;
 
         // LPN phase: z = r·A ⊕ w.
         let mut z = w_full;
@@ -590,8 +574,8 @@ impl FerretReceiver {
         let mut spcot_base = CotReceiver::new(spcot_bits, spcot_rb);
 
         // SPCOT phase: each tree's leaves fold straight into the y
-        // accumulator stripe (no per-tree vectors on the batched path)
-        // and its one-hot noise bit lands in bit 0 at α.
+        // accumulator stripe (no per-tree vectors) and its one-hot noise
+        // bit lands in bit 0 at α.
         let stripes = p.stripes();
         let spcot_watch = ironman_telemetry::Stopwatch::start();
         let mut y = vec![Block::ZERO; p.n];
@@ -604,31 +588,21 @@ impl FerretReceiver {
             fold_leaves(&mut y[start..start + width], &leaves[..width]);
             y[start + alpha] ^= Block::from(1u128);
         };
-        if self.cfg.batched_spcot {
-            let alphas: Vec<usize> = (0..p.t)
-                .map(|i| self.alphas.random_index(stripe_width(i).1))
-                .collect();
-            let prg_counter = &mut self.prg_counter;
-            spcot_batch_recv_into(
-                ch,
-                &spcot_cfg,
-                &mut spcot_base,
-                &alphas,
-                &mut self.tweak,
-                |i, alpha, leaves, counter| {
-                    *prg_counter += counter;
-                    fold_tree(i, alpha, leaves);
-                },
-            )?;
-        } else {
-            for i in 0..p.t {
-                let alpha = self.alphas.random_index(stripe_width(i).1);
-                let out = spcot_recv(ch, &spcot_cfg, &mut spcot_base, alpha, &mut self.tweak)?;
-                self.prg_counter += out.counter;
-                fold_tree(i, out.alpha, &out.v);
-            }
-        }
-
+        let alphas: Vec<usize> = (0..p.t)
+            .map(|i| self.alphas.random_index(stripe_width(i).1))
+            .collect();
+        let prg_counter = &mut self.prg_counter;
+        spcot_batch_recv_into(
+            ch,
+            &spcot_cfg,
+            &mut spcot_base,
+            &alphas,
+            &mut self.tweak,
+            |i, alpha, leaves, counter| {
+                *prg_counter += counter;
+                fold_tree(i, alpha, leaves);
+            },
+        )?;
         let spcot_nanos = spcot_watch.elapsed_nanos();
 
         // LPN phase: y = s·A ⊕ v — the sender's pass — and x, bit 0 of

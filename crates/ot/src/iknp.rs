@@ -4,8 +4,8 @@
 //! needs `λ` bits of communication **per output COT** (linear), while
 //! PCG-style extension is sub-linear; in exchange PCG costs >4.3× more
 //! computation. We implement semi-honest IKNP faithfully so that trade-off
-//! can be *measured* (see `tests::pcg_beats_iknp_on_communication` and the
-//! `comm_comparison` bench binary).
+//! can be *measured* (see `tests::pcg_beats_iknp_on_communication` and
+//! `paper comm` in `crates/bench`).
 //!
 //! Protocol sketch (COT functionality, sender offset `Δ`):
 //!

@@ -162,7 +162,7 @@ impl FerretParams {
     /// Pooled-Gauss attack-cost estimate for the regular-LPN instance, in
     /// bits: `−k·log2(1 − t/n) + ω·log2(k)` with the matrix-multiplication
     /// exponent `ω = 2.8`. This tracks Table 4's reported security to
-    /// within a few bits (`tab04_params` prints the side-by-side).
+    /// within a few bits (`paper tab04` prints the side-by-side).
     pub fn security_bits(&self) -> f64 {
         let n = self.n as f64;
         let k = self.k as f64;

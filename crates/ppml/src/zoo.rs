@@ -54,7 +54,7 @@ pub struct Workload {
     /// columns pin the per-model value).
     pub ote_fraction: f64,
     /// Paper-reported Ironman latency, WAN (for the side-by-side
-    /// `tab05_e2e` prints).
+    /// `paper tab05` prints).
     pub paper_ours_wan_s: f64,
     /// Paper-reported Ironman latency, LAN.
     pub paper_ours_lan_s: f64,

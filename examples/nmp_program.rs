@@ -3,7 +3,7 @@
 //! encoding, and interpret the program against the cycle models.
 //!
 //! ```sh
-//! cargo run --release -p ironman-bench --example nmp_program
+//! cargo run --release --example nmp_program
 //! ```
 
 use ironman_ggm::Arity;

@@ -5,7 +5,7 @@
 //! choices.
 //!
 //! ```sh
-//! cargo run --release -p ironman-bench --example ot_messaging
+//! cargo run --release --example ot_messaging
 //! ```
 
 use ironman_core::rot::rot_from_extension;

@@ -4,7 +4,7 @@
 //! OT-extension speedup measured on the simulated accelerator.
 //!
 //! ```sh
-//! cargo run --release -p ironman-bench --example private_inference
+//! cargo run --release --example private_inference
 //! ```
 
 use ironman_core::speedup::speedup_cell;
@@ -45,6 +45,6 @@ fn main() {
         }
     }
     println!(
-        "\n(the full sixteen-row Table 5 regeneration: cargo run -p ironman-bench --bin tab05_e2e)"
+        "\n(the full sixteen-row Table 5 regeneration: cargo run --release -p ironman-bench --bin paper -- tab05)"
     );
 }

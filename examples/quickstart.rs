@@ -3,7 +3,7 @@
 //! CPU baseline.
 //!
 //! ```sh
-//! cargo run --release -p ironman-bench --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use ironman_core::{Backend, Engine};

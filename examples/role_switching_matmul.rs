@@ -4,7 +4,7 @@
 //! on OT-based MatMul (Fig. 16).
 //!
 //! ```sh
-//! cargo run --release -p ironman-bench --example role_switching_matmul
+//! cargo run --release --example role_switching_matmul
 //! ```
 
 use ironman_nmp::{NmpConfig, OteSimulator, OteWork};

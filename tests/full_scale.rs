@@ -3,7 +3,7 @@
 //! builds); run with:
 //!
 //! ```sh
-//! cargo test --release -p ironman-bench --test full_scale -- --ignored
+//! cargo test --release --test full_scale -- --ignored
 //! ```
 
 use ironman_ot::ferret::{run_extension, FerretConfig};
