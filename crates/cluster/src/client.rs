@@ -100,8 +100,8 @@ struct Slot {
     /// skip this server until the hinted instant (the session itself is
     /// kept — the server is healthy, just starved).
     unavailable_until: Option<Instant>,
-    /// The directory epoch this server session last announced (`Hello`
-    /// or `Sync`); lagging behind the snapshot triggers a proactive
+    /// The directory epoch this server session last announced (`Hello`)
+    /// or was brought to by a `Gossip` pull; lagging behind the snapshot triggers a proactive
     /// resync before the server has to fence us.
     epoch_synced: u64,
 }
@@ -730,7 +730,7 @@ impl ClusterClient {
         let slot = self.slots.entry(id).or_default();
         if slot.client.is_none() {
             let name = format!("{}@{}", self.session, member.name);
-            slot.client = Some(CotClient::connect_with_timeouts(
+            slot.client = Some(CotClient::connect_with(
                 member.addr,
                 &name,
                 epoch,

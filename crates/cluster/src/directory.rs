@@ -13,10 +13,11 @@
 //!   (members + consistent-hash ring) behind a read lock held only for an
 //!   `Arc` clone, so the request path routes on an immutable snapshot and
 //!   never contends with membership churn.
-//! * A bounded **change log** lets servers answer `Sync{epoch}` with the
-//!   exact membership delta ([`Directory::delta_since`]); clients apply it
-//!   with [`Directory::apply_delta`]. When the log no longer reaches back
-//!   to the requested epoch, a full snapshot is sent instead.
+//! * A stale client or peer replica presents its epoch vector and a
+//!   server answers with exactly the records the vector does not cover
+//!   ([`Directory::delta_by_vector`]); the receiver merges them with
+//!   [`Directory::apply_delta`]. No change log is kept: the stamps on
+//!   the live records and tombstones are the whole history a delta needs.
 //!
 //! # Replication (wire v9)
 //!
@@ -45,11 +46,11 @@
 //! * Removals persist as bounded **tombstones** (capped at
 //!   [`TOMBSTONE_CAP`], oldest stamps pruned first) so a removal wins
 //!   against a stale peer's live record instead of being resurrected.
-//!   Anti-entropy never uses full-snapshot "replace everything"
-//!   semantics — a clear would erase concurrent writes the sender had
-//!   not seen. A peer staler than the pruned tombstone horizon can still
-//!   resurrect a dead member; the health checker re-evicts it, so the
-//!   fleet self-heals rather than wedges.
+//!   A delta never replaces the receiver's membership wholesale — a
+//!   clear would erase concurrent writes the sender had not seen. A peer
+//!   staler than the pruned tombstone horizon can still resurrect a dead
+//!   member; the health checker re-evicts it, so the fleet self-heals
+//!   rather than wedges.
 //!
 //! **Leadership** is a lease derived from the converged state, not
 //! elected: the **lease holder** is the lowest `Up` member id
@@ -81,7 +82,7 @@
 //! falls back to every live member — degraded routing beats none.
 
 use ironman_net::{DirectoryDelta, DirectoryView, MemberRecord, MemberWireState};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, RwLock};
@@ -89,10 +90,6 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Virtual nodes per unit of member weight on the hash ring; enough that
 /// a 3-server directory spreads sessions within a few percent of evenly.
 pub const VIRTUAL_NODES: usize = 64;
-
-/// Change-log entries retained for delta replies; a client whose epoch
-/// fell further behind than this receives a full snapshot instead.
-const LOG_CAP: usize = 128;
 
 /// Removal tombstones retained for anti-entropy; beyond this the oldest
 /// stamps are pruned (a peer staler than the pruned horizon may
@@ -415,11 +412,6 @@ struct DirInner {
     /// Removal tombstones by member id, each a `Left` record carrying
     /// the removing write's stamp.
     tombstones: BTreeMap<u64, MemberRecord>,
-    /// `(epoch, change)` entries, oldest first; covers `(log_floor,
-    /// epoch]`.
-    log: VecDeque<(u64, MemberRecord)>,
-    /// Epoch below which the log has been truncated.
-    log_floor: u64,
 }
 
 impl DirInner {
@@ -452,29 +444,14 @@ impl DirInner {
         self.vector.iter().map(|(&o, &v)| (o, v)).collect()
     }
 
-    /// Records `record` in the change log and returns the snapshot to
-    /// publish (the epoch was already advanced by [`DirInner::bump`] or
-    /// a merge).
-    fn commit(&mut self, record: MemberRecord) -> Arc<RingSnapshot> {
-        self.log.push_back((self.epoch, record));
-        self.truncate_log();
-        self.snapshot()
-    }
-
+    /// The snapshot to publish after a mutation (the epoch was already
+    /// advanced by [`DirInner::bump`] or a merge).
     fn snapshot(&self) -> Arc<RingSnapshot> {
         Arc::new(RingSnapshot::build(
             self.epoch,
             self.vector_list(),
             self.members.clone(),
         ))
-    }
-
-    fn truncate_log(&mut self) {
-        while self.log.len() > LOG_CAP {
-            if let Some((epoch, _)) = self.log.pop_front() {
-                self.log_floor = epoch;
-            }
-        }
     }
 
     fn prune_tombstones(&mut self) {
@@ -498,8 +475,8 @@ impl DirInner {
     }
 
     /// Merges one wire record under the stamp rule. Returns whether the
-    /// membership changed. `at_epoch` keys the change-log entry.
-    fn apply_record(&mut self, record: &MemberRecord, at_epoch: u64) -> bool {
+    /// membership changed.
+    fn apply_record(&mut self, record: &MemberRecord) -> bool {
         let stamp = Stamp {
             origin: record.origin,
             version: record.version,
@@ -559,7 +536,6 @@ impl DirInner {
             }
         }
         self.next_id = self.next_id.max(record.id.saturating_add(1));
-        self.log.push_back((at_epoch, record.clone()));
         true
     }
 }
@@ -612,8 +588,6 @@ impl Directory {
                 next_id: 0,
                 members: Vec::new(),
                 tombstones: BTreeMap::new(),
-                log: VecDeque::new(),
-                log_floor: 0,
             }),
             published: RwLock::new(Arc::new(RingSnapshot::build(0, Vec::new(), Vec::new()))),
         }
@@ -632,35 +606,21 @@ impl Directory {
     /// A directory cloned from a published snapshot, preserving ids,
     /// epoch, and the epoch vector — how a remote client bootstraps its
     /// local membership view before keeping it current through
-    /// `DirectoryUpdate`/`GossipDelta` deltas.
+    /// `GossipDelta` deltas. (Only this module builds a [`RingSnapshot`],
+    /// so its epoch is the sum of its vector.)
     pub fn from_snapshot(snapshot: &RingSnapshot) -> Self {
         let members = snapshot.members().to_vec();
         let next_id = members.iter().map(|m| m.id.0 + 1).max().unwrap_or(0);
-        let epoch = snapshot.epoch();
-        let mut vector: BTreeMap<u64, u64> = snapshot.vector().iter().copied().collect();
-        // Uphold `epoch == sum(vector)` even for a vector-less legacy
-        // snapshot: attribute the shortfall to the unattributed origin.
-        let sum: u64 = vector.values().fold(0u64, |a, &v| a.saturating_add(v));
-        if sum < epoch {
-            *vector.entry(UNATTRIBUTED).or_insert(0) += epoch - sum;
-        }
         Directory {
             inner: Mutex::new(DirInner {
                 origin: UNATTRIBUTED,
-                epoch,
-                vector,
+                epoch: snapshot.epoch(),
+                vector: snapshot.vector().iter().copied().collect(),
                 next_id,
-                members: members.clone(),
-                tombstones: BTreeMap::new(),
-                log: VecDeque::new(),
-                // Nothing before `epoch` is replayable from here.
-                log_floor: epoch,
-            }),
-            published: RwLock::new(Arc::new(RingSnapshot::build(
-                epoch,
-                snapshot.vector().to_vec(),
                 members,
-            ))),
+                tombstones: BTreeMap::new(),
+            }),
+            published: RwLock::new(Arc::new(snapshot.clone())),
         }
     }
 
@@ -738,8 +698,7 @@ impl Directory {
             existing.state = MemberState::Up;
             existing.weight = weight;
             existing.stamp = stamp;
-            let record = existing.to_record();
-            let snap = inner.commit(record);
+            let snap = inner.snapshot();
             drop(inner);
             self.publish(snap);
             return id;
@@ -755,9 +714,8 @@ impl Directory {
             weight,
             stamp,
         };
-        let record = member.to_record();
         inner.members.push(member);
-        let snap = inner.commit(record);
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         id
@@ -801,12 +759,11 @@ impl Directory {
             stamp,
         };
         match inner.members.iter_mut().find(|m| m.id == id) {
-            Some(existing) => *existing = member.clone(),
-            None => inner.members.push(member.clone()),
+            Some(existing) => *existing = member,
+            None => inner.members.push(member),
         }
         inner.next_id = inner.next_id.max(id.0.saturating_add(1));
-        let record = member.to_record();
-        let snap = inner.commit(record);
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
@@ -857,8 +814,7 @@ impl Directory {
         let member = inner.member_mut(id).expect("member checked above");
         member.state = to;
         member.stamp = stamp;
-        let record = member.to_record();
-        let snap = inner.commit(record);
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
@@ -869,7 +825,7 @@ impl Directory {
     /// the requested state.
     fn mutate(&self, id: ServerId, state: Option<MemberState>) -> bool {
         let mut inner = lock(&self.inner);
-        let record = match state {
+        match state {
             None => {
                 let Some(pos) = inner.members.iter().position(|m| m.id == id) else {
                     return false;
@@ -877,15 +833,14 @@ impl Directory {
                 let prev = inner.members[pos].stamp.version;
                 let stamp = inner.bump_over(prev);
                 let removed = inner.members.remove(pos);
-                let record = MemberRecord {
+                let tombstone = MemberRecord {
                     state: MemberWireState::Left,
                     origin: stamp.origin,
                     version: stamp.version,
                     ..removed.to_record()
                 };
-                inner.tombstones.insert(id.0, record.clone());
+                inner.tombstones.insert(id.0, tombstone);
                 inner.prune_tombstones();
-                record
             }
             Some(new_state) => {
                 let Some(member) = inner.member_mut(id) else {
@@ -899,43 +854,26 @@ impl Directory {
                 let member = inner.member_mut(id).expect("member checked above");
                 member.state = new_state;
                 member.stamp = stamp;
-                member.to_record()
             }
-        };
-        let snap = inner.commit(record);
+        }
+        let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
     }
 
-    /// Applies a membership delta — from a server's `Sync` answer or an
-    /// anti-entropy `GossipDelta` — under the stamp merge rule: each
+    /// Applies a membership delta (a `GossipDelta`, whether pulled by a
+    /// fenced client or a peer replica) under the stamp merge rule: each
     /// record lands only if its stamp strictly wins over what this
     /// replica holds, removals become tombstones, and the delta's epoch
     /// vector folds in by pointwise maximum. Order-independent,
     /// duplicate-safe, and convergent (see the module docs); returns
     /// whether anything changed.
-    ///
-    /// A *full* delta additionally removes members this replica holds
-    /// that are absent from the snapshot **and** whose stamps the
-    /// sender's vector covers — the sender saw those writes and still
-    /// excludes the member, so the member was removed in a gap the
-    /// change log could not replay. (Members with uncovered stamps are
-    /// concurrent news the sender missed; they stay.)
     pub fn apply_delta(&self, delta: &DirectoryDelta) -> bool {
         let mut inner = lock(&self.inner);
         let mut changed = false;
         for record in &delta.members {
-            changed |= inner.apply_record(record, delta.epoch);
-        }
-        if delta.full && !delta.vector.is_empty() {
-            let sender: BTreeMap<u64, u64> = delta.vector.iter().copied().collect();
-            let mentioned = |id: u64| delta.members.iter().any(|r| r.id == id);
-            inner.members.retain(|m| {
-                let drop = !mentioned(m.id.0) && m.stamp.covered_by(&sender);
-                changed |= drop;
-                !drop
-            });
+            changed |= inner.apply_record(record);
         }
         // Fold in the sender's vector — and the stamps of the records
         // just applied, so coverage claims always include every write
@@ -956,76 +894,16 @@ impl Directory {
             .values()
             .fold(0u64, |a, &v| a.saturating_add(v));
         inner.epoch = inner.epoch.max(sum);
-        if delta.full {
-            // A snapshot replaced the membership wholesale: the log no
-            // longer knows which members were *removed* between our old
-            // epoch and the snapshot's, so nothing older than the
-            // snapshot epoch may be answered incrementally from here.
-            inner.log.clear();
-            inner.log_floor = inner.epoch;
-        }
-        inner.truncate_log();
         let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
         true
     }
 
-    /// The membership changes between `epoch` and now, deduplicated to
-    /// each member's latest state — or a full snapshot when the change
-    /// log has been truncated past `epoch`. The empty delta (current
-    /// epoch, no members) answers an already-current requester.
-    ///
-    /// Scalar-epoch filtering is only meaningful within one replica's
-    /// lineage (the v4 client `Sync` flow: bootstrap from this replica's
-    /// snapshot, then deltas from the same replica). Cross-replica
-    /// convergence uses [`Directory::delta_by_vector`] instead.
-    pub fn delta_since(&self, epoch: u64) -> DirectoryDelta {
-        let inner = lock(&self.inner);
-        if epoch >= inner.epoch {
-            return DirectoryDelta {
-                epoch: inner.epoch,
-                full: false,
-                vector: inner.vector_list(),
-                members: Vec::new(),
-            };
-        }
-        if epoch >= inner.log_floor {
-            // Dedup keep-last: later changes to the same member override
-            // earlier ones within the window.
-            let mut members: Vec<MemberRecord> = Vec::new();
-            for (change_epoch, record) in &inner.log {
-                if *change_epoch <= epoch {
-                    continue;
-                }
-                match members.iter_mut().find(|r| r.id == record.id) {
-                    Some(existing) => *existing = record.clone(),
-                    None => members.push(record.clone()),
-                }
-            }
-            return DirectoryDelta {
-                epoch: inner.epoch,
-                full: false,
-                vector: inner.vector_list(),
-                members,
-            };
-        }
-        let mut members: Vec<MemberRecord> = inner.members.iter().map(Member::to_record).collect();
-        members.extend(inner.tombstones.values().cloned());
-        DirectoryDelta {
-            epoch: inner.epoch,
-            full: true,
-            vector: inner.vector_list(),
-            members,
-        }
-    }
-
-    /// The anti-entropy answer to a peer presenting `their` epoch
+    /// The answer to a client or peer replica presenting `their` epoch
     /// vector: every record — live members and removal tombstones —
     /// whose stamp the vector does not cover, plus this replica's own
-    /// vector. Never `full`: anti-entropy merges record by record, so a
-    /// delta must not claim snapshot semantics that would erase the
-    /// peer's concurrent writes.
+    /// vector.
     pub fn delta_by_vector(&self, their: &[(u64, u64)]) -> DirectoryDelta {
         let theirs: BTreeMap<u64, u64> = their.iter().copied().collect();
         let inner = lock(&self.inner);
@@ -1046,7 +924,6 @@ impl Directory {
         );
         DirectoryDelta {
             epoch: inner.epoch,
-            full: false,
             vector: inner.vector_list(),
             members,
         }
@@ -1078,12 +955,8 @@ impl DirectoryView for Directory {
         Directory::epoch(self)
     }
 
-    fn delta_since(&self, epoch: u64) -> DirectoryDelta {
-        Directory::delta_since(self, epoch)
-    }
-
-    fn gossip_delta(&self, vector: &[(u64, u64)]) -> Option<DirectoryDelta> {
-        Some(Directory::delta_by_vector(self, vector))
+    fn gossip_delta(&self, vector: &[(u64, u64)]) -> DirectoryDelta {
+        Directory::delta_by_vector(self, vector)
     }
 
     fn successor_for(&self, session: &str, self_id: u64) -> Option<MemberRecord> {
@@ -1258,71 +1131,6 @@ mod tests {
         d.mark_suspect(id);
         assert!(d.transition(id, MemberState::Suspect, MemberState::Up));
         assert_eq!(d.snapshot().member(id).unwrap().state, MemberState::Up);
-    }
-
-    #[test]
-    fn delta_since_replays_changes_and_applies_cleanly() {
-        let d = dir(3);
-        let follower = Directory::from_snapshot(&d.snapshot());
-        assert_eq!(follower.epoch(), d.epoch());
-
-        let late = d.join(addr(7), "late");
-        let victim = d.snapshot().members()[0].id;
-        d.drain(victim);
-        d.leave(victim);
-
-        let delta = d.delta_since(follower.epoch());
-        assert!(!delta.full, "log covers the follower's epoch");
-        assert!(follower.apply_delta(&delta));
-        assert_eq!(follower.epoch(), d.epoch());
-        let snap = follower.snapshot();
-        assert!(snap.member(late).is_some());
-        assert!(snap.member(victim).is_none());
-        // The two views now route identically.
-        let leader = d.snapshot();
-        for i in 0..100 {
-            let s = format!("s{i}");
-            assert_eq!(snap.home(&s), leader.home(&s));
-        }
-        // Re-applying the same delta is a no-op.
-        assert!(!follower.apply_delta(&delta));
-    }
-
-    #[test]
-    fn truncated_log_falls_back_to_full_snapshot() {
-        let d = dir(1);
-        let follower = Directory::from_snapshot(&d.snapshot());
-        // Push far more changes than the log retains.
-        for i in 0..(LOG_CAP + 40) {
-            let id = d.join(addr(2 + (i % 8)), "churner");
-            d.leave(id);
-        }
-        let id = d.join(addr(99), "kept");
-        let delta = d.delta_since(follower.epoch());
-        assert!(delta.full, "ancient epoch must get a snapshot");
-        assert!(follower.apply_delta(&delta));
-        assert_eq!(follower.epoch(), d.epoch());
-        assert!(follower.snapshot().member(id).is_some());
-        assert_eq!(follower.snapshot().len(), d.snapshot().len());
-    }
-
-    #[test]
-    fn full_snapshot_apply_truncates_incremental_history() {
-        let d = dir(2);
-        let follower = Directory::from_snapshot(&d.snapshot());
-        // Evolve the leader far past its change log.
-        for i in 0..(LOG_CAP + 10) {
-            let id = d.join(addr(10 + (i as u64 % 5) as usize), "x");
-            d.leave(id);
-        }
-        let gap_epoch = follower.epoch() + 1;
-        let delta = d.delta_since(follower.epoch());
-        assert!(delta.full);
-        assert!(follower.apply_delta(&delta));
-        // The follower cannot reconstruct removals inside the gap it
-        // jumped over: an in-gap epoch must be answered with a full
-        // snapshot, never an incremental delta missing `Left` records.
-        assert!(follower.delta_since(gap_epoch).full);
     }
 
     #[test]

@@ -36,10 +36,12 @@
 //! `None`) is an **observer**: it pulls and merges but never announces —
 //! the shape a coordinator or monitoring process uses to keep a live
 //! fleet view without joining the fleet.
+//!
+//! [`RingSnapshot::successor`]: crate::RingSnapshot::successor
 
 use crate::background::BackgroundLoop;
 use crate::directory::{Directory, MemberState, ServerId, UNATTRIBUTED};
-use ironman_net::{CotClient, EPOCH_UNAWARE};
+use ironman_net::{CotClient, OpTimeouts, EPOCH_UNAWARE};
 use ironman_ot::channel::ChannelError;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -293,11 +295,11 @@ fn pull(
 ) -> Result<bool, ChannelError> {
     let client = match sessions.entry(addr) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => e.insert(CotClient::connect_timeout(
+        std::collections::hash_map::Entry::Vacant(e) => e.insert(CotClient::connect_with(
             addr,
             "gossip",
             EPOCH_UNAWARE,
-            timeout,
+            OpTimeouts::uniform(timeout),
         )?),
     };
     let delta = client.gossip(from, directory.epoch_vector())?;
@@ -327,7 +329,8 @@ fn warm_successor(
     let warmed = match sessions.entry(addr) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
         std::collections::hash_map::Entry::Vacant(e) => {
-            let Ok(client) = CotClient::connect_timeout(addr, "gossip", EPOCH_UNAWARE, timeout)
+            let timeouts = OpTimeouts::uniform(timeout);
+            let Ok(client) = CotClient::connect_with(addr, "gossip", EPOCH_UNAWARE, timeouts)
             else {
                 return;
             };

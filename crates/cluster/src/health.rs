@@ -18,7 +18,7 @@
 //!   blip recovers without a reshuffle-churn round trip.
 //! * `evict_after` strikes → [`Directory::leave`]: the member is removed
 //!   and the epoch bump propagates to every client through the
-//!   `WrongEpoch`/`DirectoryUpdate` fence.
+//!   `WrongEpoch` fence and the `Gossip` pull it triggers.
 //! * Any successful probe resets the member's strikes and, if it was
 //!   suspect, marks it up again.
 //!
@@ -28,7 +28,7 @@
 
 use crate::background::BackgroundLoop;
 use crate::directory::{Directory, MemberState, ServerId};
-use ironman_net::{CotClient, EPOCH_UNAWARE};
+use ironman_net::{CotClient, OpTimeouts, EPOCH_UNAWARE};
 use ironman_telemetry::{Histogram, HistogramSnapshot, Stopwatch};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -54,7 +54,7 @@ pub struct HealthConfig {
     /// live id), so a minority partition suspects its unreachable peers
     /// but cannot evict the majority. Suspect/up marks are never gated —
     /// they *are* the lease-expiry mechanism. `None` (the default, and
-    /// the shared-directory shape) keeps the ungated v4 behavior.
+    /// the shared-directory shape) leaves evictions ungated.
     pub self_id: Option<ServerId>,
 }
 
@@ -171,7 +171,8 @@ fn sweep(
 /// `Stats`, every step bounded by `timeout`. Epoch-unaware on purpose —
 /// a probe must never be fenced.
 fn probe(addr: SocketAddr, timeout: Duration) -> bool {
-    match CotClient::connect_timeout(addr, "health-probe", EPOCH_UNAWARE, timeout) {
+    let timeouts = OpTimeouts::uniform(timeout);
+    match CotClient::connect_with(addr, "health-probe", EPOCH_UNAWARE, timeouts) {
         Ok(mut client) => client.stats().is_ok(),
         Err(_) => false,
     }

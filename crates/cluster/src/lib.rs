@@ -13,7 +13,8 @@
 //!   `drain` mutations bump a monotonic epoch and publish copy-on-write
 //!   [`RingSnapshot`]s (consistent-hash ring over the routable members),
 //!   so the request path routes lock-free while membership churns. A
-//!   bounded change log answers `Sync` requests with exact deltas.
+//!   `Gossip` pull presenting an epoch vector is answered with exactly
+//!   the records that vector has not covered.
 //! * [`HealthChecker`] — probes every member with the `Hello`/`Stats`
 //!   round trip, marks repeat offenders suspect (out of the ring, still
 //!   members), and evicts the dead — each an ordinary epoch bump.
@@ -22,9 +23,9 @@
 //!   least-outstanding spill, failure *cooldowns* (a dead server is
 //!   skipped, not re-dialed, until the cooldown or an epoch bump clears
 //!   it), and epoch awareness: a `WrongEpoch` fence pulls the
-//!   `DirectoryUpdate` delta, re-resolves, and retries — including
-//!   **mid-stream**, resuming a subscription on the new home server with
-//!   exact accounting.
+//!   `GossipDelta` its epoch vector is missing, re-resolves, and
+//!   retries — including **mid-stream**, resuming a subscription on the
+//!   new home server with exact accounting.
 //! * [`FleetWarmup`] — the fleet-level refill controller: reads each
 //!   server's per-shard `Stats` and subscription backlog
 //!   (`pending_stream_cots`) and splits a global refill budget across
@@ -71,10 +72,10 @@
 //!          ^           ^                        |
 //!     HealthChecker    FleetWarmup       ClusterClient(s)
 //!     (probe, mark     (read Stats       (route on snapshot; on
-//!      suspect, evict)  backlogs, steer    WrongEpoch: Sync delta,
+//!      suspect, evict)  backlogs, steer    WrongEpoch: Gossip pull,
 //!          |            Warm budget)       re-resolve, resume streams)
 //!          v                 v                  v
-//!     =====+=================+==================+=====  TCP, framed v4
+//!     =====+=================+==================+=====  TCP, framed v10
 //!          v                 v                  v
 //!     +---------+       +---------+        +---------+
 //!     | CotSvc  |       | CotSvc  |        | CotSvc  |   (members; each

@@ -35,7 +35,7 @@
 use crate::background::BackgroundLoop;
 use crate::directory::{Directory, Member, MemberState, ServerId};
 use crate::slo::{AlertView, SloEngine, SloSpec};
-use ironman_net::{CotClient, LatencyStats, EPOCH_UNAWARE};
+use ironman_net::{CotClient, LatencyStats, OpTimeouts, EPOCH_UNAWARE};
 use ironman_telemetry::{now_nanos, Histogram, HistogramSnapshot, Stopwatch, TimeSeries};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -328,11 +328,11 @@ fn scrape_with(
         let client = match sessions.entry(member.id) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                match CotClient::connect_timeout(
+                match CotClient::connect_with(
                     member.addr,
                     "fleet-observer",
                     EPOCH_UNAWARE,
-                    timeout,
+                    OpTimeouts::uniform(timeout),
                 ) {
                     Ok(c) => v.insert(c),
                     Err(_) => continue,

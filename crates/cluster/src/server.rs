@@ -41,7 +41,7 @@ pub struct ClusterServer {
 impl ClusterServer {
     /// Binds `addr` and starts the service (and, if configured, its
     /// warm-up refiller). With a directory attached, the service fences
-    /// stale-epoch sessions and answers `Sync` with membership deltas;
+    /// stale-epoch sessions and answers `Gossip` with membership deltas;
     /// registering the server *in* that directory is the caller's move
     /// (bind first, then [`Directory::join`] with the bound address).
     ///

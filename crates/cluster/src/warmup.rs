@@ -28,7 +28,7 @@
 use crate::background::BackgroundLoop;
 use crate::directory::{Directory, ServerId};
 use ironman_core::SharedCotPool;
-use ironman_net::CotClient;
+use ironman_net::{CotClient, OpTimeouts};
 use ironman_telemetry::{Histogram, HistogramSnapshot, Stopwatch};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -241,11 +241,11 @@ fn sweep(
         let client = match sessions.entry(member.id) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                match CotClient::connect_timeout(
+                match CotClient::connect_with(
                     member.addr,
                     "fleet-warmup",
                     ironman_net::EPOCH_UNAWARE,
-                    cfg.timeout,
+                    OpTimeouts::uniform(cfg.timeout),
                 ) {
                     Ok(c) => v.insert(c),
                     Err(_) => continue,

@@ -1,9 +1,8 @@
 //! Multi-server loopback end-to-end: a dynamic 3-server fleet with
 //! warm-up, a routed client doing one-shot, split, and streaming
 //! requests, failover when the home server dies — including **mid
-//! subscription** — and the epoch fence (`WrongEpoch` →
-//! `DirectoryUpdate` → re-resolve) for clients whose membership view
-//! went stale.
+//! subscription** — and the epoch fence (`WrongEpoch` → `Gossip` pull →
+//! re-resolve) for clients whose membership view went stale.
 
 use ironman_cluster::{
     ClusterClient, ClusterServerConfig, Directory, FleetWarmupConfig, LocalCluster, WarmupConfig,
@@ -260,9 +259,9 @@ fn two_clients_share_the_fleet() {
 
 #[test]
 fn stale_client_is_fenced_synced_and_rerouted() {
-    // The wire-v4 tentpole path, end to end: a client whose *private*
-    // directory falls behind the fleet's is fenced with WrongEpoch, pulls
-    // the DirectoryUpdate delta, applies it, re-resolves, and serves —
+    // The fence, end to end: a client whose *private* directory falls
+    // behind the fleet's is fenced with WrongEpoch, pulls the GossipDelta
+    // its epoch vector is missing, applies it, re-resolves, and serves —
     // all inside one request_cots call.
     let engine = toy_engine();
     let mut cluster = LocalCluster::spawn(3, &engine, &warm_cluster_cfg()).expect("spawn fleet");

@@ -1,13 +1,13 @@
 //! Property-based membership invariants (proptest): consistent-hash
 //! reshuffle on `join`/`leave` is *minimal* (only sessions homed on the
 //! changed server move), epochs are strictly monotone across arbitrary
-//! mutation sequences, and delta sync always converges a follower to the
-//! leader's routing.
+//! mutation sequences, and one pull by epoch vector always converges a
+//! follower to the leader's routing, however far behind it was.
 //!
 //! The replication block below exercises the v9 `apply_delta` conflict
 //! edges: vector deltas commute (out-of-order delivery converges), are
 //! idempotent (duplicate delivery is a no-op), a stale delta arriving
-//! after a full-snapshot fallback cannot regress the replica, and two
+//! after a newer one cannot regress the replica, and two
 //! independently-mutating replicas converge bidirectionally to one
 //! membership and one epoch vector.
 
@@ -120,11 +120,13 @@ proptest! {
         }
     }
 
-    /// After any mutation run, a follower syncing by delta (or full
-    /// snapshot fallback) routes identically to the leader.
+    /// After any mutation run — however long: no change log bounds how
+    /// far back a delta reaches — a follower bootstrapped from an old
+    /// snapshot lands on the leader's epoch and routing with one pull by
+    /// epoch vector, the resync every fenced client performs.
     #[test]
     fn delta_sync_converges_routing(
-        ops in proptest::collection::vec(any::<u64>(), 0..30),
+        ops in proptest::collection::vec(any::<u64>(), 0..600),
         sessions in proptest::collection::vec(any::<u32>(), 1..20),
     ) {
         let dir = fleet(3, 21);
@@ -139,7 +141,7 @@ proptest! {
                 _ => {}
             }
         }
-        let delta = dir.delta_since(follower.epoch());
+        let delta = dir.delta_by_vector(&follower.epoch_vector());
         follower.apply_delta(&delta);
         prop_assert_eq!(follower.epoch(), dir.epoch());
         let leader_snap = dir.snapshot();
@@ -207,10 +209,10 @@ fn fingerprint(dir: &Directory) -> (Vec<String>, Vec<(u64, u64)>) {
     (members, dir.epoch_vector())
 }
 
-/// A fresh replica bootstrapped from `base`'s full snapshot.
+/// A fresh replica bootstrapped with one from-nothing pull of `base`.
 fn seeded_replica(origin: u64, base: &Directory) -> Directory {
     let replica = Directory::new_replica(ServerId(origin));
-    replica.apply_delta(&base.delta_since(0));
+    replica.apply_delta(&base.delta_by_vector(&[]));
     replica
 }
 
@@ -271,12 +273,12 @@ proptest! {
         prop_assert_eq!(fingerprint(&follower), once);
     }
 
-    /// A stale incremental delta arriving *after* the replica has
-    /// bootstrapped from a newer full-snapshot fallback cannot regress
-    /// it: every stale record loses to a stamp (or tombstone) the
-    /// snapshot already carried, or is rejected as covered-but-unknown.
+    /// A stale delta arriving *after* the replica has merged a newer
+    /// one cannot regress it: every stale record loses to a stamp (or
+    /// tombstone) the newer delta already carried, or is rejected as
+    /// covered-but-unknown.
     #[test]
-    fn stale_delta_after_snapshot_fallback_cannot_regress(
+    fn stale_delta_after_newer_delta_cannot_regress(
         early in proptest::collection::vec(any::<u64>(), 1..20),
         late in proptest::collection::vec(any::<u64>(), 1..20),
     ) {
@@ -286,24 +288,14 @@ proptest! {
         for op in &early {
             replica_mutate(&leader, *op, 0);
         }
-        // In flight while the follower instead bootstraps from a full
-        // snapshot taken after further churn (leaves included, so the
-        // stale delta carries records the snapshot has since removed).
+        // In flight while the follower instead bootstraps from a pull
+        // answered after further churn (leaves included, so the stale
+        // delta carries records the newer one has since tombstoned).
         let stale = leader.delta_by_vector(&follower.epoch_vector());
         for op in &late {
             replica_mutate(&leader, *op, 0);
         }
-        // Grind suspect/up flaps until the change log truncates past
-        // epoch 0 — only then is a from-zero delta a genuine snapshot
-        // fallback rather than an incremental replay.
-        while !leader.delta_since(0).full {
-            let id = leader.snapshot().members()[0].id;
-            leader.mark_suspect(id);
-            leader.mark_up(id);
-        }
-        let full = leader.delta_since(0);
-        prop_assert!(full.full, "a from-zero delta must be a snapshot fallback");
-        follower.apply_delta(&full);
+        follower.apply_delta(&leader.delta_by_vector(&follower.epoch_vector()));
         let synced = fingerprint(&follower);
         prop_assert!(!follower.apply_delta(&stale), "stale delta claimed changes");
         prop_assert_eq!(fingerprint(&follower), synced);

@@ -249,9 +249,8 @@ type ReplicaView = (Vec<(u64, u64)>, BTreeSet<u64>);
 /// One direct (proxy-bypassing) anti-entropy probe of a child's replica:
 /// its per-origin epoch vector and live member ids.
 fn probe_replica(bound: SocketAddr) -> Option<ReplicaView> {
-    let mut client =
-        CotClient::connect_timeout(bound, "probe", EPOCH_UNAWARE, Duration::from_millis(500))
-            .ok()?;
+    let timeouts = OpTimeouts::uniform(Duration::from_millis(500));
+    let mut client = CotClient::connect_with(bound, "probe", EPOCH_UNAWARE, timeouts).ok()?;
     let delta = client.gossip(UNATTRIBUTED, Vec::new()).ok()?;
     let live: BTreeSet<u64> = delta
         .members

@@ -41,8 +41,9 @@ pub const MAGIC: [u8; 4] = *b"IRNM";
 /// `Stats` reply grew the hot-path observability counters
 /// (scratch-buffer reuse/allocation and session-registration failures);
 /// **4** — dynamic cluster membership: `Hello` carries the client's
-/// directory epoch, `Sync`/`DirectoryUpdate` exchange membership deltas,
-/// stale-epoch requests are fenced with `WrongEpoch`, `Warm`/`Warmed`
+/// directory epoch, an epoch-keyed request/reply pair (`0x08`/`0x88`,
+/// removed in 10) exchanges membership deltas, stale-epoch requests are
+/// fenced with `WrongEpoch`, `Warm`/`Warmed`
 /// expose budgeted refill steering, and the `Stats` reply carries the
 /// directory epoch, pending streamed demand, and per-shard demand/refill
 /// counters; **5** — per-shard `Stats` entries grew the raw-supply
@@ -67,8 +68,11 @@ pub const MAGIC: [u8; 4] = *b"IRNM";
 /// `Gossip`/`GossipDelta` pair runs anti-entropy convergence between
 /// directory replicas, and a draining server announces its ring
 /// successor in-stream with the `DrainHandoff` push so failover costs
-/// the client zero extra roundtrips.
-pub const VERSION: u16 = 9;
+/// the client zero extra roundtrips; **10** — one membership protocol:
+/// opcodes `0x08`/`0x88` are unassigned and the directory-delta layout
+/// lost its snapshot-flag byte, so `Gossip`/`GossipDelta` is the only
+/// delta carrier.
+pub const VERSION: u16 = 10;
 
 /// Per-frame header size (the `u32` length prefix).
 pub const FRAME_HEADER_LEN: usize = 4;
@@ -485,12 +489,18 @@ mod tests {
 
     #[test]
     fn handshake_rejects_version_mismatch() {
-        let mut hello = MAGIC.to_vec();
-        hello.extend_from_slice(&(VERSION + 1).to_le_bytes());
-        let mut peer = Loopback::scripted(hello);
-        assert!(matches!(
-            handshake(&mut peer),
-            Err(FrameError::VersionMismatch { theirs, .. }) if theirs == VERSION + 1
-        ));
+        // Pinned: the delta layout and opcode table are v10's, and a v9
+        // peer (which could still send `Sync`) is refused here, not
+        // misparsed later.
+        assert_eq!(VERSION, 10);
+        for other in [VERSION + 1, 9] {
+            let mut hello = MAGIC.to_vec();
+            hello.extend_from_slice(&other.to_le_bytes());
+            let mut peer = Loopback::scripted(hello);
+            assert!(matches!(
+                handshake(&mut peer),
+                Err(FrameError::VersionMismatch { theirs, .. }) if theirs == other
+            ));
+        }
     }
 }

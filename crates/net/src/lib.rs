@@ -16,10 +16,10 @@
 //!   one-shot (`Hello`, `RequestCot{n}`, `Stats`, `Shutdown`), the v2
 //!   streaming mode (`Subscribe{batch, credits}`, `Credit{n}`,
 //!   `Unsubscribe` answered by pushed `CotChunk`s and a `StreamEnd`
-//!   accounting trailer) with credit-based backpressure, and the v4
-//!   membership ops (`Sync{epoch}` answered by `DirectoryUpdate`,
-//!   `Warm{watermark, max_refills}` answered by `Warmed`, and the
-//!   `WrongEpoch` fence).
+//!   accounting trailer) with credit-based backpressure, and the
+//!   membership ops (the `WrongEpoch` fence, `Gossip{from, vector}`
+//!   answered by `GossipDelta`, and `Warm{watermark, max_refills}`
+//!   answered by `Warmed`).
 //! * [`service`] — [`CotService`]: a thread-per-connection server over a
 //!   mutex-sharded [`SharedCotPool`](ironman_core::SharedCotPool) that
 //!   replenishes via FERRET extension on demand, optionally attached to
@@ -54,13 +54,17 @@
 //! is a pointer cast), and a *tail* of packed choice bits — by
 //! [`proto::encode_cot_batch_split`], then
 //! [`frame::finish_frame_with_tail`] patches the length prefix to cover
-//! all four. The bytes on the wire are **identical** to the contiguous
-//! [`proto::encode_cot_batch_into`] + [`StreamTransport::send_frame`]
-//! path (which control responses still use); only the number of copies
-//! differs. Because the gather references the ring, the write happens
-//! while the shard's take is still borrowed — i.e. under the shard
-//! lock; the lock-stealing router keeps concurrent clients on other
-//! shards meanwhile. On the client,
+//! all four. Batch frames go out only this way; control frames are
+//! encoded whole into the session's frame buffer and sent with
+//! [`StreamTransport::send_frame`]. The contiguous batch encoders
+//! ([`proto::encode_cot_batch_into`] and its `encode_cots_into` /
+//! `encode_cot_chunk_into` wrappers) are on no serving path: they back
+//! [`proto::Response::encode`], are the reference the split encoders
+//! are tested against byte for byte, and build the frame `benchmark/`'s
+//! decode stage times. Because the gather references the ring, the
+//! write happens while the shard's take is still borrowed — i.e. under
+//! the shard lock; the lock-stealing router keeps concurrent clients on
+//! other shards meanwhile. On the client,
 //! [`CotClient::request_cots_into`] / `CotSubscription::next_chunk_into`
 //! receive into a retained frame buffer and decode into a caller-retained
 //! [`CotBatch`](ironman_core::CotBatch), reusing its allocations.
@@ -150,13 +154,13 @@
 //!   a stale epoch is **fenced** with `WrongEpoch{epoch}` instead of
 //!   served: the client's view predates a membership change, and serving
 //!   it could hide a drain or route work to a corpse. Control ops
-//!   (`Stats`, `Sync`, `Warm`, `Shutdown`) are never fenced.
-//! * `Sync{epoch}` answers with `DirectoryUpdate{epoch, full, members}`
-//!   — the membership changes since the client's epoch, deduplicated to
-//!   each member's latest state (`Left` records removals), or a complete
-//!   snapshot (`full = true`) when the server's bounded change log no
-//!   longer reaches back that far. After a `Sync` the session is current
-//!   and passes the fence until the directory moves again.
+//!   (`Stats`, `Gossip`, `Warm`, `Shutdown`) are never fenced.
+//! * `Gossip{from, vector}` answers with `GossipDelta{epoch, vector,
+//!   members}` — every record the client's per-origin epoch vector does
+//!   not cover, each at its latest state (`Left` records are removal
+//!   tombstones). After the pull the session is current and passes the
+//!   fence until the directory moves again. Replicas converge through
+//!   the same exchange (see [`proto`]'s replication section).
 //! * `Warm{watermark, max_refills}` runs one budgeted warm-up sweep
 //!   (driest shards first) and answers `Warmed{refills}` — the hook a
 //!   fleet-level controller steers refill budget through, using the
@@ -254,7 +258,7 @@
 //! * **Deadlines.** Every data-path session is born with
 //!   [`OpTimeouts`] deadlines — connect, read, and write all bounded
 //!   (defaults via [`CotClient::connect`]; explicit via
-//!   [`CotClient::connect_with_timeouts`]). An expired deadline
+//!   [`CotClient::connect_with`]). An expired deadline
 //!   surfaces as the typed `ChannelError::TimedOut`, distinct from hard
 //!   IO errors, so failover logic can treat "slow" differently from
 //!   "gone". Server-side, session sockets carry a write deadline (the

@@ -17,9 +17,8 @@
 //!                  credits: u64 }       0x85 CotChunk  { seq: u64, batch }
 //! 0x06 Credit    { n: u64 }             0x86 StreamEnd { chunks: u64, cots: u64 }
 //! 0x07 Unsubscribe                      0x87 WrongEpoch{ epoch: u64 }
-//! 0x08 Sync      { epoch: u64 }         0x88 DirUpdate { epoch: u64, full: u8,
-//! 0x09 Warm      { watermark: u64,                       m, m × member }
-//!                  max_refills: u64 }   0x89 Warmed    { refills: u64 }
+//! 0x09 Warm      { watermark: u64,      0x89 Warmed    { refills: u64 }
+//!                  max_refills: u64 }
 //! 0x0A Trace     { max_events: u64 }    0x8A TraceDump { e, e × event }
 //! 0x0B Gossip    { from: u64,           0x8B Unavail   { retry_after_ms: u64 }
 //!                  v, v × vec-entry }   0x8C GossipDelta { delta }
@@ -29,15 +28,17 @@
 //! ```
 //!
 //! (`lp-bytes` = `u64` length + raw bytes; `batch` = `delta, n, z[n],
-//! y[n], bits(x)` with the shared [`encode_bits`] layout; `shard` =
+//! y[n], bits(x)` with the shared [`ironman_ot::channel::encode_bits`]
+//! layout; `shard` =
 //! `{avail, ext, taken, warm, sess_ext, sess_stall} × u64 ‖ latency`;
 //! `latency` = 4 histogram snapshots (request→first-byte, chunk-push,
 //! extension, stall — each `count, sum, max: u64, e: u16, e × {index:
 //! u16, count: u64}`); `member` = `{id: u64, state: u8, weight: u32,
 //! origin: u64, version: u64, addr: lp-bytes, name: lp-bytes}`;
 //! `vec-entry` = `{origin: u64, version: u64}`; `delta` = `{epoch: u64,
-//! full: u8, v, v × vec-entry, m, m × member}`; `event` = `{at: u64,
-//! kind: u8, arg: u64}`.)
+//! v, v × vec-entry, m, m × member}`; `event` = `{at: u64, kind: u8,
+//! arg: u64}`. `0x08`/`0x88` are unassigned: a `0x08` request is answered
+//! like any unknown opcode, with `Error` and a dropped session.)
 //!
 //! # Streaming subscriptions (v2)
 //!
@@ -61,30 +62,30 @@
 //! (`RequestCot`/`Subscribe`) made under a stale epoch is *fenced* with
 //! `WrongEpoch{epoch}` instead of served — the client's routing view is
 //! out of date, and serving it could hide a drain or a dead home. The
-//! client then sends `Sync{epoch}` and receives
-//! `DirectoryUpdate{epoch, full, members}` — the membership delta since
-//! its epoch (or a full snapshot when the server's change log no longer
-//! reaches back that far) — applies it, re-resolves, and retries. `Warm`
-//! asks the server to run one budgeted warm-up sweep (at most
-//! `max_refills` shards, driest first); the fleet-level warm-up
-//! controller in `ironman-cluster` steers its global refill budget
-//! through this op.
+//! client then pulls what it is missing with `Gossip` (next section),
+//! applies it, re-resolves, and retries. `Warm` asks the server to run
+//! one budgeted warm-up sweep (at most `max_refills` shards, driest
+//! first); the fleet-level warm-up controller in `ironman-cluster`
+//! steers its global refill budget through this op.
 //!
 //! # Directory replication (v9)
 //!
 //! Each server carries its *own* directory replica; replicas converge
-//! through pull-based anti-entropy. Every membership record carries a
-//! stamp `(origin, version)` naming which replica wrote it and at what
+//! through pull-based anti-entropy, and a fenced client catches up with
+//! the same pull — `Gossip`/`GossipDelta` is the only way a membership
+//! delta crosses the wire. Every membership record carries a stamp
+//! `(origin, version)` naming which replica wrote it and at what
 //! per-origin version; a replica's summary of everything it has seen is
 //! its *epoch vector* (`origin → highest version`). `Gossip{from,
 //! vector}` presents the requester's vector; the responder answers with
 //! `GossipDelta` carrying exactly the records whose stamps the vector
 //! has not covered (removals travel as [`MemberWireState::Left`]
-//! tombstones, never as full-snapshot clears — a clear would erase
-//! concurrent writes the responder hasn't seen). The merge rule is
-//! last-writer-wins on the stamp: higher `version` wins, ties break to
-//! the *lower* `origin` — deterministic, commutative, and idempotent,
-//! so any gossip order converges every replica to the same membership.
+//! tombstones, never as a snapshot that replaces the receiver's view —
+//! that would erase concurrent writes the responder hasn't seen). The
+//! merge rule is last-writer-wins on the stamp: higher `version` wins,
+//! ties break to the *lower* `origin` — deterministic, commutative, and
+//! idempotent, so any gossip order converges every replica to the same
+//! membership.
 //! `DrainHandoff{id, addr, name}` is a server-initiated push inside an
 //! active subscription: a draining server names the session's ring
 //! successor so the client fails over directly, spending zero extra
@@ -135,12 +136,6 @@ pub enum Request {
     /// Ends the active subscription; the server answers with
     /// [`Response::StreamEnd`] once it has stopped pushing.
     Unsubscribe,
-    /// Announces the client's directory epoch and asks for the membership
-    /// delta since it; answered with [`Response::DirectoryUpdate`].
-    Sync {
-        /// The epoch of the client's current membership view.
-        epoch: u64,
-    },
     /// Asks the server to run one budgeted warm-up sweep over its pool
     /// (at most `max_refills` shard refills, driest shards first);
     /// answered with [`Response::Warmed`]. The fleet-level warm-up
@@ -207,13 +202,12 @@ pub enum Response {
         cots: u64,
     },
     /// The request was fenced: it was made under a directory epoch older
-    /// than the server's. Sync the delta, re-resolve, retry.
+    /// than the server's. Pull the delta ([`Request::Gossip`]),
+    /// re-resolve, retry.
     WrongEpoch {
         /// The server's current directory epoch.
         epoch: u64,
     },
-    /// The membership delta answering a [`Request::Sync`].
-    DirectoryUpdate(DirectoryDelta),
     /// Acknowledges a [`Request::Warm`] sweep.
     Warmed {
         /// Shards actually refilled by the sweep.
@@ -318,21 +312,17 @@ pub struct MemberRecord {
     pub name: String,
 }
 
-/// A membership update: either the changes since the requester's epoch
-/// (`full == false`; [`MemberWireState::Left`] records removals) or a
-/// complete snapshot (`full == true`, sent when the server's change log
-/// no longer reaches back to the requested epoch).
+/// A membership update: every record the requester's epoch vector did
+/// not cover, merged by the receiver one record at a time
+/// ([`MemberWireState::Left`] records are removal tombstones).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirectoryDelta {
     /// The epoch this update brings the receiver to.
     pub epoch: u64,
-    /// Whether `members` is a complete snapshot rather than a delta.
-    pub full: bool,
-    /// The sender's per-origin epoch vector (v9), ascending by origin.
-    /// Empty from pre-replication code paths; a receiver folds it in by
-    /// pointwise maximum.
+    /// The sender's per-origin epoch vector, ascending by origin; a
+    /// receiver folds it in by pointwise maximum.
     pub vector: Vec<(u64, u64)>,
-    /// The changed (or, for a snapshot, all) members.
+    /// The records the requester had not seen.
     pub members: Vec<MemberRecord>,
 }
 
@@ -514,7 +504,6 @@ const OP_SHUTDOWN: u8 = 0x04;
 const OP_SUBSCRIBE: u8 = 0x05;
 const OP_CREDIT: u8 = 0x06;
 const OP_UNSUBSCRIBE: u8 = 0x07;
-const OP_SYNC: u8 = 0x08;
 const OP_WARM: u8 = 0x09;
 const OP_TRACE: u8 = 0x0A;
 const OP_GOSSIP: u8 = 0x0B;
@@ -525,7 +514,6 @@ const OP_GOODBYE: u8 = 0x84;
 const OP_COT_CHUNK: u8 = 0x85;
 const OP_STREAM_END: u8 = 0x86;
 const OP_WRONG_EPOCH: u8 = 0x87;
-const OP_DIRECTORY_UPDATE: u8 = 0x88;
 const OP_WARMED: u8 = 0x89;
 const OP_TRACE_DUMP: u8 = 0x8A;
 const OP_UNAVAILABLE: u8 = 0x8B;
@@ -668,11 +656,10 @@ fn read_vector(r: &mut Reader<'_>, rest: &[u8]) -> Result<Vec<(u64, u64)>, Chann
     (0..count).map(|_| Ok((r.u64()?, r.u64()?))).collect()
 }
 
-/// Appends the shared [`DirectoryDelta`] layout (`epoch, full, vector,
-/// m, m × member`) used by both `DirectoryUpdate` and `GossipDelta`.
+/// Appends the [`DirectoryDelta`] layout (`epoch, vector, m, m ×
+/// member`).
 fn encode_delta_into(out: &mut Vec<u8>, delta: &DirectoryDelta) {
     out.extend_from_slice(&delta.epoch.to_le_bytes());
-    out.push(u8::from(delta.full));
     put_vector(out, &delta.vector);
     out.extend_from_slice(&(delta.members.len() as u64).to_le_bytes());
     for m in &delta.members {
@@ -686,12 +673,11 @@ fn encode_delta_into(out: &mut Vec<u8>, delta: &DirectoryDelta) {
     }
 }
 
-/// Parses the shared [`DirectoryDelta`] layout. A hostile member count
+/// Parses the [`DirectoryDelta`] layout. A hostile member count
 /// must not drive allocation past the actual payload
 /// ([`MEMBER_RECORD_MIN_LEN`] bytes is the smallest member record).
 fn read_delta<'a>(r: &mut Reader<'a>, rest: &'a [u8]) -> Result<DirectoryDelta, ChannelError> {
     let epoch = r.u64()?;
-    let full = r.u8()? != 0;
     let vector = read_vector(r, rest)?;
     let count = r.u64()? as usize;
     let remaining = rest.len().saturating_sub(r.pos);
@@ -719,7 +705,6 @@ fn read_delta<'a>(r: &mut Reader<'a>, rest: &'a [u8]) -> Result<DirectoryDelta, 
         .collect::<Result<Vec<_>, ChannelError>>()?;
     Ok(DirectoryDelta {
         epoch,
-        full,
         vector,
         members,
     })
@@ -884,11 +869,6 @@ impl Request {
                 out
             }
             Request::Unsubscribe => vec![OP_UNSUBSCRIBE],
-            Request::Sync { epoch } => {
-                let mut out = vec![OP_SYNC];
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out
-            }
             Request::Warm {
                 watermark,
                 max_refills,
@@ -935,7 +915,6 @@ impl Request {
             },
             OP_CREDIT => Request::Credit { n: r.u64()? },
             OP_UNSUBSCRIBE => Request::Unsubscribe,
-            OP_SYNC => Request::Sync { epoch: r.u64()? },
             OP_WARM => Request::Warm {
                 watermark: r.u64()?,
                 max_refills: r.u64()?,
@@ -1020,10 +999,6 @@ impl Response {
             Response::WrongEpoch { epoch } => {
                 out.push(OP_WRONG_EPOCH);
                 out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            Response::DirectoryUpdate(delta) => {
-                out.push(OP_DIRECTORY_UPDATE);
-                encode_delta_into(out, delta);
             }
             Response::GossipDelta(delta) => {
                 out.push(OP_GOSSIP_DELTA);
@@ -1147,7 +1122,6 @@ impl Response {
                 cots: r.u64()?,
             },
             OP_WRONG_EPOCH => Response::WrongEpoch { epoch: r.u64()? },
-            OP_DIRECTORY_UPDATE => Response::DirectoryUpdate(read_delta(&mut r, rest)?),
             OP_GOSSIP_DELTA => Response::GossipDelta(read_delta(&mut r, rest)?),
             OP_DRAIN_HANDOFF => Response::DrainHandoff {
                 id: r.u64()?,
@@ -1294,7 +1268,6 @@ mod tests {
         });
         round_trip_request(Request::Credit { n: 3 });
         round_trip_request(Request::Unsubscribe);
-        round_trip_request(Request::Sync { epoch: 41 });
         round_trip_request(Request::Warm {
             watermark: 9000,
             max_refills: 2,
@@ -1326,7 +1299,6 @@ mod tests {
         });
         let delta = DirectoryDelta {
             epoch: 9,
-            full: false,
             vector: vec![(1, 5), (5, 4)],
             members: vec![
                 MemberRecord {
@@ -1349,11 +1321,9 @@ mod tests {
                 },
             ],
         };
-        round_trip_response(Response::DirectoryUpdate(delta.clone()));
         round_trip_response(Response::GossipDelta(delta));
-        round_trip_response(Response::DirectoryUpdate(DirectoryDelta {
+        round_trip_response(Response::GossipDelta(DirectoryDelta {
             epoch: 1,
-            full: true,
             vector: Vec::new(),
             members: Vec::new(),
         }));
@@ -1510,14 +1480,11 @@ mod tests {
 
     #[test]
     fn hostile_member_count_rejected_without_allocation() {
-        for op in [OP_DIRECTORY_UPDATE, OP_GOSSIP_DELTA] {
-            let mut bytes = vec![op];
-            bytes.extend_from_slice(&7u64.to_le_bytes()); // epoch
-            bytes.push(0); // full
-            bytes.extend_from_slice(&0u64.to_le_bytes()); // empty vector
-            bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // member count
-            assert!(Response::decode(&bytes).is_err());
-        }
+        let mut bytes = vec![OP_GOSSIP_DELTA];
+        bytes.extend_from_slice(&7u64.to_le_bytes()); // epoch
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // empty vector
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // member count
+        assert!(Response::decode(&bytes).is_err());
     }
 
     #[test]
@@ -1529,7 +1496,6 @@ mod tests {
 
         let mut delta = vec![OP_GOSSIP_DELTA];
         delta.extend_from_slice(&7u64.to_le_bytes()); // epoch
-        delta.push(1); // full
         delta.extend_from_slice(&u64::MAX.to_le_bytes()); // vector count
         assert!(Response::decode(&delta).is_err());
     }

@@ -12,7 +12,7 @@
 //! the budget is dry, failures surface immediately instead of amplifying
 //! an outage with synchronized re-sends.
 //!
-//! [`CotClient`]: crate::service::CotClient
+//! [`CotClient::connect`]: crate::service::CotClient::connect
 
 use std::time::{Duration, Instant};
 

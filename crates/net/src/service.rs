@@ -13,8 +13,8 @@ use crate::fault::{FaultInjector, FaultPlan, FaultyStream};
 use crate::frame::{self, VERSION};
 use crate::proto::{
     decode_response_into, encode_cot_chunk_split, encode_cots_split, encode_error_into,
-    DirectoryDelta, HotResponse, LatencyStats, Request, Response, ServiceStats, ShardStat,
-    EPOCH_UNAWARE,
+    DirectoryDelta, HotResponse, LatencyStats, MemberRecord, Request, Response, ServiceStats,
+    ShardStat, EPOCH_UNAWARE,
 };
 use crate::retry::OpTimeouts;
 use crate::transport::{StreamTransport, TcpTransport};
@@ -60,36 +60,23 @@ type SessionTransport = StreamTransport<FaultyStream<TcpStream>, FaultyStream<Tc
 /// constructed without one (the plain single-server shape) never fences
 /// requests and reports epoch 0.
 ///
-/// The first two methods are the whole fencing contract: `epoch` tells
-/// the serve path whether a session's announced epoch is stale, and
-/// `delta_since` builds the `DirectoryUpdate` that brings the session
-/// current again. The remaining two are the v9 replication surface,
-/// with defaults that keep pre-replication directories working
-/// unchanged: `gossip_delta` answers an anti-entropy `Gossip` pull, and
-/// `successor_for` names the drain-handoff successor a subscription
-/// push loop should announce.
+/// These are the three questions the serve path asks: `epoch` tells it
+/// whether a session's announced epoch is stale, `gossip_delta` answers
+/// the `Gossip` pull that brings a session (or a peer replica) current
+/// again, and `successor_for` names the drain-handoff successor a
+/// subscription push loop should announce.
 pub trait DirectoryView: Send + Sync + std::fmt::Debug {
     /// The directory's current epoch (monotonically increasing).
     fn epoch(&self) -> u64;
 
-    /// The membership changes between `epoch` and now (or a full
-    /// snapshot when the change log no longer reaches back that far).
-    fn delta_since(&self, epoch: u64) -> DirectoryDelta;
-
-    /// The anti-entropy answer to a peer presenting its per-origin
-    /// epoch `vector`: every record the vector does not cover, or
-    /// `None` from a directory without replication support (the server
-    /// then answers the `Gossip` request with an error).
-    fn gossip_delta(&self, _vector: &[(u64, u64)]) -> Option<DirectoryDelta> {
-        None
-    }
+    /// The answer to a peer presenting its per-origin epoch `vector`:
+    /// every record the vector does not cover.
+    fn gossip_delta(&self, vector: &[(u64, u64)]) -> DirectoryDelta;
 
     /// The `Up` member a draining server `self_id` should hand
     /// `session`'s stream to — `Some` only while `self_id` is actually
     /// draining, so one call per push doubles as the drain check.
-    fn successor_for(&self, _session: &str, _self_id: u64) -> Option<crate::proto::MemberRecord> {
-        None
-    }
+    fn successor_for(&self, session: &str, self_id: u64) -> Option<MemberRecord>;
 }
 
 /// The service's own latency sinks (v6): per-shard serving-path
@@ -149,17 +136,18 @@ struct Counters {
 /// that makes the zero-copy claim observable through `Stats`.
 ///
 /// Ownership contract: a buffer belongs to the encoder from
-/// [`Scratch::begin`] until [`Scratch::finish_and_send`] returns, and to
-/// the transport (conceptually, the in-flight frame) until the *next*
-/// `begin` flips back to it. Nothing else may write to it in between.
+/// [`Scratch::begin`] until the send returns, and to the transport
+/// (conceptually, the in-flight frame) until the *next* `begin` flips
+/// back to it. Nothing else may write to it in between.
 ///
-/// Batch-carrying responses take the scatter-gather path instead
-/// ([`Scratch::send_batch_vectored`]): the frame buffer then holds only
-/// the fixed-size head (header, opcode, `delta`, `n`), the packed choice
-/// bits land in the retained `tail`, and the bulk `z`/`y` block runs are
-/// written to the socket straight from the pool ring — the copy
-/// `finish_and_send` would have made into the frame buffer no longer
-/// exists. That path completes its socket write before returning, so the
+/// Two send paths, split by what the frame carries. Control frames
+/// (everything without correlations) are encoded whole into the frame
+/// buffer and go out through [`Scratch::finish_and_send`]. Batch frames
+/// go only through [`Scratch::send_batch_vectored`]: the frame buffer
+/// then holds just the fixed-size head (header, opcode, `delta`, `n`),
+/// the packed choice bits land in the retained `tail`, and the bulk
+/// `z`/`y` block runs are written to the socket straight from the pool
+/// ring. That path completes its socket write before returning, so the
 /// alternating-buffer in-flight contract is vacuously upheld there.
 #[derive(Debug, Default)]
 struct Scratch {
@@ -190,27 +178,16 @@ impl Scratch {
         &mut self.bufs[self.which]
     }
 
-    /// Finishes the current frame and writes it to the socket (one
-    /// `write_all`, then flush). When `counters` is given — only the
-    /// batch-carrying responses pass it, so the reuse counters measure
-    /// exactly the correlation payload path and can *falsify* the
-    /// zero-copy claim — the response is accounted as a buffer reuse or
-    /// a growth.
+    /// Finishes the current control frame and writes it to the socket
+    /// (one `write_all`, then flush). Control frames stay out of the
+    /// reuse counters, which therefore measure exactly the correlation
+    /// payload path and can *falsify* the zero-copy claim.
     fn finish_and_send<R: Read, W: Write>(
         &mut self,
         ch: &mut StreamTransport<R, W>,
-        counters: Option<&Counters>,
     ) -> Result<(), ChannelError> {
-        let cap_before = self.cap_before;
         let buf = &mut self.bufs[self.which];
         frame::finish_frame(buf).map_err(ChannelError::from)?;
-        if let Some(counters) = counters {
-            if cap_before > 0 && buf.capacity() == cap_before {
-                counters.scratch_reuses.fetch_add(1, Ordering::Relaxed);
-            } else {
-                counters.scratch_allocs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         ch.send_frame(buf)?;
         ch.flush()
     }
@@ -227,10 +204,12 @@ impl Scratch {
     /// meanwhile.
     ///
     /// `seq` selects the chunk (`Some`) vs one-shot (`None`) opcode.
-    /// Wire bytes are identical to the contiguous
-    /// [`Scratch::finish_and_send`] encoding. The reuse counters keep
-    /// their meaning: a response is a reuse only if neither retained
-    /// buffer (head frame, bit tail) had to grow.
+    /// Wire bytes are identical to the contiguous encoders
+    /// [`crate::proto::encode_cots_into`] /
+    /// [`crate::proto::encode_cot_chunk_into`], which no serving path
+    /// calls: they are the reference the split encoders are tested
+    /// against byte for byte. A response counts as a scratch reuse only
+    /// if neither retained buffer (head frame, bit tail) had to grow.
     fn send_batch_vectored<R: Read, W: Write>(
         &mut self,
         ch: &mut StreamTransport<R, W>,
@@ -464,8 +443,8 @@ impl CotService {
     /// Like [`CotService::serve_on`], but attaches an epoch-versioned
     /// membership directory: epoch-aware sessions whose announced epoch
     /// falls behind the directory's are fenced with
-    /// [`Response::WrongEpoch`] and brought current through
-    /// `Sync`/`DirectoryUpdate`.
+    /// [`Response::WrongEpoch`] and brought current through a
+    /// `Gossip` pull.
     pub fn serve_on_with(
         listener: TcpListener,
         pool: Arc<SharedCotPool>,
@@ -529,7 +508,7 @@ impl CotService {
     /// requests (`RequestCot`/`Subscribe`) are declined with
     /// [`Response::Unavailable`] carrying the remaining wait as its
     /// `retry_after_ms` hint, instead of hanging or hard-failing clients.
-    /// Control ops (`Stats`, `Sync`, `Warm`, `Shutdown`, `Trace`) keep
+    /// Control ops (`Stats`, `Gossip`, `Warm`, `Shutdown`, `Trace`) keep
     /// working — a degraded server stays observable. The gate reopens by
     /// itself when the window elapses, or early via
     /// [`CotService::clear_unavailable`].
@@ -742,8 +721,9 @@ fn serve_session<R: Read, W: Write>(
     shared: &ServiceShared,
 ) -> Result<(), ChannelError> {
     let max_request = shared.pool.max_request() as u64;
-    // The directory epoch this session last announced (`Hello`/`Sync`);
-    // `None` for epoch-unaware sessions, which are never fenced.
+    // The directory epoch this session last announced (`Hello`) or was
+    // brought to by a `Gossip` pull; `None` for epoch-unaware sessions,
+    // which are never fenced.
     let mut session_epoch: Option<u64> = None;
     // The session name from `Hello` — the ring-placement key the drain
     // handoff resolves the successor of.
@@ -762,7 +742,7 @@ fn serve_session<R: Read, W: Write>(
                 // Answer garbage with an Error frame, then drop the session.
                 scratch.begin();
                 encode_error_into(scratch.buf(), &e.to_string());
-                let _ = scratch.finish_and_send(&mut ch, None);
+                let _ = scratch.finish_and_send(&mut ch);
                 return Err(e);
             }
         };
@@ -841,7 +821,7 @@ fn serve_session<R: Read, W: Write>(
                 // poke, exactly as CotService::shutdown does.
                 scratch.begin();
                 Response::Goodbye.encode_into(scratch.buf());
-                scratch.finish_and_send(&mut ch, None)?;
+                scratch.finish_and_send(&mut ch)?;
                 shared.initiate_shutdown();
                 return Ok(());
             }
@@ -877,33 +857,16 @@ fn serve_session<R: Read, W: Write>(
                 scratch.begin();
                 encode_error_into(scratch.buf(), "no active subscription");
             }
-            Request::Sync { epoch } => {
+            Request::Gossip { from: _, vector } => {
+                // Anti-entropy pull: answer the peer's epoch vector with
+                // every record it has not seen. The delta brings the
+                // session to the directory's current epoch; record it so
+                // a resyncing client's next serving request passes the
+                // fence without a second round trip.
                 scratch.begin();
                 match &shared.directory {
                     Some(directory) => {
-                        let delta = directory.delta_since(epoch);
-                        // The delta brings the session to the directory's
-                        // current epoch; record it so the next serving
-                        // request passes the fence.
-                        session_epoch = Some(delta.epoch);
-                        Response::DirectoryUpdate(delta).encode_into(scratch.buf());
-                    }
-                    None => encode_error_into(scratch.buf(), "no directory attached"),
-                }
-            }
-            Request::Gossip { from: _, vector } => {
-                // Anti-entropy pull (v9): answer the peer's epoch vector
-                // with every record it has not seen. Like `Sync`, a
-                // successful pull brings the session current for the
-                // fence — a vector-resyncing client passes it without a
-                // second round trip.
-                scratch.begin();
-                match shared
-                    .directory
-                    .as_ref()
-                    .and_then(|d| d.gossip_delta(&vector))
-                {
-                    Some(delta) => {
+                        let delta = directory.gossip_delta(&vector);
                         session_epoch = Some(delta.epoch);
                         Response::GossipDelta(delta).encode_into(scratch.buf());
                     }
@@ -936,10 +899,9 @@ fn serve_session<R: Read, W: Write>(
                 Response::TraceDump(shared.trace_dump(max_events)).encode_into(scratch.buf());
             }
         }
-        // Control responses (the batch path sent vectored and continued
-        // above) never carry correlation payloads, so they bypass the
-        // zero-copy reuse accounting.
-        scratch.finish_and_send(&mut ch, None)?;
+        // Control responses; the batch path sent vectored and continued
+        // above.
+        scratch.finish_and_send(&mut ch)?;
     }
 }
 
@@ -1037,7 +999,7 @@ fn serve_subscription<R: Read, W: Write>(
                     name: succ.name,
                 }
                 .encode_into(scratch.buf());
-                scratch.finish_and_send(ch, None)?;
+                scratch.finish_and_send(ch)?;
                 handoff_sent = true;
             }
         }
@@ -1046,7 +1008,7 @@ fn serve_subscription<R: Read, W: Write>(
             // trailer tells the client exactly what it was sent.
             scratch.begin();
             Response::StreamEnd { chunks, cots }.encode_into(scratch.buf());
-            return scratch.finish_and_send(ch, None);
+            return scratch.finish_and_send(ch);
         }
         if credits == 0 {
             // Grant exhausted: block until the client extends or ends the
@@ -1068,13 +1030,13 @@ fn serve_subscription<R: Read, W: Write>(
                 Ok(Request::Unsubscribe) => {
                     scratch.begin();
                     Response::StreamEnd { chunks, cots }.encode_into(scratch.buf());
-                    return scratch.finish_and_send(ch, None);
+                    return scratch.finish_and_send(ch);
                 }
                 Ok(other) => {
                     let msg = format!("unexpected {other:?} inside a subscription");
                     scratch.begin();
                     encode_error_into(scratch.buf(), &msg);
-                    let _ = scratch.finish_and_send(ch, None);
+                    let _ = scratch.finish_and_send(ch);
                     return Err(ChannelError::Io(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         msg,
@@ -1083,7 +1045,7 @@ fn serve_subscription<R: Read, W: Write>(
                 Err(e) => {
                     scratch.begin();
                     encode_error_into(scratch.buf(), &e.to_string());
-                    let _ = scratch.finish_and_send(ch, None);
+                    let _ = scratch.finish_and_send(ch);
                     return Err(e);
                 }
             }
@@ -1137,7 +1099,7 @@ fn serve_subscription<R: Read, W: Write>(
                 Err(_) => {
                     scratch.begin(); // the chunk frame may be half-written
                     encode_error_into(scratch.buf(), "internal pool failure");
-                    let _ = scratch.finish_and_send(ch, None);
+                    let _ = scratch.finish_and_send(ch);
                     return Err(ChannelError::Io(std::io::Error::other(
                         "pool take panicked mid-subscription",
                     )));
@@ -1159,7 +1121,7 @@ pub struct CotClient {
     ch: TcpTransport,
     max_request: u64,
     /// The server's directory epoch as of the last `Welcome` or
-    /// `DirectoryUpdate` (0 for a directory-less server).
+    /// `GossipDelta` (0 for a directory-less server).
     server_epoch: u64,
     /// Retained frame receive buffer (the wire side of the zero-copy
     /// receive path).
@@ -1168,51 +1130,38 @@ pub struct CotClient {
 
 impl CotClient {
     /// Connects, handshakes, and exchanges `Hello`/`Welcome` as an
-    /// epoch-unaware session (never fenced; see
-    /// [`CotClient::connect_with_epoch`] for fleet-aware sessions).
-    ///
-    /// Since v8 every data-path session is born with the
+    /// epoch-unaware session (never fenced) with the
     /// [`OpTimeouts::default`] deadlines — connect, read, and write all
-    /// bounded — so no caller hangs forever on a blackholed peer by
+    /// bounded, so no caller hangs forever on a blackholed peer by
     /// accident; an expired deadline surfaces as the typed
-    /// [`ChannelError::TimedOut`]. Callers that need different bounds use
-    /// [`CotClient::connect_with_timeouts`].
+    /// [`ChannelError::TimedOut`]. Fleet-aware sessions and callers that
+    /// need different bounds use [`CotClient::connect_with`].
     ///
     /// # Errors
     ///
     /// Fails on connection/handshake errors or an unexpected first
     /// response.
     pub fn connect<A: ToSocketAddrs>(addr: A, name: &str) -> Result<CotClient, ChannelError> {
-        Self::connect_with_epoch(addr, name, EPOCH_UNAWARE)
+        Self::connect_with(addr, name, EPOCH_UNAWARE, OpTimeouts::default())
     }
 
-    /// Connects announcing the caller's directory epoch: the server will
-    /// fence correlation-serving requests with
+    /// The fully explicit connect. `epoch` is the caller's directory
+    /// epoch: the server fences correlation-serving requests with
     /// [`ChannelError::WrongEpoch`] once its directory moves past it
-    /// (resync with [`CotClient::sync_directory`]). Deadlines as in
-    /// [`CotClient::connect`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotClient::connect`].
-    pub fn connect_with_epoch<A: ToSocketAddrs>(
-        addr: A,
-        name: &str,
-        epoch: u64,
-    ) -> Result<CotClient, ChannelError> {
-        Self::connect_with_timeouts(addr, name, epoch, OpTimeouts::default())
-    }
-
-    /// The fully explicit connect: every resolved address candidate is
-    /// tried with `timeouts.connect`, and the session socket carries
+    /// (resync with [`CotClient::gossip`]); [`EPOCH_UNAWARE`] opts out.
+    /// Every resolved address candidate is tried with
+    /// `timeouts.connect`, and the session socket carries
     /// `timeouts.read`/`timeouts.write` as its per-op deadlines
-    /// (`SO_RCVTIMEO`/`SO_SNDTIMEO`) thereafter.
+    /// (`SO_RCVTIMEO`/`SO_SNDTIMEO`) thereafter — background controllers
+    /// (health probes, the fleet warm-up, gossip) pass
+    /// [`OpTimeouts::uniform`] so one blackholed server costs them a
+    /// short timeout.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`CotClient::connect`], plus
     /// [`ChannelError::TimedOut`] when a deadline expires.
-    pub fn connect_with_timeouts<A: ToSocketAddrs>(
+    pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         name: &str,
         epoch: u64,
@@ -1243,33 +1192,6 @@ impl CotClient {
             },
             ChannelError::from,
         ))
-    }
-
-    /// Like [`CotClient::connect_with_epoch`], but with every step —
-    /// connect, and each read/write of the session thereafter — bounded
-    /// by `timeout`. Background controllers (health probes, the fleet
-    /// warm-up) use this so one blackholed server costs a timeout, not
-    /// an OS-default connect stall.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotClient::connect`], plus timeouts
-    /// (surfaced as I/O errors).
-    pub fn connect_timeout(
-        addr: std::net::SocketAddr,
-        name: &str,
-        epoch: u64,
-        timeout: std::time::Duration,
-    ) -> Result<CotClient, ChannelError> {
-        let stream = TcpStream::connect_timeout(&addr, timeout).map_err(ChannelError::from)?;
-        stream
-            .set_read_timeout(Some(timeout))
-            .map_err(ChannelError::from)?;
-        stream
-            .set_write_timeout(Some(timeout))
-            .map_err(ChannelError::from)?;
-        let ch = TcpTransport::from_stream(stream).map_err(ChannelError::from)?;
-        Self::open_session(ch, name, epoch)
     }
 
     /// The shared `Hello`/`Welcome` exchange over an already-handshaken
@@ -1307,42 +1229,21 @@ impl CotClient {
     }
 
     /// The server's directory epoch as last observed (from `Welcome` or
-    /// the most recent [`CotClient::sync_directory`]).
+    /// the most recent [`CotClient::gossip`]).
     pub fn server_epoch(&self) -> u64 {
         self.server_epoch
-    }
-
-    /// Announces `have_epoch` as this session's directory epoch and
-    /// fetches the membership delta since it. After this call the
-    /// session passes the server's fence until the directory moves again.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors, on a server without a directory, or an
-    /// unexpected response.
-    pub fn sync_directory(&mut self, have_epoch: u64) -> Result<DirectoryDelta, ChannelError> {
-        self.ch
-            .send_bytes(Request::Sync { epoch: have_epoch }.encode())?;
-        match Response::decode(&self.ch.recv_bytes()?)? {
-            Response::DirectoryUpdate(delta) => {
-                self.server_epoch = delta.epoch;
-                Ok(delta)
-            }
-            other => Err(reject(other)),
-        }
     }
 
     /// Anti-entropy pull (v9): presents `vector` (this side's per-origin
     /// epoch vector, `from` identifying the pulling replica —
     /// `u64::MAX` for unattributed pullers like clients) and returns
     /// every membership record the vector does not cover. Also brings
-    /// this session current for the server's epoch fence, so a
-    /// vector-based resync needs no separate `Sync` round trip.
+    /// this session current for the server's epoch fence.
     ///
     /// # Errors
     ///
-    /// Fails on transport errors, on a server without a
-    /// replication-capable directory, or an unexpected response.
+    /// Fails on transport errors, on a server without a directory, or
+    /// an unexpected response.
     pub fn gossip(
         &mut self,
         from: u64,
@@ -2015,6 +1916,29 @@ mod tests {
         service.shutdown();
     }
 
+    #[test]
+    fn unassigned_sync_opcode_is_answered_with_error_then_dropped() {
+        // 0x08 + u64 was `Sync{epoch}` through wire v9. A v10 server must
+        // treat it like any unknown opcode: one Error frame, then EOF.
+        let service = toy_service(1);
+        let mut client = CotClient::connect(service.addr(), "v9-habits").unwrap();
+        let mut payload = vec![0x08];
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        client.ch.send_bytes(payload).unwrap();
+        match Response::decode(&client.ch.recv_bytes().unwrap()).unwrap() {
+            Response::Error(_) => {}
+            other => panic!("unexpected response: {other:?}"),
+        }
+        assert!(
+            client.ch.recv_bytes().is_err(),
+            "the session must be dropped"
+        );
+        // Only that session: the server keeps serving others.
+        let mut next = CotClient::connect(service.addr(), "v10").unwrap();
+        next.request_cots(8).unwrap().verify().unwrap();
+        service.shutdown();
+    }
+
     /// The v6 observability surface end to end: latency histograms in
     /// `Stats` (per shard and merged service-wide) and a `Trace` dump
     /// carrying the pool's extension events. Skipped in substance under
@@ -2097,7 +2021,7 @@ mod tests {
     #[test]
     fn armed_faults_fail_typed_and_heal_cleanly() {
         let service = toy_service(1);
-        let mut client = CotClient::connect_with_timeouts(
+        let mut client = CotClient::connect_with(
             service.addr(),
             "corrupted",
             EPOCH_UNAWARE,
@@ -2150,7 +2074,7 @@ mod tests {
     fn blackholed_server_times_out_within_deadline() {
         let service = toy_service(1);
         let deadline = Duration::from_millis(300);
-        let mut client = CotClient::connect_with_timeouts(
+        let mut client = CotClient::connect_with(
             service.addr(),
             "deadline-bound",
             EPOCH_UNAWARE,

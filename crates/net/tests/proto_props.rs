@@ -46,7 +46,7 @@ proptest! {
     /// Every request variant round-trips, whatever its field values.
     #[test]
     fn requests_round_trip(
-        variant in 0usize..11,
+        variant in 0usize..10,
         a in any::<u64>(),
         b in any::<u64>(),
         name in proptest::collection::vec(any::<u8>(), 0..32),
@@ -68,10 +68,9 @@ proptest! {
             3 => Request::Shutdown,
             4 => Request::Subscribe { batch: a, credits: b },
             5 => Request::Credit { n: a },
-            6 => Request::Sync { epoch: a },
-            7 => Request::Warm { watermark: a, max_refills: b },
-            8 => Request::Trace { max_events: a },
-            9 => Request::Gossip { from: a, vector },
+            6 => Request::Warm { watermark: a, max_refills: b },
+            7 => Request::Trace { max_events: a },
+            8 => Request::Gossip { from: a, vector },
             _ => Request::Unsubscribe,
         };
         prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
@@ -187,13 +186,10 @@ proptest! {
 
     /// Membership deltas round-trip for arbitrary member sets, states,
     /// stamps, weights, epoch vectors, and (possibly non-UTF-8 /
-    /// non-address) payload strings — through both the v4
-    /// `DirectoryUpdate` and the v9 `GossipDelta` carriers.
+    /// non-address) payload strings.
     #[test]
     fn directory_updates_round_trip(
         epoch in any::<u64>(),
-        full in any::<bool>(),
-        gossip in any::<bool>(),
         seeds in proptest::collection::vec(any::<u64>(), 0..6),
         vector_seeds in proptest::collection::vec(any::<u64>(), 0..6),
         raw in proptest::collection::vec(any::<u8>(), 0..24),
@@ -220,12 +216,7 @@ proptest! {
                 name: String::from_utf8_lossy(&raw).into_owned(),
             })
             .collect();
-        let delta = DirectoryDelta { epoch, full, vector, members };
-        let resp = if gossip {
-            Response::GossipDelta(delta)
-        } else {
-            Response::DirectoryUpdate(delta)
-        };
+        let resp = Response::GossipDelta(DirectoryDelta { epoch, vector, members });
         prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
     }
 

@@ -109,9 +109,8 @@ pub struct FerretConfig {
     /// `Arc` to every shard via this field. `None` (the default)
     /// generates on demand. Local-only state: it never affects outputs
     /// or the wire, but it must have been built from a config with the
-    /// same matrix parameters — [`FerretConfig::build_matrix`]
-    /// panics on a fingerprint mismatch rather than silently desync the
-    /// parties.
+    /// same matrix parameters — session construction panics on a
+    /// fingerprint mismatch rather than silently desync the parties.
     pub shared_matrix: Option<SharedLpnMatrix>,
 }
 

@@ -35,7 +35,7 @@ const ENTRY_LEN: usize = 2 + 8;
 
 /// The bucket index recording `value`: the identity for `value < 32`,
 /// log-linear above (highest set bit picks the octave, the next
-/// [`SUB_BITS`] bits pick the sub-bucket).
+/// `SUB_BITS` = 4 bits pick the sub-bucket).
 #[inline]
 pub fn bucket_index(value: u64) -> usize {
     if value < 32 {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Workspace CI, cheapest check first. Run from anywhere; operates on the
 # repo root and leaves everything it writes under target/ (plus ci.log).
-#   1. cargo fmt --check, cargo clippy -D warnings      (seconds)
+#   1. cargo fmt --check, cargo clippy -D warnings, cargo doc over the
+#      first-party crates with broken/private intra-doc links denied
+#      (seconds)
 #   2. release build; every crate's tests; the kernel crates again on the
 #      forced-scalar tier
 #   3. benchmark/'s own tests and its --smoke run, on both tiers
@@ -27,6 +29,12 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc, first-party crates, broken or private intra-doc links denied"
+# What a deletion leaves behind first is a doc comment naming the item
+# that went. vendor/ is excluded: stand-ins, not ours to document.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --offline --no-deps --workspace --exclude proptest --exclude serde --exclude serde_derive
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
