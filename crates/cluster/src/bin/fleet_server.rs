@@ -17,7 +17,6 @@
 //! * `--weight <u32>` — ring weight (default 1).
 //! * `--params toy|toy-large` — FERRET parameter set (default `toy`).
 //! * `--gossip-ms <u64>` — gossip sweep cadence (default 25).
-//! * `--standby` — pre-warm this server's ring successor every sweep.
 //! * `--warmup` — run the per-server warm-up refiller.
 //! * `--health` — run a leader-gated health prober over the replica.
 //!
@@ -56,7 +55,6 @@ struct Args {
     weight: u32,
     params: FerretParams,
     gossip_ms: u64,
-    standby: bool,
     warmup: bool,
     health: bool,
 }
@@ -65,7 +63,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fleet_server --id <u64> [--name <str>] [--bind <addr>] [--advertise <addr>] \
          [--seed-peers <addr,..>] [--weight <u32>] [--params toy|toy-large] [--gossip-ms <u64>] \
-         [--standby] [--warmup] [--health]"
+         [--warmup] [--health]"
     );
     std::process::exit(2);
 }
@@ -80,7 +78,6 @@ fn parse_args() -> Args {
         weight: 1,
         params: FerretParams::toy(),
         gossip_ms: 25,
-        standby: false,
         warmup: false,
         health: false,
     };
@@ -110,7 +107,6 @@ fn parse_args() -> Args {
             "--gossip-ms" => {
                 args.gossip_ms = value("--gossip-ms").parse().unwrap_or_else(|_| usage());
             }
-            "--standby" => args.standby = true,
             "--warmup" => args.warmup = true,
             "--health" => args.health = true,
             _ => usage(),
@@ -188,7 +184,6 @@ fn main() {
                                 weight: args.weight,
                             }),
                             seeds,
-                            standby: args.standby,
                             ..GossiperConfig::default()
                         },
                     )

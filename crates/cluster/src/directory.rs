@@ -369,9 +369,9 @@ impl RingSnapshot {
     /// The member that inherits most of `id`'s ring arcs if it leaves:
     /// for each of `id`'s ring points, the owner of the next point
     /// clockwise is the heir of that arc; the most frequent heir (ties
-    /// to the lower id) is the *ring successor* — the server a warm
-    /// standby should pre-warm and a drain handoff should name. `None`
-    /// when `id` is not on the ring or owns it alone.
+    /// to the lower id) is the *ring successor* — the server a drain
+    /// handoff names. `None` when `id` is not on the ring or owns it
+    /// alone.
     pub fn successor(&self, id: ServerId) -> Option<ServerId> {
         let mut heirs: BTreeMap<ServerId, usize> = BTreeMap::new();
         for (i, &(_, idx)) in self.ring.iter().enumerate() {
@@ -541,9 +541,9 @@ impl DirInner {
 }
 
 /// The mutable, epoch-versioned membership directory (see the module
-/// docs). Cheap to share: servers, clients, the health checker, and the
-/// fleet warm-up controller all hold the same `Arc<Directory>` — or, in
-/// a replicated fleet, each server holds its own and converges through
+/// docs). Cheap to share: servers, clients and the health checker all
+/// hold the same `Arc<Directory>` — or, in a replicated fleet, each
+/// server holds its own and converges through
 /// [`Directory::delta_by_vector`]/[`Directory::apply_delta`].
 #[derive(Debug)]
 pub struct Directory {

@@ -10,7 +10,7 @@
 //! of replicas converges to the same membership within a few intervals,
 //! whatever order the pulls land in.
 //!
-//! Three fleet-survival details live here rather than in the merge rule:
+//! Two fleet-survival details live here rather than in the merge rule:
 //!
 //! * **Rendezvous seeds.** After a long partition both sides may have
 //!   evicted each other — their member lists no longer overlap, and a
@@ -25,19 +25,11 @@
 //!   out during the partition) re-announces itself with
 //!   [`Directory::join_as`] — a fresh stamp that out-versions the
 //!   eviction, so one announce wins everywhere.
-//! * **Warm standbys.** With [`GossiperConfig::standby`] set, each sweep
-//!   resolves this server's *ring successor* (the member inheriting most
-//!   of its arcs if it dies — [`RingSnapshot::successor`]) and sends it
-//!   one budgeted `Warm` RPC. When this server crashes, the failover
-//!   target is already buffer-warm: the first chunk after failover is a
-//!   pool cursor bump, not an inline extension.
 //!
 //! A [`Gossiper`] without an identity ([`GossiperConfig::identity`] =
 //! `None`) is an **observer**: it pulls and merges but never announces —
 //! the shape a coordinator or monitoring process uses to keep a live
 //! fleet view without joining the fleet.
-//!
-//! [`RingSnapshot::successor`]: crate::RingSnapshot::successor
 
 use crate::background::BackgroundLoop;
 use crate::directory::{Directory, MemberState, ServerId, UNATTRIBUTED};
@@ -79,13 +71,6 @@ pub struct GossiperConfig {
     /// Peers dialed on every sweep regardless of current membership —
     /// the rendezvous that survives mutual eviction.
     pub seeds: Vec<SocketAddr>,
-    /// Pre-warm this server's ring successor each sweep (one budgeted
-    /// `Warm` RPC), so crash failover lands on a warm pool.
-    pub standby: bool,
-    /// Per-shard watermark the standby warm sweep refills toward.
-    pub standby_watermark: u64,
-    /// Refill budget per standby warm sweep.
-    pub standby_max_refills: u64,
 }
 
 impl Default for GossiperConfig {
@@ -95,9 +80,6 @@ impl Default for GossiperConfig {
             timeout: Duration::from_millis(500),
             identity: None,
             seeds: Vec::new(),
-            standby: false,
-            standby_watermark: 1,
-            standby_max_refills: 1,
         }
     }
 }
@@ -116,8 +98,6 @@ pub struct GossipStats {
     pub merges_applied: u64,
     /// Times this server re-announced itself after a merge evicted it.
     pub self_rejoins: u64,
-    /// Standby `Warm` RPCs delivered to the ring successor.
-    pub standby_warms: u64,
 }
 
 #[derive(Debug, Default)]
@@ -127,7 +107,6 @@ struct Counters {
     pulls_failed: AtomicU64,
     merges_applied: AtomicU64,
     self_rejoins: AtomicU64,
-    standby_warms: AtomicU64,
 }
 
 impl Counters {
@@ -138,7 +117,6 @@ impl Counters {
             pulls_failed: self.pulls_failed.load(Ordering::Relaxed),
             merges_applied: self.merges_applied.load(Ordering::Relaxed),
             self_rejoins: self.self_rejoins.load(Ordering::Relaxed),
-            standby_warms: self.standby_warms.load(Ordering::Relaxed),
         }
     }
 }
@@ -277,9 +255,6 @@ fn sweep(
             directory.join_as(me.id, me.addr, &me.name, me.weight);
             counters.self_rejoins.fetch_add(1, Ordering::Relaxed);
         }
-        if cfg.standby {
-            warm_successor(directory, me, cfg, timeout, sessions, counters);
-        }
     }
     counters.sweeps.fetch_add(1, Ordering::Relaxed);
 }
@@ -304,48 +279,6 @@ fn pull(
     };
     let delta = client.gossip(from, directory.epoch_vector())?;
     Ok(directory.apply_delta(&delta))
-}
-
-/// Pre-warms this server's ring successor with one budgeted `Warm` RPC.
-fn warm_successor(
-    directory: &Directory,
-    me: &GossipIdentity,
-    cfg: &GossiperConfig,
-    timeout: Duration,
-    sessions: &mut HashMap<SocketAddr, CotClient>,
-    counters: &Counters,
-) {
-    let snapshot = directory.snapshot();
-    let Some(successor) = snapshot.successor(me.id) else {
-        return;
-    };
-    let Some(member) = snapshot.member(successor) else {
-        return;
-    };
-    if member.state != MemberState::Up {
-        return;
-    }
-    let addr = member.addr;
-    let warmed = match sessions.entry(addr) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let timeouts = OpTimeouts::uniform(timeout);
-            let Ok(client) = CotClient::connect_with(addr, "gossip", EPOCH_UNAWARE, timeouts)
-            else {
-                return;
-            };
-            e.insert(client)
-        }
-    }
-    .warm(cfg.standby_watermark, cfg.standby_max_refills);
-    match warmed {
-        Ok(_) => {
-            counters.standby_warms.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {
-            sessions.remove(&addr);
-        }
-    }
 }
 
 #[cfg(test)]

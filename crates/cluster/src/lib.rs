@@ -26,13 +26,12 @@
 //!   `GossipDelta` its epoch vector is missing, re-resolves, and
 //!   retries — including **mid-stream**, resuming a subscription on the
 //!   new home server with exact accounting.
-//! * [`FleetWarmup`] — the fleet-level refill controller: reads each
-//!   server's per-shard `Stats` and subscription backlog
-//!   (`pending_stream_cots`) and splits a global refill budget across
-//!   servers proportionally to demand via budgeted `Warm` RPCs
-//!   (cross-server demand balancing). [`Warmup`] remains as the
-//!   single-server refiller, now with adaptive cadence (bounded
-//!   exponential back-off while everything is above watermark).
+//! * [`Warmup`] — the refill scheduler, one per server: supply is local
+//!   to the shard (each shard's pipelined session stages extensions
+//!   ahead of demand), so a thread tops its own pool's rings up from
+//!   that staged output on an adaptive cadence (bounded exponential
+//!   back-off while everything is above watermark) and nothing refills
+//!   over the wire.
 //! * [`FleetObserver`] — the telemetry roll-up, now an observability
 //!   plane (v7): scrapes every member's `Stats` latency histograms on a
 //!   jittered cadence, merges them into model-ready [`FleetSnapshot`]s
@@ -69,18 +68,19 @@
 //! ```text
 //!                    Directory (epoch-versioned control plane)
 //!        join/leave/drain -> epoch++ -> publish RingSnapshot (COW)
-//!          ^           ^                        |
-//!     HealthChecker    FleetWarmup       ClusterClient(s)
-//!     (probe, mark     (read Stats       (route on snapshot; on
-//!      suspect, evict)  backlogs, steer    WrongEpoch: Gossip pull,
-//!          |            Warm budget)       re-resolve, resume streams)
-//!          v                 v                  v
-//!     =====+=================+==================+=====  TCP, framed v10
+//!          ^                                    |
+//!     HealthChecker                      ClusterClient(s)
+//!     (probe, mark                       (route on snapshot; on
+//!      suspect, evict)                    WrongEpoch: Gossip pull,
+//!          |                              re-resolve, resume streams)
+//!          v                                    v
+//!     =====+====================================+=====  TCP, framed v11
 //!          v                 v                  v
 //!     +---------+       +---------+        +---------+
 //!     | CotSvc  |       | CotSvc  |        | CotSvc  |   (members; each
 //!     | shards: |       | shards: |        | shards: |    an independent
-//!     | [p0..p3]|       | [p0..p3]|        | [p0..p3]|    FERRET dealer)
+//!     | [p0..p3]|       | [p0..p3]|        | [p0..p3]|    FERRET dealer,
+//!     | Warmup  |       | Warmup  |        | Warmup  |    refilled locally)
 //!     +---------+       +---------+        +---------+
 //! ```
 //!
@@ -156,4 +156,4 @@ pub use observe::{
 };
 pub use server::{ClusterServer, ClusterServerConfig, LocalCluster};
 pub use slo::{AlertState, AlertView, BurnWindows, SloEngine, SloKind, SloSpec};
-pub use warmup::{allocate_budget, FleetWarmup, FleetWarmupConfig, Warmup, WarmupConfig};
+pub use warmup::{Warmup, WarmupConfig};

@@ -319,8 +319,7 @@ fn scrape_with(
     };
     for member in snapshot.members() {
         // Suspect members are skipped outright rather than re-dialed
-        // every sweep — the same discipline as the warm-up controller;
-        // the health checker owns deciding their fate.
+        // every sweep; the health checker owns deciding their fate.
         if member.state == MemberState::Suspect {
             sessions.remove(&member.id);
             continue;

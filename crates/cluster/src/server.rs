@@ -10,7 +10,7 @@ use crate::exporter::{FleetExporter, FleetExporterConfig};
 use crate::gossip::{GossipIdentity, Gossiper, GossiperConfig};
 use crate::health::{HealthChecker, HealthConfig};
 use crate::observe::{FleetHandle, FleetObserver, FleetObserverConfig};
-use crate::warmup::{FleetWarmup, FleetWarmupConfig, Warmup, WarmupConfig};
+use crate::warmup::{Warmup, WarmupConfig};
 use ironman_core::{Engine, SharedCotPool};
 use ironman_net::{CotService, CotServiceConfig, DirectoryView, FaultPlan, ServiceStats};
 use std::collections::HashMap;
@@ -23,10 +23,9 @@ use std::time::{Duration, Instant};
 pub struct ClusterServerConfig {
     /// The underlying service configuration (shards, seed).
     pub service: CotServiceConfig,
-    /// Per-server warm-up refiller; `None` serves cold (extensions
-    /// inline on demand) unless a fleet-level [`FleetWarmup`] steers
-    /// refills from outside — the preferred fleet shape, since it
-    /// balances refill capacity across servers by demand.
+    /// Per-server warm-up refiller, the only refill scheduler there is;
+    /// `None` serves from the sessions' staged look-ahead only (each
+    /// take tops its shard's ring up on demand).
     pub warmup: Option<WarmupConfig>,
 }
 
@@ -103,10 +102,10 @@ impl ClusterServer {
 
 /// A whole dynamic fleet on loopback: N [`ClusterServer`]s (each an
 /// independent FERRET dealer with its own `Δ` stream) registered in one
-/// shared [`Directory`], plus optional health checking and fleet-level
-/// warm-up. Servers are keyed by their stable [`ServerId`]; killing one
-/// and joining a replacement is the membership-churn scenario the epoch
-/// fence exists for.
+/// shared [`Directory`], plus optional health checking. Servers are
+/// keyed by their stable [`ServerId`]; killing one and joining a
+/// replacement is the membership-churn scenario the epoch fence exists
+/// for.
 #[derive(Debug)]
 pub struct LocalCluster {
     directory: Arc<Directory>,
@@ -118,7 +117,6 @@ pub struct LocalCluster {
     /// server).
     spawned: u64,
     health: Vec<HealthChecker>,
-    fleet_warmup: Option<FleetWarmup>,
     observer: Option<FleetObserver>,
     exporter: Option<FleetExporter>,
     /// Replicated mode (v9): each server's own directory replica, keyed
@@ -135,7 +133,7 @@ pub struct LocalCluster {
     /// Gossip rendezvous: every server address ever spawned in
     /// replicated mode (static seeds survive mutual eviction).
     seeds: Vec<SocketAddr>,
-    /// Gossip/standby cadence template for replicated spawns.
+    /// Gossip cadence template for replicated spawns.
     gossip_cfg: GossiperConfig,
 }
 
@@ -199,7 +197,6 @@ impl LocalCluster {
             GossiperConfig {
                 identity: None,
                 seeds: cluster.seeds.clone(),
-                standby: false,
                 ..cluster.gossip_cfg.clone()
             },
         ));
@@ -214,7 +211,6 @@ impl LocalCluster {
             cfg: cfg.clone(),
             spawned: 0,
             health: Vec::new(),
-            fleet_warmup: None,
             observer: None,
             exporter: None,
             replicas: HashMap::new(),
@@ -349,8 +345,8 @@ impl LocalCluster {
         Ok(id)
     }
 
-    /// The shared control-plane directory (clients, the health checker,
-    /// and the fleet warm-up controller all hold the same one).
+    /// The shared control-plane directory (clients and the health
+    /// checker hold the same one).
     pub fn directory(&self) -> Arc<Directory> {
         Arc::clone(&self.directory)
     }
@@ -389,13 +385,6 @@ impl LocalCluster {
                 },
             ));
         }
-    }
-
-    /// Starts the fleet-level warm-up controller (the demand-steered
-    /// replacement for per-server refillers; see [`FleetWarmup`]).
-    pub fn enable_fleet_warmup(&mut self, cfg: FleetWarmupConfig) {
-        self.fleet_warmup
-            .get_or_insert_with(|| FleetWarmup::spawn(Arc::clone(&self.directory), cfg));
     }
 
     /// Starts the fleet telemetry scraper (see [`FleetObserver`]): every
@@ -586,9 +575,6 @@ impl LocalCluster {
         }
         for (_, gossiper) in self.gossipers.drain() {
             gossiper.stop();
-        }
-        if let Some(warmup) = self.fleet_warmup.take() {
-            warmup.stop();
         }
         if let Some(observer) = self.observer.take() {
             observer.stop();

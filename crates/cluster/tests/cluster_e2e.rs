@@ -4,9 +4,7 @@
 //! subscription** — and the epoch fence (`WrongEpoch` → `Gossip` pull →
 //! re-resolve) for clients whose membership view went stale.
 
-use ironman_cluster::{
-    ClusterClient, ClusterServerConfig, Directory, FleetWarmupConfig, LocalCluster, WarmupConfig,
-};
+use ironman_cluster::{ClusterClient, ClusterServerConfig, Directory, LocalCluster, WarmupConfig};
 use ironman_core::{Backend, Engine};
 use ironman_net::CotServiceConfig;
 use ironman_ot::channel::ChannelError;
@@ -338,100 +336,6 @@ fn kill_mid_subscription_resumes_on_new_home_with_exact_accounting() {
         .map(|&(_, cots)| cots)
         .sum();
     assert!(others > 0, "resume never left the dead home");
-
-    cluster.shutdown();
-}
-
-#[test]
-fn fleet_warmup_steers_refills_toward_the_demand_backlog() {
-    let engine = toy_engine();
-    // No per-server warm-up: every refill is the fleet controller's
-    // doing, so the per-shard warm_refills counters measure its steering
-    // and nothing else.
-    let cfg = ClusterServerConfig {
-        service: CotServiceConfig {
-            shards: 2,
-            seed: 0x57EE,
-            ..CotServiceConfig::default()
-        },
-        warmup: None,
-    };
-    let mut cluster = LocalCluster::spawn(3, &engine, &cfg).expect("spawn fleet");
-    cluster.enable_fleet_warmup(FleetWarmupConfig {
-        budget: 2,
-        interval: Duration::from_millis(2),
-        max_interval: Duration::from_millis(8),
-        ..FleetWarmupConfig::default()
-    });
-    // Let the controller top every shard up to the full merge-refill
-    // watermark (2 extensions per shard) first: with zero deficit and
-    // zero backlog everywhere, every weight is zero and the controller
-    // spends nothing — the steering delta below is pure demand response.
-    let watermark_per_server = 2 * 2 * engine.config().usable_outputs();
-    assert!(
-        cluster.wait_warm(watermark_per_server, Duration::from_secs(120)),
-        "controller never warmed the idle fleet"
-    );
-
-    let mut client = ClusterClient::connect(cluster.directory(), "hungry").expect("connect");
-    let home = client.home().expect("non-empty");
-    let warm_before: Vec<(u64, u64)> = client
-        .stats_all()
-        .iter()
-        .map(|(id, _, stats)| {
-            let s = stats.as_ref().expect("reachable");
-            (id.0, s.shard_stats.iter().map(|sh| sh.warm_refills).sum())
-        })
-        .collect();
-
-    // One server gets all the subscription demand; its peers stay idle.
-    let total = 60_000u64;
-    let summary = client
-        .stream_cots(total, 1500, |b| b.verify().unwrap())
-        .expect("stream");
-    assert_eq!(summary.cots, total);
-
-    // Give the controller time to respond to the drain: its budget must
-    // flow to the demand-loaded server until it is back above watermark
-    // (the idle peers have zero weight and receive nothing meanwhile).
-    let deadline = std::time::Instant::now() + Duration::from_secs(120);
-    while cluster.server(home).expect("home runs").pool().available() < watermark_per_server {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "controller never restored the drained server"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    let mut home_delta = 0u64;
-    let mut peer_deltas = Vec::new();
-    for (id, _, stats) in client.stats_all() {
-        let s = stats.expect("reachable");
-        let warm: u64 = s.shard_stats.iter().map(|sh| sh.warm_refills).sum();
-        let before = warm_before
-            .iter()
-            .find(|&&(bid, _)| bid == id.0)
-            .map_or(0, |&(_, w)| w);
-        let delta = warm - before;
-        if id == home {
-            home_delta = delta;
-        } else {
-            peer_deltas.push(delta);
-        }
-    }
-    // The drained server's shards received a measurably larger share of
-    // the refill budget than the idle peers' (who were already at
-    // watermark and carried no backlog).
-    for &peer in &peer_deltas {
-        assert!(
-            home_delta >= 2 * peer.max(1),
-            "steering failed: home got {home_delta} refills vs peers {peer_deltas:?}"
-        );
-    }
-    assert!(
-        home_delta > 0,
-        "the demand-loaded server was never refilled"
-    );
 
     cluster.shutdown();
 }

@@ -15,20 +15,19 @@
 //! streams correlations throughout and must see zero errors and exact
 //! consume-once accounting.
 //!
-//! The warm-standby test runs in-process: two replicated fleets, one
-//! with standby pre-warming (each server's gossiper keeps its ring
-//! successor's pool warm), one cold, and asserts crash failover reaches
-//! its first correlation measurably faster when the successor was kept
-//! warm.
+//! The failover test runs in-process on the configuration that is
+//! served — a replicated fleet of default (pipelined) services with no
+//! refiller at all — and asserts that a crash-failover target serves
+//! its first request from the look-ahead its sessions staged since
+//! boot: fully, and without one supply stall.
 
 use ironman_cluster::{
     ClusterClient, ClusterServerConfig, Directory, Gossiper, GossiperConfig, LocalCluster,
-    UNATTRIBUTED,
+    ServerId, UNATTRIBUTED,
 };
 use ironman_core::{Backend, Engine};
 use ironman_net::{
-    CotClient, CotServiceConfig, FaultInjector, FaultPlan, MemberWireState, OpTimeouts,
-    EPOCH_UNAWARE,
+    CotClient, FaultInjector, FaultPlan, MemberWireState, OpTimeouts, EPOCH_UNAWARE,
 };
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
@@ -52,11 +51,15 @@ fn wait() -> Duration {
     Duration::from_secs(secs)
 }
 
-fn wait_until(what: &str, mut ok: impl FnMut() -> bool) {
+fn wait_until(what: &str, ok: impl FnMut() -> bool) {
+    poll_every(Duration::from_millis(10), what, ok);
+}
+
+fn poll_every(pause: Duration, what: &str, mut ok: impl FnMut() -> bool) {
     let deadline = Instant::now() + wait();
     while !ok() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(pause);
     }
 }
 
@@ -425,49 +428,47 @@ fn multiprocess_fleet_survives_partition_and_heals_to_one_vector() {
 }
 
 // ---------------------------------------------------------------------
-// Warm-standby failover timing.
+// Failover onto a target nobody warmed.
 // ---------------------------------------------------------------------
 
-/// Kills a streaming session's home server and measures the wall time
-/// from the kill to the first post-failover correlation, on a fleet
-/// whose gossipers do (`standby`) or don't pre-warm ring successors.
-/// Inline (non-pipelined) supply with no warm-up refiller, so the only
-/// way a failover target has buffered correlations is the standby warm.
-fn failover_first_chunk(standby: bool) -> Duration {
+fn session_stalls(cluster: &LocalCluster, id: ServerId) -> u64 {
+    let pool = cluster.server(id).expect("target running").pool();
+    pool.shard_stats().iter().map(|s| s.session_stalls).sum()
+}
+
+/// Supply is local to the shard: each pipelined session stages
+/// extensions ahead of demand from boot, so the server a killed home's
+/// sessions fail over to needs no refiller and no pre-warming to serve
+/// its first request without waiting on an extension.
+#[test]
+fn failover_target_serves_first_request_from_staged_lookahead() {
     let engine = Engine::new(
-        FerretConfig::new(FerretParams::toy_large()),
+        FerretConfig::new(FerretParams::toy()),
         Backend::ironman_default(),
     );
     let mut cluster = LocalCluster::spawn_replicated(
         3,
         &engine,
         &ClusterServerConfig {
-            service: CotServiceConfig {
-                pipelined: false,
-                ..CotServiceConfig::default()
-            },
             warmup: None,
+            ..ClusterServerConfig::default()
         },
         GossiperConfig {
             interval: Duration::from_millis(5),
-            standby,
-            standby_watermark: 4096,
-            standby_max_refills: 2,
             ..GossiperConfig::default()
         },
     )
     .expect("spawn replicated fleet");
     let directory = cluster.directory();
-    let deadline = Instant::now() + wait();
-    while directory.snapshot().len() != 3 {
-        assert!(Instant::now() < deadline, "observer view never converged");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // In-process state, so polling is cheap: a 1 ms pause, no fixed wait.
+    let pause = Duration::from_millis(1);
+    poll_every(pause, "the observer view to converge", || {
+        directory.snapshot().len() == 3
+    });
 
-    // Pick a session whose ring-order failover target IS the home's
-    // standby successor (the successor inherits the *most* arcs, not
-    // necessarily this one), so the two fleets differ only in whether
-    // that target was pre-warmed.
+    // A session whose ring-order failover target is its home's ring
+    // successor (the successor inherits the *most* arcs, not
+    // necessarily this one).
     let snapshot = directory.snapshot();
     let (session, home, target) = (0..)
         .map(|i| format!("failover-probe-{i}"))
@@ -479,41 +480,18 @@ fn failover_first_chunk(standby: bool) -> Duration {
         })
         .expect("some session fails over onto the ring successor");
 
-    if standby {
-        // The home's gossiper warms its successor each sweep; wait for
-        // enough buffered supply to serve the post-failover request
-        // without an inline extension.
-        let deadline = Instant::now() + wait();
-        while cluster
-            .server(target)
-            .expect("target running")
-            .pool()
-            .available()
-            < 2048
-        {
-            assert!(Instant::now() < deadline, "standby never warmed successor");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    } else {
-        assert_eq!(
-            cluster
-                .server(target)
-                .expect("target running")
-                .pool()
-                .available(),
-            0,
-            "cold fleet must start cold"
-        );
-    }
+    poll_every(pause, "every target shard to stage an extension", || {
+        let pool = cluster.server(target).expect("target running").pool();
+        pool.shard_stats().iter().all(|s| s.session_extensions >= 1)
+    });
+    let stalls_before = session_stalls(&cluster, target);
 
     let mut client = ClusterClient::connect(directory, &session).expect("connect");
     client.set_failover_cooldown(Duration::from_millis(100));
     assert_eq!(client.home(), Some(home));
 
     cluster.kill_server(home);
-    let watch = Instant::now();
     let batches = client.request_cots(2048).expect("post-failover request");
-    let elapsed = watch.elapsed();
     assert_eq!(
         batches.iter().map(|b| b.len() as u64).sum::<u64>(),
         2048,
@@ -523,21 +501,10 @@ fn failover_first_chunk(standby: bool) -> Duration {
         client.served_for(target) >= 2048,
         "failover missed the ring successor"
     );
-    cluster.shutdown();
-    elapsed
-}
-
-#[test]
-fn warm_standby_failover_beats_cold_failover_to_first_chunk() {
-    let cold = failover_first_chunk(false);
-    let warm = failover_first_chunk(true);
-    // The cold path pays at least one inline toy_large extension; the
-    // warm path is a buffer cursor bump plus a reconnect. Strict
-    // inequality keeps the assertion honest under CI load while the
-    // printed pair documents the actual margin.
-    println!("failover to first chunk: cold {cold:?}, warm {warm:?}");
-    assert!(
-        warm < cold,
-        "warm-standby failover ({warm:?}) not faster than cold ({cold:?})"
+    assert_eq!(
+        session_stalls(&cluster, target),
+        stalls_before,
+        "the first post-failover request waited on an extension"
     );
+    cluster.shutdown();
 }

@@ -292,7 +292,7 @@ impl CotPool {
     }
 
     /// Correlations drained from this pool so far — the per-shard demand
-    /// signal a fleet-level refill controller steers by.
+    /// signal `Stats` reports.
     pub fn taken_cots(&self) -> u64 {
         self.taken_cots
     }

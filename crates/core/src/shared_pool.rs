@@ -31,8 +31,7 @@ fn lock_shard(shard: &Mutex<CotPool>) -> MutexGuard<'_, CotPool> {
 
 /// One shard's self-consistent counter snapshot (counters read under a
 /// single lock acquisition): occupancy, extension work, demand drained,
-/// and warm-up refills — the per-shard signals a fleet-level refill
-/// controller steers by — plus the shard's latency distributions
+/// and warm-up refills, plus the shard's latency distributions
 /// (lock-free histograms, snapshotted without the shard lock).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
@@ -297,46 +296,9 @@ impl SharedCotPool {
     /// and caught on the next sweep, so warm-up never adds latency to the
     /// demand path it exists to protect.
     pub fn warm(&self, low_watermark: usize) -> usize {
-        self.warm_budgeted(low_watermark, usize::MAX)
-    }
-
-    /// A budget-bounded warm-up sweep: like [`SharedCotPool::warm`], but
-    /// refills at most `budget` shards, visiting the **lowest-occupancy
-    /// shards first** so a constrained budget lands where the deficit is
-    /// deepest. A fleet-level controller uses this to split one global
-    /// refill allowance across servers proportionally to their demand.
-    ///
-    /// Returns the number of shards actually refilled (a full or busy
-    /// shard consumes no budget).
-    pub fn warm_budgeted(&self, low_watermark: usize, budget: usize) -> usize {
-        // Cheap occupancy pre-pass so the budget is spent on the driest
-        // shards. Non-blocking, like the refill pass below: a shard busy
-        // serving (possibly through a long inline extension) must never
-        // stall the sweep — it just sorts last. Occupancy may also shift
-        // before the refill pass re-locks a shard; a stale order only
-        // costs priority, not correctness.
-        let mut order: Vec<(usize, usize)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let occupancy = match s.try_lock() {
-                    Ok(pool) => pool.available(),
-                    Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                        poisoned.into_inner().available()
-                    }
-                    Err(std::sync::TryLockError::WouldBlock) => usize::MAX,
-                };
-                (occupancy, i)
-            })
-            .collect();
-        order.sort_unstable();
         let mut refills = 0;
-        for &(_, idx) in &order {
-            if refills >= budget {
-                break;
-            }
-            let mut pool = match self.shards[idx].try_lock() {
+        for shard in &self.shards {
+            let mut pool = match shard.try_lock() {
                 Ok(pool) => pool,
                 Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
                 Err(std::sync::TryLockError::WouldBlock) => continue,
@@ -416,26 +378,6 @@ mod tests {
         // A warm pool is a no-op to warm again.
         assert_eq!(pool.warm(pool.max_request()), 0);
         assert_eq!(pool.warmup_refills(), 3);
-        // Demand after warm-up is served without an inline extension.
-        let before = pool.extensions_run();
-        pool.take(100).verify().unwrap();
-        assert_eq!(pool.extensions_run(), before);
-    }
-
-    #[test]
-    fn warm_budgeted_spends_budget_on_the_driest_shards() {
-        let pool = shared(3);
-        // All three shards are dry; a budget of 2 refills exactly 2.
-        assert_eq!(pool.warm_budgeted(pool.max_request(), 2), 2);
-        let occ = pool.shard_occupancy();
-        assert_eq!(occ.iter().filter(|&&o| o > 0).count(), 2);
-        // The next sweep finds the remaining dry shard first; the two
-        // already-full shards consume no budget.
-        assert_eq!(pool.warm_budgeted(pool.max_request(), 2), 1);
-        assert!(pool
-            .shard_occupancy()
-            .iter()
-            .all(|&o| o >= pool.max_request()));
         // Per-shard warm refill counters sum to the pool total.
         let stats = pool.shard_stats();
         assert_eq!(
@@ -443,6 +385,10 @@ mod tests {
             pool.warmup_refills()
         );
         assert_eq!(stats.iter().map(|s| s.taken_cots).sum::<u64>(), 0);
+        // Demand after warm-up is served without an inline extension.
+        let before = pool.extensions_run();
+        pool.take(100).verify().unwrap();
+        assert_eq!(pool.extensions_run(), before);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub const MAGIC: [u8; 4] = *b"IRNM";
 /// **4** — dynamic cluster membership: `Hello` carries the client's
 /// directory epoch, an epoch-keyed request/reply pair (`0x08`/`0x88`,
 /// removed in 10) exchanges membership deltas, stale-epoch requests are
-/// fenced with `WrongEpoch`, `Warm`/`Warmed`
-/// expose budgeted refill steering, and the `Stats` reply carries the
+/// fenced with `WrongEpoch`, a refill-steering request/reply pair
+/// (`0x09`/`0x89`, removed in 11), and the `Stats` reply carries the
 /// directory epoch, pending streamed demand, and per-shard demand/refill
 /// counters; **5** — per-shard `Stats` entries grew the raw-supply
 /// pressure counters (pipelined-session extensions and staging-buffer
@@ -71,8 +71,9 @@ pub const MAGIC: [u8; 4] = *b"IRNM";
 /// the client zero extra roundtrips; **10** — one membership protocol:
 /// opcodes `0x08`/`0x88` are unassigned and the directory-delta layout
 /// lost its snapshot-flag byte, so `Gossip`/`GossipDelta` is the only
-/// delta carrier.
-pub const VERSION: u16 = 10;
+/// delta carrier; **11** — refill is server-local: opcodes `0x09`/`0x89`
+/// are unassigned, nothing refills a pool over the wire.
+pub const VERSION: u16 = 11;
 
 /// Per-frame header size (the `u32` length prefix).
 pub const FRAME_HEADER_LEN: usize = 4;
@@ -489,11 +490,10 @@ mod tests {
 
     #[test]
     fn handshake_rejects_version_mismatch() {
-        // Pinned: the delta layout and opcode table are v10's, and a v9
-        // peer (which could still send `Sync`) is refused here, not
-        // misparsed later.
-        assert_eq!(VERSION, 10);
-        for other in [VERSION + 1, 9] {
+        // Pinned: the opcode table is v11's, and a v10 peer (which could
+        // still send `Warm`) is refused here, not misparsed later.
+        assert_eq!(VERSION, 11);
+        for other in [VERSION + 1, 10] {
             let mut hello = MAGIC.to_vec();
             hello.extend_from_slice(&other.to_le_bytes());
             let mut peer = Loopback::scripted(hello);

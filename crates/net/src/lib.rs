@@ -17,9 +17,8 @@
 //!   streaming mode (`Subscribe{batch, credits}`, `Credit{n}`,
 //!   `Unsubscribe` answered by pushed `CotChunk`s and a `StreamEnd`
 //!   accounting trailer) with credit-based backpressure, and the
-//!   membership ops (the `WrongEpoch` fence, `Gossip{from, vector}`
-//!   answered by `GossipDelta`, and `Warm{watermark, max_refills}`
-//!   answered by `Warmed`).
+//!   membership ops (the `WrongEpoch` fence and `Gossip{from, vector}`
+//!   answered by `GossipDelta`).
 //! * [`service`] — [`CotService`]: a thread-per-connection server over a
 //!   mutex-sharded [`SharedCotPool`](ironman_core::SharedCotPool) that
 //!   replenishes via FERRET extension on demand, optionally attached to
@@ -30,7 +29,7 @@
 //! One process serving many sockets is the smallest deployment; the
 //! fleet-shaped one — an epoch-versioned membership directory of these
 //! services with client-side consistent-hash routing, health checking,
-//! failover, and demand-steered pool warm-up — lives in `ironman-cluster`
+//! failover, and per-server pool warm-up — lives in `ironman-cluster`
 //! and speaks exactly this protocol:
 //!
 //! ```text
@@ -154,18 +153,16 @@
 //!   a stale epoch is **fenced** with `WrongEpoch{epoch}` instead of
 //!   served: the client's view predates a membership change, and serving
 //!   it could hide a drain or route work to a corpse. Control ops
-//!   (`Stats`, `Gossip`, `Warm`, `Shutdown`) are never fenced.
+//!   (`Stats`, `Gossip`, `Shutdown`) are never fenced.
 //! * `Gossip{from, vector}` answers with `GossipDelta{epoch, vector,
 //!   members}` — every record the client's per-origin epoch vector does
 //!   not cover, each at its latest state (`Left` records are removal
 //!   tombstones). After the pull the session is current and passes the
 //!   fence until the directory moves again. Replicas converge through
 //!   the same exchange (see [`proto`]'s replication section).
-//! * `Warm{watermark, max_refills}` runs one budgeted warm-up sweep
-//!   (driest shards first) and answers `Warmed{refills}` — the hook a
-//!   fleet-level controller steers refill budget through, using the
-//!   `Stats` reply's `pending_stream_cots` backlog and per-shard
-//!   demand/refill counters as its signal.
+//! * Refill is server-local (since v11 no op refills a pool over the
+//!   wire); the `Stats` reply's `pending_stream_cots` backlog and
+//!   per-shard demand/refill counters are how it is observed.
 //!
 //! # Telemetry (v6)
 //!
@@ -324,9 +321,7 @@
 //!   once per subscription, costing no credits. The client fails over
 //!   to the named successor directly instead of burning a probe on
 //!   rediscovery.
-//! * **Warm standbys.** `Warm{watermark, max_refills}` (v4) aimed at a
-//!   ring successor on the gossip cadence keeps a crash-failover target
-//!   buffer-warm; `Stats` carries the serving replica's
+//! * **Gossip lag.** `Stats` carries the serving replica's
 //!   [`ServiceStats::directory_epoch`] so observers can chart gossip
 //!   lag as the spread between replicas' epochs.
 //!

@@ -17,8 +17,6 @@
 //!                  credits: u64 }       0x85 CotChunk  { seq: u64, batch }
 //! 0x06 Credit    { n: u64 }             0x86 StreamEnd { chunks: u64, cots: u64 }
 //! 0x07 Unsubscribe                      0x87 WrongEpoch{ epoch: u64 }
-//! 0x09 Warm      { watermark: u64,      0x89 Warmed    { refills: u64 }
-//!                  max_refills: u64 }
 //! 0x0A Trace     { max_events: u64 }    0x8A TraceDump { e, e × event }
 //! 0x0B Gossip    { from: u64,           0x8B Unavail   { retry_after_ms: u64 }
 //!                  v, v × vec-entry }   0x8C GossipDelta { delta }
@@ -37,8 +35,9 @@
 //! origin: u64, version: u64, addr: lp-bytes, name: lp-bytes}`;
 //! `vec-entry` = `{origin: u64, version: u64}`; `delta` = `{epoch: u64,
 //! v, v × vec-entry, m, m × member}`; `event` = `{at: u64, kind: u8,
-//! arg: u64}`. `0x08`/`0x88` are unassigned: a `0x08` request is answered
-//! like any unknown opcode, with `Error` and a dropped session.)
+//! arg: u64}`. `0x08`/`0x88` and `0x09`/`0x89` are unassigned: such a
+//! request is answered like any unknown opcode, with `Error` and a
+//! dropped session.)
 //!
 //! # Streaming subscriptions (v2)
 //!
@@ -63,10 +62,7 @@
 //! `WrongEpoch{epoch}` instead of served — the client's routing view is
 //! out of date, and serving it could hide a drain or a dead home. The
 //! client then pulls what it is missing with `Gossip` (next section),
-//! applies it, re-resolves, and retries. `Warm` asks the server to run
-//! one budgeted warm-up sweep (at most `max_refills` shards, driest
-//! first); the fleet-level warm-up controller in `ironman-cluster`
-//! steers its global refill budget through this op.
+//! applies it, re-resolves, and retries.
 //!
 //! # Directory replication (v9)
 //!
@@ -136,16 +132,6 @@ pub enum Request {
     /// Ends the active subscription; the server answers with
     /// [`Response::StreamEnd`] once it has stopped pushing.
     Unsubscribe,
-    /// Asks the server to run one budgeted warm-up sweep over its pool
-    /// (at most `max_refills` shard refills, driest shards first);
-    /// answered with [`Response::Warmed`]. The fleet-level warm-up
-    /// controller steers its global refill budget through this op.
-    Warm {
-        /// Per-shard low watermark (clamped server-side per supply mode).
-        watermark: u64,
-        /// Largest number of shard refills this sweep may perform.
-        max_refills: u64,
-    },
     /// Asks for the server's recent trace events (v6): the service-level
     /// and per-shard trace rings merged by timestamp; answered with
     /// [`Response::TraceDump`].
@@ -207,11 +193,6 @@ pub enum Response {
     WrongEpoch {
         /// The server's current directory epoch.
         epoch: u64,
-    },
-    /// Acknowledges a [`Request::Warm`] sweep.
-    Warmed {
-        /// Shards actually refilled by the sweep.
-        refills: u64,
     },
     /// The recent event log answering a [`Request::Trace`] (v6).
     TraceDump(
@@ -368,7 +349,7 @@ pub struct ServiceStats {
     pub directory_epoch: u64,
     /// Correlations promised to active subscriptions but not yet pushed
     /// (granted credits × chunk size, summed over live streams): the
-    /// demand backlog a fleet-level warm-up controller steers toward.
+    /// demand backlog an observer sees building on this server.
     pub pending_stream_cots: u64,
     /// Nanoseconds since this server process constructed its service
     /// (v7) — a *monotonic* age, not wall-clock time. A scraper deriving
@@ -504,7 +485,6 @@ const OP_SHUTDOWN: u8 = 0x04;
 const OP_SUBSCRIBE: u8 = 0x05;
 const OP_CREDIT: u8 = 0x06;
 const OP_UNSUBSCRIBE: u8 = 0x07;
-const OP_WARM: u8 = 0x09;
 const OP_TRACE: u8 = 0x0A;
 const OP_GOSSIP: u8 = 0x0B;
 const OP_WELCOME: u8 = 0x81;
@@ -514,7 +494,6 @@ const OP_GOODBYE: u8 = 0x84;
 const OP_COT_CHUNK: u8 = 0x85;
 const OP_STREAM_END: u8 = 0x86;
 const OP_WRONG_EPOCH: u8 = 0x87;
-const OP_WARMED: u8 = 0x89;
 const OP_TRACE_DUMP: u8 = 0x8A;
 const OP_UNAVAILABLE: u8 = 0x8B;
 const OP_GOSSIP_DELTA: u8 = 0x8C;
@@ -869,15 +848,6 @@ impl Request {
                 out
             }
             Request::Unsubscribe => vec![OP_UNSUBSCRIBE],
-            Request::Warm {
-                watermark,
-                max_refills,
-            } => {
-                let mut out = vec![OP_WARM];
-                out.extend_from_slice(&watermark.to_le_bytes());
-                out.extend_from_slice(&max_refills.to_le_bytes());
-                out
-            }
             Request::Trace { max_events } => {
                 let mut out = vec![OP_TRACE];
                 out.extend_from_slice(&max_events.to_le_bytes());
@@ -915,10 +885,6 @@ impl Request {
             },
             OP_CREDIT => Request::Credit { n: r.u64()? },
             OP_UNSUBSCRIBE => Request::Unsubscribe,
-            OP_WARM => Request::Warm {
-                watermark: r.u64()?,
-                max_refills: r.u64()?,
-            },
             OP_TRACE => Request::Trace {
                 max_events: r.u64()?,
             },
@@ -1009,10 +975,6 @@ impl Response {
                 out.extend_from_slice(&id.to_le_bytes());
                 put_lp_bytes(out, addr.as_bytes());
                 put_lp_bytes(out, name.as_bytes());
-            }
-            Response::Warmed { refills } => {
-                out.push(OP_WARMED);
-                out.extend_from_slice(&refills.to_le_bytes());
             }
             Response::TraceDump(events) => {
                 out.push(OP_TRACE_DUMP);
@@ -1128,7 +1090,6 @@ impl Response {
                 addr: String::from_utf8_lossy(r.lp_bytes()?).into_owned(),
                 name: String::from_utf8_lossy(r.lp_bytes()?).into_owned(),
             },
-            OP_WARMED => Response::Warmed { refills: r.u64()? },
             OP_UNAVAILABLE => Response::Unavailable {
                 retry_after_ms: r.u64()?,
             },
@@ -1268,10 +1229,6 @@ mod tests {
         });
         round_trip_request(Request::Credit { n: 3 });
         round_trip_request(Request::Unsubscribe);
-        round_trip_request(Request::Warm {
-            watermark: 9000,
-            max_refills: 2,
-        });
         round_trip_request(Request::Trace { max_events: 256 });
         round_trip_request(Request::Gossip {
             from: 3,
@@ -1293,7 +1250,6 @@ mod tests {
         round_trip_response(Response::Goodbye);
         round_trip_response(Response::Error("pool exhausted".into()));
         round_trip_response(Response::WrongEpoch { epoch: 18 });
-        round_trip_response(Response::Warmed { refills: 3 });
         round_trip_response(Response::Unavailable {
             retry_after_ms: 250,
         });

@@ -120,8 +120,8 @@ struct Counters {
     scratch_allocs: AtomicU64,
     register_failures: AtomicU64,
     /// Correlations promised to active subscriptions but not yet pushed
-    /// (granted credits × chunk size) — the backlog signal a fleet-level
-    /// warm-up controller steers refill budget by.
+    /// (granted credits × chunk size) — the demand backlog `Stats`
+    /// reports.
     pending_stream_cots: AtomicU64,
     /// Subscribers evicted by the slow-consumer write deadline (v8).
     subscribers_evicted: AtomicU64,
@@ -508,7 +508,7 @@ impl CotService {
     /// requests (`RequestCot`/`Subscribe`) are declined with
     /// [`Response::Unavailable`] carrying the remaining wait as its
     /// `retry_after_ms` hint, instead of hanging or hard-failing clients.
-    /// Control ops (`Stats`, `Gossip`, `Warm`, `Shutdown`, `Trace`) keep
+    /// Control ops (`Stats`, `Gossip`, `Shutdown`, `Trace`) keep
     /// working — a degraded server stays observable. The gate reopens by
     /// itself when the window elapses, or early via
     /// [`CotService::clear_unavailable`].
@@ -873,27 +873,6 @@ fn serve_session<R: Read, W: Write>(
                     None => encode_error_into(scratch.buf(), "no directory attached"),
                 }
             }
-            Request::Warm {
-                watermark,
-                max_refills,
-            } => {
-                scratch.begin();
-                // Same panic containment as the take paths: a poisoned
-                // refill answers this client instead of hanging it.
-                let sweep = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.pool.warm_budgeted(
-                        usize::try_from(watermark).unwrap_or(usize::MAX),
-                        usize::try_from(max_refills).unwrap_or(usize::MAX),
-                    )
-                }));
-                match sweep {
-                    Ok(refills) => Response::Warmed {
-                        refills: refills as u64,
-                    }
-                    .encode_into(scratch.buf()),
-                    Err(_) => encode_error_into(scratch.buf(), "internal pool failure"),
-                }
-            }
             Request::Trace { max_events } => {
                 scratch.begin();
                 Response::TraceDump(shared.trace_dump(max_events)).encode_into(scratch.buf());
@@ -1120,9 +1099,6 @@ fn serve_subscription<R: Read, W: Write>(
 pub struct CotClient {
     ch: TcpTransport,
     max_request: u64,
-    /// The server's directory epoch as of the last `Welcome` or
-    /// `GossipDelta` (0 for a directory-less server).
-    server_epoch: u64,
     /// Retained frame receive buffer (the wire side of the zero-copy
     /// receive path).
     recv_buf: Vec<u8>,
@@ -1153,7 +1129,7 @@ impl CotClient {
     /// `timeouts.connect`, and the session socket carries
     /// `timeouts.read`/`timeouts.write` as its per-op deadlines
     /// (`SO_RCVTIMEO`/`SO_SNDTIMEO`) thereafter — background controllers
-    /// (health probes, the fleet warm-up, gossip) pass
+    /// (health probes, gossip, the fleet observer) pass
     /// [`OpTimeouts::uniform`] so one blackholed server costs them a
     /// short timeout.
     ///
@@ -1209,14 +1185,9 @@ impl CotClient {
             .encode(),
         )?;
         match Response::decode(&ch.recv_bytes()?)? {
-            Response::Welcome {
-                max_request,
-                epoch: server_epoch,
-                ..
-            } => Ok(CotClient {
+            Response::Welcome { max_request, .. } => Ok(CotClient {
                 ch,
                 max_request,
-                server_epoch,
                 recv_buf: Vec::new(),
             }),
             other => Err(reject(other)),
@@ -1226,12 +1197,6 @@ impl CotClient {
     /// Largest batch one [`CotClient::request_cots`] call may ask for.
     pub fn max_request(&self) -> u64 {
         self.max_request
-    }
-
-    /// The server's directory epoch as last observed (from `Welcome` or
-    /// the most recent [`CotClient::gossip`]).
-    pub fn server_epoch(&self) -> u64 {
-        self.server_epoch
     }
 
     /// Anti-entropy pull (v9): presents `vector` (this side's per-origin
@@ -1252,32 +1217,7 @@ impl CotClient {
         self.ch
             .send_bytes(Request::Gossip { from, vector }.encode())?;
         match Response::decode(&self.ch.recv_bytes()?)? {
-            Response::GossipDelta(delta) => {
-                self.server_epoch = delta.epoch;
-                Ok(delta)
-            }
-            other => Err(reject(other)),
-        }
-    }
-
-    /// Asks the server to run one budgeted warm-up sweep (at most
-    /// `max_refills` shard refills toward `watermark`, driest shards
-    /// first); returns the number of shards actually refilled. The
-    /// fleet-level warm-up controller steers refill budget through this.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport errors or an unexpected response.
-    pub fn warm(&mut self, watermark: u64, max_refills: u64) -> Result<u64, ChannelError> {
-        self.ch.send_bytes(
-            Request::Warm {
-                watermark,
-                max_refills,
-            }
-            .encode(),
-        )?;
-        match Response::decode(&self.ch.recv_bytes()?)? {
-            Response::Warmed { refills } => Ok(refills),
+            Response::GossipDelta(delta) => Ok(delta),
             other => Err(reject(other)),
         }
     }
@@ -1917,25 +1857,30 @@ mod tests {
     }
 
     #[test]
-    fn unassigned_sync_opcode_is_answered_with_error_then_dropped() {
-        // 0x08 + u64 was `Sync{epoch}` through wire v9. A v10 server must
-        // treat it like any unknown opcode: one Error frame, then EOF.
+    fn unassigned_opcodes_are_answered_with_error_then_dropped() {
+        // 0x08 + u64 was `Sync{epoch}` through wire v9 and 0x09 + u64 +
+        // u64 was the `Warm` refill RPC through v10. The server must
+        // treat each like any unknown opcode: one Error frame, then EOF.
         let service = toy_service(1);
-        let mut client = CotClient::connect(service.addr(), "v9-habits").unwrap();
-        let mut payload = vec![0x08];
-        payload.extend_from_slice(&0u64.to_le_bytes());
-        client.ch.send_bytes(payload).unwrap();
-        match Response::decode(&client.ch.recv_bytes().unwrap()).unwrap() {
-            Response::Error(_) => {}
-            other => panic!("unexpected response: {other:?}"),
+        for (opcode, fields) in [(0x08u8, 1), (0x09, 2)] {
+            let mut client = CotClient::connect(service.addr(), "old-habits").unwrap();
+            let mut payload = vec![opcode];
+            for _ in 0..fields {
+                payload.extend_from_slice(&0u64.to_le_bytes());
+            }
+            client.ch.send_bytes(payload).unwrap();
+            match Response::decode(&client.ch.recv_bytes().unwrap()).unwrap() {
+                Response::Error(_) => {}
+                other => panic!("unexpected response to {opcode:#04x}: {other:?}"),
+            }
+            assert!(
+                client.ch.recv_bytes().is_err(),
+                "the session must be dropped after {opcode:#04x}"
+            );
+            // Only that session: the server keeps serving others.
+            let mut next = CotClient::connect(service.addr(), "v11").unwrap();
+            next.request_cots(8).unwrap().verify().unwrap();
         }
-        assert!(
-            client.ch.recv_bytes().is_err(),
-            "the session must be dropped"
-        );
-        // Only that session: the server keeps serving others.
-        let mut next = CotClient::connect(service.addr(), "v10").unwrap();
-        next.request_cots(8).unwrap().verify().unwrap();
         service.shutdown();
     }
 

@@ -46,7 +46,7 @@ proptest! {
     /// Every request variant round-trips, whatever its field values.
     #[test]
     fn requests_round_trip(
-        variant in 0usize..10,
+        variant in 0usize..9,
         a in any::<u64>(),
         b in any::<u64>(),
         name in proptest::collection::vec(any::<u8>(), 0..32),
@@ -68,9 +68,8 @@ proptest! {
             3 => Request::Shutdown,
             4 => Request::Subscribe { batch: a, credits: b },
             5 => Request::Credit { n: a },
-            6 => Request::Warm { watermark: a, max_refills: b },
-            7 => Request::Trace { max_events: a },
-            8 => Request::Gossip { from: a, vector },
+            6 => Request::Trace { max_events: a },
+            7 => Request::Gossip { from: a, vector },
             _ => Request::Unsubscribe,
         };
         prop_assert_eq!(Request::decode(&req.encode()).unwrap(), req);
@@ -164,7 +163,7 @@ proptest! {
     /// The remaining fixed-shape responses round-trip.
     #[test]
     fn control_responses_round_trip(
-        variant in 0usize..6,
+        variant in 0usize..5,
         a in any::<u64>(),
         b in any::<u64>(),
         msg in proptest::collection::vec(any::<u8>(), 0..48),
@@ -178,7 +177,6 @@ proptest! {
             1 => Response::Goodbye,
             2 => Response::StreamEnd { chunks: a, cots: b },
             3 => Response::WrongEpoch { epoch: a },
-            4 => Response::Warmed { refills: a },
             _ => Response::Error(String::from_utf8_lossy(&msg).into_owned()),
         };
         prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);

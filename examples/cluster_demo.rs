@@ -1,15 +1,14 @@
 //! A dynamic 3-server COT fleet on loopback: consistent-hash routing,
-//! demand-steered fleet warm-up, transparent splitting, a streaming
+//! per-server warm-up, transparent splitting, a streaming
 //! subscription — and live membership churn (drain, kill, replace) that
 //! clients ride out without an error.
 //!
 //! Run with `cargo run --example cluster_demo --release`. Each server is
-//! an independent FERRET dealer; the fleet-level warm-up controller
-//! steers refill budget toward whichever server carries the deepest
-//! subscription backlog.
+//! an independent FERRET dealer whose own warm-up thread keeps its
+//! pool topped up from the sessions' staged look-ahead.
 
 use ironman_cluster::{
-    ClusterClient, ClusterServerConfig, FleetWarmupConfig, HealthConfig, LocalCluster,
+    ClusterClient, ClusterServerConfig, HealthConfig, LocalCluster, WarmupConfig,
 };
 use ironman_core::{Backend, Engine};
 use ironman_ot::ferret::FerretConfig;
@@ -21,9 +20,15 @@ fn main() {
         FerretConfig::recommended(FerretParams::toy()),
         Backend::ironman_default(),
     );
-    let mut cluster =
-        LocalCluster::spawn(3, &engine, &ClusterServerConfig::default()).expect("spawn fleet");
-    cluster.enable_fleet_warmup(FleetWarmupConfig::default());
+    let mut cluster = LocalCluster::spawn(
+        3,
+        &engine,
+        &ClusterServerConfig {
+            warmup: Some(WarmupConfig::default()),
+            ..ClusterServerConfig::default()
+        },
+    )
+    .expect("spawn fleet");
     cluster.enable_health(HealthConfig::default());
     let directory = cluster.directory();
     let snapshot = directory.snapshot();

@@ -75,10 +75,10 @@ cargo test -q -p ironman-cluster --test churn
 echo "==> multi-process partition/heal: child fleet through a blackhole proxy (MULTIPROC_WAIT_SECS=${MULTIPROC_WAIT_SECS:-30})"
 # Real fleet_server child processes with per-replica directories, one
 # partitioned via the FaultInjector proxy, membership mutated on both
-# sides, healed, and required to converge to one epoch vector — plus the
-# warm-standby vs cold failover timing race. MULTIPROC_WAIT_SECS bounds
-# every convergence wait (and thus the whole test's runtime on a wedged
-# fleet); the happy path finishes in ~10 s regardless.
+# sides, healed, and required to converge to one epoch vector.
+# MULTIPROC_WAIT_SECS bounds every convergence wait (and thus the whole
+# test's runtime on a wedged fleet); the happy path finishes in ~10 s
+# regardless.
 MULTIPROC_WAIT_SECS="${MULTIPROC_WAIT_SECS:-30}" cargo test -q -p ironman-cluster --test multiproc
 
 echo "==> observability e2e: exporter scrape parses + supply SLO fires on kill, resolves on heal"
