@@ -260,13 +260,7 @@ pub fn finish_frame_with_tail(head: &mut [u8], tail_len: usize) -> Result<(), Fr
 ///
 /// Same failure classes as [`read_frame`].
 pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<(), FrameError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized { len });
-    }
-    let len = len as usize;
+    let len = read_frame_header(r)?;
     // Grow-only zeroing: the buffer is zero-initialized only when it has
     // never been this large; steady-state receives just shrink the view.
     if buf.len() < len {
@@ -275,6 +269,24 @@ pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<(), Fram
     buf.truncate(len);
     r.read_exact(buf)?;
     Ok(())
+}
+
+/// Reads one frame's length prefix (blocking) and returns the payload
+/// length, which the caller must then consume in full.
+///
+/// # Errors
+///
+/// [`FrameError::Truncated`] on EOF inside the prefix,
+/// [`FrameError::Oversized`] on a length above [`MAX_FRAME_LEN`],
+/// [`FrameError::Io`] on stream failure.
+pub fn read_frame_header<R: Read>(r: &mut R) -> Result<usize, FrameError> {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let len = u32::from_le_bytes(header);
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized { len });
+    }
+    Ok(len as usize)
 }
 
 /// Encodes one frame into a standalone byte vector (header + payload).

@@ -65,8 +65,15 @@
 //! the shard lock; the lock-stealing router keeps concurrent clients on
 //! other shards meanwhile. On the client,
 //! [`CotClient::request_cots_into`] / `CotSubscription::next_chunk_into`
-//! receive into a retained frame buffer and decode into a caller-retained
-//! [`CotBatch`](ironman_core::CotBatch), reusing its allocations.
+//! mirror the split: [`proto::recv_response_into`] reads a batch frame's
+//! head into the session's retained frame buffer, checks its `n` against
+//! the frame length, then reads `z` and `y` from the socket **straight
+//! into** the caller-retained [`CotBatch`](ironman_core::CotBatch)'s
+//! block storage ([`Block::fill_from_le_bytes`](ironman_prg::Block::fill_from_le_bytes)
+//! is the receive-side view) — one copy, kernel → batch — and only the
+//! packed choice bits into the frame buffer. Control frames, and a batch
+//! frame whose length disagrees with its count, are read whole and
+//! decoded by [`proto::decode_response_into`].
 //!
 //! Ownership rules:
 //!
@@ -76,10 +83,12 @@
 //!   is encoded into the other buffer; batch responses additionally
 //!   retain a bit-tail buffer. A vectored send completes its socket
 //!   write before returning, so ring borrows never outlive the take.
-//! * **Client receive buffers** belong to the `CotClient`; they are
+//! * **The client frame buffer** belongs to the `CotClient` and holds a
+//!   batch frame's head and bit tail only (a control frame whole); it is
 //!   valid between a receive and the next call on the same session.
-//! * **Caller-retained batches** (`*_into` targets) are cleared and
-//!   refilled on every call; on error their contents are unspecified.
+//! * **Caller-retained batches** (`*_into` targets) are resized and
+//!   overwritten on every call (a no-op resize for a same-size batch);
+//!   on error their contents are unspecified.
 //!   Consumers that keep a batch past the next call clone it.
 //!
 //! Steady state therefore allocates nothing per request on either side,
@@ -88,7 +97,8 @@
 //! ([`ServiceStats::scratch_reuses`] / [`ServiceStats::scratch_allocs`]),
 //! readable from any session via a `Stats` request. `benchmark/` times
 //! each stage at Table-4 scale: `core.take_ns_per_cot`,
-//! `net.encode_ns_per_cot`, `net.rtt_1cot_p50_us`, and the `serve_burst` /
+//! `net.encode_ns_per_cot`, `net.decode_ns_per_cot`,
+//! `net.rtt_1cot_p50_us`, and the `serve_burst` /
 //! `serve_stream` workloads for the whole pipe.
 //!
 //! # Wire format

@@ -87,10 +87,12 @@
 //! successor so the client fails over directly, spending zero extra
 //! roundtrips discovering where its stream went.
 
+use crate::transport::StreamTransport;
 use ironman_core::{CotBatch, CotSlice};
 use ironman_ot::channel::{decode_bits_into, encode_bits_into, ChannelError};
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, HistogramSnapshot, TraceEvent};
+use std::io::{Read, Take, Write};
 
 /// The `Hello.epoch` value of a client with no directory: such sessions
 /// are never epoch-fenced (they opted out of membership routing, so
@@ -692,8 +694,9 @@ fn read_delta<'a>(r: &mut Reader<'a>, rest: &'a [u8]) -> Result<DirectoryDelta, 
 /// Appends the shared batch layout (`delta, n, z[n], y[n], bits(x)`) used
 /// by both [`Response::Cots`] and [`Response::CotChunk`]: one exact
 /// reservation, then bulk little-endian word writes straight into `out`.
-/// This is the serving hot path's single payload copy — callers hand it a
-/// [`CotSlice`] borrowing pool storage and a retained scratch buffer.
+/// No serving path calls it — servers send batches with
+/// [`encode_cot_batch_split`] — it backs [`Response::encode`] and is the
+/// contiguous reference the split encoders are tested against.
 pub fn encode_cot_batch_into(out: &mut Vec<u8>, batch: CotSlice<'_>) {
     out.reserve(16 + 8 + 32 * batch.len() + batch.len().div_ceil(8) + 8);
     out.extend_from_slice(&batch.delta.to_le_bytes());
@@ -786,6 +789,21 @@ pub fn encode_error_into(out: &mut Vec<u8>, message: &str) {
     put_lp_bytes(out, message.as_bytes());
 }
 
+/// Parses the fixed head of the shared batch layout: `(delta, n)`.
+fn read_batch_head(r: &mut Reader<'_>) -> Result<(Block, usize), ChannelError> {
+    Ok((r.block()?, r.u64()? as usize))
+}
+
+/// Decodes the batch's closing field, the packed choice bits, which must
+/// carry exactly `n` bits.
+fn read_batch_bits(tail: &[u8], n: usize, x: &mut Vec<bool>) -> Result<(), ChannelError> {
+    decode_bits_into(tail, x)?;
+    if x.len() != n {
+        return Err(malformed(n, x.len()));
+    }
+    Ok(())
+}
+
 /// Parses the shared batch layout into a caller-retained batch, reusing
 /// its allocations; the batch is always a message's final field, so the
 /// bit vector consumes the remainder of `rest`.
@@ -794,8 +812,7 @@ fn read_batch_into<'a>(
     rest: &'a [u8],
     out: &mut CotBatch,
 ) -> Result<(), ChannelError> {
-    let delta = r.block()?;
-    let n = r.u64()? as usize;
+    let (delta, n) = read_batch_head(r)?;
     // A hostile count must not drive allocation past the actual payload:
     // n blocks of z and y still have to fit.
     let remaining = rest.len().saturating_sub(r.pos);
@@ -805,11 +822,7 @@ fn read_batch_into<'a>(
     out.delta = delta;
     r.blocks_into(n, &mut out.z)?;
     r.blocks_into(n, &mut out.y)?;
-    decode_bits_into(r.take(rest.len() - r.pos)?, &mut out.x)?;
-    if out.x.len() != n {
-        return Err(malformed(n, out.x.len()));
-    }
-    Ok(())
+    read_batch_bits(r.take(rest.len() - r.pos)?, n, &mut out.x)
 }
 
 /// Parses the shared batch layout into a fresh [`CotBatch`].
@@ -1127,9 +1140,9 @@ impl Response {
     }
 }
 
-/// What [`decode_response_into`] found: the batch-carrying hot cases
-/// land in the caller's reused [`CotBatch`], everything else arrives as
-/// an owned [`Response`].
+/// What [`recv_response_into`] (or [`decode_response_into`]) found: the
+/// batch-carrying hot cases land in the caller's reused [`CotBatch`],
+/// everything else arrives as an owned [`Response`].
 #[derive(Debug)]
 pub enum HotResponse {
     /// A [`Response::Cots`] payload; the batch is in the caller's buffer.
@@ -1146,12 +1159,15 @@ pub enum HotResponse {
     Other(Box<Response>),
 }
 
-/// Decodes one response payload, steering the batch-carrying hot cases
-/// (`Cots`/`CotChunk`) into `batch` — reusing its allocations — and
-/// falling back to [`Response::decode`] for everything else. On the hot
-/// cases this is the receive path's only payload copy (wire buffer →
-/// caller's batch). On error (or a non-batch response) `batch`'s
-/// contents are unspecified.
+/// Decodes one response payload already in memory, steering the
+/// batch-carrying hot cases (`Cots`/`CotChunk`) into `batch` — reusing
+/// its allocations — and falling back to [`Response::decode`] for
+/// everything else. No client receive path calls it on a batch frame:
+/// [`recv_response_into`] reads those from the socket straight into the
+/// batch, and hands only the frames it does not take apart itself to
+/// this decoder. It is the byte-slice reference that reader is tested
+/// against, and what `benchmark/` times as the decode stage. On error (or
+/// a non-batch response) `batch`'s contents are unspecified.
 ///
 /// # Errors
 ///
@@ -1177,6 +1193,100 @@ pub fn decode_response_into(
         }
         _ => Response::decode(bytes).map(|resp| HotResponse::Other(Box::new(resp))),
     }
+}
+
+/// Payload bytes of a [`Response::Cots`] frame before its `z` run:
+/// opcode, `delta`, `n`.
+const COTS_HEAD_LEN: usize = 1 + Block::BYTES + 8;
+
+/// Payload bytes of a [`Response::CotChunk`] frame before its `z` run:
+/// opcode, `seq`, `delta`, `n`.
+const COT_CHUNK_HEAD_LEN: usize = 1 + 8 + Block::BYTES + 8;
+
+/// Receives one response frame from `ch`, reading a batch-carrying frame
+/// (`Cots`/`CotChunk`) from the socket **straight into** `batch`: the
+/// fixed head (opcode, `seq`, `delta`, `n`) lands in `buf`, is checked
+/// against the frame length (`32·n + 8 + ⌈n/8⌉` payload bytes past the
+/// head), then `z` and `y` are read into the batch's own block storage —
+/// one copy, kernel → batch — and the packed choice bits into `buf`.
+/// Every other opcode, and any batch frame whose length disagrees with
+/// its count, is read whole into `buf` and handed to
+/// [`decode_response_into`], so the result — value or error — is exactly
+/// that decoder's on the same bytes, and the stream stays framed either
+/// way. `buf` is the caller's retained frame buffer; on error (or a
+/// non-batch response) `batch`'s contents are unspecified.
+///
+/// # Errors
+///
+/// The frame-layer failures of
+/// [`StreamTransport::recv_frame_with`] (EOF anywhere in the frame is
+/// [`ChannelError::Disconnected`]) and the decode failures of
+/// [`decode_response_into`].
+pub fn recv_response_into<R: Read, W: Write>(
+    ch: &mut StreamTransport<R, W>,
+    buf: &mut Vec<u8>,
+    batch: &mut CotBatch,
+) -> Result<HotResponse, ChannelError> {
+    match ch.recv_frame_with(|payload| read_batch_frame(payload, buf, batch))? {
+        Some(hot) => {
+            read_batch_bits(buf, batch.z.len(), &mut batch.x)?;
+            Ok(hot)
+        }
+        None => decode_response_into(buf, batch),
+    }
+}
+
+/// The socket half of [`recv_response_into`]: reads one whole frame
+/// payload. A well-formed batch frame leaves `delta`, `z` and `y` in
+/// `batch` and the bit tail in `buf`, and returns its kind; anything else
+/// leaves the whole payload in `buf` and returns `None`.
+fn read_batch_frame<Rd: Read>(
+    payload: &mut Take<Rd>,
+    buf: &mut Vec<u8>,
+    batch: &mut CotBatch,
+) -> Result<Option<HotResponse>, ChannelError> {
+    let len = payload.limit() as usize;
+    buf.clear();
+    read_appending(payload, len.min(1), buf)?;
+    let head_len = match buf.first() {
+        Some(&OP_COTS) => COTS_HEAD_LEN,
+        Some(&OP_COT_CHUNK) => COT_CHUNK_HEAD_LEN,
+        _ => len,
+    };
+    if len <= head_len {
+        read_appending(payload, len - buf.len(), buf)?;
+        return Ok(None);
+    }
+    read_appending(payload, head_len - 1, buf)?;
+    let mut r = Reader::new(&buf[1..]);
+    let hot = match buf[0] {
+        OP_COT_CHUNK => HotResponse::CotChunk { seq: r.u64()? },
+        _ => HotResponse::Cots,
+    };
+    let (delta, n) = read_batch_head(&mut r)?;
+    let tail_len = 8 + n.div_ceil(8);
+    let body = n
+        .checked_mul(2 * Block::BYTES)
+        .and_then(|zy| zy.checked_add(tail_len));
+    if body != Some(len - head_len) {
+        read_appending(payload, len - head_len, buf)?;
+        return Ok(None);
+    }
+    batch.delta = delta;
+    for blocks in [&mut batch.z, &mut batch.y] {
+        blocks.resize(n, Block::ZERO);
+        Block::fill_from_le_bytes(blocks, |bytes| payload.read_exact(bytes))?;
+    }
+    buf.clear();
+    read_appending(payload, tail_len, buf)?;
+    Ok(Some(hot))
+}
+
+/// Reads exactly `n` more bytes from `r` onto the end of `buf`.
+fn read_appending(r: &mut impl Read, n: usize, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    let start = buf.len();
+    buf.resize(start + n, 0);
+    r.read_exact(&mut buf[start..])
 }
 
 #[cfg(test)]

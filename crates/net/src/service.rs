@@ -12,7 +12,7 @@
 use crate::fault::{FaultInjector, FaultPlan, FaultyStream};
 use crate::frame::{self, VERSION};
 use crate::proto::{
-    decode_response_into, encode_cot_chunk_split, encode_cots_split, encode_error_into,
+    encode_cot_chunk_split, encode_cots_split, encode_error_into, recv_response_into,
     DirectoryDelta, HotResponse, LatencyStats, MemberRecord, Request, Response, ServiceStats,
     ShardStat, EPOCH_UNAWARE,
 };
@@ -1090,17 +1090,18 @@ fn serve_subscription<R: Read, W: Write>(
 
 /// A client session against a [`CotService`].
 ///
-/// The client retains one frame receive buffer for the session's
-/// lifetime; the buffer-reusing request paths
-/// ([`CotClient::request_cots_into`], [`CotSubscription::next_chunk_into`])
-/// decode straight from it into a caller-retained [`CotBatch`], so a
-/// steady-state consumer allocates nothing per batch.
+/// The buffer-reusing request paths ([`CotClient::request_cots_into`],
+/// [`CotSubscription::next_chunk_into`]) read a batch's `z` and `y` from
+/// the socket straight into a caller-retained [`CotBatch`]; the client
+/// retains one frame buffer for the session's lifetime that holds only a
+/// batch frame's head and packed choice bits (and control frames whole),
+/// so a steady-state consumer allocates nothing per batch.
 #[derive(Debug)]
 pub struct CotClient {
     ch: TcpTransport,
     max_request: u64,
-    /// Retained frame receive buffer (the wire side of the zero-copy
-    /// receive path).
+    /// Retained frame buffer: a batch frame's head and bit tail, or a
+    /// control frame whole.
     recv_buf: Vec<u8>,
 }
 
@@ -1255,8 +1256,7 @@ impl CotClient {
         }
         self.ch
             .send_bytes(Request::RequestCot { n: n as u64 }.encode())?;
-        self.ch.recv_bytes_into(&mut self.recv_buf)?;
-        match decode_response_into(&self.recv_buf, out)? {
+        match recv_response_into(&mut self.ch, &mut self.recv_buf, out)? {
             HotResponse::Cots => Ok(()),
             HotResponse::Other(other) => Err(reject(*other)),
             HotResponse::CotChunk { seq } => Err(stream_violation(&format!(
@@ -1460,8 +1460,7 @@ impl CotSubscription<'_> {
         }
         loop {
             let client = &mut *self.client;
-            client.ch.recv_bytes_into(&mut client.recv_buf)?;
-            match decode_response_into(&client.recv_buf, out)? {
+            match recv_response_into(&mut client.ch, &mut client.recv_buf, out)? {
                 HotResponse::CotChunk { seq } => {
                     if out.len() as u64 != self.batch {
                         return Err(stream_violation(&format!(
@@ -1577,8 +1576,7 @@ impl CotSubscription<'_> {
         let mut drained = CotBatch::default();
         loop {
             let client = &mut *self.client;
-            client.ch.recv_bytes_into(&mut client.recv_buf)?;
-            match decode_response_into(&client.recv_buf, &mut drained)? {
+            match recv_response_into(&mut client.ch, &mut client.recv_buf, &mut drained)? {
                 HotResponse::CotChunk { seq } => self.account_chunk(seq, drained.len() as u64)?,
                 HotResponse::Other(other) => match *other {
                     Response::StreamEnd { chunks, cots } => {

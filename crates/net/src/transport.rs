@@ -16,7 +16,7 @@
 
 use crate::frame::{self, FrameError, FRAME_HEADER_LEN, HANDSHAKE_LEN};
 use ironman_ot::channel::{ChannelError, ChannelStats, Transport};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Take, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -214,13 +214,47 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
     pub fn recv_bytes_into(&mut self, buf: &mut Vec<u8>) -> Result<(), ChannelError> {
         self.flush()?;
         frame::read_frame_into(&mut self.reader, buf).map_err(ChannelError::from)?;
-        self.stats.bytes_received += buf.len() as u64;
-        self.wire_received += (FRAME_HEADER_LEN + buf.len()) as u64;
+        self.count_received(buf.len());
+        Ok(())
+    }
+
+    /// Receives one frame whose payload the caller reads in parts — into
+    /// whatever buffers it likes, e.g. straight into a batch's block
+    /// storage. The length prefix is read and checked against
+    /// [`frame::MAX_FRAME_LEN`] here; `read_payload` then gets a reader
+    /// limited to exactly the payload (its `limit()` is the payload
+    /// length). Anything it leaves unread is drained before returning, so
+    /// the stream stays framed whatever the payload held. Same
+    /// flush-on-direction-switch and accounting as
+    /// [`StreamTransport::recv_bytes_into`].
+    ///
+    /// # Errors
+    ///
+    /// The frame-layer failures of [`StreamTransport::recv_bytes_into`]
+    /// (EOF anywhere in the frame is [`ChannelError::Disconnected`]), and
+    /// whatever `read_payload` returns.
+    pub fn recv_frame_with<T>(
+        &mut self,
+        read_payload: impl FnOnce(&mut Take<&mut BufReader<R>>) -> Result<T, ChannelError>,
+    ) -> Result<T, ChannelError> {
+        self.flush()?;
+        let len = frame::read_frame_header(&mut self.reader)?;
+        let mut payload = (&mut self.reader).take(len as u64);
+        let out = read_payload(&mut payload)?;
+        std::io::copy(&mut payload, &mut std::io::sink())?;
+        self.count_received(len);
+        Ok(out)
+    }
+
+    /// Accounts one received frame of `payload_len` bytes: payload and
+    /// wire totals, and a round on the first receive after a send.
+    fn count_received(&mut self, payload_len: usize) {
+        self.stats.bytes_received += payload_len as u64;
+        self.wire_received += (FRAME_HEADER_LEN + payload_len) as u64;
         if self.sent_since_recv {
             self.stats.rounds += 1;
             self.sent_since_recv = false;
         }
-        Ok(())
     }
 
     /// Bytes actually written to the wire (payload + frame headers +
@@ -252,12 +286,7 @@ impl<R: Read, W: Write> Transport for StreamTransport<R, W> {
         // before we block on the peer (who may be waiting on it).
         self.flush()?;
         let payload = frame::read_frame(&mut self.reader).map_err(ChannelError::from)?;
-        self.stats.bytes_received += payload.len() as u64;
-        self.wire_received += (FRAME_HEADER_LEN + payload.len()) as u64;
-        if self.sent_since_recv {
-            self.stats.rounds += 1;
-            self.sent_since_recv = false;
-        }
+        self.count_received(payload.len());
         Ok(payload)
     }
 
@@ -460,6 +489,31 @@ mod tests {
         b.recv_bytes_into(&mut second).unwrap();
         assert_eq!(first, payload);
         assert_eq!(second, payload);
+    }
+
+    #[test]
+    fn part_wise_receive_keeps_framing_and_accounting() {
+        let (mut a, mut b) = tcp_loopback_pair().unwrap();
+        a.send_bytes(b"0123456789".to_vec()).unwrap();
+        a.send_bytes(b"next".to_vec()).unwrap();
+        a.flush().unwrap();
+        // Read only part of the first payload: the rest is drained, so
+        // the second frame still arrives intact.
+        let head = b
+            .recv_frame_with(|payload| {
+                assert_eq!(payload.limit(), 10);
+                let mut head = [0u8; 3];
+                payload.read_exact(&mut head)?;
+                Ok(head)
+            })
+            .unwrap();
+        assert_eq!(&head, b"012");
+        assert_eq!(b.recv_bytes().unwrap(), b"next");
+        assert_eq!(b.stats().bytes_received, 14);
+        assert_eq!(
+            b.wire_bytes_received(),
+            (HANDSHAKE_LEN + 2 * FRAME_HEADER_LEN + 14) as u64
+        );
     }
 
     #[test]

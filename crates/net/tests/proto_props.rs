@@ -5,19 +5,137 @@
 //! on arbitrary input — including input mangled by the seeded fault
 //! injector (v8): bit flips, truncating resets, and partial writes
 //! driven through `FaultyStream` must surface as typed errors (or a
-//! clean round-trip when the corruption missed), never a panic.
+//! clean round-trip when the corruption missed), never a panic. The
+//! client's one-copy socket reader (`recv_response_into`) is held to the
+//! byte-slice decoder on the same bytes, and the bit codec to a per-bit
+//! reference.
 
 use ironman_core::CotBatch;
-use ironman_net::frame::{encode_frame, read_frame_into, write_frame};
+use ironman_net::frame::{encode_frame, read_frame_into, write_frame, FRAME_HEADER_LEN};
 use ironman_net::proto::{
-    self, DirectoryDelta, LatencyStats, MemberRecord, MemberWireState, Request, Response,
-    ServiceStats, ShardStat,
+    self, DirectoryDelta, HotResponse, LatencyStats, MemberRecord, MemberWireState, Request,
+    Response, ServiceStats, ShardStat,
 };
-use ironman_net::{FaultInjector, FaultPlan};
+use ironman_net::{FaultInjector, FaultPlan, StreamTransport, MAGIC, VERSION};
+use ironman_ot::channel::{decode_bits_into, encode_bits_into, ChannelError, Transport};
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, Histogram, TraceEvent};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{Cursor, Read, Sink};
+
+/// The server side of a client transport, scripted: its handshake, then
+/// `bytes`. With `max_read > 0` every read hands out between 1 and
+/// `max_read` bytes (sizes from a seeded xorshift), the way a socket
+/// splits a frame; with 0 a read takes all it asks for.
+struct ScriptedPeer {
+    bytes: Vec<u8>,
+    pos: usize,
+    rng: u64,
+    max_read: usize,
+}
+
+impl Read for ScriptedPeer {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut n = buf.len().min(self.bytes.len() - self.pos);
+        if self.max_read > 0 {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            n = n.min(1 + (self.rng % self.max_read as u64) as usize);
+        }
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// A handshaken client transport whose peer sends `frames` (already
+/// framed), then EOF.
+fn client_reading(
+    frames: &[u8],
+    seed: u64,
+    max_read: usize,
+) -> StreamTransport<ScriptedPeer, Sink> {
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
+    bytes.extend_from_slice(frames);
+    let peer = ScriptedPeer {
+        bytes,
+        pos: 0,
+        rng: seed | 1,
+        max_read,
+    };
+    StreamTransport::from_split(peer, std::io::sink()).unwrap()
+}
+
+/// A comparable rendering of one receive: the value (with the batch it
+/// filled, for the hot cases) or the error. `batch` is only meaningful on
+/// a hot success, so it is left out everywhere else.
+fn outcome(result: Result<HotResponse, ChannelError>, batch: &CotBatch) -> String {
+    match result {
+        Ok(HotResponse::Cots) => format!("Cots {batch:?}"),
+        Ok(HotResponse::CotChunk { seq }) => format!("CotChunk {seq} {batch:?}"),
+        Ok(HotResponse::Other(resp)) => format!("{resp:?}"),
+        Err(e) => format!("error {e:?}"),
+    }
+}
+
+/// What the byte-slice decoder makes of `payload`, into a batch as dirty
+/// as the reader's.
+fn decoded(payload: &[u8], prior: usize) -> String {
+    let mut batch = dirty_batch(prior);
+    let result = proto::decode_response_into(payload, &mut batch);
+    outcome(result, &batch)
+}
+
+/// A caller-retained batch left over from a previous `prior`-COT
+/// payload.
+fn dirty_batch(prior: usize) -> CotBatch {
+    CotBatch {
+        delta: Block::from(0xD1u128),
+        z: vec![Block::from(2u128); prior],
+        x: vec![true; prior],
+        y: vec![Block::from(3u128); prior],
+    }
+}
+
+/// The encoded payload of a `Cots` (or, `chunked`, a `CotChunk`) response
+/// carrying the first `n` entries of the random columns.
+fn batch_payload(
+    chunked: bool,
+    seq: u64,
+    delta: u128,
+    n: usize,
+    z: &[u128],
+    y: &[u128],
+    x: &[bool],
+) -> Vec<u8> {
+    let batch = CotBatch {
+        delta: Block::from(delta),
+        z: z[..n].iter().copied().map(Block::from).collect(),
+        x: x[..n].to_vec(),
+        y: y[..n].iter().copied().map(Block::from).collect(),
+    };
+    let mut payload = Vec::new();
+    if chunked {
+        proto::encode_cot_chunk_into(&mut payload, seq, batch.as_slice());
+    } else {
+        proto::encode_cots_into(&mut payload, batch.as_slice());
+    }
+    payload
+}
+
+/// The pre-PR-25 per-bit packer, the reference for the bit codec.
+fn reference_encode_bits(bits: &[bool]) -> Vec<u8> {
+    let mut out = (bits.len() as u64).to_le_bytes().to_vec();
+    out.resize(8 + bits.len().div_ceil(8), 0);
+    for (i, &b) in bits.iter().enumerate() {
+        if b {
+            out[8 + i / 8] |= 1 << (i % 8);
+        }
+    }
+    out
+}
 
 /// A `LatencyStats` built by recording `words` (split four ways) into
 /// real histograms — the only way snapshots are produced in production.
@@ -397,4 +515,154 @@ proptest! {
             cut
         );
     }
+
+    /// The one-copy socket reader agrees with the byte-slice decoder on
+    /// `Cots`/`CotChunk` frames of every size up to 300 COTs — read in
+    /// 1–7-byte pieces or whole, into a batch dirty from a payload of
+    /// another length — and a second frame right behind the first still
+    /// decodes, with the transport's accounting exact.
+    #[test]
+    fn recv_response_into_matches_decode_response_into(
+        chunked in any::<bool>(),
+        seq in any::<u64>(),
+        delta in any::<u128>(),
+        n in 0usize..301,
+        second in 0usize..301,
+        z in proptest::collection::vec(any::<u128>(), 300..301),
+        y in proptest::collection::vec(any::<u128>(), 300..301),
+        x in proptest::collection::vec(any::<bool>(), 300..301),
+        prior in 0usize..301,
+        seed in any::<u64>(),
+        short_reads in any::<bool>(),
+    ) {
+        let first = batch_payload(chunked, seq, delta, n, &z, &y, &x);
+        let next = batch_payload(!chunked, seq ^ 1, !delta, second, &y, &z, &x);
+        let mut frames = encode_frame(&first);
+        frames.extend_from_slice(&encode_frame(&next));
+
+        let mut ch = client_reading(&frames, seed, if short_reads { 7 } else { 0 });
+        let (mut buf, mut batch) = (Vec::new(), dirty_batch(prior));
+        for payload in [&first, &next] {
+            let got = proto::recv_response_into(&mut ch, &mut buf, &mut batch);
+            prop_assert_eq!(outcome(got, &batch), decoded(payload, prior));
+        }
+        let payload_bytes = (first.len() + next.len()) as u64;
+        prop_assert_eq!(ch.stats().bytes_received, payload_bytes);
+        prop_assert_eq!(
+            ch.wire_bytes_received(),
+            6 + 2 * FRAME_HEADER_LEN as u64 + payload_bytes
+        );
+    }
+
+    /// A batch frame whose head disagrees with its frame length — a wrong
+    /// `n`, trailing garbage, or bytes missing off the end — is read
+    /// whole and fails exactly as the byte-slice decoder fails
+    /// (`Malformed`), and the frame behind it still decodes.
+    #[test]
+    fn recv_response_into_rejects_miscounted_frames_like_decode(
+        chunked in any::<bool>(),
+        n in 1usize..64,
+        z in proptest::collection::vec(any::<u128>(), 64..65),
+        y in proptest::collection::vec(any::<u128>(), 64..65),
+        x in proptest::collection::vec(any::<bool>(), 64..65),
+        tweak in 0usize..4,
+        amount in 1usize..40,
+        seed in any::<u64>(),
+        short_reads in any::<bool>(),
+    ) {
+        let mut bad = batch_payload(chunked, 5, 7, n, &z, &y, &x);
+        let n_at = if chunked { 1 + 8 + 16 } else { 1 + 16 };
+        match tweak {
+            0 => bad[n_at..n_at + 8].copy_from_slice(&((n + amount) as u64).to_le_bytes()),
+            1 => bad[n_at..n_at + 8].copy_from_slice(&u64::MAX.to_le_bytes()),
+            2 => bad.extend(std::iter::repeat_n(0xA5, amount)),
+            _ => bad.truncate(bad.len() - amount),
+        }
+        let good = batch_payload(chunked, 6, 8, n, &y, &z, &x);
+        let mut frames = encode_frame(&bad);
+        frames.extend_from_slice(&encode_frame(&good));
+
+        let mut ch = client_reading(&frames, seed, if short_reads { 7 } else { 0 });
+        let (mut buf, mut batch) = (Vec::new(), dirty_batch(n));
+        let got = proto::recv_response_into(&mut ch, &mut buf, &mut batch);
+        prop_assert!(matches!(got, Err(ChannelError::Malformed { .. })), "{:?}", got);
+        prop_assert_eq!(outcome(got, &batch), decoded(&bad, n));
+        let got = proto::recv_response_into(&mut ch, &mut buf, &mut batch);
+        prop_assert_eq!(outcome(got, &batch), decoded(&good, n));
+    }
+
+    /// The peer hanging up anywhere inside a batch frame — its head, `z`,
+    /// `y` or the bit tail — is `Disconnected`, never a short batch.
+    #[test]
+    fn recv_response_into_eof_mid_frame_is_disconnected(
+        chunked in any::<bool>(),
+        n in 1usize..64,
+        z in proptest::collection::vec(any::<u128>(), 64..65),
+        y in proptest::collection::vec(any::<u128>(), 64..65),
+        x in proptest::collection::vec(any::<bool>(), 64..65),
+        region in 0usize..4,
+        at in any::<u64>(),
+        seed in any::<u64>(),
+        short_reads in any::<bool>(),
+    ) {
+        let payload = batch_payload(chunked, 1, 2, n, &z, &y, &x);
+        let head = if chunked { 1 + 8 + 16 + 8 } else { 1 + 16 + 8 };
+        let (start, len) = match region {
+            0 => (0, head),
+            1 => (head, 16 * n),
+            2 => (head + 16 * n, 16 * n),
+            _ => (head + 32 * n, payload.len() - head - 32 * n),
+        };
+        let mut frame = encode_frame(&payload);
+        frame.truncate(FRAME_HEADER_LEN + start + (at % len as u64) as usize);
+
+        let mut ch = client_reading(&frame, seed, if short_reads { 7 } else { 0 });
+        let (mut buf, mut batch) = (Vec::new(), dirty_batch(n));
+        let got = proto::recv_response_into(&mut ch, &mut buf, &mut batch);
+        prop_assert!(matches!(got, Err(ChannelError::Disconnected)), "{:?}", got);
+    }
+
+    /// The branch-free bit codec is byte- and bit-identical to the
+    /// per-bit reference for every length up to 130, appending after
+    /// existing bytes and decoding into a dirty buffer of another length
+    /// (with the last byte's unused high bits set, which both ignore).
+    #[test]
+    fn bit_codec_matches_per_bit_reference(
+        len in 0usize..131,
+        bits in proptest::collection::vec(any::<bool>(), 130..131),
+        junk in any::<u8>(),
+        prior in 0usize..131,
+    ) {
+        let bits = &bits[..len];
+        let reference = reference_encode_bits(bits);
+        let mut out = vec![junk; 3];
+        encode_bits_into(bits, &mut out);
+        prop_assert_eq!(&out[..3], &[junk; 3][..]);
+        prop_assert_eq!(&out[3..], reference.as_slice());
+
+        let mut padded = reference.clone();
+        if len % 8 != 0 {
+            *padded.last_mut().unwrap() |= junk << (len % 8);
+        }
+        let mut decoded = vec![true; prior];
+        decode_bits_into(&padded, &mut decoded).unwrap();
+        prop_assert_eq!(decoded.as_slice(), bits);
+    }
+}
+
+/// An oversized length prefix on the client is rejected exactly as the
+/// whole-frame reader rejects it, before allocating for it.
+#[test]
+fn recv_response_into_rejects_oversized_prefix() {
+    let hostile = u32::MAX.to_le_bytes();
+    let mut buf = Vec::new();
+    let mut batch = CotBatch::default();
+    let got = proto::recv_response_into(&mut client_reading(&hostile, 1, 0), &mut buf, &mut batch);
+    let whole = client_reading(&hostile, 1, 0).recv_bytes_into(&mut buf);
+    assert_eq!(
+        format!("{got:?}"),
+        format!("{:?}", whole.map(|()| HotResponse::Cots))
+    );
+    assert!(matches!(got, Err(ChannelError::Io(_))), "{got:?}");
+    assert_eq!(buf.capacity(), 0, "no allocation for the hostile length");
 }

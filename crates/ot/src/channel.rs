@@ -125,16 +125,36 @@ pub fn encode_bits(bits: &[bool]) -> Vec<u8> {
 
 /// Appending form of [`encode_bits`] for serialization hot paths: writes
 /// the identical framing onto the end of `out`, reusing its allocation.
+/// Eight bools fold into a byte at a time, with no data-dependent branch.
 pub fn encode_bits_into(bits: &[bool], out: &mut Vec<u8>) {
-    let start = out.len();
-    out.resize(start + bits.len().div_ceil(8) + 8, 0);
-    out[start..start + 8].copy_from_slice(&(bits.len() as u64).to_le_bytes());
-    let packed = &mut out[start + 8..];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            packed[i / 8] |= 1 << (i % 8);
-        }
+    out.reserve(8 + bits.len().div_ceil(8));
+    out.extend_from_slice(&(bits.len() as u64).to_le_bytes());
+    let (octets, rest) = bits.as_chunks::<8>();
+    out.extend(octets.iter().map(pack_octet));
+    if !rest.is_empty() {
+        let mut last = [false; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        out.push(pack_octet(&last));
     }
+}
+
+/// Packs eight bools LSB-first into one byte: each bool is a 0/1 byte of
+/// a little-endian `u64`, and one multiply gathers byte `i`'s bit into bit
+/// `56 + i` (the partial products never overlap, so nothing carries).
+#[inline]
+fn pack_octet(bits: &[bool; 8]) -> u8 {
+    let spread = u64::from_le_bytes(bits.map(u8::from));
+    (spread.wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
+}
+
+/// Expands one byte into eight bools, LSB first: the byte is broadcast to
+/// every lane, lane `i` keeps only bit `i`, and adding `0x7F` per lane
+/// carries any set bit into the lane's top bit without crossing lanes.
+#[inline]
+fn unpack_octet(byte: u8) -> [bool; 8] {
+    let lanes = (byte as u64).wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+    let ones = ((lanes + 0x7F7F_7F7F_7F7F_7F7F) >> 7) & 0x0101_0101_0101_0101;
+    ones.to_le_bytes().map(|b| b != 0)
 }
 
 /// Inverse of [`encode_bits`].
@@ -150,7 +170,8 @@ pub fn decode_bits(bytes: &[u8]) -> Result<Vec<bool>, ChannelError> {
 }
 
 /// Buffer-reusing form of [`decode_bits`]: clears `out` and fills it with
-/// the decoded bits, keeping its allocation.
+/// the decoded bits, keeping its allocation (a byte expands into eight
+/// bools at a time, with no data-dependent branch).
 ///
 /// # Errors
 ///
@@ -170,8 +191,16 @@ pub fn decode_bits_into(bytes: &[u8], out: &mut Vec<bool>) -> Result<(), Channel
         });
     }
     out.clear();
-    out.reserve(len);
-    out.extend((0..len).map(|i| bytes[8 + i / 8] >> (i % 8) & 1 == 1));
+    out.resize(len, false);
+    let (octets, rest) = out.as_chunks_mut::<8>();
+    let packed = &bytes[8..];
+    for (dst, &byte) in octets.iter_mut().zip(packed) {
+        *dst = unpack_octet(byte);
+    }
+    if !rest.is_empty() {
+        let n = rest.len();
+        rest.copy_from_slice(&unpack_octet(packed[packed.len() - 1])[..n]);
+    }
     Ok(())
 }
 

@@ -63,31 +63,87 @@ impl Block {
     }
 
     /// Appends `blocks` to `out` as consecutive 16-byte little-endian
-    /// words with a single up-front reservation — the bulk form of
-    /// [`Block::to_le_bytes`] used by serialization hot paths (one grown
-    /// buffer, no per-element capacity checks).
+    /// words — the bulk form of [`Block::to_le_bytes`] used by
+    /// serialization hot paths. On little-endian targets this is one
+    /// `memcpy` of the slice's own bytes.
     pub fn extend_le_bytes(blocks: &[Block], out: &mut Vec<u8>) {
-        out.reserve(blocks.len() * Block::BYTES);
-        for b in blocks {
-            out.extend_from_slice(&b.to_le_bytes());
+        #[cfg(target_endian = "little")]
+        out.extend_from_slice(le_view(blocks));
+        #[cfg(not(target_endian = "little"))]
+        {
+            out.reserve(blocks.len() * Block::BYTES);
+            for b in blocks {
+                out.extend_from_slice(&b.to_le_bytes());
+            }
         }
     }
 
     /// Appends consecutive 16-byte little-endian words from `bytes` to
-    /// `out` — the bulk inverse of [`Block::extend_le_bytes`].
+    /// `out` — the bulk inverse of [`Block::extend_le_bytes`], one
+    /// `memcpy` into `out`'s spare capacity on little-endian targets.
     ///
     /// # Panics
     ///
     /// Panics if `bytes.len()` is not a multiple of [`Block::BYTES`]
     /// (callers validate lengths before decoding).
+    #[allow(unsafe_code)]
     pub fn extend_from_le_bytes(bytes: &[u8], out: &mut Vec<Block>) {
         assert_eq!(bytes.len() % Block::BYTES, 0, "partial block");
-        out.reserve(bytes.len() / Block::BYTES);
+        let n = bytes.len() / Block::BYTES;
+        out.reserve(n);
+        #[cfg(target_endian = "little")]
+        // SAFETY: `reserve` left room for `n` more blocks past `len`, i.e.
+        // `bytes.len()` writable bytes; `bytes` is a shared borrow, so it
+        // cannot overlap `out`'s exclusively borrowed buffer. Every bit
+        // pattern is a valid `u128`, and on little-endian targets the
+        // native byte order is the wire order, so after the copy the `n`
+        // new elements are initialized and `set_len` may cover them.
+        unsafe {
+            let dst = out.as_mut_ptr().add(out.len()).cast::<u8>();
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), dst, bytes.len());
+            out.set_len(out.len() + n);
+        }
+        #[cfg(not(target_endian = "little"))]
         for chunk in bytes.chunks_exact(Block::BYTES) {
             out.push(Block::from_le_bytes(
                 chunk.try_into().expect("exact 16-byte chunk"),
             ));
         }
+    }
+
+    /// Fills `blocks` from little-endian wire bytes written in place by
+    /// `fill`, which receives a mutable byte view of the slice (`16 ×
+    /// len` bytes) — the receive-side twin of [`Block::wire_bytes`]: a
+    /// socket `read_exact` lands straight in a batch's storage. After
+    /// `fill` succeeds each block is fixed up from little-endian to
+    /// native order (a no-op on little-endian targets). If `fill` fails,
+    /// `blocks` holds whatever bytes it had written (every bit pattern is
+    /// a valid block).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `fill`'s error.
+    #[allow(unsafe_code)]
+    pub fn fill_from_le_bytes<E>(
+        blocks: &mut [Block],
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // SAFETY: `Block` is `repr(transparent)` over `u128`, so the slice
+        // is `len * 16` contiguous initialized bytes; `u8` has alignment 1,
+        // and every byte pattern written through the view is a valid
+        // `u128`. The view borrows `blocks` exclusively for its lifetime.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(
+                blocks.as_mut_ptr().cast::<u8>(),
+                std::mem::size_of_val(blocks),
+            )
+        };
+        fill(bytes)?;
+        #[cfg(not(target_endian = "little"))]
+        for b in blocks.iter_mut() {
+            b.0 = u128::from_le(b.0);
+        }
+        Ok(())
     }
 
     /// Builds a block from two 64-bit halves (`hi`, `lo`).
@@ -176,21 +232,11 @@ impl Block {
     /// and treat the returned slice uniformly — the transport's vectored
     /// send path uses this to put ring-buffer COTs on the socket without
     /// a staging copy.
-    #[allow(unsafe_code)]
     pub fn wire_bytes<'a>(blocks: &'a [Block], fallback: &'a mut Vec<u8>) -> &'a [u8] {
         #[cfg(target_endian = "little")]
         {
             let _ = fallback;
-            // SAFETY: `Block` is `repr(transparent)` over `u128`, so the
-            // slice is `len * 16` contiguous initialized bytes; `u8` has
-            // alignment 1 and no validity requirements. On little-endian
-            // targets the native byte order equals `to_le_bytes` order.
-            unsafe {
-                std::slice::from_raw_parts(
-                    blocks.as_ptr().cast::<u8>(),
-                    std::mem::size_of_val(blocks),
-                )
-            }
+            le_view(blocks)
         }
         #[cfg(not(target_endian = "little"))]
         {
@@ -210,6 +256,20 @@ impl Block {
         x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         x ^= x >> 32;
         x
+    }
+}
+
+/// The in-memory bytes of `blocks`, which on little-endian targets are
+/// exactly their little-endian wire bytes.
+#[cfg(target_endian = "little")]
+#[allow(unsafe_code)]
+fn le_view(blocks: &[Block]) -> &[u8] {
+    // SAFETY: `Block` is `repr(transparent)` over `u128`, so the slice is
+    // `len * 16` contiguous initialized bytes; `u8` has alignment 1 and no
+    // validity requirements. On little-endian targets the native byte
+    // order equals `to_le_bytes` order.
+    unsafe {
+        std::slice::from_raw_parts(blocks.as_ptr().cast::<u8>(), std::mem::size_of_val(blocks))
     }
 }
 
@@ -458,6 +518,39 @@ mod tests {
         let mut fallback = Vec::new();
         assert_eq!(Block::wire_bytes(&blocks, &mut fallback), expect.as_slice());
         assert!(Block::wire_bytes(&[], &mut fallback).is_empty());
+    }
+
+    #[test]
+    fn bulk_le_copies_match_per_block_codec() {
+        for len in [0usize, 1, 2, 7, 64] {
+            let blocks: Vec<Block> = (0..len as u128)
+                .map(|i| Block::from(i.wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835) ^ i))
+                .collect();
+            let expect: Vec<u8> = blocks.iter().flat_map(|b| b.to_le_bytes()).collect();
+            let mut bytes = vec![0xAA]; // appends after existing content
+            Block::extend_le_bytes(&blocks, &mut bytes);
+            assert_eq!(&bytes[1..], expect.as_slice(), "len {len}");
+
+            let mut back = vec![Block::ONES];
+            Block::extend_from_le_bytes(&expect, &mut back);
+            assert_eq!(back[0], Block::ONES);
+            assert_eq!(&back[1..], blocks.as_slice(), "len {len}");
+
+            let mut filled = vec![Block::ONES; len];
+            Block::fill_from_le_bytes(&mut filled, |view| {
+                assert_eq!(view.len(), expect.len());
+                view.copy_from_slice(&expect);
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            assert_eq!(filled, blocks, "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "partial block")]
+    fn extend_from_le_bytes_rejects_partial_block() {
+        Block::extend_from_le_bytes(&[0u8; 17], &mut Vec::new());
     }
 
     #[test]
