@@ -22,7 +22,7 @@
 //! histograms into one `FleetSnapshot` (`ironman-cluster::observe`).
 
 use ironman_bench::{f2, header, row};
-use ironman_cluster::{observe, ClusterServerConfig, LocalCluster, WarmupConfig};
+use ironman_cluster::{observe, ClusterServerConfig, GossiperConfig, LocalCluster, WarmupConfig};
 use ironman_core::{Backend, CotBatch, Engine};
 use ironman_net::{CotClient, CotService, CotServiceConfig};
 use ironman_ot::ferret::FerretConfig;
@@ -194,7 +194,7 @@ fn bench_stream(engine: &Engine, chunks: u64, batch: usize) -> Result {
 /// member, pulls its v6 `Stats` (four histogram snapshots per shard),
 /// and merges fleet-wide — the whole cost of one observer sweep.
 fn bench_scrape(engine: &Engine, passes: usize) -> (usize, f64) {
-    let cluster = LocalCluster::spawn(
+    let cluster = LocalCluster::spawn_replicated(
         3,
         engine,
         &ClusterServerConfig {
@@ -205,8 +205,13 @@ fn bench_scrape(engine: &Engine, passes: usize) -> (usize, f64) {
             },
             warmup: Some(WarmupConfig::default()),
         },
+        GossiperConfig::default(),
     )
     .expect("spawn fleet");
+    assert!(
+        cluster.wait_converged(Duration::from_secs(30)),
+        "fleet never converged"
+    );
     // Give every server some samples to serialize and merge.
     let snapshot = cluster.directory().snapshot();
     for member in snapshot.members() {

@@ -1,7 +1,7 @@
 //! The shared scaffolding of this crate's background controllers
-//! ([`Warmup`](crate::Warmup), [`HealthChecker`](crate::HealthChecker)):
-//! one stoppable thread running a sweep function on a self-chosen
-//! cadence.
+//! ([`Warmup`](crate::Warmup), [`Gossiper`](crate::Gossiper),
+//! [`FleetObserver`](crate::FleetObserver)): one stoppable thread running
+//! a sweep function on a self-chosen cadence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -18,7 +18,8 @@
 //! * `--params toy|toy-large` — FERRET parameter set (default `toy`).
 //! * `--gossip-ms <u64>` — gossip sweep cadence (default 25).
 //! * `--warmup` — run the per-server warm-up refiller.
-//! * `--health` — run a leader-gated health prober over the replica.
+//! * `--health` — install the strike policy on the gossiper: each pull
+//!   is also that peer's probe, and evictions are lease-gated.
 //!
 //! Prints `LISTENING <bound-addr>` on stdout once serving, then obeys a
 //! line protocol on stdin (the parent's control channel — pull-only
@@ -26,8 +27,8 @@
 //! the parent only has them all once every child has bound):
 //!
 //! * `SEEDS <addr,addr,...>` — announce into the replica and start the
-//!   gossiper (and health prober, with `--health`) with these rendezvous
-//!   peers; answers `READY`.
+//!   gossiper (probing, with `--health`) with these rendezvous peers;
+//!   answers `READY`.
 //! * `LEAVE <id>` / `DRAIN <id>` — mutate the local replica (the
 //!   partition-side membership writes the churn tests need); answers
 //!   `OK`.
@@ -36,7 +37,7 @@
 
 use ironman_cluster::{
     ClusterServer, ClusterServerConfig, Directory, GossipIdentity, Gossiper, GossiperConfig,
-    HealthChecker, HealthConfig, ServerId, WarmupConfig,
+    HealthConfig, ServerId, WarmupConfig,
 };
 use ironman_core::{Backend, Engine};
 use ironman_ot::ferret::FerretConfig;
@@ -157,7 +158,6 @@ fn main() {
     std::io::stdout().flush().expect("flush stdout");
 
     let mut gossiper: Option<Gossiper> = None;
-    let mut health: Option<HealthChecker> = None;
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
@@ -173,7 +173,7 @@ fn main() {
                     .collect();
                 seeds.extend(args.seed_peers.iter().copied());
                 gossiper.get_or_insert_with(|| {
-                    Gossiper::spawn(
+                    let gossiper = Gossiper::spawn(
                         Arc::clone(&directory),
                         GossiperConfig {
                             interval: Duration::from_millis(args.gossip_ms.max(1)),
@@ -186,17 +186,12 @@ fn main() {
                             seeds,
                             ..GossiperConfig::default()
                         },
-                    )
+                    );
+                    if args.health {
+                        gossiper.enable_health(HealthConfig::default());
+                    }
+                    gossiper
                 });
-                if args.health && health.is_none() {
-                    health = Some(HealthChecker::spawn(
-                        Arc::clone(&directory),
-                        HealthConfig {
-                            self_id: Some(id),
-                            ..HealthConfig::default()
-                        },
-                    ));
-                }
                 println!("READY");
             }
             // Local replica mutations: the churn tests write membership
@@ -221,9 +216,6 @@ fn main() {
             Some(_) | None => {}
         }
         std::io::stdout().flush().expect("flush stdout");
-    }
-    if let Some(health) = health {
-        health.stop();
     }
     if let Some(gossiper) = gossiper {
         gossiper.stop();

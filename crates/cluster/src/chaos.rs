@@ -39,7 +39,8 @@ pub enum ChaosAction {
     /// Mark one server draining (no new homes; existing sessions keep
     /// serving).
     Drain(ServerId),
-    /// Spawn and join a replacement server (an epoch bump).
+    /// Spawn a replacement server, which announces itself (an epoch bump
+    /// once gossip spreads it).
     Spawn,
     /// Disarm faults and lift degradation on every running server.
     HealAll,
@@ -192,6 +193,7 @@ fn apply(cluster: &mut LocalCluster, action: &ChaosAction) -> ChaosOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gossip::GossiperConfig;
     use crate::server::ClusterServerConfig;
     use ironman_core::{Backend, Engine};
     use ironman_ot::ferret::FerretConfig;
@@ -202,7 +204,12 @@ mod tests {
             FerretConfig::new(FerretParams::toy()),
             Backend::ironman_default(),
         );
-        LocalCluster::spawn(n, &engine, &ClusterServerConfig::default()).expect("spawn fleet")
+        let gossip = GossiperConfig {
+            interval: Duration::from_millis(10),
+            ..GossiperConfig::default()
+        };
+        LocalCluster::spawn_replicated(n, &engine, &ClusterServerConfig::default(), gossip)
+            .expect("spawn fleet")
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! join, or drain meant rebuilding every client by hand. The [`Directory`]
 //! replaces it with a control plane:
 //!
-//! * **Membership mutations** — [`Directory::join`], [`Directory::leave`],
-//!   [`Directory::drain`], and the health checker's
-//!   [`Directory::mark_suspect`]/[`Directory::mark_up`] — happen under one
+//! * **Membership mutations** — [`Directory::join_as`],
+//!   [`Directory::leave`], [`Directory::drain`], and the gossiper's
+//!   failure-detector marks ([`Directory::transition`]) — happen under one
 //!   mutex and bump a monotonically increasing **epoch**.
 //! * Every mutation **publishes** a fresh immutable [`RingSnapshot`]
 //!   (members + consistent-hash ring) behind a read lock held only for an
@@ -49,16 +49,16 @@
 //!   A delta never replaces the receiver's membership wholesale — a
 //!   clear would erase concurrent writes the sender had not seen. A peer
 //!   staler than the pruned tombstone horizon can still resurrect a dead
-//!   member; the health checker re-evicts it, so the fleet self-heals
-//!   rather than wedges.
+//!   member; the gossipers' strike policy re-evicts it, so the fleet
+//!   self-heals rather than wedges.
 //!
 //! **Leadership** is a lease derived from the converged state, not
 //! elected: the **lease holder** is the lowest `Up` member id
 //! ([`RingSnapshot::lease_holder`]). Only *evictions* are gated on
-//! holding the lease (a health checker evicts a struck-out member only
-//! if its replica says it is the holder) — liveness observations
-//! (suspect/up marks) are never gated, because they *are* the expiry
-//! mechanism: when the holder dies, probes mark it suspect everywhere,
+//! holding the lease (a gossiper evicts a struck-out member only if its
+//! replica says it is the holder) — liveness observations (suspect/up
+//! marks) are never gated, because they *are* the expiry mechanism: when
+//! the holder dies, failed pulls mark it suspect everywhere,
 //! and the next-lowest live id holds the lease. Joins are
 //! self-announcements ([`Directory::join_as`]) spread by gossip, so a
 //! server can (re)join during a partition without reaching any leader.
@@ -93,7 +93,8 @@ pub const VIRTUAL_NODES: usize = 64;
 
 /// Removal tombstones retained for anti-entropy; beyond this the oldest
 /// stamps are pruned (a peer staler than the pruned horizon may
-/// resurrect a member briefly — the health checker re-evicts it).
+/// resurrect a member briefly — the gossipers' strike policy re-evicts
+/// it).
 pub const TOMBSTONE_CAP: usize = 256;
 
 /// Largest effective ring weight; declared weights clamp into
@@ -101,8 +102,8 @@ pub const TOMBSTONE_CAP: usize = 256;
 /// the whole ring (or, at weight 0, silently vanish from it).
 pub const MAX_WEIGHT: u32 = 16;
 
-/// The stamp origin of writers without a server identity (plain clients,
-/// single-directory fleets). It loses every stamp tie — an attributed
+/// The stamp origin of writers without a server identity (clients and
+/// observer views). It loses every stamp tie — an attributed
 /// replica's concurrent write always beats an unattributed one.
 pub const UNATTRIBUTED: u64 = u64::MAX;
 
@@ -122,8 +123,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// A stable server identity, assigned at [`Directory::join`] and kept
-/// across state changes; the unit clients key their per-server sessions
+/// A stable server identity, operator-assigned at [`Directory::join_as`]
+/// and kept across state changes; the unit clients key their per-server
+/// sessions
 /// and load counters by (directory *indices* shift as members come and
 /// go — ids never do).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -170,8 +172,8 @@ pub enum MemberState {
     /// Finishing existing sessions; receives no new homes (hitless
     /// drain).
     Draining,
-    /// Failed recent health probes; out of the ring until it recovers or
-    /// the checker evicts it.
+    /// Failed recent gossip pulls; out of the ring until it answers again
+    /// or the lease holder evicts it.
     Suspect,
 }
 
@@ -225,16 +227,6 @@ impl Member {
             name: self.name.clone(),
         }
     }
-}
-
-/// A bare address + name pair for bootstrapping a directory before ids
-/// are assigned.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ServerEntry {
-    /// The server's listening address.
-    pub addr: SocketAddr,
-    /// Display name (logs, stats).
-    pub name: String,
 }
 
 /// An immutable point-in-time view of the fleet: the members at one
@@ -407,7 +399,6 @@ struct DirInner {
     epoch: u64,
     /// Per-origin highest version seen.
     vector: BTreeMap<u64, u64>,
-    next_id: u64,
     members: Vec<Member>,
     /// Removal tombstones by member id, each a `Left` record carrying
     /// the removing write's stamp.
@@ -416,13 +407,9 @@ struct DirInner {
 
 impl DirInner {
     /// Advances this replica's own vector entry and returns the stamp
-    /// for the write being made. The scalar epoch tracks the sum.
-    fn bump(&mut self) -> Stamp {
-        self.bump_over(0)
-    }
-
-    /// [`DirInner::bump`], Lamport-style: the new version lands strictly
-    /// past `prev_version` (the stamp of the record being overwritten),
+    /// for the write being made (the scalar epoch tracks the sum),
+    /// Lamport-style: the new version lands strictly past `prev_version`
+    /// (the stamp of the record being overwritten),
     /// so a local write always out-stamps what it replaces — without
     /// this, a self re-announce over a peer's eviction tombstone would
     /// lose its own merge and flap for several rounds. On a
@@ -445,7 +432,7 @@ impl DirInner {
     }
 
     /// The snapshot to publish after a mutation (the epoch was already
-    /// advanced by [`DirInner::bump`] or a merge).
+    /// advanced by [`DirInner::bump_over`] or a merge).
     fn snapshot(&self) -> Arc<RingSnapshot> {
         Arc::new(RingSnapshot::build(
             self.epoch,
@@ -535,16 +522,15 @@ impl DirInner {
                 }
             }
         }
-        self.next_id = self.next_id.max(record.id.saturating_add(1));
         true
     }
 }
 
 /// The mutable, epoch-versioned membership directory (see the module
-/// docs). Cheap to share: servers, clients and the health checker all
-/// hold the same `Arc<Directory>` — or, in a replicated fleet, each
-/// server holds its own and converges through
-/// [`Directory::delta_by_vector`]/[`Directory::apply_delta`].
+/// docs). Each server holds its own replica, shared as an
+/// `Arc<Directory>` with its service and gossiper, and converges with its
+/// peers through [`Directory::delta_by_vector`]/[`Directory::apply_delta`];
+/// clients and observers hold a view kept current the same way.
 #[derive(Debug)]
 pub struct Directory {
     inner: Mutex<DirInner>,
@@ -567,7 +553,7 @@ impl Default for Directory {
 impl Directory {
     /// An empty directory at epoch 0 (members join dynamically), writing
     /// with the [`UNATTRIBUTED`] origin — the right shape for clients
-    /// and single-directory fleets.
+    /// and observer views.
     pub fn new() -> Self {
         Self::with_origin(UNATTRIBUTED)
     }
@@ -585,22 +571,11 @@ impl Directory {
                 origin,
                 epoch: 0,
                 vector: BTreeMap::new(),
-                next_id: 0,
                 members: Vec::new(),
                 tombstones: BTreeMap::new(),
             }),
             published: RwLock::new(Arc::new(RingSnapshot::build(0, Vec::new(), Vec::new()))),
         }
-    }
-
-    /// A directory pre-populated with `entries` (one join per entry, so
-    /// the resulting epoch equals the entry count).
-    pub fn bootstrap<I: IntoIterator<Item = ServerEntry>>(entries: I) -> Self {
-        let dir = Directory::new();
-        for entry in entries {
-            dir.join(entry.addr, &entry.name);
-        }
-        dir
     }
 
     /// A directory cloned from a published snapshot, preserving ids,
@@ -609,15 +584,12 @@ impl Directory {
     /// `GossipDelta` deltas. (Only this module builds a [`RingSnapshot`],
     /// so its epoch is the sum of its vector.)
     pub fn from_snapshot(snapshot: &RingSnapshot) -> Self {
-        let members = snapshot.members().to_vec();
-        let next_id = members.iter().map(|m| m.id.0 + 1).max().unwrap_or(0);
         Directory {
             inner: Mutex::new(DirInner {
                 origin: UNATTRIBUTED,
                 epoch: snapshot.epoch(),
                 vector: snapshot.vector().iter().copied().collect(),
-                next_id,
-                members,
+                members: snapshot.members().to_vec(),
                 tombstones: BTreeMap::new(),
             }),
             published: RwLock::new(Arc::new(snapshot.clone())),
@@ -673,54 +645,6 @@ impl Directory {
         }
     }
 
-    /// Adds a server (state `Up`) and returns its stable id, bumping the
-    /// epoch. Joining an address that is already a live member marks
-    /// that member `Up` again and returns its existing id (idempotent
-    /// rejoin after a suspect mark or an aborted drain); re-joining an
-    /// already-`Up` member is a pure no-op — no epoch bump, so a retried
-    /// bootstrap does not fence the whole fleet for nothing.
-    pub fn join(&self, addr: SocketAddr, name: &str) -> ServerId {
-        self.join_weighted(addr, name, 1)
-    }
-
-    /// [`Directory::join`] with an explicit ring weight (clamped to
-    /// `1..=`[`MAX_WEIGHT`] at ring build).
-    pub fn join_weighted(&self, addr: SocketAddr, name: &str, weight: u32) -> ServerId {
-        let mut inner = lock(&self.inner);
-        if let Some(pos) = inner.members.iter().position(|m| m.addr == addr) {
-            let id = inner.members[pos].id;
-            if inner.members[pos].state == MemberState::Up && inner.members[pos].weight == weight {
-                return id;
-            }
-            let prev = inner.members[pos].stamp.version;
-            let stamp = inner.bump_over(prev);
-            let existing = &mut inner.members[pos];
-            existing.state = MemberState::Up;
-            existing.weight = weight;
-            existing.stamp = stamp;
-            let snap = inner.snapshot();
-            drop(inner);
-            self.publish(snap);
-            return id;
-        }
-        let id = ServerId(inner.next_id);
-        inner.next_id += 1;
-        let stamp = inner.bump();
-        let member = Member {
-            id,
-            addr,
-            name: name.to_string(),
-            state: MemberState::Up,
-            weight,
-            stamp,
-        };
-        inner.members.push(member);
-        let snap = inner.snapshot();
-        drop(inner);
-        self.publish(snap);
-        id
-    }
-
     /// Self-announcement with an operator-assigned id: upserts member
     /// `id` as `Up` at `addr` with the given name and weight, bumping
     /// the epoch (and clearing any tombstone for the id — a server
@@ -762,7 +686,6 @@ impl Directory {
             Some(existing) => *existing = member,
             None => inner.members.push(member),
         }
-        inner.next_id = inner.next_id.max(id.0.saturating_add(1));
         let snap = inner.snapshot();
         drop(inner);
         self.publish(snap);
@@ -782,9 +705,9 @@ impl Directory {
         self.mutate(id, Some(MemberState::Draining))
     }
 
-    /// Marks a member suspect (failed health probes): out of the ring
-    /// until [`Directory::mark_up`] or eviction. Returns whether the
-    /// member existed.
+    /// Marks a member suspect: out of the ring until
+    /// [`Directory::mark_up`] or eviction. Returns whether the member
+    /// existed.
     pub fn mark_suspect(&self, id: ServerId) -> bool {
         self.mutate(id, Some(MemberState::Suspect))
     }
@@ -797,10 +720,10 @@ impl Directory {
 
     /// Compare-and-set state transition: moves the member from `from` to
     /// `to` only if it is currently in `from`; returns whether the
-    /// transition happened. This is what the health checker uses — its
-    /// probe verdicts are based on a sweep-start snapshot that may be
-    /// seconds stale, and an unconditional `mark_up` after a successful
-    /// probe could override a `drain` issued mid-sweep.
+    /// transition happened. This is what the gossiper's strike policy
+    /// uses — its verdicts are based on a sweep-start snapshot that may
+    /// be seconds stale, and an unconditional `mark_up` after a
+    /// successful pull could override a `drain` issued mid-sweep.
     pub fn transition(&self, id: ServerId, from: MemberState, to: MemberState) -> bool {
         let mut inner = lock(&self.inner);
         let Some(member) = inner.member_mut(id) else {
@@ -975,10 +898,11 @@ mod tests {
     }
 
     fn dir(n: usize) -> Directory {
-        Directory::bootstrap((0..n).map(|i| ServerEntry {
-            addr: addr(i),
-            name: format!("local-{i}"),
-        }))
+        let d = Directory::new();
+        for i in 0..n {
+            d.join_as(ServerId(i as u64), addr(i), &format!("local-{i}"), 1);
+        }
+        d
     }
 
     #[test]
@@ -1024,7 +948,8 @@ mod tests {
     #[test]
     fn weighted_member_takes_a_proportional_arc() {
         let d = dir(2);
-        let heavy = d.join_weighted(addr(7), "heavy", 4);
+        let heavy = ServerId(2);
+        assert!(d.join_as(heavy, addr(7), "heavy", 4));
         let snap = d.snapshot();
         let mut hits = [0usize; 3];
         for i in 0..1200 {
@@ -1044,7 +969,8 @@ mod tests {
     fn epoch_bumps_on_every_mutation_and_is_monotonic() {
         let d = dir(2);
         assert_eq!(d.epoch(), 2);
-        let id = d.join(addr(9), "late");
+        let id = ServerId(2);
+        assert!(d.join_as(id, addr(9), "late", 1));
         assert_eq!(d.epoch(), 3);
         assert!(d.drain(id));
         assert_eq!(d.epoch(), 4);
@@ -1093,22 +1019,20 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_same_addr_is_idempotent() {
+    fn reannounce_heals_a_suspect_and_is_otherwise_a_no_op() {
         let d = dir(2);
-        let snap = d.snapshot();
-        let id = snap.members()[0].id;
+        let id = ServerId(0);
         d.mark_suspect(id);
-        let rejoined = d.join(snap.members()[0].addr, "ignored");
-        assert_eq!(rejoined, id, "same address keeps its stable id");
+        assert!(d.join_as(id, addr(0), "local-0", 1));
         assert_eq!(
             d.snapshot().member(id).unwrap().state,
             MemberState::Up,
-            "rejoin heals the suspect mark"
+            "re-announce heals the suspect mark"
         );
-        // Re-joining an already-Up member changes nothing and must not
-        // fence the fleet with a pointless epoch bump.
+        // Re-announcing an already-Up member in the same shape changes
+        // nothing and must not fence the fleet with a pointless epoch bump.
         let epoch = d.epoch();
-        assert_eq!(d.join(snap.members()[0].addr, "ignored"), id);
+        assert!(!d.join_as(id, addr(0), "local-0", 1));
         assert_eq!(d.epoch(), epoch);
     }
 

@@ -3,21 +3,24 @@
 //! `ironman-net` (PR 1) made one process serve correlations over sockets;
 //! PR 2 made a fleet of them behave like one elastic pool; this crate now
 //! gives that fleet a **control plane**, so membership is dynamic:
-//! servers join, drain, fail health checks, die, and get replaced while
+//! servers join, drain, stop answering gossip, die, and get replaced while
 //! clients keep serving. It is the serving-layer translation of the
 //! Ironman paper's core idea — keep extension output streaming toward the
 //! consumer instead of computing it on the demand path — at datacenter
 //! shape:
 //!
-//! * [`Directory`] — the epoch-versioned membership: `join`/`leave`/
+//! * [`Directory`] — the epoch-versioned membership: `join_as`/`leave`/
 //!   `drain` mutations bump a monotonic epoch and publish copy-on-write
 //!   [`RingSnapshot`]s (consistent-hash ring over the routable members),
 //!   so the request path routes lock-free while membership churns. A
 //!   `Gossip` pull presenting an epoch vector is answered with exactly
 //!   the records that vector has not covered.
-//! * [`HealthChecker`] — probes every member with the `Hello`/`Stats`
-//!   round trip, marks repeat offenders suspect (out of the ring, still
-//!   members), and evicts the dead — each an ordinary epoch bump.
+//! * [`Gossiper`] — the one background loop per server: it pulls every
+//!   peer's `GossipDelta` over a cached session to converge the server's
+//!   own directory replica, and with a [`HealthConfig`] each pull is also
+//!   the peer's health probe — repeat offenders are marked suspect (out
+//!   of the ring, still members) and the lease holder evicts the dead,
+//!   each an ordinary epoch bump.
 //! * [`ClusterClient`] — one handle that routes demand: consistent-hash
 //!   home first, transparent splitting of oversized requests with
 //!   least-outstanding spill, failure *cooldowns* (a dead server is
@@ -51,7 +54,7 @@
 //!   supply rate compared against the roofline + link prediction of its
 //!   supply ceiling (utilization, headroom, drift — ROADMAP item 5b's
 //!   validation loop).
-//! * [`ClusterServer`] / [`LocalCluster`] — service, directory, health,
+//! * [`ClusterServer`] / [`LocalCluster`] — service, replica, gossip,
 //!   warm-up, and observation composed; a whole dynamic loopback fleet
 //!   in a few calls for tests and benches. The client drives every
 //!   session under v8 data-path deadlines with a token-budgeted,
@@ -66,22 +69,23 @@
 //! # Topology
 //!
 //! ```text
-//!                    Directory (epoch-versioned control plane)
-//!        join/leave/drain -> epoch++ -> publish RingSnapshot (COW)
-//!          ^                                    |
-//!     HealthChecker                      ClusterClient(s)
-//!     (probe, mark                       (route on snapshot; on
-//!      suspect, evict)                    WrongEpoch: Gossip pull,
-//!          |                              re-resolve, resume streams)
-//!          v                                    v
-//!     =====+====================================+=====  TCP, framed v11
-//!          v                 v                  v
-//!     +---------+       +---------+        +---------+
-//!     | CotSvc  |       | CotSvc  |        | CotSvc  |   (members; each
-//!     | shards: |       | shards: |        | shards: |    an independent
-//!     | [p0..p3]|       | [p0..p3]|        | [p0..p3]|    FERRET dealer,
-//!     | Warmup  |       | Warmup  |        | Warmup  |    refilled locally)
-//!     +---------+       +---------+        +---------+
+//!                                               ClusterClient(s)
+//!                                               (route on the observer
+//!                                                view; on WrongEpoch:
+//!                                                Gossip pull, re-resolve,
+//!                                                resume streams)
+//!                                                       |
+//!     =====+=================+=================+========+=====  TCP, framed v11
+//!          v                 v                 v
+//!     +---------+       +---------+       +---------+
+//!     | CotSvc  |       | CotSvc  |       | CotSvc  |   (members; each
+//!     | shards: |       | shards: |       | shards: |    an independent
+//!     | [p0..p3]|       | [p0..p3]|       | [p0..p3]|    FERRET dealer,
+//!     | Warmup  |       | Warmup  |       | Warmup  |    refilled locally)
+//!     | replica |       | replica |       | replica |   (epoch-versioned
+//!     | Gossiper|<----->| Gossiper|<----->| Gossiper|    Directory; pulls
+//!     +---------+       +---------+       +---------+    double as probes:
+//!                                                        suspect, evict)
 //! ```
 //!
 //! Each server is an independent FERRET dealer (its own `Δ` stream per
@@ -91,21 +95,26 @@
 //! # Quickstart
 //!
 //! ```
-//! use ironman_cluster::{ClusterClient, ClusterServerConfig, LocalCluster, WarmupConfig};
+//! use ironman_cluster::{
+//!     ClusterClient, ClusterServerConfig, GossiperConfig, LocalCluster, WarmupConfig,
+//! };
 //! use ironman_core::{Backend, Engine};
 //! use ironman_ot::ferret::FerretConfig;
 //! use ironman_ot::params::FerretParams;
+//! use std::time::Duration;
 //!
 //! let engine = Engine::new(FerretConfig::new(FerretParams::toy()), Backend::ironman_default());
-//! let mut cluster = LocalCluster::spawn(
+//! let mut cluster = LocalCluster::spawn_replicated(
 //!     3,
 //!     &engine,
 //!     &ClusterServerConfig {
 //!         warmup: Some(WarmupConfig::default()),
 //!         ..ClusterServerConfig::default()
 //!     },
+//!     GossiperConfig::default(),
 //! )
 //! .unwrap();
+//! assert!(cluster.wait_converged(Duration::from_secs(30)));
 //!
 //! let mut client = ClusterClient::connect(cluster.directory(), "ppml-worker-0").unwrap();
 //! for batch in client.request_cots(1024).unwrap() {
@@ -115,7 +124,7 @@
 //! // client re-resolves through the epoch fence and keeps serving.
 //! let victim = cluster.server_ids()[0];
 //! cluster.kill_server(victim);
-//! cluster.directory().leave(victim);
+//! cluster.control_directory().leave(victim);
 //! cluster.spawn_server().unwrap();
 //! for batch in client.request_cots(1024).unwrap() {
 //!     batch.verify().unwrap();
@@ -133,7 +142,6 @@ pub mod directory;
 pub mod exporter;
 pub mod gossip;
 pub mod headroom;
-pub mod health;
 pub mod observe;
 pub mod server;
 pub mod slo;
@@ -142,13 +150,14 @@ pub mod warmup;
 pub use chaos::{ChaosAction, ChaosEvent, ChaosOutcome, ChaosSchedule};
 pub use client::{ClusterClient, ClusterSubscription, FAILOVER_COOLDOWN};
 pub use directory::{
-    Directory, Member, MemberState, RingSnapshot, ServerEntry, ServerId, Stamp, MAX_WEIGHT,
-    TOMBSTONE_CAP, UNATTRIBUTED, VIRTUAL_NODES,
+    Directory, Member, MemberState, RingSnapshot, ServerId, Stamp, MAX_WEIGHT, TOMBSTONE_CAP,
+    UNATTRIBUTED, VIRTUAL_NODES,
 };
 pub use exporter::{FleetExporter, FleetExporterConfig};
-pub use gossip::{GossipHandle, GossipIdentity, GossipStats, Gossiper, GossiperConfig};
+pub use gossip::{
+    GossipHandle, GossipIdentity, GossipStats, Gossiper, GossiperConfig, HealthConfig,
+};
 pub use headroom::{HeadroomModel, ServerHeadroom};
-pub use health::{HealthChecker, HealthConfig};
 pub use ironman_telemetry::TimeSeries;
 pub use observe::{
     FleetHandle, FleetObserver, FleetObserverConfig, FleetSnapshot, FleetWindow, ServerObservation,

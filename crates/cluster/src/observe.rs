@@ -7,7 +7,7 @@
 //! The serving layer records latency distributions locally (lock-free
 //! histograms in each server's pool shards and serve paths — see
 //! `ironman-net`'s *Telemetry (v6)* docs); this module is the roll-up:
-//! a [`FleetObserver`] thread rides the health prober's cadence, pulls
+//! a [`FleetObserver`] thread rides the gossip cadence, pulls
 //! each reachable member's `Stats` reply over a cached session, and
 //! merges the per-server [`LatencyStats`] into one fleet-wide view. The
 //! merge is exact at the bucket level, so a fleet-wide p99 read from the
@@ -26,8 +26,8 @@
 //! since-start averages — rates never go negative.
 //!
 //! Unreachable members are *absent* from a snapshot, not zeroed: a
-//! scrape reports what it saw, and the health checker owns deciding what
-//! a silent member means.
+//! scrape reports what it saw, and the gossipers' strike policy owns
+//! deciding what a silent member means.
 //!
 //! Scrape cadence carries ±jitter so a large fleet's observers don't
 //! synchronize into a thundering herd against one server.
@@ -45,9 +45,8 @@ use std::time::Duration;
 /// Configuration of a [`FleetObserver`].
 #[derive(Clone, Debug)]
 pub struct FleetObserverConfig {
-    /// Pause between scrape sweeps. Defaults to the health prober's
-    /// cadence, so the fleet view is as fresh as the fleet's liveness
-    /// view.
+    /// Pause between scrape sweeps. Defaults to the gossip cadence, so
+    /// the fleet view is as fresh as the fleet's liveness view.
     pub interval: Duration,
     /// Per-step timeout for the observer's server sessions (connect and
     /// each `Stats` round trip): a blackholed member costs one timeout,
@@ -319,7 +318,7 @@ fn scrape_with(
     };
     for member in snapshot.members() {
         // Suspect members are skipped outright rather than re-dialed
-        // every sweep; the health checker owns deciding their fate.
+        // every sweep; the gossipers' strike policy owns their fate.
         if member.state == MemberState::Suspect {
             sessions.remove(&member.id);
             continue;

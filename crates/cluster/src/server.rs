@@ -1,14 +1,13 @@
-//! Cluster-side server composition: a [`CotService`] attached to the
-//! shared [`Directory`] (so it can fence stale epochs and answer
-//! membership syncs), plus the [`LocalCluster`] helper that runs a whole
+//! Cluster-side server composition: a [`CotService`] attached to its
+//! own [`Directory`] replica (so it can fence stale epochs and answer
+//! gossip pulls), plus the [`LocalCluster`] helper that runs a whole
 //! *dynamic* fleet in one process for tests, benches, and demos —
 //! servers join, drain, die, and get replaced while clients keep
 //! serving.
 
 use crate::directory::{Directory, ServerId};
 use crate::exporter::{FleetExporter, FleetExporterConfig};
-use crate::gossip::{GossipIdentity, Gossiper, GossiperConfig};
-use crate::health::{HealthChecker, HealthConfig};
+use crate::gossip::{GossipIdentity, Gossiper, GossiperConfig, HealthConfig};
 use crate::observe::{FleetHandle, FleetObserver, FleetObserverConfig};
 use crate::warmup::{Warmup, WarmupConfig};
 use ironman_core::{Engine, SharedCotPool};
@@ -42,7 +41,8 @@ impl ClusterServer {
     /// warm-up refiller). With a directory attached, the service fences
     /// stale-epoch sessions and answers `Gossip` with membership deltas;
     /// registering the server *in* that directory is the caller's move
-    /// (bind first, then [`Directory::join`] with the bound address).
+    /// (bind first, then [`Directory::join_as`] with the bound address —
+    /// a [`Gossiper`] with an identity does it).
     ///
     /// # Errors
     ///
@@ -100,75 +100,67 @@ impl ClusterServer {
     }
 }
 
+/// One running member of a [`LocalCluster`]: its server, its own
+/// directory replica, and the gossiper converging (and, with health
+/// enabled, probing) through it.
+#[derive(Debug)]
+struct Node {
+    server: ClusterServer,
+    replica: Arc<Directory>,
+    gossiper: Gossiper,
+}
+
+impl Node {
+    /// Stops the gossiper with the server: a dead server must not keep
+    /// re-announcing itself, nor striking its peers, from beyond the
+    /// grave.
+    fn stop(self) -> ServiceStats {
+        self.gossiper.stop();
+        self.server.shutdown()
+    }
+}
+
 /// A whole dynamic fleet on loopback: N [`ClusterServer`]s (each an
-/// independent FERRET dealer with its own `Δ` stream) registered in one
-/// shared [`Directory`], plus optional health checking. Servers are
-/// keyed by their stable [`ServerId`]; killing one and joining a
-/// replacement is the membership-churn scenario the epoch fence exists
-/// for.
+/// independent FERRET dealer with its own `Δ` stream), each carrying its
+/// own [`Directory`] replica converged by a per-server [`Gossiper`] —
+/// the one background loop per server, which is also the failure
+/// detector once [`LocalCluster::enable_health`] installs the strike
+/// policy. Servers are keyed by their stable [`ServerId`]; killing one
+/// and joining a replacement is the membership-churn scenario the epoch
+/// fence exists for.
 #[derive(Debug)]
 pub struct LocalCluster {
+    /// The pull-only observer view clients route on.
     directory: Arc<Directory>,
-    servers: HashMap<ServerId, ClusterServer>,
+    view_gossiper: Gossiper,
+    nodes: HashMap<ServerId, Node>,
     engine: Engine,
     cfg: ClusterServerConfig,
-    /// Servers spawned so far (drives per-server seed derivation, so a
-    /// replacement never shares a correlation stream with any earlier
-    /// server).
+    /// Servers spawned so far: the next id, and the per-server seed
+    /// derivation (a replacement never shares a correlation stream with
+    /// any earlier server).
     spawned: u64,
-    health: Vec<HealthChecker>,
+    /// Gossip rendezvous: every server address ever spawned (static
+    /// seeds survive mutual eviction).
+    seeds: Vec<SocketAddr>,
+    /// Gossip cadence template for every member.
+    gossip_cfg: GossiperConfig,
+    /// The strike policy, once enabled, installed on later members too.
+    health: Option<HealthConfig>,
     observer: Option<FleetObserver>,
     exporter: Option<FleetExporter>,
-    /// Replicated mode (v9): each server's own directory replica, keyed
-    /// by id. Empty = shared-directory mode (`self.directory` is the one
-    /// truth); non-empty = `self.directory` is a pull-only observer view
-    /// converged by its own gossiper.
-    replicas: HashMap<ServerId, Arc<Directory>>,
-    /// Running anti-entropy loops, one per replica. A killed server's
-    /// gossiper is stopped with it — a dead server must not keep
-    /// re-announcing itself from beyond the grave.
-    gossipers: HashMap<ServerId, Gossiper>,
-    /// The observer view's own pull loop (replicated mode).
-    view_gossiper: Option<Gossiper>,
-    /// Gossip rendezvous: every server address ever spawned in
-    /// replicated mode (static seeds survive mutual eviction).
-    seeds: Vec<SocketAddr>,
-    /// Gossip cadence template for replicated spawns.
-    gossip_cfg: GossiperConfig,
 }
 
 impl LocalCluster {
-    /// Spawns `n` servers on ephemeral loopback ports, all joined into a
-    /// fresh shared directory (epoch `n` afterwards). Server `i` uses
-    /// `cfg.service.seed` offset by a per-spawn multiplier, so no two
-    /// servers — original or replacement — share a correlation stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn spawn(n: usize, engine: &Engine, cfg: &ClusterServerConfig) -> std::io::Result<Self> {
-        assert!(n > 0, "cluster needs at least one server");
-        let mut cluster = Self::empty(engine, cfg);
-        for _ in 0..n {
-            cluster.spawn_server()?;
-        }
-        Ok(cluster)
-    }
-
-    /// Like [`LocalCluster::spawn`], but **replicated** (v9): each
-    /// server carries its own [`Directory`] replica, announced through
-    /// [`Directory::join_as`] and converged by a per-server [`Gossiper`]
-    /// (anti-entropy pulls against every peer, with all server addresses
-    /// — including later joiners' — as rendezvous seeds). `self.directory()` then returns a pull-only
-    /// *observer view* — a directory converged by its own gossiper but
-    /// never written locally — which clients route on exactly as they
-    /// would the shared one. Membership mutations issued through the
-    /// cluster handle ([`LocalCluster::drain_server`] etc.) are applied
-    /// to the lease holder's replica and spread by gossip.
+    /// Spawns `n` servers on ephemeral loopback ports. Each announces
+    /// itself into its own replica with [`Directory::join_as`] and
+    /// converges through its gossiper, with every server address —
+    /// including later joiners' — as a rendezvous seed.
+    /// [`LocalCluster::directory`] is a pull-only *observer view* that
+    /// clients route on; [`LocalCluster::wait_converged`] blocks until it
+    /// and every replica agree. Server `i` uses `cfg.service.seed` offset
+    /// by a per-spawn multiplier, so no two servers — original or
+    /// replacement — share a correlation stream.
     ///
     /// # Errors
     ///
@@ -184,96 +176,72 @@ impl LocalCluster {
         gossip: GossiperConfig,
     ) -> std::io::Result<Self> {
         assert!(n > 0, "cluster needs at least one server");
-        let mut cluster = Self::empty(engine, cfg);
-        cluster.gossip_cfg = gossip;
-        for _ in 0..n {
-            cluster.spawn_replicated_server()?;
-        }
-        // The observer view: converges through pulls from the seeds, so
-        // the coordinator (and clients bootstrapping off it) sees the
-        // merged fleet without being a member.
-        cluster.view_gossiper = Some(Gossiper::spawn(
-            Arc::clone(&cluster.directory),
+        let directory = Arc::new(Directory::new());
+        let view_gossiper = Gossiper::spawn(
+            Arc::clone(&directory),
             GossiperConfig {
                 identity: None,
-                seeds: cluster.seeds.clone(),
-                ..cluster.gossip_cfg.clone()
+                seeds: Vec::new(),
+                ..gossip.clone()
             },
-        ));
-        Ok(cluster)
-    }
-
-    fn empty(engine: &Engine, cfg: &ClusterServerConfig) -> Self {
-        LocalCluster {
-            directory: Arc::new(Directory::new()),
-            servers: HashMap::new(),
+        );
+        let mut cluster = LocalCluster {
+            directory,
+            view_gossiper,
+            nodes: HashMap::new(),
             engine: engine.clone(),
             cfg: cfg.clone(),
             spawned: 0,
-            health: Vec::new(),
+            seeds: Vec::new(),
+            gossip_cfg: gossip,
+            health: None,
             observer: None,
             exporter: None,
-            replicas: HashMap::new(),
-            gossipers: HashMap::new(),
-            view_gossiper: None,
-            seeds: Vec::new(),
-            gossip_cfg: GossiperConfig::default(),
+        };
+        for _ in 0..n {
+            cluster.spawn_server()?;
         }
+        Ok(cluster)
     }
 
-    /// Whether this cluster runs per-server directory replicas (v9)
-    /// rather than one shared directory.
-    pub fn is_replicated(&self) -> bool {
-        !self.replicas.is_empty()
-    }
-
-    /// The directory membership mutations should be issued against: in
-    /// shared mode the one directory; in replicated mode the lease
-    /// holder's replica (gossip spreads the write). Falls back to any
-    /// replica when the observer view has not converged yet.
+    /// The directory membership mutations should be issued against: the
+    /// lease holder's replica, or the lowest running server's when the
+    /// observer view names no running holder yet; gossip spreads the
+    /// write. Falls back to the observer view when no server runs.
     pub fn control_directory(&self) -> Arc<Directory> {
-        if self.replicas.is_empty() {
-            return Arc::clone(&self.directory);
-        }
-        self.directory
+        let holder = self
+            .directory
             .lease_holder()
-            .and_then(|holder| self.replicas.get(&holder))
-            .or_else(|| {
-                let mut ids: Vec<&ServerId> = self.replicas.keys().collect();
-                ids.sort_unstable();
-                ids.first().and_then(|id| self.replicas.get(id))
-            })
-            .map(Arc::clone)
-            .expect("replicated cluster has at least one replica")
+            .filter(|id| self.nodes.contains_key(id));
+        holder
+            .or_else(|| self.server_ids().first().copied())
+            .and_then(|id| self.replica(id))
+            .unwrap_or_else(|| Arc::clone(&self.directory))
     }
 
-    /// Server `id`'s own directory replica (replicated mode only).
+    /// Server `id`'s own directory replica, while it runs.
     pub fn replica(&self, id: ServerId) -> Option<Arc<Directory>> {
-        self.replicas.get(&id).map(Arc::clone)
+        self.nodes.get(&id).map(|node| Arc::clone(&node.replica))
     }
 
-    fn next_server_cfg(&mut self) -> ClusterServerConfig {
+    /// Spawns one more server: a fresh replica that self-announces via
+    /// `join_as` and converges through its gossiper (an epoch bump every
+    /// client observes once it spreads) — the "replacement joins" half
+    /// of membership churn. Returns its stable id (`spawned - 1`,
+    /// operator-assigned — gossip has no central id allocator).
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind failures.
+    pub fn spawn_server(&mut self) -> std::io::Result<ServerId> {
         let mut server_cfg = self.cfg.clone();
         server_cfg.service.seed = self
             .cfg
             .service
             .seed
             .wrapping_add(0x517c_c1b7_2722_0a95u64.wrapping_mul(self.spawned + 1));
+        let id = ServerId(self.spawned);
         self.spawned += 1;
-        server_cfg
-    }
-
-    /// Spawns one more server in replicated mode: a fresh replica that
-    /// self-announces via `join_as` and converges through its gossiper.
-    /// Returns its stable id (`spawned - 1`, operator-assigned — gossip
-    /// has no central id allocator).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_replicated_server(&mut self) -> std::io::Result<ServerId> {
-        let server_cfg = self.next_server_cfg();
-        let id = ServerId(self.spawned - 1);
         let name = format!("local-{}", id.0);
         let replica = Arc::new(Directory::new_replica(id));
         let server = ClusterServer::spawn(
@@ -284,7 +252,6 @@ impl LocalCluster {
         )?;
         server.set_self_id(id);
         let addr = server.addr();
-        replica.join_as(id, addr, &name, 1);
         self.seeds.push(addr);
         // Introduce the newcomer to every gossiper already running
         // (members and the observer view). Pull-only anti-entropy never
@@ -292,98 +259,63 @@ impl LocalCluster {
         // server's gossiper — whose seed snapshot predates the rest of
         // the fleet — would pull from no one and its replica would never
         // converge, and late joiners would stay invisible to incumbents.
-        for gossiper in self.gossipers.values() {
-            gossiper.add_seed(addr);
+        self.view_gossiper.add_seed(addr);
+        for node in self.nodes.values() {
+            node.gossiper.add_seed(addr);
         }
-        if let Some(view) = &self.view_gossiper {
-            view.add_seed(addr);
+        let gossiper = Gossiper::spawn(
+            Arc::clone(&replica),
+            GossiperConfig {
+                identity: Some(GossipIdentity {
+                    id,
+                    addr,
+                    name,
+                    weight: 1,
+                }),
+                seeds: self.seeds.clone(),
+                ..self.gossip_cfg.clone()
+            },
+        );
+        if let Some(health) = self.health {
+            gossiper.enable_health(health);
         }
-        self.gossipers.insert(
+        self.nodes.insert(
             id,
-            Gossiper::spawn(
-                Arc::clone(&replica),
-                GossiperConfig {
-                    identity: Some(GossipIdentity {
-                        id,
-                        addr,
-                        name,
-                        weight: 1,
-                    }),
-                    seeds: self.seeds.clone(),
-                    ..self.gossip_cfg.clone()
-                },
-            ),
+            Node {
+                server,
+                replica,
+                gossiper,
+            },
         );
-        self.replicas.insert(id, replica);
-        self.servers.insert(id, server);
         Ok(id)
     }
 
-    /// Spawns one more server and joins it into the directory (an epoch
-    /// bump every client observes) — the "replacement joins" half of
-    /// membership churn. Returns its stable id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_server(&mut self) -> std::io::Result<ServerId> {
-        assert!(
-            self.replicas.is_empty(),
-            "use spawn_replicated_server on a replicated cluster"
-        );
-        let server_cfg = self.next_server_cfg();
-        let server = ClusterServer::spawn(
-            "127.0.0.1:0",
-            &self.engine,
-            server_cfg,
-            Some(Arc::clone(&self.directory)),
-        )?;
-        let id = self
-            .directory
-            .join(server.addr(), &format!("local-{}", self.spawned - 1));
-        self.servers.insert(id, server);
-        Ok(id)
-    }
-
-    /// The shared control-plane directory (clients and the health
-    /// checker hold the same one).
+    /// The observer view: a directory converged by its own pull-only
+    /// gossiper, never written locally. Clients route on it.
     pub fn directory(&self) -> Arc<Directory> {
         Arc::clone(&self.directory)
     }
 
     /// Stable ids of the currently running servers, sorted.
     pub fn server_ids(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self.servers.keys().copied().collect();
+        let mut ids: Vec<ServerId> = self.nodes.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
     /// The running server with id `id`, if any.
     pub fn server(&self, id: ServerId) -> Option<&ClusterServer> {
-        self.servers.get(&id)
+        self.nodes.get(&id).map(|node| &node.server)
     }
 
-    /// Starts health checking: in shared mode one checker over the
-    /// fleet directory; in replicated mode one checker *per replica*,
-    /// each gated so only the lease holder evicts (suspect marks stay
-    /// ungated — they are how the lease expires). Idempotent.
+    /// Starts failure detection: installs the strike policy on every
+    /// member's gossiper, and on every server spawned later. Each
+    /// replica marks unreachable peers suspect; only the lease holder
+    /// evicts.
     pub fn enable_health(&mut self, cfg: HealthConfig) {
-        if !self.health.is_empty() {
-            return;
-        }
-        if self.replicas.is_empty() {
-            self.health
-                .push(HealthChecker::spawn(Arc::clone(&self.directory), cfg));
-            return;
-        }
-        for (&id, replica) in &self.replicas {
-            self.health.push(HealthChecker::spawn(
-                Arc::clone(replica),
-                HealthConfig {
-                    self_id: Some(id),
-                    ..cfg
-                },
-            ));
+        self.health = Some(cfg);
+        for node in self.nodes.values() {
+            node.gossiper.enable_health(cfg);
         }
     }
 
@@ -439,26 +371,14 @@ impl LocalCluster {
 
     /// Kills a server **without telling the directory** — crash
     /// semantics: clients discover it through connect failures and the
-    /// health checker (if running) evicts it. Returns its final
-    /// statistics.
+    /// peers' gossipers (with health enabled) evict it. Its gossiper
+    /// dies with it. Returns its final statistics.
     ///
     /// # Panics
     ///
     /// Panics if no server with `id` is running.
     pub fn kill_server(&mut self, id: ServerId) -> ServiceStats {
-        // In replicated mode the dead server's gossiper dies with it:
-        // its job was announcing and converging that replica, and a
-        // ghost that keeps re-announcing an evicted member would fight
-        // the health checker forever. The replica itself stays in the
-        // map so post-mortem inspection (tests asserting convergence)
-        // still works.
-        if let Some(gossiper) = self.gossipers.remove(&id) {
-            gossiper.stop();
-        }
-        self.servers
-            .remove(&id)
-            .expect("server not running")
-            .shutdown()
+        self.nodes.remove(&id).expect("server not running").stop()
     }
 
     /// Gracefully removes a server: [`Directory::drain`] first (no new
@@ -470,15 +390,7 @@ impl LocalCluster {
     /// Panics if no server with `id` is running.
     pub fn remove_server(&mut self, id: ServerId) -> ServiceStats {
         self.control_directory().drain(id);
-        if let Some(gossiper) = self.gossipers.remove(&id) {
-            gossiper.stop();
-        }
-        let stats = self
-            .servers
-            .remove(&id)
-            .expect("server not running")
-            .shutdown();
-        self.replicas.remove(&id);
+        let stats = self.kill_server(id);
         self.control_directory().leave(id);
         stats
     }
@@ -486,18 +398,19 @@ impl LocalCluster {
     /// Marks a server draining (it keeps serving existing sessions but
     /// receives no new homes). The server keeps running until
     /// [`LocalCluster::kill_server`]/[`LocalCluster::remove_server`].
-    /// In replicated mode the drain lands on the lease holder's replica
-    /// and gossip spreads it — including to the drained server itself,
-    /// whose push loops then announce `DrainHandoff` in-stream.
+    /// The drain lands on the lease holder's replica and gossip spreads
+    /// it — including to the drained server itself, whose push loops
+    /// then announce `DrainHandoff` in-stream.
     pub fn drain_server(&self, id: ServerId) {
         self.control_directory().drain(id);
     }
 
-    /// Arms a seeded fault plan on server `id`'s data-path sessions (see
-    /// `ironman-net`'s `FaultInjector`). Returns `false` if the server
-    /// is not running.
+    /// Arms a seeded fault plan on every session server `id` accepts —
+    /// data path, peers' gossip pulls and scrapes alike (see
+    /// `ironman-net`'s `FaultInjector`). Returns `false` if the server is
+    /// not running.
     pub fn inject_faults(&self, id: ServerId, plan: FaultPlan) -> bool {
-        self.servers.get(&id).is_some_and(|s| {
+        self.server(id).is_some_and(|s| {
             s.service().set_faults(plan);
             true
         })
@@ -506,7 +419,7 @@ impl LocalCluster {
     /// Disarms fault injection on server `id` (in-flight injected
     /// stalls unwind on their own). Returns `false` if not running.
     pub fn heal_faults(&self, id: ServerId) -> bool {
-        self.servers.get(&id).is_some_and(|s| {
+        self.server(id).is_some_and(|s| {
             s.service().clear_faults();
             true
         })
@@ -516,7 +429,7 @@ impl LocalCluster {
     /// requests are declined with `Unavailable { retry_after_ms }`
     /// (control ops still answer). Returns `false` if not running.
     pub fn starve_server(&self, id: ServerId, window: Duration) -> bool {
-        self.servers.get(&id).is_some_and(|s| {
+        self.server(id).is_some_and(|s| {
             s.service().set_unavailable_for(window);
             true
         })
@@ -525,7 +438,7 @@ impl LocalCluster {
     /// Lifts a [`LocalCluster::starve_server`] window early. Returns
     /// `false` if the server is not running.
     pub fn unstarve_server(&self, id: ServerId) -> bool {
-        self.servers.get(&id).is_some_and(|s| {
+        self.server(id).is_some_and(|s| {
             s.service().clear_unavailable();
             true
         })
@@ -534,9 +447,9 @@ impl LocalCluster {
     /// Heals every running server: disarms fault injection and lifts
     /// degradation windows fleet-wide (the chaos-drill "all clear").
     pub fn heal_all(&self) {
-        for server in self.servers.values() {
-            server.service().clear_faults();
-            server.service().clear_unavailable();
+        for node in self.nodes.values() {
+            node.server.service().clear_faults();
+            node.server.service().clear_unavailable();
         }
     }
 
@@ -544,50 +457,56 @@ impl LocalCluster {
     /// `per_server` buffered correlations, or `timeout` passes. Returns
     /// whether the fleet got warm.
     pub fn wait_warm(&self, per_server: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self
-                .servers
+        poll(timeout, || {
+            self.nodes
                 .values()
-                .all(|s| s.pool().available() >= per_server)
-            {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+                .all(|node| node.server.pool().available() >= per_server)
+        })
+    }
+
+    /// Blocks until every running server's replica and the observer view
+    /// hold one epoch vector, or `timeout` passes. Returns whether the
+    /// fleet converged. A write the observer pulled from a server that
+    /// died before any running replica pulled it (with health enabled, a
+    /// dying server's last strike marks) keeps the vectors apart for
+    /// good.
+    pub fn wait_converged(&self, timeout: Duration) -> bool {
+        poll(timeout, || {
+            let view = self.directory.epoch_vector();
+            self.nodes
+                .values()
+                .all(|node| node.replica.epoch_vector() == view)
+        })
     }
 
     /// Shuts the whole fleet down (controllers first, then every
     /// running server); returns the final statistics of the servers
     /// that were still live.
-    pub fn shutdown(mut self) -> Vec<ServiceStats> {
-        if let Some(exporter) = self.exporter.take() {
+    pub fn shutdown(self) -> Vec<ServiceStats> {
+        if let Some(exporter) = self.exporter {
             exporter.stop();
         }
-        for health in self.health.drain(..) {
-            health.stop();
-        }
-        if let Some(gossiper) = self.view_gossiper.take() {
-            gossiper.stop();
-        }
-        for (_, gossiper) in self.gossipers.drain() {
-            gossiper.stop();
-        }
-        if let Some(observer) = self.observer.take() {
+        self.view_gossiper.stop();
+        if let Some(observer) = self.observer {
             observer.stop();
         }
-        let mut ids: Vec<ServerId> = self.servers.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
-            .map(|id| {
-                self.servers
-                    .remove(&id)
-                    .expect("listed id is running")
-                    .shutdown()
-            })
-            .collect()
+        let mut nodes: Vec<(ServerId, Node)> = self.nodes.into_iter().collect();
+        nodes.sort_unstable_by_key(|&(id, _)| id);
+        nodes.into_iter().map(|(_, node)| node.stop()).collect()
+    }
+}
+
+/// Polls `done` every 2 ms until it holds (`true`) or `timeout` passes
+/// (`false`).
+fn poll(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if done() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }

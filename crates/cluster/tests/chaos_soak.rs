@@ -21,26 +21,19 @@
 //! Run by `scripts/ci.sh`; `CHAOS_SOAK_SECS` stretches the scripted
 //! soak (default 2 s — the CI quick mode).
 
+mod common;
+
+use common::converged_fleet;
 use ironman_cluster::{
     AlertState, BurnWindows, ChaosAction, ChaosSchedule, ClusterClient, ClusterServerConfig,
-    FleetObserverConfig, LocalCluster, SloKind, SloSpec, WarmupConfig,
+    FleetObserverConfig, SloKind, SloSpec, WarmupConfig,
 };
-use ironman_core::{Backend, Engine};
 use ironman_net::{CotServiceConfig, FaultPlan, OpTimeouts, Request, RetryPolicy, TcpTransport};
 use ironman_ot::channel::{ChannelError, Transport};
-use ironman_ot::ferret::FerretConfig;
-use ironman_ot::params::FerretParams;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn toy_engine() -> Engine {
-    Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    )
-}
 
 fn warm_cfg(seed: u64) -> ClusterServerConfig {
     ClusterServerConfig {
@@ -68,8 +61,7 @@ fn soak_duration() -> Duration {
 /// bit-flipped frames, a rolling fleet-wide starvation, then heal.
 #[test]
 fn seeded_chaos_soak_keeps_consume_once_accounting() {
-    let engine = toy_engine();
-    let mut cluster = LocalCluster::spawn(3, &engine, &warm_cfg(0xC405)).expect("spawn fleet");
+    let mut cluster = converged_fleet(3, &warm_cfg(0xC405));
     let ids = cluster.server_ids();
     let (a, b, c) = (ids[0], ids[1], ids[2]);
     let t = soak_duration();
@@ -233,8 +225,7 @@ fn seeded_chaos_soak_keeps_consume_once_accounting() {
 /// the fleet serves again promptly.
 #[test]
 fn blackholed_fleet_fails_typed_within_deadline_and_recovers() {
-    let engine = toy_engine();
-    let cluster = LocalCluster::spawn(2, &engine, &warm_cfg(0xB1AC)).expect("spawn fleet");
+    let cluster = converged_fleet(2, &warm_cfg(0xB1AC));
     let mut client =
         ClusterClient::connect(cluster.directory(), "blackhole-probe").expect("connect");
     client.set_op_timeouts(OpTimeouts::uniform(Duration::from_millis(300)));
@@ -317,8 +308,7 @@ fn blackholed_fleet_fails_typed_within_deadline_and_recovers() {
 /// variant of the kill-based SLO e2e.
 #[test]
 fn supply_slo_fires_during_starvation_and_resolves_after_heal() {
-    let engine = toy_engine();
-    let mut cluster = LocalCluster::spawn(2, &engine, &warm_cfg(0x510B)).expect("spawn fleet");
+    let mut cluster = converged_fleet(2, &warm_cfg(0x510B));
     cluster.enable_observer(FleetObserverConfig {
         interval: Duration::from_millis(20),
         slos: vec![SloSpec::new(
@@ -422,8 +412,7 @@ fn supply_slo_fires_during_starvation_and_resolves_after_heal() {
 /// same server delivers its full total undisturbed.
 #[test]
 fn stuck_subscriber_eviction_leaves_healthy_streams_undisturbed() {
-    let engine = toy_engine();
-    let cluster = LocalCluster::spawn(1, &engine, &warm_cfg(0x5709)).expect("spawn fleet");
+    let cluster = converged_fleet(1, &warm_cfg(0x5709));
     let id = cluster.server_ids()[0];
     let server = cluster.server(id).expect("live server");
     server

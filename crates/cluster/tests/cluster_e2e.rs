@@ -4,21 +4,14 @@
 //! subscription** — and the epoch fence (`WrongEpoch` → `Gossip` pull →
 //! re-resolve) for clients whose membership view went stale.
 
-use ironman_cluster::{ClusterClient, ClusterServerConfig, Directory, LocalCluster, WarmupConfig};
-use ironman_core::{Backend, Engine};
+mod common;
+
+use common::converged_fleet;
+use ironman_cluster::{ClusterClient, ClusterServerConfig, Directory, WarmupConfig};
 use ironman_net::CotServiceConfig;
 use ironman_ot::channel::ChannelError;
-use ironman_ot::ferret::FerretConfig;
-use ironman_ot::params::FerretParams;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn toy_engine() -> Engine {
-    Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    )
-}
 
 fn warm_cluster_cfg() -> ClusterServerConfig {
     ClusterServerConfig {
@@ -33,8 +26,7 @@ fn warm_cluster_cfg() -> ClusterServerConfig {
 
 #[test]
 fn three_server_fleet_serves_routed_and_split_requests() {
-    let engine = toy_engine();
-    let cluster = LocalCluster::spawn(3, &engine, &warm_cluster_cfg()).expect("spawn fleet");
+    let cluster = converged_fleet(3, &warm_cluster_cfg());
 
     let mut client = ClusterClient::connect(cluster.directory(), "e2e-router").expect("connect");
     let max = client.max_request().expect("connected") as usize;
@@ -109,8 +101,7 @@ fn three_server_fleet_serves_routed_and_split_requests() {
 
 #[test]
 fn streaming_subscription_over_the_fleet() {
-    let engine = toy_engine();
-    let cluster = LocalCluster::spawn(3, &engine, &warm_cluster_cfg()).expect("spawn fleet");
+    let cluster = converged_fleet(3, &warm_cluster_cfg());
 
     let mut client = ClusterClient::connect(cluster.directory(), "e2e-streamer").expect("connect");
     // A total that is deliberately not a multiple of the chunk size, so
@@ -152,7 +143,6 @@ fn streaming_subscription_over_the_fleet() {
 
 #[test]
 fn failover_routes_around_a_dead_home_server() {
-    let engine = toy_engine();
     // No warm-up: this test is about routing, not refill.
     let cfg = ClusterServerConfig {
         service: CotServiceConfig {
@@ -162,7 +152,7 @@ fn failover_routes_around_a_dead_home_server() {
         },
         warmup: None,
     };
-    let mut cluster = LocalCluster::spawn(3, &engine, &cfg).expect("spawn fleet");
+    let mut cluster = converged_fleet(3, &cfg);
     let directory = cluster.directory();
     let session = "failover-session";
     let home = directory.snapshot().home(session).expect("non-empty");
@@ -191,9 +181,8 @@ fn failover_routes_around_a_dead_home_server() {
 
 #[test]
 fn killing_servers_keeps_ids_stable_and_survivor_serves() {
-    let engine = toy_engine();
     let cfg = ClusterServerConfig::default();
-    let mut cluster = LocalCluster::spawn(3, &engine, &cfg).expect("spawn fleet");
+    let mut cluster = converged_fleet(3, &cfg);
     let ids = cluster.server_ids();
     // Kill two of three by stable id; the ids of the remaining server do
     // not shift.
@@ -209,9 +198,8 @@ fn killing_servers_keeps_ids_stable_and_survivor_serves() {
 
 #[test]
 fn fleet_wide_outage_surfaces_an_error() {
-    let engine = toy_engine();
     let cfg = ClusterServerConfig::default();
-    let cluster = LocalCluster::spawn(2, &engine, &cfg).expect("spawn fleet");
+    let cluster = converged_fleet(2, &cfg);
     let directory = cluster.directory();
     cluster.shutdown();
 
@@ -225,8 +213,7 @@ fn fleet_wide_outage_surfaces_an_error() {
 
 #[test]
 fn two_clients_share_the_fleet() {
-    let engine = toy_engine();
-    let cluster = LocalCluster::spawn(3, &engine, &warm_cluster_cfg()).expect("spawn fleet");
+    let cluster = converged_fleet(3, &warm_cluster_cfg());
     cluster.wait_warm(1, Duration::from_secs(30));
     let directory = cluster.directory();
 
@@ -261,22 +248,22 @@ fn stale_client_is_fenced_synced_and_rerouted() {
     // behind the fleet's is fenced with WrongEpoch, pulls the GossipDelta
     // its epoch vector is missing, applies it, re-resolves, and serves —
     // all inside one request_cots call.
-    let engine = toy_engine();
-    let mut cluster = LocalCluster::spawn(3, &engine, &warm_cluster_cfg()).expect("spawn fleet");
+    let mut cluster = converged_fleet(3, &warm_cluster_cfg());
     let shared = cluster.directory();
 
-    // The client's view is a snapshot clone, NOT the shared directory:
+    // The client's view is a snapshot clone, NOT the observer view:
     // membership changes leave it stale until a server's delta lands.
     let follower = Arc::new(Directory::from_snapshot(&shared.snapshot()));
     let mut client = ClusterClient::connect(Arc::clone(&follower), "stale-view").expect("connect");
     let home = client.home().expect("non-empty");
     client.request_cots(64).unwrap()[0].verify().unwrap();
 
-    // Drain the client's home (epoch bump in the shared directory only)
-    // and add a fresh server. The follower still routes to the drained
+    // Drain the client's home (epoch bump on the replicas and the
+    // observer view only) and add a fresh server. The follower still routes to the drained
     // home; the server must fence and re-educate it.
     cluster.drain_server(home);
     cluster.spawn_server().expect("replacement joins");
+    assert!(cluster.wait_converged(Duration::from_secs(30)));
     let fleet_epoch = shared.epoch();
     assert!(client.epoch() < fleet_epoch, "client view must be stale");
 
@@ -293,8 +280,7 @@ fn stale_client_is_fenced_synced_and_rerouted() {
 
 #[test]
 fn kill_mid_subscription_resumes_on_new_home_with_exact_accounting() {
-    let engine = toy_engine();
-    let mut cluster = LocalCluster::spawn(3, &engine, &warm_cluster_cfg()).expect("spawn fleet");
+    let mut cluster = converged_fleet(3, &warm_cluster_cfg());
     let directory = cluster.directory();
 
     let mut client =
@@ -316,7 +302,7 @@ fn kill_mid_subscription_resumes_on_new_home_with_exact_accounting() {
             // home for exactly the remainder.
             if !killed && seen >= 3 * BATCH as u64 {
                 cluster.kill_server(home);
-                directory.leave(home);
+                cluster.control_directory().leave(home);
                 killed = true;
             }
         })

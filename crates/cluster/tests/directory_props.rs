@@ -1,5 +1,5 @@
 //! Property-based membership invariants (proptest): consistent-hash
-//! reshuffle on `join`/`leave` is *minimal* (only sessions homed on the
+//! reshuffle on `join_as`/`leave` is *minimal* (only sessions homed on the
 //! changed server move), epochs are strictly monotone across arbitrary
 //! mutation sequences, and one pull by epoch vector always converges a
 //! follower to the leader's routing, however far behind it was.
@@ -11,7 +11,7 @@
 //! independently-mutating replicas converge bidirectionally to one
 //! membership and one epoch vector.
 
-use ironman_cluster::{Directory, ServerEntry, ServerId};
+use ironman_cluster::{Directory, ServerId};
 use proptest::prelude::*;
 use std::net::SocketAddr;
 
@@ -22,10 +22,11 @@ fn addr(octet: u64) -> SocketAddr {
 }
 
 fn fleet(n: usize, salt: u64) -> Directory {
-    Directory::bootstrap((0..n).map(|i| ServerEntry {
-        addr: addr(salt * 40 + i as u64 + 1),
-        name: format!("m{i}"),
-    }))
+    let dir = Directory::new();
+    for i in 0..n as u64 {
+        dir.join_as(ServerId(i), addr(salt * 40 + i + 1), &format!("m{i}"), 1);
+    }
+    dir
 }
 
 proptest! {
@@ -41,7 +42,8 @@ proptest! {
     ) {
         let dir = fleet(n, salt);
         let before = dir.snapshot();
-        let joined = dir.join(addr(salt * 40 + 39), "late");
+        let joined = ServerId(n as u64);
+        dir.join_as(joined, addr(salt * 40 + 39), "late", 1);
         let after = dir.snapshot();
         for s in &sessions {
             let session = format!("session-{s}");
@@ -93,16 +95,15 @@ proptest! {
             let ids: Vec<ServerId> = dir.snapshot().members().iter().map(|m| m.id).collect();
             let joined = match op % 5 {
                 0 => {
-                    // A join of an address that is already a live Up
-                    // member is deliberately a no-op (no epoch bump);
+                    // Re-announcing a member that is already Up in the
+                    // same shape is deliberately a no-op (no epoch bump);
                     // only a genuinely new/healing join must advance.
-                    let a = addr(200 + (op % 30));
+                    let id = ServerId(100 + op % 30);
                     let already_up = dir
                         .snapshot()
-                        .members()
-                        .iter()
-                        .any(|m| m.addr == a && m.state == ironman_cluster::MemberState::Up);
-                    dir.join(a, "j");
+                        .member(id)
+                        .is_some_and(|m| m.state == ironman_cluster::MemberState::Up);
+                    dir.join_as(id, addr(200 + (op % 30)), "j", 1);
                     !already_up
                 }
                 1 if ids.len() > 1 => { dir.leave(ids[(op / 5) as usize % ids.len()]); false }
@@ -134,7 +135,7 @@ proptest! {
         for op in &ops {
             let ids: Vec<ServerId> = dir.snapshot().members().iter().map(|m| m.id).collect();
             match op % 4 {
-                0 => { dir.join(addr(600 + (op % 20)), "j"); }
+                0 => { dir.join_as(ServerId(600 + op % 20), addr(600 + (op % 20)), "j", 1); }
                 1 if ids.len() > 1 => { dir.leave(ids[(op / 4) as usize % ids.len()]); }
                 2 if !ids.is_empty() => { dir.drain(ids[(op / 4) as usize % ids.len()]); }
                 3 if !ids.is_empty() => { dir.mark_up(ids[(op / 4) as usize % ids.len()]); }

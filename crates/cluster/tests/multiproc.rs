@@ -373,9 +373,9 @@ fn multiprocess_fleet_survives_partition_and_heals_to_one_vector() {
         probe_replica(victim.bound).is_some_and(|(_, live)| !live.contains(&1))
     });
 
-    // Majority-side mutation #2 arrives on its own: the health checkers
-    // strike the blackholed victim out, and the eviction is issued by
-    // the lease holder (lowest live id) alone.
+    // Majority-side mutation #2 arrives on its own: the gossipers'
+    // failed pulls strike the blackholed victim out, and the eviction is
+    // issued by the lease holder (lowest live id) alone.
     wait_until("the joiner reaches the majority replicas", || {
         probe_replica(a.bound).is_some_and(|(_, live)| live.contains(&3))
     });

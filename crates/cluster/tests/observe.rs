@@ -3,6 +3,9 @@
 //! quantiles must bracket the per-server ones — the property that makes
 //! the fleet-wide roll-up trustworthy for steering decisions.
 
+mod common;
+
+use common::converged_fleet;
 use ironman_cluster::directory::ServerId;
 use ironman_cluster::{
     observe, ClusterServerConfig, FleetObserverConfig, FleetSnapshot, LocalCluster,
@@ -11,13 +14,6 @@ use ironman_cluster::{
 use ironman_net::{CotClient, CotServiceConfig, LatencyStats};
 use ironman_telemetry::HistogramSnapshot;
 use std::time::{Duration, Instant};
-
-fn toy_engine() -> ironman_core::Engine {
-    ironman_core::Engine::new(
-        ironman_ot::ferret::FerretConfig::new(ironman_ot::params::FerretParams::toy()),
-        ironman_core::Backend::ironman_default(),
-    )
-}
 
 fn observed_cluster_cfg() -> ClusterServerConfig {
     ClusterServerConfig {
@@ -94,8 +90,7 @@ fn assert_latency_brackets(merged: &LatencyStats, per_server: &[&LatencyStats]) 
 
 #[test]
 fn fleet_scrape_merges_and_merged_quantiles_bound_per_server_ones() {
-    let engine = toy_engine();
-    let cluster = LocalCluster::spawn(3, &engine, &observed_cluster_cfg()).expect("spawn fleet");
+    let cluster = converged_fleet(3, &observed_cluster_cfg());
     exercise_every_server(&cluster);
 
     let directory = cluster.directory();
@@ -130,8 +125,7 @@ fn fleet_scrape_merges_and_merged_quantiles_bound_per_server_ones() {
 
 #[test]
 fn background_observer_publishes_snapshots_on_cadence() {
-    let engine = toy_engine();
-    let mut cluster = LocalCluster::spawn(3, &engine, &observed_cluster_cfg()).expect("spawn");
+    let mut cluster = converged_fleet(3, &observed_cluster_cfg());
     exercise_every_server(&cluster);
     cluster.enable_observer(FleetObserverConfig {
         interval: Duration::from_millis(5),

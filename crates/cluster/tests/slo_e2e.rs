@@ -1,19 +1,21 @@
 //! Observability-plane end-to-end: a 3-server fleet under live load
 //! with SLO burn-rate alerting and the scrape exporter. The supply-floor
 //! alert must stay inactive while the fleet is healthy, fire when the
-//! fleet is killed (crash semantics — the health checker evicts), and
+//! fleet is killed (crash semantics — nothing is left to answer a
+//! scrape), and
 //! resolve after replacements heal it; the exporter's `/metrics` output
 //! must parse as Prometheus text exposition with the required families,
 //! including per-server model-vs-measured headroom gauges. Run by
 //! `scripts/ci.sh`.
 
+mod common;
+
+use common::converged_fleet;
 use ironman_cluster::{
     AlertState, BurnWindows, ClusterClient, ClusterServerConfig, FleetExporterConfig,
     FleetObserverConfig, HeadroomModel, HealthConfig, LocalCluster, SloKind, SloSpec, WarmupConfig,
 };
-use ironman_core::{Backend, Engine};
 use ironman_net::{http_get, CotServiceConfig};
-use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
@@ -147,10 +149,6 @@ fn await_state(
 
 #[test]
 fn supply_slo_fires_on_fleet_kill_and_resolves_on_heal() {
-    let engine = Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
     let cfg = ClusterServerConfig {
         service: CotServiceConfig {
             shards: 2,
@@ -159,18 +157,14 @@ fn supply_slo_fires_on_fleet_kill_and_resolves_on_heal() {
         },
         warmup: Some(WarmupConfig::default()),
     };
-    let mut cluster = LocalCluster::spawn(3, &engine, &cfg).expect("spawn fleet");
-    // Eviction is permanent (rejoin is manual), so the strike budget
-    // must ride out CPU-starvation bursts on a loaded one-core CI box:
-    // with `evict_after: 3` a healthy member that missed three 10 ms
-    // probes during an extension burst was gone for good and the
-    // "all three up" scrape below could never succeed. Eight strikes
-    // still evicts a killed server within seconds in phase 2.
+    let mut cluster = converged_fleet(3, &cfg);
+    // The strike budget must ride out CPU-starvation bursts on a loaded
+    // one-core CI box: with `evict_after: 3` a healthy member that missed
+    // three 10 ms pulls during an extension burst was evicted and the
+    // "all three up" scrape below raced its re-announcement.
     cluster.enable_health(HealthConfig {
-        interval: Duration::from_millis(10),
         suspect_after: 2,
         evict_after: 8,
-        ..HealthConfig::default()
     });
     // Tight burn windows so the whole lifecycle fits a test: a healthy
     // fleet under load supplies far above 1000 COTs/s; a dead fleet
@@ -328,8 +322,8 @@ fn supply_slo_fires_on_fleet_kill_and_resolves_on_heal() {
     let (status, _) = http_get(exporter_addr, "/nope").expect("reachable");
     assert_eq!(status, 404);
 
-    // Phase 2 — kill the whole fleet (crash semantics; the health
-    // checker evicts). Fleet supply collapses to zero, so the fast
+    // Phase 2 — kill the whole fleet (crash semantics; every gossiper
+    // dies with its server). Fleet supply collapses to zero, so the fast
     // window burns, the slow window agrees, and the alert fires.
     for id in cluster.server_ids() {
         cluster.kill_server(id);

@@ -28,8 +28,9 @@
 //!
 //! One process serving many sockets is the smallest deployment; the
 //! fleet-shaped one — an epoch-versioned membership directory of these
-//! services with client-side consistent-hash routing, health checking,
-//! failover, and per-server pool warm-up — lives in `ironman-cluster`
+//! services with client-side consistent-hash routing, gossip-driven
+//! failure detection, failover, and per-server pool warm-up — lives in
+//! `ironman-cluster`
 //! and speaks exactly this protocol:
 //!
 //! ```text
@@ -153,7 +154,7 @@
 //!
 //! A server attached to a [`DirectoryView`] carries an epoch-versioned
 //! view of its fleet's membership; the epoch increases monotonically on
-//! every join/leave/drain/health transition. The protocol keeps clients'
+//! every join/leave/drain/suspect transition. The protocol keeps clients'
 //! routing views honest:
 //!
 //! * `Hello{name, epoch}` announces the client's directory epoch
@@ -206,7 +207,7 @@
 //!   quantile outside the range its inputs span.
 //!
 //! The fleet-level roll-up (scraping every member's `Stats` on the
-//! health-probe cadence and merging into one `FleetSnapshot`) lives in
+//! gossip cadence and merging into one `FleetSnapshot`) lives in
 //! `ironman-cluster`'s `FleetObserver`.
 //!
 //! # Observability plane (v7)
@@ -315,8 +316,9 @@
 //!   epoch vector; the answer `GossipDelta(delta)` contains exactly the
 //!   records that vector does not cover, never a full-snapshot claim —
 //!   anti-entropy merges record by record so concurrent writes on the
-//!   receiver survive. Pulls piggyback on the health-probe cadence
-//!   (`ironman-cluster`'s `Gossiper`); a client can present
+//!   receiver survive. Each server pulls every peer once per sweep over a
+//!   cached session (`ironman-cluster`'s `Gossiper`, whose pulls double as
+//!   the failure detector's probes); a client can present
 //!   `from = u64::MAX` to sync its routing view without announcing
 //!   itself. After a gossip exchange the session is epoch-current, like
 //!   a v4 `Sync`.

@@ -242,7 +242,7 @@ pub enum MemberWireState {
     Up,
     /// Finishing existing sessions; receives no new homes.
     Draining,
-    /// Failed recent health probes; deprioritized for routing.
+    /// Failed recent gossip pulls; deprioritized for routing.
     Suspect,
     /// Removed from the membership (only meaningful inside a delta).
     Left,

@@ -268,7 +268,7 @@ struct ServiceShared {
     /// slow-consumer guard).
     push_timeout_ms: AtomicU64,
     /// This server's own member id in the attached directory
-    /// (`u64::MAX` = unset, e.g. standalone or shared-directory mode) —
+    /// (`u64::MAX` = unset, e.g. a standalone service) —
     /// what the drain-handoff check asks the directory about.
     self_id: AtomicU64,
 }
@@ -1130,7 +1130,7 @@ impl CotClient {
     /// `timeouts.connect`, and the session socket carries
     /// `timeouts.read`/`timeouts.write` as its per-op deadlines
     /// (`SO_RCVTIMEO`/`SO_SNDTIMEO`) thereafter — background controllers
-    /// (health probes, gossip, the fleet observer) pass
+    /// (gossip, the fleet observer) pass
     /// [`OpTimeouts::uniform`] so one blackholed server costs them a
     /// short timeout.
     ///

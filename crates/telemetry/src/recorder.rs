@@ -116,8 +116,8 @@ mod tests {
     #[test]
     fn same_name_shares_one_instrument() {
         let rec = Recorder::new();
-        let a = rec.histogram("probe_rtt");
-        let b = rec.histogram("probe_rtt");
+        let a = rec.histogram("scrape_rtt");
+        let b = rec.histogram("scrape_rtt");
         assert!(Arc::ptr_eq(&a, &b));
         let c1 = rec.counter("sweeps");
         let c2 = rec.counter("sweeps");

@@ -8,7 +8,7 @@
 //! pool topped up from the sessions' staged look-ahead.
 
 use ironman_cluster::{
-    ClusterClient, ClusterServerConfig, HealthConfig, LocalCluster, WarmupConfig,
+    ClusterClient, ClusterServerConfig, GossiperConfig, HealthConfig, LocalCluster, WarmupConfig,
 };
 use ironman_core::{Backend, Engine};
 use ironman_ot::ferret::FerretConfig;
@@ -20,16 +20,19 @@ fn main() {
         FerretConfig::recommended(FerretParams::toy()),
         Backend::ironman_default(),
     );
-    let mut cluster = LocalCluster::spawn(
+    let mut cluster = LocalCluster::spawn_replicated(
         3,
         &engine,
         &ClusterServerConfig {
             warmup: Some(WarmupConfig::default()),
             ..ClusterServerConfig::default()
         },
+        GossiperConfig::default(),
     )
     .expect("spawn fleet");
     cluster.enable_health(HealthConfig::default());
+    let converge = Duration::from_secs(30);
+    cluster.wait_converged(converge);
     let directory = cluster.directory();
     let snapshot = directory.snapshot();
     println!("directory at epoch {}", snapshot.epoch());
@@ -87,10 +90,12 @@ fn main() {
     );
 
     // Membership churn, live: drain one server (hitless — no new homes),
-    // kill another (the health checker evicts it), join a replacement.
-    // The client keeps serving through every step.
+    // kill another (its peers' gossip pulls fail until the lease holder
+    // evicts it), join a replacement. The client keeps serving through
+    // every step.
     let ids = cluster.server_ids();
     cluster.drain_server(ids[0]);
+    cluster.wait_converged(converge);
     println!("\ndrained {} -> epoch {}", ids[0], directory.epoch());
     cluster.kill_server(ids[1]);
     let evicted_by = Instant::now() + Duration::from_secs(10);
@@ -98,11 +103,12 @@ fn main() {
         std::thread::sleep(Duration::from_millis(5));
     }
     println!(
-        "killed {} -> health checker evicted it at epoch {}",
+        "killed {} -> gossip evicted it at epoch {}",
         ids[1],
         directory.epoch()
     );
     let replacement = cluster.spawn_server().expect("replacement joins");
+    cluster.wait_converged(converge);
     println!("joined {replacement} -> epoch {}", directory.epoch());
     let batches = client.request_cots(1000).expect("serve through churn");
     let churn_total: usize = batches.iter().map(|b| b.len()).sum();

@@ -18,7 +18,8 @@
 
 use ironman_cluster::{
     AlertState, BurnWindows, ClusterClient, ClusterServerConfig, FleetExporterConfig,
-    FleetObserverConfig, HeadroomModel, HealthConfig, LocalCluster, SloKind, SloSpec, WarmupConfig,
+    FleetObserverConfig, GossiperConfig, HeadroomModel, HealthConfig, LocalCluster, SloKind,
+    SloSpec, WarmupConfig,
 };
 use ironman_core::{Backend, Engine};
 use ironman_net::{FaultPlan, OpTimeouts, RetryPolicy};
@@ -33,21 +34,21 @@ const TICKS: usize = 14;
 fn main() {
     let params = FerretParams::toy();
     let engine = Engine::new(FerretConfig::new(params), Backend::ironman_default());
-    let mut cluster = LocalCluster::spawn(
+    let mut cluster = LocalCluster::spawn_replicated(
         3,
         &engine,
         &ClusterServerConfig {
             warmup: Some(WarmupConfig::default()),
             ..ClusterServerConfig::default()
         },
+        GossiperConfig::default(),
     )
     .expect("spawn fleet");
     cluster.enable_health(HealthConfig {
-        interval: Duration::from_millis(25),
         suspect_after: 1,
         evict_after: 4,
-        ..HealthConfig::default()
     });
+    cluster.wait_converged(Duration::from_secs(30));
     cluster.enable_observer(FleetObserverConfig {
         interval: Duration::from_millis(50),
         slos: vec![SloSpec::new(

@@ -4,7 +4,9 @@
 //! when routing, fencing or resync breaks — not only the cluster crate's
 //! own suite.
 
-use ironman_cluster::{ClusterClient, ClusterServerConfig, Directory, LocalCluster, WarmupConfig};
+use ironman_cluster::{
+    ClusterClient, ClusterServerConfig, Directory, GossiperConfig, LocalCluster, WarmupConfig,
+};
 use ironman_core::{Backend, Engine};
 use ironman_net::CotServiceConfig;
 use ironman_ot::ferret::FerretConfig;
@@ -33,7 +35,14 @@ fn follower_client_rides_out_membership_churn() {
         },
         warmup: Some(WarmupConfig::default()),
     };
-    let mut cluster = LocalCluster::spawn(3, &engine, &cfg).expect("spawn fleet");
+    let gossip = GossiperConfig {
+        interval: Duration::from_millis(10),
+        ..GossiperConfig::default()
+    };
+    let mut cluster =
+        LocalCluster::spawn_replicated(3, &engine, &cfg, gossip).expect("spawn fleet");
+    let converge = Duration::from_secs(30);
+    assert!(cluster.wait_converged(converge), "fleet never converged");
     let fleet = cluster.directory();
 
     // The client's membership view is its own directory, cloned from a
@@ -43,9 +52,12 @@ fn follower_client_rides_out_membership_churn() {
     let home = client.home().expect("non-empty fleet");
     serve_verified(&mut client, "first request");
 
-    // Leader-side churn: the client's home leaves, a replacement joins.
-    assert!(fleet.leave(home));
+    // Leader-side churn: the client's home dies and leaves, a replacement
+    // joins, and gossip carries both to every replica.
+    cluster.kill_server(home);
+    assert!(cluster.control_directory().leave(home));
     cluster.spawn_server().expect("replacement joins");
+    assert!(cluster.wait_converged(converge), "churn never converged");
     assert!(client.epoch() < fleet.epoch(), "client view must be stale");
     let served_on_home = client.served_for(home);
 
