@@ -126,8 +126,11 @@ mod tests {
         warmup.stop();
         assert!(pool.warmup_refills() >= 2);
         // Demand after warm-up is pure buffer drain.
-        let extensions_before = pool.extensions_run();
-        pool.take(100).verify().unwrap();
-        assert_eq!(pool.extensions_run(), extensions_before);
+        let extensions_run =
+            || -> u64 { pool.shard_stats().iter().map(|s| s.extensions_run).sum() };
+        let extensions_before = extensions_run();
+        pool.take_with_shard(100, |slice, _| slice.verify())
+            .unwrap();
+        assert_eq!(extensions_run(), extensions_before);
     }
 }

@@ -4,7 +4,7 @@
 //! poison a shard.
 
 use ironman_cluster::{Warmup, WarmupConfig};
-use ironman_core::{Backend, Engine, SharedCotPool};
+use ironman_core::{Backend, CotBatch, Engine, SharedCotPool};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use std::sync::Arc;
@@ -37,8 +37,9 @@ fn eight_threads_hammer_pool_under_warmup() {
         for _ in 0..THREADS {
             let pool = Arc::clone(&pool);
             scope.spawn(move || {
+                let mut batch = CotBatch::default();
                 for _ in 0..TAKES_PER_THREAD {
-                    let batch = pool.take(BATCH);
+                    pool.take_into(BATCH, &mut batch);
                     assert_eq!(batch.len(), BATCH);
                     batch.verify().expect("correlation holds under contention");
                 }
@@ -48,19 +49,18 @@ fn eight_threads_hammer_pool_under_warmup() {
 
     warmup.stop();
 
-    // Counter sanity after the race: occupancy sums match, per-shard
-    // extension counts sum to the total, and warm-up did real work.
+    // Counter sanity after the race: every take was counted exactly once,
+    // and warm-up did real work.
+    let stats = pool.shard_stats();
     assert_eq!(
-        pool.shard_occupancy().iter().sum::<usize>(),
-        pool.available()
+        stats.iter().map(|s| s.taken_cots).sum::<u64>(),
+        (THREADS * TAKES_PER_THREAD * BATCH) as u64
     );
-    assert_eq!(
-        pool.shard_extensions().iter().sum::<usize>(),
-        pool.extensions_run()
-    );
+    let extensions_run: u64 = stats.iter().map(|s| s.extensions_run).sum();
     assert!(pool.warmup_refills() > 0, "refiller never won a sweep");
-    assert!(pool.extensions_run() as u64 >= pool.warmup_refills());
+    assert!(extensions_run >= pool.warmup_refills());
 
     // The pool is still fully serviceable afterwards.
-    pool.take(BATCH).verify().unwrap();
+    pool.take_with_shard(BATCH, |slice, _| slice.verify())
+        .unwrap();
 }

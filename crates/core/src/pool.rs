@@ -25,14 +25,23 @@
 //! # Zero-copy consumption
 //!
 //! [`CotPool::take_slice`] hands out a [`CotSlice`] borrowing the pool's
-//! ring directly; [`CotPool::take_into`] fills a caller-retained
-//! [`CotBatch`], reusing its allocations. [`CotPool::take`] (allocating)
-//! remains for callers that want owned batches.
+//! ring directly; [`CotPool::take_into`] copies it into a caller-retained
+//! [`CotBatch`], reusing its allocations. There is no allocating take: a
+//! caller that wants an owned batch keeps a `CotBatch::default()` around.
+//!
+//! # Counters
+//!
+//! The pool's counters (extensions merged, correlations taken, warm-up
+//! refills, occupancy) live in its [`SessionTelemetry`], beside the
+//! session's own, as relaxed atomics written where they change. A sharded
+//! pool reads them there without taking the shard's lock.
 
 use crate::engine::{Engine, Timing};
 use ironman_ot::session::{CotSession, SessionBatch, SessionTelemetry};
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, Stopwatch};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// A matched batch of correlations handed to the application.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -131,16 +140,6 @@ impl CotSlice<'_> {
         Ok(())
     }
 
-    /// Materializes an owned [`CotBatch`] (one copy).
-    pub fn to_batch(&self) -> CotBatch {
-        CotBatch {
-            delta: self.delta,
-            z: self.z.to_vec(),
-            x: self.x.to_vec(),
-            y: self.y.to_vec(),
-        }
-    }
-
     /// Copies this view into `out`, reusing `out`'s allocations.
     pub fn copy_into(&self, out: &mut CotBatch) {
         out.delta = self.delta;
@@ -178,32 +177,31 @@ pub struct CotPool {
     x: Vec<bool>,
     y: Vec<Block>,
     cursor: usize,
-    extensions_run: usize,
-    taken_cots: u64,
-    warm_refills: u64,
     last_timing: Option<Timing>,
     /// Timing template for pipelined refills (the session runs off the
     /// demand path, so per-refill byte counts are not re-measured).
     session_timing: Option<Timing>,
-    /// Extension/stall histograms and the event trace this pool records
-    /// into. Pipelined supply shares these with its session (the session
-    /// threads record extension durations); inline refills record here
-    /// directly, so both supply modes feed the same sinks.
-    telemetry: SessionTelemetry,
+    /// The histograms, trace and counters this pool records into.
+    /// Pipelined supply shares it with its session (the session threads
+    /// record extension durations and staged extensions); inline refills
+    /// record here directly, so both supply modes feed the same home.
+    telemetry: Arc<SessionTelemetry>,
 }
 
 impl CotPool {
     /// Creates an empty inline-mode pool; the first request triggers a
-    /// fresh-session extension. Records into fresh private telemetry
-    /// sinks; use [`CotPool::new_with`] to share a caller's.
+    /// fresh-session extension. Records into a fresh private
+    /// [`SessionTelemetry`]; use [`CotPool::new_with`] to share a
+    /// caller's.
     pub fn new(engine: Engine, seed: u64) -> Self {
-        CotPool::new_with(engine, seed, SessionTelemetry::default())
+        CotPool::new_with(engine, seed, Arc::default())
     }
 
-    /// [`CotPool::new`] recording into caller-provided telemetry sinks
-    /// (a sharded pool shares one set per shard so the serving layer
-    /// can snapshot latencies without locking the shard).
-    pub fn new_with(mut engine: Engine, seed: u64, telemetry: SessionTelemetry) -> Self {
+    /// [`CotPool::new`] recording into a caller-provided
+    /// [`SessionTelemetry`] (a sharded pool shares one per shard so the
+    /// serving layer reads counters and latencies without locking the
+    /// shard).
+    pub fn new_with(mut engine: Engine, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
         // Inline refills bootstrap a fresh session each time; prebuild
         // the matrix once so refills only pay for protocol work.
         engine.prepare_shared_matrix();
@@ -216,9 +214,6 @@ impl CotPool {
             x: Vec::new(),
             y: Vec::new(),
             cursor: 0,
-            extensions_run: 0,
-            taken_cots: 0,
-            warm_refills: 0,
             last_timing: None,
             session_timing: None,
             telemetry,
@@ -228,22 +223,27 @@ impl CotPool {
     /// Creates a pool over a persistent pipelined session: extensions run
     /// on background threads ahead of demand, `Δ` is fixed for the pool's
     /// lifetime, and refills merge with any buffered remnant. Records
-    /// into fresh private telemetry sinks; use
+    /// into a fresh private [`SessionTelemetry`]; use
     /// [`CotPool::pipelined_with`] to share a caller's.
     pub fn pipelined(engine: Engine, seed: u64) -> Self {
-        CotPool::pipelined_with(engine, seed, SessionTelemetry::default())
+        CotPool::pipelined_with(engine, seed, Arc::default())
     }
 
-    /// [`CotPool::pipelined`] recording into caller-provided telemetry
-    /// sinks, shared with the session's party threads (extension
-    /// durations and their SPCOT/LPN phase split come from the session;
-    /// stalls and refill events from the drain path).
-    pub fn pipelined_with(mut engine: Engine, seed: u64, telemetry: SessionTelemetry) -> Self {
+    /// [`CotPool::pipelined`] recording into a caller-provided
+    /// [`SessionTelemetry`], shared with the session's party threads
+    /// (extension durations, their SPCOT/LPN phase split and staged
+    /// extensions come from the session; stalls, refill events and the
+    /// pool's counters from the drain path).
+    pub fn pipelined_with(mut engine: Engine, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
         // One matrix for the session's two party threads (and zero new
         // allocations when a shard pool already prebuilt it).
         engine.prepare_shared_matrix();
-        let session =
-            CotSession::spawn_with(engine.config(), seed, SESSION_LOOKAHEAD, telemetry.clone());
+        let session = CotSession::spawn_with(
+            engine.config(),
+            seed,
+            SESSION_LOOKAHEAD,
+            Arc::clone(&telemetry),
+        );
         let delta = session.delta();
         let session_timing = engine.estimate_timing(seed);
         CotPool {
@@ -255,17 +255,14 @@ impl CotPool {
             x: Vec::new(),
             y: Vec::new(),
             cursor: 0,
-            extensions_run: 0,
-            taken_cots: 0,
-            warm_refills: 0,
             last_timing: None,
             session_timing: Some(session_timing),
             telemetry,
         }
     }
 
-    /// The telemetry sinks this pool (and its session, when pipelined)
-    /// records into.
+    /// The telemetry and counters this pool (and its session, when
+    /// pipelined) records into.
     pub fn telemetry(&self) -> &SessionTelemetry {
         &self.telemetry
     }
@@ -286,41 +283,17 @@ impl CotPool {
         self.z.len() - self.cursor
     }
 
-    /// Extensions executed so far.
-    pub fn extensions_run(&self) -> usize {
-        self.extensions_run
+    /// Extensions merged into the buffer so far (staged or inline).
+    pub fn extensions_run(&self) -> u64 {
+        self.telemetry.extensions_run.load(Ordering::Relaxed)
     }
 
-    /// Correlations drained from this pool so far — the per-shard demand
-    /// signal `Stats` reports.
-    pub fn taken_cots(&self) -> u64 {
-        self.taken_cots
-    }
-
-    /// Refills performed through [`CotPool::ensure`] (the warm-up path,
-    /// as opposed to inline refills on the demand path).
-    pub fn warm_refills(&self) -> u64 {
-        self.warm_refills
-    }
-
-    /// Extensions the pipelined session's party threads have completed
-    /// ahead of demand (0 for inline supply — inline extensions show up
-    /// in [`CotPool::extensions_run`]).
-    pub fn session_extensions(&self) -> u64 {
-        match &self.supply {
-            Supply::Session(session) => session.extensions_staged(),
-            Supply::Inline => 0,
-        }
-    }
-
-    /// Times a drain had to block on the session because the staging
-    /// buffer was empty — the supply-pressure signal: demand reached
-    /// this shard faster than its session extends (0 for inline supply).
-    pub fn session_stalls(&self) -> u64 {
-        match &self.supply {
-            Supply::Session(session) => session.consumer_stalls(),
-            Supply::Inline => 0,
-        }
+    /// Publishes the buffer's occupancy to the counter home; called
+    /// wherever `z` or `cursor` moves.
+    fn publish_available(&self) {
+        self.telemetry
+            .available
+            .store(self.available() as u64, Ordering::Relaxed);
     }
 
     /// Timing of the most recent extension, if any (pipelined refills
@@ -357,7 +330,10 @@ impl CotPool {
         self.x = out.x;
         self.y = out.y;
         self.cursor = 0;
-        self.extensions_run += 1;
+        self.telemetry
+            .extensions_run
+            .fetch_add(1, Ordering::Relaxed);
+        self.publish_available();
         self.last_timing = Some(run.timing);
         self.telemetry
             .trace
@@ -388,7 +364,10 @@ impl CotPool {
             self.y.extend_from_slice(&batch.y);
         }
         self.cursor = 0;
-        self.extensions_run += 1;
+        self.telemetry
+            .extensions_run
+            .fetch_add(1, Ordering::Relaxed);
+        self.publish_available();
         self.last_timing = self.session_timing;
     }
 
@@ -420,8 +399,9 @@ impl CotPool {
     /// Returns whether a refill happened.
     ///
     /// Inline mode runs (at most) one fresh-session extension, discarding
-    /// a below-watermark remnant first — the same rule [`CotPool::take`]
-    /// applies — and clamps watermarks to one extension's output.
+    /// a below-watermark remnant first — the same rule
+    /// [`CotPool::take_slice`] applies — and clamps watermarks to one
+    /// extension's output.
     /// Pipelined mode instead drains already-staged session outputs
     /// **without blocking** (the session threads do the extending) and
     /// merges them with the remnant; the watermark is clamped to two
@@ -430,7 +410,7 @@ impl CotPool {
     pub fn ensure(&mut self, min_available: usize) -> bool {
         let refilled = self.ensure_inner(min_available);
         if refilled {
-            self.warm_refills += 1;
+            self.telemetry.warm_refills.fetch_add(1, Ordering::Relaxed);
         }
         refilled
     }
@@ -477,8 +457,8 @@ impl CotPool {
     }
 
     /// Takes `count` correlations as a borrowed view of the pool's ring —
-    /// the zero-copy primitive behind [`CotPool::take`] and
-    /// [`CotPool::take_into`]. The returned view is homogeneous in `Δ`
+    /// the zero-copy primitive behind [`CotPool::take_into`] and every
+    /// sharded take. The returned view is homogeneous in `Δ`
     /// (inline mode never lets a batch straddle a session boundary;
     /// pipelined mode has a single `Δ` for the pool's lifetime).
     ///
@@ -495,7 +475,10 @@ impl CotPool {
         self.top_up(count);
         let start = self.cursor;
         self.cursor += count;
-        self.taken_cots += count as u64;
+        self.telemetry
+            .taken
+            .fetch_add(count as u64, Ordering::Relaxed);
+        self.publish_available();
         CotSlice {
             delta: self.delta.expect("refill sets delta"),
             z: &self.z[start..start + count],
@@ -504,18 +487,9 @@ impl CotPool {
         }
     }
 
-    /// Takes `count` correlations as an owned batch, extending as needed.
-    ///
-    /// # Panics
-    ///
-    /// Same bound as [`CotPool::take_slice`].
-    pub fn take(&mut self, count: usize) -> CotBatch {
-        self.take_slice(count).to_batch()
-    }
-
     /// Takes `count` correlations into a caller-retained batch, reusing
     /// its allocations (same semantics — including the inline-mode
-    /// drop-remnant-on-refill `Δ` rule — as [`CotPool::take`]).
+    /// drop-remnant-on-refill `Δ` rule — as [`CotPool::take_slice`]).
     ///
     /// # Panics
     ///
@@ -547,21 +521,24 @@ mod tests {
     fn first_take_triggers_extension() {
         let mut p = pool();
         assert_eq!(p.extensions_run(), 0);
-        let batch = p.take(100);
-        assert_eq!(p.extensions_run(), 1);
+        let batch = p.take_slice(100);
         assert_eq!(batch.len(), 100);
         batch.verify().unwrap();
+        assert_eq!(p.extensions_run(), 1);
     }
 
     #[test]
     fn buffered_takes_do_not_re_extend() {
         let mut p = pool();
-        let _ = p.take(100);
+        p.take_slice(100);
         let before = p.available();
-        let b = p.take(200);
-        b.verify().unwrap();
+        p.take_slice(200).verify().unwrap();
         assert_eq!(p.extensions_run(), 1);
         assert_eq!(p.available(), before - 200);
+        // The counter home mirrors what the pool did.
+        let t = p.telemetry();
+        assert_eq!(t.taken.load(Ordering::Relaxed), 300);
+        assert_eq!(t.available.load(Ordering::Relaxed), p.available() as u64);
     }
 
     #[test]
@@ -571,17 +548,16 @@ mod tests {
         // from the new session's).
         let mut p = pool();
         let usable = p.engine.config().usable_outputs();
-        let a = p.take(usable - 10); // leaves a 10-correlation remnant
-        a.verify().unwrap();
-        let b = p.take(20); // cannot be served from the remnant
+        p.take_slice(usable - 10).verify().unwrap(); // leaves a 10-correlation remnant
+        let b = p.take_slice(20); // cannot be served from the remnant
         b.verify().unwrap();
-        assert_eq!(p.extensions_run(), 2);
         assert_eq!(b.len(), 20);
+        assert_eq!(p.extensions_run(), 2);
     }
 
     #[test]
     fn take_into_preserves_drop_remnant_delta_invariant() {
-        // take_into must follow exactly the Δ rule of take: an inline-mode
+        // take_into must follow exactly the Δ rule of take_slice: an inline-mode
         // refill drops the old session's remnant, and the refilled batch
         // is homogeneous under the *new* session's Δ.
         let mut p = pool();
@@ -636,10 +612,8 @@ mod tests {
     fn exhaustion_triggers_refill() {
         let mut p = pool();
         let usable = p.engine.config().usable_outputs();
-        let a = p.take(usable); // drains the first extension fully
-        a.verify().unwrap();
-        let b = p.take(10);
-        b.verify().unwrap();
+        p.take_slice(usable).verify().unwrap(); // drains the first extension fully
+        p.take_slice(10).verify().unwrap();
         assert_eq!(p.extensions_run(), 2);
     }
 
@@ -647,7 +621,7 @@ mod tests {
     fn batches_are_internally_consistent() {
         let mut p = pool();
         for _ in 0..5 {
-            p.take(500).verify().unwrap();
+            p.take_slice(500).verify().unwrap();
         }
     }
 
@@ -656,7 +630,7 @@ mod tests {
     fn oversized_request_rejected() {
         let mut p = pool();
         let usable = p.engine.config().usable_outputs();
-        let _ = p.take(usable + 1);
+        p.take_slice(usable + 1);
     }
 
     #[test]
@@ -664,11 +638,12 @@ mod tests {
         let mut p = CotPool::pipelined(engine(), 42);
         assert!(p.merges_remnants());
         let usable = p.engine.config().usable_outputs();
-        let a = p.take(usable - 10); // leaves a 10-correlation remnant
+        let a = p.take_slice(usable - 10); // leaves a 10-correlation remnant
         a.verify().unwrap();
-        let b = p.take(20); // straddles the refill: remnant is merged
+        let a_delta = a.delta;
+        let b = p.take_slice(20); // straddles the refill: remnant is merged
         b.verify().unwrap();
-        assert_eq!(b.delta, a.delta, "pipelined Δ is fixed for life");
+        assert_eq!(b.delta, a_delta, "pipelined Δ is fixed for life");
         assert_eq!(p.extensions_run(), 2);
         // Nothing was discarded: two extensions in, (usable - 10) + 20 out.
         assert_eq!(p.available(), 2 * usable - (usable - 10) - 20);
@@ -678,7 +653,7 @@ mod tests {
     fn pipelined_matches_inline_delta_contract() {
         let mut p = CotPool::pipelined(engine(), 7);
         for _ in 0..5 {
-            p.take(500).verify().unwrap();
+            p.take_slice(500).verify().unwrap();
         }
         let mut reused = CotBatch::default();
         p.take_into(700, &mut reused);
@@ -702,20 +677,20 @@ mod tests {
             std::thread::yield_now();
         }
         let before = p.extensions_run();
-        p.take(100).verify().unwrap();
+        p.take_slice(100).verify().unwrap();
         assert_eq!(p.extensions_run(), before, "served from the buffer");
     }
 
     #[test]
     fn take_slice_is_a_zero_copy_view() {
         let mut p = pool();
-        let before = p.take(1); // prime the buffer
-        before.verify().unwrap();
+        p.take_slice(1).verify().unwrap(); // prime the buffer
         let available = p.available();
         let s = p.take_slice(300);
         assert_eq!(s.len(), 300);
         s.verify().unwrap();
-        let owned = s.to_batch();
+        let mut owned = CotBatch::default();
+        s.copy_into(&mut owned);
         owned.verify().unwrap();
         assert_eq!(p.available(), available - 300);
     }

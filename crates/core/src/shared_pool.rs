@@ -11,14 +11,19 @@
 //!
 //! Each shard is an independent FERRET session with its own `Δ`; a batch
 //! never straddles shards, so every [`CotBatch`] stays homogeneous in `Δ`
-//! (the invariant [`CotPool::take`] already guarantees per session).
+//! (the invariant [`CotPool::take_slice`] already guarantees per session).
+//!
+//! Only the takes and the warm-up sweep lock a shard. Every read —
+//! occupancy, counters, latencies, traces — goes to the shard's
+//! [`SessionTelemetry`], so a reader never waits on a take, however long
+//! the taker holds the shard.
 
 use crate::engine::Engine;
 use crate::pool::{CotBatch, CotPool, CotSlice};
 use ironman_ot::session::SessionTelemetry;
 use ironman_telemetry::HistogramSnapshot;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Recovers a poisoned shard: a panic mid-`take` (e.g. an oversized
 /// request's assert) leaves the pool state consistent, so serving must
@@ -29,16 +34,18 @@ fn lock_shard(shard: &Mutex<CotPool>) -> MutexGuard<'_, CotPool> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One shard's self-consistent counter snapshot (counters read under a
-/// single lock acquisition): occupancy, extension work, demand drained,
-/// and warm-up refills, plus the shard's latency distributions
-/// (lock-free histograms, snapshotted without the shard lock).
+/// One shard's counters and latency distributions, read from its
+/// [`SessionTelemetry`] without the shard lock. Each field is its own
+/// relaxed read, so the snapshot is not atomic as a whole: a take or
+/// refill landing mid-read can show in one field and not yet in another.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
-    /// Correlations currently buffered in this shard.
-    pub available: usize,
-    /// Extensions this shard has executed (inline or warm-up).
-    pub extensions_run: usize,
+    /// Correlations buffered in this shard, as of its last take or
+    /// refill.
+    pub available: u64,
+    /// Extensions this shard has merged into its buffer (staged or
+    /// inline).
+    pub extensions_run: u64,
     /// Correlations drained from this shard since construction.
     pub taken_cots: u64,
     /// Refills performed through the warm-up path (`ensure`).
@@ -61,13 +68,12 @@ pub struct ShardSnapshot {
 #[derive(Debug)]
 pub struct SharedCotPool {
     shards: Vec<Mutex<CotPool>>,
-    /// Per-shard telemetry sinks (parallel to `shards`), shared with
-    /// each shard's pool and session so latency snapshots and trace
-    /// dumps never take a shard lock.
-    telemetry: Vec<SessionTelemetry>,
+    /// Per-shard counter and telemetry homes (parallel to `shards`),
+    /// shared with each shard's pool and session, so every read goes
+    /// here and none takes a shard lock.
+    telemetry: Vec<Arc<SessionTelemetry>>,
     next: AtomicUsize,
     max_request: usize,
-    warmup_refills: AtomicU64,
 }
 
 impl SharedCotPool {
@@ -103,18 +109,18 @@ impl SharedCotPool {
         let mut engine = engine.clone();
         engine.prepare_shared_matrix();
         let engine = &engine;
-        let telemetry: Vec<SessionTelemetry> =
-            (0..shards).map(|_| SessionTelemetry::default()).collect();
+        let telemetry: Vec<Arc<SessionTelemetry>> = (0..shards).map(|_| Arc::default()).collect();
         let shards = telemetry
             .iter()
             .enumerate()
             .map(|(i, shard_telemetry)| {
                 let shard_seed =
                     seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
+                let shard_telemetry = Arc::clone(shard_telemetry);
                 let pool = if pipelined {
-                    CotPool::pipelined_with(engine.clone(), shard_seed, shard_telemetry.clone())
+                    CotPool::pipelined_with(engine.clone(), shard_seed, shard_telemetry)
                 } else {
-                    CotPool::new_with(engine.clone(), shard_seed, shard_telemetry.clone())
+                    CotPool::new_with(engine.clone(), shard_seed, shard_telemetry)
                 };
                 Mutex::new(pool)
             })
@@ -124,25 +130,14 @@ impl SharedCotPool {
             telemetry,
             next: AtomicUsize::new(0),
             max_request: engine.config().usable_outputs(),
-            warmup_refills: AtomicU64::new(0),
         }
     }
 
-    /// The per-shard telemetry sinks (in shard order) — lock-free to
-    /// snapshot, so the serving layer reads latency distributions and
-    /// dumps traces without touching the shard locks.
-    pub fn shard_telemetry(&self) -> &[SessionTelemetry] {
+    /// The per-shard counter and telemetry homes (in shard order) —
+    /// lock-free to read, so the serving layer reads counters, latency
+    /// distributions and traces without touching the shard locks.
+    pub fn shard_telemetry(&self) -> &[Arc<SessionTelemetry>] {
         &self.telemetry
-    }
-
-    /// Whether **every** shard still merges remnants across refills
-    /// (pipelined, fixed-`Δ` supply) instead of replacing its buffer.
-    /// Queried live — a pipelined shard whose session threads died
-    /// degrades to fresh-`Δ` inline refills, and callers caching
-    /// `Δ`-dependent state must see that — so this can flip from `true`
-    /// to `false` over the pool's lifetime (never back).
-    pub fn merges_remnants(&self) -> bool {
-        self.shards.iter().all(|s| lock_shard(s).merges_remnants())
     }
 
     /// Number of shards.
@@ -155,49 +150,29 @@ impl SharedCotPool {
         self.max_request
     }
 
-    /// Takes `count` correlations from one shard (the batch is always
-    /// homogeneous in `Δ`).
-    ///
-    /// Tries each shard without blocking first (starting at this request's
-    /// round-robin home), so a shard mid-refill never stalls requests that
-    /// another shard could serve from its buffer; blocks on the home shard
-    /// only when every shard is busy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds [`SharedCotPool::max_request`].
-    pub fn take(&self, count: usize) -> CotBatch {
-        self.take_with(count, |slice| slice.to_batch())
-    }
-
     /// Takes `count` correlations into a caller-retained batch, reusing
     /// its allocations (same routing and `Δ` semantics as
-    /// [`SharedCotPool::take`]).
+    /// [`SharedCotPool::take_with_shard`]).
     ///
     /// # Panics
     ///
     /// Panics if `count` exceeds [`SharedCotPool::max_request`].
     pub fn take_into(&self, count: usize, out: &mut CotBatch) {
-        self.take_with(count, |slice| slice.copy_into(out));
+        self.take_with_shard(count, |slice, _shard| slice.copy_into(out));
     }
 
-    /// The zero-copy take: locks one shard (same lock-stealing routing as
-    /// [`SharedCotPool::take`]) and hands `f` a [`CotSlice`] borrowing
-    /// the shard's ring directly, so the caller can serialize the batch
-    /// straight into its own buffer with a single copy. The shard lock is
-    /// held for the duration of `f` — keep it to a copy/encode, not I/O.
+    /// The zero-copy take: locks one shard and hands `f` a [`CotSlice`]
+    /// borrowing the shard's ring directly (always homogeneous in `Δ`),
+    /// plus the index of the shard that served it, so the serving layer
+    /// can serialize the batch straight into its own buffer and attribute
+    /// per-request measurements to the shard that did the work.
     ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds [`SharedCotPool::max_request`].
-    pub fn take_with<R>(&self, count: usize, f: impl FnOnce(CotSlice<'_>) -> R) -> R {
-        self.take_with_shard(count, |slice, _shard| f(slice))
-    }
-
-    /// [`SharedCotPool::take_with`] that also hands `f` the index of the
-    /// shard that served the request, so the serving layer can attribute
-    /// per-request measurements (latency histograms) to the shard that
-    /// actually did the work rather than the round-robin home.
+    /// Tries each shard without blocking first (starting at this request's
+    /// round-robin home), so a shard mid-refill never stalls requests that
+    /// another shard could serve from its buffer; blocks on the home shard
+    /// only when every shard is busy. The shard lock is held for the
+    /// duration of `f`: other takes route around it, and counter reads
+    /// never wait for it.
     ///
     /// # Panics
     ///
@@ -218,63 +193,40 @@ impl SharedCotPool {
         f(lock_shard(&self.shards[home]).take_slice(count), home)
     }
 
-    /// Total correlations buffered across all shards right now.
+    /// Total correlations buffered across all shards, as of each shard's
+    /// last take or refill.
     pub fn available(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).available()).sum()
-    }
-
-    /// Total extensions executed across all shards.
-    pub fn extensions_run(&self) -> usize {
-        self.shards
+        self.telemetry
             .iter()
-            .map(|s| lock_shard(s).extensions_run())
+            .map(|t| t.available.load(Ordering::Relaxed) as usize)
             .sum()
     }
 
-    /// Correlations currently buffered, per shard (in shard order).
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| lock_shard(s).available())
-            .collect()
-    }
-
-    /// Extensions executed so far, per shard (in shard order).
-    pub fn shard_extensions(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| lock_shard(s).extensions_run())
-            .collect()
-    }
-
-    /// Per-shard counter snapshots, each read under a single lock
-    /// acquisition so every snapshot is self-consistent (separate
-    /// [`SharedCotPool::shard_occupancy`]/[`SharedCotPool::shard_extensions`]
-    /// sweeps can interleave with a refill and report a shard as both
-    /// empty and freshly extended).
+    /// Per-shard counter snapshots (in shard order); see
+    /// [`ShardSnapshot`] for what a snapshot does and does not promise.
     pub fn shard_stats(&self) -> Vec<ShardSnapshot> {
-        self.shards
+        self.telemetry
             .iter()
-            .zip(&self.telemetry)
-            .map(|(s, telemetry)| {
-                let pool = lock_shard(s);
-                ShardSnapshot {
-                    available: pool.available(),
-                    extensions_run: pool.extensions_run(),
-                    taken_cots: pool.taken_cots(),
-                    warm_refills: pool.warm_refills(),
-                    session_extensions: pool.session_extensions(),
-                    session_stalls: pool.session_stalls(),
-                    extension_latency: telemetry.extension.snapshot(),
-                    stall_latency: telemetry.stall.snapshot(),
-                }
+            .map(|t| ShardSnapshot {
+                available: t.available.load(Ordering::Relaxed),
+                extensions_run: t.extensions_run.load(Ordering::Relaxed),
+                taken_cots: t.taken.load(Ordering::Relaxed),
+                warm_refills: t.warm_refills.load(Ordering::Relaxed),
+                session_extensions: t.extensions_staged.load(Ordering::Relaxed),
+                session_stalls: t.consumer_stalls.load(Ordering::Relaxed),
+                extension_latency: t.extension.snapshot(),
+                stall_latency: t.stall.snapshot(),
             })
             .collect()
     }
 
-    /// Refills performed by [`SharedCotPool::warm`] since construction.
+    /// Refills performed by [`SharedCotPool::warm`] since construction
+    /// (the sum of the shards' `warm_refills`).
     pub fn warmup_refills(&self) -> u64 {
-        self.warmup_refills.load(Ordering::Relaxed)
+        self.telemetry
+            .iter()
+            .map(|t| t.warm_refills.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// One warm-up sweep: refills every shard whose buffered correlations
@@ -312,8 +264,6 @@ impl SharedCotPool {
                 refills += 1;
             }
         }
-        self.warmup_refills
-            .fetch_add(refills as u64, Ordering::Relaxed);
         refills
     }
 }
@@ -324,23 +274,33 @@ mod tests {
     use crate::Backend;
     use ironman_ot::ferret::FerretConfig;
     use ironman_ot::params::FerretParams;
-    use std::sync::Arc;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
-    fn shared(shards: usize) -> SharedCotPool {
-        let engine = Engine::new(
+    fn engine() -> Engine {
+        Engine::new(
             FerretConfig::new(FerretParams::toy()),
             Backend::ironman_default(),
-        );
-        SharedCotPool::new(&engine, shards, 7)
+        )
+    }
+
+    fn shared(shards: usize) -> SharedCotPool {
+        SharedCotPool::new(&engine(), shards, 7)
+    }
+
+    fn extensions_run(pool: &SharedCotPool) -> u64 {
+        pool.shard_stats().iter().map(|s| s.extensions_run).sum()
     }
 
     #[test]
     fn serves_verified_batches() {
         let pool = shared(2);
+        let mut batch = CotBatch::default();
         for _ in 0..4 {
-            pool.take(200).verify().unwrap();
+            pool.take_into(200, &mut batch);
+            batch.verify().unwrap();
         }
-        assert!(pool.extensions_run() >= 1);
+        assert!(extensions_run(&pool) >= 1);
     }
 
     #[test]
@@ -350,13 +310,18 @@ mod tests {
             for _ in 0..8 {
                 let pool = Arc::clone(&pool);
                 scope.spawn(move || {
+                    let mut batch = CotBatch::default();
                     for _ in 0..5 {
-                        pool.take(100).verify().unwrap();
+                        pool.take_into(100, &mut batch);
+                        batch.verify().unwrap();
                     }
                 });
             }
         });
-        assert!(pool.available() > 0 || pool.extensions_run() > 0);
+        assert!(pool.available() > 0 || extensions_run(&pool) > 0);
+        // Consume-once accounting: the counter homes saw every take.
+        let taken: u64 = pool.shard_stats().iter().map(|s| s.taken_cots).sum();
+        assert_eq!(taken, 8 * 5 * 100);
     }
 
     #[test]
@@ -368,75 +333,108 @@ mod tests {
     #[test]
     fn warm_fills_every_shard_to_watermark() {
         let pool = shared(3);
-        assert_eq!(pool.shard_occupancy(), vec![0, 0, 0]);
+        let occupancy = |pool: &SharedCotPool| {
+            pool.shard_stats()
+                .iter()
+                .map(|s| s.available)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(occupancy(&pool), vec![0, 0, 0]);
         let refilled = pool.warm(pool.max_request());
         assert_eq!(refilled, 3);
         assert_eq!(pool.warmup_refills(), 3);
-        for occupancy in pool.shard_occupancy() {
-            assert_eq!(occupancy, pool.max_request());
+        for available in occupancy(&pool) {
+            assert_eq!(available, pool.max_request() as u64);
         }
         // A warm pool is a no-op to warm again.
         assert_eq!(pool.warm(pool.max_request()), 0);
         assert_eq!(pool.warmup_refills(), 3);
-        // Per-shard warm refill counters sum to the pool total.
         let stats = pool.shard_stats();
-        assert_eq!(
-            stats.iter().map(|s| s.warm_refills).sum::<u64>(),
-            pool.warmup_refills()
-        );
+        assert!(stats.iter().all(|s| s.warm_refills == 1));
         assert_eq!(stats.iter().map(|s| s.taken_cots).sum::<u64>(), 0);
         // Demand after warm-up is served without an inline extension.
-        let before = pool.extensions_run();
-        pool.take(100).verify().unwrap();
-        assert_eq!(pool.extensions_run(), before);
+        let before = extensions_run(&pool);
+        pool.take_with_shard(100, |slice, _| slice.verify())
+            .unwrap();
+        assert_eq!(extensions_run(&pool), before);
     }
 
     #[test]
     fn per_shard_counters_track_refills() {
         let pool = shared(2);
         pool.warm(1);
-        let ext = pool.shard_extensions();
-        assert_eq!(ext.iter().sum::<usize>(), pool.extensions_run());
-        assert!(ext.iter().all(|&e| e == 1));
+        assert!(pool.shard_stats().iter().all(|s| s.extensions_run == 1));
     }
 
     #[test]
-    fn take_with_encodes_under_the_shard_lock() {
+    fn take_with_shard_encodes_under_the_shard_lock() {
         let pool = shared(2);
         let mut sink: Vec<u8> = Vec::new();
-        let n = pool.take_with(300, |slice| {
+        let (n, shard) = pool.take_with_shard(300, |slice, shard| {
             slice.verify().unwrap();
             for b in slice.z {
                 sink.extend_from_slice(&b.to_le_bytes());
             }
-            slice.len()
+            (slice.len(), shard)
         });
         assert_eq!(n, 300);
         assert_eq!(sink.len(), 300 * 16);
+        assert_eq!(pool.shard_stats()[shard].taken_cots, 300);
+    }
+
+    #[test]
+    fn counter_reads_never_wait_on_a_held_shard() {
+        // A taker parks inside the take, holding the only shard's lock
+        // (as the serving layer does while a socket write blocks). Reads
+        // from another thread must still answer — and already show the
+        // parked take.
+        let pool = &shared(1);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (read_tx, read_rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                pool.take_with_shard(10, |_slice, _shard| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            entered_rx.recv().unwrap();
+            scope.spawn(move || {
+                read_tx
+                    .send((pool.shard_stats(), pool.available()))
+                    .unwrap()
+            });
+            let read = read_rx.recv_timeout(Duration::from_secs(10));
+            release_tx.send(()).unwrap();
+            let (stats, available) = read.expect("counter reads waited on the held shard lock");
+            assert_eq!(stats[0].taken_cots, 10);
+            assert_eq!(stats[0].available as usize, available);
+            assert_eq!(available, pool.max_request() - 10);
+        });
     }
 
     #[test]
     fn pipelined_shared_pool_serves_and_merges() {
-        let engine = Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        );
-        let pool = SharedCotPool::new_pipelined(&engine, 2, 21);
-        assert!(pool.merges_remnants());
+        let pool = SharedCotPool::new_pipelined(&engine(), 2, 21);
         let mut reused = CotBatch::default();
+        let mut deltas = [None; 2];
         for _ in 0..6 {
-            pool.take_into(1500, &mut reused);
+            let shard = pool.take_with_shard(1500, |slice, shard| {
+                slice.copy_into(&mut reused);
+                shard
+            });
             reused.verify().unwrap();
             assert_eq!(reused.len(), 1500);
+            // Takes straddle refills, yet each shard keeps one Δ: the
+            // remnant was merged, not discarded under a fresh session.
+            assert_eq!(*deltas[shard].get_or_insert(reused.delta), reused.delta);
         }
     }
 
     #[test]
     fn pipelined_shards_report_session_counters() {
-        let engine = Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        );
+        let engine = engine();
         let pool = SharedCotPool::new_pipelined(&engine, 1, 31);
         let usable = engine.config().usable_outputs();
         let mut reused = CotBatch::default();
@@ -460,7 +458,8 @@ mod tests {
         );
         // Inline pools have no session counters.
         let inline = shared(1);
-        inline.take(10).verify().unwrap();
+        inline.take_into(10, &mut reused);
+        reused.verify().unwrap();
         let istats = inline.shard_stats();
         assert_eq!(istats[0].session_extensions, 0);
         assert_eq!(istats[0].session_stalls, 0);
@@ -468,11 +467,7 @@ mod tests {
 
     #[test]
     fn pipelined_concurrent_takes_all_verify() {
-        let engine = Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        );
-        let pool = Arc::new(SharedCotPool::new_pipelined(&engine, 2, 5));
+        let pool = Arc::new(SharedCotPool::new_pipelined(&engine(), 2, 5));
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let pool = Arc::clone(&pool);
@@ -485,6 +480,6 @@ mod tests {
                 });
             }
         });
-        assert!(pool.extensions_run() > 0);
+        assert!(extensions_run(&pool) > 0);
     }
 }

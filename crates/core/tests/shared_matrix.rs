@@ -25,7 +25,7 @@ fn n_shards_generate_one_matrix() {
     // 3 pipelined shards = 6 party threads + 3 shard pools: one generate.
     let before = LpnMatrix::generated_count();
     let pool = SharedCotPool::new_pipelined(&engine, 3, 11);
-    pool.take(64).verify().unwrap();
+    pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,
@@ -37,7 +37,9 @@ fn n_shards_generate_one_matrix() {
     let before = LpnMatrix::generated_count();
     let inline = SharedCotPool::new(&engine, 2, 12);
     for _ in 0..3 {
-        inline.take(inline.max_request()).verify().unwrap();
+        inline
+            .take_with_shard(inline.max_request(), |slice, _| slice.verify())
+            .unwrap();
     }
     assert_eq!(
         LpnMatrix::generated_count() - before,
@@ -59,7 +61,7 @@ fn n_shards_generate_one_matrix() {
     prepared.prepare_shared_matrix();
     assert_eq!(LpnMatrix::generated_count() - before, 1);
     let pool = SharedCotPool::new_pipelined(&prepared, 2, 14);
-    pool.take(64).verify().unwrap();
+    pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,
@@ -77,7 +79,7 @@ fn n_shards_generate_one_matrix() {
     );
     let before = LpnMatrix::generated_count();
     let pool = SharedCotPool::new_pipelined(&tiled, 3, 15);
-    pool.take(64).verify().unwrap();
+    pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,

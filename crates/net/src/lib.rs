@@ -44,7 +44,7 @@
 //!
 //! Correlation payloads cross this crate with **zero serialization
 //! copies** of their bulk: a request borrows the pool shard's ring as a
-//! [`CotSlice`](ironman_core::CotSlice) ([`SharedCotPool::take_with`](ironman_core::SharedCotPool::take_with))
+//! [`CotSlice`](ironman_core::CotSlice) ([`SharedCotPool::take_with_shard`](ironman_core::SharedCotPool::take_with_shard))
 //! and the server scatter-gathers the response onto the socket with one
 //! `write_vectored` loop ([`StreamTransport::send_frame_parts`]). The
 //! frame is split into four parts — a fixed-size *head* (length prefix
@@ -63,8 +63,15 @@
 //! are tested against byte for byte, and build the frame `benchmark/`'s
 //! decode stage times. Because the gather references the ring, the
 //! write happens while the shard's take is still borrowed — i.e. under
-//! the shard lock; the lock-stealing router keeps concurrent clients on
-//! other shards meanwhile. On the client,
+//! the shard lock, for as long as the consumer's socket makes it block.
+//! Nothing but another take waits on that lock: the lock-stealing router
+//! keeps concurrent clients on other shards, and a `Stats` reply reads
+//! each shard's counters from its lock-free
+//! [`SessionTelemetry`](ironman_ot::session::SessionTelemetry) instead.
+//! `cots_served` goes up before the write and back down if it fails, so
+//! a scrape never lags a delivered batch, and once pushes settle
+//! `Σ taken − cots_served` is exactly what was taken and never delivered.
+//! On the client,
 //! [`CotClient::request_cots_into`] / `CotSubscription::next_chunk_into`
 //! mirror the split: [`proto::recv_response_into`] reads a batch frame's
 //! head into the session's retained frame buffer, checks its `n` against

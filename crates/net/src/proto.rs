@@ -329,7 +329,8 @@ pub struct ServiceStats {
     /// Pool shard count.
     pub shards: u64,
     /// Refills performed by the warm-up sweep (extensions run *before*
-    /// demand arrived, rather than inline on a client's request).
+    /// demand arrived, rather than inline on a client's request): the
+    /// sum of the per-shard [`ShardStat::warm_refills`] in this reply.
     pub warmup_refills: u64,
     /// Batch-carrying responses (`Cots`/`CotChunk` — only those; control
     /// and error replies are not counted) served from an already-sized
@@ -451,14 +452,19 @@ impl LatencyStats {
     }
 }
 
-/// One pool shard's occupancy, demand, and refill counters.
+/// One pool shard's occupancy, demand, and refill counters. The server
+/// reads each from the shard's lock-free counters independently, so two
+/// fields may reflect instants a take apart.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStat {
-    /// Correlations currently buffered in this shard.
+    /// Correlations buffered in this shard, as of its last take or
+    /// refill.
     pub available: u64,
     /// Extensions this shard has executed (inline or warm-up).
     pub extensions_run: u64,
-    /// Correlations drained from this shard since start (demand).
+    /// Correlations drained from this shard since start (demand),
+    /// including any whose write then failed: summed over shards, the
+    /// excess over [`ServiceStats::cots_served`] never reached a client.
     pub taken: u64,
     /// Refills this shard received through the warm-up path.
     pub warm_refills: u64,

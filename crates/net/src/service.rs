@@ -197,11 +197,12 @@ impl Scratch {
     /// with the `z`/`y` block runs borrowed from the pool ring (see
     /// [`crate::proto::encode_cot_batch_split`]). Must be called with
     /// the borrow of the shard's ring still live — i.e. inside the
-    /// pool's `take_with_shard` closure — which means the socket write
+    /// pool's `take_with_shard` closure — so the socket write still
     /// happens under the shard lock; that is the deliberate trade for
-    /// deleting the megabyte-scale ring→scratch copy, and the
-    /// lock-stealing router keeps concurrent clients on other shards
-    /// meanwhile.
+    /// deleting the megabyte-scale ring→scratch copy. Other takes route
+    /// around the held shard, and `Stats` does not take the lock at all
+    /// (it reads the shard's lock-free counters), so a write blocked on a
+    /// slow consumer delays neither.
     ///
     /// `seq` selects the chunk (`Some`) vs one-shot (`None`) opcode.
     /// Wire bytes are identical to the contiguous encoders
@@ -314,8 +315,8 @@ impl ServiceShared {
             .into_iter()
             .enumerate()
             .map(|(i, snap)| ShardStat {
-                available: snap.available as u64,
-                extensions_run: snap.extensions_run as u64,
+                available: snap.available,
+                extensions_run: snap.extensions_run,
                 taken: snap.taken_cots,
                 warm_refills: snap.warm_refills,
                 session_extensions: snap.session_extensions,
@@ -340,7 +341,7 @@ impl ServiceShared {
             extensions_run: shard_stats.iter().map(|s| s.extensions_run).sum(),
             available: shard_stats.iter().map(|s| s.available).sum(),
             shards: self.pool.shard_count() as u64,
-            warmup_refills: self.pool.warmup_refills(),
+            warmup_refills: shard_stats.iter().map(|s| s.warm_refills).sum(),
             scratch_reuses: self.counters.scratch_reuses.load(Ordering::Relaxed),
             scratch_allocs: self.counters.scratch_allocs.load(Ordering::Relaxed),
             register_failures: self.counters.register_failures.load(Ordering::Relaxed),
@@ -716,6 +717,50 @@ fn decline_unavailable(shared: &ServiceShared, retry_after_ms: u64, scratch: &mu
     Response::Unavailable { retry_after_ms }.encode_into(scratch.buf());
 }
 
+/// The one push path for correlations: takes `n` from the pool and
+/// writes them as one batch frame straight from the shard's ring (see
+/// [`Scratch::send_batch_vectored`]; `seq` picks chunk vs one-shot).
+///
+/// Once it returns, `cots_served` counts only completed writes, so a
+/// batch that was taken but never delivered — an evicted subscriber's
+/// last chunk — is visible as `Σ taken − cots_served`. The count goes up
+/// *before* the write and comes back down if the push fails: `Stats`
+/// takes no lock that would order it after the write, so counting
+/// afterwards would let a client that already holds the batch scrape a
+/// total that lacks it.
+///
+/// Returns the serving shard and the write's outcome, or `None` if the
+/// take panicked. A panic lands before the vectored write (the take
+/// itself failed), so the socket is clean; the frame buffer then holds
+/// the "internal pool failure" reply, for the caller to send.
+fn push_batch<R: Read, W: Write>(
+    ch: &mut StreamTransport<R, W>,
+    shared: &ServiceShared,
+    scratch: &mut Scratch,
+    seq: Option<u64>,
+    n: usize,
+) -> Option<(usize, Result<(), ChannelError>)> {
+    scratch.begin();
+    let served = &shared.counters.cots_served;
+    served.fetch_add(n as u64, Ordering::Relaxed);
+    let mut sent = Ok(());
+    let take = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        shared.pool.take_with_shard(n, |slice, shard| {
+            sent = scratch.send_batch_vectored(ch, seq, slice, &shared.counters);
+            shard
+        })
+    }));
+    if take.is_err() || sent.is_err() {
+        served.fetch_sub(n as u64, Ordering::Relaxed);
+    }
+    let Ok(shard) = take else {
+        scratch.begin(); // the batch frame may be half-written
+        encode_error_into(scratch.buf(), "internal pool failure");
+        return None;
+    };
+    Some((shard, sent))
+}
+
 fn serve_session<R: Read, W: Write>(
     mut ch: StreamTransport<R, W>,
     shared: &ServiceShared,
@@ -775,41 +820,17 @@ fn serve_session<R: Read, W: Write>(
                         scratch.buf(),
                         &format!("batch size {n} outside 1..={max_request}"),
                     );
-                } else {
-                    // The zero-copy hot path: borrow the shard's ring and
-                    // scatter-gather it onto the socket — the z/y block
-                    // runs go from pool storage to the kernel with no
-                    // intermediate copy at all (see
-                    // Scratch::send_batch_vectored). A panicking take
-                    // must answer this client, not kill its session
-                    // silently (and through the hung socket, the client).
-                    scratch.begin();
-                    let mut sent: Result<(), ChannelError> = Ok(());
-                    let take = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shared.pool.take_with_shard(n as usize, |slice, shard| {
-                            sent =
-                                scratch.send_batch_vectored(&mut ch, None, slice, &shared.counters);
-                            shard
-                        })
-                    }));
-                    match take {
-                        Ok(shard) => {
-                            sent?;
-                            shared.counters.cots_served.fetch_add(n, Ordering::Relaxed);
-                            shared.telemetry.request_first_byte[shard]
-                                .record_elapsed(first_byte_watch);
-                            continue; // response already on the wire
-                        }
-                        Err(_) => {
-                            // A panic lands before the vectored write (the
-                            // take itself failed), so the socket is clean;
-                            // only the frame buffer may be half-written.
-                            // Restart it.
-                            scratch.begin();
-                            encode_error_into(scratch.buf(), "internal pool failure");
-                        }
-                    }
+                } else if let Some((shard, sent)) =
+                    push_batch(&mut ch, shared, &mut scratch, None, n as usize)
+                {
+                    sent?;
+                    shared.telemetry.request_first_byte[shard].record_elapsed(first_byte_watch);
+                    continue; // response already on the wire
                 }
+                // Every other branch, a panicked take included, left a
+                // control reply in the frame buffer: a panicking take
+                // answers this client instead of killing its session
+                // silently (and through the hung socket, the client).
             }
             Request::Stats => {
                 scratch.begin();
@@ -884,23 +905,6 @@ fn serve_session<R: Read, W: Write>(
     }
 }
 
-/// Runs one credit-controlled subscription to completion: pushes a
-/// [`Response::CotChunk`] per granted credit, blocks for `Credit`/
-/// `Unsubscribe` when the grant is exhausted, and closes with the
-/// [`Response::StreamEnd`] accounting trailer.
-///
-/// The credit discipline is the stream's backpressure: the server never
-/// has more chunks in flight than the client granted, so a slow consumer
-/// bounds pool drain and socket buffering instead of being buried — the
-/// serving-side analogue of the Ironman PU streaming extension outputs at
-/// the rate the compute side absorbs them.
-///
-/// Chunks take the scatter-gather path ([`Scratch::send_batch_vectored`]):
-/// the `z`/`y` block runs are written to the socket straight from the
-/// shard's ring, so a push serializes only the fixed head and the packed
-/// choice bits (`write_vectored` returns once the socket buffer holds
-/// the frame, not once the peer read it — transmission still overlaps
-/// the next take).
 /// Exit-safe tracking of one subscription's promised-but-unpushed
 /// correlations in the service-wide backlog counter: grants raise it,
 /// pushes lower it, and whatever is still outstanding when the
@@ -943,6 +947,23 @@ impl Drop for PendingCots<'_> {
     }
 }
 
+/// Runs one credit-controlled subscription to completion: pushes a
+/// [`Response::CotChunk`] per granted credit, blocks for `Credit`/
+/// `Unsubscribe` when the grant is exhausted, and closes with the
+/// [`Response::StreamEnd`] accounting trailer.
+///
+/// The credit discipline is the stream's backpressure: the server never
+/// has more chunks in flight than the client granted, so a slow consumer
+/// bounds pool drain and socket buffering instead of being buried — the
+/// serving-side analogue of the Ironman PU streaming extension outputs at
+/// the rate the compute side absorbs them.
+///
+/// Chunks take the one push path ([`push_batch`]):
+/// the `z`/`y` block runs are written to the socket straight from the
+/// shard's ring, so a push serializes only the fixed head and the packed
+/// choice bits (`write_vectored` returns once the socket buffer holds
+/// the frame, not once the peer read it — transmission still overlaps
+/// the next take).
 fn serve_subscription<R: Read, W: Write>(
     ch: &mut StreamTransport<R, W>,
     shared: &ServiceShared,
@@ -1029,61 +1050,42 @@ fn serve_subscription<R: Read, W: Write>(
                 }
             }
         } else {
-            // Zero-copy push: borrow the shard's ring and scatter-gather
-            // the chunk onto the socket (see Scratch::send_batch_vectored
-            // — the z/y runs never land in the frame buffer).
-            scratch.begin();
+            // Zero-copy push (see push_batch — the z/y runs never land
+            // in the frame buffer).
             let push_watch = Stopwatch::start();
-            let mut sent: Result<(), ChannelError> = Ok(());
-            let take = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                shared.pool.take_with_shard(batch, |slice, shard| {
-                    sent = scratch.send_batch_vectored(ch, Some(chunks), slice, &shared.counters);
-                    shard
-                })
-            }));
-            match take {
-                Ok(shard) => {
-                    cots += batch as u64;
+            let Some((shard, sent)) = push_batch(ch, shared, scratch, Some(chunks), batch) else {
+                let _ = scratch.finish_and_send(ch);
+                return Err(ChannelError::Io(std::io::Error::other(
+                    "pool take panicked mid-subscription",
+                )));
+            };
+            if let Err(e) = sent {
+                // The write deadline fired: this subscriber stopped
+                // draining its pushes. Evict it via tracked close (the
+                // session thread deregisters the socket on return) —
+                // counted and traced, with the stream's still-promised
+                // correlations as the trace arg.
+                if matches!(e, ChannelError::TimedOut) {
                     shared
                         .counters
-                        .cots_served
-                        .fetch_add(batch as u64, Ordering::Relaxed);
-                    if let Err(e) = sent {
-                        // The write deadline fired: this subscriber stopped
-                        // draining its pushes. Evict it via tracked close
-                        // (the session thread deregisters the socket on
-                        // return) — counted and traced, with the stream's
-                        // still-promised correlations as the trace arg.
-                        if matches!(e, ChannelError::TimedOut) {
-                            shared
-                                .counters
-                                .subscribers_evicted
-                                .fetch_add(1, Ordering::Relaxed);
-                            shared
-                                .telemetry
-                                .trace
-                                .push(EventKind::SubscriberEvicted, pending.outstanding);
-                        }
-                        return Err(e);
-                    }
-                    shared.telemetry.chunk_push[shard].record_elapsed(push_watch);
+                        .subscribers_evicted
+                        .fetch_add(1, Ordering::Relaxed);
                     shared
                         .telemetry
                         .trace
-                        .push(EventKind::ChunkPush, batch as u64);
-                    chunks += 1;
-                    credits -= 1;
-                    pending.push(batch as u64);
+                        .push(EventKind::SubscriberEvicted, pending.outstanding);
                 }
-                Err(_) => {
-                    scratch.begin(); // the chunk frame may be half-written
-                    encode_error_into(scratch.buf(), "internal pool failure");
-                    let _ = scratch.finish_and_send(ch);
-                    return Err(ChannelError::Io(std::io::Error::other(
-                        "pool take panicked mid-subscription",
-                    )));
-                }
+                return Err(e);
             }
+            shared.telemetry.chunk_push[shard].record_elapsed(push_watch);
+            shared
+                .telemetry
+                .trace
+                .push(EventKind::ChunkPush, batch as u64);
+            chunks += 1;
+            cots += batch as u64;
+            credits -= 1;
+            pending.push(batch as u64);
         }
     }
 }
@@ -2070,9 +2072,61 @@ mod tests {
         assert_eq!(stats.subscribers_evicted, 1);
         // The eviction released the dead stream's promised backlog.
         assert_eq!(stats.pending_stream_cots, 0);
+        // Only completed writes count as served: the pool handed out
+        // exactly one chunk more than reached the socket — the one whose
+        // write timed out.
+        let taken: u64 = stats.shard_stats.iter().map(|s| s.taken).sum();
+        assert_eq!(taken - stats.cots_served, max);
         // Other sessions are untouched.
         let mut healthy = CotClient::connect(service.addr(), "healthy").unwrap();
         healthy.request_cots(8).unwrap().verify().unwrap();
+        service.shutdown();
+    }
+
+    #[test]
+    fn stats_never_wait_on_a_blocked_chunk_write() {
+        // A deep-credit subscriber drains chunks one at a time and scrapes
+        // `Stats` — in process and over a second session — between them.
+        // The server's push loop writes each chunk under the shard lock,
+        // and while the consumer is busy scraping, that write can block on
+        // a full socket. A scrape that waited for the lock would wait for
+        // the write, the write for the consumer, and the consumer for the
+        // scrape, until the write deadline evicted the subscriber.
+        let service = toy_service(1);
+        service.set_subscriber_write_timeout(Duration::from_secs(1));
+        let mut consumer = CotClient::connect(service.addr(), "consumer").unwrap();
+        let mut scraper = CotClient::connect(service.addr(), "scraper").unwrap();
+        let max = consumer.max_request();
+        consumer
+            .ch
+            .send_bytes(
+                Request::Subscribe {
+                    batch: max,
+                    credits: 10_000,
+                }
+                .encode(),
+            )
+            .unwrap();
+        consumer.ch.flush().unwrap();
+        let mut frame = Vec::new();
+        let mut slowest = Duration::ZERO;
+        let started = std::time::Instant::now();
+        while started.elapsed() < Duration::from_millis(2500) {
+            if consumer.ch.recv_bytes_into(&mut frame).is_err() {
+                break; // evicted: the assertions below say so
+            }
+            let call = std::time::Instant::now();
+            service.stats();
+            let in_process = call.elapsed();
+            let call = std::time::Instant::now();
+            scraper.stats().unwrap();
+            slowest = slowest.max(in_process).max(call.elapsed());
+        }
+        assert!(
+            slowest < Duration::from_millis(200),
+            "a Stats call took {slowest:?}"
+        );
+        assert_eq!(service.stats().subscribers_evicted, 0);
         service.shutdown();
     }
 

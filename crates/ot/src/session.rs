@@ -27,38 +27,43 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-/// Telemetry sinks a session records into: extension and stall duration
-/// histograms plus an event trace (extension edges with their
-/// SPCOT/LPN phase split, stall edges). A pool passes shared handles so
-/// its shard aggregates what its session measures;
-/// [`CotSession::spawn`] wires fresh private ones. All recording is
-/// relaxed-atomic/ring-buffer work off the consumer's critical path,
-/// and compiles out entirely under the telemetry crate's `noop`
-/// feature.
-#[derive(Clone, Debug, Default)]
+/// One supply's lock-free telemetry and counter home, shared (`Arc`)
+/// between a session's party threads, its consumer and — for a pool
+/// shard — the pool and the serving layer, so nothing that reads it
+/// takes the shard's lock. [`CotSession::spawn`] wires a fresh private
+/// one.
+///
+/// The histograms and the trace (extension edges with their SPCOT/LPN
+/// phase split, stall edges) compile out under the telemetry crate's
+/// `noop` feature. The counters do not: they are plain relaxed atomics
+/// that `Stats` and tests read. Each field is read independently, so a
+/// reader that loads several may see them from different instants (a
+/// take landing between two loads, say).
+#[derive(Debug, Default)]
 pub struct SessionTelemetry {
     /// Per-extension wall time (nanoseconds).
-    pub extension: Arc<Histogram>,
+    pub extension: Histogram,
     /// Consumer stall time: nanoseconds blocked on an empty staging
     /// buffer (one sample per stall, not per receive).
-    pub stall: Arc<Histogram>,
+    pub stall: Histogram,
     /// Extension/stall event timeline.
-    pub trace: Arc<TraceLog>,
-}
-
-/// Supply-pressure counters shared between a session's party threads
-/// and its consumer — the signals a pool/service surfaces through its
-/// `Stats` so "demand outruns the extension rate" is observable instead
-/// of inferred from latency.
-#[derive(Debug, Default)]
-struct SessionCounters {
-    /// Extensions completed and staged by the party threads.
-    extensions: AtomicU64,
+    pub trace: TraceLog,
+    /// Extensions completed and staged by the session's party threads.
+    pub extensions_staged: AtomicU64,
     /// Consumer receives that found the staging buffer empty and had to
     /// block on the party threads (a *stall*: demand arrived faster than
-    /// the session extends). Steady state for a well-provisioned pool is
-    /// `stalls ≪ extensions`.
-    stalls: AtomicU64,
+    /// the session extends). Steady state for a well-provisioned supply
+    /// is `consumer_stalls ≪ extensions_staged`.
+    pub consumer_stalls: AtomicU64,
+    /// Extensions a pool merged into its buffer (staged or inline).
+    pub extensions_run: AtomicU64,
+    /// Correlations a pool handed out.
+    pub taken: AtomicU64,
+    /// Pool refills made by the warm-up path (`CotPool::ensure`).
+    pub warm_refills: AtomicU64,
+    /// Correlations a pool holds unconsumed, as of its last take or
+    /// refill.
+    pub available: AtomicU64,
 }
 
 /// One extension's matched output from a [`CotSession`] (all under the
@@ -104,8 +109,7 @@ impl std::error::Error for SessionStopped {}
 pub struct CotSession {
     delta: Block,
     per_extension: usize,
-    counters: Arc<SessionCounters>,
-    telemetry: SessionTelemetry,
+    telemetry: Arc<SessionTelemetry>,
     /// `Option` so `Drop` can hang up before joining the threads.
     out_rx: Option<mpsc::Receiver<SessionBatch>>,
     sender_thread: Option<JoinHandle<()>>,
@@ -118,20 +122,20 @@ impl CotSession {
     /// as in [`crate::ferret::run_extensions`], so the output stream is
     /// bit-identical to per-call runs with the same seed. `lookahead` is
     /// the number of extensions staged ahead of demand (clamped to ≥ 1).
-    /// The session records into fresh private telemetry sinks; use
+    /// The session records into a fresh private [`SessionTelemetry`]; use
     /// [`CotSession::spawn_with`] to share a pool's.
     pub fn spawn(cfg: &FerretConfig, seed: u64, lookahead: usize) -> CotSession {
-        CotSession::spawn_with(cfg, seed, lookahead, SessionTelemetry::default())
+        CotSession::spawn_with(cfg, seed, lookahead, Arc::default())
     }
 
-    /// [`CotSession::spawn`] recording into caller-provided telemetry
-    /// sinks (a pool shard shares its histograms and trace so what the
-    /// session measures shows up in the shard's `Stats`).
+    /// [`CotSession::spawn`] recording into a caller-provided
+    /// [`SessionTelemetry`] (a pool shard shares its own, so what the
+    /// session measures and counts shows up in the shard's `Stats`).
     pub fn spawn_with(
         cfg: &FerretConfig,
         seed: u64,
         lookahead: usize,
-        telemetry: SessionTelemetry,
+        telemetry: Arc<SessionTelemetry>,
     ) -> CotSession {
         let mut dealer = Dealer::new(seed);
         let delta = dealer.random_delta();
@@ -160,9 +164,7 @@ impl CotSession {
                 }
             }
         });
-        let counters = Arc::new(SessionCounters::default());
-        let thread_counters = Arc::clone(&counters);
-        let thread_telemetry = telemetry.clone();
+        let thread_telemetry = Arc::clone(&telemetry);
         let receiver_thread = std::thread::spawn(move || {
             // The receiver thread also merges: iteration i's (x, y) pairs
             // with iteration i's z (both sides run extensions in lockstep,
@@ -184,7 +186,9 @@ impl CotSession {
                     .push(EventKind::ExtensionEnd, pack_phase_split(spcot, lpn));
                 ordinal += 1;
                 let Ok(z) = z_rx.recv() else { return };
-                thread_counters.extensions.fetch_add(1, Ordering::Relaxed);
+                thread_telemetry
+                    .extensions_staged
+                    .fetch_add(1, Ordering::Relaxed);
                 if out_tx.send(SessionBatch { z, x, y }).is_err() {
                     return;
                 }
@@ -194,7 +198,6 @@ impl CotSession {
         CotSession {
             delta,
             per_extension,
-            counters,
             telemetry,
             out_rx: Some(out_rx),
             sender_thread: Some(sender_thread),
@@ -214,14 +217,14 @@ impl CotSession {
 
     /// Extensions completed and staged by the party threads so far.
     pub fn extensions_staged(&self) -> u64 {
-        self.counters.extensions.load(Ordering::Relaxed)
+        self.telemetry.extensions_staged.load(Ordering::Relaxed)
     }
 
     /// Consumer receives that found the staging buffer empty and had to
     /// block — the session's supply-pressure signal (see
     /// [`CotSession::recv`]).
     pub fn consumer_stalls(&self) -> u64 {
-        self.counters.stalls.load(Ordering::Relaxed)
+        self.telemetry.consumer_stalls.load(Ordering::Relaxed)
     }
 
     /// Blocks for the next staged extension output. A call that finds
@@ -238,7 +241,9 @@ impl CotSession {
             Ok(batch) => Ok(batch),
             Err(mpsc::TryRecvError::Disconnected) => Err(SessionStopped),
             Err(mpsc::TryRecvError::Empty) => {
-                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
+                self.telemetry
+                    .consumer_stalls
+                    .fetch_add(1, Ordering::Relaxed);
                 self.telemetry.trace.push(EventKind::StallStart, 0);
                 let watch = Stopwatch::start();
                 let batch = rx.recv().map_err(|_| SessionStopped)?;
@@ -250,8 +255,8 @@ impl CotSession {
         }
     }
 
-    /// The telemetry sinks this session records into (the ones passed
-    /// to [`CotSession::spawn_with`], or fresh private ones from
+    /// The telemetry this session records into (the one passed to
+    /// [`CotSession::spawn_with`], or a fresh private one from
     /// [`CotSession::spawn`]).
     pub fn telemetry(&self) -> &SessionTelemetry {
         &self.telemetry

@@ -5,7 +5,7 @@
 #      first-party crates with broken/private intra-doc links denied
 #      (seconds)
 #   2. release build; every crate's tests; the kernel crates again on the
-#      forced-scalar tier
+#      forced-scalar tier; ironman-core again with telemetry compiled out
 #   3. benchmark/'s own tests and its --smoke run, on both tiers
 #   4. the TCP-loopback e2e and the fleet tests, each under its own banner:
 #      cluster smoke, churn, multi-process partition/heal
@@ -49,6 +49,12 @@ echo "==> cargo test, kernel crates, forced-scalar dispatch"
 # portable lanes and the software cipher behind the index generator are
 # exercised under the override too.
 IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
+
+echo "==> cargo test -q -p ironman-core, telemetry compiled out"
+# The noop feature empties histogram records and trace pushes. The shard
+# counters Stats reports live beside them but must keep counting; this
+# run fails if one of them is ever compiled out with the histograms.
+cargo test -q -p ironman-core --features ironman-telemetry/noop
 
 echo "==> benchmark harness: its own unit tests, then a --smoke run of every workload"
 # benchmark/ is its own package (own workspace and lock file, path
