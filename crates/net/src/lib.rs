@@ -22,7 +22,8 @@
 //! * [`service`] — [`CotService`]: a thread-per-connection server over a
 //!   mutex-sharded [`SharedCotPool`](ironman_core::SharedCotPool) that
 //!   replenishes via FERRET extension on demand, optionally attached to
-//!   an epoch-versioned membership [`DirectoryView`]; [`CotClient`]; and
+//!   an epoch-versioned membership [`DirectoryView`].
+//! * [`client`] — [`CotClient`], one session against a service, and
 //!   [`CotSubscription`] (the client half of a stream: it manages the
 //!   credit window and enforces exact chunk/credit/byte accounting).
 //!
@@ -364,6 +365,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod fault;
 pub mod frame;
 pub mod http;
@@ -372,6 +374,7 @@ pub mod retry;
 pub mod service;
 pub mod transport;
 
+pub use client::{CotClient, CotSubscription, StreamSummary};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyStream};
 pub use frame::{FrameError, MAGIC, MAX_FRAME_LEN, VERSION};
 pub use http::{http_get, HttpRequest, HttpResponse, HttpServer};
@@ -380,9 +383,7 @@ pub use proto::{
     ShardStat, EPOCH_UNAWARE,
 };
 pub use retry::{OpTimeouts, RetryBudget, RetryPolicy};
-pub use service::{
-    CotClient, CotService, CotServiceConfig, CotSubscription, DirectoryView, StreamSummary,
-};
+pub use service::{CotService, CotServiceConfig, DirectoryView};
 #[cfg(unix)]
 pub use transport::UnixTransport;
 pub use transport::{tcp_loopback_pair, StreamTransport, TcpTransport};

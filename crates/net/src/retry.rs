@@ -12,7 +12,7 @@
 //! the budget is dry, failures surface immediately instead of amplifying
 //! an outage with synchronized re-sends.
 //!
-//! [`CotClient::connect`]: crate::service::CotClient::connect
+//! [`CotClient::connect`]: crate::client::CotClient::connect
 
 use std::time::{Duration, Instant};
 
