@@ -571,3 +571,203 @@ fn unexpected_response(resp: &Response) -> ChannelError {
         format!("unexpected response: {resp:?}"),
     ))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::VERSION;
+    use ironman_prg::Block;
+    use std::io::ErrorKind;
+    use std::net::{SocketAddr, TcpListener};
+    use std::thread::JoinHandle;
+
+    /// An `n`-correlation batch that satisfies `z = y ⊕ x·Δ`.
+    fn batch(n: usize) -> CotBatch {
+        let delta = Block::from(0x0123_4567_89ab_cdefu128 | 1);
+        let y: Vec<Block> = (0..n)
+            .map(|i| Block::from(i as u128 * 0x9e37 + 5))
+            .collect();
+        let x: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+        let z = y
+            .iter()
+            .zip(&x)
+            .map(|(&y, &x)| y ^ delta.and_bit(x))
+            .collect();
+        CotBatch { delta, z, x, y }
+    }
+
+    /// One step of a scripted server: a request the client must send
+    /// next, or a frame payload to push.
+    enum Step {
+        Expect(Request),
+        Send(Vec<u8>),
+    }
+
+    fn send(resp: Response) -> Step {
+        Step::Send(resp.encode())
+    }
+
+    /// A `DrainHandoff` push, encoded by hand: opcode `0x8D`, `u64 id`,
+    /// then the length-prefixed `addr` and `name`.
+    fn handoff() -> Step {
+        let mut frame = vec![0x8D];
+        frame.extend_from_slice(&7u64.to_le_bytes());
+        for field in ["127.0.0.1:9", "successor"] {
+            frame.extend_from_slice(&(field.len() as u64).to_le_bytes());
+            frame.extend_from_slice(field.as_bytes());
+        }
+        Step::Send(frame)
+    }
+
+    /// A server that accepts one session, handshakes, answers its
+    /// `Hello`, then plays `script` and closes. The script must expect
+    /// every request the client sends, so the close never races one.
+    fn scripted_peer(script: Vec<Step>) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut ch = TcpTransport::accept(&listener).unwrap();
+            let hello = Request::decode(&ch.recv_bytes().unwrap()).unwrap();
+            assert!(matches!(hello, Request::Hello { .. }), "got {hello:?}");
+            let welcome = Response::Welcome {
+                version: VERSION,
+                max_request: 1024,
+                epoch: 0,
+            };
+            let mut steps = vec![send(welcome)];
+            steps.extend(script);
+            for step in steps {
+                match step {
+                    Step::Expect(want) => {
+                        assert_eq!(Request::decode(&ch.recv_bytes().unwrap()).unwrap(), want);
+                    }
+                    Step::Send(payload) => {
+                        ch.send_bytes(payload).unwrap();
+                        ch.flush().unwrap();
+                    }
+                }
+            }
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn mid_stream_handoff_is_recorded_and_the_next_chunk_arrives() {
+        let (addr, peer) = scripted_peer(vec![
+            Step::Expect(Request::Subscribe {
+                batch: 4,
+                credits: 2,
+            }),
+            send(Response::CotChunk {
+                seq: 0,
+                batch: batch(4),
+            }),
+            handoff(),
+            send(Response::CotChunk {
+                seq: 1,
+                batch: batch(4),
+            }),
+            Step::Expect(Request::Unsubscribe),
+            send(Response::StreamEnd { chunks: 2, cots: 8 }),
+        ]);
+        let mut client = CotClient::connect(addr, "scripted").unwrap();
+        let mut out = CotBatch::default();
+        let mut sub = client.subscribe(4, 2).unwrap();
+        assert!(sub.next_chunk_into(&mut out).unwrap());
+        assert!(sub.handoff().is_none());
+        assert!(sub.next_chunk_into(&mut out).unwrap());
+        out.verify().unwrap();
+        let expected = (7, "127.0.0.1:9".to_string(), "successor".to_string());
+        assert_eq!(sub.handoff(), Some(&expected));
+        assert!(!sub.next_chunk_into(&mut out).unwrap());
+        let summary = sub.finish().unwrap();
+        assert_eq!(summary, StreamSummary { chunks: 2, cots: 8 });
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn handoff_racing_the_unsubscribe_is_consumed() {
+        let (addr, peer) = scripted_peer(vec![
+            Step::Expect(Request::Subscribe {
+                batch: 4,
+                credits: 3,
+            }),
+            send(Response::CotChunk {
+                seq: 0,
+                batch: batch(4),
+            }),
+            Step::Expect(Request::Unsubscribe),
+            send(Response::CotChunk {
+                seq: 1,
+                batch: batch(4),
+            }),
+            handoff(),
+            send(Response::StreamEnd { chunks: 2, cots: 8 }),
+            Step::Expect(Request::RequestCot { n: 5 }),
+            send(Response::Cots(batch(5))),
+        ]);
+        let mut client = CotClient::connect(addr, "scripted").unwrap();
+        let mut out = CotBatch::default();
+        let mut sub = client.subscribe(4, 3).unwrap();
+        assert!(sub.next_chunk_into(&mut out).unwrap());
+        let summary = sub.finish().unwrap();
+        assert_eq!(summary, StreamSummary { chunks: 2, cots: 8 });
+        // The drain left the session in lockstep for one-shot requests.
+        client.request_cots_into(5, &mut out).unwrap();
+        assert_eq!(out.len(), 5);
+        out.verify().unwrap();
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn one_shot_cots_inside_a_subscription_is_invalid_data() {
+        let (addr, peer) = scripted_peer(vec![
+            Step::Expect(Request::Subscribe {
+                batch: 4,
+                credits: 1,
+            }),
+            send(Response::Cots(batch(4))),
+            // Dropping the failed subscription still unsubscribes.
+            Step::Expect(Request::Unsubscribe),
+        ]);
+        let mut client = CotClient::connect(addr, "scripted").unwrap();
+        let mut out = CotBatch::default();
+        let mut sub = client.subscribe(4, 1).unwrap();
+        match sub.next_chunk_into(&mut out) {
+            Err(ChannelError::Io(e)) => assert_eq!(e.kind(), ErrorKind::InvalidData),
+            other => panic!("expected InvalidData, got {other:?}"),
+        }
+        drop(sub);
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn fenced_subscribe_is_wrong_epoch_and_the_session_still_serves() {
+        let (addr, peer) = scripted_peer(vec![
+            Step::Expect(Request::Subscribe {
+                batch: 4,
+                credits: 2,
+            }),
+            send(Response::WrongEpoch { epoch: 9 }),
+            Step::Expect(Request::RequestCot { n: 6 }),
+            send(Response::Cots(batch(6))),
+        ]);
+        let mut client = CotClient::connect(addr, "scripted").unwrap();
+        let mut out = CotBatch::default();
+        let mut sub = client.subscribe(4, 2).unwrap();
+        assert!(matches!(
+            sub.next_chunk_into(&mut out),
+            Err(ChannelError::WrongEpoch { current: 9 })
+        ));
+        // The fence ended the stream: dropping it sends no Unsubscribe.
+        drop(sub);
+        client.request_cots_into(6, &mut out).unwrap();
+        assert_eq!(out.len(), 6);
+        out.verify().unwrap();
+        drop(client);
+        peer.join().unwrap();
+    }
+}
