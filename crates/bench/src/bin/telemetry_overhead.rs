@@ -216,8 +216,9 @@ fn bench_scrape(engine: &Engine, passes: usize) -> (usize, f64) {
     let snapshot = cluster.directory().snapshot();
     for member in snapshot.members() {
         let mut client = CotClient::connect(member.addr, "telemetry-scrape").expect("connect");
+        let mut batch = CotBatch::default();
         for _ in 0..4 {
-            client.request_cots(256).expect("serve");
+            client.request_cots_into(256, &mut batch).expect("serve");
         }
     }
     let directory = cluster.directory();

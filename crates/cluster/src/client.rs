@@ -60,14 +60,9 @@
 
 use crate::directory::{Directory, RingSnapshot, ServerId, UNATTRIBUTED};
 use ironman_core::CotBatch;
-use ironman_net::{
-    CotClient, CotSubscription, OpTimeouts, RetryBudget, RetryPolicy, ServiceStats, StreamSummary,
-};
+use ironman_net::{CotClient, OpTimeouts, RetryBudget, RetryPolicy, ServiceStats, StreamSummary};
 use ironman_ot::channel::ChannelError;
-use ironman_telemetry::{
-    EventKind, Histogram, HistogramSnapshot, Stopwatch, TraceEvent, TraceLog,
-    DEFAULT_TRACE_CAPACITY,
-};
+use ironman_telemetry::{Histogram, HistogramSnapshot, Stopwatch};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -130,11 +125,6 @@ pub struct ClusterClient {
     unavailable_seen: u64,
     /// Distribution of backoff sleeps actually taken.
     retry_backoff: Histogram,
-    /// Routing events this client has lived through — `Failover` (arg:
-    /// the cooled server's id) and `EpochFence` (arg: the epoch routed
-    /// under after resync) — in a bounded ring; see
-    /// [`ClusterClient::trace_events`].
-    trace: TraceLog,
 }
 
 impl ClusterClient {
@@ -165,9 +155,8 @@ impl ClusterClient {
             retries_spent: 0,
             unavailable_seen: 0,
             retry_backoff: Histogram::new(),
-            trace: TraceLog::new(DEFAULT_TRACE_CAPACITY),
         };
-        client.first_available()?;
+        client.first_available(None)?;
         Ok(client)
     }
 
@@ -186,11 +175,6 @@ impl ClusterClient {
         for slot in self.slots.values_mut() {
             slot.client = None;
         }
-    }
-
-    /// The deadlines currently applied to server sessions.
-    pub fn op_timeouts(&self) -> OpTimeouts {
-        self.timeouts
     }
 
     /// Replaces the backoff policy for budgeted retry sweeps.
@@ -270,39 +254,20 @@ impl ClusterClient {
     }
 
     /// Fetches `n` correlations, transparently splitting requests larger
-    /// than one server's `max_request` across the fleet. Each returned
-    /// batch is homogeneous in `Δ` (batches from different servers carry
-    /// different `Δ`s; that is inherent to a sharded fleet).
+    /// than one server's `max_request` across the fleet. Every split
+    /// chunk lands in **one reused batch** handed to `visit` by borrow,
+    /// so an oversized request crossing the whole fleet allocates
+    /// nothing per chunk. Each chunk is homogeneous in `Δ` (chunks from
+    /// different servers carry different `Δ`s; that is inherent to a
+    /// sharded fleet). Returns the number of chunks visited. Consumers
+    /// that keep a batch past the next chunk clone it explicitly.
     ///
     /// # Errors
     ///
     /// Fails when every server is unreachable, on a semantic
     /// (non-connectivity) server error, or when the membership churns
-    /// faster than the client can resync.
-    pub fn request_cots(&mut self, n: usize) -> Result<Vec<CotBatch>, ChannelError> {
-        let mut batches = Vec::new();
-        let mut remaining = n as u64;
-        while remaining > 0 {
-            let mut batch = CotBatch::default();
-            self.issue_into(batches.is_empty(), remaining, &mut batch)?;
-            remaining -= batch.len() as u64;
-            batches.push(batch);
-        }
-        Ok(batches)
-    }
-
-    /// The buffer-reusing form of [`ClusterClient::request_cots`]: every
-    /// split chunk lands in **one reused batch** handed to `visit` by
-    /// borrow, so an oversized request crossing the whole fleet
-    /// allocates nothing per chunk — the PR-3 zero-copy contract
-    /// extended across the split path. Returns the number of chunks
-    /// visited. Consumers that keep a batch past the next chunk clone it
-    /// explicitly.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ClusterClient::request_cots`]; chunks
-    /// already visited stay visited (the visitor is not replayed).
+    /// faster than the client can resync. Chunks already visited stay
+    /// visited (the visitor is not replayed).
     pub fn request_cots_with(
         &mut self,
         n: usize,
@@ -323,7 +288,9 @@ impl ClusterClient {
     /// Streams `total` correlations in chunks of `batch` through
     /// credit-controlled subscriptions (plus one one-shot request for
     /// any remainder), invoking `consume` on every batch. Returns the
-    /// exact accounting.
+    /// exact accounting. This is the fleet's only stream: streamed load
+    /// feeds the per-server counters spill routing reads
+    /// ([`ClusterClient::served_per_server`]).
     ///
     /// Zero-copy receive: every chunk is decoded into **one reused
     /// batch** (and each session's retained frame buffer), so `consume`
@@ -369,7 +336,7 @@ impl ClusterClient {
         let mut retried = false;
         while progress.cots < total {
             let preferred = progress.handoff.take();
-            let id = match self.first_available_preferring(preferred) {
+            let id = match self.first_available(preferred) {
                 Ok(id) => id,
                 // Nobody reachable (or everybody cooling down): one
                 // budgeted backoff sweep, then the failure surfaces.
@@ -401,19 +368,16 @@ impl ClusterClient {
             if let Some(slot) = self.slots.get_mut(&id) {
                 slot.served += gained;
             }
+            // Every arm below treats a failure before the first chunk and
+            // one mid-stream alike: whatever was consumed is counted, and
+            // only the remainder moves.
             match outcome {
-                Ok(()) if progress.cots == total => {
-                    return Ok(StreamSummary {
-                        chunks: progress.chunks,
-                        cots: progress.cots,
-                    });
-                }
                 // A clean-but-short stream is the server bowing out
                 // (drain or shutdown): cool it down and resume the
                 // remainder elsewhere.
-                Ok(()) => self.mark_failed(id),
-                Err(StreamAttemptError::OpenFailed(ChannelError::WrongEpoch { .. }))
-                | Err(StreamAttemptError::MidStream(ChannelError::WrongEpoch { .. })) => {
+                Ok(()) if progress.cots < total => self.mark_failed(id),
+                Ok(()) => {}
+                Err(ChannelError::WrongEpoch { .. }) => {
                     // Fenced: the membership moved. Resync and re-route;
                     // progress so far is preserved.
                     epoch_retries += 1;
@@ -423,29 +387,16 @@ impl ClusterClient {
                     self.resync(id)?;
                     continue;
                 }
-                Err(StreamAttemptError::OpenFailed(ChannelError::Unavailable {
-                    retry_after_ms,
-                }))
-                | Err(StreamAttemptError::MidStream(ChannelError::Unavailable {
-                    retry_after_ms,
-                })) => {
-                    // Starved server: honor the hint; progress so far is
-                    // preserved and the remainder resumes elsewhere.
+                // Starved server: honor the hint.
+                Err(ChannelError::Unavailable { retry_after_ms }) => {
                     self.mark_unavailable(id, retry_after_ms);
                 }
-                Err(StreamAttemptError::OpenFailed(e)) if is_connectivity(&e) => {
+                // The server is unreachable or died.
+                Err(e) if is_connectivity(&e) => {
                     self.note_failure(&e);
                     self.mark_failed(id);
                 }
-                Err(StreamAttemptError::MidStream(e)) if is_connectivity(&e) => {
-                    // The server died mid-stream. Chunks already consumed
-                    // are counted; the remainder resumes elsewhere.
-                    self.note_failure(&e);
-                    self.mark_failed(id);
-                }
-                Err(StreamAttemptError::OpenFailed(e)) | Err(StreamAttemptError::MidStream(e)) => {
-                    return Err(e)
-                }
+                Err(e) => return Err(e),
             }
             // Bound attempts that deliver nothing: once every member has
             // had a dry turn, the fleet is not making progress. Progress
@@ -465,35 +416,6 @@ impl ClusterClient {
         Ok(StreamSummary {
             chunks: progress.chunks,
             cots: progress.cots,
-        })
-    }
-
-    /// Opens a raw streaming subscription on the session's first
-    /// reachable server (for callers that want chunk-by-chunk control;
-    /// [`ClusterClient::stream_cots`] is the managed path and the one
-    /// that resumes across membership changes). Chunks pulled through
-    /// the returned handle still feed this session's per-server load
-    /// counters, so later spill routing sees the streamed load.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no server is reachable or the subscription is rejected.
-    pub fn subscribe(
-        &mut self,
-        batch: usize,
-        chunks: u64,
-    ) -> Result<ClusterSubscription<'_>, ChannelError> {
-        let id = self.first_available()?;
-        let slot = self.slots.get_mut(&id).expect("connected slot");
-        let sub = slot
-            .client
-            .as_mut()
-            .expect("connected slot")
-            .subscribe(batch, chunks)?;
-        Ok(ClusterSubscription {
-            sub,
-            served: &mut slot.served,
-            counted: 0,
         })
     }
 
@@ -671,37 +593,18 @@ impl ClusterClient {
             .or_else(|| route.first().copied())
     }
 
-    /// Like [`ClusterClient::first_available`], but tries `preferred`
-    /// first when it is still a routable member and not cooling down —
-    /// the drain-handoff resume path (v9): the draining server already
-    /// told us who inherits this session's arc, so the stream resumes
-    /// there with zero extra roundtrips instead of walking ring order.
-    /// An unreachable preference falls through to the ordinary walk.
-    fn first_available_preferring(
-        &mut self,
-        preferred: Option<ServerId>,
-    ) -> Result<ServerId, ChannelError> {
+    /// First reachable server, connecting as needed: `preferred` first
+    /// while it is a routable member and not cooling down, then ring
+    /// order. The preference is the drain-handoff resume path (v9): the
+    /// draining server already told us who inherits this session's arc,
+    /// so the stream resumes there with zero extra roundtrips instead of
+    /// walking ring order.
+    fn first_available(&mut self, preferred: Option<ServerId>) -> Result<ServerId, ChannelError> {
         self.refresh();
-        if let Some(id) = preferred {
-            if self.snapshot.member(id).is_some() && !self.cooled(id) {
-                match self.ensure_connected(id) {
-                    Ok(()) => return Ok(id),
-                    Err(e) => {
-                        self.note_failure(&e);
-                        self.mark_failed(id);
-                    }
-                }
-            }
-        }
-        self.first_available()
-    }
-
-    /// First reachable server in ring order, connecting as needed.
-    fn first_available(&mut self) -> Result<ServerId, ChannelError> {
-        self.refresh();
+        let preferred = preferred.filter(|&id| self.snapshot.member(id).is_some());
         let route = self.snapshot.route(&self.session);
         let mut last_err: Option<ChannelError> = None;
-        for id in route {
+        for id in preferred.into_iter().chain(route) {
             if self.cooled(id) {
                 continue;
             }
@@ -786,26 +689,21 @@ impl ClusterClient {
         if current.epoch() != self.snapshot.epoch() {
             self.refresh();
         }
-        self.trace
-            .push(EventKind::EpochFence, self.snapshot.epoch());
         Ok(())
     }
 
     fn mark_failed(&mut self, id: ServerId) {
-        self.trace.push(EventKind::Failover, id.0);
         let slot = self.slots.entry(id).or_default();
         slot.failed_at = Some(Instant::now());
         slot.client = None;
     }
 
     /// Books a connectivity failure's *kind*: a deadline expiry is
-    /// counted and traced separately from hard IO errors (same failover
-    /// treatment, different diagnosis).
+    /// counted separately from hard IO errors (same failover treatment,
+    /// different diagnosis).
     fn note_failure(&mut self, e: &ChannelError) {
         if matches!(e, ChannelError::TimedOut) {
             self.timeouts_seen += 1;
-            self.trace
-                .push(EventKind::Timeout, self.timeouts.read.as_nanos() as u64);
         }
     }
 
@@ -815,7 +713,6 @@ impl ClusterClient {
     /// is healthy, just starved — and books the hint.
     fn mark_unavailable(&mut self, id: ServerId, retry_after_ms: u64) {
         self.unavailable_seen += 1;
-        self.trace.push(EventKind::Unavailable, retry_after_ms);
         let hint = Duration::from_millis(retry_after_ms.max(1)).min(MAX_UNAVAILABLE_HINT);
         let slot = self.slots.entry(id).or_default();
         slot.unavailable_until = Some(Instant::now() + hint);
@@ -835,103 +732,11 @@ impl ClusterClient {
             sleep = sleep.max(Duration::from_millis(ms)).min(self.retry.cap());
         }
         self.retries_spent += 1;
-        self.trace.push(EventKind::Retry, sleep.as_nanos() as u64);
         let watch = Stopwatch::start();
         std::thread::sleep(sleep);
         self.retry_backoff.record_elapsed(watch);
         self.heal();
         true
-    }
-
-    /// This client's recent routing events, oldest first: a `Failover`
-    /// per server cooled down (arg: the server id), an `EpochFence` per
-    /// membership resync (arg: the epoch routed under afterwards), plus
-    /// the v8 fault-tolerance kinds — `Timeout` (arg: the read deadline,
-    /// ns), `Retry` (arg: the backoff slept, ns), and `Unavailable`
-    /// (arg: the server's `retry_after_ms` hint). The log is a bounded
-    /// ring ([`DEFAULT_TRACE_CAPACITY`] events), so a long-lived session
-    /// keeps the recent history, not all of it.
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.dump()
-    }
-}
-
-/// A raw subscription handle from [`ClusterClient::subscribe`]: the
-/// underlying [`CotSubscription`] plus the owning server's load counter,
-/// kept current as chunks arrive.
-#[derive(Debug)]
-pub struct ClusterSubscription<'a> {
-    sub: CotSubscription<'a>,
-    served: &'a mut u64,
-    /// Correlations already added to `served` by `next_chunk`.
-    counted: u64,
-}
-
-impl ClusterSubscription<'_> {
-    /// Receives the next chunk (see [`CotSubscription::next_chunk`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotSubscription::next_chunk`].
-    pub fn next_chunk(&mut self) -> Result<Option<CotBatch>, ChannelError> {
-        let chunk = self.sub.next_chunk()?;
-        if let Some(batch) = &chunk {
-            *self.served += batch.len() as u64;
-            self.counted += batch.len() as u64;
-        }
-        Ok(chunk)
-    }
-
-    /// Receives the next chunk into a caller-retained batch, reusing its
-    /// allocations (see [`CotSubscription::next_chunk_into`]); returns
-    /// `false` once the stream is over. Load accounting is identical to
-    /// [`ClusterSubscription::next_chunk`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotSubscription::next_chunk_into`].
-    pub fn next_chunk_into(&mut self, out: &mut CotBatch) -> Result<bool, ChannelError> {
-        let got = self.sub.next_chunk_into(out)?;
-        if got {
-            *self.served += out.len() as u64;
-            self.counted += out.len() as u64;
-        }
-        Ok(got)
-    }
-
-    /// Credits granted but not yet consumed by an arrived chunk.
-    pub fn credits_outstanding(&self) -> u64 {
-        self.sub.credits_outstanding()
-    }
-
-    /// Chunks still expected by this subscription.
-    pub fn chunks_remaining(&self) -> u64 {
-        self.sub.chunks_remaining()
-    }
-
-    /// Ends the subscription and returns the server's accounting trailer
-    /// (see [`CotSubscription::finish`]). Chunks the early-end drain
-    /// discards still count toward the server's load.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotSubscription::finish`].
-    pub fn finish(mut self) -> Result<StreamSummary, ChannelError> {
-        let summary = self.sub.end()?;
-        *self.served += summary.cots.saturating_sub(self.counted);
-        self.counted = summary.cots;
-        Ok(summary)
-    }
-}
-
-impl Drop for ClusterSubscription<'_> {
-    /// A dropped handle still settles the load accounting: the inner
-    /// subscription's close drains in-flight chunks, and those drained
-    /// correlations were server work the spill routing must see.
-    fn drop(&mut self) {
-        if let Ok(summary) = self.sub.end() {
-            *self.served += summary.cots.saturating_sub(self.counted);
-        }
     }
 }
 
@@ -957,14 +762,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Where one streaming attempt failed — before any chunk was consumed
-/// (retryable on another server with nothing owed) or after (resumable:
-/// consumed chunks are counted and only the remainder moves).
-enum StreamAttemptError {
-    OpenFailed(ChannelError),
-    MidStream(ChannelError),
 }
 
 /// Consumed-so-far accounting carried across stream attempts.
@@ -994,60 +791,36 @@ fn stream_on(
     reused: &mut CotBatch,
     progress: &mut StreamProgress,
     consume: &mut impl FnMut(&CotBatch),
-) -> Result<(), StreamAttemptError> {
-    let mut got_any = false;
+) -> Result<(), ChannelError> {
     // A total below one chunk needs no subscription at all — the
     // remainder one-shot below covers it in a single round trip.
     if chunks > 0 {
-        let mut sub = client
-            .subscribe(batch, chunks)
-            .map_err(StreamAttemptError::OpenFailed)?;
+        let mut sub = client.subscribe(batch, chunks)?;
         loop {
-            match sub.next_chunk_into(reused) {
-                Ok(true) => {
-                    got_any = true;
-                    progress.cots += reused.len() as u64;
-                    progress.chunks += 1;
-                    // A draining server announces its successor in-stream
-                    // (v9); remember it so the resume lands there without
-                    // rediscovering the new home the hard way.
-                    if let Some(&(id, _, _)) = sub.handoff() {
-                        progress.handoff = Some(ServerId(id));
-                    }
-                    consume(reused);
-                }
-                Ok(false) => break,
-                Err(e) => {
-                    if let Some(&(id, _, _)) = sub.handoff() {
-                        progress.handoff = Some(ServerId(id));
-                    }
-                    return Err(if got_any {
-                        StreamAttemptError::MidStream(e)
-                    } else {
-                        StreamAttemptError::OpenFailed(e)
-                    });
-                }
+            let got = sub.next_chunk_into(reused);
+            // A draining server announces its successor in-stream (v9);
+            // remember it, even when the read failed, so the resume lands
+            // there without rediscovering the new home the hard way.
+            if let Some(&(id, _, _)) = sub.handoff() {
+                progress.handoff = Some(ServerId(id));
             }
-        }
-        if let Some(&(id, _, _)) = sub.handoff() {
-            progress.handoff = Some(ServerId(id));
+            if !got? {
+                break;
+            }
+            progress.cots += reused.len() as u64;
+            progress.chunks += 1;
+            consume(reused);
         }
         let ended_early = sub.chunks_remaining() > 0;
-        sub.finish().map_err(StreamAttemptError::MidStream)?;
+        sub.finish()?;
         if ended_early {
             return Ok(()); // partial but clean; the caller resumes elsewhere
         }
     }
     if remainder > 0 {
         // Served one-shot, so it does not count toward `chunks` (that
-        // field means subscription chunks). Before anything was consumed
-        // a failure here may still fail over to another server.
-        let wrap: fn(ChannelError) -> StreamAttemptError = if got_any {
-            StreamAttemptError::MidStream
-        } else {
-            StreamAttemptError::OpenFailed
-        };
-        client.request_cots_into(remainder, reused).map_err(wrap)?;
+        // field means subscription chunks).
+        client.request_cots_into(remainder, reused)?;
         progress.cots += reused.len() as u64;
         consume(reused);
     }

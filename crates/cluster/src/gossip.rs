@@ -130,7 +130,7 @@ impl Default for HealthConfig {
 }
 
 /// Lifetime counters of one [`Gossiper`], all monotonic (read them
-/// through [`GossipHandle`]).
+/// through [`Gossiper::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GossipStats {
     /// Pull sweeps completed.
@@ -166,20 +166,6 @@ impl Counters {
     }
 }
 
-/// A shareable read handle on a running (or stopped) [`Gossiper`]'s
-/// counters.
-#[derive(Clone, Debug)]
-pub struct GossipHandle {
-    counters: Arc<Counters>,
-}
-
-impl GossipHandle {
-    /// Current counter snapshot.
-    pub fn stats(&self) -> GossipStats {
-        self.counters.snapshot()
-    }
-}
-
 /// What a coordinator may change while the loop runs.
 #[derive(Debug)]
 struct Runtime {
@@ -193,7 +179,7 @@ struct Runtime {
 #[derive(Debug)]
 pub struct Gossiper {
     inner: BackgroundLoop,
-    handle: GossipHandle,
+    counters: Arc<Counters>,
     runtime: Arc<Mutex<Runtime>>,
 }
 
@@ -233,7 +219,7 @@ impl Gossiper {
         };
         Gossiper {
             inner,
-            handle: GossipHandle { counters },
+            counters,
             runtime,
         }
     }
@@ -263,14 +249,9 @@ impl Gossiper {
             .health = Some(cfg);
     }
 
-    /// A cloneable handle on this gossiper's counters.
-    pub fn handle(&self) -> GossipHandle {
-        self.handle.clone()
-    }
-
     /// Current counter snapshot.
     pub fn stats(&self) -> GossipStats {
-        self.handle.stats()
+        self.counters.snapshot()
     }
 
     /// Stops the loop and waits for its thread to exit.

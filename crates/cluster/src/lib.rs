@@ -21,12 +21,15 @@
 //!   the peer's health probe — repeat offenders are marked suspect (out
 //!   of the ring, still members) and the lease holder evicts the dead,
 //!   each an ordinary epoch bump.
-//! * [`ClusterClient`] — one handle that routes demand: consistent-hash
-//!   home first, transparent splitting of oversized requests with
-//!   least-outstanding spill, failure *cooldowns* (a dead server is
-//!   skipped, not re-dialed, until the cooldown or an epoch bump clears
-//!   it), and epoch awareness: a `WrongEpoch` fence pulls the
-//!   `GossipDelta` its epoch vector is missing, re-resolves, and
+//! * [`ClusterClient`] — one handle that routes demand, with one call
+//!   per operation: [`ClusterClient::request_cots_with`] for one-shot
+//!   demand and [`ClusterClient::stream_cots`] for streams, each handing
+//!   every batch to the caller by borrow from one reused buffer.
+//!   Consistent-hash home first, transparent splitting of oversized
+//!   requests with least-outstanding spill, failure *cooldowns* (a dead
+//!   server is skipped, not re-dialed, until the cooldown or an epoch
+//!   bump clears it), and epoch awareness: a `WrongEpoch` fence pulls
+//!   the `GossipDelta` its epoch vector is missing, re-resolves, and
 //!   retries — including **mid-stream**, resuming a subscription on the
 //!   new home server with exact accounting.
 //! * [`Warmup`] — the refill scheduler, one per server: supply is local
@@ -90,7 +93,7 @@
 //!
 //! Each server is an independent FERRET dealer (its own `Δ` stream per
 //! pool shard); a batch therefore never straddles servers, and a split
-//! request returns one Δ-homogeneous batch per contacted server.
+//! request visits one Δ-homogeneous batch per contacted server.
 //!
 //! # Quickstart
 //!
@@ -117,18 +120,20 @@
 //! assert!(cluster.wait_converged(Duration::from_secs(30)));
 //!
 //! let mut client = ClusterClient::connect(cluster.directory(), "ppml-worker-0").unwrap();
-//! for batch in client.request_cots(1024).unwrap() {
-//!     batch.verify().unwrap();
-//! }
+//! // Every batch is lent to the visitor from one reused buffer.
+//! client
+//!     .request_cots_with(1024, |batch| batch.verify().unwrap())
+//!     .unwrap();
 //! // Membership is dynamic: kill a server, join a replacement — the
 //! // client re-resolves through the epoch fence and keeps serving.
 //! let victim = cluster.server_ids()[0];
 //! cluster.kill_server(victim);
 //! cluster.control_directory().leave(victim);
 //! cluster.spawn_server().unwrap();
-//! for batch in client.request_cots(1024).unwrap() {
-//!     batch.verify().unwrap();
-//! }
+//! let summary = client
+//!     .stream_cots(4 * 256, 256, |batch| batch.verify().unwrap())
+//!     .unwrap();
+//! assert_eq!(summary.cots, 4 * 256);
 //! cluster.shutdown();
 //! ```
 
@@ -148,15 +153,13 @@ pub mod slo;
 pub mod warmup;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosOutcome, ChaosSchedule};
-pub use client::{ClusterClient, ClusterSubscription, FAILOVER_COOLDOWN};
+pub use client::{ClusterClient, FAILOVER_COOLDOWN};
 pub use directory::{
     Directory, Member, MemberState, RingSnapshot, ServerId, Stamp, MAX_WEIGHT, TOMBSTONE_CAP,
     UNATTRIBUTED, VIRTUAL_NODES,
 };
 pub use exporter::{FleetExporter, FleetExporterConfig};
-pub use gossip::{
-    GossipHandle, GossipIdentity, GossipStats, Gossiper, GossiperConfig, HealthConfig,
-};
+pub use gossip::{GossipIdentity, GossipStats, Gossiper, GossiperConfig, HealthConfig};
 pub use headroom::{HeadroomModel, ServerHeadroom};
 pub use ironman_telemetry::TimeSeries;
 pub use observe::{

@@ -381,23 +381,9 @@ impl LocalCluster {
         self.nodes.remove(&id).expect("server not running").stop()
     }
 
-    /// Gracefully removes a server: [`Directory::drain`] first (no new
-    /// homes), then shutdown, then [`Directory::leave`]. Returns its
-    /// final statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no server with `id` is running.
-    pub fn remove_server(&mut self, id: ServerId) -> ServiceStats {
-        self.control_directory().drain(id);
-        let stats = self.kill_server(id);
-        self.control_directory().leave(id);
-        stats
-    }
-
     /// Marks a server draining (it keeps serving existing sessions but
     /// receives no new homes). The server keeps running until
-    /// [`LocalCluster::kill_server`]/[`LocalCluster::remove_server`].
+    /// [`LocalCluster::kill_server`].
     /// The drain lands on the lease holder's replica and gossip spreads
     /// it — including to the drained server itself, whose push loops
     /// then announce `DrainHandoff` in-stream.

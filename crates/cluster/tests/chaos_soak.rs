@@ -196,7 +196,7 @@ fn seeded_chaos_soak_keeps_consume_once_accounting() {
             "no faults fired — the injection gate is dead"
         );
         client
-            .request_cots(8)
+            .request_cots_with(8, |_| {})
             .expect("latency-only faults must not break serving");
     }
 
@@ -205,7 +205,7 @@ fn seeded_chaos_soak_keeps_consume_once_accounting() {
     for id in cluster.server_ids() {
         assert!(cluster.starve_server(id, Duration::from_secs(600)));
     }
-    let _ = client.request_cots(8);
+    let _ = client.request_cots_with(8, |_| {});
     let unavailable: u64 = cluster
         .server_ids()
         .iter()
@@ -235,7 +235,9 @@ fn blackholed_fleet_fails_typed_within_deadline_and_recovers() {
         Duration::from_millis(200),
         7,
     ));
-    client.request_cots(16).expect("healthy fleet serves");
+    client
+        .request_cots_with(16, |_| {})
+        .expect("healthy fleet serves");
 
     for id in cluster.server_ids() {
         assert!(cluster.inject_faults(
@@ -252,7 +254,7 @@ fn blackholed_fleet_fails_typed_within_deadline_and_recovers() {
     let mut first_err = None;
     for _ in 0..50 {
         let started = Instant::now();
-        match client.request_cots(16) {
+        match client.request_cots_with(16, |_| {}) {
             Ok(_) => continue,
             Err(e) => {
                 let spent = started.elapsed();
@@ -290,7 +292,7 @@ fn blackholed_fleet_fails_typed_within_deadline_and_recovers() {
     client.heal();
     let recovered_by = Instant::now() + Duration::from_secs(30);
     loop {
-        if client.request_cots(16).is_ok() {
+        if client.request_cots_with(16, |_| {}).is_ok() {
             break;
         }
         assert!(
@@ -337,7 +339,7 @@ fn supply_slo_fires_during_starvation_and_resolves_after_heal() {
             client.set_failover_cooldown(Duration::from_millis(20));
             let mut unavailable_seen_any = false;
             while !stop.load(Ordering::SeqCst) {
-                if client.request_cots(300).is_err() {
+                if client.request_cots_with(300, |_| {}).is_err() {
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 unavailable_seen_any |= client.unavailable_seen() > 0;

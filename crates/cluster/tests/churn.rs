@@ -54,10 +54,12 @@ fn fleet_survives_kill_and_rejoin_under_load() {
                     .expect("connect");
                 let mut served = 0u64;
                 while !stop.load(Ordering::SeqCst) {
-                    for batch in client.request_cots(400).expect("one-shot under churn") {
-                        batch.verify().expect("verified under churn");
-                        served += batch.len() as u64;
-                    }
+                    client
+                        .request_cots_with(400, |batch| {
+                            batch.verify().expect("verified under churn");
+                            served += batch.len() as u64;
+                        })
+                        .expect("one-shot under churn");
                 }
                 served
             })

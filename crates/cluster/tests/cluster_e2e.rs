@@ -33,28 +33,31 @@ fn three_server_fleet_serves_routed_and_split_requests() {
     let home = client.home().expect("non-empty fleet");
 
     // In-limit request: single batch, single (home) server.
-    let small = client.request_cots(max / 2).unwrap();
-    assert_eq!(small.len(), 1);
-    assert_eq!(small[0].len(), max / 2);
-    small[0].verify().unwrap();
+    let chunks = client
+        .request_cots_with(max / 2, |batch| {
+            assert_eq!(batch.len(), max / 2);
+            batch.verify().unwrap();
+        })
+        .unwrap();
+    assert_eq!(chunks, 1);
     assert_eq!(client.served_for(home), (max / 2) as u64);
 
     // Oversized request: transparently split across servers, every chunk
-    // within the per-server limit, total exact, every batch verified.
+    // within the per-server limit, total exact, every batch verified —
+    // all through one reused batch (no owned batch per chunk).
     let want = 2 * max + 7;
-    let split = client.request_cots(want).unwrap();
-    assert!(
-        split.len() >= 3,
-        "expected >= 3 chunks, got {}",
-        split.len()
-    );
+    let served_before = client.served_total();
     let mut total = 0usize;
-    for batch in &split {
-        assert!(batch.len() <= max);
-        batch.verify().unwrap();
-        total += batch.len();
-    }
+    let chunks = client
+        .request_cots_with(want, |batch| {
+            assert!(batch.len() <= max);
+            batch.verify().unwrap();
+            total += batch.len();
+        })
+        .unwrap();
+    assert!(chunks >= 3, "expected >= 3 chunks, got {chunks}");
     assert_eq!(total, want);
+    assert_eq!(client.served_total(), served_before + want as u64);
     // The spill actually spread beyond the home server.
     let spread = client
         .served_per_server()
@@ -62,21 +65,6 @@ fn three_server_fleet_serves_routed_and_split_requests() {
         .filter(|&&(_, cots)| cots > 0)
         .count();
     assert!(spread >= 2, "spill never left the home server");
-
-    // The coalescing visitor path delivers the same totals through one
-    // reused batch (no owned batch per chunk).
-    let served_before = client.served_total();
-    let mut visited = 0u64;
-    let chunks = client
-        .request_cots_with(want, |batch| {
-            batch.verify().unwrap();
-            assert!(batch.len() <= max);
-            visited += batch.len() as u64;
-        })
-        .unwrap();
-    assert!(chunks >= 3);
-    assert_eq!(visited, want as u64);
-    assert_eq!(client.served_total(), served_before + want as u64);
 
     // Per-shard observability: the stats request reports every shard and
     // the warm-up refills that filled them, plus the directory epoch
@@ -116,6 +104,8 @@ fn streaming_subscription_over_the_fleet() {
         .unwrap();
     assert_eq!(summary.cots, total);
     assert_eq!(seen, total);
+    // Streamed load feeds the per-server counters spill routing reads.
+    assert_eq!(client.served_total(), total);
     // 10 pushed chunks; the 99-COT remainder is served one-shot and does
     // not count as a pushed chunk.
     assert_eq!(summary.chunks, 10);
@@ -126,17 +116,6 @@ fn streaming_subscription_over_the_fleet() {
         client.stream_cots(100, 0, |_| {}),
         Err(ChannelError::RequestTooLarge { .. })
     ));
-
-    // The raw subscription handle also feeds the per-server load
-    // counters (spill routing must see streamed load).
-    let served_before = client.served_total();
-    let mut sub = client.subscribe(128, 4).unwrap();
-    while let Some(batch) = sub.next_chunk().unwrap() {
-        batch.verify().unwrap();
-    }
-    let sub_summary = sub.finish().unwrap();
-    assert_eq!(sub_summary.cots, 4 * 128);
-    assert_eq!(client.served_total(), served_before + 4 * 128);
 
     cluster.shutdown();
 }
@@ -163,9 +142,10 @@ fn failover_routes_around_a_dead_home_server() {
     cluster.kill_server(home);
 
     let mut client = ClusterClient::connect(directory, session).expect("connect");
-    let batches = client.request_cots(100).unwrap();
-    assert_eq!(batches.len(), 1);
-    batches[0].verify().unwrap();
+    let chunks = client
+        .request_cots_with(100, |batch| batch.verify().unwrap())
+        .unwrap();
+    assert_eq!(chunks, 1);
     // The correlations came from a fallback, not the dead home.
     assert_eq!(client.served_for(home), 0);
     assert_eq!(client.served_total(), 100);
@@ -190,8 +170,9 @@ fn killing_servers_keeps_ids_stable_and_survivor_serves() {
     cluster.kill_server(ids[2]);
     assert_eq!(cluster.server_ids(), vec![ids[1]]);
     let mut client = ClusterClient::connect(cluster.directory(), "survivor").expect("connect");
-    let batches = client.request_cots(64).unwrap();
-    batches[0].verify().unwrap();
+    client
+        .request_cots_with(64, |batch| batch.verify().unwrap())
+        .unwrap();
     assert_eq!(client.served_for(ids[1]), 64);
     cluster.shutdown();
 }
@@ -225,10 +206,12 @@ fn two_clients_share_the_fleet() {
                     ClusterClient::connect(directory, &format!("shared-{id}")).expect("connect");
                 let mut got = 0u64;
                 for _ in 0..4 {
-                    for batch in client.request_cots(700).expect("request") {
-                        batch.verify().expect("verified");
-                        got += batch.len() as u64;
-                    }
+                    client
+                        .request_cots_with(700, |batch| {
+                            batch.verify().expect("verified");
+                            got += batch.len() as u64;
+                        })
+                        .expect("request");
                 }
                 got
             })
@@ -256,7 +239,9 @@ fn stale_client_is_fenced_synced_and_rerouted() {
     let follower = Arc::new(Directory::from_snapshot(&shared.snapshot()));
     let mut client = ClusterClient::connect(Arc::clone(&follower), "stale-view").expect("connect");
     let home = client.home().expect("non-empty");
-    client.request_cots(64).unwrap()[0].verify().unwrap();
+    client
+        .request_cots_with(64, |batch| batch.verify().unwrap())
+        .unwrap();
 
     // Drain the client's home (epoch bump on the replicas and the
     // observer view only) and add a fresh server. The follower still routes to the drained
@@ -268,8 +253,9 @@ fn stale_client_is_fenced_synced_and_rerouted() {
     assert!(client.epoch() < fleet_epoch, "client view must be stale");
 
     let served_on_home = client.served_for(home);
-    let batches = client.request_cots(64).unwrap();
-    batches[0].verify().unwrap();
+    client
+        .request_cots_with(64, |batch| batch.verify().unwrap())
+        .unwrap();
     // The fence + delta brought the client current...
     assert_eq!(client.epoch(), fleet_epoch);
     // ...and the new work avoided the draining home.

@@ -11,6 +11,7 @@ use ironman_cluster::{
     observe, ClusterServerConfig, FleetObserverConfig, FleetSnapshot, LocalCluster,
     ServerObservation, WarmupConfig, WindowBaseline,
 };
+use ironman_core::CotBatch;
 use ironman_net::{CotClient, CotServiceConfig, LatencyStats};
 use ironman_telemetry::HistogramSnapshot;
 use std::time::{Duration, Instant};
@@ -33,8 +34,10 @@ fn exercise_every_server(cluster: &LocalCluster) {
     let snapshot = cluster.directory().snapshot();
     for member in snapshot.members() {
         let mut client = CotClient::connect(member.addr, "observe-driver").expect("connect member");
+        let mut batch = CotBatch::default();
         for _ in 0..4 {
-            client.request_cots(48).expect("serve").verify().unwrap();
+            client.request_cots_into(48, &mut batch).expect("serve");
+            batch.verify().unwrap();
         }
     }
 }

@@ -214,13 +214,8 @@ fn supply_slo_fires_on_fleet_kill_and_resolves_on_heal() {
                 let mut client =
                     ClusterClient::connect(directory, &format!("slo-load-{w}")).expect("connect");
                 while !stop.load(Ordering::SeqCst) {
-                    match client.request_cots(300) {
-                        Ok(batches) => {
-                            for batch in batches {
-                                drop(batch);
-                            }
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                    if client.request_cots_with(300, |_| {}).is_err() {
+                        std::thread::sleep(Duration::from_millis(5));
                     }
                 }
             })

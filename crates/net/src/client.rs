@@ -14,8 +14,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 
 /// A client session against a [`CotService`](crate::CotService).
 ///
-/// The buffer-reusing request paths ([`CotClient::request_cots_into`],
-/// [`CotSubscription::next_chunk_into`]) read a batch's `z` and `y` from
+/// Every receive ([`CotClient::request_cots_into`],
+/// [`CotSubscription::next_chunk_into`]) reads a batch's `z` and `y` from
 /// the socket straight into a caller-retained [`CotBatch`]; the client
 /// retains one frame buffer for the session's lifetime that holds only a
 /// batch frame's head and packed choice bits (and control frames whole),
@@ -119,7 +119,8 @@ impl CotClient {
         }
     }
 
-    /// Largest batch one [`CotClient::request_cots`] call may ask for.
+    /// Largest batch one [`CotClient::request_cots_into`] call, or one
+    /// chunk of a [`CotClient::subscribe`] stream, may ask for.
     pub fn max_request(&self) -> u64 {
         self.max_request
     }
@@ -147,7 +148,9 @@ impl CotClient {
         }
     }
 
-    /// Fetches `n` fresh correlations.
+    /// Fetches `n` fresh correlations into a caller-retained batch,
+    /// reusing its allocations (`z` and `y` are read from the socket
+    /// straight into `out`). On error `out`'s contents are unspecified.
     ///
     /// # Errors
     ///
@@ -157,20 +160,6 @@ impl CotClient {
     /// transparent splitting go through `ironman-cluster`'s
     /// `ClusterClient`); otherwise fails on transport errors or a
     /// server-side [`Response::Error`].
-    pub fn request_cots(&mut self, n: usize) -> Result<CotBatch, ChannelError> {
-        let mut out = CotBatch::default();
-        self.request_cots_into(n, &mut out)?;
-        Ok(out)
-    }
-
-    /// Fetches `n` fresh correlations into a caller-retained batch,
-    /// reusing its allocations — the zero-copy form of
-    /// [`CotClient::request_cots`]. On error `out`'s contents are
-    /// unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotClient::request_cots`].
     pub fn request_cots_into(&mut self, n: usize, out: &mut CotBatch) -> Result<(), ChannelError> {
         if n == 0 || n as u64 > self.max_request {
             return Err(ChannelError::RequestTooLarge {
@@ -237,9 +226,9 @@ impl CotClient {
 
     /// Opens a credit-controlled stream of exactly `chunks` batches of
     /// `batch` correlations each (the streaming analogue of calling
-    /// [`CotClient::request_cots`] `chunks` times, minus the per-request
-    /// round trip: the server pushes ahead of demand, up to the credit
-    /// window).
+    /// [`CotClient::request_cots_into`] `chunks` times, minus the
+    /// per-request round trip: the server pushes ahead of demand, up to
+    /// the credit window).
     ///
     /// # Errors
     ///
@@ -293,12 +282,13 @@ pub struct StreamSummary {
 
 /// An active streaming subscription on a [`CotClient`] session.
 ///
-/// Pull chunks with [`CotSubscription::next_chunk`]; the subscription
-/// manages the credit window itself, topping the server up *before*
-/// blocking on the next chunk so the server's push pipeline never drains
-/// between grants. Credits are accounted exactly: the subscription only
-/// ever grants what it will consume, and a server chunk that arrives
-/// without a matching credit is a protocol error, not a negative balance.
+/// Pull chunks with [`CotSubscription::next_chunk_into`]; the
+/// subscription manages the credit window itself, topping the server up
+/// *before* blocking on the next chunk so the server's push pipeline
+/// never drains between grants. Credits are accounted exactly: the
+/// subscription only ever grants what it will consume, and a server
+/// chunk that arrives without a matching credit is a protocol error, not
+/// a negative balance.
 #[derive(Debug)]
 pub struct CotSubscription<'a> {
     client: &'a mut CotClient,
@@ -339,31 +329,21 @@ impl CotSubscription<'_> {
         self.remaining
     }
 
-    /// Receives the next chunk, or `None` once the stream is over —
-    /// either the subscribed count arrived, or the server ended the
-    /// stream early (e.g. it is shutting down); in both cases the
-    /// accounting trailer has been received and verified. Compare
-    /// [`CotSubscription::chunks_remaining`] against zero (or check the
-    /// [`CotSubscription::finish`] summary) to tell the two apart.
+    /// Receives the next chunk into a caller-retained batch, reusing its
+    /// allocations (`z` and `y` are read from the socket straight into
+    /// `out`). Returns `false` once the stream is over — either the
+    /// subscribed count arrived, or the server ended the stream early
+    /// (e.g. it is shutting down); in both cases the accounting trailer
+    /// has been received and verified, and `out`'s contents are
+    /// unspecified. Compare [`CotSubscription::chunks_remaining`] against
+    /// zero (or check the [`CotSubscription::finish`] summary) to tell
+    /// the two apart.
     ///
     /// # Errors
     ///
     /// Fails on transport errors, a server-side error, or any accounting
     /// violation (out-of-order sequence, wrong chunk size, a chunk without
     /// a granted credit, or a trailer that disagrees with what arrived).
-    pub fn next_chunk(&mut self) -> Result<Option<CotBatch>, ChannelError> {
-        let mut out = CotBatch::default();
-        Ok(self.next_chunk_into(&mut out)?.then_some(out))
-    }
-
-    /// Receives the next chunk into a caller-retained batch, reusing its
-    /// allocations — the zero-copy form of
-    /// [`CotSubscription::next_chunk`]. Returns `false` once the stream
-    /// is over (in which case `out`'s contents are unspecified).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotSubscription::next_chunk`].
     pub fn next_chunk_into(&mut self, out: &mut CotBatch) -> Result<bool, ChannelError> {
         if self.ended || self.remaining == 0 {
             self.close()?;
@@ -382,52 +362,21 @@ impl CotSubscription<'_> {
                 self.granted += add;
             }
         }
-        loop {
-            let client = &mut *self.client;
-            match recv_response_into(&mut client.ch, &mut client.recv_buf, out)? {
-                HotResponse::CotChunk { seq } => {
-                    if out.len() as u64 != self.batch {
-                        return Err(stream_violation(&format!(
-                            "chunk of {} correlations, subscribed for {}",
-                            out.len(),
-                            self.batch
-                        )));
-                    }
-                    self.account_chunk(seq, out.len() as u64)?;
-                    return Ok(true);
-                }
-                HotResponse::Other(other) => match *other {
-                    // The server may end the stream early (shutdown): its
-                    // trailer must still agree with every chunk this side
-                    // observed. `remaining` is deliberately left non-zero so
-                    // the truncation is observable through `chunks_remaining`.
-                    Response::StreamEnd { chunks, cots } => {
-                        self.ended = true;
-                        self.verify_trailer(chunks, cots)?;
-                        return Ok(false);
-                    }
-                    // A fenced Subscribe never started the stream: surface the
-                    // typed error and mark the subscription over, so the
-                    // session stays in lockstep for the caller's resync.
-                    Response::WrongEpoch { epoch } => {
-                        self.ended = true;
-                        return Err(ChannelError::WrongEpoch { current: epoch });
-                    }
-                    // The draining server's successor announcement (v9):
-                    // record it and keep waiting for the chunk — the push
-                    // consumed no credit and carries no payload.
-                    Response::DrainHandoff { id, addr, name } => {
-                        self.handoff = Some((id, addr, name));
-                    }
-                    other => return Err(reject(other)),
-                },
-                HotResponse::Cots => {
-                    return Err(stream_violation(
-                        "one-shot Cots response inside a subscription",
-                    ))
-                }
-            }
+        // The server may end the stream early (shutdown): `remaining` is
+        // then deliberately left non-zero so the truncation is observable
+        // through `chunks_remaining`.
+        let Some(seq) = self.recv_chunk(out)? else {
+            return Ok(false);
+        };
+        if out.len() as u64 != self.batch {
+            return Err(stream_violation(&format!(
+                "chunk of {} correlations, subscribed for {}",
+                out.len(),
+                self.batch
+            )));
         }
+        self.account_chunk(seq, out.len() as u64)?;
+        Ok(true)
     }
 
     /// Ends the subscription (early or after completion), drains any
@@ -438,22 +387,53 @@ impl CotSubscription<'_> {
     /// Fails on transport errors or a trailer that disagrees with the
     /// chunks actually observed.
     pub fn finish(mut self) -> Result<StreamSummary, ChannelError> {
-        self.end()
-    }
-
-    /// Non-consuming form of [`CotSubscription::finish`] (idempotent):
-    /// closes the stream if it is still open and returns the accounting
-    /// observed so far.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`CotSubscription::finish`].
-    pub fn end(&mut self) -> Result<StreamSummary, ChannelError> {
         self.close()?;
         Ok(StreamSummary {
             chunks: self.next_seq,
             cots: self.cots_received,
         })
+    }
+
+    /// Reads frames until the next chunk lands in `out` (`Some(seq)`) or
+    /// the stream ends (`None`, trailer verified) — the one dispatch of
+    /// the consume and drain paths. A `DrainHandoff` is recorded and
+    /// reading goes on: the push consumed no credit and carries no
+    /// payload, and a caller tearing the stream down is usually about to
+    /// resume it at that successor.
+    fn recv_chunk(&mut self, out: &mut CotBatch) -> Result<Option<u64>, ChannelError> {
+        loop {
+            let client = &mut *self.client;
+            let other = match recv_response_into(&mut client.ch, &mut client.recv_buf, out)? {
+                HotResponse::CotChunk { seq } => return Ok(Some(seq)),
+                HotResponse::Other(other) => other,
+                HotResponse::Cots => {
+                    return Err(stream_violation(
+                        "one-shot Cots response inside a subscription",
+                    ))
+                }
+            };
+            match *other {
+                // The trailer must agree with every chunk this side
+                // observed.
+                Response::StreamEnd { chunks, cots } => {
+                    self.ended = true;
+                    self.verify_trailer(chunks, cots)?;
+                    return Ok(None);
+                }
+                // A fenced Subscribe never started the stream, so there is
+                // no trailer to wait for: surface the typed error and mark
+                // the subscription over, so the session stays in lockstep
+                // for the caller's resync.
+                Response::WrongEpoch { epoch } => {
+                    self.ended = true;
+                    return Err(ChannelError::WrongEpoch { current: epoch });
+                }
+                Response::DrainHandoff { id, addr, name } => {
+                    self.handoff = Some((id, addr, name));
+                }
+                other => return Err(reject(other)),
+            }
+        }
     }
 
     /// The shared per-chunk bookkeeping of the consume and drain paths:
@@ -498,37 +478,10 @@ impl CotSubscription<'_> {
         // flight ahead of the trailer; drain and count them (into one
         // reused batch — drained payloads are accounted, not kept).
         let mut drained = CotBatch::default();
-        loop {
-            let client = &mut *self.client;
-            match recv_response_into(&mut client.ch, &mut client.recv_buf, &mut drained)? {
-                HotResponse::CotChunk { seq } => self.account_chunk(seq, drained.len() as u64)?,
-                HotResponse::Other(other) => match *other {
-                    Response::StreamEnd { chunks, cots } => {
-                        self.ended = true;
-                        return self.verify_trailer(chunks, cots);
-                    }
-                    Response::WrongEpoch { epoch } => {
-                        // A fenced Subscribe answered with WrongEpoch is
-                        // the whole "stream": there is no trailer to wait
-                        // for.
-                        self.ended = true;
-                        return Err(ChannelError::WrongEpoch { current: epoch });
-                    }
-                    // A handoff racing the unsubscribe is still recorded:
-                    // the caller tearing this stream down is usually about
-                    // to resume it elsewhere.
-                    Response::DrainHandoff { id, addr, name } => {
-                        self.handoff = Some((id, addr, name));
-                    }
-                    other => return Err(reject(other)),
-                },
-                HotResponse::Cots => {
-                    return Err(stream_violation(
-                        "one-shot Cots response inside a subscription",
-                    ))
-                }
-            }
+        while let Some(seq) = self.recv_chunk(&mut drained)? {
+            self.account_chunk(seq, drained.len() as u64)?;
         }
+        Ok(())
     }
 }
 
@@ -547,10 +500,13 @@ impl Drop for CotSubscription<'_> {
 /// epoch fences, and everything else as a protocol violation.
 fn reject(resp: Response) -> ChannelError {
     match resp {
-        Response::Error(msg) => service_error(&msg),
+        Response::Error(msg) => ChannelError::Service(msg),
         Response::WrongEpoch { epoch } => ChannelError::WrongEpoch { current: epoch },
         Response::Unavailable { retry_after_ms } => ChannelError::Unavailable { retry_after_ms },
-        other => unexpected_response(&other),
+        other => ChannelError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("unexpected response: {other:?}"),
+        )),
     }
 }
 
@@ -558,17 +514,6 @@ fn stream_violation(msg: &str) -> ChannelError {
     ChannelError::Io(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
         format!("subscription protocol violation: {msg}"),
-    ))
-}
-
-fn service_error(msg: &str) -> ChannelError {
-    ChannelError::Service(msg.to_string())
-}
-
-fn unexpected_response(resp: &Response) -> ChannelError {
-    ChannelError::Io(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("unexpected response: {resp:?}"),
     ))
 }
 

@@ -72,9 +72,10 @@
 //! `cots_served` goes up before the write and back down if it fails, so
 //! a scrape never lags a delivered batch, and once pushes settle
 //! `Σ taken − cots_served` is exactly what was taken and never delivered.
-//! On the client,
-//! [`CotClient::request_cots_into`] / `CotSubscription::next_chunk_into`
-//! mirror the split: [`proto::recv_response_into`] reads a batch frame's
+//! On the client every receive lands in a caller-retained batch: the
+//! one-shot [`CotClient::request_cots_into`] and the stream's
+//! [`CotSubscription::next_chunk_into`] are the only receive calls, and
+//! they mirror the split: [`proto::recv_response_into`] reads a batch frame's
 //! head into the session's retained frame buffer, checks its `n` against
 //! the frame length, then reads `z` and `y` from the socket **straight
 //! into** the caller-retained [`CotBatch`](ironman_core::CotBatch)'s
@@ -95,7 +96,7 @@
 //! * **The client frame buffer** belongs to the `CotClient` and holds a
 //!   batch frame's head and bit tail only (a control frame whole); it is
 //!   valid between a receive and the next call on the same session.
-//! * **Caller-retained batches** (`*_into` targets) are resized and
+//! * **Caller-retained batches** (the `*_into` targets) are resized and
 //!   overwritten on every call (a no-op resize for a same-size batch);
 //!   on error their contents are unspecified.
 //!   Consumers that keep a batch past the next call clone it.
@@ -348,7 +349,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use ironman_core::{Backend, Engine};
+//! use ironman_core::{Backend, CotBatch, Engine};
 //! use ironman_net::{CotClient, CotService, CotServiceConfig};
 //! use ironman_ot::ferret::FerretConfig;
 //! use ironman_ot::params::FerretParams;
@@ -357,8 +358,16 @@
 //! let service = CotService::serve("127.0.0.1:0", &engine, CotServiceConfig::default()).unwrap();
 //!
 //! let mut client = CotClient::connect(service.addr(), "ppml-worker-0").unwrap();
-//! let batch = client.request_cots(1024).unwrap();
+//! // One batch, retained across calls: every receive reuses its storage.
+//! let mut batch = CotBatch::default();
+//! client.request_cots_into(1024, &mut batch).unwrap();
 //! batch.verify().unwrap();
+//! // A credit-controlled stream lands in the same batch, chunk by chunk.
+//! let mut stream = client.subscribe(256, 4).unwrap();
+//! while stream.next_chunk_into(&mut batch).unwrap() {
+//!     batch.verify().unwrap();
+//! }
+//! assert_eq!(stream.finish().unwrap().cots, 4 * 256);
 //! service.shutdown();
 //! ```
 

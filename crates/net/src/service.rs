@@ -698,21 +698,43 @@ fn fence_epoch(shared: &ServiceShared, session_epoch: Option<u64>) -> Option<u64
     }
 }
 
-/// Encodes the graceful-degradation decline (v8): the supply-starved
-/// server answers with a machine-usable retry hint instead of hanging or
-/// hard-failing the client, counted and traced so the outage is
-/// observable fleet-wide.
-fn decline_unavailable(shared: &ServiceShared, retry_after_ms: u64, scratch: &mut Scratch) {
-    shared
-        .counters
-        .unavailable_sent
-        .fetch_add(1, Ordering::Relaxed);
-    shared
-        .telemetry
-        .trace
-        .push(EventKind::Unavailable, retry_after_ms);
+/// The admission chain of a correlation-serving request (`RequestCot`'s
+/// batch or `Subscribe`'s chunk, `size` correlations, named by `what` in
+/// the error text): the degradation gate, then the epoch fence, then the
+/// `1..=max_request` range. Returns `true` when the request may be
+/// served; otherwise its control reply is left in `scratch`.
+///
+/// A closed gate answers with a machine-usable retry hint (v8) instead
+/// of hanging or hard-failing the client, counted and traced so the
+/// outage is observable fleet-wide.
+fn admit(
+    shared: &ServiceShared,
+    session_epoch: Option<u64>,
+    size: u64,
+    what: &str,
+    scratch: &mut Scratch,
+) -> bool {
+    let max_request = shared.pool.max_request() as u64;
+    let reply = if let Some(retry_after_ms) = shared.unavailable_ms() {
+        shared
+            .counters
+            .unavailable_sent
+            .fetch_add(1, Ordering::Relaxed);
+        shared
+            .telemetry
+            .trace
+            .push(EventKind::Unavailable, retry_after_ms);
+        Response::Unavailable { retry_after_ms }
+    } else if let Some(current) = fence_epoch(shared, session_epoch) {
+        Response::WrongEpoch { epoch: current }
+    } else if size == 0 || size > max_request {
+        Response::Error(format!("{what} {size} outside 1..={max_request}"))
+    } else {
+        return true;
+    };
     scratch.begin();
-    Response::Unavailable { retry_after_ms }.encode_into(scratch.buf());
+    reply.encode_into(scratch.buf());
+    false
 }
 
 /// The one push path for correlations: takes `n` from the pool and
@@ -807,23 +829,14 @@ fn serve_session<R: Read, W: Write>(
                 .encode_into(scratch.buf());
             }
             Request::RequestCot { n } => {
-                if let Some(retry_after_ms) = shared.unavailable_ms() {
-                    decline_unavailable(shared, retry_after_ms, &mut scratch);
-                } else if let Some(current) = fence_epoch(shared, session_epoch) {
-                    scratch.begin();
-                    Response::WrongEpoch { epoch: current }.encode_into(scratch.buf());
-                } else if n == 0 || n > max_request {
-                    scratch.begin();
-                    encode_error_into(
-                        scratch.buf(),
-                        &format!("batch size {n} outside 1..={max_request}"),
-                    );
-                } else if let Some((shard, sent)) =
-                    push_batch(&mut ch, shared, &mut scratch, None, n as usize)
-                {
-                    sent?;
-                    shared.telemetry.request_first_byte[shard].record_elapsed(first_byte_watch);
-                    continue; // response already on the wire
+                if admit(shared, session_epoch, n, "batch size", &mut scratch) {
+                    if let Some((shard, sent)) =
+                        push_batch(&mut ch, shared, &mut scratch, None, n as usize)
+                    {
+                        sent?;
+                        shared.telemetry.request_first_byte[shard].record_elapsed(first_byte_watch);
+                        continue; // response already on the wire
+                    }
                 }
                 // Every other branch, a panicked take included, left a
                 // control reply in the frame buffer: a panicking take
@@ -845,18 +858,7 @@ fn serve_session<R: Read, W: Write>(
                 return Ok(());
             }
             Request::Subscribe { batch, credits } => {
-                if let Some(retry_after_ms) = shared.unavailable_ms() {
-                    decline_unavailable(shared, retry_after_ms, &mut scratch);
-                } else if let Some(current) = fence_epoch(shared, session_epoch) {
-                    scratch.begin();
-                    Response::WrongEpoch { epoch: current }.encode_into(scratch.buf());
-                } else if batch == 0 || batch > max_request {
-                    scratch.begin();
-                    encode_error_into(
-                        scratch.buf(),
-                        &format!("chunk size {batch} outside 1..={max_request}"),
-                    );
-                } else {
+                if admit(shared, session_epoch, batch, "chunk size", &mut scratch) {
                     serve_subscription(
                         &mut ch,
                         shared,
@@ -1104,6 +1106,13 @@ mod tests {
         )
     }
 
+    /// One one-shot request of `n` on `client`, its batch verified.
+    fn request_verified(client: &mut CotClient, n: usize) {
+        let mut batch = CotBatch::default();
+        client.request_cots_into(n, &mut batch).unwrap();
+        batch.verify().unwrap();
+    }
+
     fn toy_service(shards: usize) -> CotService {
         let cfg = CotServiceConfig {
             shards,
@@ -1118,7 +1127,8 @@ mod tests {
         let service = toy_service(1);
         let mut client = CotClient::connect(service.addr(), "t1").unwrap();
         assert!(client.max_request() > 0);
-        let batch = client.request_cots(64).unwrap();
+        let mut batch = CotBatch::default();
+        client.request_cots_into(64, &mut batch).unwrap();
         assert_eq!(batch.len(), 64);
         batch.verify().unwrap();
         let stats = client.stats().unwrap();
@@ -1162,14 +1172,16 @@ mod tests {
         let sent_before = client.transport_stats().messages_sent;
         // Regression: an oversized request is rejected with the typed
         // error *before* any bytes hit the wire, not by a server error.
-        let err = client.request_cots(max as usize + 1).unwrap_err();
+        let err = client
+            .request_cots_into(max as usize + 1, &mut CotBatch::default())
+            .unwrap_err();
         assert!(matches!(
             err,
             ChannelError::RequestTooLarge { max: m, requested } if m == max && requested == max + 1
         ));
         assert_eq!(client.transport_stats().messages_sent, sent_before);
         // Session survives the rejected request.
-        client.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut client, 8);
         service.shutdown();
     }
 
@@ -1181,7 +1193,8 @@ mod tests {
         const CHUNKS: u64 = 25;
         let mut sub = client.subscribe(BATCH, CHUNKS).unwrap();
         let mut got = 0u64;
-        while let Some(batch) = sub.next_chunk().unwrap() {
+        let mut batch = CotBatch::default();
+        while sub.next_chunk_into(&mut batch).unwrap() {
             assert_eq!(batch.len(), BATCH);
             batch.verify().unwrap();
             got += 1;
@@ -1195,7 +1208,7 @@ mod tests {
         assert_eq!(summary.chunks, CHUNKS);
         assert_eq!(summary.cots, CHUNKS * BATCH as u64);
         // The session drops back to one-shot mode afterwards.
-        client.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut client, 8);
         let stats = client.stats().unwrap();
         assert_eq!(stats.cots_served, CHUNKS * BATCH as u64 + 8);
         // Streamed chunks ride the two retained scratch buffers: after
@@ -1214,15 +1227,17 @@ mod tests {
         let mut client = CotClient::connect(service.addr(), "quitter").unwrap();
         let mut sub = client.subscribe(64, 1000).unwrap();
         // Take a few chunks, then bail with most of the stream unread.
+        let mut batch = CotBatch::default();
         for _ in 0..3 {
-            sub.next_chunk().unwrap().unwrap().verify().unwrap();
+            assert!(sub.next_chunk_into(&mut batch).unwrap());
+            batch.verify().unwrap();
         }
         let summary = sub.finish().unwrap();
         // The trailer covers everything pushed, consumed or drained.
         assert!(summary.chunks >= 3);
         assert_eq!(summary.cots, summary.chunks * 64);
         // Session still usable.
-        client.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut client, 8);
         service.shutdown();
     }
 
@@ -1245,7 +1260,7 @@ mod tests {
             }
         }
         // The session survives every rejection.
-        client.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut client, 8);
         service.shutdown();
     }
 
@@ -1255,11 +1270,13 @@ mod tests {
         let mut client = CotClient::connect(service.addr(), "dropper").unwrap();
         {
             let mut sub = client.subscribe(64, 100).unwrap();
-            sub.next_chunk().unwrap().unwrap().verify().unwrap();
+            let mut batch = CotBatch::default();
+            assert!(sub.next_chunk_into(&mut batch).unwrap());
+            batch.verify().unwrap();
             // Dropped here without finish(): Drop must unsubscribe and
             // drain so the session below is not desynchronized.
         }
-        client.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut client, 8);
         service.shutdown();
     }
 
@@ -1292,7 +1309,7 @@ mod tests {
             other => panic!("unexpected response: {other:?}"),
         }
         // Session survives the stray flow-control message.
-        client.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut client, 8);
         service.shutdown();
     }
 
@@ -1319,7 +1336,7 @@ mod tests {
             );
             // Only that session: the server keeps serving others.
             let mut next = CotClient::connect(service.addr(), "v11").unwrap();
-            next.request_cots(8).unwrap().verify().unwrap();
+            request_verified(&mut next, 8);
         }
         service.shutdown();
     }
@@ -1334,11 +1351,12 @@ mod tests {
         let service = toy_service(2);
         let mut client = CotClient::connect(service.addr(), "observer").unwrap();
         const REQUESTS: u64 = 12;
+        let mut batch = CotBatch::default();
         for _ in 0..REQUESTS {
-            client.request_cots(64).unwrap();
+            client.request_cots_into(64, &mut batch).unwrap();
         }
         let mut sub = client.subscribe(50, 6).unwrap();
-        while sub.next_chunk().unwrap().is_some() {}
+        while sub.next_chunk_into(&mut batch).unwrap() {}
         sub.finish().unwrap();
 
         let stats = client.stats().unwrap();
@@ -1382,7 +1400,9 @@ mod tests {
         let mut client = CotClient::connect(service.addr(), "degraded-consumer").unwrap();
         service.set_unavailable_for(Duration::from_secs(30));
         // Serving requests are declined with a usable hint...
-        let err = client.request_cots(8).unwrap_err();
+        let err = client
+            .request_cots_into(8, &mut CotBatch::default())
+            .unwrap_err();
         match err {
             ChannelError::Unavailable { retry_after_ms } => {
                 assert!((1..=30_000).contains(&retry_after_ms));
@@ -1390,7 +1410,11 @@ mod tests {
             other => panic!("expected Unavailable, got {other:?}"),
         }
         assert!(matches!(
-            client.subscribe(8, 2).unwrap().next_chunk().unwrap_err(),
+            client
+                .subscribe(8, 2)
+                .unwrap()
+                .next_chunk_into(&mut CotBatch::default())
+                .unwrap_err(),
             ChannelError::Unavailable { .. }
         ));
         // ...while control ops keep working: a degraded server stays
@@ -1399,7 +1423,7 @@ mod tests {
         assert!(stats.unavailable_sent >= 2);
         // The gate reopens on clear and the same session serves again.
         service.clear_unavailable();
-        client.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut client, 8);
         service.shutdown();
     }
 
@@ -1425,7 +1449,7 @@ mod tests {
         });
         let mut observed = None;
         for _ in 0..50 {
-            match client.request_cots(8) {
+            match client.request_cots_into(8, &mut CotBatch::default()) {
                 Ok(_) => continue,
                 Err(e) => {
                     observed = Some(e);
@@ -1449,7 +1473,7 @@ mod tests {
         // counted into the stats surface.
         service.clear_faults();
         let mut healed = CotClient::connect(service.addr(), "healed").unwrap();
-        healed.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut healed, 8);
         let stats = service.stats();
         assert!(stats.faults_injected > 0);
         service.shutdown();
@@ -1471,7 +1495,9 @@ mod tests {
             ..crate::fault::FaultPlan::default()
         });
         let started = std::time::Instant::now();
-        let err = client.request_cots(8).unwrap_err();
+        let err = client
+            .request_cots_into(8, &mut CotBatch::default())
+            .unwrap_err();
         assert!(matches!(err, ChannelError::TimedOut), "got {err:?}");
         // The call was bounded by the deadline, not the outage.
         assert!(started.elapsed() < deadline + Duration::from_secs(2));
@@ -1519,7 +1545,7 @@ mod tests {
         assert_eq!(taken - stats.cots_served, max);
         // Other sessions are untouched.
         let mut healthy = CotClient::connect(service.addr(), "healthy").unwrap();
-        healthy.request_cots(8).unwrap().verify().unwrap();
+        request_verified(&mut healthy, 8);
         service.shutdown();
     }
 
@@ -1581,6 +1607,6 @@ mod tests {
         client.shutdown_server().unwrap();
         service.shutdown(); // idempotent: already stopping
         assert!(CotClient::connect(addr, "late").is_err());
-        assert!(idle.request_cots(8).is_err());
+        assert!(idle.request_cots_into(8, &mut CotBatch::default()).is_err());
     }
 }

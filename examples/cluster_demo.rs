@@ -110,8 +110,10 @@ fn main() {
     let replacement = cluster.spawn_server().expect("replacement joins");
     cluster.wait_converged(converge);
     println!("joined {replacement} -> epoch {}", directory.epoch());
-    let batches = client.request_cots(1000).expect("serve through churn");
-    let churn_total: usize = batches.iter().map(|b| b.len()).sum();
+    let mut churn_total = 0usize;
+    client
+        .request_cots_with(1000, |b| churn_total += b.len())
+        .expect("serve through churn");
     assert_eq!(churn_total, 1000);
     println!("served {churn_total} COTs straight through the churn, zero errors");
 

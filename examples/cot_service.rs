@@ -4,7 +4,7 @@
 //! the Ironman host role: FERRET extensions refill a sharded pool while
 //! PPML-style clients drain it over TCP sessions.
 
-use ironman_core::{Backend, Engine};
+use ironman_core::{Backend, CotBatch, Engine};
 use ironman_net::{CotClient, CotService, CotServiceConfig};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
@@ -35,8 +35,9 @@ fn main() {
                 let name = format!("worker-{id}");
                 let mut client = CotClient::connect(addr, &name).expect("connect");
                 let mut got = 0usize;
+                let mut batch = CotBatch::default();
                 for _ in 0..8 {
-                    let batch = client.request_cots(500).expect("request");
+                    client.request_cots_into(500, &mut batch).expect("request");
                     batch.verify().expect("verified correlation");
                     got += batch.len();
                 }

@@ -88,7 +88,7 @@ fn main() {
                 0xF1EE,
             ));
             while !stop.load(Ordering::SeqCst) {
-                if client.request_cots(256).is_err() {
+                if client.request_cots_with(256, |_| {}).is_err() {
                     std::thread::sleep(Duration::from_millis(5));
                 }
             }

@@ -16,9 +16,9 @@ use std::time::{Duration, Instant};
 
 /// One routed request, every delivered batch checked (`z = y ⊕ x·Δ`).
 fn serve_verified(client: &mut ClusterClient, when: &str) {
-    for batch in client.request_cots(64).expect(when) {
-        batch.verify().expect("correlated");
-    }
+    client
+        .request_cots_with(64, |batch| batch.verify().expect("correlated"))
+        .expect(when);
 }
 
 #[test]

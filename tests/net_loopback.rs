@@ -107,7 +107,13 @@ fn cot_service_serves_concurrent_clients() {
                 let mut client =
                     CotClient::connect(addr, &format!("e2e-client-{id}")).expect("connect");
                 (0..REQUESTS_PER_CLIENT)
-                    .map(|_| client.request_cots(BATCH).expect("request"))
+                    .map(|_| {
+                        let mut batch = CotBatch::default();
+                        client
+                            .request_cots_into(BATCH, &mut batch)
+                            .expect("request");
+                        batch
+                    })
                     .collect()
             })
         })
