@@ -182,12 +182,6 @@ impl ClusterClient {
         self.retry = policy;
     }
 
-    /// Replaces the retry token bucket (e.g. a zero-refill bucket to
-    /// forbid retries entirely).
-    pub fn set_retry_budget(&mut self, budget: RetryBudget) {
-        self.budget = budget;
-    }
-
     /// `TimedOut` failures this client has observed on its sessions.
     pub fn timeouts_seen(&self) -> u64 {
         self.timeouts_seen

@@ -88,17 +88,6 @@ impl Engine {
         &self.cfg
     }
 
-    /// Prebuilds the config's shared LPN matrix (a no-op if already
-    /// present) so every session spawned from this engine — and from its
-    /// clones, e.g. one per pool shard — reuses a single allocation
-    /// instead of regenerating per party thread. Deliberately **not**
-    /// done in [`Engine::new`]: the model-only estimation path
-    /// ([`Engine::estimate_timing`]) never touches the matrix, and
-    /// parameter sweeps construct many engines.
-    pub fn prepare_shared_matrix(&mut self) {
-        self.cfg.ensure_shared_matrix();
-    }
-
     /// The per-execution workload in backend-agnostic units.
     pub fn workload(&self) -> OteWorkload {
         let p = self.cfg.params;
@@ -151,7 +140,8 @@ impl Engine {
         }
     }
 
-    /// The NMP-simulator work description for one execution.
+    /// The NMP-simulator work description for one execution: the
+    /// session's unsorted matrix, as every FERRET session encodes it.
     pub fn ote_work(&self) -> OteWork {
         let p = self.cfg.params;
         OteWork {
@@ -163,7 +153,7 @@ impl Engine {
             arity: self.cfg.arity,
             prg: self.cfg.prg,
             role: Role::Sender,
-            sort: self.cfg.sort,
+            sort: None,
             sample_rows: Some(16_384),
         }
     }

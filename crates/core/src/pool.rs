@@ -10,7 +10,7 @@
 //! # Supply modes
 //!
 //! * **Inline** ([`CotPool::new`]) — each refill bootstraps a fresh FERRET
-//!   session via [`Engine::run_one`]. `Δ` changes per refill, so a batch
+//!   session via [`run_extension`]. `Δ` changes per refill, so a batch
 //!   never straddles a refill and a below-request remnant is discarded at
 //!   every session boundary. Simple, but the bootstrap (dealer, LPN
 //!   matrix, thread spawns) costs several times the marginal extension.
@@ -21,6 +21,10 @@
 //!   for the pool's lifetime, so remnants are *merged* across refills
 //!   instead of discarded. If the session threads die the pool degrades
 //!   permanently to inline refills.
+//!
+//! Either way the pool runs the CPU protocol and nothing else: it keeps
+//! the [`Engine`]'s [`FerretConfig`], never its timing backend, so no
+//! refill or spawn pays for a simulated NMP latency.
 //!
 //! # Zero-copy consumption
 //!
@@ -36,7 +40,8 @@
 //! session's own, as relaxed atomics written where they change. A sharded
 //! pool reads them there without taking the shard's lock.
 
-use crate::engine::{Engine, Timing};
+use crate::engine::Engine;
+use ironman_ot::ferret::{run_extension, FerretConfig};
 use ironman_ot::session::{CotSession, SessionBatch, SessionTelemetry};
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, Stopwatch};
@@ -155,7 +160,7 @@ impl CotSlice<'_> {
 /// Where refills come from (see the module docs).
 #[derive(Debug)]
 enum Supply {
-    /// Fresh session per refill via [`Engine::run_one`].
+    /// Fresh session per refill via [`run_extension`].
     Inline,
     /// Persistent pipelined session staging extensions ahead of demand.
     Session(CotSession),
@@ -166,10 +171,11 @@ enum Supply {
 /// without hoarding memory (each staged extension is one full output).
 const SESSION_LOOKAHEAD: usize = 2;
 
-/// A replenishing store of COT correlations over an [`Engine`].
+/// A replenishing store of COT correlations over one [`FerretConfig`].
 #[derive(Debug)]
 pub struct CotPool {
-    engine: Engine,
+    /// The config every refill extends with, its LPN matrix prebuilt.
+    cfg: FerretConfig,
     seed: u64,
     supply: Supply,
     delta: Option<Block>,
@@ -177,10 +183,6 @@ pub struct CotPool {
     x: Vec<bool>,
     y: Vec<Block>,
     cursor: usize,
-    last_timing: Option<Timing>,
-    /// Timing template for pipelined refills (the session runs off the
-    /// demand path, so per-refill byte counts are not re-measured).
-    session_timing: Option<Timing>,
     /// The histograms, trace and counters this pool records into.
     /// Pipelined supply shares it with its session (the session threads
     /// record extension durations and staged extensions); inline refills
@@ -189,24 +191,25 @@ pub struct CotPool {
 }
 
 impl CotPool {
-    /// Creates an empty inline-mode pool; the first request triggers a
-    /// fresh-session extension. Records into a fresh private
+    /// Creates an empty inline-mode pool over `engine`'s FERRET config
+    /// (its timing backend is not consulted); the first request triggers
+    /// a fresh-session extension. Records into a fresh private
     /// [`SessionTelemetry`]; use [`CotPool::new_with`] to share a
     /// caller's.
     pub fn new(engine: Engine, seed: u64) -> Self {
-        CotPool::new_with(engine, seed, Arc::default())
+        CotPool::new_with(engine.config().clone(), seed, Arc::default())
     }
 
-    /// [`CotPool::new`] recording into a caller-provided
+    /// [`CotPool::new`] over `cfg`, recording into a caller-provided
     /// [`SessionTelemetry`] (a sharded pool shares one per shard so the
     /// serving layer reads counters and latencies without locking the
     /// shard).
-    pub fn new_with(mut engine: Engine, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
+    pub fn new_with(mut cfg: FerretConfig, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
         // Inline refills bootstrap a fresh session each time; prebuild
         // the matrix once so refills only pay for protocol work.
-        engine.prepare_shared_matrix();
+        cfg.ensure_shared_matrix();
         CotPool {
-            engine,
+            cfg,
             seed,
             supply: Supply::Inline,
             delta: None,
@@ -214,50 +217,38 @@ impl CotPool {
             x: Vec::new(),
             y: Vec::new(),
             cursor: 0,
-            last_timing: None,
-            session_timing: None,
             telemetry,
         }
     }
 
-    /// Creates a pool over a persistent pipelined session: extensions run
-    /// on background threads ahead of demand, `Δ` is fixed for the pool's
-    /// lifetime, and refills merge with any buffered remnant. Records
-    /// into a fresh private [`SessionTelemetry`]; use
+    /// Creates a pool over a persistent pipelined session on `engine`'s
+    /// FERRET config (its timing backend is not consulted): extensions
+    /// run on background threads ahead of demand, `Δ` is fixed for the
+    /// pool's lifetime, and refills merge with any buffered remnant.
+    /// Records into a fresh private [`SessionTelemetry`]; use
     /// [`CotPool::pipelined_with`] to share a caller's.
     pub fn pipelined(engine: Engine, seed: u64) -> Self {
-        CotPool::pipelined_with(engine, seed, Arc::default())
+        CotPool::pipelined_with(engine.config().clone(), seed, Arc::default())
     }
 
-    /// [`CotPool::pipelined`] recording into a caller-provided
-    /// [`SessionTelemetry`], shared with the session's party threads
-    /// (extension durations, their SPCOT/LPN phase split and staged
-    /// extensions come from the session; stalls, refill events and the
-    /// pool's counters from the drain path).
-    pub fn pipelined_with(mut engine: Engine, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
+    /// [`CotPool::pipelined`] over `cfg`, recording into a
+    /// caller-provided [`SessionTelemetry`], shared with the session's
+    /// party threads (extension durations, their SPCOT/LPN phase split
+    /// and staged extensions come from the session; stalls, refill events
+    /// and the pool's counters from the drain path).
+    pub fn pipelined_with(
+        mut cfg: FerretConfig,
+        seed: u64,
+        telemetry: Arc<SessionTelemetry>,
+    ) -> Self {
         // One matrix for the session's two party threads (and zero new
         // allocations when a shard pool already prebuilt it).
-        engine.prepare_shared_matrix();
-        let session = CotSession::spawn_with(
-            engine.config(),
-            seed,
-            SESSION_LOOKAHEAD,
-            Arc::clone(&telemetry),
-        );
-        let delta = session.delta();
-        let session_timing = engine.estimate_timing(seed);
+        cfg.ensure_shared_matrix();
+        let session = CotSession::spawn_with(&cfg, seed, SESSION_LOOKAHEAD, Arc::clone(&telemetry));
         CotPool {
-            engine,
-            seed,
+            delta: Some(session.delta()),
             supply: Supply::Session(session),
-            delta: Some(delta),
-            z: Vec::new(),
-            x: Vec::new(),
-            y: Vec::new(),
-            cursor: 0,
-            last_timing: None,
-            session_timing: Some(session_timing),
-            telemetry,
+            ..CotPool::new_with(cfg, seed, telemetry)
         }
     }
 
@@ -265,11 +256,6 @@ impl CotPool {
     /// pipelined) records into.
     pub fn telemetry(&self) -> &SessionTelemetry {
         &self.telemetry
-    }
-
-    /// The engine this pool extends with.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
     }
 
     /// Whether refills merge with buffered remnants (fixed-`Δ` pipelined
@@ -296,13 +282,6 @@ impl CotPool {
             .store(self.available() as u64, Ordering::Relaxed);
     }
 
-    /// Timing of the most recent extension, if any (pipelined refills
-    /// report the engine's analytical estimate: the session extends off
-    /// the demand path, so per-refill wall time is not re-measured here).
-    pub fn last_timing(&self) -> Option<Timing> {
-        self.last_timing
-    }
-
     fn refill(&mut self) {
         // Each inline refill is a fresh session (new seeds); Δ changes, so
         // callers drain the remainder before refilling.
@@ -311,12 +290,11 @@ impl CotPool {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(1);
         let watch = Stopwatch::start();
-        let run = self.engine.run_one(self.seed);
+        let out = run_extension(&self.cfg, self.seed);
         // Inline extensions run on the demand path, so they record into
         // the same extension histogram the pipelined session threads
         // use — either supply mode shows up in the shard's latencies.
         self.telemetry.extension.record(watch.elapsed_nanos());
-        let out = run.cots;
         match self.delta {
             None => self.delta = Some(out.delta),
             Some(d) => {
@@ -334,7 +312,6 @@ impl CotPool {
             .extensions_run
             .fetch_add(1, Ordering::Relaxed);
         self.publish_available();
-        self.last_timing = Some(run.timing);
         self.telemetry
             .trace
             .push(EventKind::Refill, self.available() as u64);
@@ -368,7 +345,6 @@ impl CotPool {
             .extensions_run
             .fetch_add(1, Ordering::Relaxed);
         self.publish_available();
-        self.last_timing = self.session_timing;
     }
 
     /// Brings `available()` to at least `count`, blocking on the session
@@ -416,7 +392,7 @@ impl CotPool {
     }
 
     fn ensure_inner(&mut self, min_available: usize) -> bool {
-        let per = self.engine.config().usable_outputs();
+        let per = self.cfg.usable_outputs();
         let mut refilled = false;
         if let Supply::Session(_) = &self.supply {
             let min = min_available.min(2 * per);
@@ -467,7 +443,7 @@ impl CotPool {
     /// Panics if `count` exceeds one extension's usable output (split such
     /// requests at the application level).
     pub fn take_slice(&mut self, count: usize) -> CotSlice<'_> {
-        let per_extension = self.engine.config().usable_outputs();
+        let per_extension = self.cfg.usable_outputs();
         assert!(
             count <= per_extension,
             "request of {count} exceeds one extension's output {per_extension}"
@@ -503,7 +479,7 @@ impl CotPool {
 mod tests {
     use super::*;
     use crate::Backend;
-    use ironman_ot::ferret::FerretConfig;
+    use ironman_nmp::NmpConfig;
     use ironman_ot::params::FerretParams;
 
     fn engine() -> Engine {
@@ -515,6 +491,25 @@ mod tests {
 
     fn pool() -> CotPool {
         CotPool::new(engine(), 42)
+    }
+
+    #[test]
+    fn pools_never_consult_the_timing_backend() {
+        // A zero-rank deployment cannot be simulated (the NMP model splits
+        // LPN rows per rank); a pool only runs the CPU protocol, so both
+        // supply modes serve over it.
+        let engine = Engine::new(
+            FerretConfig::new(FerretParams::toy()),
+            Backend::IronmanNmp(NmpConfig {
+                ranks: 0,
+                ..NmpConfig::ironman_max()
+            }),
+        );
+        let mut batch = CotBatch::default();
+        CotPool::pipelined(engine.clone(), 11).take_into(100, &mut batch);
+        batch.verify().unwrap();
+        CotPool::new(engine, 12).take_into(100, &mut batch);
+        batch.verify().unwrap();
     }
 
     #[test]
@@ -547,7 +542,7 @@ mod tests {
         // trip refill's drained-buffer invariant (the remnant's Δ differs
         // from the new session's).
         let mut p = pool();
-        let usable = p.engine.config().usable_outputs();
+        let usable = p.cfg.usable_outputs();
         p.take_slice(usable - 10).verify().unwrap(); // leaves a 10-correlation remnant
         let b = p.take_slice(20); // cannot be served from the remnant
         b.verify().unwrap();
@@ -561,7 +556,7 @@ mod tests {
         // refill drops the old session's remnant, and the refilled batch
         // is homogeneous under the *new* session's Δ.
         let mut p = pool();
-        let usable = p.engine.config().usable_outputs();
+        let usable = p.cfg.usable_outputs();
         let mut reused = CotBatch::default();
         p.take_into(usable - 10, &mut reused);
         reused.verify().unwrap();
@@ -611,7 +606,7 @@ mod tests {
     #[test]
     fn exhaustion_triggers_refill() {
         let mut p = pool();
-        let usable = p.engine.config().usable_outputs();
+        let usable = p.cfg.usable_outputs();
         p.take_slice(usable).verify().unwrap(); // drains the first extension fully
         p.take_slice(10).verify().unwrap();
         assert_eq!(p.extensions_run(), 2);
@@ -629,7 +624,7 @@ mod tests {
     #[should_panic(expected = "exceeds one extension")]
     fn oversized_request_rejected() {
         let mut p = pool();
-        let usable = p.engine.config().usable_outputs();
+        let usable = p.cfg.usable_outputs();
         p.take_slice(usable + 1);
     }
 
@@ -637,7 +632,7 @@ mod tests {
     fn pipelined_pool_merges_remnants_under_fixed_delta() {
         let mut p = CotPool::pipelined(engine(), 42);
         assert!(p.merges_remnants());
-        let usable = p.engine.config().usable_outputs();
+        let usable = p.cfg.usable_outputs();
         let a = p.take_slice(usable - 10); // leaves a 10-correlation remnant
         a.verify().unwrap();
         let a_delta = a.delta;
@@ -664,7 +659,7 @@ mod tests {
     #[test]
     fn pipelined_ensure_drains_staged_without_blocking() {
         let mut p = CotPool::pipelined(engine(), 9);
-        let usable = p.engine.config().usable_outputs();
+        let usable = p.cfg.usable_outputs();
         // The session stages in the background; ensure() eventually
         // observes it without ever running an extension on this thread.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);

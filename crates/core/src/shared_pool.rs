@@ -77,9 +77,10 @@ pub struct SharedCotPool {
 }
 
 impl SharedCotPool {
-    /// Builds `shards` inline-mode pools over clones of `engine`, with
-    /// per-shard seeds derived from `seed` (each refill bootstraps a
-    /// fresh FERRET session; see [`CotPool::new`]).
+    /// Builds `shards` inline-mode pools over `engine`'s FERRET config
+    /// (the only part of `engine` a pool reads), with per-shard seeds
+    /// derived from `seed` (each refill bootstraps a fresh FERRET
+    /// session; see [`CotPool::new`]).
     ///
     /// # Panics
     ///
@@ -103,12 +104,11 @@ impl SharedCotPool {
     fn build(engine: &Engine, shards: usize, seed: u64, pipelined: bool) -> Self {
         assert!(shards > 0, "need at least one shard");
         // Generate the LPN matrix exactly once here; every shard's
-        // engine clone (and both party threads inside each shard's
+        // config clone (and both party threads inside each shard's
         // session) then shares the one `Arc` — N shards would otherwise
         // pay 2N generations, the dominant spawn cost at Table-4 scale.
-        let mut engine = engine.clone();
-        engine.prepare_shared_matrix();
-        let engine = &engine;
+        let mut cfg = engine.config().clone();
+        cfg.ensure_shared_matrix();
         let telemetry: Vec<Arc<SessionTelemetry>> = (0..shards).map(|_| Arc::default()).collect();
         let shards = telemetry
             .iter()
@@ -118,9 +118,9 @@ impl SharedCotPool {
                     seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
                 let shard_telemetry = Arc::clone(shard_telemetry);
                 let pool = if pipelined {
-                    CotPool::pipelined_with(engine.clone(), shard_seed, shard_telemetry)
+                    CotPool::pipelined_with(cfg.clone(), shard_seed, shard_telemetry)
                 } else {
-                    CotPool::new_with(engine.clone(), shard_seed, shard_telemetry)
+                    CotPool::new_with(cfg.clone(), shard_seed, shard_telemetry)
                 };
                 Mutex::new(pool)
             })
@@ -129,7 +129,7 @@ impl SharedCotPool {
             shards,
             telemetry,
             next: AtomicUsize::new(0),
-            max_request: engine.config().usable_outputs(),
+            max_request: cfg.usable_outputs(),
         }
     }
 

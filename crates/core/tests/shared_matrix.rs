@@ -57,8 +57,9 @@ fn n_shards_generate_one_matrix() {
     // An engine whose config already carries the shared matrix spawns
     // pools with zero fresh generations.
     let before = LpnMatrix::generated_count();
-    let mut prepared = engine.clone();
-    prepared.prepare_shared_matrix();
+    let mut cfg = engine.config().clone();
+    cfg.ensure_shared_matrix();
+    let prepared = Engine::new(cfg, Backend::ironman_default());
     assert_eq!(LpnMatrix::generated_count() - before, 1);
     let pool = SharedCotPool::new_pipelined(&prepared, 2, 14);
     pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();

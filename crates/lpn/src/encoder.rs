@@ -56,8 +56,9 @@ pub trait XorLane {
     /// emission order. Implementations must be correct for **any** row
     /// order — `TileSchedule::build` happens to emit rows ascending
     /// (which is what makes the packed lanes' pending-word buffering
-    /// fast), but the sorted-matrix schedule emits look-ahead execution
-    /// order. Equivalent to `xor_gather` per entry.
+    /// fast), but [`crate::tile::TileSchedule::build_with`] keeps whatever
+    /// order its gather set is emitted in. Equivalent to `xor_gather` per
+    /// entry.
     #[inline]
     fn xor_gather_bucket(
         &mut self,
@@ -271,29 +272,6 @@ impl XorLane for CotPairLane<'_> {
             pending.xor_bit(self.x, row, table_bit(words, col));
         }
         pending.flush(self.x);
-    }
-}
-
-/// Remaps lane rows through a translation table — how the §5.3
-/// row-look-ahead order ([`crate::sorting::SortedLpnMatrix`]) scatters
-/// execution-position results back to their original rows while reusing
-/// the same traversals as the plain matrix.
-pub struct RowMappedLane<'a, L> {
-    /// `rows[pos]` = the accumulator row for traversal position `pos`.
-    pub rows: &'a [u32],
-    /// The underlying lane.
-    pub lane: L,
-}
-
-impl<L: XorLane> XorLane for RowMappedLane<'_, L> {
-    #[inline(always)]
-    fn xor_gather(&mut self, row: usize, col: usize) {
-        self.lane.xor_gather(self.rows[row] as usize, col);
-    }
-
-    #[inline(always)]
-    fn xor_gather_row(&mut self, row: usize, cols: &[u32]) {
-        self.lane.xor_gather_row(self.rows[row] as usize, cols);
     }
 }
 

@@ -18,14 +18,15 @@
 //!
 //! The paper's sorting-overhead mitigation — "divide the matrix into
 //! smaller blocks and sort them separately" — is the `block_rows` knob.
+//!
+//! The sorted order pays only where a memory-side cache exists, so it
+//! feeds the `ironman-nmp` trace and the `paper sorting` ablation; no
+//! FERRET session encodes with it.
 
-use crate::encoder::{self, RowMappedLane, SliceLane};
-use crate::tile::{TileConfig, TileSchedule};
+use crate::encoder;
 use crate::LpnMatrix;
-use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
 
 /// Blocks (16-byte elements) per 64-byte cache line.
 pub const ELEMS_PER_LINE: usize = 4;
@@ -75,10 +76,6 @@ pub struct SortedLpnMatrix {
     row_order: Vec<u32>,
     /// `col_perm[old]` = new location of input element `old`.
     col_perm: Vec<u32>,
-    /// Cache-blocked schedule composing both permutations with tiling
-    /// (derived state, built on first use).
-    #[serde(skip)]
-    tiles: OnceLock<TileSchedule>,
 }
 
 impl SortedLpnMatrix {
@@ -118,7 +115,6 @@ impl SortedLpnMatrix {
             matrix,
             row_order,
             col_perm,
-            tiles: OnceLock::new(),
         }
     }
 
@@ -155,66 +151,6 @@ impl SortedLpnMatrix {
             out[self.col_perm[i] as usize] = x;
         }
         out
-    }
-
-    /// Encodes blocks with the sorted matrix — execution-order rows over
-    /// the relabeled input, results scattered to their original row
-    /// positions. Produces bit-identical output to
-    /// [`encoder::encode_blocks`] on the unsorted matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_blocks(&self, input: &[Block], acc: &mut [Block]) {
-        assert_eq!(
-            acc.len(),
-            self.matrix.rows(),
-            "accumulator length must equal n"
-        );
-        let permuted = self.permute_input(input);
-        encoder::encode_rows(
-            &self.matrix,
-            &mut RowMappedLane {
-                rows: &self.row_order,
-                lane: SliceLane {
-                    input: &permuted,
-                    acc,
-                },
-            },
-        );
-    }
-
-    /// The cache-blocked schedule composing §5.3's permutations with
-    /// tiling: gathers are emitted in look-ahead execution order with
-    /// relabeled columns, then re-bucketed tile-major with the scatter to
-    /// original rows baked into the entries. Built once, cached.
-    /// Inputs handed to the returned schedule must be permuted first
-    /// ([`Self::permute_input`]).
-    pub fn tile_schedule(&self) -> &TileSchedule {
-        self.tiles.get_or_init(|| {
-            TileSchedule::build_with(
-                self.matrix.rows(),
-                self.matrix.cols(),
-                TileConfig::default(),
-                |emit| {
-                    for (pos, &orig_row) in self.row_order.iter().enumerate() {
-                        for &c in self.matrix.row(pos) {
-                            emit(orig_row, c);
-                        }
-                    }
-                },
-            )
-        })
-    }
-
-    /// Tiled [`Self::encode_blocks`] (same output, tile-major traversal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths do not match the matrix dimensions.
-    pub fn encode_blocks_tiled(&self, input: &[Block], acc: &mut [Block]) {
-        let permuted = self.permute_input(input);
-        self.tile_schedule().encode_blocks(&permuted, acc);
     }
 
     /// The sorted access trace (element indices in execution order) — what
@@ -346,9 +282,22 @@ pub fn trace_hit_rate<I: IntoIterator<Item = u32>>(trace: I, cache_lines: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ironman_prg::Block;
 
     fn toy() -> LpnMatrix {
         LpnMatrix::generate(512, 4096, 10, Block::from(21u128))
+    }
+
+    /// `acc ^= input·A` through the sorted form, as §5.3 executes it: the
+    /// plain encoder over the sorted matrix and the permuted input, then
+    /// execution position `pos` scattered to original row `row_order[pos]`.
+    pub(super) fn encode_via_sorted(sorted: &SortedLpnMatrix, input: &[Block], acc: &mut [Block]) {
+        let m = sorted.matrix();
+        let mut by_pos = vec![Block::ZERO; m.rows()];
+        encoder::encode_blocks(m, &sorted.permute_input(input), &mut by_pos);
+        for (&row, &v) in sorted.row_order().iter().zip(&by_pos) {
+            acc[row as usize] ^= v;
+        }
     }
 
     #[test]
@@ -392,7 +341,7 @@ mod tests {
         let mut plain = vec![Block::from(7u128); m.rows()];
         let mut via_sorted = plain.clone();
         encoder::encode_blocks(&m, &input, &mut plain);
-        sorted.encode_blocks(&input, &mut via_sorted);
+        encode_via_sorted(&sorted, &input, &mut via_sorted);
         assert_eq!(plain, via_sorted);
     }
 
@@ -463,7 +412,9 @@ mod tests {
 
 #[cfg(test)]
 mod strategy_tests {
+    use super::tests::encode_via_sorted;
     use super::*;
+    use ironman_prg::Block;
 
     fn matrix() -> LpnMatrix {
         LpnMatrix::generate(2048, 16384, 10, Block::from(31u128))
@@ -500,7 +451,7 @@ mod strategy_tests {
         ] {
             let s = SortedLpnMatrix::sort_with(&m, SortConfig::default(), strategy);
             let mut out = vec![Block::ZERO; m.rows()];
-            s.encode_blocks(&input, &mut out);
+            encode_via_sorted(&s, &input, &mut out);
             assert_eq!(out, reference, "{strategy:?}");
         }
     }

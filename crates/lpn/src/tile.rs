@@ -74,9 +74,8 @@ pub struct TileSchedule {
     g: Geometry,
     /// `(local_row << col_bits) | local_col`, bucket-major: row blocks
     /// outer, column tiles inner, emission order within a bucket
-    /// (ascending rows for [`TileSchedule::build`]; look-ahead execution
-    /// order for the sorted-matrix composition — lanes may not assume
-    /// ascending).
+    /// (ascending rows for [`TileSchedule::build`]; emission order for
+    /// [`TileSchedule::build_with`] — lanes may not assume ascending).
     entries: Vec<u32>,
     /// End offset of each bucket in `entries` (same bucket order).
     bucket_ends: Vec<usize>,
@@ -269,8 +268,8 @@ impl TileSchedule {
 
     /// Builds a schedule from an arbitrary gather set: `for_each` must
     /// emit every `(accumulator_row, input_column)` pair, and is called
-    /// twice (count pass + placement pass). This is how the sorted
-    /// matrix composes its row/column permutations with tiling.
+    /// twice (count pass + placement pass). The general form that
+    /// [`TileSchedule::build`] is tested against.
     ///
     /// # Panics
     ///

@@ -1,6 +1,6 @@
 //! Kernel-equivalence properties: every LPN kernel variant — row-major
-//! naive, cache-blocked tiled (arbitrary geometries), §5.3-sorted,
-//! sorted+tiled, packed bits, and the whole [`ironman_lpn::simd`] dispatch layer (including
+//! naive, cache-blocked tiled (arbitrary geometries), packed bits, and
+//! the whole [`ironman_lpn::simd`] dispatch layer (including
 //! the gather bit pass, the per-row-block hand-off and the split and
 //! fused pairs the benchmark harness still probes) at
 //! every runtime-available SIMD level (scalar always; AVX2/BMI2 where
@@ -11,10 +11,7 @@
 //! without racing on the `IRONMAN_SIMD` process environment.
 
 use ironman_lpn::encoder;
-use ironman_lpn::sorting::{SortConfig, SortStrategy};
-use ironman_lpn::{
-    simd, LpnMatrix, PackedBits, SimdLevel, SortedLpnMatrix, TileConfig, TileSchedule,
-};
+use ironman_lpn::{simd, LpnMatrix, PackedBits, SimdLevel, TileConfig, TileSchedule};
 use ironman_prg::Block;
 use proptest::prelude::*;
 
@@ -47,7 +44,7 @@ fn encode_bits_reference(m: &LpnMatrix, e: &[bool], acc: &mut [bool]) {
 
 /// Asserts all block-kernel variants match the naive encoder on the
 /// given matrix with dirty accumulators, and likewise for bits.
-fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortConfig, seed: u64) {
+fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, seed: u64) {
     let n = m.rows();
     let k = m.cols();
     let s = blocks_from(seed, k);
@@ -108,17 +105,6 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, sort_cfg: SortC
         assert_eq!(y, y_ref, "simd fused tiled blocks ({level:?})");
         assert_eq!(x.to_bools(), x_ref, "simd fused tiled bits ({level:?})");
     }
-
-    // Sorted and sorted+tiled.
-    for strategy in [SortStrategy::ColumnOnly, SortStrategy::Full] {
-        let sorted = SortedLpnMatrix::sort_with(m, sort_cfg, strategy);
-        let mut y = dirty_blocks.clone();
-        sorted.encode_blocks(&s, &mut y);
-        assert_eq!(y, y_ref, "sorted blocks ({strategy:?})");
-        let mut y = dirty_blocks.clone();
-        sorted.encode_blocks_tiled(&s, &mut y);
-        assert_eq!(y, y_ref, "sorted tiled blocks ({strategy:?})");
-    }
 }
 
 proptest! {
@@ -138,8 +124,7 @@ proptest! {
         let weight = weight.min(cols);
         let m = LpnMatrix::generate(rows, cols, weight, Block::from(seed as u128));
         let tile_cfg = TileConfig { row_block, col_tile };
-        let sort_cfg = SortConfig { cache_lines: 64, window: 4, block_rows: 128 };
-        assert_all_kernels_equal(&m, tile_cfg, sort_cfg, seed);
+        assert_all_kernels_equal(&m, tile_cfg, seed);
     }
 }
 
@@ -151,9 +136,7 @@ proptest! {
     #[test]
     fn all_kernels_agree_on_toy_class(seed in any::<u64>()) {
         let m = LpnMatrix::generate(5000, 1024, 10, Block::from(seed as u128));
-        assert_all_kernels_equal(&m, TileConfig::default(), SortConfig {
-            cache_lines: 256, window: 8, block_rows: 1024,
-        }, seed);
+        assert_all_kernels_equal(&m, TileConfig::default(), seed);
     }
 
     /// The `OT_2POW20` shape (n ≈ 7.3k, d = 10) at 1/100 linear scale,
@@ -163,8 +146,6 @@ proptest! {
     fn all_kernels_agree_on_ot2pow20_class(seed in any::<u64>()) {
         let m = LpnMatrix::generate(12_215, 1_680, 10, Block::from(seed as u128));
         let tile_cfg = TileConfig { row_block: 1310, col_tile: 327 };
-        assert_all_kernels_equal(&m, tile_cfg, SortConfig {
-            cache_lines: 256, window: 8, block_rows: 2048,
-        }, seed);
+        assert_all_kernels_equal(&m, tile_cfg, seed);
     }
 }

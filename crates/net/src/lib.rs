@@ -88,11 +88,10 @@
 //! Ownership rules:
 //!
 //! * **Server scratch buffers** belong to the session thread. Each
-//!   session keeps *two*, used alternately, so a control frame most
-//!   recently handed to the kernel stays intact while the next response
-//!   is encoded into the other buffer; batch responses additionally
-//!   retain a bit-tail buffer. A vectored send completes its socket
-//!   write before returning, so ring borrows never outlive the take.
+//!   session keeps one frame buffer, reused by every response; batch
+//!   responses additionally retain a bit-tail buffer. Every send
+//!   completes its socket write before returning, so the next response
+//!   may overwrite the frame and ring borrows never outlive the take.
 //! * **The client frame buffer** belongs to the `CotClient` and holds a
 //!   batch frame's head and bit tail only (a control frame whole); it is
 //!   valid between a receive and the next call on the same session.

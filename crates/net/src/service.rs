@@ -128,15 +128,11 @@ struct Counters {
     unavailable_sent: AtomicU64,
 }
 
-/// A session's retained response scratch: two alternating frame buffers
-/// (so the frame just handed to the kernel stays intact while the next
-/// response is encoded into the other buffer) plus the reuse accounting
-/// that makes the zero-copy claim observable through `Stats`.
-///
-/// Ownership contract: a buffer belongs to the encoder from
-/// [`Scratch::begin`] until the send returns, and to the transport
-/// (conceptually, the in-flight frame) until the *next* `begin` flips
-/// back to it. Nothing else may write to it in between.
+/// A session's retained response scratch: one frame buffer, reused by
+/// every response, plus the reuse accounting that makes the zero-copy
+/// claim observable through `Stats`. Both send paths finish their socket
+/// write before returning, so the next [`Scratch::begin`] may overwrite
+/// the frame just sent.
 ///
 /// Two send paths, split by what the frame carries. Control frames
 /// (everything without correlations) are encoded whole into the frame
@@ -145,12 +141,10 @@ struct Counters {
 /// then holds just the fixed-size head (header, opcode, `delta`, `n`),
 /// the packed choice bits land in the retained `tail`, and the bulk
 /// `z`/`y` block runs are written to the socket straight from the pool
-/// ring. That path completes its socket write before returning, so the
-/// alternating-buffer in-flight contract is vacuously upheld there.
+/// ring.
 #[derive(Debug, Default)]
 struct Scratch {
-    bufs: [Vec<u8>; 2],
-    which: usize,
+    buf: Vec<u8>,
     cap_before: usize,
     /// Packed choice bits of the in-flight batch (the only payload piece
     /// the vectored path still serializes, at 1 bit per correlation).
@@ -162,18 +156,10 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Flips to the other buffer and starts a frame in it.
-    fn begin(&mut self) -> &mut Vec<u8> {
-        self.which ^= 1;
-        let buf = &mut self.bufs[self.which];
-        self.cap_before = buf.capacity();
-        frame::begin_frame(buf);
-        buf
-    }
-
-    /// The buffer most recently started with [`Scratch::begin`].
-    fn buf(&mut self) -> &mut Vec<u8> {
-        &mut self.bufs[self.which]
+    /// Starts a frame in `buf`, discarding the previous one.
+    fn begin(&mut self) {
+        self.cap_before = self.buf.capacity();
+        frame::begin_frame(&mut self.buf);
     }
 
     /// Finishes the current control frame and writes it to the socket
@@ -184,9 +170,8 @@ impl Scratch {
         &mut self,
         ch: &mut StreamTransport<R, W>,
     ) -> Result<(), ChannelError> {
-        let buf = &mut self.bufs[self.which];
-        frame::finish_frame(buf).map_err(ChannelError::from)?;
-        ch.send_frame(buf)?;
+        frame::finish_frame(&mut self.buf).map_err(ChannelError::from)?;
+        ch.send_frame(&self.buf)?;
         ch.flush()
     }
 
@@ -218,7 +203,7 @@ impl Scratch {
     ) -> Result<(), ChannelError> {
         let cap_before = self.cap_before;
         let tail_cap_before = self.tail.capacity();
-        let head = &mut self.bufs[self.which];
+        let head = &mut self.buf;
         let [zs, ys] = &mut self.staging;
         let (z, y) = match seq {
             Some(seq) => encode_cot_chunk_split(head, &mut self.tail, zs, ys, seq, slice),
@@ -733,7 +718,7 @@ fn admit(
         return true;
     };
     scratch.begin();
-    reply.encode_into(scratch.buf());
+    reply.encode_into(&mut scratch.buf);
     false
 }
 
@@ -775,7 +760,7 @@ fn push_batch<R: Read, W: Write>(
     }
     let Ok(shard) = take else {
         scratch.begin(); // the batch frame may be half-written
-        encode_error_into(scratch.buf(), "internal pool failure");
+        encode_error_into(&mut scratch.buf, "internal pool failure");
         return None;
     };
     Some((shard, sent))
@@ -794,7 +779,7 @@ fn serve_session<R: Read, W: Write>(
     // handoff resolves the successor of.
     let mut session_name = String::new();
     // Per-session retained buffers: requests land in `recv`, responses
-    // are encoded in place into the alternating `scratch` frame buffers.
+    // are encoded in place into the `scratch` frame buffer.
     // After the first few exchanges size them, the session's steady state
     // allocates nothing per request (observable via `Stats`).
     let mut recv = Vec::new();
@@ -806,7 +791,7 @@ fn serve_session<R: Read, W: Write>(
             Err(e) => {
                 // Answer garbage with an Error frame, then drop the session.
                 scratch.begin();
-                encode_error_into(scratch.buf(), &e.to_string());
+                encode_error_into(&mut scratch.buf, &e.to_string());
                 let _ = scratch.finish_and_send(&mut ch);
                 return Err(e);
             }
@@ -826,7 +811,7 @@ fn serve_session<R: Read, W: Write>(
                     max_request,
                     epoch: shared.dir_epoch(),
                 }
-                .encode_into(scratch.buf());
+                .encode_into(&mut scratch.buf);
             }
             Request::RequestCot { n } => {
                 if admit(shared, session_epoch, n, "batch size", &mut scratch) {
@@ -845,14 +830,14 @@ fn serve_session<R: Read, W: Write>(
             }
             Request::Stats => {
                 scratch.begin();
-                Response::Stats(Box::new(shared.stats())).encode_into(scratch.buf());
+                Response::Stats(Box::new(shared.stats())).encode_into(&mut scratch.buf);
             }
             Request::Shutdown => {
                 // Answer first (the requester deserves its Goodbye), then
                 // actually stop the server: flag + session sweep + listener
                 // poke, exactly as CotService::shutdown does.
                 scratch.begin();
-                Response::Goodbye.encode_into(scratch.buf());
+                Response::Goodbye.encode_into(&mut scratch.buf);
                 scratch.finish_and_send(&mut ch)?;
                 shared.initiate_shutdown();
                 return Ok(());
@@ -876,7 +861,7 @@ fn serve_session<R: Read, W: Write>(
             // (session kept) rather than dropped.
             Request::Credit { .. } | Request::Unsubscribe => {
                 scratch.begin();
-                encode_error_into(scratch.buf(), "no active subscription");
+                encode_error_into(&mut scratch.buf, "no active subscription");
             }
             Request::Gossip { from: _, vector } => {
                 // Anti-entropy pull: answer the peer's epoch vector with
@@ -889,14 +874,14 @@ fn serve_session<R: Read, W: Write>(
                     Some(directory) => {
                         let delta = directory.gossip_delta(&vector);
                         session_epoch = Some(delta.epoch);
-                        Response::GossipDelta(delta).encode_into(scratch.buf());
+                        Response::GossipDelta(delta).encode_into(&mut scratch.buf);
                     }
-                    None => encode_error_into(scratch.buf(), "no directory attached"),
+                    None => encode_error_into(&mut scratch.buf, "no directory attached"),
                 }
             }
             Request::Trace { max_events } => {
                 scratch.begin();
-                Response::TraceDump(shared.trace_dump(max_events)).encode_into(scratch.buf());
+                Response::TraceDump(shared.trace_dump(max_events)).encode_into(&mut scratch.buf);
             }
         }
         // Control responses; the batch path sent vectored and continued
@@ -998,7 +983,7 @@ fn serve_subscription<R: Read, W: Write>(
                     addr: succ.addr,
                     name: succ.name,
                 }
-                .encode_into(scratch.buf());
+                .encode_into(&mut scratch.buf);
                 scratch.finish_and_send(ch)?;
                 handoff_sent = true;
             }
@@ -1007,7 +992,7 @@ fn serve_subscription<R: Read, W: Write>(
             // Server-initiated shutdown ends the stream cleanly: the
             // trailer tells the client exactly what it was sent.
             scratch.begin();
-            Response::StreamEnd { chunks, cots }.encode_into(scratch.buf());
+            Response::StreamEnd { chunks, cots }.encode_into(&mut scratch.buf);
             return scratch.finish_and_send(ch);
         }
         if credits == 0 {
@@ -1029,13 +1014,13 @@ fn serve_subscription<R: Read, W: Write>(
                 }
                 Ok(Request::Unsubscribe) => {
                     scratch.begin();
-                    Response::StreamEnd { chunks, cots }.encode_into(scratch.buf());
+                    Response::StreamEnd { chunks, cots }.encode_into(&mut scratch.buf);
                     return scratch.finish_and_send(ch);
                 }
                 Ok(other) => {
                     let msg = format!("unexpected {other:?} inside a subscription");
                     scratch.begin();
-                    encode_error_into(scratch.buf(), &msg);
+                    encode_error_into(&mut scratch.buf, &msg);
                     let _ = scratch.finish_and_send(ch);
                     return Err(ChannelError::Io(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
@@ -1044,7 +1029,7 @@ fn serve_subscription<R: Read, W: Write>(
                 }
                 Err(e) => {
                     scratch.begin();
-                    encode_error_into(scratch.buf(), &e.to_string());
+                    encode_error_into(&mut scratch.buf, &e.to_string());
                     let _ = scratch.finish_and_send(ch);
                     return Err(e);
                 }
@@ -1151,7 +1136,7 @@ mod tests {
         let stats = client.stats().unwrap();
         assert_eq!(stats.cots_served, 20 * 500);
         // Only the 20 batch-carrying Cots responses are accounted: the
-        // two alternating scratch buffers grow once each, then every
+        // scratch buffers grow on the first batch, then every
         // steady-state batch reuses them.
         assert_eq!(stats.scratch_allocs + stats.scratch_reuses, 20);
         assert!(
@@ -1211,8 +1196,8 @@ mod tests {
         request_verified(&mut client, 8);
         let stats = client.stats().unwrap();
         assert_eq!(stats.cots_served, CHUNKS * BATCH as u64 + 8);
-        // Streamed chunks ride the two retained scratch buffers: after
-        // they size themselves, every push is a reuse.
+        // Streamed chunks ride the retained scratch buffers: after they
+        // size themselves, every push is a reuse.
         assert!(
             stats.scratch_reuses >= CHUNKS - 4,
             "expected streamed chunks to reuse scratch buffers, got {} reuses",

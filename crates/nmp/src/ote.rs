@@ -116,10 +116,11 @@ impl OteSimulator {
     /// Builds the per-rank LPN trace: the first simulated rank's row
     /// partition, optionally index-sorted, sampled to `sample_rows`.
     ///
-    /// The trace is a pure function of `(rows, k, d, seed, sort)` and the
-    /// engine's timing-estimation path rebuilds it with identical inputs
-    /// on every call (e.g. once per pool refill), so the most recent
-    /// trace is memoized process-wide; only a shape change regenerates.
+    /// The trace is a pure function of `(rows, k, d, seed, sort)`, and
+    /// sweeps over the deployment alone (the ranks of Fig. 13(b), the
+    /// cache sizes of Fig. 14) rebuild it with identical inputs on every
+    /// call, so the most recent trace is memoized process-wide; only a
+    /// shape change regenerates.
     fn lpn_work(&self, work: &OteWork, seed: u64) -> LpnWork {
         type TraceKey = (usize, usize, usize, u64, Option<SortConfig>);
         static LAST_TRACE: std::sync::Mutex<Option<(TraceKey, std::sync::Arc<Vec<u32>>)>> =

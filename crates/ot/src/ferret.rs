@@ -33,10 +33,6 @@
 //! (which end bootstraps, the bit-0 lane, the dealer's draw order):
 //! compare kernels and tiers against each other, not against fixtures
 //! from older builds.
-//!
-//! Both the plain and the locality-sorted LPN matrices are supported; they
-//! produce bit-identical outputs (§5.3's correctness argument is checked in
-//! the tests).
 
 use crate::channel::{ChannelError, ChannelStats, Transport};
 use crate::cot::{CotReceiver, CotSender};
@@ -45,10 +41,8 @@ use crate::params::FerretParams;
 use crate::spcot::SpcotConfig;
 use crate::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
 use ironman_ggm::Arity;
-use ironman_lpn::sorting::SortConfig;
 use ironman_lpn::{
-    simd, LpnMatrix, SimdLevel, SimdMode, SortedLpnMatrix, TileConfig, TileSchedule,
-    DEFAULT_ROW_WEIGHT,
+    simd, LpnMatrix, SimdLevel, SimdMode, TileConfig, TileSchedule, DEFAULT_ROW_WEIGHT,
 };
 use ironman_prg::{Block, PrgCounter, PrgKind};
 use serde::{Deserialize, Serialize};
@@ -92,8 +86,6 @@ pub struct FerretConfig {
     pub lpn_seed: Block,
     /// Row weight `d` of the LPN matrix (the paper uses 10).
     pub row_weight: usize,
-    /// Optional compile-time index sorting (§5.3). `None` = plain CSR.
-    pub sort: Option<SortConfig>,
     /// LPN kernel family for the online encode (output-identical; see
     /// [`LpnKernel`]).
     pub kernel: LpnKernel,
@@ -115,8 +107,7 @@ pub struct FerretConfig {
 }
 
 impl FerretConfig {
-    /// Ironman defaults (4-ary ChaCha8 trees, unsorted matrix) for a
-    /// parameter set.
+    /// Ironman defaults (4-ary ChaCha8 trees) for a parameter set.
     pub fn new(params: FerretParams) -> Self {
         FerretConfig {
             params,
@@ -125,15 +116,13 @@ impl FerretConfig {
             session_key: Block::from(0x1203_4567u128),
             lpn_seed: Block::from(0x004c_504e_u128),
             row_weight: DEFAULT_ROW_WEIGHT,
-            sort: None,
             kernel: LpnKernel::Naive,
             simd: SimdMode::Auto,
             shared_matrix: None,
         }
     }
 
-    /// The fastest known (matrix kind × kernel) combination for `params`
-    /// on the reference box, from
+    /// The fastest known kernel for `params` on the reference box, from
     /// `ironman_lpn::simd::tests::level_head_to_head_at_table4_shape`
     /// (`cargo test --release -p ironman-lpn --lib -- --ignored
     /// --nocapture level_head_to_head`, one pinned CPU) at the size an
@@ -150,11 +139,10 @@ impl FerretConfig {
     ///   tiled under both SIMD tiers: its `k · 16 B` input spills the
     ///   L2-class window at every Table-4 row, so cache-blocking pays
     ///   2–3×;
-    /// * the §5.3 **sorted** matrix never wins in software — its
-    ///   look-ahead order targets the NMP memory-side cache, and on a CPU
-    ///   the row scatter it adds costs more than the locality it buys
-    ///   (`blocks_sorted` measures ~0.5× naive) — so the unsorted matrix
-    ///   is recommended for every set;
+    /// * no session sorts the matrix: §5.3's look-ahead order targets
+    ///   the NMP memory-side cache, and on a CPU its row scatter cost
+    ///   more than the locality it bought (~0.5× naive), so sorting lives
+    ///   only in the `ironman-nmp` model;
     /// * at toy scale the whole input is cache-resident and the kernels
     ///   tie, so the naive encoder keeps its simpler code path.
     ///
@@ -242,7 +230,6 @@ impl FerretConfig {
         };
         SessionMatrix {
             repr,
-            tiled: self.kernel != LpnKernel::Naive,
             level: self.simd.resolve(),
         }
     }
@@ -258,7 +245,6 @@ struct MatrixFingerprint {
     cols: usize,
     weight: usize,
     seed: Block,
-    sort: Option<SortConfig>,
     /// Whether the kernel replays a tile schedule (which decides the
     /// stored form).
     tiled: bool,
@@ -271,7 +257,6 @@ impl MatrixFingerprint {
             cols: cfg.params.k,
             weight: cfg.row_weight,
             seed: cfg.lpn_seed,
-            sort: cfg.sort,
             tiled: cfg.kernel != LpnKernel::Naive,
         }
     }
@@ -294,24 +279,21 @@ impl SharedLpnMatrix {
     pub fn build(cfg: &FerretConfig) -> Self {
         let p = cfg.params;
         let fingerprint = MatrixFingerprint::of(cfg);
-        let plain = || LpnMatrix::generate(p.n, p.k, cfg.row_weight, cfg.lpn_seed);
-        let repr = match cfg.sort {
-            Some(sort_cfg) => {
-                let sorted = SortedLpnMatrix::sort(&plain(), sort_cfg);
-                if fingerprint.tiled {
-                    // Offline, so no extension builds it on the hot path.
-                    sorted.tile_schedule();
-                }
-                MatrixRepr::Sorted(Arc::new(sorted))
-            }
-            None if fingerprint.tiled => MatrixRepr::Tiled(Arc::new(TileSchedule::generate(
+        let repr = if fingerprint.tiled {
+            MatrixRepr::Tiled(Arc::new(TileSchedule::generate(
                 p.n,
                 p.k,
                 cfg.row_weight,
                 cfg.lpn_seed,
                 TileConfig::default(),
-            ))),
-            None => MatrixRepr::RowMajor(Arc::new(plain())),
+            )))
+        } else {
+            MatrixRepr::RowMajor(Arc::new(LpnMatrix::generate(
+                p.n,
+                p.k,
+                cfg.row_weight,
+                cfg.lpn_seed,
+            )))
         };
         SharedLpnMatrix { repr, fingerprint }
     }
@@ -323,29 +305,25 @@ impl SharedLpnMatrix {
         match &self.repr {
             MatrixRepr::RowMajor(m) => m.working_set_bytes(),
             MatrixRepr::Tiled(t) => t.working_set_bytes(),
-            MatrixRepr::Sorted(s) => s.matrix().working_set_bytes(),
         }
     }
 }
 
 /// The session's matrix storage, shared freely across party threads and
 /// shards (immutable after generation): the one form the session's kernel
-/// reads, or the §5.3-sorted matrix (which keeps its own lazily built
-/// schedule).
+/// reads.
 #[derive(Clone, Debug)]
 enum MatrixRepr {
     RowMajor(Arc<LpnMatrix>),
     Tiled(Arc<TileSchedule>),
-    Sorted(Arc<SortedLpnMatrix>),
 }
 
-/// The session's fixed matrix plus the traversal and SIMD tier that
-/// replay it. Every combination produces bit-identical outputs; only
-/// the memory access order and instruction selection differ.
+/// The session's fixed matrix plus the SIMD tier that replays it. Every
+/// combination produces bit-identical outputs; only the memory access
+/// order and instruction selection differ.
 #[derive(Clone, Debug)]
 struct SessionMatrix {
     repr: MatrixRepr,
-    tiled: bool,
     level: SimdLevel,
 }
 
@@ -354,8 +332,7 @@ impl SessionMatrix {
     /// handed consecutive, ascending runs of finished accumulator rows
     /// that together are the final `acc` — per 2 MB row block on the
     /// tiled path, so the receiver reads its choice bits off cache-warm
-    /// rows. The sorted matrix keeps its scalar traversals (§5.3 ordering
-    /// never wins in software, so it gets no SIMD lanes).
+    /// rows.
     fn encode_blocks(
         &self,
         input: &[Block],
@@ -363,14 +340,14 @@ impl SessionMatrix {
         mut finished: impl FnMut(&[Block]),
     ) {
         match &self.repr {
-            MatrixRepr::RowMajor(m) => simd::encode_blocks(self.level, m, input, acc),
-            MatrixRepr::Tiled(t) => {
-                return simd::encode_blocks_tiled_with(self.level, t, input, acc, finished)
+            MatrixRepr::RowMajor(m) => {
+                simd::encode_blocks(self.level, m, input, acc);
+                finished(acc);
             }
-            MatrixRepr::Sorted(s) if self.tiled => s.encode_blocks_tiled(input, acc),
-            MatrixRepr::Sorted(s) => s.encode_blocks(input, acc),
+            MatrixRepr::Tiled(t) => {
+                simd::encode_blocks_tiled_with(self.level, t, input, acc, finished)
+            }
         }
-        finished(acc);
     }
 }
 
@@ -797,23 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_matrix_matches_plain() {
-        let plain_cfg = FerretConfig::new(FerretParams::toy());
-        let sorted_cfg = FerretConfig {
-            sort: Some(SortConfig::default()),
-            ..plain_cfg.clone()
-        };
-        let plain = run_extension(&plain_cfg, 4);
-        let sorted = run_extension(&sorted_cfg, 4);
-        // Same randomness → bit-identical outputs despite reordered memory
-        // accesses (the §5.3 correctness claim).
-        assert_eq!(plain.z, sorted.z);
-        assert_eq!(plain.x, sorted.x);
-        assert_eq!(plain.y, sorted.y);
-        sorted.verify().unwrap();
-    }
-
-    #[test]
     fn tiled_kernel_matches_naive() {
         // Same randomness through both kernel families ⇒ bit-identical
         // outputs: the tile schedule only reorders XOR accumulation.
@@ -830,23 +790,6 @@ mod tests {
             assert_eq!(a.y, b.y);
         }
         tiled.last().unwrap().verify().unwrap();
-    }
-
-    #[test]
-    fn tiled_sorted_matches_plain() {
-        // The full combination: §5.3 sorting composed with tiling.
-        let plain_cfg = FerretConfig::new(FerretParams::toy());
-        let both_cfg = FerretConfig {
-            kernel: LpnKernel::Tiled,
-            sort: Some(SortConfig::default()),
-            ..plain_cfg.clone()
-        };
-        let plain = run_extension(&plain_cfg, 41);
-        let both = run_extension(&both_cfg, 41);
-        assert_eq!(plain.z, both.z);
-        assert_eq!(plain.x, both.x);
-        assert_eq!(plain.y, both.y);
-        both.verify().unwrap();
     }
 
     #[test]
@@ -896,7 +839,6 @@ mod tests {
         for p in FerretParams::TABLE4 {
             let cfg = FerretConfig::recommended(p);
             assert_eq!(cfg.kernel, LpnKernel::Split, "{p}");
-            assert!(cfg.sort.is_none(), "software sort never wins ({p})");
             assert_eq!(cfg.simd, SimdMode::Auto, "{p}");
         }
         // Toy-scale inputs are cache-resident; the simple path stays.
@@ -927,22 +869,6 @@ mod tests {
             }
             split.last().unwrap().verify().unwrap();
         }
-    }
-
-    #[test]
-    fn split_sorted_matches_plain() {
-        // Split on a sorted matrix is the sorted tiled block pass.
-        let plain_cfg = FerretConfig::new(FerretParams::toy());
-        let cfg = FerretConfig {
-            kernel: LpnKernel::Split,
-            sort: Some(SortConfig::default()),
-            ..plain_cfg.clone()
-        };
-        let plain = run_extension(&plain_cfg, 45);
-        let split = run_extension(&cfg, 45);
-        assert_eq!(plain.z, split.z);
-        assert_eq!(plain.x, split.x);
-        assert_eq!(plain.y, split.y);
     }
 
     #[test]

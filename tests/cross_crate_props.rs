@@ -49,7 +49,9 @@ proptest! {
         }
     }
 
-    /// Index sorting never changes the encoded output (§5.3 correctness).
+    /// Index sorting never changes the encoded output (§5.3 correctness):
+    /// the sorted matrix over the permuted input, each execution position
+    /// scattered back to its original row, is the plain product.
     #[test]
     fn sorting_preserves_encoding(
         seed in any::<u64>(),
@@ -63,7 +65,11 @@ proptest! {
         let mut plain = vec![Block::from(9u128); 200];
         let mut via = plain.clone();
         encoder::encode_blocks(&m, &input, &mut plain);
-        sorted.encode_blocks(&input, &mut via);
+        let mut by_pos = vec![Block::ZERO; 200];
+        encoder::encode_blocks(sorted.matrix(), &sorted.permute_input(&input), &mut by_pos);
+        for (&row, &v) in sorted.row_order().iter().zip(&by_pos) {
+            via[row as usize] ^= v;
+        }
         prop_assert_eq!(plain, via);
     }
 

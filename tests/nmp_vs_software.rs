@@ -4,14 +4,45 @@
 
 use ironman_cache::{Cache, CacheConfig};
 use ironman_core::speedup::{speedup_cell, speedup_table};
+use ironman_core::{Backend, Engine, Timing};
 use ironman_dram::{DramConfig, RankSim, Request};
 use ironman_ggm::schedule::simulate;
 use ironman_ggm::{Arity, ExpansionSchedule, PipelineModel};
 use ironman_lpn::{encoder, LpnMatrix};
 use ironman_nmp::rank_lpn::{simulate_rank, LpnWork};
-use ironman_nmp::NmpConfig;
+use ironman_nmp::{NmpConfig, OteSimulator};
+use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
+use ironman_perf::CpuModel;
 use ironman_prg::Block;
+
+#[test]
+fn engine_timing_is_the_model_crates_on_the_session_workload() {
+    // The estimate is exactly the CPU model plus the NMP simulator,
+    // and the simulator replays the unsorted matrix every session
+    // encodes with.
+    let engine = Engine::new(
+        FerretConfig::new(FerretParams::toy()),
+        Backend::ironman_default(),
+    );
+    let work = engine.ote_work();
+    assert_eq!(work.sort, None);
+    let nmp = NmpConfig::ironman_max();
+    let cpu_model_ms = CpuModel::ferret_reference()
+        .execution_latency(&engine.workload(), false)
+        .total_s()
+        * 1e3;
+    let ironman_ms = OteSimulator::new(nmp).simulate(&work, 1).latency_ms(&nmp);
+    assert_eq!(
+        engine.estimate_timing(1),
+        Timing {
+            cpu_model_ms,
+            ironman_ms: Some(ironman_ms),
+            sender_bytes: 0,
+            receiver_bytes: 0,
+        }
+    );
+}
 
 #[test]
 fn schedule_sim_matches_functional_call_count() {
