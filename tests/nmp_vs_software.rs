@@ -10,7 +10,7 @@ use ironman_ggm::schedule::simulate;
 use ironman_ggm::{Arity, ExpansionSchedule, PipelineModel};
 use ironman_lpn::{encoder, LpnMatrix};
 use ironman_nmp::rank_lpn::{simulate_rank, LpnWork};
-use ironman_nmp::{NmpConfig, OteSimulator};
+use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use ironman_perf::CpuModel;
@@ -42,6 +42,43 @@ fn engine_timing_is_the_model_crates_on_the_session_workload() {
             receiver_bytes: 0,
         }
     );
+}
+
+#[test]
+fn nmp_model_is_pinned_on_the_table4_session_workload() {
+    // Every `paper` figure, `Engine::estimate_timing` and the harness's
+    // `nmp.*`/`cache.*` rows read this one simulator, so a refactor of
+    // the NMP crate must leave its numbers bit-identical. A change that
+    // moves one of these literals is a model change, not a refactor.
+    let engine = Engine::new(
+        FerretConfig::recommended(FerretParams::OT_2POW20),
+        Backend::ironman_default(),
+    );
+    let sim = OteSimulator::new(NmpConfig::ironman_max());
+    let work = engine.ote_work();
+    let sender = sim.simulate(&work, 1);
+    let receiver = sim.simulate(
+        &OteWork {
+            role: Role::Receiver,
+            ..work
+        },
+        1,
+    );
+    // [spcot, lpn, offload, total, spcot.xor] cycles. The receiver's
+    // Message Decoder drains at twice the node rate, so only its XOR-tree
+    // figure differs.
+    let pinned = [
+        (sender, [20_482, 6_589_146, 763, 6_589_909, 20_475]),
+        (receiver, [20_482, 6_589_146, 763, 6_589_909, 10_238]),
+    ];
+    for (report, [spcot, lpn, offload, total, xor]) in pinned {
+        assert_eq!(report.spcot_cycles, spcot, "{report:?}");
+        assert_eq!(report.lpn_cycles, lpn, "{report:?}");
+        assert_eq!(report.offload_cycles, offload, "{report:?}");
+        assert_eq!(report.total_cycles, total, "{report:?}");
+        assert_eq!(report.spcot.xor_cycles, xor, "{report:?}");
+        assert_eq!(report.cache_hit_rate, 0.363763427734375, "{report:?}");
+    }
 }
 
 #[test]
