@@ -23,7 +23,7 @@ use ironman_prg::{Block, PrgKind};
 /// AES-equivalent PRG operations of one tree of the CPU baseline
 /// (binary trees, AES), which Fig. 1(b) and 1(c) both start from.
 fn baseline_tree_ops(p: &FerretParams) -> u64 {
-    spcot_aes_equiv_ops(PrgKind::Aes, 2, p.leaves)
+    spcot_aes_equiv_ops(2, p.leaves)
 }
 
 /// **Figure 1(a)**: execution-time breakdown per PPML framework and

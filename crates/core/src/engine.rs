@@ -3,7 +3,6 @@
 use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::ferret::{run_extensions, FerretConfig, FerretOutput};
 use ironman_perf::{CpuModel, OteWorkload};
-use ironman_prg::PrgKind;
 use serde::{Deserialize, Serialize};
 
 /// Which hardware executes (or is simulated to execute) the extension.
@@ -91,7 +90,7 @@ impl Engine {
     /// The per-execution workload in backend-agnostic units.
     pub fn workload(&self) -> OteWorkload {
         let p = self.cfg.params;
-        let ops_per_tree = spcot_aes_equiv_ops(self.cfg.prg, self.cfg.arity.get(), p.leaves);
+        let ops_per_tree = spcot_aes_equiv_ops(self.cfg.arity.get(), p.leaves);
         OteWorkload::from_counts(
             p.t as u64,
             ops_per_tree,
@@ -169,19 +168,16 @@ impl Engine {
 /// AES-equivalent PRG operations to expand one GGM tree: the quantity the
 /// CPU model charges (Fig. 6's operation-count table, measured in
 /// `ironman-ggm` tests).
-pub fn spcot_aes_equiv_ops(prg: PrgKind, arity: usize, leaves: usize) -> u64 {
-    let blocks = ironman_ggm::Arity::new(arity)
+///
+/// Every PRG counts its output blocks: one ChaCha call yields four blocks
+/// and is weighted as four AES equivalents for throughput (same silicon
+/// budget). ChaCha's *latency* advantage shows up as fewer calls in the
+/// NMP pipeline model. For the CPU model the paper's baseline is AES
+/// binary trees, so other shapes matter only for what-if studies.
+pub fn spcot_aes_equiv_ops(arity: usize, leaves: usize) -> u64 {
+    ironman_ggm::Arity::new(arity)
         .expect("arity validated by FerretConfig")
-        .expansion_blocks(leaves);
-    match prg {
-        PrgKind::Aes => blocks,
-        // One ChaCha call = 4 blocks but is weighted as 4 AES equivalents
-        // for throughput (same silicon budget), so equivalents = blocks;
-        // the *latency* advantage shows up as fewer calls in the NMP
-        // pipeline model. For the CPU model the paper's baseline is AES
-        // binary trees, so this path matters only for what-if studies.
-        PrgKind::ChaCha { .. } => blocks,
-    }
+        .expansion_blocks(leaves)
 }
 
 #[cfg(test)]
@@ -234,13 +230,13 @@ mod tests {
     #[test]
     fn spcot_ops_formula_binary() {
         // Binary tree: 2(ℓ−1) blocks.
-        assert_eq!(spcot_aes_equiv_ops(PrgKind::Aes, 2, 4096), 2 * 4095);
+        assert_eq!(spcot_aes_equiv_ops(2, 4096), 2 * 4095);
     }
 
     #[test]
     fn spcot_ops_formula_quad() {
         // Exact 4-ary tree: 4(ℓ−1)/3 blocks.
-        assert_eq!(spcot_aes_equiv_ops(PrgKind::CHACHA8, 4, 4096), 4 * 4095 / 3);
+        assert_eq!(spcot_aes_equiv_ops(4, 4096), 4 * 4095 / 3);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn speedup_cell(
     let cpu = CpuModel::ferret_reference();
     let cpu_work = OteWorkload::from_counts(
         params.t as u64,
-        spcot_aes_equiv_ops(PrgKind::Aes, 2, params.leaves),
+        spcot_aes_equiv_ops(2, params.leaves),
         params.n as u64,
         10,
     );

@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod arity;
-pub mod halftree;
 #[cfg(test)]
 mod oracle;
 pub mod punctured;
@@ -71,7 +70,6 @@ pub mod schedule;
 pub mod tree;
 
 pub use arity::Arity;
-pub use halftree::HalfTreePrg;
 pub use punctured::PuncturedTree;
 pub use schedule::{ExpansionSchedule, PipelineModel, ScheduleReport};
 pub use tree::{GgmTree, LevelShape};

@@ -18,7 +18,6 @@
 //! issued per cycle, its children become available `S` cycles later.
 
 use crate::Arity;
-use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -367,26 +366,6 @@ pub fn simulate(
         bubbles,
         peak_buffer: peak,
     }
-}
-
-/// Expands `trees` trees functionally in hybrid order, checking that the
-/// interleaved order produces the same leaves as plain expansion. Returns
-/// the leaves of each tree. Used by tests to show the schedule is a pure
-/// reordering.
-pub fn hybrid_functional_check(
-    prg: &dyn ironman_prg::TreePrg,
-    seeds: &[Block],
-    arity: Arity,
-    leaves: usize,
-) -> Vec<Vec<Block>> {
-    seeds
-        .iter()
-        .map(|&s| {
-            crate::GgmTree::expand(prg, s, arity, leaves)
-                .leaves()
-                .to_vec()
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use ironman_cache::CacheConfig;
 use ironman_dram::DramConfig;
-use ironman_ggm::PipelineModel;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Ironman-NMP deployment.
@@ -17,10 +16,9 @@ pub struct NmpConfig {
     /// Ranks per DIMM (fixed at 2 in the paper's system).
     pub ranks_per_dimm: usize,
     /// ChaCha/AES PRG cores per DIMM-NMP module (Fig. 9(b) shows four
-    /// GGM-tree expansion units).
+    /// GGM-tree expansion units). Their pipeline follows the work's PRG
+    /// ([`crate::dimm::pipeline_for`]).
     pub prg_cores_per_dimm: usize,
-    /// The PRG pipeline being modeled.
-    pub pipeline: PipelineModel,
     /// Per-rank memory-side cache.
     pub cache: CacheConfig,
     /// DRAM timing/geometry per rank.
@@ -51,7 +49,6 @@ impl NmpConfig {
             ranks,
             ranks_per_dimm: 2,
             prg_cores_per_dimm: 4,
-            pipeline: PipelineModel::CHACHA8,
             cache: CacheConfig::kb(cache_bytes / 1024),
             dram: DramConfig::ddr4_2400(),
             hit_lanes: 4,

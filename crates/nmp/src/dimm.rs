@@ -7,10 +7,15 @@
 //! utilization. The cycle model reuses `ironman-ggm`'s schedule simulator
 //! on a sample and scales — the steady state is periodic, making the
 //! extrapolation exact up to edge effects.
+//!
+//! The unified unit is charged as cycles only: a tree `4 × cores` blocks
+//! wide, running beside expansion, that lengthens the critical path only
+//! when it is the slower of the two. Its XOR algebra is the functional
+//! tree's ([`ironman_ggm::GgmTree::level_sums`]).
 
-use crate::{NmpConfig, Role, UnifiedUnit};
+use crate::{NmpConfig, Role};
 use ironman_ggm::{schedule, Arity, ExpansionSchedule, PipelineModel};
-use ironman_prg::{Block, PrgKind};
+use ironman_prg::PrgKind;
 use serde::{Deserialize, Serialize};
 
 /// SPCOT work for one protocol execution (all DIMMs together).
@@ -101,23 +106,20 @@ pub fn simulate_dimm(cfg: &NmpConfig, work: &SpcotWork, trees_on_dimm: usize) ->
     let calls_per_core = (sim.calls as f64 * scale).round() as u64;
 
     // Unified-unit work: every produced node is folded into a branch sum
-    // once per level (sender computes all branch sums; receiver one).
-    let nodes_per_tree: u64 = work.arity.expansion_blocks(work.leaves);
-    let mut unit = UnifiedUnit::for_cores(cores);
-    // One representative pass per level batch to account cycles; we model
-    // the fold throughput as width blocks/cycle.
-    let total_nodes = nodes_per_tree * trees_on_dimm as u64;
+    // once per level (sender computes all branch sums; receiver one). The
+    // XOR tree's input width matches the cores' aggregate output, four
+    // blocks per core per cycle (Fig. 10), so it folds that many nodes
+    // per cycle.
+    let width = 4 * cores as u64;
+    let total_nodes = work.arity.expansion_blocks(work.leaves) * trees_on_dimm as u64;
     // The Key Generator folds even and odd sums in parallel accumulator
     // lanes, consuming the full core output every cycle; the Message
     // Decoder needs only one sum and can drain at twice the node rate
     // (Fig. 10(b) vs (c)).
     let xor_cycles = match work.role {
-        Role::Sender => total_nodes.div_ceil(unit.width() as u64),
-        Role::Receiver => total_nodes.div_ceil(2 * unit.width() as u64),
+        Role::Sender => total_nodes.div_ceil(width),
+        Role::Receiver => total_nodes.div_ceil(2 * width),
     };
-    // Keep the functional path of the unit warm (tests elsewhere verify
-    // its algebra); here only the cycle figure matters.
-    let _ = unit.branch_sums(work.role, &[Block::ZERO; 4], 2);
 
     // The XOR tree runs concurrently with expansion; it only extends the
     // critical path if it is slower.

@@ -13,8 +13,22 @@
 //! This crate is the *timing* model: it consumes work descriptions and
 //! access traces from the functional crates and produces cycle counts by
 //! composing `ironman-ggm`'s pipeline schedules, `ironman-cache` and
-//! `ironman-dram`. Figures 12, 13 and 14 are regenerated from
-//! [`OteSimulator`].
+//! `ironman-dram`. [`OteSimulator`] is its one timing path: Figures 12,
+//! 13 and 14, `ironman_core::Engine::estimate_timing` and the benchmark's
+//! `nmp.*`/`cache.*` rows all read it.
+//!
+//! * [`config`] — the deployment: active ranks, cores, caches, DRAM.
+//! * [`dimm`] — SPCOT on the DIMM-NMP cores, with the unified unit's
+//!   XOR-tree cycles.
+//! * [`rank_lpn`] — the LPN gather on one rank behind its cache.
+//! * [`ote`] — the composition: SPCOT overlapped with LPN, plus the
+//!   offload residual (§5.1).
+//! * [`unified`] — the unit's two modes ([`Role`]).
+//!
+//! Fig. 9's host-to-PU interface (the memory controller issuing NMP
+//! instructions that the DIMM module dispatches to its ranks) is
+//! described, not modelled: the simulator takes the work an instruction
+//! stream would carry, split evenly over DIMMs and ranks.
 //!
 //! # Example
 //!
@@ -33,16 +47,12 @@
 
 pub mod config;
 pub mod dimm;
-pub mod driver;
-pub mod inst;
 pub mod ote;
 pub mod rank_lpn;
 pub mod unified;
 
 pub use config::NmpConfig;
 pub use dimm::{DimmSpcotReport, SpcotWork};
-pub use driver::{compile_ote, execute, ProgramContext, ProgramReport};
-pub use inst::{NmpInst, NmpOp};
 pub use ote::{OteReport, OteSimulator, OteWork};
 pub use rank_lpn::{LpnWork, RankLpnReport};
-pub use unified::{Role, UnifiedUnit};
+pub use unified::Role;

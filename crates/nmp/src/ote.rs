@@ -197,15 +197,6 @@ impl OteSimulator {
             lpn,
         }
     }
-
-    /// Latency in milliseconds to generate `total_ots` correlations by
-    /// repeating executions of `work`.
-    pub fn batch_latency_ms(&self, work: &OteWork, total_ots: u64, seed: u64) -> f64 {
-        let report = self.simulate(work, seed);
-        let per_exec_outputs = work.n as u64;
-        let execs = (total_ots as f64 / per_exec_outputs as f64).ceil();
-        execs * report.latency_ms(&self.cfg)
-    }
 }
 
 #[cfg(test)]
@@ -283,15 +274,6 @@ mod tests {
             r.offload_cycles * 20 < r.total_cycles,
             "offload must be hidden: {r:?}"
         );
-    }
-
-    #[test]
-    fn batch_scales_with_target() {
-        let sim = OteSimulator::new(NmpConfig::ironman_max());
-        let w = toy_work();
-        let one = sim.batch_latency_ms(&w, 100_000, 5);
-        let ten = sim.batch_latency_ms(&w, 1_000_000, 5);
-        assert!((ten / one - 10.0).abs() < 0.01);
     }
 }
 

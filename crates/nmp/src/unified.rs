@@ -1,14 +1,13 @@
-//! The unified unit: one XOR-tree datapath for both protocol roles
-//! (paper §5.2, Fig. 10).
+//! The unified unit's two modes (paper §5.2, Fig. 10).
 //!
 //! During SPCOT the sender must compute the even/odd (or per-branch) XOR
 //! sums of each GGM level (**Key Generator** mode), while the receiver
 //! must fold a received sum with its reconstructed nodes to recover the
 //! missing sibling (**Message Decoder** mode). Both are XOR reductions, so
-//! Ironman shares one XOR tree whose input width matches the ChaCha cores'
-//! aggregate output (`2x` nodes for `x` cores).
+//! Ironman shares one XOR tree between them. The model charges only the
+//! tree's cycles ([`crate::dimm::simulate_dimm`]); the XOR algebra itself
+//! is [`ironman_ggm::GgmTree::level_sums`].
 
-use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
 
 /// Which protocol role the unit is serving.
@@ -19,135 +18,4 @@ pub enum Role {
     /// Message Decoder: recover the punctured parent's sibling from a
     /// received sum and locally known nodes.
     Receiver,
-}
-
-/// A `width`-input XOR tree with single-cycle stages.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct UnifiedUnit {
-    width: usize,
-    cycles: u64,
-}
-
-impl UnifiedUnit {
-    /// Creates a unit sized for `prg_cores` ChaCha cores (each delivering
-    /// four blocks per cycle; the tree takes all of them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prg_cores == 0`.
-    pub fn for_cores(prg_cores: usize) -> Self {
-        assert!(prg_cores > 0, "need at least one PRG core");
-        UnifiedUnit {
-            width: 4 * prg_cores,
-            cycles: 0,
-        }
-    }
-
-    /// Input width of the XOR tree.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Cycles consumed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Folds `values` into per-branch sums: `sums[j] = ⊕ values[i]` over
-    /// `i % branches == j`. One tree pass handles `width` inputs per cycle
-    /// per branch lane.
-    ///
-    /// In sender (Key Generator) mode all `branches` sums are produced; in
-    /// receiver (Message Decoder) mode only one is, costing proportionally
-    /// fewer passes (Fig. 10(b) vs (c)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `branches == 0`.
-    pub fn branch_sums(&mut self, role: Role, values: &[Block], branches: usize) -> Vec<Block> {
-        assert!(branches > 0, "need at least one branch lane");
-        let mut sums = vec![Block::ZERO; branches];
-        for (i, &v) in values.iter().enumerate() {
-            sums[i % branches] ^= v;
-        }
-        // Cycle cost: ceil(inputs/width) tree passes per produced sum;
-        // the receiver produces a single sum.
-        let passes = (values.len().div_ceil(self.width)) as u64;
-        let produced = match role {
-            Role::Sender => branches as u64,
-            Role::Receiver => 1,
-        };
-        self.cycles += passes.max(1) * produced;
-        sums
-    }
-
-    /// Message-decoder helper: recover the punctured parent's branch value
-    /// `K ⊕ (⊕ known)` (Fig. 3(b) step ③) in one reduction.
-    pub fn decode_sibling(&mut self, received_sum: Block, known: &[Block]) -> Block {
-        let folded = self.branch_sums(Role::Receiver, known, 1)[0];
-        received_sum ^ folded
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sender_sums_match_reference() {
-        let mut u = UnifiedUnit::for_cores(4);
-        let values: Vec<Block> = (0..32u128).map(|i| Block::from(i * 11 + 3)).collect();
-        let sums = u.branch_sums(Role::Sender, &values, 4);
-        for (j, &sum) in sums.iter().enumerate().take(4) {
-            let expect = Block::xor_all(
-                values
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % 4 == j)
-                    .map(|(_, &b)| b),
-            );
-            assert_eq!(sum, expect);
-        }
-    }
-
-    #[test]
-    fn receiver_cheaper_than_sender() {
-        let values: Vec<Block> = (0..64u128).map(Block::from).collect();
-        let mut s = UnifiedUnit::for_cores(2);
-        let mut r = UnifiedUnit::for_cores(2);
-        s.branch_sums(Role::Sender, &values, 2);
-        r.branch_sums(Role::Receiver, &values, 2);
-        assert!(
-            r.cycles() < s.cycles(),
-            "receiver {} !< sender {}",
-            r.cycles(),
-            s.cycles()
-        );
-    }
-
-    #[test]
-    fn decode_sibling_inverts_key_generation() {
-        // Sender: K = XOR of all even nodes. Receiver knows all even nodes
-        // except one and recovers it.
-        let nodes: Vec<Block> = (0..16u128).map(|i| Block::from(i * 7 + 1)).collect();
-        let k = Block::xor_all(nodes.iter().copied());
-        let (missing, known) = nodes.split_first().unwrap();
-        let mut u = UnifiedUnit::for_cores(1);
-        assert_eq!(u.decode_sibling(k, known), *missing);
-    }
-
-    #[test]
-    fn same_datapath_both_roles() {
-        // The unified claim: one unit instance serves both roles in turn.
-        let mut u = UnifiedUnit::for_cores(2);
-        let values: Vec<Block> = (0..8u128).map(Block::from).collect();
-        let s = u.branch_sums(Role::Sender, &values, 2);
-        let r = u.branch_sums(Role::Receiver, &values, 2);
-        assert_eq!(s, r, "role must not change the computed sums");
-    }
-
-    #[test]
-    fn width_matches_cores() {
-        assert_eq!(UnifiedUnit::for_cores(4).width(), 16);
-    }
 }

@@ -13,37 +13,15 @@ use crate::channel::{ChannelError, Transport};
 use crate::chosen::{recv_chosen, send_chosen};
 use crate::cot::{CotReceiver, CotSender};
 use crate::mot::{level_seed, level_seeder, pad_prg};
-use crate::spcot::{SpcotConfig, SpcotReceiverOutput, SpcotSenderOutput};
+use crate::spcot::SpcotConfig;
 use ironman_ggm::{Arity, GgmTree, LevelShape, PuncturedTree};
 use ironman_prg::{tree_prg::build_tree_prg, Block, PrgCounter};
 
 /// Sender side: runs `seeds.len()` SPCOTs with per-level batching.
-///
-/// # Errors
-///
-/// Propagates channel failures.
-pub fn spcot_batch_send<T: Transport + ?Sized>(
-    ch: &mut T,
-    cfg: &SpcotConfig,
-    base: &mut CotSender,
-    seeds: &[Block],
-    tweak: &mut u64,
-) -> Result<Vec<SpcotSenderOutput>, ChannelError> {
-    let mut outs = Vec::with_capacity(seeds.len());
-    spcot_batch_send_into(ch, cfg, base, seeds, tweak, |_, leaves, counter| {
-        outs.push(SpcotSenderOutput {
-            w: leaves.to_vec(),
-            counter,
-        });
-    })?;
-    Ok(outs)
-}
-
-/// [`spcot_batch_send`] without intermediate leaf vectors: `sink` is
-/// handed each tree's index, its leaf slice (borrowed from the expanded
-/// tree) and its PRG counter, and accumulates wherever the caller wants
-/// — the extension loop XORs straight into its length-`n` LPN
-/// accumulator stripe.
+/// `sink` is handed each tree's index, its leaf slice (borrowed from the
+/// expanded tree) and its PRG counter, and accumulates wherever the
+/// caller wants — the extension loop XORs straight into its length-`n`
+/// LPN accumulator stripe.
 ///
 /// The sender streams: one tree buffer is expanded, drained into `sink`
 /// and reused, in index order and before the first message goes out; per
@@ -113,36 +91,9 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
     ch.send_blocks(&finals)
 }
 
-/// Receiver side of the batched protocol.
-///
-/// # Errors
-///
-/// Propagates channel failures.
-///
-/// # Panics
-///
-/// Panics if any `alpha` is out of range for `cfg.leaves`.
-pub fn spcot_batch_recv<T: Transport + ?Sized>(
-    ch: &mut T,
-    cfg: &SpcotConfig,
-    base: &mut CotReceiver,
-    alphas: &[usize],
-    tweak: &mut u64,
-) -> Result<Vec<SpcotReceiverOutput>, ChannelError> {
-    let mut outs = Vec::with_capacity(alphas.len());
-    spcot_batch_recv_into(ch, cfg, base, alphas, tweak, |_, alpha, leaves, counter| {
-        outs.push(SpcotReceiverOutput {
-            alpha,
-            v: leaves.to_vec(),
-            counter,
-        });
-    })?;
-    Ok(outs)
-}
-
-/// [`spcot_batch_recv`] without intermediate leaf vectors: `sink` is
-/// handed each tree's index, its punctured position `α`, its recovered
-/// leaf slice and its PRG counter (see [`spcot_batch_send_into`]).
+/// Receiver side of the batched protocol: `sink` is handed each tree's
+/// index, its punctured position `α`, its recovered leaf slice and its
+/// PRG counter (see [`spcot_batch_send_into`]).
 ///
 /// # Errors
 ///
@@ -234,8 +185,56 @@ mod tests {
     use super::*;
     use crate::channel::run_protocol;
     use crate::dealer::Dealer;
-    use crate::spcot::{spcot_recv, spcot_send, verify_spcot};
+    use crate::spcot::{
+        spcot_recv, spcot_send, verify_spcot, SpcotReceiverOutput, SpcotSenderOutput,
+    };
     use ironman_prg::PrgKind;
+
+    /// [`spcot_batch_send_into`] with a sink that collects what the
+    /// sequential [`spcot_send`] returns per tree.
+    fn collect_send<T: Transport + ?Sized>(
+        ch: &mut T,
+        cfg: &SpcotConfig,
+        base: &mut CotSender,
+        seeds: &[Block],
+    ) -> Vec<SpcotSenderOutput> {
+        let mut outs = Vec::with_capacity(seeds.len());
+        spcot_batch_send_into(ch, cfg, base, seeds, &mut 0, |_, leaves, counter| {
+            outs.push(SpcotSenderOutput {
+                w: leaves.to_vec(),
+                counter,
+            });
+        })
+        .unwrap();
+        outs
+    }
+
+    /// [`spcot_batch_recv_into`] with a sink that collects what the
+    /// sequential [`spcot_recv`] returns per tree.
+    fn collect_recv<T: Transport + ?Sized>(
+        ch: &mut T,
+        cfg: &SpcotConfig,
+        base: &mut CotReceiver,
+        alphas: &[usize],
+    ) -> Vec<SpcotReceiverOutput> {
+        let mut outs = Vec::with_capacity(alphas.len());
+        spcot_batch_recv_into(
+            ch,
+            cfg,
+            base,
+            alphas,
+            &mut 0,
+            |_, alpha, leaves, counter| {
+                outs.push(SpcotReceiverOutput {
+                    alpha,
+                    v: leaves.to_vec(),
+                    counter,
+                });
+            },
+        )
+        .unwrap();
+        outs
+    }
 
     fn setup(
         cfg: &SpcotConfig,
@@ -265,14 +264,8 @@ mod tests {
     ) {
         let (delta, mut sb, mut rb, seeds, alphas) = setup(&cfg, trees, seed);
         let (s_out, r_out, s_stats, _) = run_protocol(
-            move |ch| {
-                let mut tweak = 0;
-                spcot_batch_send(ch, &cfg, &mut sb, &seeds, &mut tweak).unwrap()
-            },
-            move |ch| {
-                let mut tweak = 0;
-                spcot_batch_recv(ch, &cfg, &mut rb, &alphas, &mut tweak).unwrap()
-            },
+            move |ch| collect_send(ch, &cfg, &mut sb, &seeds),
+            move |ch| collect_recv(ch, &cfg, &mut rb, &alphas),
         );
         (delta, s_out, r_out, s_stats.messages_sent, s_stats.rounds)
     }
@@ -305,18 +298,12 @@ mod tests {
             {
                 let mut sb = sb.clone();
                 let seeds = seeds.clone();
-                move |ch| {
-                    let mut tweak = 0;
-                    spcot_batch_send(ch, &cfg, &mut sb, &seeds, &mut tweak).unwrap()
-                }
+                move |ch| collect_send(ch, &cfg, &mut sb, &seeds)
             },
             {
                 let mut rb = rb.clone();
                 let alphas = alphas.clone();
-                move |ch| {
-                    let mut tweak = 0;
-                    spcot_batch_recv(ch, &cfg, &mut rb, &alphas, &mut tweak).unwrap()
-                }
+                move |ch| collect_recv(ch, &cfg, &mut rb, &alphas)
             },
         );
         let (seq_s, seq_r, _, _) = run_protocol(
@@ -389,7 +376,7 @@ mod tests {
                 .unwrap();
                 seen
             },
-            move |ch| spcot_batch_recv(ch, &cfg, &mut rb, &alphas, &mut 0).unwrap(),
+            move |ch| collect_recv(ch, &cfg, &mut rb, &alphas),
         );
         assert_eq!(seen.len(), trees);
         for (t, &(i, ptr, len, first)) in seen.iter().enumerate() {

@@ -180,8 +180,8 @@ impl Block {
         Block(self.0 & (bit as u128).wrapping_neg())
     }
 
-    /// XOR-accumulates an iterator of blocks (the "XOR tree" reduction used
-    /// by the unified unit and LPN encoder).
+    /// XOR-accumulates an iterator of blocks (the "XOR tree" reduction of
+    /// the GGM level and leaf sums).
     ///
     /// # Example
     ///

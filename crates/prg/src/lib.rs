@@ -49,7 +49,6 @@ pub mod chacha;
 pub mod counter;
 pub mod crhf;
 pub mod level;
-pub mod stream;
 pub mod tree_prg;
 
 pub use aes::{Aes128, AesTier};
@@ -58,5 +57,4 @@ pub use chacha::{ChaCha, CHACHA_BLOCK_BYTES};
 pub use counter::PrgCounter;
 pub use crhf::Crhf;
 pub use level::LevelTier;
-pub use stream::PrgStream;
 pub use tree_prg::{AesTreePrg, ChaChaTreePrg, PrgKind, TreePrg};

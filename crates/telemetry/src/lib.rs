@@ -1,5 +1,5 @@
 //! Telemetry primitives for the Ironman serving stack: lock-free
-//! latency histograms, named recorders, and bounded event tracing.
+//! latency histograms, bounded event tracing and windowed series.
 //!
 //! The fleet's wire-v5 `Stats` were throughput averages and monotonic
 //! counters; diagnosing tail behavior (the thing memory-bound MPC
@@ -14,9 +14,6 @@
 //!   **6.25%** (one bucket width; exact below 32 ns), and snapshots
 //!   merge losslessly — fleet-wide aggregation is a merge-join of
 //!   sparse bucket lists whose quantiles bracket the inputs'.
-//! - [`Recorder`] — named histograms/counters for components that
-//!   can't thread handles through construction. Lookup locks; the
-//!   returned `Arc` is the hot-path handle.
 //! - [`TraceLog`] — a bounded ring of timestamped [`TraceEvent`]s
 //!   (extension/stall edges, chunk pushes, credit waits, refills,
 //!   epoch fences, failovers) on one process-wide clock
@@ -29,9 +26,9 @@
 //!
 //! # The `noop` feature
 //!
-//! Building with `--features noop` compiles [`Histogram::record`],
-//! [`TraceLog::push`], and [`Counter::add`] to empty bodies and
-//! [`Stopwatch`] to a zero-sized type that never reads the clock. The
+//! Building with `--features noop` compiles [`Histogram::record`] and
+//! [`TraceLog::push`] to empty bodies and [`Stopwatch`] to a zero-sized
+//! type that never reads the clock. The
 //! data structures, snapshots, and wire codecs remain, so everything
 //! still compiles and returns (empty) answers. CI runs the hot-path
 //! bench in both configurations and fails if the instrumented build is
@@ -41,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod histogram;
-mod recorder;
 mod timeseries;
 mod trace;
 
@@ -49,7 +45,6 @@ pub use histogram::{
     bucket_ceiling, bucket_floor, bucket_index, Histogram, HistogramSnapshot, Stopwatch,
     ENCODED_MIN_LEN, NUM_BUCKETS,
 };
-pub use recorder::{Counter, Recorder};
 pub use timeseries::{counter_rate, SeriesPoint, TimeSeries};
 pub use trace::{
     merge_dumps, now_nanos, pack_phase_split, unpack_phase_split, EventKind, TraceEvent, TraceLog,

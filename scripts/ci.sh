@@ -4,10 +4,11 @@
 #   1. cargo fmt --check, cargo clippy -D warnings, cargo doc over the
 #      first-party crates with broken/private intra-doc links denied
 #      (seconds)
-#   2. release build; every crate's tests, the TCP-loopback e2e and the
-#      fleet tests (cluster smoke, churn, multi-process partition/heal,
-#      SLO e2e, chaos soak) included; the kernel crates again on the
-#      forced-scalar tier; ironman-core again with telemetry compiled out
+#   2. release build; every `paper` report at full size; every crate's
+#      tests, the TCP-loopback e2e and the fleet tests (cluster smoke,
+#      churn, multi-process partition/heal, SLO e2e, chaos soak)
+#      included; the kernel crates again on the forced-scalar tier;
+#      ironman-core again with telemetry compiled out
 #   3. benchmark/'s own tests and its --smoke run, on both tiers
 #   4. the benchmark gate: a fresh --runs 3 suite from benchmark/ judged
 #      against scripts/bench_baseline.json by benchmark --compare
@@ -43,6 +44,12 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
+
+echo "==> paper all, every report at full size"
+# The test pass below runs each report on the smallest slice of its grid
+# only; a report that panics at full size would reach no other stage.
+# About 3.5 s; the reports themselves go to /dev/null.
+./target/release/paper all > /dev/null
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
