@@ -136,9 +136,9 @@ pub fn comm_comparison(_: Size) {
         let bytes = out.sender_stats.bytes_sent + out.receiver_stats.bytes_sent;
         row(&[
             "PCG (Ferret)".to_string(),
-            out.len().to_string(),
+            out.cots.len().to_string(),
             bytes.to_string(),
-            f3(bytes as f64 / out.len() as f64),
+            f3(bytes as f64 / out.cots.len() as f64),
             format!("{}", out.sender_prg.total()),
         ]);
     }

@@ -8,8 +8,8 @@
 //! at the modeled SPCOT + LPN rates — and compare it with the
 //! *measured* windowed supply rate from the observer. The quotient is
 //! utilization, the difference is headroom, and the signed error once a
-//! server saturates is model drift — the validation signal ROADMAP item
-//! 5b asks for, and the input a model-driven admission policy needs.
+//! server saturates is model drift — the signal of the CPU-model drift
+//! check, and the input a model-driven admission policy needs.
 //!
 //! Reading the gauges: utilization near 1.0 with positive drift means
 //! the model *under*-predicts (the machine beats the roofline — check

@@ -55,8 +55,8 @@
 //!   per-server gauges, counters, SLO states) and `/fleet` for humans.
 //! * [`HeadroomModel`] — model-vs-measured: each server's live windowed
 //!   supply rate compared against the roofline + link prediction of its
-//!   supply ceiling (utilization, headroom, drift — ROADMAP item 5b's
-//!   validation loop).
+//!   supply ceiling (utilization, headroom, and the drift the CPU-model
+//!   drift check reads).
 //! * [`ClusterServer`] / [`LocalCluster`] — service, replica, gossip,
 //!   warm-up, and observation composed; a whole dynamic loopback fleet
 //!   in a few calls for tests and benches. The client drives every

@@ -1,6 +1,7 @@
 //! The end-to-end OT-extension engine.
 
 use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
+use ironman_ot::cot::CotBatch;
 use ironman_ot::ferret::{run_extensions, FerretConfig, FerretOutput};
 use ironman_perf::{CpuModel, OteWorkload};
 use serde::{Deserialize, Serialize};
@@ -53,7 +54,7 @@ impl Timing {
 #[derive(Clone, Debug)]
 pub struct ExtensionRun {
     /// The matched sender/receiver COT outputs.
-    pub cots: FerretOutput,
+    pub cots: CotBatch,
     /// Timing summary.
     pub timing: Timing,
 }
@@ -102,12 +103,11 @@ impl Engine {
     /// Runs `iterations` extensions (two real protocol parties on two
     /// threads), attaching timing from the selected backend.
     pub fn run(&self, seed: u64, iterations: usize) -> Vec<ExtensionRun> {
-        let outputs = run_extensions(&self.cfg, seed, iterations);
-        outputs
+        run_extensions(&self.cfg, seed, iterations)
             .into_iter()
-            .map(|cots| {
-                let timing = self.time_one(&cots, seed);
-                ExtensionRun { cots, timing }
+            .map(|out| ExtensionRun {
+                timing: self.time_one(&out, seed),
+                cots: out.cots,
             })
             .collect()
     }
@@ -157,10 +157,10 @@ impl Engine {
         }
     }
 
-    fn time_one(&self, cots: &FerretOutput, seed: u64) -> Timing {
+    fn time_one(&self, out: &FerretOutput, seed: u64) -> Timing {
         let mut timing = self.estimate_timing(seed);
-        timing.sender_bytes = cots.sender_stats.bytes_sent;
-        timing.receiver_bytes = cots.receiver_stats.bytes_sent;
+        timing.sender_bytes = out.sender_stats.bytes_sent;
+        timing.receiver_bytes = out.receiver_stats.bytes_sent;
         timing
     }
 }

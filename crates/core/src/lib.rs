@@ -7,6 +7,13 @@
 //! online conversions applications actually consume (COT → random OT →
 //! chosen-message OT, Fig. 2 of the paper).
 //!
+//! Correlations reach the application as [`CotBatch`]es, or as
+//! [`CotSlice`] views of a pool's buffer. Both are
+//! [`ironman_ot::cot`]'s types, re-exported here; `verify()` checks
+//! `z = y ⊕ x·Δ`. [`Engine`] runs timed extensions, [`CotPool`] and
+//! [`SharedCotPool`] buffer them for serving, and [`rot`] turns them into
+//! random and chosen-message OTs.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -33,7 +40,8 @@ pub mod shared_pool;
 pub mod speedup;
 
 pub use engine::{Backend, Engine, ExtensionRun, Timing};
-pub use pool::{CotBatch, CotPool, CotSlice};
+pub use ironman_ot::cot::{CotBatch, CotSlice};
+pub use pool::CotPool;
 pub use rot::{RotReceiver, RotSender};
 pub use shared_pool::{ShardSnapshot, SharedCotPool};
 pub use speedup::{speedup_table, SpeedupRow};

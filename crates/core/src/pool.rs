@@ -28,8 +28,11 @@
 //!
 //! # Zero-copy consumption
 //!
-//! [`CotPool::take_slice`] hands out a [`CotSlice`] borrowing the pool's
-//! ring directly; [`CotPool::take_into`] copies it into a caller-retained
+//! The buffer is one [`CotBatch`] (the COT type of [`ironman_ot::cot`],
+//! which every extension and staged session batch already is) plus a
+//! cursor, so a refill adopts what the protocol produced.
+//! [`CotPool::take_slice`] hands out a [`CotSlice`] borrowing that ring
+//! directly; [`CotPool::take_into`] copies it into a caller-retained
 //! [`CotBatch`], reusing its allocations. There is no allocating take: a
 //! caller that wants an owned batch keeps a `CotBatch::default()` around.
 //!
@@ -41,121 +44,12 @@
 //! pool reads them there without taking the shard's lock.
 
 use crate::engine::Engine;
+use ironman_ot::cot::{CotBatch, CotSlice};
 use ironman_ot::ferret::{run_extension, FerretConfig};
-use ironman_ot::session::{CotSession, SessionBatch, SessionTelemetry};
-use ironman_prg::Block;
+use ironman_ot::session::{CotSession, SessionTelemetry};
 use ironman_telemetry::{EventKind, Stopwatch};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// A matched batch of correlations handed to the application.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CotBatch {
-    /// The global offset `Δ` (sender side).
-    pub delta: Block,
-    /// Sender strings `z`.
-    pub z: Vec<Block>,
-    /// Receiver choice bits `x`.
-    pub x: Vec<bool>,
-    /// Receiver strings `y` with `z = y ⊕ x·Δ`.
-    pub y: Vec<Block>,
-}
-
-impl Default for CotBatch {
-    /// An empty batch (useful as a reusable decode/take target).
-    fn default() -> Self {
-        CotBatch {
-            delta: Block::ZERO,
-            z: Vec::new(),
-            x: Vec::new(),
-            y: Vec::new(),
-        }
-    }
-}
-
-impl CotBatch {
-    /// Number of correlations in the batch.
-    pub fn len(&self) -> usize {
-        self.z.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.z.is_empty()
-    }
-
-    /// A borrowed view of the whole batch.
-    pub fn as_slice(&self) -> CotSlice<'_> {
-        CotSlice {
-            delta: self.delta,
-            z: &self.z,
-            x: &self.x,
-            y: &self.y,
-        }
-    }
-
-    /// Checks the correlation on every element.
-    ///
-    /// # Errors
-    ///
-    /// Returns the index of the first violation.
-    pub fn verify(&self) -> Result<(), usize> {
-        self.as_slice().verify()
-    }
-}
-
-/// A borrowed batch view into a pool's ring (or any matched `z`/`x`/`y`
-/// triple): the zero-copy counterpart of [`CotBatch`]. Producers hand it
-/// to encoders so correlation payloads go from pool storage to the wire
-/// scratch buffer in one copy.
-#[derive(Clone, Copy, Debug)]
-pub struct CotSlice<'a> {
-    /// The global offset `Δ`.
-    pub delta: Block,
-    /// Sender strings `z`.
-    pub z: &'a [Block],
-    /// Receiver choice bits `x`.
-    pub x: &'a [bool],
-    /// Receiver strings `y`.
-    pub y: &'a [Block],
-}
-
-impl CotSlice<'_> {
-    /// Number of correlations in the view.
-    pub fn len(&self) -> usize {
-        self.z.len()
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.z.is_empty()
-    }
-
-    /// Checks the correlation on every element.
-    ///
-    /// # Errors
-    ///
-    /// Returns the index of the first violation.
-    pub fn verify(&self) -> Result<(), usize> {
-        for i in 0..self.len() {
-            if self.z[i] != self.y[i] ^ self.delta.and_bit(self.x[i]) {
-                return Err(i);
-            }
-        }
-        Ok(())
-    }
-
-    /// Copies this view into `out`, reusing `out`'s allocations.
-    pub fn copy_into(&self, out: &mut CotBatch) {
-        out.delta = self.delta;
-        out.z.clear();
-        out.z.extend_from_slice(self.z);
-        out.x.clear();
-        out.x.extend_from_slice(self.x);
-        out.y.clear();
-        out.y.extend_from_slice(self.y);
-    }
-}
 
 /// Where refills come from (see the module docs).
 #[derive(Debug)]
@@ -178,10 +72,8 @@ pub struct CotPool {
     cfg: FerretConfig,
     seed: u64,
     supply: Supply,
-    delta: Option<Block>,
-    z: Vec<Block>,
-    x: Vec<bool>,
-    y: Vec<Block>,
+    /// The buffer: everything before `cursor` has been handed out.
+    cots: CotBatch,
     cursor: usize,
     /// The histograms, trace and counters this pool records into.
     /// Pipelined supply shares it with its session (the session threads
@@ -212,10 +104,7 @@ impl CotPool {
             cfg,
             seed,
             supply: Supply::Inline,
-            delta: None,
-            z: Vec::new(),
-            x: Vec::new(),
-            y: Vec::new(),
+            cots: CotBatch::default(),
             cursor: 0,
             telemetry,
         }
@@ -246,7 +135,10 @@ impl CotPool {
         cfg.ensure_shared_matrix();
         let session = CotSession::spawn_with(&cfg, seed, SESSION_LOOKAHEAD, Arc::clone(&telemetry));
         CotPool {
-            delta: Some(session.delta()),
+            cots: CotBatch {
+                delta: session.delta(),
+                ..CotBatch::default()
+            },
             supply: Supply::Session(session),
             ..CotPool::new_with(cfg, seed, telemetry)
         }
@@ -266,7 +158,7 @@ impl CotPool {
 
     /// Correlations currently buffered and unconsumed.
     pub fn available(&self) -> usize {
-        self.z.len() - self.cursor
+        self.cots.len() - self.cursor
     }
 
     /// Extensions merged into the buffer so far (staged or inline).
@@ -275,7 +167,7 @@ impl CotPool {
     }
 
     /// Publishes the buffer's occupancy to the counter home; called
-    /// wherever `z` or `cursor` moves.
+    /// wherever the buffer or `cursor` moves.
     fn publish_available(&self) {
         self.telemetry
             .available
@@ -295,18 +187,10 @@ impl CotPool {
         // the same extension histogram the pipelined session threads
         // use — either supply mode shows up in the shard's latencies.
         self.telemetry.extension.record(watch.elapsed_nanos());
-        match self.delta {
-            None => self.delta = Some(out.delta),
-            Some(d) => {
-                // With per-refill sessions Δ changes; expose each batch
-                // under its own Δ by draining the remainder first.
-                debug_assert!(self.available() == 0 || d == out.delta);
-                self.delta = Some(out.delta);
-            }
-        }
-        self.z = out.z;
-        self.x = out.x;
-        self.y = out.y;
+        // With per-refill sessions Δ changes; expose each batch under its
+        // own Δ by draining the remainder first.
+        debug_assert!(self.available() == 0 || self.cots.delta == out.cots.delta);
+        self.cots = out.cots;
         self.cursor = 0;
         self.telemetry
             .extensions_run
@@ -319,26 +203,25 @@ impl CotPool {
 
     /// Merges one staged session batch into the buffer (same `Δ`, so the
     /// remnant survives). When the buffer is fully drained this is a
-    /// wholesale adoption of the staged vectors — zero copies.
-    fn append(&mut self, batch: SessionBatch) {
+    /// wholesale adoption of the staged batch — zero copies.
+    fn append(&mut self, batch: CotBatch) {
         self.telemetry
             .trace
             .push(EventKind::Refill, batch.len() as u64);
-        if self.cursor == self.z.len() {
-            self.z = batch.z;
-            self.x = batch.x;
-            self.y = batch.y;
+        if self.cursor == self.cots.len() {
+            self.cots = batch;
         } else {
+            debug_assert_eq!(self.cots.delta, batch.delta);
             if self.cursor > 0 {
                 // Compact the consumed prefix so the buffer doesn't grow
                 // without bound across merge refills.
-                self.z.drain(..self.cursor);
-                self.x.drain(..self.cursor);
-                self.y.drain(..self.cursor);
+                self.cots.z.drain(..self.cursor);
+                self.cots.x.drain(..self.cursor);
+                self.cots.y.drain(..self.cursor);
             }
-            self.z.extend_from_slice(&batch.z);
-            self.x.extend_from_slice(&batch.x);
-            self.y.extend_from_slice(&batch.y);
+            self.cots.z.extend_from_slice(&batch.z);
+            self.cots.x.extend_from_slice(&batch.x);
+            self.cots.y.extend_from_slice(&batch.y);
         }
         self.cursor = 0;
         self.telemetry
@@ -364,7 +247,7 @@ impl CotPool {
                         // inline refills rather than failing the request.
                         self.supply = Supply::Inline;
                     }
-                    self.cursor = self.z.len();
+                    self.cursor = self.cots.len();
                     self.refill();
                 }
             }
@@ -427,7 +310,7 @@ impl CotPool {
         if self.available() >= min {
             return refilled;
         }
-        self.cursor = self.z.len();
+        self.cursor = self.cots.len();
         self.refill();
         true
     }
@@ -456,10 +339,10 @@ impl CotPool {
             .fetch_add(count as u64, Ordering::Relaxed);
         self.publish_available();
         CotSlice {
-            delta: self.delta.expect("refill sets delta"),
-            z: &self.z[start..start + count],
-            x: &self.x[start..start + count],
-            y: &self.y[start..start + count],
+            delta: self.cots.delta,
+            z: &self.cots.z[start..start + count],
+            x: &self.cots.x[start..start + count],
+            y: &self.cots.y[start..start + count],
         }
     }
 

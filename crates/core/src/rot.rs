@@ -5,7 +5,7 @@
 //! phase hashes them with the correlation-robust hash into independent
 //! random-OT pads, then uses the pads to transfer actual messages.
 
-use ironman_ot::ferret::FerretOutput;
+use ironman_ot::cot::CotSlice;
 use ironman_prg::{Block, Crhf};
 use serde::{Deserialize, Serialize};
 
@@ -131,11 +131,12 @@ impl RotReceiver {
     }
 }
 
-/// Converts a verified extension output into matched random-OT halves.
-pub fn rot_from_extension(out: &FerretOutput, tweak_base: u64) -> (RotSender, RotReceiver) {
+/// Converts verified COTs (an extension's output or a pool take) into
+/// matched random-OT halves.
+pub fn rot_from_extension(cots: CotSlice<'_>, tweak_base: u64) -> (RotSender, RotReceiver) {
     (
-        RotSender::from_cots(out.delta, &out.z, tweak_base),
-        RotReceiver::from_cots(&out.x, &out.y, tweak_base),
+        RotSender::from_cots(cots.delta, cots.z, tweak_base),
+        RotReceiver::from_cots(cots.x, cots.y, tweak_base),
     )
 }
 
@@ -147,7 +148,7 @@ mod tests {
 
     fn rots() -> (RotSender, RotReceiver) {
         let out = run_extension(&FerretConfig::new(FerretParams::toy()), 77);
-        rot_from_extension(&out, 1000)
+        rot_from_extension(out.cots.as_slice(), 1000)
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! the taker holds the shard.
 
 use crate::engine::Engine;
-use crate::pool::{CotBatch, CotPool, CotSlice};
+use crate::pool::CotPool;
+use ironman_ot::cot::{CotBatch, CotSlice};
 use ironman_ot::session::SessionTelemetry;
 use ironman_telemetry::HistogramSnapshot;
 use std::sync::atomic::{AtomicUsize, Ordering};

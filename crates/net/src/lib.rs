@@ -45,7 +45,7 @@
 //!
 //! Correlation payloads cross this crate with **zero serialization
 //! copies** of their bulk: a request borrows the pool shard's ring as a
-//! [`CotSlice`](ironman_core::CotSlice) ([`SharedCotPool::take_with_shard`](ironman_core::SharedCotPool::take_with_shard))
+//! [`CotSlice`](ironman_ot::CotSlice) ([`SharedCotPool::take_with_shard`](ironman_core::SharedCotPool::take_with_shard))
 //! and the server scatter-gathers the response onto the socket with one
 //! `write_vectored` loop ([`StreamTransport::send_frame_parts`]). The
 //! frame is split into four parts — a fixed-size *head* (length prefix
@@ -78,7 +78,7 @@
 //! they mirror the split: [`proto::recv_response_into`] reads a batch frame's
 //! head into the session's retained frame buffer, checks its `n` against
 //! the frame length, then reads `z` and `y` from the socket **straight
-//! into** the caller-retained [`CotBatch`](ironman_core::CotBatch)'s
+//! into** the caller-retained [`CotBatch`](ironman_ot::CotBatch)'s
 //! block storage ([`Block::fill_from_le_bytes`](ironman_prg::Block::fill_from_le_bytes)
 //! is the receive-side view) — one copy, kernel → batch — and only the
 //! packed choice bits into the frame buffer. Control frames, and a batch

@@ -18,12 +18,13 @@ use ironman_prg::{Aes128, Block};
 ///
 /// ```
 /// use ironman_ot::dealer::Dealer;
-/// use ironman_ot::cot::verify_correlation;
+/// use ironman_ot::CotSlice;
 ///
 /// let mut dealer = Dealer::new(1234);
 /// let delta = dealer.random_delta();
 /// let (s, r) = dealer.deal_cot(delta, 32);
-/// assert!(verify_correlation(&s, &r).is_ok());
+/// let (z, x, y) = (s.r0(), r.bits(), r.rb());
+/// assert_eq!(CotSlice { delta, z, x, y }.verify(), Ok(()));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Dealer {
@@ -93,7 +94,7 @@ impl Dealer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cot::verify_correlation;
+    use crate::cot::CotSlice;
 
     #[test]
     fn deterministic_in_seed() {
@@ -115,7 +116,8 @@ mod tests {
         let mut d = Dealer::new(3);
         let delta = d.random_delta();
         let (s, r) = d.deal_cot(delta, 128);
-        assert!(verify_correlation(&s, &r).is_ok());
+        let (z, x, y) = (s.r0(), r.bits(), r.rb());
+        assert_eq!(CotSlice { delta, z, x, y }.verify(), Ok(()));
         assert_eq!(s.len(), 128);
     }
 

@@ -35,7 +35,7 @@
 //! from older builds.
 
 use crate::channel::{ChannelError, ChannelStats, Transport};
-use crate::cot::{CotReceiver, CotSender};
+use crate::cot::{CotBatch, CotReceiver, CotSender};
 use crate::dealer::Dealer;
 use crate::params::FerretParams;
 use crate::spcot::SpcotConfig;
@@ -600,18 +600,12 @@ impl FerretReceiver {
     }
 }
 
-/// The result of [`run_extension`]: matched sender/receiver outputs plus
-/// accounting, for tests and benches.
+/// The result of [`run_extension`]: the matched correlations plus the
+/// run's accounting, for tests and benches.
 #[derive(Clone, Debug)]
 pub struct FerretOutput {
-    /// The global offset `Δ`.
-    pub delta: Block,
-    /// Sender outputs `z` (one per usable COT).
-    pub z: Vec<Block>,
-    /// Receiver choice bits `x`.
-    pub x: Vec<bool>,
-    /// Receiver blocks `y` with `z = y ⊕ x·Δ`.
-    pub y: Vec<Block>,
+    /// The output COTs (one per usable row) under the run's `Δ`.
+    pub cots: CotBatch,
     /// Sender communication stats.
     pub sender_stats: ChannelStats,
     /// Receiver communication stats.
@@ -622,29 +616,13 @@ pub struct FerretOutput {
     pub receiver_prg: PrgCounter,
 }
 
-impl FerretOutput {
-    /// Checks `z = y ⊕ x·Δ` on every output correlation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the index of the first violation.
-    pub fn verify(&self) -> Result<(), usize> {
-        for i in 0..self.z.len() {
-            if self.z[i] != self.y[i] ^ self.delta.and_bit(self.x[i]) {
-                return Err(i);
-            }
-        }
-        Ok(())
-    }
+/// Field access reaches the batch (`out.z` is `out.cots.z`), as the
+/// harness under `benchmark/` spells it.
+impl std::ops::Deref for FerretOutput {
+    type Target = CotBatch;
 
-    /// Number of usable output COTs.
-    pub fn len(&self) -> usize {
-        self.z.len()
-    }
-
-    /// Whether the output batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.z.is_empty()
+    fn deref(&self) -> &CotBatch {
+        &self.cots
     }
 }
 
@@ -730,10 +708,7 @@ where
         .into_iter()
         .zip(receiver_iters)
         .map(|((z, s_prg), ((x, y), r_prg))| FerretOutput {
-            delta,
-            z,
-            x,
-            y,
+            cots: CotBatch { delta, z, x, y },
             sender_stats: s_stats,
             receiver_stats: r_stats,
             sender_prg: s_prg,
@@ -746,10 +721,18 @@ where
 mod tests {
     use super::*;
 
+    /// The COTs of `iterations` chained extensions.
+    fn cots(cfg: &FerretConfig, seed: u64, iterations: usize) -> Vec<CotBatch> {
+        run_extensions(cfg, seed, iterations)
+            .into_iter()
+            .map(|out| out.cots)
+            .collect()
+    }
+
     #[test]
     fn toy_extension_verifies() {
         let cfg = FerretConfig::new(FerretParams::toy());
-        let out = run_extension(&cfg, 1);
+        let out = run_extension(&cfg, 1).cots;
         assert_eq!(out.len(), cfg.usable_outputs());
         out.verify().expect("output COTs must be correlated");
     }
@@ -757,7 +740,7 @@ mod tests {
     #[test]
     fn baseline_binary_aes_verifies() {
         let cfg = FerretConfig::ferret_baseline(FerretParams::toy());
-        run_extension(&cfg, 2).verify().unwrap();
+        run_extension(&cfg, 2).cots.verify().unwrap();
     }
 
     #[test]
@@ -768,6 +751,7 @@ mod tests {
                 ..FerretConfig::new(FerretParams::toy())
             };
             run_extension(&cfg, 3)
+                .cots
                 .verify()
                 .unwrap_or_else(|i| panic!("{arity}: COT {i} broken"));
         }
@@ -782,13 +766,9 @@ mod tests {
             kernel: LpnKernel::Tiled,
             ..naive_cfg.clone()
         };
-        let naive = run_extensions(&naive_cfg, 40, 2);
-        let tiled = run_extensions(&tiled_cfg, 40, 2);
-        for (a, b) in naive.iter().zip(&tiled) {
-            assert_eq!(a.z, b.z);
-            assert_eq!(a.x, b.x);
-            assert_eq!(a.y, b.y);
-        }
+        let naive = cots(&naive_cfg, 40, 2);
+        let tiled = cots(&tiled_cfg, 40, 2);
+        assert_eq!(naive, tiled);
         tiled.last().unwrap().verify().unwrap();
     }
 
@@ -813,7 +793,7 @@ mod tests {
             let mut dealer = Dealer::new(42);
             let delta = dealer.random_delta();
             let (s_base, r_base) = dealer.deal_cot(delta, naive_cfg.base_cots_required());
-            let (out_z, (out_x, out_y), _, _) = crate::channel::run_protocol(
+            let (z, (x, y), _, _) = crate::channel::run_protocol(
                 move |ch| {
                     let mut sender = FerretSender::new(sender_cfg, s_base, 42);
                     sender.extend(ch).expect("sender extension")
@@ -823,14 +803,13 @@ mod tests {
                     receiver.extend(ch).expect("receiver extension")
                 },
             );
-            assert_eq!(out_z.len(), naive_cfg.usable_outputs());
-            for i in 0..out_z.len() {
-                assert_eq!(
-                    out_z[i],
-                    out_y[i] ^ delta.and_bit(out_x[i]),
-                    "{sender_kernel:?}/{receiver_kernel:?} index {i}"
-                );
-            }
+            let cots = CotBatch { delta, z, x, y };
+            assert_eq!(cots.len(), naive_cfg.usable_outputs());
+            assert_eq!(
+                cots.verify(),
+                Ok(()),
+                "{sender_kernel:?}/{receiver_kernel:?}"
+            );
         }
     }
 
@@ -854,19 +833,15 @@ mod tests {
         // bootstrap included — on the scalar tier and on whatever `Auto`
         // resolves to here (the unchecked tiled lane on AVX2 hosts).
         let naive_cfg = FerretConfig::new(FerretParams::toy());
-        let naive = run_extensions(&naive_cfg, 44, 2);
+        let naive = cots(&naive_cfg, 44, 2);
         for simd in [SimdMode::Auto, SimdMode::ForceScalar] {
             let split_cfg = FerretConfig {
                 kernel: LpnKernel::Split,
                 simd,
                 ..naive_cfg.clone()
             };
-            let split = run_extensions(&split_cfg, 44, 2);
-            for (a, b) in naive.iter().zip(&split) {
-                assert_eq!(a.z, b.z, "{simd:?}");
-                assert_eq!(a.x, b.x, "{simd:?}");
-                assert_eq!(a.y, b.y, "{simd:?}");
-            }
+            let split = cots(&split_cfg, 44, 2);
+            assert_eq!(naive, split, "{simd:?}");
             split.last().unwrap().verify().unwrap();
         }
     }
@@ -883,11 +858,10 @@ mod tests {
             simd: SimdMode::ForceScalar,
             ..auto_cfg.clone()
         };
-        let auto = run_extension(&auto_cfg, 46);
-        let scalar = run_extension(&scalar_cfg, 46);
-        assert_eq!(auto.z, scalar.z);
-        assert_eq!(auto.x, scalar.x);
-        assert_eq!(auto.y, scalar.y);
+        assert_eq!(
+            run_extension(&auto_cfg, 46).cots,
+            run_extension(&scalar_cfg, 46).cots
+        );
     }
 
     #[test]
@@ -898,14 +872,10 @@ mod tests {
         let mut cfg = FerretConfig::new(FerretParams::toy());
         cfg.ensure_shared_matrix();
         assert!(cfg.shared_matrix.is_some());
-        run_extensions(&cfg, 47, 2)
-            .last()
-            .unwrap()
-            .verify()
-            .unwrap();
+        cots(&cfg, 47, 2).last().unwrap().verify().unwrap();
         // Outputs are identical to the generate-per-party path.
         let fresh = FerretConfig::new(FerretParams::toy());
-        assert_eq!(run_extension(&fresh, 48).z, run_extension(&cfg, 48).z);
+        assert_eq!(run_extension(&fresh, 48).cots, run_extension(&cfg, 48).cots);
     }
 
     #[test]
@@ -967,7 +937,7 @@ mod tests {
     #[test]
     fn multi_iteration_bootstrap() {
         let cfg = FerretConfig::new(FerretParams::toy());
-        let outs = run_extensions(&cfg, 5, 3);
+        let outs = cots(&cfg, 5, 3);
         assert_eq!(outs.len(), 3);
         for (i, out) in outs.iter().enumerate() {
             out.verify()
@@ -988,7 +958,7 @@ mod tests {
             kernel: LpnKernel::Split,
             ..FerretConfig::new(FerretParams::toy_large())
         };
-        let outs = run_extensions(&cfg, 9, 4);
+        let outs = cots(&cfg, 9, 4);
         for (i, out) in outs.iter().enumerate() {
             assert_eq!(out.len(), cfg.usable_outputs(), "iteration {i}");
             assert_eq!((out.x.len(), out.y.len()), (out.len(), out.len()));
@@ -1002,13 +972,13 @@ mod tests {
     fn mixed_fanout_params_verify() {
         // toy_large uses ℓ=512 (4^4·2 with quad trees → mixed final level).
         let cfg = FerretConfig::new(FerretParams::toy_large());
-        run_extension(&cfg, 6).verify().unwrap();
+        run_extension(&cfg, 6).cots.verify().unwrap();
     }
 
     #[test]
     fn noise_bits_present() {
         let cfg = FerretConfig::new(FerretParams::toy());
-        let out = run_extension(&cfg, 7);
+        let out = run_extension(&cfg, 7).cots;
         let ones = out.x.iter().filter(|&&b| b).count();
         // x = e·A ⊕ u is pseudorandom: expect a roughly balanced bit vector.
         let n = out.x.len();

@@ -180,7 +180,18 @@ pub fn setup_base(
 mod tests {
     use super::*;
     use crate::channel::run_protocol;
-    use crate::cot::verify_correlation;
+    use crate::cot::CotSlice;
+
+    /// The two halves checked as one batch.
+    fn check(s: &CotSender, r: &CotReceiver) -> Result<(), usize> {
+        CotSlice {
+            delta: s.delta(),
+            z: s.r0(),
+            x: r.bits(),
+            y: r.rb(),
+        }
+        .verify()
+    }
 
     fn run_iknp(n: usize, seed: u64) -> (CotSender, CotReceiver, u64) {
         let mut dealer = Dealer::new(seed);
@@ -200,13 +211,13 @@ mod tests {
     #[test]
     fn iknp_correlation_holds() {
         let (s, r, _) = run_iknp(500, 1);
-        verify_correlation(&s, &r).expect("IKNP output must be a valid COT batch");
+        check(&s, &r).expect("IKNP output must be a valid COT batch");
     }
 
     #[test]
     fn iknp_larger_batch() {
         let (s, r, _) = run_iknp(4096, 2);
-        verify_correlation(&s, &r).unwrap();
+        check(&s, &r).unwrap();
         assert_eq!(s.len(), 4096);
     }
 
@@ -227,8 +238,8 @@ mod tests {
 
         let cfg = crate::ferret::FerretConfig::new(crate::params::FerretParams::toy());
         let out = crate::ferret::run_extension(&cfg, 4);
-        let pcg_per_ot =
-            (out.sender_stats.bytes_sent + out.receiver_stats.bytes_sent) as f64 / out.len() as f64;
+        let pcg_per_ot = (out.sender_stats.bytes_sent + out.receiver_stats.bytes_sent) as f64
+            / out.cots.len() as f64;
         assert!(
             pcg_per_ot < iknp_per_ot / 2.0,
             "PCG {pcg_per_ot:.2} B/OT should be well below IKNP {iknp_per_ot:.2} B/OT"
@@ -246,6 +257,6 @@ mod tests {
     #[test]
     fn non_multiple_of_64_width() {
         let (s, r, _) = run_iknp(100, 6);
-        verify_correlation(&s, &r).unwrap();
+        check(&s, &r).unwrap();
     }
 }

@@ -9,7 +9,10 @@
 //! * [`dealer`] — the ideal base-correlation dealer standing in for the
 //!   one-time PKC initialization phase (excluded from all of the paper's
 //!   measurements).
-//! * [`cot`] — COT correlation types and the `w = v ⊕ u·Δ` invariant.
+//! * [`cot`] — the COT batch every extension, session and pool hands
+//!   out ([`CotBatch`], borrowed as [`CotSlice`]), its one check of
+//!   `z = y ⊕ x·Δ`, and the per-party halves ([`CotSender`],
+//!   [`CotReceiver`]).
 //! * [`chosen`] — chosen-message 1-out-of-2 OT from a COT correlation plus
 //!   the correlation-robust hash (Fig. 2's online phase).
 //! * [`mot`] — (m−1)-out-of-m OT from an m-leaf GGM tree (§4.2), consuming
@@ -18,6 +21,11 @@
 //!   over arity and PRG (the §4.1 optimization space).
 //! * [`ferret`] — the Ferret-style OTE main loop: `t` SPCOTs + LPN encoding
 //!   per extension, with bootstrapping of the next iteration's base COTs.
+//! * [`session`] — a persistent two-party FERRET session that stages
+//!   extension outputs ahead of demand on background threads.
+//! * [`iknp`] — the IKNP extension, the §2.3 communication baseline.
+//! * [`spcot_batch`] — the `t` SPCOTs of one extension advancing level by
+//!   level, one message per GGM level instead of one conversation per tree.
 //! * [`params`] — Table 4's parameter sets with the bit-security estimate.
 //!
 //! # Example: one full extension
@@ -29,7 +37,8 @@
 //! let params = FerretParams::toy(); // scaled-down set for tests/docs
 //! let cfg = FerretConfig::new(params);
 //! let out = ferret::run_extension(&cfg, 0xfeed);
-//! out.verify().unwrap(); // checks w = v ⊕ u·Δ on every output COT
+//! assert_eq!(out.cots.len(), cfg.usable_outputs());
+//! out.cots.verify().unwrap(); // checks z = y ⊕ x·Δ on every output COT
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +57,7 @@ pub mod spcot;
 pub mod spcot_batch;
 
 pub use channel::{run_protocol, ChannelStats, LocalChannel, Transport};
-pub use cot::{CotReceiver, CotSender};
+pub use cot::{CotBatch, CotReceiver, CotSender, CotSlice};
 pub use dealer::Dealer;
 pub use params::FerretParams;
-pub use session::{CotSession, SessionBatch, SessionStopped, SessionTelemetry};
+pub use session::{CotSession, SessionStopped, SessionTelemetry};

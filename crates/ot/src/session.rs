@@ -14,11 +14,12 @@
 //! threads block until demand drains one, so an idle session costs no CPU.
 //!
 //! Because the session never restarts, `Δ` is fixed for its whole
-//! lifetime: every staged batch carries the same offset, and downstream
-//! buffers may merge outputs across refills instead of discarding
-//! session-boundary remnants.
+//! lifetime: every staged [`CotBatch`] carries the same offset, and
+//! downstream buffers may merge outputs across refills instead of
+//! discarding session-boundary remnants.
 
 use crate::channel::LocalChannel;
+use crate::cot::CotBatch;
 use crate::dealer::Dealer;
 use crate::ferret::{FerretConfig, FerretReceiver, FerretSender};
 use ironman_prg::Block;
@@ -66,30 +67,6 @@ pub struct SessionTelemetry {
     pub available: AtomicU64,
 }
 
-/// One extension's matched output from a [`CotSession`] (all under the
-/// session's fixed `Δ`).
-#[derive(Clone, Debug)]
-pub struct SessionBatch {
-    /// Sender strings `z`.
-    pub z: Vec<Block>,
-    /// Receiver choice bits `x`.
-    pub x: Vec<bool>,
-    /// Receiver strings `y` with `z = y ⊕ x·Δ`.
-    pub y: Vec<Block>,
-}
-
-impl SessionBatch {
-    /// Correlations in the batch.
-    pub fn len(&self) -> usize {
-        self.z.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.z.is_empty()
-    }
-}
-
 /// The session's party threads have exited (panic or teardown); no
 /// further batches will arrive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,7 +88,7 @@ pub struct CotSession {
     per_extension: usize,
     telemetry: Arc<SessionTelemetry>,
     /// `Option` so `Drop` can hang up before joining the threads.
-    out_rx: Option<mpsc::Receiver<SessionBatch>>,
+    out_rx: Option<mpsc::Receiver<CotBatch>>,
     sender_thread: Option<JoinHandle<()>>,
     receiver_thread: Option<JoinHandle<()>>,
 }
@@ -144,7 +121,7 @@ impl CotSession {
         // Unbounded z hand-off: the protocol's own interactivity already
         // keeps the sender within one extension of the receiver.
         let (z_tx, z_rx) = mpsc::channel::<Vec<Block>>();
-        let (out_tx, out_rx) = mpsc::sync_channel::<SessionBatch>(lookahead.max(1));
+        let (out_tx, out_rx) = mpsc::sync_channel::<CotBatch>(lookahead.max(1));
         // One matrix generation per session, not per party thread — and
         // zero if the caller (a shard pool) already prebuilt the shared
         // matrix into `cfg`.
@@ -189,7 +166,7 @@ impl CotSession {
                 thread_telemetry
                     .extensions_staged
                     .fetch_add(1, Ordering::Relaxed);
-                if out_tx.send(SessionBatch { z, x, y }).is_err() {
+                if out_tx.send(CotBatch { delta, z, x, y }).is_err() {
                     return;
                 }
             }
@@ -235,7 +212,7 @@ impl CotSession {
     /// # Errors
     ///
     /// [`SessionStopped`] when the party threads have exited.
-    pub fn recv(&self) -> Result<SessionBatch, SessionStopped> {
+    pub fn recv(&self) -> Result<CotBatch, SessionStopped> {
         let rx = self.out_rx.as_ref().expect("receiver present until drop");
         match rx.try_recv() {
             Ok(batch) => Ok(batch),
@@ -272,7 +249,7 @@ impl CotSession {
     /// from the empty case so pollers (e.g. a warm-up sweep) can react
     /// to a dead session instead of waiting for output that will never
     /// come.
-    pub fn try_recv(&self) -> Result<Option<SessionBatch>, SessionStopped> {
+    pub fn try_recv(&self) -> Result<Option<CotBatch>, SessionStopped> {
         match self
             .out_rx
             .as_ref()
@@ -314,16 +291,13 @@ mod tests {
     #[test]
     fn session_outputs_match_per_call_runs() {
         // Same seed ⇒ the persistent session's output stream is
-        // bit-identical to the fresh-session API's first iterations.
+        // bit-identical to the fresh-session API's first iterations, Δ
+        // included.
         let cfg = toy_cfg();
         let reference = run_extensions(&cfg, 99, 3);
         let session = CotSession::spawn(&cfg, 99, 2);
-        assert_eq!(session.delta(), reference[0].delta);
-        for r in &reference {
-            let staged = session.recv().unwrap();
-            assert_eq!(staged.z, r.z);
-            assert_eq!(staged.x, r.x);
-            assert_eq!(staged.y, r.y);
+        for r in reference {
+            assert_eq!(session.recv().unwrap(), r.cots);
         }
     }
 
@@ -331,13 +305,11 @@ mod tests {
     fn staged_batches_verify_under_fixed_delta() {
         let cfg = toy_cfg();
         let session = CotSession::spawn(&cfg, 7, 1);
-        let delta = session.delta();
         for _ in 0..4 {
             let b = session.recv().unwrap();
             assert_eq!(b.len(), cfg.usable_outputs());
-            for i in 0..b.len() {
-                assert_eq!(b.z[i], b.y[i] ^ delta.and_bit(b.x[i]), "index {i}");
-            }
+            assert_eq!(b.delta, session.delta());
+            assert_eq!(b.verify(), Ok(()));
         }
     }
 

@@ -9,10 +9,9 @@
 use ironman_ggm::Arity;
 use ironman_lpn::SimdMode;
 use ironman_ot::channel::run_protocol;
+use ironman_ot::cot::CotBatch;
 use ironman_ot::dealer::Dealer;
-use ironman_ot::ferret::{
-    run_extensions, FerretConfig, FerretOutput, FerretReceiver, FerretSender, LpnKernel,
-};
+use ironman_ot::ferret::{run_extensions, FerretConfig, FerretReceiver, FerretSender, LpnKernel};
 use ironman_ot::params::FerretParams;
 use ironman_ot::session::CotSession;
 use proptest::prelude::*;
@@ -23,41 +22,27 @@ const CHAINED: usize = 4;
 
 /// [`run_extensions`] with a config per party (kernel and tier are
 /// local choices): same dealer draws, same party seeds.
-fn run_mixed(sender_cfg: FerretConfig, receiver_cfg: FerretConfig, seed: u64) -> Vec<FerretOutput> {
+fn run_mixed(sender_cfg: FerretConfig, receiver_cfg: FerretConfig, seed: u64) -> Vec<CotBatch> {
     let mut dealer = Dealer::new(seed);
     let delta = dealer.random_delta();
     let (s_base, r_base) = dealer.deal_cot(delta, sender_cfg.base_cots_required());
-    let (zs, xys, s_stats, r_stats) = run_protocol(
+    let (zs, xys, _, _) = run_protocol(
         move |ch| {
             let mut sender = FerretSender::new(sender_cfg, s_base, seed);
             (0..CHAINED)
-                .map(|_| (sender.extend(ch).expect("sender"), sender.prg_counter()))
+                .map(|_| sender.extend(ch).expect("sender"))
                 .collect::<Vec<_>>()
         },
         move |ch| {
             let mut receiver = FerretReceiver::new(receiver_cfg, r_base, seed);
             (0..CHAINED)
-                .map(|_| {
-                    (
-                        receiver.extend(ch).expect("receiver"),
-                        receiver.prg_counter(),
-                    )
-                })
+                .map(|_| receiver.extend(ch).expect("receiver"))
                 .collect::<Vec<_>>()
         },
     );
     zs.into_iter()
         .zip(xys)
-        .map(|((z, sender_prg), ((x, y), receiver_prg))| FerretOutput {
-            delta,
-            z,
-            x,
-            y,
-            sender_stats: s_stats,
-            receiver_stats: r_stats,
-            sender_prg,
-            receiver_prg,
-        })
+        .map(|(z, (x, y))| CotBatch { delta, z, x, y })
         .collect()
 }
 
@@ -103,9 +88,7 @@ proptest! {
                 prop_assert!(!out.z[j].lsb(), "extension {} z[{}]", i, j);
                 prop_assert_eq!(out.x[j], out.y[j].lsb(), "extension {} x[{}]", i, j);
             }
-            prop_assert_eq!(&out.z, &want.z, "extension {}", i);
-            prop_assert_eq!(&out.x, &want.x, "extension {}", i);
-            prop_assert_eq!(&out.y, &want.y, "extension {}", i);
+            prop_assert_eq!(out, &want.cots, "extension {}", i);
         }
     }
 }
@@ -125,17 +108,11 @@ proptest! {
         };
         let naive = CotSession::spawn(&naive_cfg, seed, 1);
         let tiled = CotSession::spawn(&tiled_cfg, seed, 1);
-        prop_assert_eq!(naive.delta(), tiled.delta());
-        let delta = tiled.delta();
         for _ in 0..2 {
             let a = naive.recv().expect("naive session alive");
             let b = tiled.recv().expect("tiled session alive");
-            prop_assert_eq!(&a.z, &b.z);
-            prop_assert_eq!(&a.x, &b.x);
-            prop_assert_eq!(&a.y, &b.y);
-            for i in 0..b.len() {
-                prop_assert_eq!(b.z[i], b.y[i] ^ delta.and_bit(b.x[i]), "COT {}", i);
-            }
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(b.verify(), Ok(()));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! a framing error or a violated output correlation.
 
 use ironman_ot::channel::{run_protocol, ChannelError, LocalChannel, Transport};
-use ironman_ot::cot::{verify_correlation, CotReceiver};
+use ironman_ot::cot::{CotBatch, CotReceiver, CotSlice};
 use ironman_ot::dealer::Dealer;
 use ironman_ot::ferret::{run_extension, FerretConfig, FerretReceiver, FerretSender};
 use ironman_ot::params::FerretParams;
@@ -111,12 +111,12 @@ fn truncated_bit_vector_is_a_framing_error() {
 fn dealer_base_corruption_is_caught_by_verification() {
     let mut dealer = Dealer::new(8);
     let delta = dealer.random_delta();
-    let (s, mut r) = dealer.deal_cot(delta, 64);
+    let (s, r) = dealer.deal_cot(delta, 64);
     // Flip one receiver block: exactly one index must be reported.
     let mut rb = r.rb().to_vec();
     rb[17] ^= Block::from(2u128);
-    r = ironman_ot::cot::CotReceiver::new(r.bits().to_vec(), rb);
-    assert_eq!(verify_correlation(&s, &r).unwrap_err().index, 17);
+    let (z, x, y) = (s.r0(), r.bits(), &rb[..]);
+    assert_eq!(CotSlice { delta, z, x, y }.verify(), Err(17));
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn extension_outputs_are_never_trivially_structured() {
     // blocks, no all-zero blocks, in a full extension.
     let out = run_extension(&FerretConfig::new(FerretParams::toy()), 21);
     let mut seen = std::collections::HashSet::new();
-    for &z in &out.z {
+    for &z in &out.cots.z {
         assert_ne!(z, Block::ZERO);
         assert!(seen.insert(z), "duplicate output block");
     }
@@ -146,7 +146,7 @@ fn extend_with_receiver_base(tamper: impl FnOnce(&mut [bool], &mut [Block])) -> 
         move |ch| FerretSender::new(cfg_s, s_base, 31).extend(ch).unwrap(),
         move |ch| FerretReceiver::new(cfg_r, r_base, 31).extend(ch).unwrap(),
     );
-    (0..z.len()).find(|&i| z[i] != y[i] ^ delta.and_bit(x[i]))
+    CotBatch { delta, z, x, y }.verify().err()
 }
 
 #[test]

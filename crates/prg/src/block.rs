@@ -173,7 +173,7 @@ impl Block {
 
     /// Conditionally selects `self` when `bit` is set, otherwise zero.
     ///
-    /// This is the `u·Δ` operation of the COT correlation `w = v ⊕ u·Δ`
+    /// This is the `x·Δ` operation of the COT correlation `z = y ⊕ x·Δ`
     /// (constant-time by construction: a mask, not a branch).
     #[inline]
     pub fn and_bit(self, bit: bool) -> Self {

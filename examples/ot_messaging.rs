@@ -16,8 +16,8 @@ use ironman_prg::Block;
 fn main() {
     // Pre-processing: one extension's worth of COT correlations.
     let out = run_extension(&FerretConfig::new(FerretParams::toy()), 7);
-    out.verify().expect("correlations must hold");
-    let (sender, receiver) = rot_from_extension(&out, 0);
+    out.cots.verify().expect("correlations must hold");
+    let (sender, receiver) = rot_from_extension(out.cots.as_slice(), 0);
     println!("pre-processed {} random OTs", sender.len());
 
     // Online phase: the sender holds message pairs, the receiver wants one

@@ -26,12 +26,12 @@ fn main() {
     };
     let fwd = run_extension(&cfg_fwd, 1); // A = sender
     let rev = run_extension(&cfg_rev, 2); // roles swapped: A = receiver
-    fwd.verify().expect("forward session");
-    rev.verify().expect("reversed session");
+    fwd.cots.verify().expect("forward session");
+    rev.cots.verify().expect("reversed session");
     println!(
         "role switching: A sent {} COTs as sender, consumed {} as receiver — both sessions verify",
-        fwd.len(),
-        rev.len()
+        fwd.cots.len(),
+        rev.cots.len()
     );
 
     // --- Hardware view: both roles sharing one PU (paper 1 / 5.2) -------

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Workspace CI, cheapest check first. Run from anywhere; operates on the
 # repo root and leaves everything it writes under target/ (plus ci.log).
+#   0. scripts/loc.sh's total, printed for information (not a gate)
 #   1. cargo fmt --check, cargo clippy -D warnings, cargo doc over the
 #      first-party crates with broken/private intra-doc links denied
 #      (seconds)
@@ -29,6 +30,9 @@ cd "$(dirname "$0")/.."
 CI_LOG="${CI_LOG:-ci.log}"
 exec > >(tee "$CI_LOG") 2>&1
 trap 'status=$?; if [ "$status" -ne 0 ]; then echo "CI FAILED (exit $status)"; fi' EXIT
+
+echo "==> non-test, non-blank lines under crates/*/src (information only)"
+scripts/loc.sh | tail -n 1
 
 echo "==> cargo fmt --check"
 cargo fmt --check

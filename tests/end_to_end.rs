@@ -26,7 +26,7 @@ fn every_table4_structure_verifies_at_scale() {
     for p in FerretParams::TABLE4 {
         let small = scaled(p, 512);
         let cfg = FerretConfig::new(small);
-        let out = ironman_ot::ferret::run_extension(&cfg, p.log_target as u64);
+        let out = ironman_ot::ferret::run_extension(&cfg, p.log_target as u64).cots;
         out.verify()
             .unwrap_or_else(|i| panic!("2^{} structure: COT {i} violated", p.log_target));
         assert_eq!(out.len(), cfg.usable_outputs());
@@ -47,7 +47,7 @@ fn engine_end_to_end_with_nmp_backend() {
 #[test]
 fn cot_to_chosen_message_pipeline() {
     let out = ironman_ot::ferret::run_extension(&FerretConfig::new(FerretParams::toy()), 3);
-    let (s, r) = rot_from_extension(&out, 500);
+    let (s, r) = rot_from_extension(out.cots.as_slice(), 500);
     let msgs: Vec<(Block, Block)> = (0..100u128)
         .map(|i| (Block::from(i), Block::from(i + 1_000_000)))
         .collect();
@@ -66,10 +66,14 @@ fn five_iteration_bootstrap_stays_correlated() {
     let cfg = FerretConfig::new(FerretParams::toy());
     let outs = run_extensions(&cfg, 9, 5);
     assert_eq!(outs.len(), 5);
-    let delta = outs[0].delta;
+    let delta = outs[0].cots.delta;
     for (i, out) in outs.iter().enumerate() {
-        assert_eq!(out.delta, delta, "delta must be global across iterations");
-        out.verify()
+        assert_eq!(
+            out.cots.delta, delta,
+            "delta must be global across iterations"
+        );
+        out.cots
+            .verify()
             .unwrap_or_else(|j| panic!("iteration {i}: COT {j} violated"));
     }
 }
@@ -88,7 +92,7 @@ fn recommended_extension_keeps_the_bit0_convention() {
         t: 64,
     });
     assert_ne!(cfg.kernel, ironman_ot::ferret::LpnKernel::Naive);
-    for out in run_extensions(&cfg, 17, 2) {
+    for out in run_extensions(&cfg, 17, 2).into_iter().map(|o| o.cots) {
         out.verify().expect("z = y ^ x*delta");
         assert!(out.delta.lsb());
         assert!(out.z.iter().all(|z| !z.lsb()));
@@ -106,7 +110,8 @@ fn arity_and_prg_grid_all_verify() {
                 ..FerretConfig::new(FerretParams::toy())
             };
             let out = ironman_ot::ferret::run_extension(&cfg, 11);
-            out.verify()
+            out.cots
+                .verify()
                 .unwrap_or_else(|i| panic!("{arity} {prg:?}: COT {i}"));
         }
     }
@@ -119,6 +124,6 @@ fn communication_is_sublinear_in_outputs() {
     let cfg = FerretConfig::new(FerretParams::toy());
     let out = ironman_ot::ferret::run_extension(&cfg, 13);
     let total = out.sender_stats.bytes_sent + out.receiver_stats.bytes_sent;
-    let per_ot = total as f64 / out.len() as f64;
+    let per_ot = total as f64 / out.cots.len() as f64;
     assert!(per_ot < 8.0, "{per_ot} bytes/OT is not sublinear-ish");
 }

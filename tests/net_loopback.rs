@@ -31,12 +31,9 @@ fn ferret_over_tcp_matches_local_channel() {
 
     assert_eq!(local.len(), tcp.len());
     for (l, t) in local.iter().zip(&tcp) {
-        t.verify().unwrap();
+        t.cots.verify().unwrap();
         // Determinism: the socket changes nothing about the protocol.
-        assert_eq!(l.delta, t.delta);
-        assert_eq!(l.z, t.z);
-        assert_eq!(l.x, t.x);
-        assert_eq!(l.y, t.y);
+        assert_eq!(l.cots, t.cots);
         // Byte accounting: payload-identical in both directions, and the
         // message/round structure is the same.
         assert_eq!(l.sender_stats.bytes_sent, t.sender_stats.bytes_sent);
