@@ -23,10 +23,10 @@
 
 use ironman_bench::{f2, header, row};
 use ironman_cluster::{observe, ClusterServerConfig, GossiperConfig, LocalCluster, WarmupConfig};
-use ironman_core::{Backend, CotBatch, Engine};
 use ironman_net::{CotClient, CotService, CotServiceConfig};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
+use ironman_ot::CotBatch;
 use std::time::{Duration, Instant};
 
 /// Which half of the head-to-head this build is.
@@ -108,10 +108,10 @@ fn process_cpu_ns() -> u64 {
         .sum()
 }
 
-fn service(engine: &Engine) -> CotService {
+fn service(ferret: &FerretConfig) -> CotService {
     CotService::serve(
         "127.0.0.1:0",
-        engine,
+        ferret,
         CotServiceConfig {
             shards: 2,
             seed: 77,
@@ -125,8 +125,8 @@ fn service(engine: &Engine) -> CotService {
 /// sample (or, in the no-op build, exactly nothing), and the pool's
 /// inline/pipelined refills under the drain record extension and stall
 /// durations — the full serving path the v6 instrumentation touches.
-fn bench_roundtrip(engine: &Engine, requests: usize, batch: usize) -> Result {
-    let svc = service(engine);
+fn bench_roundtrip(ferret: &FerretConfig, requests: usize, batch: usize) -> Result {
+    let svc = service(ferret);
     let mut client = CotClient::connect(svc.addr(), "telemetry-rt").expect("connect");
     let mut reused = CotBatch::default();
     client
@@ -157,8 +157,8 @@ fn bench_roundtrip(engine: &Engine, requests: usize, batch: usize) -> Result {
 
 /// Streaming: each chunk records a push-latency sample plus a trace
 /// event — the heaviest per-payload instrumentation the hot path has.
-fn bench_stream(engine: &Engine, chunks: u64, batch: usize) -> Result {
-    let svc = service(engine);
+fn bench_stream(ferret: &FerretConfig, chunks: u64, batch: usize) -> Result {
+    let svc = service(ferret);
     let mut client = CotClient::connect(svc.addr(), "telemetry-stream").expect("connect");
     let mut reused = CotBatch::default();
     // Untimed warm-up stream: session buffers sized, pool shards primed,
@@ -193,10 +193,10 @@ fn bench_stream(engine: &Engine, chunks: u64, batch: usize) -> Result {
 /// Scrape-merge cost for a 3-server fleet: each pass connects to every
 /// member, pulls its v6 `Stats` (four histogram snapshots per shard),
 /// and merges fleet-wide — the whole cost of one observer sweep.
-fn bench_scrape(engine: &Engine, passes: usize) -> (usize, f64) {
+fn bench_scrape(ferret: &FerretConfig, passes: usize) -> (usize, f64) {
     let cluster = LocalCluster::spawn_replicated(
         3,
-        engine,
+        ferret,
         &ClusterServerConfig {
             service: CotServiceConfig {
                 shards: 2,
@@ -246,10 +246,10 @@ fn baseline_rate(json: &str, name: &str) -> Option<f64> {
 }
 
 /// Runs both hot-path stages once and prints the per-stage table.
-fn measure(engine: &Engine, requests: usize, chunks: u64, batch: usize) -> [Result; 2] {
+fn measure(ferret: &FerretConfig, requests: usize, chunks: u64, batch: usize) -> [Result; 2] {
     let results = [
-        bench_roundtrip(engine, requests, batch),
-        bench_stream(engine, chunks, batch),
+        bench_roundtrip(ferret, requests, batch),
+        bench_stream(ferret, chunks, batch),
     ];
     header(
         &format!("serving hot path, telemetry {MODE}"),
@@ -316,10 +316,7 @@ fn main() {
         let mut args = std::env::args();
         args.find(|a| a == "--pair-with").and_then(|_| args.next())
     };
-    let engine = Engine::new(
-        FerretConfig::recommended(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
+    let ferret = FerretConfig::recommended(FerretParams::toy());
     let batch = 2000;
     // The gate compares CPU seconds per COT, not wall time: the work per
     // COT is deterministic, so its CPU floor reproduces tightly across
@@ -332,7 +329,7 @@ fn main() {
     };
 
     if MODE == "noop" {
-        let results = measure(&engine, requests, chunks, batch);
+        let results = measure(&ferret, requests, chunks, batch);
         let stages = stages_json(&results);
         let json = format!(
             "{{\n  \"bench\": \"telemetry_overhead_baseline\",\n  \"quick\": {quick},\n  \"results\": [\n{stages}  ]\n}}\n"
@@ -359,7 +356,7 @@ fn main() {
             }
             let status = cmd.status().expect("spawn the no-op baseline binary");
             assert!(status.success(), "no-op baseline run failed");
-            let live = measure(&engine, requests, chunks, batch);
+            let live = measure(&ferret, requests, chunks, batch);
             let baseline =
                 std::fs::read_to_string(BASELINE_PATH).expect("baseline written by paired run");
             let ratio = ratio_against(&live, &baseline).expect("parse baseline rates");
@@ -369,7 +366,7 @@ fn main() {
         }
         ratios.sort_by(f64::total_cmp);
     } else {
-        let live = measure(&engine, requests, chunks, batch);
+        let live = measure(&ferret, requests, chunks, batch);
         if let Ok(baseline) = std::fs::read_to_string(BASELINE_PATH) {
             ratios.extend(ratio_against(&live, &baseline));
         }
@@ -391,7 +388,7 @@ fn main() {
         ),
     }
 
-    let (passes, scrape_secs) = bench_scrape(&engine, scrape_passes);
+    let (passes, scrape_secs) = bench_scrape(&ferret, scrape_passes);
     let per_scrape_us = scrape_secs / passes as f64 * 1e6;
     println!(
         "fleet scrape-merge (3 servers, fresh sessions per pass): {passes} passes, \

@@ -39,7 +39,6 @@ use ironman_cluster::{
     ClusterServer, ClusterServerConfig, Directory, GossipIdentity, Gossiper, GossiperConfig,
     HealthConfig, ServerId, WarmupConfig,
 };
-use ironman_core::{Backend, Engine};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use std::io::{BufRead, Write};
@@ -131,7 +130,7 @@ fn main() {
         .name
         .clone()
         .unwrap_or_else(|| format!("fleet-{}", args.id));
-    let engine = Engine::new(FerretConfig::new(args.params), Backend::ironman_default());
+    let ferret = FerretConfig::new(args.params);
     let directory = Arc::new(Directory::new_replica(id));
     let cfg = ClusterServerConfig {
         warmup: args.warmup.then(WarmupConfig::default),
@@ -144,7 +143,7 @@ fn main() {
     };
     let server = ClusterServer::spawn(
         args.bind.as_str(),
-        &engine,
+        &ferret,
         cfg,
         Some(Arc::clone(&directory)),
     )

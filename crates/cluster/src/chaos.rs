@@ -195,20 +195,16 @@ mod tests {
     use super::*;
     use crate::gossip::GossiperConfig;
     use crate::server::ClusterServerConfig;
-    use ironman_core::{Backend, Engine};
     use ironman_ot::ferret::FerretConfig;
     use ironman_ot::params::FerretParams;
 
     fn toy_cluster(n: usize) -> LocalCluster {
-        let engine = Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        );
+        let ferret = FerretConfig::new(FerretParams::toy());
         let gossip = GossiperConfig {
             interval: Duration::from_millis(10),
             ..GossiperConfig::default()
         };
-        LocalCluster::spawn_replicated(n, &engine, &ClusterServerConfig::default(), gossip)
+        LocalCluster::spawn_replicated(n, &ferret, &ClusterServerConfig::default(), gossip)
             .expect("spawn fleet")
     }
 

@@ -397,22 +397,14 @@ fn pull(
 mod tests {
     use super::*;
     use crate::server::{ClusterServer, ClusterServerConfig};
-    use ironman_core::{Backend, Engine};
     use ironman_ot::ferret::FerretConfig;
     use ironman_ot::params::FerretParams;
 
-    fn toy_engine() -> Engine {
-        Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        )
-    }
-
-    fn replica_server(engine: &Engine, id: u64) -> (ClusterServer, Arc<Directory>, SocketAddr) {
+    fn replica_server(id: u64) -> (ClusterServer, Arc<Directory>, SocketAddr) {
         let directory = Arc::new(Directory::new_replica(ServerId(id)));
         let server = ClusterServer::spawn(
             "127.0.0.1:0",
-            engine,
+            &FerretConfig::new(FerretParams::toy()),
             ClusterServerConfig::default(),
             Some(Arc::clone(&directory)),
         )
@@ -424,10 +416,9 @@ mod tests {
 
     #[test]
     fn replicas_converge_via_gossip_loops() {
-        let engine = toy_engine();
-        let (s0, d0, a0) = replica_server(&engine, 0);
-        let (s1, d1, a1) = replica_server(&engine, 1);
-        let (s2, d2, a2) = replica_server(&engine, 2);
+        let (s0, d0, a0) = replica_server(0);
+        let (s1, d1, a1) = replica_server(1);
+        let (s2, d2, a2) = replica_server(2);
         let seeds = vec![a0, a1, a2];
         let cadence = Duration::from_millis(5);
         let gossipers: Vec<Gossiper> = [(0u64, a0, &d0), (1, a1, &d1), (2, a2, &d2)]
@@ -530,8 +521,7 @@ mod tests {
 
     #[test]
     fn observer_pulls_without_announcing() {
-        let engine = toy_engine();
-        let (s0, d0, a0) = replica_server(&engine, 0);
+        let (s0, d0, a0) = replica_server(0);
         let view = Arc::new(Directory::new());
         let observer = Gossiper::spawn(
             Arc::clone(&view),

@@ -101,15 +101,13 @@
 //! use ironman_cluster::{
 //!     ClusterClient, ClusterServerConfig, GossiperConfig, LocalCluster, WarmupConfig,
 //! };
-//! use ironman_core::{Backend, Engine};
 //! use ironman_ot::ferret::FerretConfig;
 //! use ironman_ot::params::FerretParams;
 //! use std::time::Duration;
 //!
-//! let engine = Engine::new(FerretConfig::new(FerretParams::toy()), Backend::ironman_default());
 //! let mut cluster = LocalCluster::spawn_replicated(
 //!     3,
-//!     &engine,
+//!     &FerretConfig::new(FerretParams::toy()),
 //!     &ClusterServerConfig {
 //!         warmup: Some(WarmupConfig::default()),
 //!         ..ClusterServerConfig::default()

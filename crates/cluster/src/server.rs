@@ -10,8 +10,9 @@ use crate::exporter::{FleetExporter, FleetExporterConfig};
 use crate::gossip::{GossipIdentity, Gossiper, GossiperConfig, HealthConfig};
 use crate::observe::{FleetHandle, FleetObserver, FleetObserverConfig};
 use crate::warmup::{Warmup, WarmupConfig};
-use ironman_core::{Engine, SharedCotPool};
+use ironman_core::SharedCotPool;
 use ironman_net::{CotService, CotServiceConfig, DirectoryView, FaultPlan, ServiceStats};
+use ironman_ot::ferret::FerretConfig;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;
@@ -49,12 +50,12 @@ impl ClusterServer {
     /// Propagates bind failures.
     pub fn spawn<A: ToSocketAddrs>(
         addr: A,
-        engine: &Engine,
+        ferret: &FerretConfig,
         cfg: ClusterServerConfig,
         directory: Option<Arc<Directory>>,
     ) -> std::io::Result<ClusterServer> {
         let listener = TcpListener::bind(addr)?;
-        let pool = Arc::new(cfg.service.build_pool(engine));
+        let pool = Arc::new(cfg.service.build_pool(ferret));
         let view = directory.map(|d| d as Arc<dyn DirectoryView>);
         let service = CotService::serve_on_with(listener, Arc::clone(&pool), view);
         let warmup = cfg.warmup.map(|wcfg| Warmup::spawn(pool, wcfg));
@@ -134,7 +135,7 @@ pub struct LocalCluster {
     directory: Arc<Directory>,
     view_gossiper: Gossiper,
     nodes: HashMap<ServerId, Node>,
-    engine: Engine,
+    ferret: FerretConfig,
     cfg: ClusterServerConfig,
     /// Servers spawned so far: the next id, and the per-server seed
     /// derivation (a replacement never shares a correlation stream with
@@ -171,7 +172,7 @@ impl LocalCluster {
     /// Panics if `n == 0`.
     pub fn spawn_replicated(
         n: usize,
-        engine: &Engine,
+        ferret: &FerretConfig,
         cfg: &ClusterServerConfig,
         gossip: GossiperConfig,
     ) -> std::io::Result<Self> {
@@ -189,7 +190,7 @@ impl LocalCluster {
             directory,
             view_gossiper,
             nodes: HashMap::new(),
-            engine: engine.clone(),
+            ferret: ferret.clone(),
             cfg: cfg.clone(),
             spawned: 0,
             seeds: Vec::new(),
@@ -246,7 +247,7 @@ impl LocalCluster {
         let replica = Arc::new(Directory::new_replica(id));
         let server = ClusterServer::spawn(
             "127.0.0.1:0",
-            &self.engine,
+            &self.ferret,
             server_cfg,
             Some(Arc::clone(&replica)),
         )?;

@@ -105,18 +105,14 @@ impl Warmup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ironman_core::{Backend, Engine};
     use ironman_ot::ferret::FerretConfig;
     use ironman_ot::params::FerretParams;
     use std::time::Instant;
 
     #[test]
     fn warmup_fills_pool_before_demand() {
-        let engine = Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        );
-        let pool = Arc::new(SharedCotPool::new(&engine, 2, 3));
+        let ferret = FerretConfig::new(FerretParams::toy());
+        let pool = Arc::new(SharedCotPool::new(&ferret, 2, 3));
         let warmup = Warmup::spawn(Arc::clone(&pool), WarmupConfig::default());
         let deadline = Instant::now() + Duration::from_secs(30);
         while pool.available() < 2 * pool.max_request() {

@@ -1,7 +1,6 @@
 //! Fleet set-up shared by this crate's integration tests.
 
 use ironman_cluster::{ClusterServerConfig, GossiperConfig, LocalCluster};
-use ironman_core::{Backend, Engine};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use std::time::Duration;
@@ -11,15 +10,12 @@ use std::time::Duration;
 /// epoch vector — so a client routing on `directory()` sees the whole
 /// fleet.
 pub fn converged_fleet(n: usize, cfg: &ClusterServerConfig) -> LocalCluster {
-    let engine = Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
+    let ferret = FerretConfig::new(FerretParams::toy());
     let gossip = GossiperConfig {
         interval: Duration::from_millis(10),
         ..GossiperConfig::default()
     };
-    let cluster = LocalCluster::spawn_replicated(n, &engine, cfg, gossip).expect("spawn fleet");
+    let cluster = LocalCluster::spawn_replicated(n, &ferret, cfg, gossip).expect("spawn fleet");
     assert!(
         cluster.wait_converged(Duration::from_secs(30)),
         "fleet never converged"

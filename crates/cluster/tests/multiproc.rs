@@ -25,7 +25,6 @@ use ironman_cluster::{
     ClusterClient, ClusterServerConfig, Directory, Gossiper, GossiperConfig, LocalCluster,
     ServerId, UNATTRIBUTED,
 };
-use ironman_core::{Backend, Engine};
 use ironman_net::{
     CotClient, FaultInjector, FaultPlan, MemberWireState, OpTimeouts, EPOCH_UNAWARE,
 };
@@ -442,13 +441,9 @@ fn session_stalls(cluster: &LocalCluster, id: ServerId) -> u64 {
 /// its first request without waiting on an extension.
 #[test]
 fn failover_target_serves_first_request_from_staged_lookahead() {
-    let engine = Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
     let mut cluster = LocalCluster::spawn_replicated(
         3,
-        &engine,
+        &FerretConfig::new(FerretParams::toy()),
         &ClusterServerConfig {
             warmup: None,
             ..ClusterServerConfig::default()

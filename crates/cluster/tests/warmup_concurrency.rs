@@ -4,7 +4,7 @@
 //! poison a shard.
 
 use ironman_cluster::{Warmup, WarmupConfig};
-use ironman_core::{Backend, CotBatch, Engine, SharedCotPool};
+use ironman_core::{CotBatch, SharedCotPool};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use std::sync::Arc;
@@ -16,11 +16,8 @@ fn eight_threads_hammer_pool_under_warmup() {
     const TAKES_PER_THREAD: usize = 12;
     const BATCH: usize = 333;
 
-    let engine = Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
-    let pool = Arc::new(SharedCotPool::new(&engine, 4, 0xFEED));
+    let ferret = FerretConfig::new(FerretParams::toy());
+    let pool = Arc::new(SharedCotPool::new(&ferret, 4, 0xFEED));
     let warmup = Warmup::spawn(
         Arc::clone(&pool),
         WarmupConfig {

@@ -165,6 +165,15 @@ impl Engine {
     }
 }
 
+// Only so `benchmark/`'s `&engine` still coerces to the `&FerretConfig` serving takes.
+impl std::ops::Deref for Engine {
+    type Target = FerretConfig;
+
+    fn deref(&self) -> &FerretConfig {
+        &self.cfg
+    }
+}
+
 /// AES-equivalent PRG operations to expand one GGM tree: the quantity the
 /// CPU model charges (Fig. 6's operation-count table, measured in
 /// `ironman-ggm` tests).
@@ -237,6 +246,16 @@ mod tests {
     fn spcot_ops_formula_quad() {
         // Exact 4-ary tree: 4(ℓ−1)/3 blocks.
         assert_eq!(spcot_aes_equiv_ops(4, 4096), 4 * 4095 / 3);
+    }
+
+    #[test]
+    fn an_engine_reference_builds_a_pool() {
+        // `benchmark/` spells `SharedCotPool::new_pipelined(&engine, ..)`,
+        // `build_pool(&engine)` and `spawn_replicated(.., &engine, ..)`;
+        // this is that spelling, compiled through the `Deref`.
+        let engine = toy_engine(Backend::ironman_default());
+        let pool = crate::SharedCotPool::new_pipelined(&engine, 1, 3);
+        pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
     }
 
     #[test]

@@ -22,10 +22,6 @@
 //!   instead of discarded. If the session threads die the pool degrades
 //!   permanently to inline refills.
 //!
-//! Either way the pool runs the CPU protocol and nothing else: it keeps
-//! the [`Engine`]'s [`FerretConfig`], never its timing backend, so no
-//! refill or spawn pays for a simulated NMP latency.
-//!
 //! # Zero-copy consumption
 //!
 //! The buffer is one [`CotBatch`] (the COT type of [`ironman_ot::cot`],
@@ -43,7 +39,6 @@
 //! session's own, as relaxed atomics written where they change. A sharded
 //! pool reads them there without taking the shard's lock.
 
-use crate::engine::Engine;
 use ironman_ot::cot::{CotBatch, CotSlice};
 use ironman_ot::ferret::{run_extension, FerretConfig};
 use ironman_ot::session::{CotSession, SessionTelemetry};
@@ -83,20 +78,11 @@ pub struct CotPool {
 }
 
 impl CotPool {
-    /// Creates an empty inline-mode pool over `engine`'s FERRET config
-    /// (its timing backend is not consulted); the first request triggers
-    /// a fresh-session extension. Records into a fresh private
-    /// [`SessionTelemetry`]; use [`CotPool::new_with`] to share a
-    /// caller's.
-    pub fn new(engine: Engine, seed: u64) -> Self {
-        CotPool::new_with(engine.config().clone(), seed, Arc::default())
-    }
-
-    /// [`CotPool::new`] over `cfg`, recording into a caller-provided
-    /// [`SessionTelemetry`] (a sharded pool shares one per shard so the
-    /// serving layer reads counters and latencies without locking the
-    /// shard).
-    pub fn new_with(mut cfg: FerretConfig, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
+    /// Creates an empty inline-mode pool over `cfg`; the first request
+    /// triggers a fresh-session extension. Records into `telemetry` (a
+    /// sharded pool shares one per shard so the serving layer reads
+    /// counters and latencies without locking the shard).
+    pub fn new(mut cfg: FerretConfig, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
         // Inline refills bootstrap a fresh session each time; prebuild
         // the matrix once so refills only pay for protocol work.
         cfg.ensure_shared_matrix();
@@ -110,26 +96,14 @@ impl CotPool {
         }
     }
 
-    /// Creates a pool over a persistent pipelined session on `engine`'s
-    /// FERRET config (its timing backend is not consulted): extensions
-    /// run on background threads ahead of demand, `Δ` is fixed for the
-    /// pool's lifetime, and refills merge with any buffered remnant.
-    /// Records into a fresh private [`SessionTelemetry`]; use
-    /// [`CotPool::pipelined_with`] to share a caller's.
-    pub fn pipelined(engine: Engine, seed: u64) -> Self {
-        CotPool::pipelined_with(engine.config().clone(), seed, Arc::default())
-    }
-
-    /// [`CotPool::pipelined`] over `cfg`, recording into a
-    /// caller-provided [`SessionTelemetry`], shared with the session's
-    /// party threads (extension durations, their SPCOT/LPN phase split
-    /// and staged extensions come from the session; stalls, refill events
-    /// and the pool's counters from the drain path).
-    pub fn pipelined_with(
-        mut cfg: FerretConfig,
-        seed: u64,
-        telemetry: Arc<SessionTelemetry>,
-    ) -> Self {
+    /// Creates a pool over a persistent pipelined session on `cfg`:
+    /// extensions run on background threads ahead of demand, `Δ` is
+    /// fixed for the pool's lifetime, and refills merge with any buffered
+    /// remnant. Records into `telemetry`, shared with the session's party
+    /// threads (extension durations, their SPCOT/LPN phase split and
+    /// staged extensions come from the session; stalls, refill events and
+    /// the pool's counters from the drain path).
+    pub fn pipelined(mut cfg: FerretConfig, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
         // One matrix for the session's two party threads (and zero new
         // allocations when a shard pool already prebuilt it).
         cfg.ensure_shared_matrix();
@@ -140,7 +114,7 @@ impl CotPool {
                 ..CotBatch::default()
             },
             supply: Supply::Session(session),
-            ..CotPool::new_with(cfg, seed, telemetry)
+            ..CotPool::new(cfg, seed, telemetry)
         }
     }
 
@@ -361,38 +335,18 @@ impl CotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Backend;
-    use ironman_nmp::NmpConfig;
     use ironman_ot::params::FerretParams;
 
-    fn engine() -> Engine {
-        Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        )
+    fn cfg() -> FerretConfig {
+        FerretConfig::new(FerretParams::toy())
     }
 
     fn pool() -> CotPool {
-        CotPool::new(engine(), 42)
+        CotPool::new(cfg(), 42, Arc::default())
     }
 
-    #[test]
-    fn pools_never_consult_the_timing_backend() {
-        // A zero-rank deployment cannot be simulated (the NMP model splits
-        // LPN rows per rank); a pool only runs the CPU protocol, so both
-        // supply modes serve over it.
-        let engine = Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::IronmanNmp(NmpConfig {
-                ranks: 0,
-                ..NmpConfig::ironman_max()
-            }),
-        );
-        let mut batch = CotBatch::default();
-        CotPool::pipelined(engine.clone(), 11).take_into(100, &mut batch);
-        batch.verify().unwrap();
-        CotPool::new(engine, 12).take_into(100, &mut batch);
-        batch.verify().unwrap();
+    fn pipelined(seed: u64) -> CotPool {
+        CotPool::pipelined(cfg(), seed, Arc::default())
     }
 
     #[test]
@@ -513,7 +467,7 @@ mod tests {
 
     #[test]
     fn pipelined_pool_merges_remnants_under_fixed_delta() {
-        let mut p = CotPool::pipelined(engine(), 42);
+        let mut p = pipelined(42);
         assert!(p.merges_remnants());
         let usable = p.cfg.usable_outputs();
         let a = p.take_slice(usable - 10); // leaves a 10-correlation remnant
@@ -529,7 +483,7 @@ mod tests {
 
     #[test]
     fn pipelined_matches_inline_delta_contract() {
-        let mut p = CotPool::pipelined(engine(), 7);
+        let mut p = pipelined(7);
         for _ in 0..5 {
             p.take_slice(500).verify().unwrap();
         }
@@ -541,7 +495,7 @@ mod tests {
 
     #[test]
     fn pipelined_ensure_drains_staged_without_blocking() {
-        let mut p = CotPool::pipelined(engine(), 9);
+        let mut p = pipelined(9);
         let usable = p.cfg.usable_outputs();
         // The session stages in the background; ensure() eventually
         // observes it without ever running an extension on this thread.

@@ -18,9 +18,9 @@
 //! [`SessionTelemetry`], so a reader never waits on a take, however long
 //! the taker holds the shard.
 
-use crate::engine::Engine;
 use crate::pool::CotPool;
 use ironman_ot::cot::{CotBatch, CotSlice};
+use ironman_ot::ferret::FerretConfig;
 use ironman_ot::session::SessionTelemetry;
 use ironman_telemetry::HistogramSnapshot;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,10 +52,10 @@ pub struct ShardSnapshot {
     /// Refills performed through the warm-up path (`ensure`).
     pub warm_refills: u64,
     /// Extensions completed by the shard's pipelined session threads
-    /// (0 for inline shards).
+    /// (0 for shards built inline).
     pub session_extensions: u64,
     /// Times a drain blocked on the session's staging buffer — the
-    /// shard's supply-pressure counter (0 for inline shards).
+    /// shard's supply-pressure counter (0 for shards built inline).
     pub session_stalls: u64,
     /// Per-extension wall time, nanoseconds (pipelined session runs and
     /// inline demand-path refills both record here).
@@ -78,16 +78,15 @@ pub struct SharedCotPool {
 }
 
 impl SharedCotPool {
-    /// Builds `shards` inline-mode pools over `engine`'s FERRET config
-    /// (the only part of `engine` a pool reads), with per-shard seeds
+    /// Builds `shards` inline-mode pools over `cfg`, with per-shard seeds
     /// derived from `seed` (each refill bootstraps a fresh FERRET
     /// session; see [`CotPool::new`]).
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn new(engine: &Engine, shards: usize, seed: u64) -> Self {
-        Self::build(engine, shards, seed, false)
+    pub fn new(cfg: &FerretConfig, shards: usize, seed: u64) -> Self {
+        Self::build(cfg, shards, seed, false)
     }
 
     /// Builds `shards` pipelined pools: each shard owns a persistent
@@ -98,17 +97,17 @@ impl SharedCotPool {
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn new_pipelined(engine: &Engine, shards: usize, seed: u64) -> Self {
-        Self::build(engine, shards, seed, true)
+    pub fn new_pipelined(cfg: &FerretConfig, shards: usize, seed: u64) -> Self {
+        Self::build(cfg, shards, seed, true)
     }
 
-    fn build(engine: &Engine, shards: usize, seed: u64, pipelined: bool) -> Self {
+    fn build(cfg: &FerretConfig, shards: usize, seed: u64, pipelined: bool) -> Self {
         assert!(shards > 0, "need at least one shard");
         // Generate the LPN matrix exactly once here; every shard's
         // config clone (and both party threads inside each shard's
         // session) then shares the one `Arc` — N shards would otherwise
         // pay 2N generations, the dominant spawn cost at Table-4 scale.
-        let mut cfg = engine.config().clone();
+        let mut cfg = cfg.clone();
         cfg.ensure_shared_matrix();
         let telemetry: Vec<Arc<SessionTelemetry>> = (0..shards).map(|_| Arc::default()).collect();
         let shards = telemetry
@@ -119,9 +118,9 @@ impl SharedCotPool {
                     seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
                 let shard_telemetry = Arc::clone(shard_telemetry);
                 let pool = if pipelined {
-                    CotPool::pipelined_with(cfg.clone(), shard_seed, shard_telemetry)
+                    CotPool::pipelined(cfg.clone(), shard_seed, shard_telemetry)
                 } else {
-                    CotPool::new_with(cfg.clone(), shard_seed, shard_telemetry)
+                    CotPool::new(cfg.clone(), shard_seed, shard_telemetry)
                 };
                 Mutex::new(pool)
             })
@@ -272,21 +271,16 @@ impl SharedCotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Backend;
-    use ironman_ot::ferret::FerretConfig;
     use ironman_ot::params::FerretParams;
     use std::sync::mpsc;
     use std::time::Duration;
 
-    fn engine() -> Engine {
-        Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        )
+    fn cfg() -> FerretConfig {
+        FerretConfig::new(FerretParams::toy())
     }
 
     fn shared(shards: usize) -> SharedCotPool {
-        SharedCotPool::new(&engine(), shards, 7)
+        SharedCotPool::new(&cfg(), shards, 7)
     }
 
     fn extensions_run(pool: &SharedCotPool) -> u64 {
@@ -417,7 +411,7 @@ mod tests {
 
     #[test]
     fn pipelined_shared_pool_serves_and_merges() {
-        let pool = SharedCotPool::new_pipelined(&engine(), 2, 21);
+        let pool = SharedCotPool::new_pipelined(&cfg(), 2, 21);
         let mut reused = CotBatch::default();
         let mut deltas = [None; 2];
         for _ in 0..6 {
@@ -435,9 +429,9 @@ mod tests {
 
     #[test]
     fn pipelined_shards_report_session_counters() {
-        let engine = engine();
-        let pool = SharedCotPool::new_pipelined(&engine, 1, 31);
-        let usable = engine.config().usable_outputs();
+        let cfg = cfg();
+        let pool = SharedCotPool::new_pipelined(&cfg, 1, 31);
+        let usable = cfg.usable_outputs();
         let mut reused = CotBatch::default();
         for _ in 0..6 {
             pool.take_into(usable, &mut reused);
@@ -468,7 +462,7 @@ mod tests {
 
     #[test]
     fn pipelined_concurrent_takes_all_verify() {
-        let pool = Arc::new(SharedCotPool::new_pipelined(&engine(), 2, 5));
+        let pool = Arc::new(SharedCotPool::new_pipelined(&cfg(), 2, 5));
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let pool = Arc::clone(&pool);

@@ -6,25 +6,23 @@
 //! is a process-global counter, and any test generating a matrix in
 //! parallel would race the deltas asserted here.
 
-use ironman_core::{Backend, CotPool, Engine, SharedCotPool};
+use ironman_core::{CotPool, SharedCotPool};
 use ironman_lpn::LpnMatrix;
 use ironman_ot::ferret::{FerretConfig, LpnKernel};
 use ironman_ot::params::FerretParams;
+use std::sync::Arc;
 
 #[test]
 fn n_shards_generate_one_matrix() {
-    let engine = Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
+    let cfg = FerretConfig::new(FerretParams::toy());
 
-    // Engine construction is matrix-free (estimation sweeps build many
-    // engines and never touch the matrix).
+    // `FerretConfig::new` is matrix-free (estimation sweeps build many
+    // configs and never touch the matrix).
     assert_eq!(LpnMatrix::generated_count(), 0);
 
     // 3 pipelined shards = 6 party threads + 3 shard pools: one generate.
     let before = LpnMatrix::generated_count();
-    let pool = SharedCotPool::new_pipelined(&engine, 3, 11);
+    let pool = SharedCotPool::new_pipelined(&cfg, 3, 11);
     pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
@@ -35,7 +33,7 @@ fn n_shards_generate_one_matrix() {
     // Inline shards bootstrap a fresh session per refill; the prebuilt
     // matrix must survive across refills too.
     let before = LpnMatrix::generated_count();
-    let inline = SharedCotPool::new(&engine, 2, 12);
+    let inline = SharedCotPool::new(&cfg, 2, 12);
     for _ in 0..3 {
         inline
             .take_with_shard(inline.max_request(), |slice, _| slice.verify())
@@ -50,34 +48,30 @@ fn n_shards_generate_one_matrix() {
     // A single pipelined pool still generates exactly once for its two
     // party threads (the per-session dedup, without shard pre-sharing).
     let before = LpnMatrix::generated_count();
-    let single = CotPool::pipelined(engine.clone(), 13);
+    let single = CotPool::pipelined(cfg.clone(), 13, Arc::default());
     drop(single);
     assert_eq!(LpnMatrix::generated_count() - before, 1);
 
-    // An engine whose config already carries the shared matrix spawns
-    // pools with zero fresh generations.
+    // A config that already carries the shared matrix spawns pools with
+    // zero fresh generations.
     let before = LpnMatrix::generated_count();
-    let mut cfg = engine.config().clone();
-    cfg.ensure_shared_matrix();
-    let prepared = Engine::new(cfg, Backend::ironman_default());
+    let mut prepared = cfg.clone();
+    prepared.ensure_shared_matrix();
     assert_eq!(LpnMatrix::generated_count() - before, 1);
     let pool = SharedCotPool::new_pipelined(&prepared, 2, 14);
     pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,
-        "a prepared engine must add no generations at spawn time"
+        "a prepared config must add no generations at spawn time"
     );
 
     // A tiled kernel stores the streamed tile schedule instead of
     // row-major `colidx`: still one tracked generation for all shards.
-    let tiled = Engine::new(
-        FerretConfig {
-            kernel: LpnKernel::Tiled,
-            ..FerretConfig::new(FerretParams::toy())
-        },
-        Backend::ironman_default(),
-    );
+    let tiled = FerretConfig {
+        kernel: LpnKernel::Tiled,
+        ..FerretConfig::new(FerretParams::toy())
+    };
     let before = LpnMatrix::generated_count();
     let pool = SharedCotPool::new_pipelined(&tiled, 3, 15);
     pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();

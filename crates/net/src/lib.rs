@@ -348,13 +348,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use ironman_core::{Backend, CotBatch, Engine};
 //! use ironman_net::{CotClient, CotService, CotServiceConfig};
 //! use ironman_ot::ferret::FerretConfig;
 //! use ironman_ot::params::FerretParams;
+//! use ironman_ot::CotBatch;
 //!
-//! let engine = Engine::new(FerretConfig::new(FerretParams::toy()), Backend::ironman_default());
-//! let service = CotService::serve("127.0.0.1:0", &engine, CotServiceConfig::default()).unwrap();
+//! let ferret = FerretConfig::new(FerretParams::toy());
+//! let service = CotService::serve("127.0.0.1:0", &ferret, CotServiceConfig::default()).unwrap();
 //!
 //! let mut client = CotClient::connect(service.addr(), "ppml-worker-0").unwrap();
 //! // One batch, retained across calls: every receive reuses its storage.

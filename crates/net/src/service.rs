@@ -1,9 +1,8 @@
 //! The multi-client COT service: a thread-per-connection server over a
 //! shared, sharded pool (the matching client is in [`crate::client`]).
 //!
-//! The server plays the paper's host-side role: FERRET extensions (timed
-//! by whichever backend the [`Engine`] carries) refill a
-//! [`SharedCotPool`], and any number of concurrent PPML consumers drain
+//! The server plays the paper's host-side role: FERRET extensions refill
+//! a [`SharedCotPool`], and any number of concurrent PPML consumers drain
 //! it over TCP sessions speaking the [`crate::proto`] protocol. Sessions
 //! are independent: a slow client never blocks another except through
 //! pool-shard contention, which the lock-stealing `take` keeps off the
@@ -16,8 +15,9 @@ use crate::proto::{
     MemberRecord, Request, Response, ServiceStats, ShardStat, EPOCH_UNAWARE,
 };
 use crate::transport::StreamTransport;
-use ironman_core::{CotSlice, Engine, SharedCotPool};
+use ironman_core::{CotSlice, SharedCotPool};
 use ironman_ot::channel::ChannelError;
+use ironman_ot::ferret::FerretConfig;
 use ironman_telemetry::{
     merge_dumps, now_nanos, EventKind, Histogram, Stopwatch, TraceEvent, TraceLog,
     DEFAULT_TRACE_CAPACITY,
@@ -383,11 +383,11 @@ impl CotServiceConfig {
     /// Builds the [`SharedCotPool`] this configuration describes (the
     /// single dispatch point on `pipelined`, shared by [`CotService`]
     /// and `ironman-cluster`'s server composition).
-    pub fn build_pool(&self, engine: &Engine) -> SharedCotPool {
+    pub fn build_pool(&self, ferret: &FerretConfig) -> SharedCotPool {
         if self.pipelined {
-            SharedCotPool::new_pipelined(engine, self.shards, self.seed)
+            SharedCotPool::new_pipelined(ferret, self.shards, self.seed)
         } else {
-            SharedCotPool::new(engine, self.shards, self.seed)
+            SharedCotPool::new(ferret, self.shards, self.seed)
         }
     }
 }
@@ -402,18 +402,18 @@ pub struct CotService {
 
 impl CotService {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), builds a
-    /// sharded pool over `engine`, and starts accepting sessions.
+    /// sharded pool over `ferret`, and starts accepting sessions.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
     pub fn serve<A: ToSocketAddrs>(
         addr: A,
-        engine: &Engine,
+        ferret: &FerretConfig,
         cfg: CotServiceConfig,
     ) -> std::io::Result<CotService> {
         let listener = TcpListener::bind(addr)?;
-        let pool = Arc::new(cfg.build_pool(engine));
+        let pool = Arc::new(cfg.build_pool(ferret));
         Ok(Self::serve_on(listener, pool))
     }
 
@@ -1079,17 +1079,9 @@ fn serve_subscription<R: Read, W: Write>(
 mod tests {
     use super::*;
     use crate::client::{CotClient, CotSubscription};
-    use ironman_core::{Backend, CotBatch};
+    use ironman_core::CotBatch;
     use ironman_ot::channel::Transport;
-    use ironman_ot::ferret::FerretConfig;
     use ironman_ot::params::FerretParams;
-
-    fn toy_engine() -> Engine {
-        Engine::new(
-            FerretConfig::new(FerretParams::toy()),
-            Backend::ironman_default(),
-        )
-    }
 
     /// One one-shot request of `n` on `client`, its batch verified.
     fn request_verified(client: &mut CotClient, n: usize) {
@@ -1104,7 +1096,8 @@ mod tests {
             seed: 11,
             ..CotServiceConfig::default()
         };
-        CotService::serve("127.0.0.1:0", &toy_engine(), cfg).expect("bind loopback")
+        let ferret = FerretConfig::new(FerretParams::toy());
+        CotService::serve("127.0.0.1:0", &ferret, cfg).expect("bind loopback")
     }
 
     #[test]

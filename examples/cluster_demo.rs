@@ -10,19 +10,15 @@
 use ironman_cluster::{
     ClusterClient, ClusterServerConfig, GossiperConfig, HealthConfig, LocalCluster, WarmupConfig,
 };
-use ironman_core::{Backend, Engine};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use std::time::{Duration, Instant};
 
 fn main() {
-    let engine = Engine::new(
-        FerretConfig::recommended(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
+    let ferret = FerretConfig::recommended(FerretParams::toy());
     let mut cluster = LocalCluster::spawn_replicated(
         3,
-        &engine,
+        &ferret,
         &ClusterServerConfig {
             warmup: Some(WarmupConfig::default()),
             ..ClusterServerConfig::default()
@@ -43,7 +39,7 @@ fn main() {
         );
     }
 
-    let warm_target = engine.config().usable_outputs();
+    let warm_target = ferret.usable_outputs();
     cluster.wait_warm(warm_target, Duration::from_secs(60));
     println!("fleet warm (every server >= {warm_target} buffered COTs)\n");
 

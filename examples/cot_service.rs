@@ -4,20 +4,16 @@
 //! the Ironman host role: FERRET extensions refill a sharded pool while
 //! PPML-style clients drain it over TCP sessions.
 
-use ironman_core::{Backend, CotBatch, Engine};
 use ironman_net::{CotClient, CotService, CotServiceConfig};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
+use ironman_ot::CotBatch;
 use std::time::Instant;
 
 fn main() {
-    let engine = Engine::new(
-        FerretConfig::recommended(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
     let service = CotService::serve(
         "127.0.0.1:0",
-        &engine,
+        &FerretConfig::recommended(FerretParams::toy()),
         CotServiceConfig {
             shards: 4,
             seed: 2024,

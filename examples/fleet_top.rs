@@ -21,7 +21,6 @@ use ironman_cluster::{
     FleetObserverConfig, GossiperConfig, HeadroomModel, HealthConfig, LocalCluster, SloKind,
     SloSpec, WarmupConfig,
 };
-use ironman_core::{Backend, Engine};
 use ironman_net::{FaultPlan, OpTimeouts, RetryPolicy};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
@@ -33,10 +32,9 @@ const TICKS: usize = 14;
 
 fn main() {
     let params = FerretParams::toy();
-    let engine = Engine::new(FerretConfig::new(params), Backend::ironman_default());
     let mut cluster = LocalCluster::spawn_replicated(
         3,
-        &engine,
+        &FerretConfig::new(params),
         &ClusterServerConfig {
             warmup: Some(WarmupConfig::default()),
             ..ClusterServerConfig::default()

@@ -1,17 +1,12 @@
 //! Temporary lingering server for external wire probing. Delete me.
-use ironman_core::{Backend, Engine};
 use ironman_net::{CotService, CotServiceConfig};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 
 fn main() {
-    let engine = Engine::new(
-        FerretConfig::recommended(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
     let service = CotService::serve(
         "127.0.0.1:47393",
-        &engine,
+        &FerretConfig::recommended(FerretParams::toy()),
         CotServiceConfig {
             shards: 2,
             seed: 77,

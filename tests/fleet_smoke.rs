@@ -7,7 +7,6 @@
 use ironman_cluster::{
     ClusterClient, ClusterServerConfig, Directory, GossiperConfig, LocalCluster, WarmupConfig,
 };
-use ironman_core::{Backend, Engine};
 use ironman_net::CotServiceConfig;
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
@@ -23,10 +22,7 @@ fn serve_verified(client: &mut ClusterClient, when: &str) {
 
 #[test]
 fn follower_client_rides_out_membership_churn() {
-    let engine = Engine::new(
-        FerretConfig::new(FerretParams::toy()),
-        Backend::ironman_default(),
-    );
+    let ferret = FerretConfig::new(FerretParams::toy());
     let cfg = ClusterServerConfig {
         service: CotServiceConfig {
             shards: 2,
@@ -40,7 +36,7 @@ fn follower_client_rides_out_membership_churn() {
         ..GossiperConfig::default()
     };
     let mut cluster =
-        LocalCluster::spawn_replicated(3, &engine, &cfg, gossip).expect("spawn fleet");
+        LocalCluster::spawn_replicated(3, &ferret, &cfg, gossip).expect("spawn fleet");
     let converge = Duration::from_secs(30);
     assert!(cluster.wait_converged(converge), "fleet never converged");
     let fleet = cluster.directory();

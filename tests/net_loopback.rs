@@ -5,12 +5,12 @@
 //! star needs: the same protocol bytes that cross `LocalChannel` in-process
 //! cross a kernel socket here, with identical payload accounting.
 
-use ironman_core::{Backend, CotBatch, Engine};
 use ironman_net::frame::{FRAME_HEADER_LEN, HANDSHAKE_LEN};
 use ironman_net::{tcp_loopback_pair, CotClient, CotService, CotServiceConfig, TcpTransport};
 use ironman_ot::channel::Transport;
 use ironman_ot::ferret::{run_extensions, run_extensions_over, FerretConfig};
 use ironman_ot::params::FerretParams;
+use ironman_ot::CotBatch;
 
 fn toy_cfg() -> FerretConfig {
     FerretConfig::new(FerretParams::toy())
@@ -85,10 +85,9 @@ fn cot_service_serves_concurrent_clients() {
     const REQUESTS_PER_CLIENT: usize = 4;
     const BATCH: usize = 300;
 
-    let engine = Engine::new(toy_cfg(), Backend::ironman_default());
     let service = CotService::serve(
         "127.0.0.1:0",
-        &engine,
+        &toy_cfg(),
         CotServiceConfig {
             shards: 3,
             seed: 0xBEEF,
