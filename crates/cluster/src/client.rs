@@ -59,9 +59,9 @@
 //! extra roundtrips.
 
 use crate::directory::{Directory, RingSnapshot, ServerId, UNATTRIBUTED};
-use ironman_core::CotBatch;
 use ironman_net::{CotClient, OpTimeouts, RetryBudget, RetryPolicy, ServiceStats, StreamSummary};
 use ironman_ot::channel::ChannelError;
+use ironman_ot::CotBatch;
 use ironman_telemetry::{Histogram, HistogramSnapshot, Stopwatch};
 use std::collections::HashMap;
 use std::net::SocketAddr;

@@ -10,9 +10,9 @@ use crate::exporter::{FleetExporter, FleetExporterConfig};
 use crate::gossip::{GossipIdentity, Gossiper, GossiperConfig, HealthConfig};
 use crate::observe::{FleetHandle, FleetObserver, FleetObserverConfig};
 use crate::warmup::{Warmup, WarmupConfig};
-use ironman_core::SharedCotPool;
 use ironman_net::{CotService, CotServiceConfig, DirectoryView, FaultPlan, ServiceStats};
 use ironman_ot::ferret::FerretConfig;
+use ironman_ot::SharedCotPool;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::Arc;

@@ -21,7 +21,7 @@
 //! occupancy/demand/refill counters).
 
 use crate::background::BackgroundLoop;
-use ironman_core::SharedCotPool;
+use ironman_ot::SharedCotPool;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -11,8 +11,8 @@ use ironman_cluster::{
     observe, ClusterServerConfig, FleetObserverConfig, FleetSnapshot, LocalCluster,
     ServerObservation, WarmupConfig, WindowBaseline,
 };
-use ironman_core::CotBatch;
 use ironman_net::{CotClient, CotServiceConfig, LatencyStats};
+use ironman_ot::CotBatch;
 use ironman_telemetry::HistogramSnapshot;
 use std::time::{Duration, Instant};
 

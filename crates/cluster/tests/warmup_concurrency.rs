@@ -4,9 +4,9 @@
 //! poison a shard.
 
 use ironman_cluster::{Warmup, WarmupConfig};
-use ironman_core::{CotBatch, SharedCotPool};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
+use ironman_ot::{CotBatch, SharedCotPool};
 use std::sync::Arc;
 use std::time::Duration;
 

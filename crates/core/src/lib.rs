@@ -1,18 +1,19 @@
 //! # Ironman: near-memory OT extension, end to end
 //!
-//! `ironman-core` is the public facade of the Ironman reproduction: it
+//! `ironman-core` is the timing facade of the Ironman reproduction: it
 //! couples the *functional* PCG-style OT extension of [`ironman_ot`] with
 //! the *timing* backends (the Ironman-NMP simulator of [`ironman_nmp`] and
 //! the CPU/GPU analytical baselines of [`ironman_perf`]) and offers the
 //! online conversions applications actually consume (COT → random OT →
 //! chosen-message OT, Fig. 2 of the paper).
 //!
-//! Correlations reach the application as [`CotBatch`]es, or as
-//! [`CotSlice`] views of a pool's buffer. Both are
-//! [`ironman_ot::cot`]'s types, re-exported here; `verify()` checks
-//! `z = y ⊕ x·Δ`. [`Engine`] runs timed extensions, [`CotPool`] and
-//! [`SharedCotPool`] buffer them for serving, and [`rot`] turns them into
-//! random and chosen-message OTs.
+//! [`Engine`] runs timed extensions and [`rot`] turns their
+//! [`CotBatch`]es (or [`CotSlice`] views; `verify()` checks
+//! `z = y ⊕ x·Δ`) into random and chosen-message OTs. The COT types and
+//! the serving pools, [`CotPool`] and [`SharedCotPool`], are
+//! [`ironman_ot`]'s, re-exported here: a pool needs only a
+//! `FerretConfig`, so the serving crates build on `ironman-ot` and never
+//! link the timing models.
 //!
 //! # Quickstart
 //!
@@ -34,14 +35,10 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod pool;
 pub mod rot;
-pub mod shared_pool;
 pub mod speedup;
 
 pub use engine::{Backend, Engine, ExtensionRun, Timing};
-pub use ironman_ot::cot::{CotBatch, CotSlice};
-pub use pool::CotPool;
+pub use ironman_ot::{CotBatch, CotPool, CotSlice, ShardSnapshot, SharedCotPool};
 pub use rot::{RotReceiver, RotSender};
-pub use shared_pool::{ShardSnapshot, SharedCotPool};
 pub use speedup::{speedup_table, SpeedupRow};

@@ -7,8 +7,8 @@ use crate::proto::{
 };
 use crate::retry::OpTimeouts;
 use crate::transport::TcpTransport;
-use ironman_core::CotBatch;
 use ironman_ot::channel::{ChannelError, ChannelStats, Transport};
+use ironman_ot::CotBatch;
 use ironman_telemetry::TraceEvent;
 use std::net::{TcpStream, ToSocketAddrs};
 

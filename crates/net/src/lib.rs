@@ -20,7 +20,7 @@
 //!   membership ops (the `WrongEpoch` fence and `Gossip{from, vector}`
 //!   answered by `GossipDelta`).
 //! * [`service`] — [`CotService`]: a thread-per-connection server over a
-//!   mutex-sharded [`SharedCotPool`](ironman_core::SharedCotPool) that
+//!   mutex-sharded [`SharedCotPool`](ironman_ot::SharedCotPool) that
 //!   replenishes via FERRET extension on demand, optionally attached to
 //!   an epoch-versioned membership [`DirectoryView`].
 //! * [`client`] — [`CotClient`], one session against a service, and
@@ -45,7 +45,7 @@
 //!
 //! Correlation payloads cross this crate with **zero serialization
 //! copies** of their bulk: a request borrows the pool shard's ring as a
-//! [`CotSlice`](ironman_ot::CotSlice) ([`SharedCotPool::take_with_shard`](ironman_core::SharedCotPool::take_with_shard))
+//! [`CotSlice`](ironman_ot::CotSlice) ([`SharedCotPool::take_with_shard`](ironman_ot::SharedCotPool::take_with_shard))
 //! and the server scatter-gathers the response onto the socket with one
 //! `write_vectored` loop ([`StreamTransport::send_frame_parts`]). The
 //! frame is split into four parts — a fixed-size *head* (length prefix

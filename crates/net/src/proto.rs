@@ -88,8 +88,8 @@
 //! roundtrips discovering where its stream went.
 
 use crate::transport::StreamTransport;
-use ironman_core::{CotBatch, CotSlice};
 use ironman_ot::channel::{decode_bits_into, encode_bits_into, ChannelError};
+use ironman_ot::{CotBatch, CotSlice};
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, HistogramSnapshot, TraceEvent};
 use std::io::{Read, Take, Write};

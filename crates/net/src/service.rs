@@ -15,9 +15,9 @@ use crate::proto::{
     MemberRecord, Request, Response, ServiceStats, ShardStat, EPOCH_UNAWARE,
 };
 use crate::transport::StreamTransport;
-use ironman_core::{CotSlice, SharedCotPool};
 use ironman_ot::channel::ChannelError;
 use ironman_ot::ferret::FerretConfig;
+use ironman_ot::{CotSlice, SharedCotPool};
 use ironman_telemetry::{
     merge_dumps, now_nanos, EventKind, Histogram, Stopwatch, TraceEvent, TraceLog,
     DEFAULT_TRACE_CAPACITY,
@@ -1079,9 +1079,9 @@ fn serve_subscription<R: Read, W: Write>(
 mod tests {
     use super::*;
     use crate::client::{CotClient, CotSubscription};
-    use ironman_core::CotBatch;
     use ironman_ot::channel::Transport;
     use ironman_ot::params::FerretParams;
+    use ironman_ot::CotBatch;
 
     /// One one-shot request of `n` on `client`, its batch verified.
     fn request_verified(client: &mut CotClient, n: usize) {

@@ -10,7 +10,6 @@
 //! byte-slice decoder on the same bytes, and the bit codec to a per-bit
 //! reference.
 
-use ironman_core::CotBatch;
 use ironman_net::frame::{encode_frame, read_frame_into, write_frame, FRAME_HEADER_LEN};
 use ironman_net::proto::{
     self, DirectoryDelta, HotResponse, LatencyStats, MemberRecord, MemberWireState, Request,
@@ -18,6 +17,7 @@ use ironman_net::proto::{
 };
 use ironman_net::{FaultInjector, FaultPlan, StreamTransport, MAGIC, VERSION};
 use ironman_ot::channel::{decode_bits_into, encode_bits_into, ChannelError, Transport};
+use ironman_ot::CotBatch;
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, Histogram, TraceEvent};
 use proptest::prelude::*;

@@ -867,7 +867,7 @@ mod tests {
     #[test]
     fn shared_matrix_produces_identical_outputs() {
         // (The "one generate for N consumers" count is asserted in
-        // `ironman-core`'s single-test `shared_matrix` binary, where the
+        // this crate's single-test `shared_matrix` binary, where the
         // process-global counter is race-free.)
         let mut cfg = FerretConfig::new(FerretParams::toy());
         cfg.ensure_shared_matrix();

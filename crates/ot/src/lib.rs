@@ -23,6 +23,11 @@
 //!   per extension, with bootstrapping of the next iteration's base COTs.
 //! * [`session`] — a persistent two-party FERRET session that stages
 //!   extension outputs ahead of demand on background threads.
+//! * [`pool`] — [`CotPool`], which buffers a session's (or fresh
+//!   extensions') batches and serves takes of any size, and
+//!   [`shared_pool`]'s [`SharedCotPool`], its mutex-sharded form with
+//!   lock-free per-shard counters ([`ShardSnapshot`]): what the serving
+//!   crates drain. A pool needs only a [`ferret::FerretConfig`].
 //! * [`iknp`] — the IKNP extension, the §2.3 communication baseline.
 //! * [`spcot_batch`] — the `t` SPCOTs of one extension advancing level by
 //!   level, one message per GGM level instead of one conversation per tree.
@@ -52,7 +57,9 @@ pub mod ferret;
 pub mod iknp;
 pub mod mot;
 pub mod params;
+pub mod pool;
 pub mod session;
+pub mod shared_pool;
 pub mod spcot;
 pub mod spcot_batch;
 
@@ -60,4 +67,6 @@ pub use channel::{run_protocol, ChannelStats, LocalChannel, Transport};
 pub use cot::{CotBatch, CotReceiver, CotSender, CotSlice};
 pub use dealer::Dealer;
 pub use params::FerretParams;
+pub use pool::CotPool;
 pub use session::{CotSession, SessionStopped, SessionTelemetry};
+pub use shared_pool::{ShardSnapshot, SharedCotPool};

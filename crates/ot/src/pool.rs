@@ -24,7 +24,7 @@
 //!
 //! # Zero-copy consumption
 //!
-//! The buffer is one [`CotBatch`] (the COT type of [`ironman_ot::cot`],
+//! The buffer is one [`CotBatch`] (the COT type of [`crate::cot`],
 //! which every extension and staged session batch already is) plus a
 //! cursor, so a refill adopts what the protocol produced.
 //! [`CotPool::take_slice`] hands out a [`CotSlice`] borrowing that ring
@@ -39,9 +39,9 @@
 //! session's own, as relaxed atomics written where they change. A sharded
 //! pool reads them there without taking the shard's lock.
 
-use ironman_ot::cot::{CotBatch, CotSlice};
-use ironman_ot::ferret::{run_extension, FerretConfig};
-use ironman_ot::session::{CotSession, SessionTelemetry};
+use crate::cot::{CotBatch, CotSlice};
+use crate::ferret::{run_extension, FerretConfig};
+use crate::session::{CotSession, SessionTelemetry};
 use ironman_telemetry::{EventKind, Stopwatch};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -335,7 +335,7 @@ impl CotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ironman_ot::params::FerretParams;
+    use crate::params::FerretParams;
 
     fn cfg() -> FerretConfig {
         FerretConfig::new(FerretParams::toy())

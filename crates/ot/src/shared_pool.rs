@@ -18,10 +18,10 @@
 //! [`SessionTelemetry`], so a reader never waits on a take, however long
 //! the taker holds the shard.
 
+use crate::cot::{CotBatch, CotSlice};
+use crate::ferret::FerretConfig;
 use crate::pool::CotPool;
-use ironman_ot::cot::{CotBatch, CotSlice};
-use ironman_ot::ferret::FerretConfig;
-use ironman_ot::session::SessionTelemetry;
+use crate::session::SessionTelemetry;
 use ironman_telemetry::HistogramSnapshot;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -271,7 +271,7 @@ impl SharedCotPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ironman_ot::params::FerretParams;
+    use crate::params::FerretParams;
     use std::sync::mpsc;
     use std::time::Duration;
 

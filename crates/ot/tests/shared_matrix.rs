@@ -6,10 +6,10 @@
 //! is a process-global counter, and any test generating a matrix in
 //! parallel would race the deltas asserted here.
 
-use ironman_core::{CotPool, SharedCotPool};
 use ironman_lpn::LpnMatrix;
 use ironman_ot::ferret::{FerretConfig, LpnKernel};
 use ironman_ot::params::FerretParams;
+use ironman_ot::{CotPool, SharedCotPool};
 use std::sync::Arc;
 
 #[test]
