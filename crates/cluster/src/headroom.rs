@@ -15,6 +15,11 @@
 //! the model *under*-predicts (the machine beats the roofline — check
 //! the bandwidth figure); utilization well below 1.0 under load means
 //! supply is not the bottleneck (the fleet is serving- or demand-bound).
+//!
+//! `ironman-perf` is the one model crate the serving stack links, on
+//! purpose: it depends only on serde, and its roofline is the prediction
+//! the CPU-model drift check compares measured supply against. The NMP,
+//! DRAM and cache simulators stay out of the serving crates.
 
 use crate::directory::ServerId;
 use crate::observe::{FleetSnapshot, FleetWindow, ServerObservation};

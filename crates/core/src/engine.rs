@@ -251,8 +251,9 @@ mod tests {
     #[test]
     fn an_engine_reference_builds_a_pool() {
         // `benchmark/` spells `SharedCotPool::new_pipelined(&engine, ..)`,
-        // `build_pool(&engine)` and `spawn_replicated(.., &engine, ..)`;
-        // this is that spelling, compiled through the `Deref`.
+        // `CotService::serve(.., engine, ..)` and
+        // `spawn_replicated(.., &engine, ..)`; this is that spelling,
+        // compiled through the `Deref`.
         let engine = toy_engine(Backend::ironman_default());
         let pool = crate::SharedCotPool::new_pipelined(&engine, 1, 3);
         pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();

@@ -14,7 +14,7 @@
 //! access traces from the functional crates and produces cycle counts by
 //! composing `ironman-ggm`'s pipeline schedules, `ironman-cache` and
 //! `ironman-dram`. [`OteSimulator`] is its one timing path: Figures 12,
-//! 13 and 14, `ironman_core::Engine::estimate_timing` and the benchmark's
+//! 13 and 14, `ironman-core`'s timing estimates and the benchmark's
 //! `nmp.*`/`cache.*` rows all read it.
 //!
 //! * [`config`] — the deployment: active ranks, cores, caches, DRAM.

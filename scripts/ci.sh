@@ -3,13 +3,14 @@
 # repo root and leaves everything it writes under target/ (plus ci.log).
 #   0. scripts/loc.sh's total, printed for information (not a gate)
 #   1. cargo fmt --check, cargo clippy -D warnings, cargo doc over the
-#      first-party crates with broken/private intra-doc links denied
+#      first-party crates with broken/private intra-doc links denied, and
+#      the serving crates' dependency tree free of the hardware models
 #      (seconds)
 #   2. release build; every `paper` report at full size; every crate's
 #      tests, the TCP-loopback e2e and the fleet tests (cluster smoke,
 #      churn, multi-process partition/heal, SLO e2e, chaos soak)
 #      included; the kernel crates again on the forced-scalar tier;
-#      ironman-core again with telemetry compiled out
+#      ironman-ot again with telemetry compiled out
 #   3. benchmark/'s own tests and its --smoke run, on both tiers
 #   4. the benchmark gate: a fresh --runs 3 suite from benchmark/ judged
 #      against scripts/bench_baseline.json by benchmark --compare
@@ -46,6 +47,15 @@ echo "==> cargo doc, first-party crates, broken or private intra-doc links denie
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
   cargo doc --offline --no-deps --workspace --exclude proptest --exclude serde --exclude serde_derive
 
+echo "==> serving crates link no hardware model"
+# A pool needs only a FerretConfig, so ironman-net and ironman-cluster
+# build on ironman-ot. Pulling ironman-core back in would drag the NMP,
+# DRAM and cache simulators into every server binary.
+tree=$(cargo tree --offline -e normal -p ironman-net -p ironman-cluster --prefix none)
+if grep -E '^ironman-(core|nmp|dram|cache) ' <<<"$tree" | sort -u; then
+  echo "DEPENDENCY GATE: the serving crates link the crates listed above"; exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -66,11 +76,12 @@ echo "==> cargo test, kernel crates, forced-scalar dispatch"
 # exercised under the override too.
 IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
 
-echo "==> cargo test -q -p ironman-core, telemetry compiled out"
+echo "==> cargo test -q -p ironman-ot, telemetry compiled out"
 # The noop feature empties histogram records and trace pushes. The shard
-# counters Stats reports live beside them but must keep counting; this
-# run fails if one of them is ever compiled out with the histograms.
-cargo test -q -p ironman-core --features ironman-telemetry/noop
+# counters Stats reports live beside them, in the pool's SessionTelemetry,
+# but must keep counting; this run fails if one of them is ever compiled
+# out with the histograms.
+cargo test -q -p ironman-ot --features ironman-telemetry/noop
 
 echo "==> benchmark harness: its own unit tests, then a --smoke run of every workload"
 # benchmark/ is its own package (own workspace and lock file, path
