@@ -82,7 +82,7 @@ const REPORTS: [Report; 18] = [
     ("fig16", "Fig. 16: OT-based MatMul, unified architecture", fig16_matmul),
     ("tab05", "Table 5: end-to-end PPML inference latency", tab05_e2e),
     ("tab06", "Table 6: Ironman-NMP design overhead", tab06_area_power),
-    ("sorting", "ablation of the two halves of 5.3's index sorting", ablation_sorting),
+    ("sorting", "5.3's column first-use sort vs unsorted, one rank's 2^20 partition", ablation_sorting),
     ("energy", "energy per COT across backends", energy_comparison),
     ("comm", "IKNP vs PCG communication, measured", comm_comparison),
 ];

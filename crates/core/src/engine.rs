@@ -152,7 +152,7 @@ impl Engine {
             arity: self.cfg.arity,
             prg: self.cfg.prg,
             role: Role::Sender,
-            sort: None,
+            sort: false,
             sample_rows: Some(16_384),
         }
     }

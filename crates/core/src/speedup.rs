@@ -57,10 +57,7 @@ pub fn speedup_cell(
         arity: ironman_ggm::Arity::QUAD,
         prg: PrgKind::CHACHA8,
         role: Role::Sender,
-        sort: Some(ironman_lpn::sorting::SortConfig {
-            cache_lines: cache_bytes / 64,
-            ..Default::default()
-        }),
+        sort: true,
         sample_rows: Some(16_384),
     };
     let report = sim.simulate(&work, seed);

@@ -45,11 +45,6 @@ impl DramStats {
         let seconds = self.total_cycles as f64 / (clock_mhz * 1e6);
         bytes / seconds / 1e9
     }
-
-    /// Wall-clock duration of the simulated trace in nanoseconds.
-    pub fn duration_ns(&self, clock_mhz: f64) -> f64 {
-        self.total_cycles as f64 * 1000.0 / clock_mhz
-    }
 }
 
 #[cfg(test)]

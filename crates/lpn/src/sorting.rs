@@ -1,23 +1,22 @@
-//! Compile-time index sorting: column swapping + row look-ahead (§5.3).
+//! Compile-time index sorting by column first use (§5.3).
 //!
 //! LPN's access pattern is fixed (the matrix never changes), so Ironman
 //! sorts the CSR index array **once, offline** and reuses it for every OTE
-//! execution. Two transformations are applied:
+//! execution. The sort here is §5.3's column swapping: columns are
+//! relabeled in order of first use, so that indices touched close together
+//! in time sit close together in memory (spatial locality: consecutive
+//! relabeled elements share 64-byte cache lines). Rows keep their order.
+//! Correctness is preserved by permuting the input vector identically on
+//! both parties, which is safe because the LPN input is (pseudo)random
+//! (paper §5.3, "Vector permutation"). The relabeling is one pass over
+//! the indices, O(nnz). The paper measures column swapping alone topping
+//! out near a 20% hit rate with a 1 MB cache.
 //!
-//! * **Column swapping** — columns are relabeled in order of first use, so
-//!   that indices touched close together in time sit close together in
-//!   memory (spatial locality: consecutive relabeled elements share 64-byte
-//!   cache lines). Correctness is preserved by permuting the input vector
-//!   identically on both parties, which is safe because the LPN input is
-//!   (pseudo)random (paper §5.3, "Vector permutation").
-//! * **Row look-ahead** — rows are reordered (tracked by a `Rowidx` array)
-//!   so that rows reusing currently cached lines execute next (temporal
-//!   locality). We implement the offline greedy the paper describes:
-//!   simulate the memory-side cache and repeatedly pick, from a look-ahead
-//!   window, the row with the most cache hits.
-//!
-//! The paper's sorting-overhead mitigation — "divide the matrix into
-//! smaller blocks and sort them separately" — is the `block_rows` knob.
+//! §5.3 also describes a greedy row look-ahead that reorders rows so that
+//! rows reusing cached lines run next. Measured on whole per-rank
+//! partitions it added at most 0.2 points of hit rate at every Fig. 14
+//! cache size while costing 20–50× the column sort, so it is not built
+//! here (see CHANGES.md).
 //!
 //! The sorted order pays only where a memory-side cache exists, so it
 //! feeds the `ironman-nmp` trace and the `paper sorting` ablation; no
@@ -25,108 +24,38 @@
 
 use crate::encoder;
 use crate::LpnMatrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 
 /// Blocks (16-byte elements) per 64-byte cache line.
 pub const ELEMS_PER_LINE: usize = 4;
 
-/// Configuration of the offline sorting pass.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SortConfig {
-    /// Capacity (in 64-byte lines) of the simulated memory-side cache used
-    /// by the greedy row scheduler. Should match the deployed cache
-    /// (256 KB ⇒ 4096 lines; 1 MB ⇒ 16384 lines).
-    pub cache_lines: usize,
-    /// Look-ahead window: how many pending rows are examined per step.
-    pub window: usize,
-    /// Rows per independently sorted block (bounds the offline cost).
-    pub block_rows: usize,
-}
-
-impl Default for SortConfig {
-    fn default() -> Self {
-        SortConfig {
-            cache_lines: 4096,
-            window: 16,
-            block_rows: 4096,
-        }
-    }
-}
-
-/// Which of the two §5.3 transformations to apply — the ablation axis of
-/// `paper sorting` (`crates/bench`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SortStrategy {
-    /// Column swapping only (spatial locality; the paper measures this
-    /// alone topping out near a 20% hit rate).
-    ColumnOnly,
-    /// Row look-ahead only (temporal locality).
-    RowOnly,
-    /// Both, as deployed (the default).
-    Full,
-}
-
 /// A sorted LPN matrix: same code, better locality.
 #[derive(Clone, Debug, Serialize)]
 pub struct SortedLpnMatrix {
     matrix: LpnMatrix,
-    /// `row_order[pos]` = original row computed at position `pos`
-    /// (the paper's `Rowidx` array).
-    row_order: Vec<u32>,
     /// `col_perm[old]` = new location of input element `old`.
     col_perm: Vec<u32>,
 }
 
 impl SortedLpnMatrix {
-    /// Sorts `matrix` with both transformations (the deployed configuration).
-    pub fn sort(matrix: &LpnMatrix, cfg: SortConfig) -> Self {
-        Self::sort_with(matrix, cfg, SortStrategy::Full)
-    }
-
-    /// Sorts `matrix` applying only the selected transformation(s).
-    pub fn sort_with(matrix: &LpnMatrix, cfg: SortConfig, strategy: SortStrategy) -> Self {
-        let col_perm = match strategy {
-            SortStrategy::RowOnly => (0..matrix.cols() as u32).collect(),
-            _ => first_use_permutation(matrix),
-        };
-        // Apply the column relabeling.
-        let relabeled: Vec<u32> = matrix
+    /// Relabels `matrix`'s columns in order of first use.
+    pub fn sort(matrix: &LpnMatrix) -> Self {
+        let col_perm = first_use_permutation(matrix);
+        let relabeled = matrix
             .colidx()
             .iter()
             .map(|&c| col_perm[c as usize])
             .collect();
-        let relabeled =
+        let matrix =
             LpnMatrix::from_colidx(matrix.rows(), matrix.cols(), matrix.weight(), relabeled);
-        // Row look-ahead per block.
-        let row_order = match strategy {
-            SortStrategy::ColumnOnly => (0..matrix.rows() as u32).collect(),
-            _ => look_ahead_order(&relabeled, cfg),
-        };
-        // Materialize the colidx in execution order so the NMP module can
-        // stream it.
-        let weight = relabeled.weight();
-        let mut sorted_idx = Vec::with_capacity(relabeled.colidx().len());
-        for &r in &row_order {
-            sorted_idx.extend_from_slice(relabeled.row(r as usize));
-        }
-        let matrix = LpnMatrix::from_colidx(relabeled.rows(), relabeled.cols(), weight, sorted_idx);
-        SortedLpnMatrix {
-            matrix,
-            row_order,
-            col_perm,
-        }
+        SortedLpnMatrix { matrix, col_perm }
     }
 
-    /// The sorted matrix: row `pos` holds the indices executed at position
-    /// `pos` (use [`Self::row_order`] to map back to original rows).
+    /// The sorted matrix: row `i` is the original row `i` with every
+    /// column index mapped through [`Self::col_perm`].
     pub fn matrix(&self) -> &LpnMatrix {
         &self.matrix
-    }
-
-    /// The `Rowidx` array: original row index per execution position.
-    pub fn row_order(&self) -> &[u32] {
-        &self.row_order
     }
 
     /// The column permutation (old → new).
@@ -219,43 +148,6 @@ impl LruLines {
     }
 }
 
-/// Greedy look-ahead row ordering: within each block of rows, repeatedly
-/// pick from the next `window` pending rows the one with the most lines
-/// already in the simulated cache.
-fn look_ahead_order(matrix: &LpnMatrix, cfg: SortConfig) -> Vec<u32> {
-    let rows = matrix.rows();
-    let mut order = Vec::with_capacity(rows);
-    let mut cache = LruLines::new(cfg.cache_lines);
-    let mut block_start = 0usize;
-    while block_start < rows {
-        let block_end = (block_start + cfg.block_rows).min(rows);
-        let mut pending: VecDeque<u32> = (block_start as u32..block_end as u32).collect();
-        while !pending.is_empty() {
-            // Score the first `window` pending rows.
-            let mut best_pos = 0usize;
-            let mut best_score = -1i64;
-            for (pos, &row) in pending.iter().take(cfg.window).enumerate() {
-                let score = matrix
-                    .row(row as usize)
-                    .iter()
-                    .filter(|&&c| cache.contains(c / ELEMS_PER_LINE as u32))
-                    .count() as i64;
-                if score > best_score {
-                    best_score = score;
-                    best_pos = pos;
-                }
-            }
-            let row = pending.remove(best_pos).expect("pending nonempty");
-            for &c in matrix.row(row as usize) {
-                cache.touch(c / ELEMS_PER_LINE as u32);
-            }
-            order.push(row);
-        }
-        block_start = block_end;
-    }
-    order
-}
-
 /// Measures the hit rate of an access trace against a fully associative
 /// LRU cache of `cache_lines` lines — the metric of Fig. 14 (the deployed
 /// hardware model in `ironman-cache` is set-associative; this helper is
@@ -288,18 +180,6 @@ mod tests {
         LpnMatrix::generate(512, 4096, 10, Block::from(21u128))
     }
 
-    /// `acc ^= input·A` through the sorted form, as §5.3 executes it: the
-    /// plain encoder over the sorted matrix and the permuted input, then
-    /// execution position `pos` scattered to original row `row_order[pos]`.
-    pub(super) fn encode_via_sorted(sorted: &SortedLpnMatrix, input: &[Block], acc: &mut [Block]) {
-        let m = sorted.matrix();
-        let mut by_pos = vec![Block::ZERO; m.rows()];
-        encoder::encode_blocks(m, &sorted.permute_input(input), &mut by_pos);
-        for (&row, &v) in sorted.row_order().iter().zip(&by_pos) {
-            acc[row as usize] ^= v;
-        }
-    }
-
     #[test]
     fn column_permutation_is_bijection() {
         let m = toy();
@@ -313,36 +193,27 @@ mod tests {
     }
 
     #[test]
-    fn row_order_is_permutation() {
-        let m = toy();
-        let sorted = SortedLpnMatrix::sort(&m, SortConfig::default());
-        let mut seen = vec![false; m.rows()];
-        for &r in sorted.row_order() {
-            assert!(!seen[r as usize]);
-            seen[r as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn sorted_encode_matches_unsorted_blocks() {
-        let m = toy();
-        let sorted = SortedLpnMatrix::sort(
-            &m,
-            SortConfig {
-                cache_lines: 64,
-                window: 8,
-                block_rows: 128,
-            },
-        );
-        let input: Vec<Block> = (0..m.cols() as u128)
-            .map(|i| Block::from(i * 3 + 1))
-            .collect();
-        let mut plain = vec![Block::from(7u128); m.rows()];
-        let mut via_sorted = plain.clone();
-        encoder::encode_blocks(&m, &input, &mut plain);
-        encode_via_sorted(&sorted, &input, &mut via_sorted);
-        assert_eq!(plain, via_sorted);
+        // `acc ^= input·A` as §5.3 executes it: the plain encoder over the
+        // sorted matrix and the permuted input.
+        for m in [
+            toy(),
+            LpnMatrix::generate(2048, 16384, 10, Block::from(31u128)),
+        ] {
+            let sorted = SortedLpnMatrix::sort(&m);
+            let input: Vec<Block> = (0..m.cols() as u128)
+                .map(|i| Block::from(i * 3 + 1))
+                .collect();
+            let mut plain = vec![Block::from(7u128); m.rows()];
+            let mut via_sorted = plain.clone();
+            encoder::encode_blocks(&m, &input, &mut plain);
+            encoder::encode_blocks(
+                sorted.matrix(),
+                &sorted.permute_input(&input),
+                &mut via_sorted,
+            );
+            assert_eq!(plain, via_sorted);
+        }
     }
 
     #[test]
@@ -351,12 +222,7 @@ mod tests {
         let m = LpnMatrix::generate(2048, 16384, 10, Block::from(5u128));
         let cache_lines = 256;
         let base = trace_hit_rate(encoder::access_trace(&m), cache_lines);
-        let cfg = SortConfig {
-            cache_lines,
-            window: 32,
-            block_rows: 2048,
-        };
-        let sorted = SortedLpnMatrix::sort(&m, cfg);
+        let sorted = SortedLpnMatrix::sort(&m);
         let improved = trace_hit_rate(sorted.access_trace(), cache_lines);
         assert!(
             improved > base,
@@ -367,7 +233,7 @@ mod tests {
     #[test]
     fn permute_input_round_trips_through_inverse() {
         let m = toy();
-        let sorted = SortedLpnMatrix::sort(&m, SortConfig::default());
+        let sorted = SortedLpnMatrix::sort(&m);
         let input: Vec<u32> = (0..m.cols() as u32).collect();
         let permuted = sorted.permute_input(&input);
         // Invert: permuted[col_perm[i]] == input[i].
@@ -407,73 +273,5 @@ mod tests {
     #[test]
     fn empty_trace_hit_rate_zero() {
         assert_eq!(trace_hit_rate(std::iter::empty(), 16), 0.0);
-    }
-}
-
-#[cfg(test)]
-mod strategy_tests {
-    use super::tests::encode_via_sorted;
-    use super::*;
-    use ironman_prg::Block;
-
-    fn matrix() -> LpnMatrix {
-        LpnMatrix::generate(2048, 16384, 10, Block::from(31u128))
-    }
-
-    #[test]
-    fn column_only_keeps_row_order() {
-        let m = matrix();
-        let s = SortedLpnMatrix::sort_with(&m, SortConfig::default(), SortStrategy::ColumnOnly);
-        let identity: Vec<u32> = (0..m.rows() as u32).collect();
-        assert_eq!(s.row_order(), identity.as_slice());
-    }
-
-    #[test]
-    fn row_only_keeps_columns() {
-        let m = matrix();
-        let s = SortedLpnMatrix::sort_with(&m, SortConfig::default(), SortStrategy::RowOnly);
-        let identity: Vec<u32> = (0..m.cols() as u32).collect();
-        assert_eq!(s.col_perm(), identity.as_slice());
-    }
-
-    #[test]
-    fn every_strategy_preserves_encoding() {
-        let m = matrix();
-        let input: Vec<Block> = (0..m.cols() as u128)
-            .map(|i| Block::from(i * 5 + 2))
-            .collect();
-        let mut reference = vec![Block::ZERO; m.rows()];
-        encoder::encode_blocks(&m, &input, &mut reference);
-        for strategy in [
-            SortStrategy::ColumnOnly,
-            SortStrategy::RowOnly,
-            SortStrategy::Full,
-        ] {
-            let s = SortedLpnMatrix::sort_with(&m, SortConfig::default(), strategy);
-            let mut out = vec![Block::ZERO; m.rows()];
-            encode_via_sorted(&s, &input, &mut out);
-            assert_eq!(out, reference, "{strategy:?}");
-        }
-    }
-
-    #[test]
-    fn full_beats_each_alone() {
-        // §5.3's argument: column swapping alone is capped; the combination
-        // wins.
-        let m = matrix();
-        let cfg = SortConfig {
-            cache_lines: 256,
-            window: 32,
-            block_rows: 2048,
-        };
-        let hit = |strategy| {
-            let s = SortedLpnMatrix::sort_with(&m, cfg, strategy);
-            trace_hit_rate(s.access_trace(), cfg.cache_lines)
-        };
-        let full = hit(SortStrategy::Full);
-        let col = hit(SortStrategy::ColumnOnly);
-        let rowo = hit(SortStrategy::RowOnly);
-        assert!(full >= col, "full {full:.3} !>= column-only {col:.3}");
-        assert!(full >= rowo, "full {full:.3} !>= row-only {rowo:.3}");
     }
 }

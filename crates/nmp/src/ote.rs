@@ -11,7 +11,6 @@ use crate::dimm::{simulate_spcot, SpcotWork};
 use crate::rank_lpn::{simulate_rank, LpnWork, RankLpnReport};
 use crate::{DimmSpcotReport, NmpConfig, Role};
 use ironman_ggm::Arity;
-use ironman_lpn::sorting::SortConfig;
 use ironman_lpn::{LpnMatrix, SortedLpnMatrix};
 use ironman_prg::{Block, PrgKind};
 use serde::{Deserialize, Serialize};
@@ -35,8 +34,9 @@ pub struct OteWork {
     pub prg: PrgKind,
     /// Protocol role being accelerated.
     pub role: Role,
-    /// Compile-time index sorting for the LPN matrix (§5.3).
-    pub sort: Option<SortConfig>,
+    /// Whether the LPN matrix's columns are relabeled by first use before
+    /// tracing (§5.3's compile-time index sort, [`SortedLpnMatrix::sort`]).
+    pub sort: bool,
     /// LPN rows actually simulated per rank (the rest is extrapolated);
     /// `None` simulates every row.
     pub sample_rows: Option<usize>,
@@ -54,7 +54,7 @@ impl OteWork {
             arity: Arity::BINARY,
             prg: PrgKind::Aes,
             role: Role::Sender,
-            sort: None,
+            sort: false,
             sample_rows: Some(16_384),
         }
     }
@@ -64,7 +64,7 @@ impl OteWork {
         OteWork {
             arity: Arity::QUAD,
             prg: PrgKind::CHACHA8,
-            sort: Some(SortConfig::default()),
+            sort: true,
             ..OteWork::ferret_2ary_aes(n, leaves, trees, k, weight)
         }
     }
@@ -116,13 +116,14 @@ impl OteSimulator {
     /// Builds the per-rank LPN trace: the first simulated rank's row
     /// partition, optionally index-sorted, sampled to `sample_rows`.
     ///
-    /// The trace is a pure function of `(rows, k, d, seed, sort)`, and
-    /// sweeps over the deployment alone (the ranks of Fig. 13(b), the
-    /// cache sizes of Fig. 14) rebuild it with identical inputs on every
-    /// call, so the most recent trace is memoized process-wide; only a
-    /// shape change regenerates.
+    /// The trace is a pure function of `(rows, k, d, seed, sort)` and
+    /// nothing of the deployment but the simulated row count, so sweeps
+    /// over the deployment alone (the ranks of Fig. 13(b), the cache sizes
+    /// of Fig. 14) rebuild it with identical inputs on every call; the
+    /// most recent trace is memoized process-wide, and only a shape change
+    /// regenerates.
     fn lpn_work(&self, work: &OteWork, seed: u64) -> LpnWork {
-        type TraceKey = (usize, usize, usize, u64, Option<SortConfig>);
+        type TraceKey = (usize, usize, usize, u64, bool);
         static LAST_TRACE: std::sync::Mutex<Option<(TraceKey, std::sync::Arc<Vec<u32>>)>> =
             std::sync::Mutex::new(None);
 
@@ -145,12 +146,10 @@ impl OteSimulator {
                     work.weight,
                     Block::from(seed as u128 | 1),
                 );
-                let trace: Vec<u32> = match &work.sort {
-                    Some(cfg) => {
-                        let sorted = SortedLpnMatrix::sort(&matrix, *cfg);
-                        sorted.access_trace().collect()
-                    }
-                    None => matrix.colidx().to_vec(),
+                let trace: Vec<u32> = if work.sort {
+                    SortedLpnMatrix::sort(&matrix).access_trace().collect()
+                } else {
+                    matrix.colidx().to_vec()
                 };
                 let trace = std::sync::Arc::new(trace);
                 *last = Some((key, std::sync::Arc::clone(&trace)));
@@ -257,7 +256,7 @@ mod tests {
         let sim = OteSimulator::new(NmpConfig::with_ranks_and_cache(4, 256 * 1024));
         let sorted = toy_work();
         let unsorted = OteWork {
-            sort: None,
+            sort: false,
             ..toy_work()
         };
         let rs = sim.simulate(&sorted, 3);

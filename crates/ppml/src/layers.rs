@@ -187,18 +187,6 @@ impl TransformerArch {
         }
     }
 
-    /// ViT-base: 12 × 768 over 197 patch tokens.
-    pub fn vit() -> Self {
-        TransformerArch {
-            name: "ViT",
-            layers: 12,
-            hidden: 768,
-            heads: 12,
-            ffn: 3072,
-            seq: 197,
-        }
-    }
-
     /// GPT-2 large: 36 × 1280, seq 128.
     pub fn gpt2_large() -> Self {
         TransformerArch {

@@ -42,14 +42,6 @@ impl Crhf {
         }
     }
 
-    /// Creates a CRHF with a caller-chosen permutation key (useful for
-    /// domain separation between protocol instances).
-    pub fn with_key(key: Block) -> Self {
-        Crhf {
-            pi: Aes128::new(key),
-        }
-    }
-
     /// The linear orthomorphism `σ(a ‖ b) = (a ⊕ b) ‖ a` (halves swapped and
     /// mixed). Linear, and `σ(x) ⊕ x` is also a permutation — the property
     /// the MMO security proof needs.

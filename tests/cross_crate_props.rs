@@ -1,7 +1,6 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
 use ironman_ggm::{Arity, GgmTree, PuncturedTree};
-use ironman_lpn::sorting::SortConfig;
 use ironman_lpn::{encoder, LpnMatrix, SortedLpnMatrix};
 use ironman_prg::{Block, ChaChaTreePrg, Crhf, TreePrg};
 use proptest::prelude::*;
@@ -50,42 +49,37 @@ proptest! {
     }
 
     /// Index sorting never changes the encoded output (§5.3 correctness):
-    /// the sorted matrix over the permuted input, each execution position
-    /// scattered back to its original row, is the plain product.
+    /// the sorted matrix over the permuted input is the plain product.
     #[test]
-    fn sorting_preserves_encoding(
-        seed in any::<u64>(),
-        cache_lines in 8usize..256,
-        window in 2usize..32,
-    ) {
+    fn sorting_preserves_encoding(seed in any::<u64>()) {
         let m = LpnMatrix::generate(200, 300, 10, Block::from(seed as u128 | 1));
-        let cfg = SortConfig { cache_lines, window, block_rows: 64 };
-        let sorted = SortedLpnMatrix::sort(&m, cfg);
+        let sorted = SortedLpnMatrix::sort(&m);
         let input: Vec<Block> = (0..300u128).map(|i| Block::from(i * 3 + seed as u128)).collect();
         let mut plain = vec![Block::from(9u128); 200];
         let mut via = plain.clone();
         encoder::encode_blocks(&m, &input, &mut plain);
-        let mut by_pos = vec![Block::ZERO; 200];
-        encoder::encode_blocks(sorted.matrix(), &sorted.permute_input(&input), &mut by_pos);
-        for (&row, &v) in sorted.row_order().iter().zip(&by_pos) {
-            via[row as usize] ^= v;
-        }
+        encoder::encode_blocks(sorted.matrix(), &sorted.permute_input(&input), &mut via);
         prop_assert_eq!(plain, via);
     }
 
-    /// The sorting's row order is always a permutation, whatever the
-    /// config.
+    /// The sort relabels columns and nothing else: `col_perm` is a
+    /// bijection on `0..k`, and sorted row `i` is original row `i` mapped
+    /// through it.
     #[test]
-    fn sorting_row_order_is_permutation(seed in any::<u64>(), block_rows in 8usize..128) {
+    fn sorting_relabels_columns_bijectively(seed in any::<u64>()) {
         let m = LpnMatrix::generate(150, 64, 6, Block::from(seed as u128 | 1));
-        let cfg = SortConfig { cache_lines: 32, window: 8, block_rows };
-        let sorted = SortedLpnMatrix::sort(&m, cfg);
-        let mut seen = [false; 150];
-        for &r in sorted.row_order() {
-            prop_assert!(!seen[r as usize]);
-            seen[r as usize] = true;
+        let sorted = SortedLpnMatrix::sort(&m);
+        let perm = sorted.col_perm();
+        let mut seen = [false; 64];
+        for &c in perm {
+            prop_assert!(!seen[c as usize]);
+            seen[c as usize] = true;
         }
         prop_assert!(seen.iter().all(|&s| s));
+        for i in 0..m.rows() {
+            let mapped: Vec<u32> = m.row(i).iter().map(|&c| perm[c as usize]).collect();
+            prop_assert_eq!(sorted.matrix().row(i), mapped.as_slice());
+        }
     }
 
     /// The CRHF destroys the COT correlation: H(x) ⊕ H(x ⊕ Δ) ≠ Δ.

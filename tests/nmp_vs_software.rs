@@ -28,7 +28,7 @@ fn engine_timing_is_the_model_crates_on_the_session_workload() {
         Backend::ironman_default(),
     );
     let work = engine.ote_work();
-    assert_eq!(work.sort, None);
+    assert!(!work.sort);
     let nmp = NmpConfig::ironman_max();
     let cpu_model_ms = CpuModel::ferret_reference()
         .execution_latency(&engine.workload(), false)
