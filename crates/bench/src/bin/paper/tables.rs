@@ -8,7 +8,7 @@ use ironman_perf::area_power::{
     nmp_cost_for_cache, AES_CORE, CHACHA8_CORE, DRAM_CHIP, NMP_1MB, NMP_256KB,
 };
 use ironman_ppml::e2e::{reproduce_table5, SpeedupAssumptions};
-use ironman_prg::{Aes128, AesTier, Block, ChaCha};
+use ironman_prg::{Aes128, AesTier, Block, ChaCha, ChaChaTreePrg, LevelTier, TreePrg};
 use std::time::Instant;
 
 /// **Table 2**: PRG hardware comparison (area, perf/area, power,
@@ -37,10 +37,12 @@ pub fn tab02_prg(size: Size) {
         ]);
     }
 
-    // Software sanity: blocks produced per second by each primitive. AES
-    // is timed both ways it is called — one block at a time (latency:
-    // `Crhf::hash`, `level_seed`) and in bulk (throughput: the LPN index
-    // stream) — on the tier this process dispatched to.
+    // Software sanity: blocks produced per second by each primitive, each
+    // timed both ways it is called — one block at a time (latency: AES in
+    // `Crhf::hash` and `level_seed`, ChaCha8 through the scalar block
+    // function) and in bulk (throughput: AES for the LPN index stream,
+    // ChaCha8 a GGM level through the level kernel) — on the tier this
+    // process dispatched to.
     let aes = Aes128::new(Block::from(1u128));
     let n = match size {
         Size::Full => 200_000u128,
@@ -66,11 +68,26 @@ pub fn tab02_prg(size: Size) {
         acc ^= out[0];
     }
     let chacha_rate = 4.0 * n as f64 / t0.elapsed().as_secs_f64();
+
+    // A 1024-parent fanout-4 level (the next-to-last of OT_2POW20's quad
+    // tree), as many levels as the scalar loop made calls.
+    let prg = ChaChaTreePrg::from(chacha);
+    let parents: Vec<Block> = (0..1024u128).map(Block::from).collect();
+    let mut children = vec![Block::ZERO; 4 * parents.len()];
+    let levels = n / 1024 + 1;
+    let t0 = Instant::now();
+    for _ in 0..levels {
+        prg.expand_level(&parents, 4, &mut children);
+        acc ^= children[0];
+    }
+    let chacha_level_rate = (levels * 4096) as f64 / t0.elapsed().as_secs_f64();
     println!(
         "\n(software check, not the ASIC numbers: AES [{:?} tier] {aes_rate:.0} blocks/s one at a time, \
-         {aes_bulk_rate:.0} blocks/s through encrypt_blocks; ChaCha8 (scalar block function) \
-         {chacha_rate:.0} blocks/s; checksum {acc})",
-        AesTier::detect()
+         {aes_bulk_rate:.0} blocks/s through encrypt_blocks; ChaCha8 {chacha_rate:.0} blocks/s \
+         through the scalar block function, [{:?} tier] {chacha_level_rate:.0} blocks/s through \
+         expand_level; checksum {acc})",
+        AesTier::detect(),
+        LevelTier::detect()
     );
 }
 

@@ -27,10 +27,10 @@
 //! [`PuncturedTree::reconstruct_at`] hand each level to
 //! [`ironman_prg::TreePrg::expand_level`] in one call (the receiver in
 //! two runs, split around its punctured parent), which for ChaCha fills
-//! an eight-lane vector per instruction; a level narrower than a vector
-//! is the software's pipeline bubble and runs on the scalar tail. Branch
-//! sums and the leaf sum are folded in one strided pass per level, right
-//! after the kernel wrote it.
+//! a sixteen-lane (AVX-512) or eight-lane (AVX2) vector per instruction;
+//! a level or run narrower than a vector is the software's pipeline
+//! bubble and runs as one padded vector. Branch sums and the leaf sum are
+//! folded in one strided pass per level, right after the kernel wrote it.
 //!
 //! **Bit-identity contract.** The level-at-a-time trees produce exactly
 //! the nodes, level sums, leaf sums and [`ironman_prg::PrgCounter`]

@@ -4,7 +4,7 @@
 
 use crate::tree::calls_of;
 use crate::{Arity, GgmTree, LevelShape, PuncturedTree};
-use ironman_prg::{AesTreePrg, Block, ChaChaTreePrg, PrgCounter, TreePrg};
+use ironman_prg::{AesTreePrg, Block, ChaChaTreePrg, LevelTier, PrgCounter, PrgKind, TreePrg};
 
 /// Every level of the tree, one `expand` call per parent.
 fn expand_per_parent<P: TreePrg + ?Sized>(
@@ -110,7 +110,12 @@ fn alphas(leaves: usize) -> Vec<usize> {
     picks
 }
 
-fn assert_trees_match_oracle<P: TreePrg + ?Sized>(prg: &P, arity: Arity, leaves: usize) {
+fn assert_trees_match_oracle<P: TreePrg + ?Sized>(
+    prg: &P,
+    arity: Arity,
+    leaves: usize,
+    alphas: &[usize],
+) {
     let what = format!("{:?} {arity} {leaves} leaves", prg.kind());
     let shape = LevelShape::new(arity, leaves);
     let seed = Block::from(0x5eed_0000u128 + leaves as u128);
@@ -129,7 +134,7 @@ fn assert_trees_match_oracle<P: TreePrg + ?Sized>(prg: &P, arity: Arity, leaves:
     // One scratch tree across all α, as the batched receiver uses it;
     // the one-shot constructor is the same code on a fresh tree.
     let mut scratch = PuncturedTree::with_shape(shape.clone());
-    for alpha in alphas(leaves) {
+    for &alpha in alphas {
         let digits = shape.digits(alpha);
         let sum_for = |lvl: usize, j: usize| {
             assert_ne!(j, digits[lvl], "{what}: hidden branch sum read");
@@ -157,8 +162,47 @@ fn chacha_trees_equal_per_parent_oracle() {
     let prg = ChaChaTreePrg::new(Block::from(0xc4ac4au128), 8);
     for arity in Arity::SWEEP {
         for leaves in [2usize, 4, 64, 512, 4096, 8192] {
-            assert_trees_match_oracle(&prg, arity, leaves);
+            assert_trees_match_oracle(&prg, arity, leaves, &alphas(leaves));
         }
+    }
+}
+
+/// A ChaCha tree PRG whose levels run on one fixed kernel tier, whatever
+/// [`LevelTier::detect`] would pick.
+struct OnTier(ChaChaTreePrg, LevelTier);
+
+impl TreePrg for OnTier {
+    fn blocks_per_call(&self) -> usize {
+        self.0.blocks_per_call()
+    }
+
+    fn expand(&self, parent: Block, children: &mut [Block]) -> u64 {
+        self.0.expand(parent, children)
+    }
+
+    fn expand_level(&self, parents: &[Block], fanout: usize, children: &mut [Block]) -> u64 {
+        self.0.expand_level_on(self.1, parents, fanout, children)
+    }
+
+    fn kind(&self) -> PrgKind {
+        self.0.kind()
+    }
+}
+
+#[test]
+fn chacha_trees_equal_per_parent_oracle_on_every_level_tier() {
+    // OT_2POW20's tree. The receiver's two runs around the punctured
+    // parent end in a padded partial vector: α = 4q + 3 for q in 0..=16
+    // puts the hole at parent q of the last level, so the runs on either
+    // side take every length mod 16, and the edges, a vector boundary
+    // and a sample cover the upper levels.
+    let leaves = 4096;
+    let mut picks = vec![0, 1, 7, 8, 15, 16, 17, 4095];
+    picks.extend((0..=16).map(|q| 4 * q + 3));
+    picks.extend(alphas(leaves));
+    for &tier in LevelTier::available() {
+        let prg = OnTier(ChaChaTreePrg::new(Block::from(0x71e5u128), 8), tier);
+        assert_trees_match_oracle(&prg, Arity::QUAD, leaves, &picks);
     }
 }
 
@@ -169,7 +213,7 @@ fn aes_trees_equal_per_parent_oracle() {
     for arity in Arity::SWEEP {
         let prg = AesTreePrg::new(Block::from(0xae5u128), arity.get());
         for leaves in [2usize, 4, 64, 128] {
-            assert_trees_match_oracle(&prg, arity, leaves);
+            assert_trees_match_oracle(&prg, arity, leaves, &alphas(leaves));
         }
     }
 }

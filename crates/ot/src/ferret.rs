@@ -351,12 +351,28 @@ impl SessionMatrix {
     }
 }
 
-/// Folds one tree's SPCOT leaves into an LPN accumulator stripe with
-/// bit 0 — the choice-bit lane — masked off: `acc ^= leaf & !1`.
-fn fold_leaves(acc: &mut [Block], leaves: &[Block]) {
+/// Adds one tree's SPCOT leaves to the LPN accumulator stripe at `start`
+/// with bit 0 — the choice-bit lane — masked off: `acc ^= leaf & !1`.
+///
+/// Both parties' SPCOT sinks see the trees in index order and tree `i`
+/// covers stripe `i mod stripes`, so the first `stripes` trees each meet
+/// their stripe at the end of `acc` and write it once, with no zero-fill
+/// first; later trees fold into a stripe already written. The caller
+/// zero-fills (`resize`) whatever stripes no tree covered.
+///
+/// # Panics
+///
+/// Panics if `start` is past the end of `acc`: a tree arrived out of
+/// order, and its stripe would be left out.
+fn fold_leaves(acc: &mut Vec<Block>, start: usize, leaves: &[Block]) {
     const STRING_BITS: Block = Block(!1);
-    for (a, &leaf) in acc.iter_mut().zip(leaves) {
-        *a ^= leaf & STRING_BITS;
+    if start < acc.len() {
+        for (a, &leaf) in acc[start..start + leaves.len()].iter_mut().zip(leaves) {
+            *a ^= leaf & STRING_BITS;
+        }
+    } else {
+        assert_eq!(acc.len(), start, "SPCOT trees must arrive in index order");
+        acc.extend(leaves.iter().map(|&leaf| leaf & STRING_BITS));
     }
 }
 
@@ -434,9 +450,9 @@ impl FerretSender {
 
         // SPCOT phase: t trees, stripes assigned round-robin; each
         // tree's leaves accumulate straight into the LPN accumulator
-        // stripe (no per-tree leaf vectors).
+        // stripe (no per-tree leaf vectors, no zero-fill first).
         let stripes = p.stripes();
-        let mut w_full = vec![Block::ZERO; p.n];
+        let mut w_full = Vec::with_capacity(p.n);
         let seeds: Vec<Block> = (0..p.t).map(|_| self.seeds.random_block()).collect();
         let prg_counter = &mut self.prg_counter;
         spcot_batch_send_into(
@@ -449,9 +465,10 @@ impl FerretSender {
                 *prg_counter += counter;
                 let start = (i % stripes) * p.leaves;
                 let width = p.leaves.min(p.n - start);
-                fold_leaves(&mut w_full[start..start + width], &leaves[..width]);
+                fold_leaves(&mut w_full, start, &leaves[..width]);
             },
         )?;
+        w_full.resize(p.n, Block::ZERO);
 
         // LPN phase: z = r·A ⊕ w.
         let mut z = w_full;
@@ -550,18 +567,18 @@ impl FerretReceiver {
         let mut spcot_base = CotReceiver::new(spcot_bits, spcot_rb);
 
         // SPCOT phase: each tree's leaves fold straight into the y
-        // accumulator stripe (no per-tree vectors) and its one-hot noise
-        // bit lands in bit 0 at α.
+        // accumulator stripe (no per-tree vectors, no zero-fill first)
+        // and its one-hot noise bit lands in bit 0 at α.
         let stripes = p.stripes();
         let spcot_watch = ironman_telemetry::Stopwatch::start();
-        let mut y = vec![Block::ZERO; p.n];
+        let mut y = Vec::with_capacity(p.n);
         let stripe_width = |i: usize| {
             let start = (i % stripes) * p.leaves;
             (start, p.leaves.min(p.n - start))
         };
         let mut fold_tree = |i: usize, alpha: usize, leaves: &[Block]| {
             let (start, width) = stripe_width(i);
-            fold_leaves(&mut y[start..start + width], &leaves[..width]);
+            fold_leaves(&mut y, start, &leaves[..width]);
             y[start + alpha] ^= Block::from(1u128);
         };
         let alphas: Vec<usize> = (0..p.t)
@@ -579,6 +596,7 @@ impl FerretReceiver {
                 fold_tree(i, alpha, leaves);
             },
         )?;
+        y.resize(p.n, Block::ZERO);
         let spcot_nanos = spcot_watch.elapsed_nanos();
 
         // LPN phase: y = s·A ⊕ v — the sender's pass — and x, bit 0 of
@@ -966,6 +984,25 @@ mod tests {
                 .unwrap_or_else(|j| panic!("iteration {i}, COT {j} broken"));
         }
         assert_ne!(outs[2].z, outs[3].z);
+    }
+
+    #[test]
+    fn fewer_trees_than_stripes_bootstrap_stays_correlated() {
+        // t = 12 trees over 20 stripes, as on Table 4's 2^23 and 2^24
+        // rows: the accumulator's last stripes get no tree and are
+        // zero-filled after SPCOT. Three chained extensions all verify.
+        let params = FerretParams {
+            t: 12,
+            ..FerretParams::toy()
+        };
+        assert!(params.t < params.stripes());
+        let cfg = FerretConfig::new(params);
+        let outs = cots(&cfg, 52, 3);
+        for (i, out) in outs.iter().enumerate() {
+            assert_eq!(out.len(), cfg.usable_outputs(), "iteration {i}");
+            out.verify()
+                .unwrap_or_else(|j| panic!("iteration {i}, COT {j} broken"));
+        }
     }
 
     #[test]

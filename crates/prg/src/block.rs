@@ -285,8 +285,9 @@ pub(crate) fn forced_scalar() -> bool {
 }
 
 /// Whether this process runs its AVX2 kernels — [`Block::xor_into`]'s
-/// wide lane and the ChaCha level kernel: feature detected and not
-/// force-disabled by `IRONMAN_SIMD=scalar`. Decided once per process.
+/// wide lane, and any vector tier of the ChaCha level kernel (AVX-512
+/// where present): feature detected and not force-disabled by
+/// `IRONMAN_SIMD=scalar`. Decided once per process.
 pub(crate) fn wide_enabled() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

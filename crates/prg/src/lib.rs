@@ -18,9 +18,10 @@
 //!   on, with primitive-call accounting so that the paper's operation-count
 //!   arguments (Fig. 6, Fig. 7a) can be measured rather than asserted.
 //! * [`level`] — the lane-parallel ChaCha level kernel behind
-//!   [`TreePrg::expand_level`]: eight parents per AVX2 vector, the SIMD
-//!   lanes standing in for the stages of the paper's pipelined ChaCha8
-//!   core (§4.3), bit-identical to the per-parent [`TreePrg::expand`].
+//!   [`TreePrg::expand_level`]: sixteen parents per AVX-512 vector (eight
+//!   per AVX2 vector where AVX-512 is absent), the SIMD lanes standing in
+//!   for the stages of the paper's pipelined ChaCha8 core (§4.3),
+//!   bit-identical to the per-parent [`TreePrg::expand`].
 //! * [`crhf::Crhf`] — the correlation-robust hash used to convert COT
 //!   correlations into standard OTs (Fig. 2).
 //!

@@ -14,9 +14,9 @@
 //! and Hybrid schedules, modelled cycle by cycle in
 //! `ironman_ggm::schedule`). [`TreePrg::expand_level`] is the software
 //! form of that issue order: the GGM layer hands over a whole level, and
-//! [`ChaChaTreePrg`] runs it eight parents per AVX2 vector
-//! ([`crate::level`]) — each SIMD lane playing one pipeline stage's
-//! in-flight parent. **Bit-identity contract:** `expand_level` writes
+//! [`ChaChaTreePrg`] runs it sixteen parents per AVX-512 vector, or eight
+//! per AVX2 vector ([`crate::level`]) — each SIMD lane playing one
+//! pipeline stage's in-flight parent. **Bit-identity contract:** `expand_level` writes
 //! exactly what calling [`TreePrg::expand`] on each parent in turn would
 //! write, child `j` of parent `p` at `children[p·fanout + j]`, and
 //! returns the same call count, on every dispatch tier.

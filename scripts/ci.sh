@@ -7,11 +7,11 @@
 #      the serving crates' dependency tree free of the hardware models
 #      (seconds)
 #   2. release build; every `paper` report at full size (its wall-clock
-#      seconds printed for information, not a gate); every crate's
-#      tests, the TCP-loopback e2e and the fleet tests (cluster smoke,
-#      churn, multi-process partition/heal, SLO e2e, chaos soak)
-#      included; the kernel crates again on the forced-scalar tier;
-#      ironman-ot again with telemetry compiled out
+#      seconds and Table 2's software-check line printed for information,
+#      not a gate); every crate's tests, the TCP-loopback e2e and the
+#      fleet tests (cluster smoke, churn, multi-process partition/heal,
+#      SLO e2e, chaos soak) included; the kernel crates again on the
+#      forced-scalar tier; ironman-ot again with telemetry compiled out
 #   3. benchmark/'s own tests and its --smoke run, on both tiers
 #   4. the benchmark gate: a fresh --runs 3 suite from benchmark/ judged
 #      against scripts/bench_baseline.json by benchmark --compare
@@ -63,20 +63,24 @@ cargo build --release --workspace
 echo "==> paper all, every report at full size"
 # The test pass below runs each report on the smallest slice of its grid
 # only; a report that panics at full size would reach no other stage.
-# The reports themselves go to /dev/null; the stage's wall-clock seconds
-# are printed for information (not a gate).
+# The reports themselves go to target/paper_all.txt; the stage's
+# wall-clock seconds and Table 2's software check (measured block rates,
+# and which AES and ChaCha level-kernel tier this host ran) are printed
+# for information (not a gate).
 paper_start=$(date +%s.%N)
-./target/release/paper all > /dev/null
+./target/release/paper all > target/paper_all.txt
 awk -v s="$paper_start" -v e="$(date +%s.%N)" \
   'BEGIN { printf "paper all: %.2f s wall clock (information only)\n", e - s }'
+sed -n 's/^(software check, \(.*\))$/Table 2 software check (information only): \1/p' target/paper_all.txt
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> cargo test, kernel crates, forced-scalar dispatch"
 # The ChaCha level kernel, Block::xor_into and the LPN session kernels
-# (SimdMode::Auto) pick their tier once per process; on an AVX2 host the
-# pass above only ever ran the wide one. ironman-lpn rides along so its
+# (SimdMode::Auto) pick their tier once per process; the pass above only
+# ever ran the widest one the host has (AVX-512 for the ChaCha level
+# kernel where present, AVX2 for the rest). ironman-lpn rides along so its
 # portable lanes and the software cipher behind the index generator are
 # exercised under the override too.
 IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
