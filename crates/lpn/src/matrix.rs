@@ -7,8 +7,18 @@
 //! AES in counter mode — mirroring the paper's observation that on CPUs
 //! "LPN uses AES to generate indices of random access" — and the matrix is
 //! generated **once** and reused across all OTE executions.
+//!
+//! **The definition** (the crate-private `RowGenerator`): row `r`'s
+//! indices are the 64-bit halves of AES-CTR blocks `r·⌈d/2⌉ + 1 ..`, each
+//! reduced exactly mod `k`, with an in-row linear probe past duplicates.
+//! It has not changed since the `Σ colidx` pins were recorded; only its
+//! speed has: the counter blocks go through the widest AES tier in bulk
+//! (VAES where the CPU has it), the remainder is two multiplies instead
+//! of a divide, rows are written straight into their final slice, and the
+//! probe runs only on a row whose raw indices collide.
 
 use crate::tile::{TileConfig, TileSchedule};
+use crate::DEFAULT_ROW_WEIGHT;
 use ironman_prg::{Aes128, Block};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,8 +87,8 @@ impl LpnMatrix {
     /// estimate), which would otherwise drown the session-spawn
     /// observable the counter exists for.
     pub fn generate_untracked(rows: usize, cols: usize, weight: usize, seed: Block) -> Self {
-        let mut colidx = Vec::with_capacity(rows * weight);
-        RowGenerator::new(rows, cols, weight, seed).extend_rows(0..rows, &mut colidx);
+        let mut colidx = vec![0; rows * weight];
+        RowGenerator::new(rows, cols, weight, seed).fill_rows(0..rows, &mut colidx);
         LpnMatrix {
             rows,
             cols,
@@ -175,41 +185,85 @@ impl LpnMatrix {
 const MATRIX_DOMAIN: u128 = 0x4c50_4e5f_4d41_5452_4958;
 
 /// Counter blocks per bulk cipher call in [`LpnMatrix::generate`],
-/// rounded down to whole rows: 4 KB, L1-resident, and long enough that the
-/// cipher's 8-block stride leaves a negligible tail.
-const GENERATION_BATCH: usize = 256;
+/// rounded down to whole rows: 8 KB, L1-resident, and — at rows of up to
+/// 16 blocks — a whole number of the cipher's 32-block VAES steps (see
+/// [`RowGenerator::new`]).
+const GENERATION_BATCH: usize = 512;
 
-/// Exact `n % d` for any `u64` dividend by one multiplication chain
-/// instead of a hardware divide (Lemire, Kaser & Kurz, "Faster remainder
-/// by direct computation", 2019): with `magic = ⌈2¹²⁸ / d⌉`,
-/// `n % d = ⌊((magic · n) mod 2¹²⁸) · d / 2¹²⁸⌋` whenever
-/// `128 ≥ 64 + log₂ d`.
+/// Blocks per step of the widest cipher tier ([`ironman_prg::AesTier`]).
+const CIPHER_STEP: usize = 32;
+
+/// Exact `n % d` for any `u64` dividend by two multiplies and one
+/// conditional subtraction instead of a hardware divide (Barrett
+/// reduction). With `m = ⌊(2⁶⁴ − 1) / d⌋ = 2⁶⁴/d − ε` for some
+/// `0 < ε ≤ 1`, the estimate `q = ⌊m·n / 2⁶⁴⌋ = ⌊n/d − n·ε/2⁶⁴⌋` is
+/// `⌊n/d⌋` or one less, since `n·ε/2⁶⁴ < 1`; so `n − q·d` is the
+/// remainder or the remainder plus `d`, and one compare settles which.
+/// No variable shift, so nothing contends for `CL`.
 struct FastMod {
-    magic: u128,
+    magic: u64,
     d: u64,
 }
 
 impl FastMod {
     /// # Panics
     ///
-    /// Panics unless `1 ≤ d ≤ 2³²` (keeps [`FastMod::reduce`]'s partial
-    /// products inside `u128`).
+    /// Panics unless `1 ≤ d ≤ 2³²` (column indices are `u32`).
     fn new(d: u64) -> Self {
         assert!((1..=1 << 32).contains(&d), "modulus out of range");
-        // ⌈2¹²⁸ / d⌉ for d ≥ 2; d = 1 wraps to 0, which reduces every
-        // dividend to 0 — also right.
-        let magic = (u128::MAX / d as u128).wrapping_add(1);
-        FastMod { magic, d }
+        FastMod {
+            magic: u64::MAX / d,
+            d,
+        }
     }
 
-    #[inline]
+    /// Forced inline: LLVM left the previous reduction out of line in
+    /// the generator's loop, which cost nearly half of generation.
+    #[inline(always)]
     fn reduce(&self, n: u64) -> u64 {
-        let low = self.magic.wrapping_mul(n as u128);
-        // ⌊low · d / 2¹²⁸⌋ from the two 64-bit halves of `low`.
-        let d = self.d as u128;
-        let r = (((low >> 64) * d + (((low as u64 as u128) * d) >> 64)) >> 64) as u64;
+        let q = ((self.magic as u128 * n as u128) >> 64) as u64;
+        let r = n - q * self.d;
+        let r = if r >= self.d { r - self.d } else { r };
         debug_assert_eq!(r, n % self.d);
         r
+    }
+}
+
+/// A row's width, fixed at compile time for [`DEFAULT_ROW_WEIGHT`] and at
+/// run time otherwise, so one generator body ([`RowGenerator::fill`])
+/// serves both: with the width a constant every per-row loop has a known
+/// trip count and the row's raw indices live in a fixed-size array.
+trait RowWidth: Copy {
+    /// Scratch for one row's raw (pre-probe) indices.
+    type Raw: AsMut<[u32]>;
+    fn weight(self) -> usize;
+    /// A zeroed [`RowWidth::Raw`], made once per call.
+    fn raw(self) -> Self::Raw;
+}
+
+#[derive(Clone, Copy)]
+struct Fixed<const D: usize>;
+
+impl<const D: usize> RowWidth for Fixed<D> {
+    type Raw = [u32; D];
+    fn weight(self) -> usize {
+        D
+    }
+    fn raw(self) -> [u32; D] {
+        [0; D]
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Runtime(usize);
+
+impl RowWidth for Runtime {
+    type Raw = Vec<u32>;
+    fn weight(self) -> usize {
+        self.0
+    }
+    fn raw(self) -> Vec<u32> {
+        vec![0; self.0]
     }
 }
 
@@ -220,6 +274,13 @@ impl FastMod {
 /// generated on its own — which is how
 /// [`TileSchedule::generate`](crate::tile::TileSchedule::generate) streams
 /// the matrix a row block at a time without ever holding `colidx`.
+///
+/// Index `j` of a row is its `j`-th 64-bit half (high half first) reduced
+/// exactly mod `cols`; a duplicate within the row is then moved by a
+/// linear probe, one column up (wrapping) until it is new to the row, so
+/// every row holds `d` distinct columns. The probe runs only on a row
+/// whose raw indices collide — if they are pairwise distinct, the probe
+/// would move none of them — so the common row is reduce, compare, copy.
 pub(crate) struct RowGenerator {
     aes: Aes128,
     modulus: FastMod,
@@ -243,7 +304,13 @@ impl RowGenerator {
         );
         assert!(cols <= u32::MAX as usize, "column count must fit in u32");
         let blocks_per_row = weight.div_ceil(2);
-        let rows_per_batch = (GENERATION_BATCH / blocks_per_row.max(1)).max(1);
+        // A multiple of 32 rows is a whole number of 32-block cipher
+        // steps, so only a range's last batch leaves the widest tier a
+        // remainder.
+        let rows_per_batch = match GENERATION_BATCH / blocks_per_row.max(1) {
+            r if r >= CIPHER_STEP => r / CIPHER_STEP * CIPHER_STEP,
+            r => r.max(1),
+        };
         RowGenerator {
             aes: Aes128::new(seed ^ Block::from(MATRIX_DOMAIN)),
             modulus: FastMod::new(cols as u64),
@@ -254,36 +321,68 @@ impl RowGenerator {
         }
     }
 
-    /// Appends the column indices of `rows`, row-major, to `out`. A batch
-    /// of rows is one contiguous counter range: fill it, encrypt it in one
-    /// bulk call, derive the indices.
-    pub(crate) fn extend_rows(&mut self, rows: std::ops::Range<usize>, out: &mut Vec<u32>) {
-        let (weight, cols) = (self.weight, self.cols);
-        // `weight == 0` leaves every batch empty, so the `max(1)`s only
-        // keep the chunk sizes legal; no row is visited.
+    /// Writes the column indices of `rows`, row-major, into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out.len() == rows.len() * weight`.
+    pub(crate) fn fill_rows(&mut self, rows: std::ops::Range<usize>, out: &mut [u32]) {
+        if self.weight == DEFAULT_ROW_WEIGHT {
+            self.fill(Fixed::<DEFAULT_ROW_WEIGHT>, rows, out);
+        } else {
+            self.fill(Runtime(self.weight), rows, out);
+        }
+    }
+
+    /// [`RowGenerator::fill_rows`] at `width`, which must be the
+    /// generator's weight. A batch of rows is one contiguous counter
+    /// range: fill it, encrypt it in one bulk call, derive the indices.
+    fn fill<W: RowWidth>(&mut self, width: W, rows: std::ops::Range<usize>, out: &mut [u32]) {
+        let (weight, cols) = (width.weight(), self.cols);
+        assert_eq!(weight, self.weight, "the generator's own width");
+        assert_eq!(out.len(), rows.len() * weight, "one slot per index");
+        if weight == 0 {
+            return;
+        }
         let blocks_per_row = weight.div_ceil(2);
-        for first_row in rows.clone().step_by(self.rows_per_batch) {
-            let batch_rows = self.rows_per_batch.min(rows.end - first_row);
-            let blocks = &mut self.batch[..batch_rows * blocks_per_row];
+        let mut raw = width.raw();
+        let raw = raw.as_mut();
+        let batches = rows.clone().step_by(self.rows_per_batch);
+        for (first_row, out) in batches.zip(out.chunks_mut(self.rows_per_batch * weight)) {
+            let blocks = &mut self.batch[..out.len() / weight * blocks_per_row];
             let mut ctr = (first_row * blocks_per_row) as u128;
             for slot in blocks.iter_mut() {
                 ctr += 1;
                 *slot = Block::from(ctr);
             }
             self.aes.encrypt_blocks(blocks);
-            for row_blocks in blocks.chunks_exact(blocks_per_row.max(1)) {
-                let row_start = out.len();
-                let halves = row_blocks.iter().flat_map(|blk| {
-                    let (hi, lo) = blk.to_halves();
-                    [hi, lo]
-                });
-                for half in halves.take(weight) {
-                    let mut idx = self.modulus.reduce(half) as u32;
-                    // Linear probe past duplicates within the row.
-                    while out[row_start..].contains(&idx) {
+            for (row_blocks, row) in blocks
+                .chunks_exact(blocks_per_row)
+                .zip(out.chunks_exact_mut(weight))
+            {
+                for (j, r) in raw.iter_mut().enumerate() {
+                    let (hi, lo) = row_blocks[j / 2].to_halves();
+                    *r = self.modulus.reduce(if j % 2 == 0 { hi } else { lo }) as u32;
+                }
+                // All pairs of raw indices: at the paper's shape (d = 10
+                // of k = 168 000) a row collides about once in 3700, so
+                // the probe below is the cold path.
+                let mut collide = false;
+                for (i, &a) in raw.iter().enumerate() {
+                    for &b in &raw[..i] {
+                        collide |= a == b;
+                    }
+                }
+                if !collide {
+                    row.copy_from_slice(raw);
+                    continue;
+                }
+                for (j, &first) in raw.iter().enumerate() {
+                    let mut idx = first;
+                    while row[..j].contains(&idx) {
                         idx = (idx + 1) % cols;
                     }
-                    out.push(idx);
+                    row[j] = idx;
                 }
             }
         }
@@ -345,8 +444,14 @@ mod tests {
         }
 
         #[test]
-        fn fastmod_matches_hardware_remainder(n in any::<u64>(), pick in 0usize..6) {
-            let d = [1, 2, 3, 1 << 32, 168_000, u32::MAX as u64][pick];
+        fn fastmod_matches_hardware_remainder(n in any::<u64>(), pick in 0usize..11) {
+            // d = 1 (m = 2⁶⁴ − 1: the estimate is one short for every
+            // n > 0), powers of two (ε = 1 exactly), the divisors either
+            // side of one, and the shapes the tables use.
+            let d = [
+                1, 2, 3, 7, 1 << 16, (1 << 31) - 1, (1 << 31) + 1, 1 << 32,
+                168_000, 262_000, u32::MAX as u64,
+            ][pick];
             let m = FastMod::new(d);
             for n in [n, 0, 1, d - 1, d, d + 1, n / d * d, u64::MAX - 1, u64::MAX] {
                 prop_assert_eq!(m.reduce(n), n % d, "{} % {}", n, d);
@@ -354,11 +459,60 @@ mod tests {
         }
     }
 
+    /// [`RowGenerator::fill`] of rows `range` at an explicit width.
+    fn fill_at<W: RowWidth>(
+        width: W,
+        range: std::ops::Range<usize>,
+        cols: usize,
+        seed: Block,
+    ) -> Vec<u32> {
+        let mut out = vec![u32::MAX; range.len() * width.weight()];
+        RowGenerator::new(range.end, cols, width.weight(), seed).fill(width, range, &mut out);
+        out
+    }
+
+    /// Both instantiations of one width against the definition, on the
+    /// twelve narrowest column counts the width allows: most rows' raw
+    /// indices collide there (every row's, at `cols == weight`), so this
+    /// is the probe path. A range that starts mid-batch checks the
+    /// counter offsets too.
+    fn colliding_rows_match<W: RowWidth>(fixed: W) {
+        let weight = fixed.weight();
+        for cols in weight..weight + 12 {
+            let seed = Block::from((cols << 8 | weight) as u128);
+            let rows = 70;
+            let expected = generate_row_at_a_time(rows, cols, weight, seed);
+            for (range, want) in [
+                (0..rows, &expected[..]),
+                (33..rows, &expected[33 * weight..]),
+            ] {
+                let got = fill_at(fixed, range.clone(), cols, seed);
+                assert_eq!(
+                    got, want,
+                    "fixed width {weight}, {cols} cols, rows {range:?}"
+                );
+                let got = fill_at(Runtime(weight), range.clone(), cols, seed);
+                assert_eq!(
+                    got, want,
+                    "runtime width {weight}, {cols} cols, rows {range:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_rows_match_row_at_a_time_at_both_widths() {
+        macro_rules! each_width {
+            ($($d:literal)*) => { $( colliding_rows_match(Fixed::<$d>); )* };
+        }
+        each_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    }
+
     #[test]
     fn rows_wider_than_a_batch_and_full_width_rows_match() {
         // ⌈d/2⌉ above the batch size (one row per bulk call), and a row
         // that must take every column.
-        for (rows, cols, weight) in [(3, 700, 2 * GENERATION_BATCH + 3), (5, 41, 41)] {
+        for (rows, cols, weight) in [(3, 1500, 2 * GENERATION_BATCH + 3), (5, 41, 41)] {
             let m = LpnMatrix::generate_untracked(rows, cols, weight, Block::from(21u128));
             assert_eq!(
                 m.colidx(),

@@ -24,7 +24,7 @@
 
 use crate::encoder::{self, XorLane};
 use crate::matrix::{count_generation, RowGenerator};
-use crate::LpnMatrix;
+use crate::{simd, LpnMatrix};
 use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +67,7 @@ impl TileConfig {
 /// it): every entry of bucket `(block, tile)` decodes to a
 /// `(row, col)` with `row < rows` and `col < cols`. Every constructor
 /// ([`TileSchedule::build`], [`TileSchedule::generate`],
-/// [`TileSchedule::build_with`]) asserts it per gather — hence no
+/// [`TileSchedule::build_with`]) checks it for every gather — hence no
 /// `Deserialize`: nothing may mint a schedule that skipped that check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TileSchedule {
@@ -148,44 +148,46 @@ impl Geometry {
 struct RowBlocks {
     g: Geometry,
     weight: usize,
+    /// Every entry of the schedule, allocated once at full size (`rows ·
+    /// weight`, zero pages until a block is placed into them); the first
+    /// `bucket_ends.last()` are placed.
     entries: Vec<u32>,
     bucket_ends: Vec<usize>,
-    /// The current block's per-tile counts, then placement cursors.
+    /// The current block's per-tile counts.
+    counts: Vec<usize>,
+    /// The scalar placement's per-tile cursors.
     cursors: Vec<usize>,
+    /// Whether blocks go to the AVX-512 kernel where it applies
+    /// ([`simd::place_row_block`]); the schedule is the same either way.
+    wide: bool,
 }
 
 impl RowBlocks {
-    fn new(rows: usize, cols: usize, weight: usize, cfg: TileConfig) -> Self {
+    fn new(rows: usize, cols: usize, weight: usize, cfg: TileConfig, wide: bool) -> Self {
         let g = Geometry::new(rows, cols, cfg);
         RowBlocks {
             g,
             weight,
-            entries: Vec::with_capacity(rows * weight),
+            entries: vec![0; rows * weight],
             bucket_ends: Vec::with_capacity(g.n_buckets()),
+            counts: vec![0; g.n_tiles],
             cursors: vec![0; g.n_tiles],
+            wide,
         }
     }
 
-    /// Places the next row block from its row-major column indices.
-    /// Rows are in range by position; columns are checked in both passes,
-    /// as in [`TileSchedule::build_with`].
+    /// Places the next row block from its row-major column indices into
+    /// its range of `entries`, bucket by bucket. Rows are in range by
+    /// position; every column is range-checked before any entry is
+    /// written.
     fn place(&mut self, gathers: &[u32]) {
-        // The packing check bounds `col_bits` by 31, so the tile width
-        // (and with it every quotient and remainder) fits `u32`. The
-        // default width is a power of two, where the per-gather divide is
-        // a shift and a mask — a third of the build's time.
-        let col_tile = self.g.col_tile as u32;
-        if col_tile.is_power_of_two() {
-            let shift = col_tile.trailing_zeros();
-            self.place_by(gathers, |c| (c >> shift, c & (col_tile - 1)));
-        } else {
-            self.place_by(gathers, |c| (c / col_tile, c % col_tile));
-        }
-    }
-
-    fn place_by(&mut self, gathers: &[u32], split: impl Fn(u32) -> (u32, u32)) {
-        let Geometry { cols, col_bits, .. } = self.g;
-        // Every `local_row` below is a row of this block, so it decodes
+        let Geometry {
+            cols,
+            col_tile,
+            col_bits,
+            ..
+        } = self.g;
+        // Every `local_row` placed is a row of this block, so it decodes
         // in range (the type's invariant) and packs beside `col_bits`.
         let first_row = self.bucket_ends.len() / self.g.n_tiles * self.g.row_block;
         let block_rows = self.g.row_block.min(self.g.rows - first_row);
@@ -194,30 +196,66 @@ impl RowBlocks {
             block_rows * self.weight,
             "a row block is placed whole"
         );
-        let in_range = |c: u32| assert!((c as usize) < cols, "entry out of range");
-
-        self.cursors.fill(0);
-        for &c in gathers {
-            in_range(c);
-            self.cursors[split(c).0 as usize] += 1;
+        let start = self.bucket_ends.last().copied().unwrap_or(0);
+        let wide = self.wide
+            && simd::place_row_block(
+                gathers,
+                self.weight,
+                cols,
+                col_tile,
+                col_bits,
+                &mut self.entries[start..start + gathers.len()],
+                &mut self.counts,
+            );
+        if !wide {
+            // The packing check bounds `col_bits` by 31, so the tile
+            // width (and with it every quotient and remainder) fits
+            // `u32`. The default width is a power of two, where the
+            // per-gather divide is a shift and a mask — a third of the
+            // build's time.
+            let col_tile = col_tile as u32;
+            if col_tile.is_power_of_two() {
+                let shift = col_tile.trailing_zeros();
+                self.place_scalar(gathers, start, |c| (c >> shift, c & (col_tile - 1)));
+            } else {
+                self.place_scalar(gathers, start, |c| (c / col_tile, c % col_tile));
+            }
         }
-        let mut end = self.entries.len();
-        for cursor in &mut self.cursors {
-            let start = end;
-            end += *cursor;
-            *cursor = start;
+        let mut end = start;
+        for &count in &self.counts {
+            end += count;
             self.bucket_ends.push(end);
         }
-        self.entries.resize(end, 0);
+    }
+
+    /// The row-major scalar placement of one row block into `entries`
+    /// from `start`: count each tile's gathers, turn the counts into
+    /// cursors, and place every gather at its tile's cursor — the
+    /// definition [`simd::place_row_block`] reproduces.
+    fn place_scalar(&mut self, gathers: &[u32], start: usize, split: impl Fn(u32) -> (u32, u32)) {
+        // Every column is checked, as the block's maximum: one branch-free
+        // pass, which the count and placement passes then rely on.
+        let max = gathers.iter().fold(0, |m, &c| m.max(c));
+        assert!((max as usize) < self.g.cols, "entry out of range");
+
+        self.counts.fill(0);
+        for &c in gathers {
+            self.counts[split(c).0 as usize] += 1;
+        }
+        let mut at = 0;
+        for (cursor, &count) in self.cursors.iter_mut().zip(&self.counts) {
+            *cursor = at;
+            at += count;
+        }
+        let block = &mut self.entries[start..start + gathers.len()];
         // A weight-0 block has no gathers: `max(1)` only keeps the chunk
         // size legal, and no row is visited.
         for (local_row, row) in gathers.chunks_exact(self.weight.max(1)).enumerate() {
-            let row_bits = (local_row as u32) << col_bits;
+            let row_bits = (local_row as u32) << self.g.col_bits;
             for &c in row {
-                in_range(c);
                 let (tile, local_col) = split(c);
                 let cursor = &mut self.cursors[tile as usize];
-                self.entries[*cursor] = row_bits | local_col;
+                block[*cursor] = row_bits | local_col;
                 *cursor += 1;
             }
         }
@@ -234,8 +272,14 @@ impl TileSchedule {
     /// [`TileSchedule::build_with`] produces from the row-major gather
     /// set, built by walking `colidx` one row block at a time.
     pub fn build(matrix: &LpnMatrix, cfg: TileConfig) -> Self {
+        Self::build_placed(matrix, cfg, simd::wide_placement())
+    }
+
+    /// [`TileSchedule::build`] with the AVX-512 placement allowed or not
+    /// (tests compare the two).
+    fn build_placed(matrix: &LpnMatrix, cfg: TileConfig, wide: bool) -> Self {
         let weight = matrix.weight();
-        let mut b = RowBlocks::new(matrix.rows(), matrix.cols(), weight, cfg);
+        let mut b = RowBlocks::new(matrix.rows(), matrix.cols(), weight, cfg, wide);
         for rows in b.g.row_blocks() {
             b.place(&matrix.colidx()[rows.start * weight..rows.end * weight]);
         }
@@ -245,8 +289,9 @@ impl TileSchedule {
     /// [`TileSchedule::build`] of [`LpnMatrix::generate`]'s matrix, entry
     /// for entry, without materialising its `colidx`: a row's indices are
     /// a pure function of `(seed, row)`, so each row block is generated
-    /// into a scratch buffer (≈ 5 MB at the default geometry), placed and
-    /// forgotten. One stored form and one pass over the index stream at
+    /// into one reused scratch buffer (≈ 5 MB at the default geometry),
+    /// placed into its range of the full-size entry array and forgotten.
+    /// One stored form and one pass over the index stream at
     /// set-up where generate-then-build keeps two and makes three. Counts
     /// as one generation in [`LpnMatrix::generated_count`].
     ///
@@ -256,12 +301,12 @@ impl TileSchedule {
     pub fn generate(rows: usize, cols: usize, weight: usize, seed: Block, cfg: TileConfig) -> Self {
         count_generation();
         let mut generator = RowGenerator::new(rows, cols, weight, seed);
-        let mut b = RowBlocks::new(rows, cols, weight, cfg);
-        let mut scratch = Vec::with_capacity(b.g.row_block * weight);
+        let mut b = RowBlocks::new(rows, cols, weight, cfg, simd::wide_placement());
+        let mut scratch = vec![0; b.g.row_block * weight];
         for rows in b.g.row_blocks() {
-            scratch.clear();
-            generator.extend_rows(rows, &mut scratch);
-            b.place(&scratch);
+            let block = &mut scratch[..rows.len() * weight];
+            generator.fill_rows(rows, block);
+            b.place(block);
         }
         b.finish()
     }
@@ -448,6 +493,48 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// The AVX-512 placement is the scalar one, entry for entry: one
+        /// to twenty column tiles of a power-of-two width (the kernel
+        /// takes up to sixteen), weights on both sides of one vector, and
+        /// blocks that end mid-vector. Where the CPU lacks AVX-512 both
+        /// sides run the scalar placement.
+        #[test]
+        fn wide_placement_is_scalar_placement(
+            rows in 1usize..500,
+            tiles in 1usize..21,
+            log_tile in 0u32..8,
+            extra in 0usize..256,
+            weight in 0usize..40,
+            row_block in 1usize..300,
+            seed in any::<u128>(),
+        ) {
+            let col_tile = 1usize << log_tile;
+            let cols = (tiles - 1) * col_tile + 1 + extra % col_tile;
+            let weight = weight.min(cols);
+            let cfg = TileConfig { row_block, col_tile };
+            let m = LpnMatrix::generate_untracked(rows, cols, weight, Block::from(seed));
+            prop_assert_eq!(
+                TileSchedule::build_placed(&m, cfg, true),
+                TileSchedule::build_placed(&m, cfg, false)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "entry out of range")]
+    fn out_of_range_col_rejected_by_wide_placement() {
+        // Seventeen gathers: the bad one sits in the masked last vector.
+        let cfg = TileConfig {
+            row_block: 1,
+            col_tile: 16,
+        };
+        let mut b = RowBlocks::new(1, 40, 17, cfg, true);
+        let mut gathers: Vec<u32> = (0..17).collect();
+        gathers[16] = 40;
+        b.place(&gathers);
+    }
+
     /// The Table-4 schedule decodes to the matrix the pre-batching
     /// generator made: `Σ` decoded columns equals `matrix.rs`'s `Σ colidx`
     /// pins, and the working set keeps the row-major form's value.
@@ -470,6 +557,51 @@ mod tests {
             assert_eq!(got, sum, "seed {seed}");
             assert_eq!(s.working_set_bytes(), (10 << 20) * 4 + 168_000 * 16);
         }
+    }
+
+    #[test]
+    #[ignore = "micro-bench; run with --release -- --ignored --nocapture"]
+    fn matrix_build_head_to_head_at_table4_shape() {
+        // OT_2POW20's matrix (n 1 221 516, k 168 000, d 10): "generate" is
+        // the row-major `colidx`, "place" buckets it into the default
+        // schedule, "streamed" is what a session runs — the schedule
+        // straight from the generator, one row block at a time.
+        use std::time::Instant;
+        const REPS: usize = 7;
+        let (n, k, d) = (1_221_516, 168_000, 10);
+        let seed = Block::from(7u128);
+        let cfg = TileConfig::default();
+        let m = LpnMatrix::generate_untracked(n, k, d, seed);
+        let time = |label: &str, f: &mut dyn FnMut()| {
+            let mut secs: Vec<f64> = (0..REPS)
+                .map(|_| {
+                    let t = Instant::now();
+                    f();
+                    t.elapsed().as_secs_f64()
+                })
+                .collect();
+            secs.sort_by(f64::total_cmp);
+            let median = secs[REPS / 2];
+            println!(
+                "{label}: median of {REPS} {:.1} ms ({:.1} ns/row)",
+                median * 1e3,
+                median * 1e9 / n as f64
+            );
+        };
+        println!(
+            "AES tier {:?}, AVX-512 placement {}",
+            ironman_prg::AesTier::detect(),
+            simd::wide_placement()
+        );
+        time("generate", &mut || {
+            std::hint::black_box(LpnMatrix::generate_untracked(n, k, d, seed));
+        });
+        time("place", &mut || {
+            std::hint::black_box(TileSchedule::build(&m, cfg));
+        });
+        time("streamed", &mut || {
+            std::hint::black_box(TileSchedule::generate(n, k, d, seed, cfg));
+        });
     }
 
     fn matrix() -> LpnMatrix {

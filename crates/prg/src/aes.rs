@@ -1,25 +1,33 @@
-//! FIPS-197 AES-128 (encryption only), on two output-identical tiers.
+//! FIPS-197 AES-128 (encryption only), on three output-identical tiers.
 //!
 //! The paper's baseline PRG instantiates the GGM double-length PRG with
 //! AES-NI: `G(s) = (AES_{k0}(s) ⊕ s, AES_{k1}(s) ⊕ s)`, and its CPU
-//! baseline draws the LPN indices from the same instruction. What runs
-//! where:
+//! baseline draws the LPN indices from the same instruction.
 //!
-//! * **Hardware tier** — x86-64 with the `aes` feature: `AESENC` /
-//!   `AESENCLAST` over the round keys, eight blocks in flight
-//!   ([`Aes128::encrypt_blocks`]), so bulk callers pay the instruction's
-//!   throughput and single-block callers its latency.
-//! * **Portable tier** — everywhere else, and under `IRONMAN_SIMD=scalar`:
-//!   the byte-wise S-box cipher below, which is also the oracle the
-//!   hardware tier is tested against.
+//! **The tier ladder.** [`AesTier::detect`] picks the widest the CPU has,
+//! once per process:
 //!
-//! The key schedule is the software one on both tiers. The cipher is
+//! * **Vaes** — x86-64 with `avx512f` and `vaes` (and `aes`): `VAESENC`
+//!   over 512-bit vectors, four blocks per vector and eight vectors in
+//!   flight, so [`Aes128::encrypt_blocks`] moves thirty-two blocks per
+//!   step; the 0–31 blocks left over run on the hardware tier's loop.
+//!   The bulk caller is the LPN index generator.
+//! * **Hardware** — x86-64 with the `aes` feature: `AESENC` /
+//!   `AESENCLAST` over the round keys, eight blocks in flight, so bulk
+//!   callers pay the instruction's throughput and single-block callers
+//!   its latency.
+//! * **Portable** — everywhere else, and under `IRONMAN_SIMD=scalar`: the
+//!   byte-wise S-box cipher below, which is also the oracle the other
+//!   tiers are tested against.
+//!
+//! The key schedule is the software one on every tier. The cipher is
 //! pinned to the FIPS-197 and SP 800-38A vectors on every tier the machine
 //! has, so GGM trees, LPN index generation and CRHF outputs are
 //! reproducible bit-for-bit whichever tier a process picks.
 //!
-//! The hardware kernel's `unsafe` (raw-pointer vector loads and stores)
-//! sits in one module behind a scoped `#[allow(unsafe_code)]`.
+//! The hardware kernels' `unsafe` (raw-pointer vector loads and stores)
+//! sits in one module behind a scoped `#[allow(unsafe_code)]`, and their
+//! round loop is written once for both vector widths.
 
 use crate::Block;
 use std::sync::OnceLock;
@@ -146,14 +154,14 @@ impl Aes128 {
         self.encrypt_blocks_on(AesTier::detect(), blocks);
     }
 
-    /// [`Aes128::encrypt_blocks`] on a chosen tier, so tests cover both
-    /// in one process. Asking for [`AesTier::Hardware`] where the CPU
-    /// lacks it runs the portable cipher.
+    /// [`Aes128::encrypt_blocks`] on a chosen tier, so tests cover every
+    /// tier in one process. A tier the CPU lacks runs the next narrower
+    /// one it has.
     #[inline]
     pub(crate) fn encrypt_blocks_on(&self, tier: AesTier, blocks: &mut [Block]) {
-        if tier == AesTier::Hardware {
+        if tier != AesTier::Portable {
             #[cfg(target_arch = "x86_64")]
-            if ni::encrypt_blocks(&self.round_keys, blocks) {
+            if ni::encrypt_blocks(&self.round_keys, tier == AesTier::Vaes, blocks) {
                 return;
             }
         }
@@ -171,120 +179,231 @@ impl Aes128 {
     }
 }
 
-/// Which implementation of the cipher runs. Output-identical; only the
-/// instruction selection differs.
+/// Which implementation of the cipher runs, narrowest first.
+/// Output-identical; only the instruction selection differs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AesTier {
     /// The byte-wise software cipher — the always-available tier.
     Portable,
     /// `AESENC`/`AESENCLAST`, eight blocks in flight (x86-64 `aes`).
     Hardware,
+    /// `VAESENC` over 512-bit vectors, thirty-two blocks in flight, the
+    /// remainder on the [`AesTier::Hardware`] loop (`aes`, `avx512f` and
+    /// `vaes`).
+    Vaes,
 }
 
 impl AesTier {
-    /// The tier this process dispatches to, decided once: the `aes`
-    /// feature check under the same `IRONMAN_SIMD=scalar` override as
-    /// [`Block::xor_into`] and [`crate::LevelTier::detect`].
+    /// The tier this process dispatches to, decided once: the widest of
+    /// [`AesTier::available`], or [`AesTier::Portable`] under the same
+    /// `IRONMAN_SIMD=scalar` override as [`Block::xor_into`] and
+    /// [`crate::LevelTier::detect`].
     pub fn detect() -> AesTier {
         static TIER: OnceLock<AesTier> = OnceLock::new();
         *TIER.get_or_init(|| {
-            if !crate::block::forced_scalar() && AesTier::available().contains(&AesTier::Hardware) {
-                AesTier::Hardware
-            } else {
+            if crate::block::forced_scalar() {
                 AesTier::Portable
+            } else {
+                *AesTier::available()
+                    .last()
+                    .expect("Portable is always available")
             }
         })
     }
 
-    /// Every tier that runs on this machine, whatever the environment
-    /// says — for equivalence tests that must cover the hardware tier
-    /// exactly where it exists.
+    /// Every tier that runs on this machine, narrowest first, whatever the
+    /// environment says — for equivalence tests that must cover each
+    /// hardware tier exactly where it exists.
     pub fn available() -> &'static [AesTier] {
         #[cfg(target_arch = "x86_64")]
-        if ni::present() {
-            return &[AesTier::Portable, AesTier::Hardware];
+        match ni::features() {
+            (true, true) => return &[AesTier::Portable, AesTier::Hardware, AesTier::Vaes],
+            (true, false) => return &[AesTier::Portable, AesTier::Hardware],
+            _ => {}
         }
         &[AesTier::Portable]
     }
 }
 
-/// The AES-NI kernel: one `AESENC` per round per block, eight independent
-/// blocks interleaved so the instruction's latency is hidden behind its
-/// throughput.
+/// The hardware kernels. One round loop ([`aes_kernel!`]) is expanded for
+/// both widths: [`ni::x128`] holds one block per `__m128i`, [`ni::x512`]
+/// four per `__m512i`. Either way eight vectors are in flight, so every
+/// round's `AESENC` latency hides behind seven independent issues.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod ni {
     use super::Block;
     use std::arch::x86_64::*;
 
-    /// Blocks in flight: enough to cover `AESENC`'s 3–7-cycle latency at
-    /// one or two issues per cycle, and half the XMM register file.
+    /// Vectors in flight: enough to cover `AESENC`'s 3–7-cycle latency at
+    /// one or two issues per cycle, and a quarter to half of the register
+    /// file.
     const LANES: usize = 8;
 
-    pub(super) fn present() -> bool {
-        std::arch::is_x86_feature_detected!("aes")
+    /// Whether the CPU has `(aes, avx512f && vaes)`.
+    pub(super) fn features() -> (bool, bool) {
+        (
+            std::arch::is_x86_feature_detected!("aes"),
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("vaes"),
+        )
     }
 
-    /// Encrypts `blocks` in place under `round_keys` if the CPU has the
-    /// instruction; `false` means it does not and nothing was written.
-    pub(super) fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [Block]) -> bool {
-        if !present() {
-            return false;
+    /// Encrypts `blocks` in place under `round_keys` on the widest kernel
+    /// both `wide` and the CPU allow; `false` means the CPU has no `aes`
+    /// and nothing was written.
+    pub(super) fn encrypt_blocks(
+        round_keys: &[[u8; 16]; 11],
+        wide: bool,
+        blocks: &mut [Block],
+    ) -> bool {
+        match features() {
+            (true, true) if wide => {
+                // SAFETY: `aes`, `avx512f` and `vaes` were verified just
+                // above (SSE2 is baseline on x86-64).
+                unsafe { encrypt_blocks_vaes(round_keys, blocks) }
+            }
+            // SAFETY: as above, for `aes`.
+            (true, _) => unsafe { encrypt_blocks_aesni(round_keys, blocks) },
+            _ => return false,
         }
-        // SAFETY: the `aes` feature was verified just above (SSE2, the
-        // kernel's only other requirement, is baseline on x86-64).
-        unsafe { encrypt_blocks_aesni(round_keys, blocks) };
         true
+    }
+
+    /// The round keys as XMM registers: byte `i` of a key lands in byte
+    /// `i` of the register — FIPS-197's state order, which is what
+    /// `AESENC` operates on.
+    #[inline]
+    fn load_keys(round_keys: &[[u8; 16]; 11]) -> [__m128i; 11] {
+        // SAFETY: a round key is 16 readable bytes and the unaligned load
+        // has no alignment requirement (SSE2 is baseline on x86-64).
+        round_keys.map(|bytes| unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) })
     }
 
     /// # Safety
     ///
-    /// Caller must have verified the `aes` CPU feature (see [`present`]).
+    /// Caller must have verified the `aes` CPU feature.
     #[target_feature(enable = "aes")]
     fn encrypt_blocks_aesni(round_keys: &[[u8; 16]; 11], blocks: &mut [Block]) {
-        let mut keys = [_mm_setzero_si128(); 11];
-        for (key, bytes) in keys.iter_mut().zip(round_keys) {
-            // SAFETY: a round key is 16 readable bytes and the unaligned
-            // load has no alignment requirement. Byte `i` of the key lands
-            // in byte `i` of the register — FIPS-197's state order, which
-            // is what `AESENC` operates on.
-            *key = unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) };
+        x128::encrypt_blocks(&load_keys(round_keys), blocks);
+    }
+
+    /// Thirty-two blocks per step, eight `__m512i` in flight; the 0–31
+    /// blocks left over go to the AES-NI loop.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified the `aes`, `avx512f` and `vaes` CPU
+    /// features.
+    #[target_feature(enable = "aes,avx512f,vaes")]
+    fn encrypt_blocks_vaes(round_keys: &[[u8; 16]; 11], blocks: &mut [Block]) {
+        let keys = load_keys(round_keys);
+        let wide = keys.map(|key| _mm512_broadcast_i32x4(key));
+        let (body, tail) = blocks.as_chunks_mut::<{ LANES * x512::BLOCKS }>();
+        for step in body {
+            x512::encrypt_lanes::<LANES>(&wide, step);
         }
-        let (body, tail) = blocks.as_chunks_mut::<LANES>();
-        for lanes in body {
-            encrypt_lanes(&keys, lanes);
+        x128::encrypt_blocks(&keys, tail);
+    }
+
+    /// The round loop, written once for both widths. The invoking module
+    /// supplies the vector type `V`, `BLOCKS` (blocks per vector), the
+    /// target feature and the intrinsics.
+    macro_rules! aes_kernel {
+        (
+            feature: $feature:literal,
+            load: $load:path,
+            store: $store:path,
+            xor: $xor:path,
+            enc: $enc:path,
+            enclast: $enclast:path $(,)?
+        ) => {
+            /// Encrypts the `N·BLOCKS` blocks of `blocks` with every round
+            /// interleaved across the `N` vectors.
+            ///
+            /// # Panics
+            ///
+            /// Panics unless `blocks.len() == N * BLOCKS` (a constant
+            /// check wherever the caller's length is one).
+            #[inline]
+            #[target_feature(enable = $feature)]
+            pub(super) fn encrypt_lanes<const N: usize>(keys: &[V; 11], blocks: &mut [Block]) {
+                assert_eq!(blocks.len(), N * BLOCKS, "one block per lane");
+                let p = blocks.as_mut_ptr().cast::<V>();
+                let mut state = [keys[0]; N];
+                for (i, s) in state.iter_mut().enumerate() {
+                    // SAFETY: `i < N` and `blocks` holds `N·BLOCKS` blocks,
+                    // so the vector at `p + i` is blocks `BLOCKS·i ..` of
+                    // the slice. `Block` is `repr(transparent)` over
+                    // `u128`, whose in-memory bytes on this little-endian
+                    // target are `to_le_bytes` order — the byte order the
+                    // portable tier feeds the cipher — and the unaligned
+                    // load has no alignment requirement.
+                    *s = $xor(*s, unsafe { $load(p.add(i).cast()) });
+                }
+                for key in &keys[1..10] {
+                    for s in &mut state {
+                        *s = $enc(*s, *key);
+                    }
+                }
+                for (i, s) in state.into_iter().enumerate() {
+                    // SAFETY: as for the load — `p + i` lies inside the
+                    // exclusively borrowed slice.
+                    unsafe { $store(p.add(i).cast(), $enclast(s, keys[10])) };
+                }
+            }
+        };
+    }
+
+    /// One block per `__m128i` (`aes`).
+    pub(super) mod x128 {
+        use super::{Block, LANES};
+        use std::arch::x86_64::*;
+
+        type V = __m128i;
+        const BLOCKS: usize = 1;
+
+        /// Eight blocks per step, then the 0–7-block tail (and every
+        /// single-block call) one at a time, paying the instruction's
+        /// latency per block instead of its throughput.
+        #[inline]
+        #[target_feature(enable = "aes")]
+        pub(super) fn encrypt_blocks(keys: &[V; 11], blocks: &mut [Block]) {
+            let (body, tail) = blocks.as_chunks_mut::<LANES>();
+            for lanes in body {
+                encrypt_lanes::<LANES>(keys, lanes);
+            }
+            for block in tail.chunks_exact_mut(1) {
+                encrypt_lanes::<1>(keys, block);
+            }
         }
-        // A 1–7-block tail (and every single-block call) pays the
-        // instruction's latency per block instead of its throughput.
-        for block in tail {
-            encrypt_lanes(&keys, std::array::from_mut(block));
+
+        aes_kernel! {
+            feature: "aes",
+            load: _mm_loadu_si128,
+            store: _mm_storeu_si128,
+            xor: _mm_xor_si128,
+            enc: _mm_aesenc_si128,
+            enclast: _mm_aesenclast_si128,
         }
     }
 
-    /// Encrypts `N` blocks with every round interleaved across them.
-    #[inline]
-    #[target_feature(enable = "aes")]
-    fn encrypt_lanes<const N: usize>(keys: &[__m128i; 11], blocks: &mut [Block; N]) {
-        let p = blocks.as_mut_ptr().cast::<__m128i>();
-        let mut state = [keys[0]; N];
-        for (i, s) in state.iter_mut().enumerate() {
-            // SAFETY: `i < N`, so the 16 bytes at `p + i` are block `i` of
-            // the array. `Block` is `repr(transparent)` over `u128`, whose
-            // in-memory bytes on this little-endian target are
-            // `to_le_bytes` order — the byte order the portable tier feeds
-            // the cipher — and the unaligned load has no alignment
-            // requirement.
-            *s = _mm_xor_si128(*s, unsafe { _mm_loadu_si128(p.add(i)) });
-        }
-        for key in &keys[1..10] {
-            for s in &mut state {
-                *s = _mm_aesenc_si128(*s, *key);
-            }
-        }
-        for (i, s) in state.into_iter().enumerate() {
-            // SAFETY: as for the load — `p + i` is block `i` of the
-            // exclusively borrowed array.
-            unsafe { _mm_storeu_si128(p.add(i), _mm_aesenclast_si128(s, keys[10])) };
+    /// Four blocks per `__m512i` (`avx512f` + `vaes`), the round keys
+    /// broadcast to every 128-bit lane.
+    pub(super) mod x512 {
+        use super::Block;
+        use std::arch::x86_64::*;
+
+        type V = __m512i;
+        pub(super) const BLOCKS: usize = 4;
+
+        aes_kernel! {
+            feature: "avx512f,vaes",
+            load: _mm512_loadu_si512,
+            store: _mm512_storeu_si512,
+            xor: _mm512_xor_si512,
+            enc: _mm512_aesenc_epi128,
+            enclast: _mm512_aesenclast_epi128,
         }
     }
 }
@@ -356,15 +475,16 @@ mod tests {
 
     /// One known-answer vector through the byte-level cipher and through
     /// [`Aes128::encrypt_blocks_on`] on every tier the machine has, the
-    /// vector in each lane position of the 8-lane body and in the tail.
+    /// vector in each lane of a 41-block call: the 32-block VAES step,
+    /// the 8-block AES-NI step and the one-block tail.
     fn check_vector(key: &str, pt: &str, expected: &str) {
         let aes = Aes128::from_key_bytes(hex16(key));
         let mut state = hex16(pt);
         aes.encrypt_bytes(&mut state);
         assert_eq!(state, hex16(expected));
         for &tier in AesTier::available() {
-            for slot in 0..11 {
-                let mut blocks = [Block::from(0x5a5au128); 11];
+            for slot in 0..41 {
+                let mut blocks = [Block::from(0x5a5au128); 41];
                 blocks[slot] = Block::from_le_bytes(hex16(pt));
                 aes.encrypt_blocks_on(tier, &mut blocks);
                 assert_eq!(
@@ -408,12 +528,12 @@ mod tests {
 
     proptest! {
         /// Every tier's bulk call equals the software cipher block by
-        /// block, for every remainder of the 8-lane body, on a sub-slice
-        /// whose neighbours must come back untouched.
+        /// block, on a sub-slice whose neighbours must come back
+        /// untouched.
         #[test]
         fn encrypt_blocks_matches_software_cipher(
             key in any::<u128>(),
-            data in proptest::collection::vec(any::<u128>(), 0..18),
+            data in proptest::collection::vec(any::<u128>(), 0..80),
             lead in 0usize..3,
         ) {
             let aes = Aes128::new(Block::from(key));
@@ -435,6 +555,47 @@ mod tests {
                 prop_assert!(buf[..lead].iter().all(|&b| b == guard));
                 prop_assert!(buf[lead + data.len()..].iter().all(|&b| b == guard));
             }
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_the_software_cipher_at_every_length() {
+        // Lengths 0..=100 cover each remainder of the 32-block VAES step
+        // and of the 8-block AES-NI step beneath it, and every mix of
+        // the two; 1000 blocks is a long bulk run.
+        let aes = Aes128::new(Block::from(0x1357_9bdf_u128));
+        let data: Vec<Block> = (0..1000u128)
+            .map(|i| Block::from(i * 0x9e37_79b9 + 5))
+            .collect();
+        for len in (0..=100).chain([1000]) {
+            let mut expected = data[..len].to_vec();
+            aes.encrypt_blocks_on(AesTier::Portable, &mut expected);
+            for &tier in AesTier::available() {
+                let mut got = data[..len].to_vec();
+                aes.encrypt_blocks_on(tier, &mut got);
+                assert_eq!(got, expected, "{tier:?}, {len} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn detect_is_the_widest_available_tier() {
+        // A silent fall-back to a narrower tier would cost the LPN index
+        // generator most of its cipher speed and fail nothing else.
+        let available = AesTier::available();
+        if crate::block::forced_scalar() {
+            assert_eq!(AesTier::detect(), AesTier::Portable);
+        } else {
+            assert_eq!(AesTier::detect(), *available.last().unwrap());
+        }
+        assert_eq!(available[0], AesTier::Portable);
+        #[cfg(target_arch = "x86_64")]
+        {
+            let aes = std::arch::is_x86_feature_detected!("aes");
+            let wide = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("vaes");
+            assert_eq!(available.contains(&AesTier::Hardware), aes);
+            assert_eq!(available.contains(&AesTier::Vaes), aes && wide);
         }
     }
 

@@ -10,8 +10,9 @@
 #      seconds and Table 2's software-check line printed for information,
 #      not a gate); every crate's tests, the TCP-loopback e2e and the
 #      fleet tests (cluster smoke, churn, multi-process partition/heal,
-#      SLO e2e, chaos soak) included; the kernel crates again on the
-#      forced-scalar tier; ironman-ot again with telemetry compiled out
+#      SLO e2e, chaos soak) included; the full-scale LPN matrix pins in
+#      release; the kernel crates again on the forced-scalar tier;
+#      ironman-ot again with telemetry compiled out
 #   3. benchmark/'s own tests and its --smoke run, on both tiers
 #   4. the benchmark gate: a fresh --runs 3 suite from benchmark/ judged
 #      against scripts/bench_baseline.json by benchmark --compare
@@ -75,6 +76,14 @@ sed -n 's/^(software check, \(.*\))$/Table 2 software check (information only): 
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> the Table-4 matrix and schedule, bit for bit (release, ~1 s)"
+# The generator's proptests compare it with its definition at toy sizes
+# only. These two ignored tests regenerate OT_2POW20's 2^20 x 168000
+# matrix and its streamed schedule for three seeds each and check the
+# recorded sums of their column indices, so a generator change that moves
+# a single index fails here.
+cargo test --release -q -p ironman-lpn --lib -- --ignored table4_matrix_is_pinned table4_schedule_is_pinned
 
 echo "==> cargo test, kernel crates, forced-scalar dispatch"
 # The ChaCha level kernel, Block::xor_into and the LPN session kernels
