@@ -366,7 +366,7 @@ pub fn fig14_cache(size: Size) {
         row(&[
             kb.to_string(),
             pct(hit),
-            f2(ironman_cache::sram_area_mm2(kb * 1024)),
+            f2(ironman_nmp::cache::sram_area_mm2(kb * 1024)),
         ]);
     }
     println!("\nshape check: hit rate saturates while area keeps growing; 256KB/1MB are the knees");

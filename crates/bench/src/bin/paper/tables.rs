@@ -2,7 +2,7 @@
 
 use crate::{flagship_speedup, log_label, Size, CACHES_KB};
 use ironman_bench::{f2, f3, header, pct, row, times};
-use ironman_dram::DramConfig;
+use ironman_nmp::dram::DramConfig;
 use ironman_ot::params::FerretParams;
 use ironman_perf::area_power::{
     nmp_cost_for_cache, AES_CORE, CHACHA8_CORE, DRAM_CHIP, NMP_1MB, NMP_256KB,

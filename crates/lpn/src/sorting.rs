@@ -150,7 +150,7 @@ impl LruLines {
 
 /// Measures the hit rate of an access trace against a fully associative
 /// LRU cache of `cache_lines` lines — the metric of Fig. 14 (the deployed
-/// hardware model in `ironman-cache` is set-associative; this helper is
+/// hardware model in `ironman_nmp::cache` is set-associative; this helper is
 /// for quick offline comparisons).
 pub fn trace_hit_rate<I: IntoIterator<Item = u32>>(trace: I, cache_lines: usize) -> f64 {
     let mut cache = LruLines::new(cache_lines);

@@ -3,24 +3,21 @@
 //! Each Rank-NMP module in Ironman carries a memory-side SRAM cache
 //! (§5.1.2, §5.3) in front of its DRAM rank, holding 64-byte lines of the
 //! LPN input vector. The paper evaluates 32 KB–2 MB capacities (Fig. 14)
-//! and deploys 256 KB or 1 MB. This crate models that cache: configurable
+//! and deploys 256 KB or 1 MB. This module models that cache: configurable
 //! capacity/associativity/line size, LRU replacement, and hit/miss
-//! accounting. It is deliberately independent of the DRAM model — the NMP
-//! simulator composes the two (miss stream → `ironman_dram::RankSim`).
+//! accounting. [`crate::rank_lpn`] sends its miss stream to
+//! [`crate::dram::RankSim`].
 //!
 //! # Example
 //!
 //! ```
-//! use ironman_cache::{Cache, CacheConfig};
+//! use ironman_nmp::cache::{Cache, CacheConfig};
 //!
 //! let mut c = Cache::new(CacheConfig::kb(256));
 //! assert!(!c.access(0));  // cold miss
 //! assert!(c.access(32));  // same 64-byte line: hit
 //! assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
 
@@ -60,7 +57,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         self.capacity_bytes / (self.line_bytes * self.ways)
     }
 
@@ -130,20 +127,9 @@ impl Cache {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
     /// Accounting so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics (keeping contents) — used to measure steady-state
-    /// hit rates after a warm-up pass.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Performs one byte-address access; returns `true` on hit. Misses
@@ -172,26 +158,6 @@ impl Cache {
         victim.tag = tag;
         victim.last_use = self.clock;
         false
-    }
-
-    /// Runs a whole trace of byte addresses, returning `(stats, misses)`
-    /// where `misses` is the miss address stream (for DRAM replay).
-    pub fn run_trace<I: IntoIterator<Item = u64>>(&mut self, trace: I) -> (CacheStats, Vec<u64>) {
-        let before = self.stats;
-        let mut misses = Vec::new();
-        for addr in trace {
-            if !self.access(addr) {
-                misses.push(addr);
-            }
-        }
-        let after = self.stats;
-        (
-            CacheStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-            },
-            misses,
-        )
     }
 }
 
@@ -262,32 +228,15 @@ mod tests {
 
     #[test]
     fn bigger_cache_hits_more() {
-        let trace: Vec<u64> = (0..50_000u64).map(|i| (i * 7919) % 16384 * 64).collect();
-        let (small, _) = Cache::new(CacheConfig::kb(32)).run_trace(trace.iter().copied());
-        let (large, _) = Cache::new(CacheConfig::kb(1024)).run_trace(trace.iter().copied());
-        assert!(
-            large.hit_rate() > small.hit_rate(),
-            "1MB {:.3} should beat 32KB {:.3}",
-            large.hit_rate(),
-            small.hit_rate()
-        );
-    }
-
-    #[test]
-    fn miss_stream_matches_count() {
-        let mut c = Cache::new(CacheConfig::kb(32));
-        let trace: Vec<u64> = (0..1000u64).map(|i| i * 64 * 131).collect();
-        let (stats, misses) = c.run_trace(trace);
-        assert_eq!(stats.misses as usize, misses.len());
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = Cache::new(CacheConfig::kb(32));
-        c.access(0);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(c.access(0), "contents must survive a stats reset");
+        let hit_rate = |kb| {
+            let mut c = Cache::new(CacheConfig::kb(kb));
+            for i in 0..50_000u64 {
+                c.access((i * 7919) % 16384 * 64);
+            }
+            c.stats().hit_rate()
+        };
+        let (small, large) = (hit_rate(32), hit_rate(1024));
+        assert!(large > small, "1MB {large:.3} should beat 32KB {small:.3}");
     }
 
     #[test]

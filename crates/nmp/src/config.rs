@@ -1,7 +1,7 @@
 //! NMP system configuration.
 
-use ironman_cache::CacheConfig;
-use ironman_dram::DramConfig;
+use crate::cache::CacheConfig;
+use crate::dram::DramConfig;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Ironman-NMP deployment.

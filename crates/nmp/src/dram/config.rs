@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// there; we derive it as `tRC − tRP` (the JEDEC identity).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramTiming {
-    /// ACT → internal READ/WRITE delay.
+    /// ACT → internal READ delay.
     pub t_rcd: u64,
     /// CAS latency (READ → first data beat).
     pub t_cl: u64,
@@ -33,15 +33,11 @@ pub struct DramTiming {
     pub t_refi: u64,
     /// Refresh cycle time (8 Gb device class, ~350 ns).
     pub t_rfc: u64,
-    /// WRITE command → first data beat (CAS write latency).
-    pub t_cwl: u64,
-    /// WRITE recovery before PRE.
-    pub t_wr: u64,
 }
 
 impl DramTiming {
     /// The paper's Table 3 timing set.
-    pub const fn table3() -> Self {
+    pub(crate) const fn table3() -> Self {
         DramTiming {
             t_rcd: 16,
             t_cl: 16,
@@ -55,13 +51,11 @@ impl DramTiming {
             t_bl: 4,
             t_refi: 9360,
             t_rfc: 420,
-            t_cwl: 14,
-            t_wr: 18,
         }
     }
 
     /// Row-active minimum time `tRAS = tRC − tRP`.
-    pub const fn t_ras(&self) -> u64 {
+    pub(crate) const fn t_ras(&self) -> u64 {
         self.t_rc - self.t_rp
     }
 }
@@ -106,22 +100,11 @@ impl DramConfig {
         self.bank_groups * self.banks_per_group
     }
 
-    /// Nanoseconds per memory-clock cycle.
-    pub fn ns_per_cycle(&self) -> f64 {
-        1000.0 / self.clock_mhz
-    }
-
     /// Peak per-rank data bandwidth in GB/s: one 64-byte burst per `tBL`
     /// cycles.
     pub fn peak_bandwidth_gbps(&self) -> f64 {
         let bytes_per_cycle = self.access_bytes as f64 / self.timing.t_bl as f64;
         bytes_per_cycle * self.clock_mhz * 1e6 / 1e9
-    }
-}
-
-impl Default for DramConfig {
-    fn default() -> Self {
-        DramConfig::ddr4_2400()
     }
 }
 
@@ -153,7 +136,6 @@ mod tests {
     fn geometry() {
         let c = DramConfig::ddr4_2400();
         assert_eq!(c.banks(), 16);
-        assert!((c.ns_per_cycle() - 0.8333).abs() < 1e-3);
     }
 
     #[test]

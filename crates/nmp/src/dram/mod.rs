@@ -1,5 +1,5 @@
-//! Cycle-level DDR4 DRAM timing model (the workspace's Ramulator
-//! substitute).
+//! Cycle-level DDR4 DRAM timing model of one rank (the workspace's
+//! Ramulator substitute).
 //!
 //! The model covers what the Ironman evaluation depends on:
 //!
@@ -9,18 +9,18 @@
 //! * bank/bank-group state machines per rank,
 //! * an FR-FCFS scheduler (first-ready, first-come-first-served) with a
 //!   bounded reorder window, and
-//! * per-rank statistics: row hit rate, sustained bandwidth, average
-//!   access latency.
+//! * per-rank statistics: row hits, misses and empty-bank activations,
+//!   the drain cycle and the average access latency.
 //!
 //! The LPN encoder's random element reads are what this model exists for:
-//! `ironman-nmp` replays the (sorted or unsorted) access trace of each
-//! Rank-NMP module through a [`RankSim`] to obtain the cycle counts behind
-//! Figs. 12–14.
+//! [`crate::rank_lpn`] replays the cache-miss stream of each Rank-NMP
+//! module through a [`RankSim`] to obtain the cycle counts behind
+//! Figs. 12–14. Every request is a line read present at cycle 0.
 //!
 //! # Example
 //!
 //! ```
-//! use ironman_dram::{DramConfig, RankSim, Request};
+//! use ironman_nmp::dram::{DramConfig, RankSim, Request};
 //!
 //! let cfg = DramConfig::ddr4_2400();
 //! let mut rank = RankSim::new(cfg);
@@ -30,19 +30,11 @@
 //! assert!(stats.row_hits > 0); // sequential lines mostly hit the open row
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+mod address;
+mod config;
+mod rank;
+mod stats;
 
-pub mod address;
-pub mod config;
-pub mod controller;
-pub mod dimm;
-pub mod rank;
-pub mod stats;
-
-pub use address::{AddressMapping, DecodedAddr};
 pub use config::{DramConfig, DramTiming};
-pub use controller::{ControllerStats, MemoryController, SystemGeometry};
-pub use dimm::{DimmSim, DimmStats};
-pub use rank::{RankSim, Request, RequestKind};
+pub use rank::{RankSim, Request};
 pub use stats::DramStats;

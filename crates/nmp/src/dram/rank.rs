@@ -7,56 +7,19 @@
 //! timing constraints tracked per bank, per bank group, and rank-wide
 //! (tFAW, tRRD, tCCD).
 
-use crate::address::AddressMapping;
-use crate::{DramConfig, DramStats};
+use super::{DramConfig, DramStats};
 use std::collections::VecDeque;
 
-/// Request direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RequestKind {
-    /// Column read (the LPN gather's element fetches).
-    Read,
-    /// Column write (the host's vector-broadcast phase).
-    Write,
-}
-
-/// A memory request.
+/// A line read, present from cycle 0 (the LPN gather's element fetches).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Request {
-    /// Byte address within the rank.
-    pub addr: u64,
-    /// Earliest cycle at which the request exists (0 = trace start).
-    pub arrival: u64,
-    /// Direction.
-    pub kind: RequestKind,
+    addr: u64,
 }
 
 impl Request {
-    /// A read arriving at cycle 0.
+    /// A read of the line holding byte address `addr` within the rank.
     pub fn read(addr: u64) -> Self {
-        Request {
-            addr,
-            arrival: 0,
-            kind: RequestKind::Read,
-        }
-    }
-
-    /// A read arriving at a given cycle.
-    pub fn read_at(addr: u64, arrival: u64) -> Self {
-        Request {
-            addr,
-            arrival,
-            kind: RequestKind::Read,
-        }
-    }
-
-    /// A write arriving at cycle 0.
-    pub fn write(addr: u64) -> Self {
-        Request {
-            addr,
-            arrival: 0,
-            kind: RequestKind::Write,
-        }
+        Request { addr }
     }
 }
 
@@ -86,7 +49,6 @@ impl BankState {
 #[derive(Clone, Debug)]
 pub struct RankSim {
     cfg: DramConfig,
-    mapping: AddressMapping,
     banks: Vec<BankState>,
     /// Last ACT cycle per bank group (tRRD_L) and rank-wide (tRRD_S);
     /// `None` until the first activation.
@@ -100,16 +62,12 @@ pub struct RankSim {
     bus_free: u64,
     /// Start of the next refresh window.
     next_refresh: u64,
-    /// Refreshes performed.
-    refreshes: u64,
-    now: u64,
 }
 
 impl RankSim {
     /// Creates an idle rank.
     pub fn new(cfg: DramConfig) -> Self {
         RankSim {
-            mapping: AddressMapping::new(cfg),
             banks: vec![BankState::closed(); cfg.banks()],
             last_act_group: vec![None; cfg.bank_groups],
             last_act_rank: None,
@@ -117,9 +75,7 @@ impl RankSim {
             last_read: None,
             bus_free: 0,
             next_refresh: cfg.timing.t_refi,
-            refreshes: 0,
             cfg,
-            now: 0,
         }
     }
 
@@ -133,19 +89,8 @@ impl RankSim {
                 t = end;
             }
             self.next_refresh += timing.t_refi;
-            self.refreshes += 1;
         }
         t
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
-    /// Refresh operations performed so far.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
     }
 
     /// Earliest cycle an ACT may issue, given group/rank/FAW constraints.
@@ -179,84 +124,52 @@ impl RankSim {
         ready.max(self.bus_free.saturating_sub(t.t_cl))
     }
 
-    /// Estimates the completion cycle of `req` *without* mutating state —
-    /// the FR-FCFS scoring function.
-    fn estimate(&self, req: &Request) -> (bool, u64) {
-        let d = self.mapping.decode(req.addr);
-        let bank = &self.banks[d.flat_bank(&self.cfg)];
-        let t = &self.cfg.timing;
-        let base = self.now.max(req.arrival);
-        match bank.open_row {
-            Some(row) if row == d.row => {
-                let read = self.read_ready(bank, d.group).max(base);
-                (true, read + t.t_cl + t.t_bl)
-            }
-            Some(_) => {
-                let pre = bank.next_pre.max(base);
-                let act = self.act_ready(bank, d.group).max(pre + t.t_rp);
-                let read = (act + t.t_rcd).max(base);
-                (false, read + t.t_cl + t.t_bl)
-            }
-            None => {
-                let act = self.act_ready(bank, d.group).max(base);
-                let read = act + t.t_rcd;
-                (false, read + t.t_cl + t.t_bl)
-            }
-        }
+    /// Whether `req` hits its bank's open row — the FR-FCFS "first ready"
+    /// test.
+    fn row_hit(&self, req: &Request) -> bool {
+        let d = self.cfg.decode(req.addr);
+        self.banks[d.flat_bank(&self.cfg)].open_row == Some(d.row)
     }
 
     /// Executes `req`, updating all timing state; returns the cycle of the
     /// last data beat.
     fn execute(&mut self, req: &Request, stats: &mut DramStats) -> u64 {
-        let d = self.mapping.decode(req.addr);
+        let d = self.cfg.decode(req.addr);
         let flat = d.flat_bank(&self.cfg);
         let t = self.cfg.timing;
-        let base = self.now.max(req.arrival);
 
-        let (hit_kind, read_cycle) = match self.banks[flat].open_row {
+        let read_cycle = match self.banks[flat].open_row {
             Some(row) if row == d.row => {
-                let read = self.read_ready(&self.banks[flat], d.group).max(base);
-                (0u8, read)
+                stats.row_hits += 1;
+                self.read_ready(&self.banks[flat], d.group)
             }
             Some(_) => {
-                let pre = self.banks[flat].next_pre.max(base);
+                stats.row_misses += 1;
+                let pre = self.banks[flat].next_pre;
                 let act = self.act_ready(&self.banks[flat], d.group).max(pre + t.t_rp);
                 self.record_act(flat, d.group, d.row, act);
-                (1, act + t.t_rcd)
+                act + t.t_rcd
             }
             None => {
-                let act = self.act_ready(&self.banks[flat], d.group).max(base);
+                stats.row_empty += 1;
+                let act = self.act_ready(&self.banks[flat], d.group);
                 self.record_act(flat, d.group, d.row, act);
-                (2, act + t.t_rcd)
+                act + t.t_rcd
             }
         };
         let read_cycle = read_cycle.max(self.read_ready(&self.banks[flat], d.group));
         let read_cycle = self.refresh_adjust(read_cycle);
-        let cas = match req.kind {
-            RequestKind::Read => t.t_cl,
-            RequestKind::Write => t.t_cwl,
-        };
-        let done = read_cycle + cas + t.t_bl;
+        let done = read_cycle + t.t_cl + t.t_bl;
 
         self.last_read = Some((read_cycle, d.group));
         self.bus_free = done;
         let bank = &mut self.banks[flat];
         bank.next_read = read_cycle + t.t_ccd_l;
-        // READ→PRE spacing folded into tRAS tracking (next_pre set at ACT);
-        // writes additionally respect the write-recovery window.
-        let recovery = match req.kind {
-            RequestKind::Read => t.t_bl,
-            RequestKind::Write => t.t_cwl + t.t_bl + t.t_wr,
-        };
-        bank.next_pre = bank.next_pre.max(read_cycle + recovery);
+        // READ→PRE spacing folded into tRAS tracking (next_pre set at ACT).
+        bank.next_pre = bank.next_pre.max(read_cycle + t.t_bl);
 
-        match hit_kind {
-            0 => stats.row_hits += 1,
-            1 => stats.row_misses += 1,
-            _ => stats.row_empty += 1,
-        }
         stats.reads += 1;
-        stats.latency_sum += done - req.arrival.min(done);
+        stats.latency_sum += done;
         done
     }
 
@@ -291,26 +204,9 @@ impl RankSim {
                 next += 1;
             }
             // FR-FCFS pick: oldest row hit, else oldest.
-            let mut pick = 0usize;
-            let mut picked_hit = false;
-            for (i, req) in window.iter().enumerate() {
-                let (hit, _) = self.estimate(req);
-                if hit {
-                    pick = i;
-                    picked_hit = true;
-                    break;
-                }
-            }
-            if !picked_hit {
-                pick = 0;
-            }
+            let pick = window.iter().position(|r| self.row_hit(r)).unwrap_or(0);
             let req = window.remove(pick).expect("window nonempty");
-            let done = self.execute(&req, &mut stats);
-            last_done = last_done.max(done);
-            // Advance time to when the command stream can accept more work;
-            // issuing back-to-back is allowed, so only move `now` forward
-            // modestly (the data bus constraint serializes reads anyway).
-            self.now = self.now.max(req.arrival);
+            last_done = last_done.max(self.execute(&req, &mut stats));
         }
         stats.total_cycles = last_done;
         stats
@@ -320,6 +216,7 @@ impl RankSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::DramTiming;
 
     fn sim() -> RankSim {
         RankSim::new(DramConfig::ddr4_2400())
@@ -333,11 +230,7 @@ mod tests {
         let reqs: Vec<Request> = (0..256u64).map(|i| Request::read(i * 64)).collect();
         let stats = s.run(&reqs);
         assert_eq!(stats.reads, 256);
-        assert!(
-            stats.row_hit_rate() > 0.8,
-            "hit rate {}",
-            stats.row_hit_rate()
-        );
+        assert!(stats.row_hits > 256 * 8 / 10, "row hits {}", stats.row_hits);
     }
 
     #[test]
@@ -381,7 +274,8 @@ mod tests {
         let cfg = DramConfig::ddr4_2400();
         let reqs: Vec<Request> = (0..4096u64).map(|i| Request::read(i * 64)).collect();
         let stats = sim().run(&reqs);
-        let bw = stats.bandwidth_gbps(cfg.access_bytes, cfg.clock_mhz);
+        let seconds = stats.total_cycles as f64 / (cfg.clock_mhz * 1e6);
+        let bw = (stats.reads * cfg.access_bytes as u64) as f64 / seconds / 1e9;
         assert!(
             bw <= cfg.peak_bandwidth_gbps() + 0.1,
             "bw {bw} exceeds peak"
@@ -396,25 +290,9 @@ mod tests {
     fn single_access_latency_matches_timing() {
         let mut s = sim();
         let stats = s.run(&[Request::read(0)]);
-        let t = DramTimingProbe::table3();
+        let t = DramTiming::table3();
         // Closed bank: ACT@0 → READ@tRCD → data done at tRCD+tCL+tBL.
-        assert_eq!(stats.total_cycles, t.rcd + t.cl + t.bl);
-    }
-
-    struct DramTimingProbe {
-        rcd: u64,
-        cl: u64,
-        bl: u64,
-    }
-    impl DramTimingProbe {
-        fn table3() -> Self {
-            let t = crate::DramTiming::table3();
-            DramTimingProbe {
-                rcd: t.t_rcd,
-                cl: t.t_cl,
-                bl: t.t_bl,
-            }
-        }
+        assert_eq!(stats.total_cycles, t.t_rcd + t.t_cl + t.t_bl);
     }
 
     #[test]
@@ -445,32 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn arrival_times_respected() {
-        let mut s = sim();
-        let stats = s.run(&[Request::read_at(0, 1000)]);
-        assert!(stats.total_cycles >= 1000);
-    }
-}
-
-#[cfg(test)]
-mod refresh_write_tests {
-    use super::*;
-
-    #[test]
-    fn refreshes_occur_on_long_traces() {
-        let cfg = DramConfig::ddr4_2400();
-        let mut sim = RankSim::new(cfg);
-        // Enough sequential reads to run well past several tREFI windows.
-        let reqs: Vec<Request> = (0..8192u64).map(|i| Request::read(i * 64)).collect();
-        let stats = sim.run(&reqs);
-        assert!(
-            sim.refreshes() >= 2,
-            "expected refreshes on a {}-cycle trace",
-            stats.total_cycles
-        );
-    }
-
-    #[test]
     fn refresh_adds_latency() {
         let base = DramConfig::ddr4_2400();
         let mut no_refresh = base;
@@ -482,29 +334,5 @@ mod refresh_write_tests {
         // Refresh overhead is bounded (~tRFC/tREFI ≈ 4.5%).
         let overhead = with.total_cycles as f64 / without.total_cycles as f64;
         assert!(overhead < 1.10, "overhead {overhead}");
-    }
-
-    #[test]
-    fn writes_complete_and_block_precharge_longer() {
-        let cfg = DramConfig::ddr4_2400();
-        let stride = (cfg.banks() * (cfg.row_bytes / cfg.access_bytes) * cfg.access_bytes) as u64;
-        // Write then read a conflicting row in the same bank: the write
-        // recovery window delays the precharge.
-        let rw = RankSim::new(cfg).run(&[Request::write(0), Request::read(stride)]);
-        let rr = RankSim::new(cfg).run(&[Request::read(0), Request::read(stride)]);
-        assert_eq!(rw.reads, 2);
-        assert!(
-            rw.total_cycles > rr.total_cycles,
-            "write recovery must cost cycles"
-        );
-    }
-
-    #[test]
-    fn sequential_writes_stream() {
-        let cfg = DramConfig::ddr4_2400();
-        let reqs: Vec<Request> = (0..256u64).map(|i| Request::write(i * 64)).collect();
-        let stats = RankSim::new(cfg).run(&reqs);
-        assert_eq!(stats.reads, 256);
-        assert!(stats.row_hit_rate() > 0.8);
     }
 }

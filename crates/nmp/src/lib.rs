@@ -12,15 +12,17 @@
 //!
 //! This crate is the *timing* model: it consumes work descriptions and
 //! access traces from the functional crates and produces cycle counts by
-//! composing `ironman-ggm`'s pipeline schedules, `ironman-cache` and
-//! `ironman-dram`. [`OteSimulator`] is its one timing path: Figures 12,
+//! composing `ironman-ggm`'s pipeline schedules with its own cache and
+//! DRAM models. [`OteSimulator`] is its one timing path: Figures 12,
 //! 13 and 14, `ironman-core`'s timing estimates and the benchmark's
 //! `nmp.*`/`cache.*` rows all read it.
 //!
 //! * [`config`] — the deployment: active ranks, cores, caches, DRAM.
 //! * [`dimm`] — SPCOT on the DIMM-NMP cores, with the unified unit's
 //!   XOR-tree cycles.
-//! * [`rank_lpn`] — the LPN gather on one rank behind its cache.
+//! * [`rank_lpn`] — the LPN gather on one rank: index stream, then
+//!   [`cache`] (the memory-side SRAM cache), then [`dram`] (the rank's
+//!   DDR4 timing under FR-FCFS).
 //! * [`ote`] — the composition: SPCOT overlapped with LPN, plus the
 //!   offload residual (§5.1).
 //! * [`unified`] — the unit's two modes ([`Role`]).
@@ -45,8 +47,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod config;
 pub mod dimm;
+pub mod dram;
 pub mod ote;
 pub mod rank_lpn;
 pub mod unified;

@@ -6,9 +6,9 @@
 //! misses to the DRAM rank under FR-FCFS. Cache hits feed the XOR tree at
 //! `hit_lanes` elements per cycle.
 
+use crate::cache::{Cache, CacheStats};
+use crate::dram::{DramStats, RankSim, Request};
 use crate::NmpConfig;
-use ironman_cache::{Cache, CacheStats};
-use ironman_dram::{DramStats, RankSim, Request};
 use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
 

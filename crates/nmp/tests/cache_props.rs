@@ -1,7 +1,16 @@
 //! Property-based tests for the memory-side cache model.
 
-use ironman_cache::{Cache, CacheConfig};
+use ironman_nmp::cache::{Cache, CacheConfig};
 use proptest::prelude::*;
+
+/// Hits of a fresh `kb`-kilobyte cache over `trace`.
+fn hits(kb: usize, trace: &[u64]) -> u64 {
+    let mut c = Cache::new(CacheConfig::kb(kb));
+    for &a in trace {
+        c.access(a);
+    }
+    c.stats().hits
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -36,7 +45,6 @@ proptest! {
         for o in &offsets {
             c.access(o * 64);
         }
-        c.reset_stats();
         for o in &offsets {
             prop_assert!(c.access(o * 64), "warm access to line {o} missed");
         }
@@ -49,10 +57,9 @@ proptest! {
     fn bigger_is_not_worse(seed in any::<u64>()) {
         let trace: Vec<u64> =
             (0..4000u64).map(|i| (i.wrapping_mul(seed | 1)) % 2_000_000 / 64 * 64).collect();
-        let (small, _) = Cache::new(CacheConfig::kb(64)).run_trace(trace.iter().copied());
-        let (large, _) = Cache::new(CacheConfig::kb(1024)).run_trace(trace.iter().copied());
-        prop_assert!(large.hits >= small.hits.saturating_sub(small.hits / 10),
-            "1MB ({}) much worse than 64KB ({})", large.hits, small.hits);
+        let (small, large) = (hits(64, &trace), hits(1024, &trace));
+        prop_assert!(large >= small.saturating_sub(small / 10),
+            "1MB ({large}) much worse than 64KB ({small})");
     }
 }
 

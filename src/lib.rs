@@ -7,9 +7,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use ironman_cache as cache;
 pub use ironman_core as core;
-pub use ironman_dram as dram;
 pub use ironman_ggm as ggm;
 pub use ironman_lpn as lpn;
 pub use ironman_net as net;

@@ -2,13 +2,13 @@
 //! coarse calibration guards that keep the reproduced figures in the
 //! paper's qualitative bands.
 
-use ironman_cache::{Cache, CacheConfig};
 use ironman_core::speedup::{speedup_cell, speedup_table};
 use ironman_core::{Backend, Engine, Timing};
-use ironman_dram::{DramConfig, RankSim, Request};
 use ironman_ggm::schedule::simulate;
 use ironman_ggm::{Arity, ExpansionSchedule, PipelineModel};
 use ironman_lpn::{encoder, LpnMatrix};
+use ironman_nmp::cache::{Cache, CacheConfig};
+use ironman_nmp::dram::{DramConfig, RankSim, Request};
 use ironman_nmp::rank_lpn::{simulate_rank, LpnWork};
 use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::ferret::FerretConfig;
