@@ -28,12 +28,14 @@
 //!   additionally autovectorize (e.g. 256-bit `VPXOR` on the bulk
 //!   paths).
 //!
-//! Dispatch is by [`SimdLevel`]: [`SimdLevel::detect`] caches one
-//! `is_x86_feature_detected!` query per process (overridable with the
-//! `IRONMAN_SIMD=scalar` environment knob, and per-session via
-//! `FerretConfig`'s simd policy in `ironman-ot`), and every entry point
+//! Dispatch is by [`SimdLevel`]: [`SimdLevel::detect`] is the wide tier
+//! where [`ironman_prg::cpu::enabled`] has AVX2 and BMI2 — the one CPU
+//! decision every kernel tier shares, so `IRONMAN_SIMD=scalar` turns the
+//! wide tier off with the others — and `FerretConfig`'s simd policy in
+//! `ironman-ot` can pin the scalar tier per session. Every entry point
 //! takes the level explicitly so benches and proptests can pin either
-//! tier. The scalar tier calls the unchanged [`encoder`] kernels — the
+//! tier, and checks [`ironman_prg::cpu::detected`] before it runs a wide
+//! kernel. The scalar tier calls the unchanged [`encoder`] kernels — the
 //! always-available fallback, and the only tier on non-x86-64 targets.
 //! Both tiers are bit-identical in output (checked by the
 //! `kernel_props` proptests under both forced-scalar and auto
@@ -50,9 +52,9 @@ use crate::bits::PackedBits;
 use crate::encoder;
 use crate::tile::TileSchedule;
 use crate::LpnMatrix;
+use ironman_prg::cpu::{self, Features};
 use ironman_prg::Block;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// Which kernel tier an encode runs. Output-identical; only the
 /// instruction selection differs.
@@ -91,48 +93,31 @@ impl SimdMode {
 }
 
 impl SimdLevel {
-    /// The best level this machine supports, cached per process. The
-    /// `IRONMAN_SIMD` environment variable forces the scalar tier when
-    /// set to `scalar`, `off`, or `0` (the env knob CI uses to keep the
-    /// fallback path green on AVX2 machines).
+    /// The level this process dispatches to: the widest one
+    /// [`cpu::enabled`] allows, so [`SimdLevel::Scalar`] under
+    /// `IRONMAN_SIMD=scalar` (the knob CI uses to keep the fallback path
+    /// green on AVX2 machines).
     pub fn detect() -> SimdLevel {
-        static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-        *LEVEL.get_or_init(|| {
-            match std::env::var("IRONMAN_SIMD") {
-                Ok(v) if v.eq_ignore_ascii_case("scalar") || v == "off" || v == "0" => {
-                    return SimdLevel::Scalar;
-                }
-                _ => {}
-            }
-            if wide_available() {
-                SimdLevel::Wide
-            } else {
-                SimdLevel::Scalar
-            }
-        })
+        *Self::levels(cpu::enabled())
+            .last()
+            .expect("Scalar is always available")
     }
 
-    /// Every level that runs on this machine (for equivalence tests
-    /// that must cover the wide tier exactly where it exists).
+    /// Every level that runs on this machine ([`cpu::detected`]), whatever
+    /// the environment says — for equivalence tests that must cover the
+    /// wide tier exactly where it exists.
     pub fn available() -> &'static [SimdLevel] {
-        if wide_available() {
+        Self::levels(cpu::detected())
+    }
+
+    /// The levels `cpu` runs, narrowest first.
+    fn levels(cpu: Features) -> &'static [SimdLevel] {
+        if cpu.avx2 && cpu.bmi2 {
             &[SimdLevel::Scalar, SimdLevel::Wide]
         } else {
             &[SimdLevel::Scalar]
         }
     }
-}
-
-/// Whether the wide tier's features (AVX2 + BMI2) exist on this CPU.
-#[cfg(target_arch = "x86_64")]
-fn wide_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("bmi2")
-}
-
-/// Non-x86-64 targets have only the scalar tier.
-#[cfg(not(target_arch = "x86_64"))]
-fn wide_available() -> bool {
-    false
 }
 
 /// [`encoder::encode_blocks`] at the chosen level.
@@ -144,13 +129,14 @@ fn wide_available() -> bool {
 pub fn encode_blocks(level: SimdLevel, matrix: &LpnMatrix, input: &[Block], acc: &mut [Block]) {
     assert_eq!(input.len(), matrix.cols(), "input length must equal k");
     assert_eq!(acc.len(), matrix.rows(), "accumulator length must equal n");
+    let cpu = cpu::detected();
     #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
+    if level == SimdLevel::Wide && cpu.avx2 && cpu.bmi2 {
+        // SAFETY: the CPU has AVX2 and BMI2 (checked just above).
         unsafe { wide::encode_blocks(matrix, input, acc) };
         return;
     }
-    let _ = level;
+    let _ = (level, cpu);
     encoder::encode_rows(matrix, &mut encoder::SliceLane { input, acc });
 }
 
@@ -187,14 +173,15 @@ pub fn encode_blocks_tiled_with(
 ) {
     assert_eq!(input.len(), tiles.cols(), "input length must equal k");
     assert_eq!(acc.len(), tiles.rows(), "accumulator length must equal n");
+    let cpu = cpu::detected();
     #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime, and
+    if level == SimdLevel::Wide && cpu.avx2 && cpu.bmi2 {
+        // SAFETY: the CPU has AVX2 and BMI2 (checked just above), and
         // the two asserts above are the length contract.
         unsafe { wide::encode_blocks_tiled(tiles, input, acc, finished) };
         return;
     }
-    let _ = level;
+    let _ = (level, cpu);
     tiles.encode_with(&mut encoder::SliceLane { input, acc }, |lane, rows| {
         finished(&lane.acc[rows])
     });
@@ -214,13 +201,14 @@ pub fn encode_bits_packed(
 ) {
     assert_eq!(input.len(), matrix.cols(), "input length must equal k");
     assert_eq!(acc.len(), matrix.rows(), "accumulator length must equal n");
+    let cpu = cpu::detected();
     #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
+    if level == SimdLevel::Wide && cpu.avx2 && cpu.bmi2 {
+        // SAFETY: the CPU has AVX2 and BMI2 (checked just above).
         unsafe { wide::encode_bits_packed(matrix, input, acc) };
         return;
     }
-    let _ = level;
+    let _ = (level, cpu);
     encoder::encode_rows(matrix, &mut encoder::PackedLane::new(input, acc));
 }
 
@@ -277,13 +265,14 @@ pub fn encode_cot_pair_tiled(
         "block accumulator length must equal n"
     );
     assert_eq!(x.len(), tiles.rows(), "bit accumulator length must equal n");
+    let cpu = cpu::detected();
     #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Wide && wide_available() {
-        // SAFETY: AVX2 + BMI2 presence was just verified at runtime.
+    if level == SimdLevel::Wide && cpu.avx2 && cpu.bmi2 {
+        // SAFETY: the CPU has AVX2 and BMI2 (checked just above).
         unsafe { wide::encode_cot_pair_tiled(tiles, s, e, y, x) };
         return;
     }
-    let _ = level;
+    let _ = (level, cpu);
     tiles.encode(&mut encoder::CotPairLane::new(s, e, y, x));
 }
 
@@ -643,21 +632,12 @@ mod wide {
 }
 
 /// Whether [`TileSchedule`] construction places its row blocks on the
-/// AVX-512 kernel ([`place_row_block`]): the wide tier is on (so
-/// `IRONMAN_SIMD=scalar` turns this off too) and the CPU has AVX-512F and
-/// `popcnt`. The schedule is the same either way.
+/// AVX-512 kernel ([`place_row_block`]): the wide tier is on and
+/// [`cpu::enabled`] has AVX-512F and `popcnt` (so `IRONMAN_SIMD=scalar`
+/// turns this off too). The schedule is the same either way.
 pub(crate) fn wide_placement() -> bool {
-    SimdLevel::detect() == SimdLevel::Wide && place512_available()
-}
-
-#[cfg(target_arch = "x86_64")]
-fn place512_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("popcnt")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn place512_available() -> bool {
-    false
+    let cpu = cpu::enabled();
+    SimdLevel::detect() == SimdLevel::Wide && cpu.avx512f && cpu.popcnt
 }
 
 /// Places one row block of a [`TileSchedule`] sixteen gathers per vector:
@@ -690,9 +670,10 @@ pub(crate) fn place_row_block(
 ) -> bool {
     assert_eq!(block.len(), gathers.len(), "one entry per gather");
     let fits = col_tile.is_power_of_two() && counts.len() <= 16 && (1..=1 << 16).contains(&weight);
+    let cpu = cpu::detected();
     #[cfg(target_arch = "x86_64")]
-    if fits && place512_available() {
-        // SAFETY: AVX-512F and `popcnt` were verified just above.
+    if fits && cpu.avx512f && cpu.popcnt {
+        // SAFETY: the CPU has AVX-512F and `popcnt` (checked just above).
         unsafe {
             place512::place(
                 gathers,
@@ -706,7 +687,7 @@ pub(crate) fn place_row_block(
         };
         return true;
     }
-    let _ = (fits, gathers, weight, cols, col_bits, counts);
+    let _ = (fits, cpu, gathers, weight, cols, col_bits, counts);
     false
 }
 
@@ -867,6 +848,18 @@ mod tests {
     fn mode_resolution() {
         assert_eq!(SimdMode::ForceScalar.resolve(), SimdLevel::Scalar);
         assert_eq!(SimdMode::Auto.resolve(), SimdLevel::detect());
+    }
+
+    #[test]
+    #[ignore = "checks the forced-scalar tiers; run under IRONMAN_SIMD=scalar"]
+    fn forced_scalar_pins_every_tier() {
+        // Every tier gives the same output, so a kernel that ignored the
+        // override would fail nothing else.
+        use ironman_prg::{AesTier, LevelTier};
+        assert_eq!(AesTier::detect(), AesTier::Portable);
+        assert_eq!(LevelTier::detect(), LevelTier::Portable);
+        assert_eq!(SimdLevel::detect(), SimdLevel::Scalar);
+        assert!(!wide_placement());
     }
 
     #[test]

@@ -509,14 +509,6 @@ impl CotService {
         self.shared.unavailable_until.store(0, Ordering::Relaxed);
     }
 
-    /// The service-wide [`FaultInjector`] under every session's link.
-    /// Arm a [`FaultPlan`] on it (or via [`CotService::set_faults`]) to
-    /// corrupt, stall, or blackhole this server's live connections; clear
-    /// it to heal them.
-    pub fn fault_injector(&self) -> FaultInjector {
-        self.shared.faults.clone()
-    }
-
     /// Arms `plan` on every current and future session of this service.
     pub fn set_faults(&self, plan: FaultPlan) {
         self.shared.faults.set_plan(plan);

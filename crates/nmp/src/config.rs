@@ -60,11 +60,6 @@ impl NmpConfig {
         self.ranks / self.ranks_per_dimm
     }
 
-    /// Total PRG cores across active DIMMs.
-    pub fn total_prg_cores(&self) -> usize {
-        self.dimms() * self.prg_cores_per_dimm
-    }
-
     /// NMP logic clock in MHz (the buffer chip runs at the DRAM clock).
     pub fn clock_mhz(&self) -> f64 {
         self.dram.clock_mhz
@@ -91,7 +86,6 @@ mod tests {
         for ranks in [2usize, 4, 8, 16] {
             let c = NmpConfig::with_ranks_and_cache(ranks, 256 * 1024);
             assert_eq!(c.dimms(), ranks / 2);
-            assert_eq!(c.total_prg_cores(), ranks / 2 * 4);
         }
     }
 

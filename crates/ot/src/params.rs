@@ -172,18 +172,6 @@ impl FerretParams {
         guess_cost + algebra_cost
     }
 
-    /// Output OTs available to the application per execution: `n − k`
-    /// (k outputs are reserved to bootstrap the next iteration).
-    pub fn usable_per_execution(&self) -> usize {
-        self.n - self.k
-    }
-
-    /// Base COTs consumed per execution by the SPCOT layer:
-    /// `t · log2(ℓ)` plus the `k` LPN inputs.
-    pub fn base_cots_per_execution(&self) -> usize {
-        self.t * self.leaves.trailing_zeros() as usize
-    }
-
     /// Number of `ℓ`-wide stripes the LPN output is partitioned into; each
     /// GGM tree is assigned a stripe round-robin (`tree i → stripe i mod
     /// stripes`). For Table 4's larger rows `t·ℓ < n`, so some stripes
@@ -273,7 +261,7 @@ mod tests {
     fn toy_set_structure() {
         let p = FerretParams::toy();
         assert!(p.leaves.is_power_of_two());
-        assert!(p.usable_per_execution() > 0);
+        assert!(crate::ferret::FerretConfig::new(p).usable_outputs() > 0);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl CpuModel {
         let execs = (total_ots as f64 / w.outputs as f64).ceil();
         execs * self.execution_latency(w, false).total_s()
     }
-
-    /// Sustained COT throughput in OT/s.
-    pub fn throughput_ots_per_s(&self, w: &OteWorkload) -> f64 {
-        w.outputs as f64 / self.execution_latency(w, false).total_s()
-    }
 }
 
 #[cfg(test)]
@@ -188,14 +183,5 @@ mod tests {
         let with = m.execution_latency(&w, true).total_s();
         let without = m.execution_latency(&w, false).total_s();
         assert!((with - without - m.init_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput_consistent_with_latency() {
-        let m = CpuModel::xeon_full_thread();
-        let w = wl_2pow20();
-        let t = m.throughput_ots_per_s(&w);
-        let l = m.execution_latency(&w, false).total_s();
-        assert!((t * l - w.outputs as f64).abs() / (w.outputs as f64) < 1e-9);
     }
 }

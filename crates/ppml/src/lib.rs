@@ -13,8 +13,6 @@
 //!   backend's speedup, floored by its communication on the link.
 //! * [`nonlinear`] — Fig. 15's per-operator study (LayerNorm, GeLU,
 //!   Softmax, ReLU) on EzPC-SiRNN and Bolt.
-//! * [`layers`] — per-model OT-demand estimators derived from actual
-//!   layer shapes, pinned to the paper's ResNet anchors.
 //! * [`matmul`] — Fig. 16's OT-based matrix-multiplication communication
 //!   with and without the unified (role-switching) architecture.
 //!
@@ -27,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod e2e;
-pub mod layers;
 pub mod matmul;
 pub mod nonlinear;
 pub mod zoo;

@@ -4,8 +4,8 @@
 //! AES-NI: `G(s) = (AES_{k0}(s) ⊕ s, AES_{k1}(s) ⊕ s)`, and its CPU
 //! baseline draws the LPN indices from the same instruction.
 //!
-//! **The tier ladder.** [`AesTier::detect`] picks the widest the CPU has,
-//! once per process:
+//! **The tier ladder.** [`AesTier::detect`] picks the widest tier that
+//! [`crate::cpu::enabled`] allows:
 //!
 //! * **Vaes** — x86-64 with `avx512f` and `vaes` (and `aes`): `VAESENC`
 //!   over 512-bit vectors, four blocks per vector and eight vectors in
@@ -29,8 +29,8 @@
 //! sits in one module behind a scoped `#[allow(unsafe_code)]`, and their
 //! round loop is written once for both vector widths.
 
+use crate::cpu::{self, Features};
 use crate::Block;
-use std::sync::OnceLock;
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -194,34 +194,29 @@ pub enum AesTier {
 }
 
 impl AesTier {
-    /// The tier this process dispatches to, decided once: the widest of
-    /// [`AesTier::available`], or [`AesTier::Portable`] under the same
-    /// `IRONMAN_SIMD=scalar` override as [`Block::xor_into`] and
-    /// [`crate::LevelTier::detect`].
+    /// The tier this process dispatches to: the widest one
+    /// [`cpu::enabled`] allows, so [`AesTier::Portable`] under
+    /// `IRONMAN_SIMD=scalar`.
     pub fn detect() -> AesTier {
-        static TIER: OnceLock<AesTier> = OnceLock::new();
-        *TIER.get_or_init(|| {
-            if crate::block::forced_scalar() {
-                AesTier::Portable
-            } else {
-                *AesTier::available()
-                    .last()
-                    .expect("Portable is always available")
-            }
-        })
+        *Self::tiers(cpu::enabled())
+            .last()
+            .expect("Portable is always available")
     }
 
-    /// Every tier that runs on this machine, narrowest first, whatever the
-    /// environment says — for equivalence tests that must cover each
-    /// hardware tier exactly where it exists.
+    /// Every tier that runs on this machine ([`cpu::detected`]), narrowest
+    /// first, whatever the environment says — for equivalence tests that
+    /// must cover each hardware tier exactly where it exists.
     pub fn available() -> &'static [AesTier] {
-        #[cfg(target_arch = "x86_64")]
-        match ni::features() {
-            (true, true) => return &[AesTier::Portable, AesTier::Hardware, AesTier::Vaes],
-            (true, false) => return &[AesTier::Portable, AesTier::Hardware],
-            _ => {}
+        Self::tiers(cpu::detected())
+    }
+
+    /// The tiers `cpu` runs, narrowest first.
+    fn tiers(cpu: Features) -> &'static [AesTier] {
+        match (cpu.aes, cpu.avx512f && cpu.vaes) {
+            (true, true) => &[AesTier::Portable, AesTier::Hardware, AesTier::Vaes],
+            (true, false) => &[AesTier::Portable, AesTier::Hardware],
+            _ => &[AesTier::Portable],
         }
-        &[AesTier::Portable]
     }
 }
 
@@ -240,15 +235,6 @@ mod ni {
     /// file.
     const LANES: usize = 8;
 
-    /// Whether the CPU has `(aes, avx512f && vaes)`.
-    pub(super) fn features() -> (bool, bool) {
-        (
-            std::arch::is_x86_feature_detected!("aes"),
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("vaes"),
-        )
-    }
-
     /// Encrypts `blocks` in place under `round_keys` on the widest kernel
     /// both `wide` and the CPU allow; `false` means the CPU has no `aes`
     /// and nothing was written.
@@ -257,10 +243,11 @@ mod ni {
         wide: bool,
         blocks: &mut [Block],
     ) -> bool {
-        match features() {
+        let cpu = crate::cpu::detected();
+        match (cpu.aes, cpu.avx512f && cpu.vaes) {
             (true, true) if wide => {
-                // SAFETY: `aes`, `avx512f` and `vaes` were verified just
-                // above (SSE2 is baseline on x86-64).
+                // SAFETY: the CPU has `aes`, `avx512f` and `vaes` (checked
+                // just above; SSE2 is baseline on x86-64).
                 unsafe { encrypt_blocks_vaes(round_keys, blocks) }
             }
             // SAFETY: as above, for `aes`.
@@ -298,7 +285,13 @@ mod ni {
     #[target_feature(enable = "aes,avx512f,vaes")]
     fn encrypt_blocks_vaes(round_keys: &[[u8; 16]; 11], blocks: &mut [Block]) {
         let keys = load_keys(round_keys);
-        let wide = keys.map(|key| _mm512_broadcast_i32x4(key));
+        // A loop, not `keys.map(..)`: where LLVM leaves the generic `map`
+        // out of line it runs without these features and passes every
+        // `__m512i` through memory, quadrupling a one-block call.
+        let mut wide = [_mm512_setzero_si512(); 11];
+        for (wide, &key) in wide.iter_mut().zip(&keys) {
+            *wide = _mm512_broadcast_i32x4(key);
+        }
         let (body, tail) = blocks.as_chunks_mut::<{ LANES * x512::BLOCKS }>();
         for step in body {
             x512::encrypt_lanes::<LANES>(&wide, step);
@@ -583,20 +576,18 @@ mod tests {
         // A silent fall-back to a narrower tier would cost the LPN index
         // generator most of its cipher speed and fail nothing else.
         let available = AesTier::available();
-        if crate::block::forced_scalar() {
+        if cpu::enabled() == Features::default() {
             assert_eq!(AesTier::detect(), AesTier::Portable);
         } else {
             assert_eq!(AesTier::detect(), *available.last().unwrap());
         }
         assert_eq!(available[0], AesTier::Portable);
-        #[cfg(target_arch = "x86_64")]
-        {
-            let aes = std::arch::is_x86_feature_detected!("aes");
-            let wide = std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("vaes");
-            assert_eq!(available.contains(&AesTier::Hardware), aes);
-            assert_eq!(available.contains(&AesTier::Vaes), aes && wide);
-        }
+        let cpu = cpu::detected();
+        assert_eq!(available.contains(&AesTier::Hardware), cpu.aes);
+        assert_eq!(
+            available.contains(&AesTier::Vaes),
+            cpu.aes && cpu.avx512f && cpu.vaes
+        );
     }
 
     #[test]

@@ -195,31 +195,6 @@ impl Block {
         iter.into_iter().fold(Block::ZERO, |a, b| a ^ b)
     }
 
-    /// XORs `src` onto `dst` element-wise — the bulk word-XOR the
-    /// extension pipeline uses to fold SPCOT leaf stripes into the LPN
-    /// accumulator without an intermediate vector. On x86-64 with AVX2
-    /// the bulk runs on 256-bit `VPXOR` lanes (two blocks per
-    /// instruction); elsewhere the scalar loop autovectorizes to
-    /// whatever the target offers. `IRONMAN_SIMD=scalar` forces the
-    /// scalar loop (same knob as the `ironman-lpn` kernel dispatch).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    #[allow(unsafe_code)]
-    pub fn xor_into(dst: &mut [Block], src: &[Block]) {
-        assert_eq!(dst.len(), src.len(), "slice lengths must match");
-        #[cfg(target_arch = "x86_64")]
-        if wide::enabled() {
-            // SAFETY: AVX2 presence was verified at runtime by `enabled`.
-            unsafe { wide::xor_into_avx2(dst, src) };
-            return;
-        }
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d ^= s;
-        }
-    }
-
     /// The little-endian wire bytes of `blocks` — identical to what
     /// [`Block::extend_le_bytes`] would append, without the copy where
     /// the in-memory representation already matches.
@@ -270,80 +245,6 @@ fn le_view(blocks: &[Block]) -> &[u8] {
     // order equals `to_le_bytes` order.
     unsafe {
         std::slice::from_raw_parts(blocks.as_ptr().cast::<u8>(), std::mem::size_of_val(blocks))
-    }
-}
-
-/// Whether `IRONMAN_SIMD=scalar` (or `off` / `0`) pins every kernel of
-/// this crate — wide XOR, ChaCha level kernel, AES — to its portable
-/// tier. Reads the environment; the per-kernel decisions that call it
-/// cache their answer once per process.
-pub(crate) fn forced_scalar() -> bool {
-    matches!(
-        std::env::var("IRONMAN_SIMD"),
-        Ok(v) if v.eq_ignore_ascii_case("scalar") || v == "off" || v == "0"
-    )
-}
-
-/// Whether this process runs its AVX2 kernels — [`Block::xor_into`]'s
-/// wide lane, and any vector tier of the ChaCha level kernel (AVX-512
-/// where present): feature detected and not force-disabled by
-/// `IRONMAN_SIMD=scalar`. Decided once per process.
-pub(crate) fn wide_enabled() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        wide::enabled()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The AVX2 bulk-XOR lane for [`Block::xor_into`]: 256-bit unaligned
-/// loads/XORs/stores over pairs of blocks, with a scalar tail for an odd
-/// final block. Feature presence is runtime-checked once per process
-/// (honoring the `IRONMAN_SIMD=scalar` force-scalar knob shared with the
-/// `ironman-lpn` kernels).
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod wide {
-    use super::Block;
-    use std::arch::x86_64::{_mm256_loadu_si256, _mm256_storeu_si256, _mm256_xor_si256};
-    use std::sync::OnceLock;
-
-    /// Whether the AVX2 path runs: feature detected and not force-disabled.
-    pub(super) fn enabled() -> bool {
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED
-            .get_or_init(|| !super::forced_scalar() && std::arch::is_x86_feature_detected!("avx2"))
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 is available (see [`enabled`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn xor_into_avx2(dst: &mut [Block], src: &[Block]) {
-        debug_assert_eq!(dst.len(), src.len());
-        let pairs = dst.len() / 2;
-        let dp = dst.as_mut_ptr().cast::<u8>();
-        let sp = src.as_ptr().cast::<u8>();
-        for i in 0..pairs {
-            let off = i * 32;
-            // SAFETY: `off + 32 <= len * 16` for both slices (pairs =
-            // len / 2), `Block` is plain bytes (`repr(transparent)` over
-            // `u128`), and the unaligned intrinsics have no alignment
-            // requirement. `dst` and `src` are distinct borrows, so the
-            // regions cannot overlap.
-            unsafe {
-                let a = _mm256_loadu_si256(dp.add(off).cast());
-                let b = _mm256_loadu_si256(sp.add(off).cast());
-                _mm256_storeu_si256(dp.add(off).cast(), _mm256_xor_si256(a, b));
-            }
-        }
-        if dst.len() % 2 == 1 {
-            let last = dst.len() - 1;
-            dst[last] ^= src[last];
-        }
     }
 }
 
@@ -480,35 +381,6 @@ mod tests {
     #[test]
     fn xor_all_empty_is_zero() {
         assert_eq!(Block::xor_all(std::iter::empty()), Block::ZERO);
-    }
-
-    #[test]
-    fn xor_into_matches_elementwise() {
-        let src: Vec<Block> = (0..9u128).map(|i| Block::from(i * 3 + 1)).collect();
-        let mut dst: Vec<Block> = (0..9u128).map(|i| Block::from(i + 100)).collect();
-        let expect: Vec<Block> = dst.iter().zip(&src).map(|(&d, &s)| d ^ s).collect();
-        Block::xor_into(&mut dst, &src);
-        assert_eq!(dst, expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "slice lengths")]
-    fn xor_into_length_mismatch_panics() {
-        let mut dst = vec![Block::ZERO; 3];
-        Block::xor_into(&mut dst, &[Block::ZERO; 2]);
-    }
-
-    #[test]
-    fn xor_into_matches_scalar_at_simd_widths() {
-        // Lengths straddling the 2-block AVX2 stride (odd tails, empty,
-        // exact multiples) all match the element-wise definition.
-        for len in [0usize, 1, 2, 3, 7, 8, 31, 64, 65] {
-            let src: Vec<Block> = (0..len as u128).map(|i| Block::from(i * 7 + 3)).collect();
-            let mut dst: Vec<Block> = (0..len as u128).map(|i| Block::from(i + 0xFF)).collect();
-            let expect: Vec<Block> = dst.iter().zip(&src).map(|(&d, &s)| d ^ s).collect();
-            Block::xor_into(&mut dst, &src);
-            assert_eq!(dst, expect, "len {len}");
-        }
     }
 
     #[test]

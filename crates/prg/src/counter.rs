@@ -54,14 +54,6 @@ impl PrgCounter {
     pub fn total(&self) -> u64 {
         self.aes_calls + self.chacha_calls
     }
-
-    /// AES-equivalent operation count: the roofline in Fig. 1(c) is measured
-    /// in "AES per second", and one ChaCha call produces four blocks so we
-    /// weight it as four AES-equivalents when comparing throughput.
-    #[inline]
-    pub fn aes_equivalents(&self) -> u64 {
-        self.aes_calls + 4 * self.chacha_calls
-    }
 }
 
 impl Add for PrgCounter {
@@ -109,14 +101,5 @@ mod tests {
         assert_eq!(c.aes_calls, 5);
         assert_eq!(c.chacha_calls, 5);
         assert_eq!(c.total(), 10);
-    }
-
-    #[test]
-    fn aes_equivalents_weighting() {
-        let c = PrgCounter {
-            aes_calls: 2,
-            chacha_calls: 3,
-        };
-        assert_eq!(c.aes_equivalents(), 2 + 12);
     }
 }

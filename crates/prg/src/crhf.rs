@@ -58,19 +58,6 @@ impl Crhf {
         let s = Self::sigma(x) ^ Block::from(index as u128);
         self.pi.encrypt_block(s) ^ s
     }
-
-    /// Hashes a slice of correlated blocks with their positions as tweaks —
-    /// the bulk COT→ROT conversion of the online phase.
-    pub fn hash_all(&self, base_index: u64, xs: &[Block]) -> Vec<Block> {
-        let tweaked: Vec<Block> = (base_index..)
-            .zip(xs)
-            .map(|(i, &x)| Self::sigma(x) ^ Block::from(i as u128))
-            .collect();
-        let mut out = tweaked.clone();
-        self.pi.encrypt_blocks(&mut out);
-        Block::xor_into(&mut out, &tweaked);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -104,17 +91,6 @@ mod tests {
     fn hash_depends_on_input() {
         let h = Crhf::new();
         assert_ne!(h.hash(0, Block::from(1u128)), h.hash(0, Block::from(2u128)));
-    }
-
-    #[test]
-    fn hash_all_matches_individual() {
-        // Every remainder of the cipher's 8-block body.
-        let h = Crhf::new();
-        for len in 0..=17u128 {
-            let xs: Vec<Block> = (0..len).map(|i| Block::from(i * 0x1_0001 + 1)).collect();
-            let each: Vec<Block> = (10..).zip(&xs).map(|(i, &x)| h.hash(i, x)).collect();
-            assert_eq!(h.hash_all(10, &xs), each, "len {len}");
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! **The tier ladder.** [`LevelTier::Wide512`] (AVX-512F, 16 lanes) over
 //! [`LevelTier::Wide`] (AVX2, 8 lanes) over [`LevelTier::Portable`] (one
 //! scalar block function per call); [`LevelTier::detect`] picks the
-//! widest the CPU has. AVX-512's `vprold` rotates every lane by any count
+//! widest tier that [`crate::cpu::enabled`] allows. AVX-512's `vprold` rotates every lane by any count
 //! in one instruction; AVX2 has no rotate, so its kernel rotates by 16
 //! and 8 with a `vpshufb` byte shuffle and by 12 and 7 with two shifts.
 //!
@@ -43,6 +43,7 @@
 //! loads and stores), behind a scoped `#[allow(unsafe_code)]`.
 
 use crate::chacha::CHACHA_BLOCKS_PER_CALL;
+use crate::cpu::{self, Features};
 use crate::{Block, ChaCha};
 
 /// Which implementation of the level kernel runs. Output-identical; only
@@ -60,44 +61,29 @@ pub enum LevelTier {
 }
 
 impl LevelTier {
-    /// The tier this process dispatches to: the widest of
-    /// [`LevelTier::available`], or [`LevelTier::Portable`] where the AVX2
-    /// check [`Block::xor_into`] shares says no (no AVX2, or
-    /// `IRONMAN_SIMD=scalar`). Decided once per process.
+    /// The tier this process dispatches to: the widest one
+    /// [`cpu::enabled`] allows, so [`LevelTier::Portable`] under
+    /// `IRONMAN_SIMD=scalar`.
     pub fn detect() -> LevelTier {
-        if crate::block::wide_enabled() {
-            *Self::available()
-                .last()
-                .expect("Portable is always available")
-        } else {
-            LevelTier::Portable
-        }
+        *Self::tiers(cpu::enabled())
+            .last()
+            .expect("Portable is always available")
     }
 
-    /// Every tier that runs on this machine, narrowest first, whatever the
-    /// environment says — for equivalence tests that must cover each
-    /// vector tier exactly where it exists.
+    /// Every tier that runs on this machine ([`cpu::detected`]), narrowest
+    /// first, whatever the environment says — for equivalence tests that
+    /// must cover each vector tier exactly where it exists.
     pub fn available() -> &'static [LevelTier] {
-        match features() {
+        Self::tiers(cpu::detected())
+    }
+
+    /// The tiers `cpu` runs, narrowest first.
+    fn tiers(cpu: Features) -> &'static [LevelTier] {
+        match (cpu.avx2, cpu.avx512f) {
             (true, true) => &[LevelTier::Portable, LevelTier::Wide, LevelTier::Wide512],
             (true, false) => &[LevelTier::Portable, LevelTier::Wide],
             _ => &[LevelTier::Portable],
         }
-    }
-}
-
-/// Whether the CPU has `(avx2, avx512f)`.
-fn features() -> (bool, bool) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        (
-            std::arch::is_x86_feature_detected!("avx2"),
-            std::arch::is_x86_feature_detected!("avx512f"),
-        )
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        (false, false)
     }
 }
 
@@ -156,15 +142,15 @@ fn vector_level(
     fanout: usize,
     children: &mut [Block],
 ) -> bool {
-    let (avx2, avx512) = features();
+    let cpu = cpu::detected();
     let (key, rounds) = (cipher.key_words(), cipher.rounds());
     match tier {
-        LevelTier::Wide512 if avx512 => {
-            // SAFETY: AVX-512F presence was verified just above.
+        LevelTier::Wide512 if cpu.avx512f => {
+            // SAFETY: the CPU has AVX-512F (checked just above).
             unsafe { x512::expand_level(key, rounds, parents, fanout, children) }
         }
-        LevelTier::Wide | LevelTier::Wide512 if avx2 => {
-            // SAFETY: AVX2 presence was verified just above.
+        LevelTier::Wide | LevelTier::Wide512 if cpu.avx2 => {
+            // SAFETY: the CPU has AVX2 (checked just above).
             unsafe { x256::expand_level(key, rounds, parents, fanout, children) }
         }
         _ => return false,
@@ -565,14 +551,17 @@ mod tests {
         // most of its speed and fail nothing else.
         let available = LevelTier::available();
         let widest = *available.last().unwrap();
-        if crate::block::forced_scalar() {
+        if cpu::enabled() == Features::default() {
             assert_eq!(LevelTier::detect(), LevelTier::Portable);
         } else {
             assert_eq!(LevelTier::detect(), widest);
         }
-        let (avx2, avx512) = features();
-        assert_eq!(available.contains(&LevelTier::Wide), avx2);
-        assert_eq!(available.contains(&LevelTier::Wide512), avx2 && avx512);
+        let cpu = cpu::detected();
+        assert_eq!(available.contains(&LevelTier::Wide), cpu.avx2);
+        assert_eq!(
+            available.contains(&LevelTier::Wide512),
+            cpu.avx2 && cpu.avx512f
+        );
         assert_eq!(available[0], LevelTier::Portable);
     }
 

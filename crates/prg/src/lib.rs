@@ -7,10 +7,10 @@
 //!   nodes and LPN vector elements; `λ = 128` throughout the paper).
 //! * [`aes::Aes128`] — FIPS-197 AES-128, the cipher behind the paper's
 //!   baseline double-length PRG `G(s) = (AES_{k0}(s) ⊕ s, AES_{k1}(s) ⊕ s)`,
-//!   the LPN index stream and the CRHF. It runs on `AESENC` where x86-64
-//!   has the `aes` feature and on a from-scratch byte-wise cipher
-//!   elsewhere (and under `IRONMAN_SIMD=scalar`); both tiers are pinned to
-//!   the FIPS-197 vectors and to each other.
+//!   the LPN index stream and the CRHF. It runs on `VAESENC` or `AESENC`
+//!   where x86-64 has them and on a from-scratch byte-wise cipher
+//!   elsewhere (and under `IRONMAN_SIMD=scalar`); every tier is pinned to
+//!   the FIPS-197 vectors and to the others.
 //! * [`chacha::ChaCha`] — a from-scratch ChaCha permutation with a
 //!   configurable round count (ChaCha8 is the paper's hardware PRG of
 //!   choice; it emits 512 bits — four blocks — per call).
@@ -24,6 +24,9 @@
 //!   bit-identical to the per-parent [`TreePrg::expand`].
 //! * [`crhf::Crhf`] — the correlation-robust hash used to convert COT
 //!   correlations into standard OTs (Fig. 2).
+//! * [`cpu`] — the one decision behind every kernel tier, this crate's
+//!   and `ironman-lpn`'s: the CPU features, detected once per process,
+//!   and the `IRONMAN_SIMD=scalar` override.
 //!
 //! # Example
 //!
@@ -37,9 +40,9 @@
 //! assert!(children.iter().all(|c| *c != Block::ZERO));
 //! ```
 
-// `deny` (not `forbid`) so [`block`] (wide-XOR intrinsics, little-endian
-// wire cast), [`level`] (the lane-parallel ChaCha kernel) and [`aes`]
-// (the AES-NI kernel) may opt in behind scoped `#[allow(unsafe_code)]`;
+// `deny` (not `forbid`) so [`block`] (the little-endian wire views and
+// copies), [`level`] (the lane-parallel ChaCha kernel) and [`aes`] (the
+// AES-NI and VAES kernels) may opt in behind scoped `#[allow(unsafe_code)]`;
 // every other module still rejects `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +51,7 @@ pub mod aes;
 pub mod block;
 pub mod chacha;
 pub mod counter;
+pub mod cpu;
 pub mod crhf;
 pub mod level;
 pub mod tree_prg;

@@ -3,8 +3,9 @@
 # repo root and leaves everything it writes under target/ (plus ci.log).
 #   0. scripts/loc.sh's total, printed for information (not a gate)
 #   1. cargo fmt --check, cargo clippy -D warnings, cargo doc over the
-#      first-party crates with broken/private intra-doc links denied, and
-#      the serving crates' dependency tree free of the hardware models
+#      first-party crates with broken/private intra-doc links denied, the
+#      serving crates' dependency tree free of the hardware models, and
+#      the CPU-feature and IRONMAN_SIMD reads confined to one module
 #      (seconds)
 #   2. release build; every `paper` report at full size (its wall-clock
 #      seconds and Table 2's software-check line printed for information,
@@ -58,6 +59,15 @@ if grep -E '^ironman-(core|nmp) ' <<<"$tree" | sort -u; then
   echo "DEPENDENCY GATE: the serving crates link the crates listed above"; exit 1
 fi
 
+echo "==> one module decides the kernel tiers"
+# ironman_prg::cpu detects the CPU features once and reads IRONMAN_SIMD
+# once; every kernel tier (AES, ChaCha level kernel, LPN block pass and
+# placement) derives from it. A second detector could pick a tier the
+# override or the other kernels do not know about.
+if git grep --untracked -n -e 'is_x86_feature_detected' -e '"IRONMAN_SIMD"' -- 'crates/*/src/*' ':!crates/prg/src/cpu.rs'; then
+  echo "TIER GATE: feature detection or an IRONMAN_SIMD read outside crates/prg/src/cpu.rs (listed above)"; exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -86,13 +96,16 @@ echo "==> the Table-4 matrix and schedule, bit for bit (release, ~1 s)"
 cargo test --release -q -p ironman-lpn --lib -- --ignored table4_matrix_is_pinned table4_schedule_is_pinned
 
 echo "==> cargo test, kernel crates, forced-scalar dispatch"
-# The ChaCha level kernel, Block::xor_into and the LPN session kernels
-# (SimdMode::Auto) pick their tier once per process; the pass above only
-# ever ran the widest one the host has (AVX-512 for the ChaCha level
-# kernel where present, AVX2 for the rest). ironman-lpn rides along so its
-# portable lanes and the software cipher behind the index generator are
-# exercised under the override too.
+# Every kernel tier derives from ironman_prg::cpu, which reads
+# IRONMAN_SIMD once per process: the AES cipher, the ChaCha level kernel,
+# the LPN session kernels (SimdMode::Auto) and the schedule placement. The
+# pass above only ever ran the widest tier the host has. ironman-lpn rides
+# along so its portable lanes and the software cipher behind the index
+# generator are exercised under the override too. Every tier gives the
+# same output, so the ignored test then checks that each kernel really
+# took its portable tier.
 IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
+IRONMAN_SIMD=scalar cargo test -q -p ironman-lpn --lib -- --ignored forced_scalar_pins_every_tier
 
 echo "==> cargo test -q -p ironman-ot, telemetry compiled out"
 # The noop feature empties histogram records and trace pushes. The shard
