@@ -4,9 +4,9 @@ use crate::{flagship_speedup, log_label, Size, CACHES_KB};
 use ironman_bench::{f2, f3, header, pct, row, times};
 use ironman_core::engine::spcot_aes_equiv_ops;
 use ironman_core::speedup::speedup_cell;
-use ironman_ggm::schedule::simulate;
-use ironman_ggm::{Arity, ExpansionSchedule, PipelineModel};
+use ironman_ggm::Arity;
 use ironman_nmp::dimm::{simulate_spcot, SpcotWork};
+use ironman_nmp::schedule::{simulate, ExpansionSchedule, PipelineModel};
 use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::channel::run_protocol;
 use ironman_ot::dealer::Dealer;

@@ -153,7 +153,7 @@ impl Stamp {
     /// Whether a record carrying `self` replaces one carrying `other`
     /// under the merge rule. Strict: equal stamps do not replace, which
     /// is what makes duplicate delta application a no-op.
-    pub fn wins_over(self, other: Stamp) -> bool {
+    fn wins_over(self, other: Stamp) -> bool {
         self.version > other.version
             || (self.version == other.version && self.origin < other.origin)
     }

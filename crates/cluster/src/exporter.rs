@@ -471,7 +471,7 @@ fn render_alerts(w: &mut MetricsWriter, alerts: &[AlertView]) {
 
 /// Renders the `/fleet` page: the same state as `/metrics`, shaped for
 /// a human glance.
-pub fn render_fleet_page(handle: &FleetHandle, cfg: &FleetExporterConfig) -> String {
+fn render_fleet_page(handle: &FleetHandle, cfg: &FleetExporterConfig) -> String {
     let mut body = String::with_capacity(2048);
     let snapshot = handle.latest();
     let window = handle.window(cfg.window);

@@ -24,17 +24,10 @@
 use crate::directory::ServerId;
 use crate::observe::{FleetSnapshot, FleetWindow, ServerObservation};
 use ironman_ot::params::FerretParams;
-use ironman_perf::network::NetworkModel;
 use ironman_perf::roofline::{self, Roofline};
 
-/// Wire bytes per correlation delivered to a consumer: two 16-byte
-/// blocks (`z`, `y`) plus the choice bit's share of the packed vector —
-/// the serving-side cost a link model caps supply with.
-const WIRE_BYTES_PER_COT: f64 = 32.125;
-
 /// The per-server supply-ceiling model: a roofline for the extension
-/// kernels, the parameter set the fleet's engines run, and optionally a
-/// link model capping delivery.
+/// kernels and the parameter set the fleet's engines run.
 #[derive(Clone, Copy, Debug)]
 pub struct HeadroomModel {
     /// The machine model (compute ceiling + memory bandwidth).
@@ -42,9 +35,6 @@ pub struct HeadroomModel {
     /// The FERRET parameter set the servers extend with (drives the
     /// modeled SPCOT/LPN op and traffic counts per extension).
     pub params: FerretParams,
-    /// Optional link model: when set, the predicted ceiling is also
-    /// capped by the bandwidth needed to *deliver* the supply.
-    pub link: Option<NetworkModel>,
 }
 
 /// One server's model-vs-measured assessment.
@@ -67,19 +57,12 @@ pub struct ServerHeadroom {
 }
 
 impl HeadroomModel {
-    /// The paper's CPU platform over `params`, no link cap.
+    /// The paper's CPU platform over `params`.
     pub fn xeon(params: FerretParams) -> HeadroomModel {
         HeadroomModel {
             roofline: Roofline::xeon_5220r(),
             params,
-            link: None,
         }
-    }
-
-    /// The same model with delivery capped by `link`.
-    pub fn with_link(mut self, link: NetworkModel) -> HeadroomModel {
-        self.link = Some(link);
-        self
     }
 
     /// The modeled wall time of one extension, seconds: the SPCOT phase
@@ -103,15 +86,9 @@ impl HeadroomModel {
 
     /// The predicted supply ceiling for `obs`'s server, COTs/s:
     /// extensions back-to-back at the modeled rate, times the usable
-    /// outputs per extension the server itself advertises, capped by
-    /// the link model's delivery bandwidth when one is set.
+    /// outputs per extension the server itself advertises.
     pub fn predicted_supply(&self, obs: &ServerObservation) -> f64 {
-        let per_extension = obs.cots_per_extension as f64;
-        let compute = per_extension / self.extension_time_s();
-        match self.link {
-            Some(link) => compute.min(link.bandwidth_bps / (8.0 * WIRE_BYTES_PER_COT)),
-            None => compute,
-        }
+        obs.cots_per_extension as f64 / self.extension_time_s()
     }
 
     /// Assesses every server present in both the snapshot and the
@@ -184,17 +161,6 @@ mod tests {
             FerretParams::OT_2POW20.t as u64,
         ) / Roofline::xeon_5220r().mem_bw_bytes_per_s;
         assert!(model.extension_time_s() > lpn_floor);
-    }
-
-    #[test]
-    fn link_caps_delivery() {
-        let params = FerretParams::OT_2POW20;
-        let free = HeadroomModel::xeon(params);
-        let capped = HeadroomModel::xeon(params).with_link(NetworkModel::WAN);
-        let obs = toy_observation(1_000_000);
-        let wan_ceiling = NetworkModel::WAN.bandwidth_bps / (8.0 * WIRE_BYTES_PER_COT);
-        assert!(capped.predicted_supply(&obs) <= wan_ceiling * 1.000_001);
-        assert!(capped.predicted_supply(&obs) <= free.predicted_supply(&obs));
     }
 
     #[test]

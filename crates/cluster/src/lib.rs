@@ -54,7 +54,7 @@
 //!   server: `/metrics` in Prometheus text exposition (fleet and
 //!   per-server gauges, counters, SLO states) and `/fleet` for humans.
 //! * [`HeadroomModel`] — model-vs-measured: each server's live windowed
-//!   supply rate compared against the roofline + link prediction of its
+//!   supply rate compared against the roofline prediction of its
 //!   supply ceiling (utilization, headroom, and the drift the CPU-model
 //!   drift check reads).
 //! * [`ClusterServer`] / [`LocalCluster`] — service, replica, gossip,

@@ -8,7 +8,7 @@ use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
 use ironman_ot::{CotBatch, SharedCotPool};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn eight_threads_hammer_pool_under_warmup() {
@@ -29,6 +29,17 @@ fn eight_threads_hammer_pool_under_warmup() {
             max_interval: Duration::from_micros(800),
         },
     );
+    // The refiller wins a sweep only on a shard that is unlocked and
+    // below the clamped watermark. Eight consumers on four shards leave
+    // almost no such moment, so if its thread first runs after they have
+    // locked every shard it may never win before `stop`. Wait, as
+    // `warmup_fills_pool_before_demand` does, for its first win on the
+    // still-empty pool, where every shard is below the watermark.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pool.warmup_refills() == 0 {
+        assert!(Instant::now() < deadline, "refiller never won a sweep");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     std::thread::scope(|scope| {
         for _ in 0..THREADS {

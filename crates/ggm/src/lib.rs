@@ -13,24 +13,22 @@
 //! * [`PuncturedTree`] — the receiver's reconstruction from level sums,
 //!   generic over arity. Both own their level buffers and re-run in
 //!   place, so a batch of trees streams through one allocation.
-//! * [`schedule`] — the hardware expansion schedules of §4.3 (depth-first,
-//!   breadth-first, hybrid) with an 8-stage-pipeline cycle model that
-//!   reproduces the bubble/utilization arithmetic of Fig. 8.
 //!
 //! # The software schedule: lanes as pipeline stages
 //!
 //! §4.3's Hybrid schedule keeps the pipelined ChaCha8 core busy by
 //! issuing a level's independent parents back to back and letting other
-//! trees fill the bubbles of the narrow top levels ([`schedule`] counts
-//! those cycles). The software trees run the same order with SIMD lanes
-//! standing in for pipeline stages: [`GgmTree::expand_from`] and
-//! [`PuncturedTree::reconstruct_at`] hand each level to
-//! [`ironman_prg::TreePrg::expand_level`] in one call (the receiver in
-//! two runs, split around its punctured parent), which for ChaCha fills
-//! a sixteen-lane (AVX-512) or eight-lane (AVX2) vector per instruction;
-//! a level or run narrower than a vector is the software's pipeline
-//! bubble and runs as one padded vector. Branch sums and the leaf sum are
-//! folded in one strided pass per level, right after the kernel wrote it.
+//! trees fill the bubbles of the narrow top levels (the cycle model that
+//! counts those bubbles is `ironman_nmp::schedule`). The software trees
+//! run the same order with SIMD lanes standing in for pipeline stages:
+//! [`GgmTree::expand_from`] and [`PuncturedTree::reconstruct_at`] hand
+//! each level to [`ironman_prg::TreePrg::expand_level`] in one call (the
+//! receiver in two runs, split around its punctured parent), which for
+//! ChaCha fills a sixteen-lane (AVX-512) or eight-lane (AVX2) vector per
+//! instruction; a level or run narrower than a vector is the software's
+//! pipeline bubble and runs as one padded vector. Branch sums and the
+//! leaf sum are folded in one strided pass per level, right after the
+//! kernel wrote it.
 //!
 //! **Bit-identity contract.** The level-at-a-time trees produce exactly
 //! the nodes, level sums, leaf sums and [`ironman_prg::PrgCounter`]
@@ -66,10 +64,8 @@ pub mod arity;
 #[cfg(test)]
 mod oracle;
 pub mod punctured;
-pub mod schedule;
 pub mod tree;
 
 pub use arity::Arity;
 pub use punctured::PuncturedTree;
-pub use schedule::{ExpansionSchedule, PipelineModel, ScheduleReport};
 pub use tree::{GgmTree, LevelShape};

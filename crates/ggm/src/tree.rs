@@ -85,17 +85,6 @@ impl LevelShape {
         }
         digits
     }
-
-    /// Recomposes a leaf index from branch digits; inverse of [`Self::digits`].
-    pub fn index_from_digits(&self, digits: &[usize]) -> usize {
-        assert_eq!(digits.len(), self.depth());
-        let mut idx = 0usize;
-        for (d, f) in digits.iter().zip(self.fanouts.iter()) {
-            debug_assert!(d < f);
-            idx = idx * f + d;
-        }
-        idx
-    }
 }
 
 /// A fully expanded GGM tree (sender side, Step ① of Fig. 3(b)).
@@ -260,15 +249,6 @@ mod tests {
         assert_eq!(s.depth(), 4);
         assert_eq!(s.widths(), &[2, 4, 8, 16]);
         assert_eq!(s.leaves(), 16);
-    }
-
-    #[test]
-    fn digits_round_trip() {
-        let s = LevelShape::new(Arity::QUAD, 8192);
-        for leaf in [0usize, 1, 17, 4095, 8191] {
-            let d = s.digits(leaf);
-            assert_eq!(s.index_from_digits(&d), leaf);
-        }
     }
 
     #[test]

@@ -317,14 +317,6 @@ pub fn encode_bits_packed(matrix: &LpnMatrix, input: &PackedBits, acc: &mut Pack
     encode_rows(matrix, &mut PackedLane::new(input, acc));
 }
 
-/// The random-access address trace of one encode pass: the sequence of
-/// input-vector element indices touched, in execution order. This is the
-/// exact stream the Rank-NMP module replays against its memory-side cache
-/// (§5.3); one trace entry corresponds to one 16-byte element read.
-pub fn access_trace(matrix: &LpnMatrix) -> impl Iterator<Item = u32> + '_ {
-    matrix.colidx().iter().copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,12 +381,6 @@ mod tests {
         let orig = acc.clone();
         encode_blocks(&m, &input, &mut acc);
         assert_eq!(acc, orig);
-    }
-
-    #[test]
-    fn trace_length_is_rows_times_weight() {
-        let m = toy_matrix();
-        assert_eq!(access_trace(&m).count(), 64 * 4);
     }
 
     #[test]

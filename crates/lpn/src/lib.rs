@@ -17,13 +17,13 @@
 //! Because `A`'s entries are bits, each output element is the XOR of `d`
 //! randomly indexed elements of the input vector — a pure random-access
 //! workload, which is why LPN is memory-bandwidth-bound (Fig. 1c) and why
-//! Ironman sorts the index matrix at compile time (§5.3).
+//! Ironman sorts the index matrix at compile time (§5.3; that sort is
+//! hardware-model code and lives in `ironman_nmp::sorting`).
 //!
 //! This crate provides the matrix ([`LpnMatrix`]), the encoder
-//! ([`encoder`]), the locality-improving sorting pass
-//! ([`sorting::SortedLpnMatrix`]: column first-use relabeling), the
-//! cache-blocked online schedule ([`tile::TileSchedule`]) and the
-//! packed-bit lane ([`bits::PackedBits`]).
+//! ([`encoder`]), the cache-blocked online schedule
+//! ([`tile::TileSchedule`]) and the packed-bit lane
+//! ([`bits::PackedBits`]).
 //!
 //! # Software kernels ↔ paper mechanisms
 //!
@@ -34,7 +34,6 @@
 //! |---|---|---|
 //! | [`tile::TileSchedule`] — offline (row-block × column-tile) bucketing of the fixed gather set, executed tile-major; at Table-4 scale the only stored form of the matrix ([`tile::TileSchedule::generate`]) | memory-side cache fed by §5.3 offline index sorting | the access stream is known ahead of time, so reorder it **once** so the live window always fits the nearest memory |
 //! | [`bits::PackedBits`] — a GF(2) `e`/`u`/`x` bit lane in `u64` words (8× smaller than `Vec<bool>`; `k = 168K` shrinks 168 KB → ~21 KB, L1-resident) | rank-level bandwidth: NMP wins by moving fewer DRAM bytes per useful bit | shrink bytes-per-bit so the same cache holds 8× more of the working set |
-//! | [`sorting::SortedLpnMatrix`] column first-use relabeling (offline, O(nnz)); its access trace feeds the `ironman-nmp` memory-side-cache model, and no session encodes with it (the tiled schedule is the online form) | §5.3 `Colidx` column swapping | spatial locality mined from the fixed matrix offline |
 //! | [`encoder::XorLane`] — one generic XOR-accumulate core behind every traversal × element type | the paper's single LPN datapath parameterized by operand width | the kernel is one circuit; only the operand format varies |
 //! | [`simd`] — runtime-dispatched AVX2/BMI2 lanes (XMM 128-bit `Block` XORs, unchecked 4-way-pipelined bucket loop) behind [`simd::SimdLevel::detect`], scalar fallback always available | the paper's datapath is a *wide* XOR engine (rank-level parallel XOR units) | the XOR circuit is wider than one word; use the widest the hardware offers |
 //! | the wide tier's row-major bit pass ([`simd::encode_bits_packed`]) — eight column indices per `VPGATHERDD` of the packed `e`, probed bits collected by `VMOVMSKPS`, each row's `d`-bit window folded to one parity bit | rank-level parallelism: every rank probes its own slice of a memory-side-cache-resident operand at once | when the operand fits the nearest memory (21 KB of `e` in L1), the gathers stop being memory accesses and become lanes of one instruction |
@@ -65,13 +64,11 @@ pub mod bits;
 pub mod encoder;
 pub mod matrix;
 pub mod simd;
-pub mod sorting;
 pub mod tile;
 
 pub use bits::PackedBits;
 pub use matrix::LpnMatrix;
 pub use simd::{SimdLevel, SimdMode};
-pub use sorting::SortedLpnMatrix;
 pub use tile::{TileConfig, TileSchedule};
 
 /// The paper's row weight: every row of `A` has exactly ten nonzeros.

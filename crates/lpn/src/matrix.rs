@@ -123,13 +123,15 @@ impl LpnMatrix {
         &self.colidx[i * self.weight..(i + 1) * self.weight]
     }
 
-    /// The full flat `Colidx` array (row-major).
+    /// The full flat `Colidx` array (row-major). Read in order, it is the
+    /// row-major encode pass's access trace: the input-element indices it
+    /// touches, one 16-byte element read per entry.
     pub fn colidx(&self) -> &[u32] {
         &self.colidx
     }
 
-    /// Builds a matrix directly from a flat index array (used by the
-    /// sorting pass and tests).
+    /// Builds a matrix directly from a flat index array (used by
+    /// `ironman_nmp::sorting` and tests).
     ///
     /// # Panics
     ///

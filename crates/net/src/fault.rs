@@ -151,11 +151,6 @@ impl FaultInjector {
         self.set_plan(FaultPlan::default());
     }
 
-    /// Whether a plan is currently armed.
-    pub fn is_armed(&self) -> bool {
-        self.state.enabled.load(Ordering::Acquire)
-    }
-
     /// Total faults fired since construction.
     pub fn injected(&self) -> u64 {
         self.state.injected.load(Ordering::Relaxed)

@@ -4,8 +4,8 @@
 //! the hybrid GGM expansion schedule (§4.3) plus the unified XOR-tree unit
 //! (§5.2). Trees are distributed across cores; within a core the hybrid
 //! schedule keeps the pipeline full, so large batches run at ~100%
-//! utilization. The cycle model reuses `ironman-ggm`'s schedule simulator
-//! on a sample and scales — the steady state is periodic, making the
+//! utilization. The cycle model runs [`crate::schedule`]'s simulator on
+//! a sample and scales — the steady state is periodic, making the
 //! extrapolation exact up to edge effects.
 //!
 //! The unified unit is charged as cycles only: a tree `4 × cores` blocks
@@ -13,8 +13,9 @@
 //! when it is the slower of the two. Its XOR algebra is the functional
 //! tree's ([`ironman_ggm::GgmTree::level_sums`]).
 
+use crate::schedule::{self, ExpansionSchedule, PipelineModel};
 use crate::{NmpConfig, Role};
-use ironman_ggm::{schedule, Arity, ExpansionSchedule, PipelineModel};
+use ironman_ggm::Arity;
 use ironman_prg::PrgKind;
 use serde::{Deserialize, Serialize};
 

@@ -11,15 +11,19 @@
 //!   gather with rank-level parallelism.
 //!
 //! This crate is the *timing* model: it consumes work descriptions and
-//! access traces from the functional crates and produces cycle counts by
-//! composing `ironman-ggm`'s pipeline schedules with its own cache and
-//! DRAM models. [`OteSimulator`] is its one timing path: Figures 12,
-//! 13 and 14, `ironman-core`'s timing estimates and the benchmark's
-//! `nmp.*`/`cache.*` rows all read it.
+//! access traces from the functional crates and produces cycle counts
+//! from its own schedule, cache and DRAM models. [`OteSimulator`] is its
+//! one timing path: Figures 12, 13 and 14, `ironman-core`'s timing
+//! estimates and the benchmark's `nmp.*`/`cache.*` rows all read it.
 //!
 //! * [`config`] — the deployment: active ranks, cores, caches, DRAM.
+//! * [`schedule`] — §4.3's GGM expansion schedules (depth-first,
+//!   breadth-first, Hybrid) fed to an `S`-stage pipelined PRG core,
+//!   simulated cycle by cycle (Fig. 8's bubbles and utilization).
 //! * [`dimm`] — SPCOT on the DIMM-NMP cores, with the unified unit's
 //!   XOR-tree cycles.
+//! * [`sorting`] — §5.3's offline column sort of the LPN index array,
+//!   whose access trace the rank model replays.
 //! * [`rank_lpn`] — the LPN gather on one rank: index stream, then
 //!   [`cache`] (the memory-side SRAM cache), then [`dram`] (the rank's
 //!   DDR4 timing under FR-FCFS).
@@ -53,6 +57,8 @@ pub mod dimm;
 pub mod dram;
 pub mod ote;
 pub mod rank_lpn;
+pub mod schedule;
+pub mod sorting;
 pub mod unified;
 
 pub use config::NmpConfig;

@@ -9,9 +9,10 @@
 
 use crate::dimm::{simulate_spcot, SpcotWork};
 use crate::rank_lpn::{simulate_rank, LpnWork, RankLpnReport};
+use crate::sorting::SortedLpnMatrix;
 use crate::{DimmSpcotReport, NmpConfig, Role};
 use ironman_ggm::Arity;
-use ironman_lpn::{LpnMatrix, SortedLpnMatrix};
+use ironman_lpn::LpnMatrix;
 use ironman_prg::{Block, PrgKind};
 use serde::{Deserialize, Serialize};
 
@@ -147,7 +148,7 @@ impl OteSimulator {
                     Block::from(seed as u128 | 1),
                 );
                 let trace: Vec<u32> = if work.sort {
-                    SortedLpnMatrix::sort(&matrix).access_trace().collect()
+                    SortedLpnMatrix::sort(&matrix).matrix().colidx().to_vec()
                 } else {
                     matrix.colidx().to_vec()
                 };

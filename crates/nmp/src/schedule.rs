@@ -16,8 +16,11 @@
 //! The model here is a cycle-accurate discrete simulation of a single
 //! in-order issue port feeding an `S`-stage pipeline: one PRG call may be
 //! issued per cycle, its children become available `S` cycles later.
+//! [`crate::dimm`] runs the Hybrid schedule on a sample of each core's
+//! trees; the software trees of `ironman-ggm` issue the same level order
+//! with SIMD lanes standing in for pipeline stages.
 
-use crate::Arity;
+use ironman_ggm::Arity;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -213,8 +216,8 @@ fn call_order(desc: &TreeDesc, schedule: ExpansionSchedule) -> Vec<Call> {
 /// # Example
 ///
 /// ```
-/// use ironman_ggm::{Arity, ExpansionSchedule, PipelineModel};
-/// use ironman_ggm::schedule::simulate;
+/// use ironman_ggm::Arity;
+/// use ironman_nmp::schedule::{simulate, ExpansionSchedule, PipelineModel};
 ///
 /// let df = simulate(ExpansionSchedule::DepthFirst, PipelineModel::CHACHA8, 4, Arity::QUAD, 64);
 /// let hy = simulate(ExpansionSchedule::Hybrid, PipelineModel::CHACHA8, 4, Arity::QUAD, 64);

@@ -19,16 +19,12 @@
 //! here (see CHANGES.md).
 //!
 //! The sorted order pays only where a memory-side cache exists, so it
-//! feeds the `ironman-nmp` trace and the `paper sorting` ablation; no
-//! FERRET session encodes with it.
+//! feeds the [`crate::ote`] trace and the `paper sorting` ablation; no
+//! FERRET session encodes with it. Its access trace is the sorted
+//! matrix's [`LpnMatrix::colidx`], replayed through [`crate::cache`].
 
-use crate::encoder;
-use crate::LpnMatrix;
+use ironman_lpn::LpnMatrix;
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
-
-/// Blocks (16-byte elements) per 64-byte cache line.
-pub const ELEMS_PER_LINE: usize = 4;
 
 /// A sorted LPN matrix: same code, better locality.
 #[derive(Clone, Debug, Serialize)]
@@ -81,12 +77,6 @@ impl SortedLpnMatrix {
         }
         out
     }
-
-    /// The sorted access trace (element indices in execution order) — what
-    /// the Rank-NMP replays against the memory-side cache.
-    pub fn access_trace(&self) -> impl Iterator<Item = u32> + '_ {
-        encoder::access_trace(&self.matrix)
-    }
 }
 
 /// Column-swapping permutation: relabel columns by order of first use.
@@ -109,75 +99,25 @@ fn first_use_permutation(matrix: &LpnMatrix) -> Vec<u32> {
     perm
 }
 
-/// A fully associative LRU cache of 64-byte lines with amortized O(1)
-/// updates (lazy-deletion queue).
-struct LruLines {
-    capacity: usize,
-    stamp: u64,
-    lines: HashMap<u32, u64>,
-    queue: VecDeque<(u32, u64)>,
-}
-
-impl LruLines {
-    fn new(capacity: usize) -> Self {
-        LruLines {
-            capacity: capacity.max(1),
-            stamp: 0,
-            lines: HashMap::new(),
-            queue: VecDeque::new(),
-        }
-    }
-
-    fn contains(&self, line: u32) -> bool {
-        self.lines.contains_key(&line)
-    }
-
-    fn touch(&mut self, line: u32) {
-        self.stamp += 1;
-        self.lines.insert(line, self.stamp);
-        self.queue.push_back((line, self.stamp));
-        while self.lines.len() > self.capacity {
-            if let Some((l, s)) = self.queue.pop_front() {
-                if self.lines.get(&l) == Some(&s) {
-                    self.lines.remove(&l);
-                }
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-/// Measures the hit rate of an access trace against a fully associative
-/// LRU cache of `cache_lines` lines — the metric of Fig. 14 (the deployed
-/// hardware model in `ironman_nmp::cache` is set-associative; this helper is
-/// for quick offline comparisons).
-pub fn trace_hit_rate<I: IntoIterator<Item = u32>>(trace: I, cache_lines: usize) -> f64 {
-    let mut cache = LruLines::new(cache_lines);
-    let mut hits = 0u64;
-    let mut total = 0u64;
-    for idx in trace {
-        let line = idx / ELEMS_PER_LINE as u32;
-        total += 1;
-        if cache.contains(line) {
-            hits += 1;
-        }
-        cache.touch(line);
-    }
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{Cache, CacheConfig};
+    use ironman_lpn::{encoder, TileConfig, TileSchedule};
     use ironman_prg::Block;
 
     fn toy() -> LpnMatrix {
         LpnMatrix::generate(512, 4096, 10, Block::from(21u128))
+    }
+
+    /// Hit rate of an element-index trace through a fresh `cfg` cache,
+    /// at element address `index · 16` as [`crate::rank_lpn`] maps it.
+    fn hit_rate(trace: impl IntoIterator<Item = u32>, cfg: CacheConfig) -> f64 {
+        let mut cache = Cache::new(cfg);
+        for idx in trace {
+            cache.access(idx as u64 * Block::BYTES as u64);
+        }
+        cache.stats().hit_rate()
     }
 
     #[test]
@@ -218,15 +158,35 @@ mod tests {
 
     #[test]
     fn sorting_improves_hit_rate() {
-        // A matrix over many columns with a small cache: sorting must help.
+        // A matrix over many columns with a small cache (256 lines):
+        // sorting must help.
         let m = LpnMatrix::generate(2048, 16384, 10, Block::from(5u128));
-        let cache_lines = 256;
-        let base = trace_hit_rate(encoder::access_trace(&m), cache_lines);
+        let cfg = CacheConfig::kb(16);
+        let base = hit_rate(m.colidx().iter().copied(), cfg);
         let sorted = SortedLpnMatrix::sort(&m);
-        let improved = trace_hit_rate(sorted.access_trace(), cache_lines);
+        let improved = hit_rate(sorted.matrix().colidx().iter().copied(), cfg);
         assert!(
             improved > base,
             "sorting should improve hit rate: {base:.3} -> {improved:.3}"
+        );
+    }
+
+    #[test]
+    fn tiling_improves_small_cache_hit_rate() {
+        // Against a cache that holds one tile but not the whole input,
+        // the tile-major trace must hit far more often than row-major.
+        let m = LpnMatrix::generate(4096, 16384, 10, Block::from(11u128));
+        let cfg = TileConfig {
+            row_block: 1024,
+            col_tile: 1024,
+        };
+        let s = TileSchedule::build(&m, cfg);
+        let cache = CacheConfig::kb(32); // 512 lines, 2048 elements: two tiles' worth
+        let base = hit_rate(m.colidx().iter().copied(), cache);
+        let tiled = hit_rate(s.access_trace(), cache);
+        assert!(
+            tiled > base + 0.2,
+            "tiling should lift hit rate decisively: {base:.3} -> {tiled:.3}"
         );
     }
 
@@ -240,38 +200,5 @@ mod tests {
         for (i, &x) in input.iter().enumerate() {
             assert_eq!(permuted[sorted.col_perm()[i] as usize], x);
         }
-    }
-
-    #[test]
-    fn lru_evicts_oldest() {
-        let mut c = LruLines::new(2);
-        c.touch(1);
-        c.touch(2);
-        c.touch(3);
-        assert!(!c.contains(1));
-        assert!(c.contains(2) && c.contains(3));
-    }
-
-    #[test]
-    fn lru_touch_refreshes() {
-        let mut c = LruLines::new(2);
-        c.touch(1);
-        c.touch(2);
-        c.touch(1); // refresh 1 → 2 becomes oldest
-        c.touch(3);
-        assert!(c.contains(1));
-        assert!(!c.contains(2));
-    }
-
-    #[test]
-    fn hit_rate_bounds() {
-        let m = toy();
-        let r = trace_hit_rate(encoder::access_trace(&m), 128);
-        assert!((0.0..=1.0).contains(&r));
-    }
-
-    #[test]
-    fn empty_trace_hit_rate_zero() {
-        assert_eq!(trace_hit_rate(std::iter::empty(), 16), 0.0);
     }
 }

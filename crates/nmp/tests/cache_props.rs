@@ -3,6 +3,33 @@
 use ironman_nmp::cache::{Cache, CacheConfig};
 use proptest::prelude::*;
 
+/// The reference LRU: a fully associative cache of `capacity` lines,
+/// kept as a list from least to most recently used.
+struct VecLru {
+    capacity: usize,
+    lines: Vec<u64>,
+}
+
+impl VecLru {
+    /// Touches `line`; returns whether it was resident.
+    fn access(&mut self, line: u64) -> bool {
+        let hit = match self.lines.iter().position(|&l| l == line) {
+            Some(i) => {
+                self.lines.remove(i);
+                true
+            }
+            None => {
+                if self.lines.len() == self.capacity {
+                    self.lines.remove(0);
+                }
+                false
+            }
+        };
+        self.lines.push(line);
+        hit
+    }
+}
+
 /// Hits of a fresh `kb`-kilobyte cache over `trace`.
 fn hits(kb: usize, trace: &[u64]) -> u64 {
     let mut c = Cache::new(CacheConfig::kb(kb));
@@ -25,6 +52,31 @@ proptest! {
         let s = c.stats();
         prop_assert_eq!(s.accesses(), addrs.len() as u64);
         prop_assert!((0.0..=1.0).contains(&s.hit_rate()));
+    }
+
+    /// The cache is an exact LRU: with one set (`ways == lines`) it gives
+    /// the reference's hit or miss on every access, including the
+    /// eviction of the least recently used line and the refresh a hit
+    /// gives.
+    #[test]
+    fn single_set_is_exact_lru(
+        lines in 1usize..17,
+        addrs in proptest::collection::vec(0u64..40 * 64, 0..400),
+    ) {
+        let mut cache = Cache::new(CacheConfig {
+            capacity_bytes: lines * 64,
+            line_bytes: 64,
+            ways: lines,
+            hit_latency: 1,
+        });
+        let mut reference = VecLru { capacity: lines, lines: Vec::new() };
+        for (i, &a) in addrs.iter().enumerate() {
+            prop_assert_eq!(
+                cache.access(a),
+                reference.access(a / 64),
+                "access {} (address {}) of a {}-line cache", i, a, lines
+            );
+        }
     }
 
     /// Immediately repeated accesses always hit.

@@ -46,7 +46,7 @@ impl OteWorkload {
     }
 
     /// Total LPN traffic in bytes.
-    pub fn lpn_bytes(&self) -> u64 {
+    fn lpn_bytes(&self) -> u64 {
         self.lpn_accesses * self.lpn_bytes_per_access
     }
 }

@@ -12,7 +12,7 @@
 //! The paper's hardware keeps one pipelined ChaCha8 core full by issuing
 //! the independent parents of a level back to back (§4.3's breadth-first
 //! and Hybrid schedules, modelled cycle by cycle in
-//! `ironman_ggm::schedule`). [`TreePrg::expand_level`] is the software
+//! `ironman_nmp::schedule`). [`TreePrg::expand_level`] is the software
 //! form of that issue order: the GGM layer hands over a whole level, and
 //! [`ChaChaTreePrg`] runs it sixteen parents per AVX-512 vector, or eight
 //! per AVX2 vector ([`crate::level`]) — each SIMD lane playing one

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Counts non-test, non-blank lines of Rust under crates/*/src: the size
-# figure simplicity changes report before and after. Prints one line per
-# crate, then the total. Run from anywhere; reads the repo it lives in.
+# figure simplicity changes report before and after. Beside each count it
+# prints how many of those lines start a `pub ` item (`pub(crate)` and
+# other restricted visibilities are not counted): the public surface.
+# Prints one line per crate, then the total. Run from anywhere; reads the
+# repo it lives in.
 #
 # What is left out:
 #   - blank lines;
@@ -42,7 +45,7 @@ awk -v skip_list="$test_files" '
   FNR == 1 {
     pending = 0; depth = 0
     split(FILENAME, parts, "/"); krate = parts[2]
-    if (!(krate in lines)) lines[krate] = 0
+    if (!(krate in lines)) { lines[krate] = 0; pubs[krate] = 0 }
   }
   FILENAME in skip_file { next }
   {
@@ -65,9 +68,13 @@ awk -v skip_list="$test_files" '
     next
   }
   /[^ \t]/ { lines[krate]++ }
+  /^[ \t]*pub / { pubs[krate]++ }
   END {
-    total = 0
-    for (k in lines) { printf "%-10s %6d\n", k, lines[k]; total += lines[k] }
-    printf "%-10s %6d\n", "total", total
+    total = 0; total_pubs = 0
+    for (k in lines) {
+      printf "%-10s %6d %5d pub\n", k, lines[k], pubs[k]
+      total += lines[k]; total_pubs += pubs[k]
+    }
+    printf "%-10s %6d %5d pub\n", "total", total, total_pubs
   }
 ' $files | sort -k1,1 | awk '$1 != "total" { print } $1 == "total" { t = $0 } END { print t }'

@@ -1,7 +1,8 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
 use ironman_ggm::{Arity, GgmTree, PuncturedTree};
-use ironman_lpn::{encoder, LpnMatrix, SortedLpnMatrix};
+use ironman_lpn::{encoder, LpnMatrix};
+use ironman_nmp::sorting::SortedLpnMatrix;
 use ironman_prg::{Block, ChaChaTreePrg, Crhf, TreePrg};
 use proptest::prelude::*;
 

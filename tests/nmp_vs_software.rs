@@ -4,12 +4,12 @@
 
 use ironman_core::speedup::{speedup_cell, speedup_table};
 use ironman_core::{Backend, Engine, Timing};
-use ironman_ggm::schedule::simulate;
-use ironman_ggm::{Arity, ExpansionSchedule, PipelineModel};
-use ironman_lpn::{encoder, LpnMatrix};
+use ironman_ggm::Arity;
+use ironman_lpn::LpnMatrix;
 use ironman_nmp::cache::{Cache, CacheConfig};
 use ironman_nmp::dram::{DramConfig, RankSim, Request};
 use ironman_nmp::rank_lpn::{simulate_rank, LpnWork};
+use ironman_nmp::schedule::{simulate, ExpansionSchedule, PipelineModel};
 use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
@@ -105,7 +105,7 @@ fn nmp_cache_model_agrees_with_direct_cache_replay() {
     // the same hit statistics the rank simulator reports.
     let cfg = NmpConfig::with_ranks_and_cache(2, 256 * 1024);
     let matrix = LpnMatrix::generate(2000, 40_000, 10, Block::from(5u128));
-    let trace: Vec<u32> = encoder::access_trace(&matrix).collect();
+    let trace: Vec<u32> = matrix.colidx().to_vec();
 
     let report = simulate_rank(&cfg, &LpnWork::exact(trace.clone()));
     let mut cache = Cache::new(cfg.cache);
