@@ -14,6 +14,7 @@
 //! per-server (`server="<id>"`) and per-window (`window="fast"`)
 //! breakdowns.
 
+use crate::directory::Member;
 use crate::headroom::HeadroomModel;
 use crate::observe::{FleetHandle, FleetSnapshot, FleetWindow};
 use crate::slo::AlertView;
@@ -132,12 +133,30 @@ impl MetricsWriter {
 
 /// Renders the full Prometheus text exposition of `handle`'s state.
 pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> String {
+    render_metrics(
+        handle.latest().as_deref(),
+        handle.window(cfg.window).as_ref(),
+        &handle.members(),
+        &handle.alerts(),
+        handle.scrape_latency().p99(),
+        cfg,
+    )
+}
+
+/// The exposition of one observer state: the latest snapshot, its
+/// window, the directory's members, the alert states and the scrape
+/// p99.
+fn render_metrics(
+    snapshot: Option<&FleetSnapshot>,
+    window: Option<&FleetWindow>,
+    members: &[Member],
+    alerts: &[AlertView],
+    scrape_p99: u64,
+    cfg: &FleetExporterConfig,
+) -> String {
     let mut w = MetricsWriter {
         out: String::with_capacity(4096),
     };
-    let snapshot = handle.latest();
-    let window = handle.window(cfg.window);
-    let members = handle.members();
     let window_label = format!("{}s", cfg.window.as_secs_f64());
 
     w.family(
@@ -148,7 +167,7 @@ pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> Str
     w.sample(
         "ironman_scrape_epoch",
         &[],
-        snapshot.as_ref().map_or(0.0, |s| s.epoch as f64),
+        snapshot.map_or(0.0, |s| s.epoch as f64),
     );
 
     w.family(
@@ -159,7 +178,7 @@ pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> Str
     w.sample(
         "ironman_fleet_available_cots",
         &[],
-        snapshot.as_ref().map_or(0.0, |s| s.available as f64),
+        snapshot.map_or(0.0, |s| s.available as f64),
     );
 
     w.family(
@@ -170,9 +189,7 @@ pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> Str
     w.sample(
         "ironman_fleet_pending_stream_cots",
         &[],
-        snapshot
-            .as_ref()
-            .map_or(0.0, |s| s.pending_stream_cots as f64),
+        snapshot.map_or(0.0, |s| s.pending_stream_cots as f64),
     );
 
     w.family(
@@ -195,7 +212,7 @@ pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> Str
         "gauge",
         "Windowed fleet p99 chunk-push latency (bucket ceiling, <=6.25% high).",
     );
-    if let Some(win) = &window {
+    if let Some(win) = window {
         let l = [("window", window_label.clone())];
         w.sample(
             "ironman_fleet_supply_cots_per_second",
@@ -215,15 +232,8 @@ pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> Str
         );
     }
 
-    render_servers(
-        &mut w,
-        snapshot.as_deref(),
-        window.as_ref(),
-        cfg,
-        &members,
-        &window_label,
-    );
-    render_alerts(&mut w, &handle.alerts());
+    render_servers(&mut w, snapshot, window, cfg, members, &window_label);
+    render_alerts(&mut w, alerts);
 
     w.family(
         "ironman_observer_scrape_p99_nanoseconds",
@@ -233,7 +243,7 @@ pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> Str
     w.sample(
         "ironman_observer_scrape_p99_nanoseconds",
         &[],
-        handle.scrape_latency().p99() as f64,
+        scrape_p99 as f64,
     );
     w.out
 }
@@ -243,7 +253,7 @@ fn render_servers(
     snapshot: Option<&FleetSnapshot>,
     window: Option<&FleetWindow>,
     cfg: &FleetExporterConfig,
-    members: &[crate::directory::Member],
+    members: &[Member],
     window_label: &str,
 ) {
     w.family(
@@ -544,4 +554,210 @@ fn render_fleet_page(handle: &FleetHandle, cfg: &FleetExporterConfig) -> String 
     }
     body.push_str("</pre></body></html>\n");
     body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::directory::{Directory, ServerId};
+    use crate::observe::ServerObservation;
+    use crate::slo::AlertState;
+    use ironman_net::LatencyStats;
+    use ironman_ot::params::FerretParams;
+
+    /// `render_metrics` over [`fixture`], as the exporter rendered it
+    /// before its families were made contiguous (same lines, old order).
+    const RECORDED: &str = r#"# HELP ironman_scrape_epoch Directory epoch of the latest fleet scrape.
+# TYPE ironman_scrape_epoch gauge
+ironman_scrape_epoch 7
+# HELP ironman_fleet_available_cots Correlations buffered across the scraped fleet.
+# TYPE ironman_fleet_available_cots gauge
+ironman_fleet_available_cots 950
+# HELP ironman_fleet_pending_stream_cots Promised-but-unpushed streamed demand across the fleet.
+# TYPE ironman_fleet_pending_stream_cots gauge
+ironman_fleet_pending_stream_cots 64
+# HELP ironman_fleet_supply_cots_per_second Windowed fleet COT supply rate (extensions x outputs per extension).
+# TYPE ironman_fleet_supply_cots_per_second gauge
+# HELP ironman_fleet_served_cots_per_second Windowed fleet serving rate.
+# TYPE ironman_fleet_served_cots_per_second gauge
+# HELP ironman_fleet_stall_ratio Windowed consumer-stall time per second of wall time, fleet-wide.
+# TYPE ironman_fleet_stall_ratio gauge
+# HELP ironman_fleet_chunk_push_p99_nanoseconds Windowed fleet p99 chunk-push latency (bucket ceiling, <=6.25% high).
+# TYPE ironman_fleet_chunk_push_p99_nanoseconds gauge
+ironman_fleet_supply_cots_per_second{window="5s"} 16000
+ironman_fleet_served_cots_per_second{window="5s"} 2400
+ironman_fleet_stall_ratio{window="5s"} 0
+ironman_fleet_chunk_push_p99_nanoseconds{window="5s"} 0
+# HELP ironman_server_up 1 if the directory member answered the latest scrape, else 0.
+# TYPE ironman_server_up gauge
+ironman_server_up{server="1"} 1
+ironman_server_up{server="2"} 1
+ironman_server_up{server="3"} 0
+# HELP ironman_server_available_cots Correlations buffered on this server.
+# TYPE ironman_server_available_cots gauge
+# HELP ironman_server_uptime_seconds Monotonic seconds since this server's service constructed.
+# TYPE ironman_server_uptime_seconds gauge
+# HELP ironman_server_cots_served_total Correlations handed out since server start.
+# TYPE ironman_server_cots_served_total counter
+# HELP ironman_server_extensions_total FERRET extensions run since server start.
+# TYPE ironman_server_extensions_total counter
+# HELP ironman_server_subscribers_evicted_total Stuck streaming subscribers evicted past the push write deadline.
+# TYPE ironman_server_subscribers_evicted_total counter
+# HELP ironman_server_unavailable_sent_total Unavailable{retry_after_ms} declines sent while degraded.
+# TYPE ironman_server_unavailable_sent_total counter
+# HELP ironman_server_faults_injected_total Faults the server's injector fired into its own data path (chaos drills).
+# TYPE ironman_server_faults_injected_total counter
+# HELP ironman_server_directory_epoch The server's own directory-replica epoch at scrape time (v9).
+# TYPE ironman_server_directory_epoch gauge
+# HELP ironman_server_directory_epoch_lag Gossip lag: the most advanced scraped replica's epoch minus this server's.
+# TYPE ironman_server_directory_epoch_lag gauge
+ironman_server_available_cots{server="1"} 700
+ironman_server_uptime_seconds{server="1"} 3.5
+ironman_server_cots_served_total{server="1"} 5000
+ironman_server_extensions_total{server="1"} 40
+ironman_server_subscribers_evicted_total{server="1"} 1
+ironman_server_unavailable_sent_total{server="1"} 2
+ironman_server_faults_injected_total{server="1"} 3
+ironman_server_directory_epoch{server="1"} 7
+ironman_server_directory_epoch_lag{server="1"} 0
+ironman_server_available_cots{server="2"} 250
+ironman_server_uptime_seconds{server="2"} 2
+ironman_server_cots_served_total{server="2"} 800
+ironman_server_extensions_total{server="2"} 4
+ironman_server_subscribers_evicted_total{server="2"} 0
+ironman_server_unavailable_sent_total{server="2"} 5
+ironman_server_faults_injected_total{server="2"} 0
+ironman_server_directory_epoch{server="2"} 5
+ironman_server_directory_epoch_lag{server="2"} 2
+# HELP ironman_server_supply_cots_per_second Windowed per-server COT supply rate.
+# TYPE ironman_server_supply_cots_per_second gauge
+# HELP ironman_server_chunk_push_p99_nanoseconds Windowed per-server p99 chunk-push latency.
+# TYPE ironman_server_chunk_push_p99_nanoseconds gauge
+# HELP ironman_server_stall_ratio Windowed per-server consumer-stall time per second of wall time.
+# TYPE ironman_server_stall_ratio gauge
+ironman_server_supply_cots_per_second{server="1",window="5s"} 15000
+ironman_server_chunk_push_p99_nanoseconds{server="1",window="5s"} 0
+ironman_server_stall_ratio{server="1",window="5s"} 0
+ironman_server_supply_cots_per_second{server="2",window="5s"} 1000
+ironman_server_chunk_push_p99_nanoseconds{server="2",window="5s"} 0
+ironman_server_stall_ratio{server="2",window="5s"} 0
+# HELP ironman_server_predicted_supply_cots_per_second Modeled supply ceiling (roofline + link) for this server.
+# TYPE ironman_server_predicted_supply_cots_per_second gauge
+# HELP ironman_server_supply_utilization Measured windowed supply over the modeled ceiling.
+# TYPE ironman_server_supply_utilization gauge
+# HELP ironman_server_headroom_cots_per_second Unused modeled supply capacity, max(0, predicted - measured).
+# TYPE ironman_server_headroom_cots_per_second gauge
+# HELP ironman_server_model_drift_cots_per_second Signed model error, measured - predicted.
+# TYPE ironman_server_model_drift_cots_per_second gauge
+ironman_server_predicted_supply_cots_per_second{server="1"} 28785538.14563563
+ironman_server_supply_utilization{server="1"} 0.0005210950000000001
+ironman_server_headroom_cots_per_second{server="1"} 28770538.14563563
+ironman_server_model_drift_cots_per_second{server="1"} -28770538.14563563
+ironman_server_predicted_supply_cots_per_second{server="2"} 14392769.072817815
+ironman_server_supply_utilization{server="2"} 0.00006947933333333334
+ironman_server_headroom_cots_per_second{server="2"} 14391769.072817815
+ironman_server_model_drift_cots_per_second{server="2"} -14391769.072817815
+# HELP ironman_slo_state SLO alert state: 0 inactive, 1 pending, 2 firing, 3 resolved.
+# TYPE ironman_slo_state gauge
+# HELP ironman_slo_burning 1 if the labeled evaluation window currently violates the SLO.
+# TYPE ironman_slo_burning gauge
+# HELP ironman_slo_threshold The configured SLO bound.
+# TYPE ironman_slo_threshold gauge
+ironman_slo_state{slo="supply-floor"} 2
+ironman_slo_threshold{slo="supply-floor"} 2500
+ironman_slo_burning{slo="supply-floor",window="fast"} 1
+ironman_slo_burning{slo="supply-floor",window="slow"} 0
+# HELP ironman_observer_scrape_p99_nanoseconds p99 wall time of one whole-fleet scrape.
+# TYPE ironman_observer_scrape_p99_nanoseconds gauge
+ironman_observer_scrape_p99_nanoseconds 1015807"#;
+
+    #[allow(clippy::too_many_arguments)]
+    fn obs(
+        id: u64,
+        cots_served: u64,
+        extensions_run: u64,
+        cots_per_extension: u64,
+        available: u64,
+        pending_stream_cots: u64,
+        uptime_nanos: u64,
+        faults: [u64; 3],
+        directory_epoch: u64,
+    ) -> ServerObservation {
+        ServerObservation {
+            id: ServerId(id),
+            cots_served,
+            extensions_run,
+            cots_per_extension,
+            available,
+            pending_stream_cots,
+            shards: 2,
+            uptime_nanos,
+            subscribers_evicted: faults[0],
+            unavailable_sent: faults[1],
+            faults_injected: faults[2],
+            directory_epoch,
+            latency: LatencyStats::default(),
+        }
+    }
+
+    /// Three members, two of them scraped (server 2 joined inside the
+    /// window), one firing alert and a headroom model.
+    fn fixture() -> String {
+        let dir = Directory::new();
+        for i in 1..=3u64 {
+            let addr = format!("127.0.0.1:{}", 7000 + i).parse().unwrap();
+            dir.join_as(ServerId(i), addr, &format!("s{i}"), 1);
+        }
+        let earlier = FleetSnapshot {
+            at_nanos: 1_000_000_000,
+            epoch: 6,
+            servers: vec![obs(1, 1000, 10, 1000, 300, 0, 1_500_000_000, [0; 3], 6)],
+            latency: LatencyStats::default(),
+            available: 300,
+            pending_stream_cots: 0,
+        };
+        let latest = FleetSnapshot {
+            at_nanos: 3_000_000_000,
+            epoch: 7,
+            servers: vec![
+                obs(1, 5000, 40, 1000, 700, 64, 3_500_000_000, [1, 2, 3], 7),
+                obs(2, 800, 4, 500, 250, 0, 2_000_000_000, [0, 5, 0], 5),
+            ],
+            latency: LatencyStats::default(),
+            available: 950,
+            pending_stream_cots: 64,
+        };
+        let alert = AlertView {
+            slo: "supply-floor".into(),
+            state: AlertState::Firing,
+            since_nanos: 2_000_000_000,
+            fast_burning: true,
+            slow_burning: false,
+            fast_value: Some(1.0),
+            slow_value: None,
+            threshold: 2500.0,
+        };
+        let cfg = FleetExporterConfig {
+            window: Duration::from_secs(5),
+            model: Some(HeadroomModel::xeon(FerretParams::toy())),
+        };
+        render_metrics(
+            Some(&latest),
+            Some(&latest.delta(&earlier)),
+            dir.snapshot().members(),
+            &[alert],
+            1_015_807,
+            &cfg,
+        )
+    }
+
+    #[test]
+    fn metrics_keep_the_recorded_lines() {
+        let rendered = fixture();
+        let mut got: Vec<&str> = rendered.lines().collect();
+        let mut want: Vec<&str> = RECORDED.lines().collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
 }

@@ -1471,6 +1471,95 @@ mod tests {
         round_trip_response(Response::Cots(batch));
     }
 
+    /// A v11 `Stats` reply as the wire carries it, frozen: every counter
+    /// and both shards' counters are distinct, so a layout change that
+    /// swaps two fields on both the encode and the decode side (which a
+    /// round trip cannot see) changes these bytes. The latency
+    /// histograms are empty, so the vector holds with telemetry compiled
+    /// out too.
+    const FROZEN_STATS_V11: [&str; 41] = [
+        "83",                                                   // opcode
+        "0101000000000000",                                     // clients_served
+        "0201000000000000",                                     // cots_served
+        "0301000000000000",                                     // extensions_run
+        "0401000000000000",                                     // available
+        "0501000000000000",                                     // shards
+        "0601000000000000",                                     // warmup_refills
+        "0701000000000000",                                     // scratch_reuses
+        "0801000000000000",                                     // scratch_allocs
+        "0901000000000000",                                     // register_failures
+        "0a01000000000000",                                     // directory_epoch
+        "0b01000000000000",                                     // pending_stream_cots
+        "0c01000000000000",                                     // uptime_nanos
+        "0d01000000000000",                                     // subscribers_evicted
+        "0e01000000000000",                                     // unavailable_sent
+        "0f01000000000000",                                     // faults_injected
+        "0000000000000000000000000000000000000000000000000000", // request_first_byte
+        "0000000000000000000000000000000000000000000000000000", // chunk_push
+        "0000000000000000000000000000000000000000000000000000", // extension
+        "0000000000000000000000000000000000000000000000000000", // stall
+        "0200000000000000",                                     // shard count
+        "0102000000000000",                                     // shard 0: available
+        "0202000000000000",                                     // extensions_run
+        "0302000000000000",                                     // taken
+        "0402000000000000",                                     // warm_refills
+        "0502000000000000",                                     // session_extensions
+        "0602000000000000",                                     // session_stalls
+        "0000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000",
+        "0103000000000000", // shard 1: available
+        "0203000000000000", // extensions_run
+        "0303000000000000", // taken
+        "0403000000000000", // warm_refills
+        "0503000000000000", // session_extensions
+        "0603000000000000", // session_stalls
+        "0000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000",
+    ];
+
+    #[test]
+    fn stats_reply_matches_the_frozen_v11_bytes() {
+        let hex: String = FROZEN_STATS_V11.concat();
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let shard = |base: u64| ShardStat {
+            available: base + 1,
+            extensions_run: base + 2,
+            taken: base + 3,
+            warm_refills: base + 4,
+            session_extensions: base + 5,
+            session_stalls: base + 6,
+            latency: LatencyStats::default(),
+        };
+        let stats = Response::Stats(Box::new(ServiceStats {
+            clients_served: 0x101,
+            cots_served: 0x102,
+            extensions_run: 0x103,
+            available: 0x104,
+            shards: 0x105,
+            warmup_refills: 0x106,
+            scratch_reuses: 0x107,
+            scratch_allocs: 0x108,
+            register_failures: 0x109,
+            directory_epoch: 0x10a,
+            pending_stream_cots: 0x10b,
+            uptime_nanos: 0x10c,
+            subscribers_evicted: 0x10d,
+            unavailable_sent: 0x10e,
+            faults_injected: 0x10f,
+            latency: LatencyStats::default(),
+            shard_stats: vec![shard(0x200), shard(0x300)],
+        }));
+        assert_eq!(Response::decode(&bytes).unwrap(), stats);
+        assert_eq!(stats.encode(), bytes);
+    }
+
     #[test]
     fn unknown_opcode_rejected() {
         assert!(Request::decode(&[0x7E]).is_err());
