@@ -14,11 +14,12 @@
 //! per-server (`server="<id>"`) and per-window (`window="fast"`)
 //! breakdowns.
 
-use crate::directory::Member;
-use crate::headroom::HeadroomModel;
-use crate::observe::{FleetHandle, FleetSnapshot, FleetWindow};
+use crate::directory::{Member, ServerId};
+use crate::headroom::{HeadroomModel, ServerHeadroom};
+use crate::observe::{FleetHandle, FleetSnapshot, FleetWindow, ServerWindow};
 use crate::slo::AlertView;
 use ironman_net::http::{HttpResponse, HttpServer};
+use ironman_net::ServiceStats;
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -82,11 +83,6 @@ impl FleetExporter {
         self.http.addr()
     }
 
-    /// Requests answered so far.
-    pub fn requests_served(&self) -> u64 {
-        self.http.requests_served()
-    }
-
     /// Stops the endpoint and joins its thread.
     pub fn stop(self) {
         self.http.stop();
@@ -103,20 +99,34 @@ fn finite(v: f64) -> f64 {
     }
 }
 
+/// A sample's labels, in rendering order.
+type Labels = Vec<(&'static str, String)>;
+
+fn server(id: ServerId) -> Labels {
+    vec![("server", id.0.to_string())]
+}
+
 struct MetricsWriter {
     out: String,
 }
 
 impl MetricsWriter {
-    fn family(&mut self, name: &str, kind: &str, help: &str) {
+    /// One whole family: its `# HELP`/`# TYPE` header, then every sample,
+    /// so no other family's lines fall between them.
+    fn family(
+        &mut self,
+        name: &str,
+        kind: &str,
+        help: &str,
+        samples: impl IntoIterator<Item = (Labels, f64)>,
+    ) {
         let _ = writeln!(self.out, "# HELP {name} {help}");
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, String)], value: f64) {
-        if labels.is_empty() {
-            let _ = writeln!(self.out, "{name} {}", finite(value));
-        } else {
+        for (labels, value) in samples {
+            if labels.is_empty() {
+                let _ = writeln!(self.out, "{name} {}", finite(value));
+                continue;
+            }
             let rendered: Vec<String> = labels
                 .iter()
                 .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
@@ -132,7 +142,7 @@ impl MetricsWriter {
 }
 
 /// Renders the full Prometheus text exposition of `handle`'s state.
-pub fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> String {
+fn render_prometheus(handle: &FleetHandle, cfg: &FleetExporterConfig) -> String {
     render_metrics(
         handle.latest().as_deref(),
         handle.window(cfg.window).as_ref(),
@@ -158,92 +168,88 @@ fn render_metrics(
         out: String::with_capacity(4096),
     };
     let window_label = format!("{}s", cfg.window.as_secs_f64());
-
+    let fleet =
+        |value: fn(&FleetSnapshot) -> u64| [(vec![], snapshot.map_or(0.0, |s| value(s) as f64))];
     w.family(
         "ironman_scrape_epoch",
         "gauge",
         "Directory epoch of the latest fleet scrape.",
+        fleet(|s| s.epoch),
     );
-    w.sample(
-        "ironman_scrape_epoch",
-        &[],
-        snapshot.map_or(0.0, |s| s.epoch as f64),
-    );
-
     w.family(
         "ironman_fleet_available_cots",
         "gauge",
         "Correlations buffered across the scraped fleet.",
+        fleet(|s| s.available),
     );
-    w.sample(
-        "ironman_fleet_available_cots",
-        &[],
-        snapshot.map_or(0.0, |s| s.available as f64),
-    );
-
     w.family(
         "ironman_fleet_pending_stream_cots",
         "gauge",
         "Promised-but-unpushed streamed demand across the fleet.",
-    );
-    w.sample(
-        "ironman_fleet_pending_stream_cots",
-        &[],
-        snapshot.map_or(0.0, |s| s.pending_stream_cots as f64),
+        fleet(|s| s.pending_stream_cots),
     );
 
+    let fleet_window = |value: fn(&FleetWindow) -> f64| {
+        window.map(|win| (vec![("window", window_label.clone())], value(win)))
+    };
     w.family(
         "ironman_fleet_supply_cots_per_second",
         "gauge",
         "Windowed fleet COT supply rate (extensions x outputs per extension).",
+        fleet_window(|win| win.supply_cots_per_sec),
     );
     w.family(
         "ironman_fleet_served_cots_per_second",
         "gauge",
         "Windowed fleet serving rate.",
+        fleet_window(|win| win.served_cots_per_sec),
     );
     w.family(
         "ironman_fleet_stall_ratio",
         "gauge",
         "Windowed consumer-stall time per second of wall time, fleet-wide.",
+        fleet_window(|win| win.stall_ratio),
     );
     w.family(
         "ironman_fleet_chunk_push_p99_nanoseconds",
         "gauge",
         "Windowed fleet p99 chunk-push latency (bucket ceiling, <=6.25% high).",
+        fleet_window(|win| win.latency.chunk_push.p99() as f64),
     );
-    if let Some(win) = window {
-        let l = [("window", window_label.clone())];
-        w.sample(
-            "ironman_fleet_supply_cots_per_second",
-            &l,
-            win.supply_cots_per_sec,
-        );
-        w.sample(
-            "ironman_fleet_served_cots_per_second",
-            &l,
-            win.served_cots_per_sec,
-        );
-        w.sample("ironman_fleet_stall_ratio", &l, win.stall_ratio);
-        w.sample(
-            "ironman_fleet_chunk_push_p99_nanoseconds",
-            &l,
-            win.latency.chunk_push.p99() as f64,
-        );
-    }
 
     render_servers(&mut w, snapshot, window, cfg, members, &window_label);
-    render_alerts(&mut w, alerts);
+
+    let slo = |a: &AlertView| vec![("slo", a.slo.clone())];
+    w.family(
+        "ironman_slo_state",
+        "gauge",
+        "SLO alert state: 0 inactive, 1 pending, 2 firing, 3 resolved.",
+        alerts.iter().map(|a| (slo(a), a.state.as_gauge() as f64)),
+    );
+    w.family(
+        "ironman_slo_burning",
+        "gauge",
+        "1 if the labeled evaluation window currently violates the SLO.",
+        alerts.iter().flat_map(|a| {
+            [("fast", a.fast_burning), ("slow", a.slow_burning)].map(|(win, burning)| {
+                let mut l = slo(a);
+                l.push(("window", win.to_string()));
+                (l, if burning { 1.0 } else { 0.0 })
+            })
+        }),
+    );
+    w.family(
+        "ironman_slo_threshold",
+        "gauge",
+        "The configured SLO bound.",
+        alerts.iter().map(|a| (slo(a), a.threshold)),
+    );
 
     w.family(
         "ironman_observer_scrape_p99_nanoseconds",
         "gauge",
         "p99 wall time of one whole-fleet scrape.",
-    );
-    w.sample(
-        "ironman_observer_scrape_p99_nanoseconds",
-        &[],
-        scrape_p99 as f64,
+        [(vec![], scrape_p99 as f64)],
     );
     w.out
 }
@@ -260,223 +266,97 @@ fn render_servers(
         "ironman_server_up",
         "gauge",
         "1 if the directory member answered the latest scrape, else 0.",
+        members.iter().map(|m| {
+            let reached = snapshot.is_some_and(|s| s.server(m.id).is_some());
+            (server(m.id), if reached { 1.0 } else { 0.0 })
+        }),
     );
-    for m in members {
-        let reached = snapshot.is_some_and(|s| s.server(m.id).is_some());
-        w.sample(
-            "ironman_server_up",
-            &[("server", m.id.0.to_string())],
-            if reached { 1.0 } else { 0.0 },
+
+    let scraped = snapshot.map_or(&[][..], |s| &s.servers[..]);
+    for m in ServiceStats::METRICS {
+        w.family(
+            m.name,
+            m.kind,
+            m.help,
+            scraped.iter().map(|o| (server(o.id), (m.value)(&o.stats))),
         );
     }
-
-    w.family(
-        "ironman_server_available_cots",
-        "gauge",
-        "Correlations buffered on this server.",
-    );
-    w.family(
-        "ironman_server_uptime_seconds",
-        "gauge",
-        "Monotonic seconds since this server's service constructed.",
-    );
-    w.family(
-        "ironman_server_cots_served_total",
-        "counter",
-        "Correlations handed out since server start.",
-    );
-    w.family(
-        "ironman_server_extensions_total",
-        "counter",
-        "FERRET extensions run since server start.",
-    );
-    w.family(
-        "ironman_server_subscribers_evicted_total",
-        "counter",
-        "Stuck streaming subscribers evicted past the push write deadline.",
-    );
-    w.family(
-        "ironman_server_unavailable_sent_total",
-        "counter",
-        "Unavailable{retry_after_ms} declines sent while degraded.",
-    );
-    w.family(
-        "ironman_server_faults_injected_total",
-        "counter",
-        "Faults the server's injector fired into its own data path (chaos drills).",
-    );
-    w.family(
-        "ironman_server_directory_epoch",
-        "gauge",
-        "The server's own directory-replica epoch at scrape time (v9).",
-    );
+    // Lag is relative to the fleet's most advanced *scraped* replica —
+    // an unreachable server cannot drag everyone else's lag up.
+    let max_epoch = scraped
+        .iter()
+        .map(|o| o.stats.directory_epoch)
+        .max()
+        .unwrap_or(0);
     w.family(
         "ironman_server_directory_epoch_lag",
         "gauge",
         "Gossip lag: the most advanced scraped replica's epoch minus this server's.",
+        scraped.iter().map(|o| {
+            let lag = max_epoch.saturating_sub(o.stats.directory_epoch);
+            (server(o.id), lag as f64)
+        }),
     );
-    // Lag is relative to the fleet's most advanced *scraped* replica —
-    // an unreachable server cannot drag everyone else's lag up.
-    let max_epoch = snapshot.map_or(0, |s| {
-        s.servers
-            .iter()
-            .map(|o| o.directory_epoch)
-            .max()
-            .unwrap_or(0)
-    });
-    if let Some(s) = snapshot {
-        for obs in &s.servers {
-            let l = [("server", obs.id.0.to_string())];
-            w.sample("ironman_server_available_cots", &l, obs.available as f64);
-            w.sample(
-                "ironman_server_uptime_seconds",
-                &l,
-                obs.uptime_nanos as f64 / 1e9,
-            );
-            w.sample(
-                "ironman_server_cots_served_total",
-                &l,
-                obs.cots_served as f64,
-            );
-            w.sample(
-                "ironman_server_extensions_total",
-                &l,
-                obs.extensions_run as f64,
-            );
-            w.sample(
-                "ironman_server_subscribers_evicted_total",
-                &l,
-                obs.subscribers_evicted as f64,
-            );
-            w.sample(
-                "ironman_server_unavailable_sent_total",
-                &l,
-                obs.unavailable_sent as f64,
-            );
-            w.sample(
-                "ironman_server_faults_injected_total",
-                &l,
-                obs.faults_injected as f64,
-            );
-            w.sample(
-                "ironman_server_directory_epoch",
-                &l,
-                obs.directory_epoch as f64,
-            );
-            w.sample(
-                "ironman_server_directory_epoch_lag",
-                &l,
-                max_epoch.saturating_sub(obs.directory_epoch) as f64,
-            );
-        }
-    }
 
+    let windows = window.map_or(&[][..], |w| &w.servers[..]);
+    let server_window = |sw: &ServerWindow, value: f64| {
+        let mut l = server(sw.id);
+        l.push(("window", window_label.to_string()));
+        (l, value)
+    };
     w.family(
         "ironman_server_supply_cots_per_second",
         "gauge",
         "Windowed per-server COT supply rate.",
+        windows
+            .iter()
+            .map(|sw| server_window(sw, sw.supply_cots_per_sec)),
     );
     w.family(
         "ironman_server_chunk_push_p99_nanoseconds",
         "gauge",
         "Windowed per-server p99 chunk-push latency.",
+        windows
+            .iter()
+            .map(|sw| server_window(sw, sw.latency.chunk_push.p99() as f64)),
     );
     w.family(
         "ironman_server_stall_ratio",
         "gauge",
         "Windowed per-server consumer-stall time per second of wall time.",
+        windows.iter().map(|sw| server_window(sw, sw.stall_ratio)),
     );
-    if let Some(win) = window {
-        for sw in &win.servers {
-            let l = [
-                ("server", sw.id.0.to_string()),
-                ("window", window_label.to_string()),
-            ];
-            w.sample(
-                "ironman_server_supply_cots_per_second",
-                &l,
-                sw.supply_cots_per_sec,
-            );
-            w.sample(
-                "ironman_server_chunk_push_p99_nanoseconds",
-                &l,
-                sw.latency.chunk_push.p99() as f64,
-            );
-            w.sample("ironman_server_stall_ratio", &l, sw.stall_ratio);
-        }
-    }
 
+    let headroom = match (cfg.model.as_ref(), snapshot, window) {
+        (Some(model), Some(s), Some(win)) => model.assess(s, win),
+        _ => Vec::new(),
+    };
+    let per_server =
+        |value: fn(&ServerHeadroom) -> f64| headroom.iter().map(move |h| (server(h.id), value(h)));
     w.family(
         "ironman_server_predicted_supply_cots_per_second",
         "gauge",
         "Modeled supply ceiling (roofline + link) for this server.",
+        per_server(|h| h.predicted_cots_per_sec),
     );
     w.family(
         "ironman_server_supply_utilization",
         "gauge",
         "Measured windowed supply over the modeled ceiling.",
+        per_server(|h| h.utilization),
     );
     w.family(
         "ironman_server_headroom_cots_per_second",
         "gauge",
         "Unused modeled supply capacity, max(0, predicted - measured).",
+        per_server(|h| h.headroom_cots_per_sec),
     );
     w.family(
         "ironman_server_model_drift_cots_per_second",
         "gauge",
         "Signed model error, measured - predicted.",
+        per_server(|h| h.drift_cots_per_sec),
     );
-    if let (Some(model), Some(s), Some(win)) = (cfg.model.as_ref(), snapshot, window) {
-        for h in model.assess(s, win) {
-            let l = [("server", h.id.0.to_string())];
-            w.sample(
-                "ironman_server_predicted_supply_cots_per_second",
-                &l,
-                h.predicted_cots_per_sec,
-            );
-            w.sample("ironman_server_supply_utilization", &l, h.utilization);
-            w.sample(
-                "ironman_server_headroom_cots_per_second",
-                &l,
-                h.headroom_cots_per_sec,
-            );
-            w.sample(
-                "ironman_server_model_drift_cots_per_second",
-                &l,
-                h.drift_cots_per_sec,
-            );
-        }
-    }
-}
-
-fn render_alerts(w: &mut MetricsWriter, alerts: &[AlertView]) {
-    w.family(
-        "ironman_slo_state",
-        "gauge",
-        "SLO alert state: 0 inactive, 1 pending, 2 firing, 3 resolved.",
-    );
-    w.family(
-        "ironman_slo_burning",
-        "gauge",
-        "1 if the labeled evaluation window currently violates the SLO.",
-    );
-    w.family(
-        "ironman_slo_threshold",
-        "gauge",
-        "The configured SLO bound.",
-    );
-    for a in alerts {
-        let l = [("slo", a.slo.clone())];
-        w.sample("ironman_slo_state", &l, a.state.as_gauge() as f64);
-        w.sample("ironman_slo_threshold", &l, a.threshold);
-        for (win, burning) in [("fast", a.fast_burning), ("slow", a.slow_burning)] {
-            w.sample(
-                "ironman_slo_burning",
-                &[("slo", a.slo.clone()), ("window", win.to_string())],
-                if burning { 1.0 } else { 0.0 },
-            );
-        }
-    }
 }
 
 /// Renders the `/fleet` page: the same state as `/metrics`, shaped for
@@ -528,7 +408,7 @@ fn render_fleet_page(handle: &FleetHandle, cfg: &FleetExporterConfig) -> String 
                     "{:>6}  {:>2}  {:>7}  {:>11}  {:>11}  {:>6}  {:>10}",
                     m.id.0,
                     if obs.is_some() { "y" } else { "n" },
-                    obs.map_or("-".to_string(), |o| o.available.to_string()),
+                    obs.map_or("-".to_string(), |o| o.stats.available.to_string()),
                     sw.map_or("-".to_string(), |w| format!("{:.0}", w.supply_cots_per_sec)),
                     sw.map_or("-".to_string(), |w| format!("{:.0}", w.served_cots_per_sec)),
                     sw.map_or("-".to_string(), |w| format!("{:.3}", w.stall_ratio)),
@@ -564,9 +444,11 @@ mod tests {
     use crate::slo::AlertState;
     use ironman_net::LatencyStats;
     use ironman_ot::params::FerretParams;
+    use std::collections::HashSet;
 
     /// `render_metrics` over [`fixture`], as the exporter rendered it
-    /// before its families were made contiguous (same lines, old order).
+    /// when several families shared one header block (same lines, old
+    /// order).
     const RECORDED: &str = r#"# HELP ironman_scrape_epoch Directory epoch of the latest fleet scrape.
 # TYPE ironman_scrape_epoch gauge
 ironman_scrape_epoch 7
@@ -685,18 +567,20 @@ ironman_observer_scrape_p99_nanoseconds 1015807"#;
     ) -> ServerObservation {
         ServerObservation {
             id: ServerId(id),
-            cots_served,
-            extensions_run,
             cots_per_extension,
-            available,
-            pending_stream_cots,
-            shards: 2,
-            uptime_nanos,
-            subscribers_evicted: faults[0],
-            unavailable_sent: faults[1],
-            faults_injected: faults[2],
-            directory_epoch,
-            latency: LatencyStats::default(),
+            stats: ServiceStats {
+                cots_served,
+                extensions_run,
+                available,
+                pending_stream_cots,
+                shards: 2,
+                uptime_nanos,
+                subscribers_evicted: faults[0],
+                unavailable_sent: faults[1],
+                faults_injected: faults[2],
+                directory_epoch,
+                ..ServiceStats::default()
+            },
         }
     }
 
@@ -759,5 +643,29 @@ ironman_observer_scrape_p99_nanoseconds 1015807"#;
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn each_family_is_one_contiguous_group() {
+        let rendered = fixture();
+        let lines: Vec<&str> = rendered.lines().collect();
+        let sample_family = |line: &str| line.split(['{', ' ']).next().unwrap().to_string();
+        let mut seen = HashSet::new();
+        let mut i = 0;
+        while i < lines.len() {
+            let name = lines[i]
+                .strip_prefix("# HELP ")
+                .unwrap()
+                .split(' ')
+                .next()
+                .unwrap();
+            assert!(seen.insert(name), "{name} has two header blocks");
+            assert!(lines[i + 1].starts_with(&format!("# TYPE {name} ")));
+            i += 2;
+            while i < lines.len() && !lines[i].starts_with('#') {
+                assert_eq!(sample_family(lines[i]), name, "sample outside its family");
+                i += 1;
+            }
+        }
     }
 }

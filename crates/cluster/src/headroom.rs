@@ -69,7 +69,7 @@ impl HeadroomModel {
     /// (GGM expansion, compute-bound on the roofline) plus the LPN
     /// phase (memory-bound), each run at its intensity's attainable
     /// rate.
-    pub fn extension_time_s(&self) -> f64 {
+    fn extension_time_s(&self) -> f64 {
         let t = self.params.t as u64;
         let n = self.params.n as u64;
         // Two AES-equivalents per interior+leaf node across t trees.
@@ -87,7 +87,7 @@ impl HeadroomModel {
     /// The predicted supply ceiling for `obs`'s server, COTs/s:
     /// extensions back-to-back at the modeled rate, times the usable
     /// outputs per extension the server itself advertises.
-    pub fn predicted_supply(&self, obs: &ServerObservation) -> f64 {
+    fn predicted_supply(&self, obs: &ServerObservation) -> f64 {
         obs.cots_per_extension as f64 / self.extension_time_s()
     }
 
@@ -127,23 +127,18 @@ impl HeadroomModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ironman_net::LatencyStats;
+    use ironman_net::ServiceStats;
 
     fn toy_observation(per_extension: u64) -> ServerObservation {
         ServerObservation {
             id: ServerId(3),
-            directory_epoch: 0,
-            cots_served: 0,
-            extensions_run: 10,
             cots_per_extension: per_extension,
-            available: 0,
-            pending_stream_cots: 0,
-            shards: 1,
-            uptime_nanos: 1_000_000_000,
-            subscribers_evicted: 0,
-            unavailable_sent: 0,
-            faults_injected: 0,
-            latency: LatencyStats::default(),
+            stats: ServiceStats {
+                extensions_run: 10,
+                shards: 1,
+                uptime_nanos: 1_000_000_000,
+                ..ServiceStats::default()
+            },
         }
     }
 

@@ -35,7 +35,7 @@
 use crate::background::BackgroundLoop;
 use crate::directory::{Directory, Member, MemberState, ServerId};
 use crate::slo::{AlertView, SloEngine, SloSpec};
-use ironman_net::{CotClient, LatencyStats, OpTimeouts, EPOCH_UNAWARE};
+use ironman_net::{CotClient, LatencyStats, OpTimeouts, ServiceStats, EPOCH_UNAWARE};
 use ironman_telemetry::{now_nanos, Histogram, HistogramSnapshot, Stopwatch, TimeSeries};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -83,40 +83,15 @@ impl Default for FleetObserverConfig {
 pub struct ServerObservation {
     /// The member's stable server id.
     pub id: ServerId,
-    /// Correlations this server has handed out since start.
-    pub cots_served: u64,
-    /// FERRET extensions this server has run since start (all shards).
-    pub extensions_run: u64,
     /// Usable correlations one extension yields on this server (the
     /// advertised `max_request`) — the factor turning an extension rate
     /// into a COT supply rate.
     pub cots_per_extension: u64,
-    /// Correlations currently buffered across this server's shards.
-    pub available: u64,
-    /// This server's streamed-demand backlog (promised, unpushed).
-    pub pending_stream_cots: u64,
-    /// Pool shard count.
-    pub shards: u64,
-    /// Monotonic nanoseconds since the server's service constructed
-    /// (wire v7). A later scrape reporting a *smaller* uptime proves a
+    /// The server's `Stats` reply, with `shard_stats` emptied: the
+    /// retained series keeps the service-wide counters and latency
+    /// only. `uptime_nanos` going *down* between two scrapes proves a
     /// restart — the signal windowed derivation keys on.
-    pub uptime_nanos: u64,
-    /// Stuck streaming subscribers this server evicted for blowing the
-    /// push write deadline (wire v8).
-    pub subscribers_evicted: u64,
-    /// `Unavailable { retry_after_ms }` declines this server sent while
-    /// degraded (wire v8).
-    pub unavailable_sent: u64,
-    /// Faults the server's injector has fired into its own data path
-    /// (wire v8; nonzero only under chaos drills).
-    pub faults_injected: u64,
-    /// The server's own directory epoch at scrape time (v9: each server
-    /// carries a replica, so members can disagree transiently — the
-    /// spread across a snapshot's servers is the fleet's gossip lag).
-    pub directory_epoch: u64,
-    /// The server's service-wide latency distributions (its own merge
-    /// over its shards).
-    pub latency: LatencyStats,
+    pub stats: ServiceStats,
 }
 
 /// A point-in-time roll-up of the whole fleet's telemetry — the
@@ -249,27 +224,28 @@ impl FleetSnapshot {
         // its uptime still precedes ours (monotone counters). Otherwise
         // the counters are cumulative since (re)start: use them whole
         // over the uptime — a correct average, never a negative rate.
-        let (baseline, span, d_ext, d_served, latency) = match earlier {
-            Some(e) if obs.uptime_nanos >= e.uptime_nanos => (
+        let now = &obs.stats;
+        let (baseline, span, d_ext, d_served, latency) = match earlier.map(|e| &e.stats) {
+            Some(e) if now.uptime_nanos >= e.uptime_nanos => (
                 WindowBaseline::Full,
                 interval,
-                obs.extensions_run.saturating_sub(e.extensions_run),
-                obs.cots_served.saturating_sub(e.cots_served),
-                obs.latency.delta(&e.latency),
+                now.extensions_run.saturating_sub(e.extensions_run),
+                now.cots_served.saturating_sub(e.cots_served),
+                now.latency.delta(&e.latency),
             ),
             Some(_) => (
                 WindowBaseline::Restarted,
-                obs.uptime_nanos,
-                obs.extensions_run,
-                obs.cots_served,
-                obs.latency.clone(),
+                now.uptime_nanos,
+                now.extensions_run,
+                now.cots_served,
+                now.latency.clone(),
             ),
             None => (
                 WindowBaseline::Joined,
-                obs.uptime_nanos,
-                obs.extensions_run,
-                obs.cots_served,
-                obs.latency.clone(),
+                now.uptime_nanos,
+                now.extensions_run,
+                now.cots_served,
+                now.latency.clone(),
             ),
         };
         let per_sec = |count: u64| {
@@ -338,30 +314,21 @@ fn scrape_with(
             }
         };
         let cots_per_extension = client.max_request();
-        let stats = match client.stats() {
+        let mut stats = match client.stats() {
             Ok(s) => s,
             Err(_) => {
                 sessions.remove(&member.id);
                 continue;
             }
         };
+        stats.shard_stats = Vec::new();
         fleet.latency.merge(&stats.latency);
         fleet.available += stats.available;
         fleet.pending_stream_cots += stats.pending_stream_cots;
         fleet.servers.push(ServerObservation {
             id: member.id,
-            cots_served: stats.cots_served,
-            extensions_run: stats.extensions_run,
             cots_per_extension,
-            available: stats.available,
-            pending_stream_cots: stats.pending_stream_cots,
-            shards: stats.shards,
-            uptime_nanos: stats.uptime_nanos,
-            subscribers_evicted: stats.subscribers_evicted,
-            unavailable_sent: stats.unavailable_sent,
-            faults_injected: stats.faults_injected,
-            directory_epoch: stats.directory_epoch,
-            latency: stats.latency,
+            stats,
         });
     }
     fleet.at_nanos = now_nanos();

@@ -321,7 +321,7 @@ mod tests {
     use super::*;
     use crate::directory::ServerId;
     use crate::observe::ServerObservation;
-    use ironman_net::LatencyStats;
+    use ironman_net::{LatencyStats, ServiceStats};
 
     const SEC: u64 = 1_000_000_000;
 
@@ -333,18 +333,13 @@ mod tests {
             epoch: 1,
             servers: vec![ServerObservation {
                 id: ServerId(1),
-                directory_epoch: 0,
-                cots_served: 0,
-                extensions_run: cumulative_cots,
                 cots_per_extension: 1,
-                available: 0,
-                pending_stream_cots: 0,
-                shards: 1,
-                uptime_nanos: at,
-                subscribers_evicted: 0,
-                unavailable_sent: 0,
-                faults_injected: 0,
-                latency: LatencyStats::default(),
+                stats: ServiceStats {
+                    extensions_run: cumulative_cots,
+                    shards: 1,
+                    uptime_nanos: at,
+                    ..ServiceStats::default()
+                },
             }],
             latency: LatencyStats::default(),
             available: 0,

@@ -11,7 +11,7 @@ use ironman_cluster::{
     observe, ClusterServerConfig, FleetObserverConfig, FleetSnapshot, LocalCluster,
     ServerObservation, WarmupConfig, WindowBaseline,
 };
-use ironman_net::{CotClient, CotServiceConfig, LatencyStats};
+use ironman_net::{CotClient, CotServiceConfig, LatencyStats, ServiceStats};
 use ironman_ot::CotBatch;
 use ironman_telemetry::HistogramSnapshot;
 use std::time::{Duration, Instant};
@@ -108,7 +108,7 @@ fn fleet_scrape_merges_and_merged_quantiles_bound_per_server_ones() {
     // Under the telemetry no-op build the histograms are (correctly)
     // empty; the scrape shape above still holds, and the bracket checks
     // below degrade to asserting emptiness everywhere.
-    let per_server: Vec<&LatencyStats> = fleet.servers.iter().map(|s| &s.latency).collect();
+    let per_server: Vec<&LatencyStats> = fleet.servers.iter().map(|s| &s.stats.latency).collect();
     let measuring = per_server.iter().any(|l| !l.request_first_byte.is_empty());
     if measuring {
         assert!(
@@ -121,8 +121,10 @@ fn fleet_scrape_merges_and_merged_quantiles_bound_per_server_ones() {
     // The scalar roll-ups agree with their inputs too.
     assert_eq!(
         fleet.available,
-        fleet.servers.iter().map(|s| s.available).sum::<u64>()
+        fleet.servers.iter().map(|s| s.stats.available).sum::<u64>()
     );
+    // The retained observation drops the per-shard rows.
+    assert!(fleet.servers.iter().all(|s| s.stats.shard_stats.is_empty()));
     cluster.shutdown();
 }
 
@@ -151,7 +153,7 @@ fn background_observer_publishes_snapshots_on_cadence() {
         std::thread::sleep(Duration::from_millis(5));
     };
     assert_eq!(fleet.epoch, cluster.directory().epoch());
-    let per_server: Vec<&LatencyStats> = fleet.servers.iter().map(|s| &s.latency).collect();
+    let per_server: Vec<&LatencyStats> = fleet.servers.iter().map(|s| &s.stats.latency).collect();
     assert_latency_brackets(&fleet.latency, &per_server);
 
     // The cost of observing is itself observed: one scrape-latency
@@ -184,18 +186,14 @@ const SEC: u64 = 1_000_000_000;
 fn obs(id: u64, extensions: u64, served: u64, uptime: u64) -> ServerObservation {
     ServerObservation {
         id: ServerId(id),
-        directory_epoch: 0,
-        cots_served: served,
-        extensions_run: extensions,
         cots_per_extension: 10,
-        available: 0,
-        pending_stream_cots: 0,
-        shards: 1,
-        uptime_nanos: uptime,
-        subscribers_evicted: 0,
-        unavailable_sent: 0,
-        faults_injected: 0,
-        latency: LatencyStats::default(),
+        stats: ServiceStats {
+            cots_served: served,
+            extensions_run: extensions,
+            shards: 1,
+            uptime_nanos: uptime,
+            ..ServiceStats::default()
+        },
     }
 }
 

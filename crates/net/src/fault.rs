@@ -88,7 +88,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Whether this plan injects anything at all.
-    pub fn is_noop(&self) -> bool {
+    fn is_noop(&self) -> bool {
         *self == FaultPlan::default()
     }
 }

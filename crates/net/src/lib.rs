@@ -183,6 +183,25 @@
 //!   wire); the `Stats` reply's `pending_stream_cots` backlog and
 //!   per-shard demand/refill counters are how it is observed.
 //!
+//! # Where a `Stats` counter is declared
+//!
+//! Every `u64` counter of the `Stats` reply is written once, in wire
+//! order, in one table in `proto.rs` (one for [`ServiceStats`], one for
+//! [`ShardStat`]). A row names the field, documents it and, when the
+//! counter is exported, gives its `/metrics` family: name, type and help
+//! text. The struct fields, the reply's encode and decode and the
+//! exported families ([`ServiceStats::METRICS`], which `ironman-cluster`'s
+//! exporter renders per server) all come from that table. Adding a
+//! counter takes two steps:
+//!
+//! 1. a row in the table;
+//! 2. its producer: the value [`CotService`]'s snapshot puts in the field.
+//!    A service-owned count is an atomic in the service's counters plus
+//!    the site that bumps it; a derived one (a sum over shards, the
+//!    uptime) is computed where the snapshot is taken.
+//!
+//! The latency histograms ([`LatencyStats`]) are still listed by hand.
+//!
 //! # Telemetry (v6)
 //!
 //! Wire version 6 makes the serving stack's *latency distributions*
@@ -235,7 +254,8 @@
 //! the rest of the workspace):
 //!
 //! * **Exporter format.** `GET /metrics` answers Prometheus text
-//!   exposition (`text/plain`): `# HELP`/`# TYPE` comment pairs, then
+//!   exposition (`text/plain`): each family is one group, its
+//!   `# HELP`/`# TYPE` comment pair followed by all of its
 //!   `family{label="value"} number` samples. Families are prefixed
 //!   `ironman_`; per-server samples carry a `server="<id>"` label;
 //!   cumulative counters end in `_total`; windowed gauges state their
@@ -387,8 +407,8 @@ pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyStream};
 pub use frame::{FrameError, MAGIC, MAX_FRAME_LEN, VERSION};
 pub use http::{http_get, HttpRequest, HttpResponse, HttpServer};
 pub use proto::{
-    DirectoryDelta, LatencyStats, MemberRecord, MemberWireState, Request, Response, ServiceStats,
-    ShardStat, EPOCH_UNAWARE,
+    CounterMetric, DirectoryDelta, LatencyStats, MemberRecord, MemberWireState, Request, Response,
+    ServiceStats, ShardStat, EPOCH_UNAWARE,
 };
 pub use retry::{OpTimeouts, RetryBudget, RetryPolicy};
 pub use service::{CotService, CotServiceConfig, DirectoryView};

@@ -309,80 +309,166 @@ pub struct DirectoryDelta {
     pub members: Vec<MemberRecord>,
 }
 
-/// A point-in-time view of the service's counters.
-///
-/// The aggregate fields (`available`, `extensions_run`, `shards`) are the
-/// server's own sums over `shard_stats`, carried denormalized for cheap
-/// consumption; the decoder does not re-derive or cross-check them, so a
-/// misbehaving server could send disagreeing values — treat `shard_stats`
-/// as the source of truth when both are read.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Sessions accepted since start.
-    pub clients_served: u64,
-    /// Correlations handed out since start.
-    pub cots_served: u64,
-    /// FERRET extensions executed across all pool shards.
-    pub extensions_run: u64,
-    /// Correlations currently buffered across all shards.
-    pub available: u64,
-    /// Pool shard count.
-    pub shards: u64,
-    /// Refills performed by the warm-up sweep (extensions run *before*
-    /// demand arrived, rather than inline on a client's request): the
-    /// sum of the per-shard [`ShardStat::warm_refills`] in this reply.
-    pub warmup_refills: u64,
-    /// Batch-carrying responses (`Cots`/`CotChunk` — only those; control
-    /// and error replies are not counted) served from an already-sized
-    /// per-session scratch buffer, i.e. with no allocation between pool
-    /// storage and the socket write — the observable half of the
-    /// zero-copy claim.
-    pub scratch_reuses: u64,
-    /// Batch-carrying responses that had to grow a per-session scratch
-    /// buffer (a session's first batches, or a larger batch than any
-    /// before it). Steady state is `scratch_allocs ≪ scratch_reuses`.
-    pub scratch_allocs: u64,
-    /// Sessions refused because their socket handle could not be
-    /// registered for shutdown tracking (`try_clone` failure): serving an
-    /// untracked session would leave its thread unreachable at shutdown.
-    pub register_failures: u64,
-    /// The server's directory epoch at snapshot time (0 when the server
-    /// carries no membership directory) — how tests and operators observe
-    /// that a membership change propagated to every survivor.
-    pub directory_epoch: u64,
-    /// Correlations promised to active subscriptions but not yet pushed
-    /// (granted credits × chunk size, summed over live streams): the
-    /// demand backlog an observer sees building on this server.
-    pub pending_stream_cots: u64,
-    /// Nanoseconds since this server process constructed its service
-    /// (v7) — a *monotonic* age, not wall-clock time. A scraper deriving
-    /// rates from the cumulative counters compares uptimes across two
-    /// snapshots: a later scrape reporting a *smaller* uptime proves the
-    /// process restarted in between, so the counters restarted from
-    /// zero and a naive subtraction would go negative.
-    pub uptime_nanos: u64,
-    /// Subscribers evicted by the slow-consumer guard (v8): their socket
-    /// would not accept a pushed chunk within the service's write
-    /// deadline, so the session was closed (tracked, traced) instead of
-    /// pinning a serving thread on a zero-window reader.
-    pub subscribers_evicted: u64,
-    /// Correlation-serving requests declined with
-    /// [`Response::Unavailable`] while the server was degraded (v8).
-    pub unavailable_sent: u64,
-    /// Faults fired by an attached fault-injection plan (v8; always 0 in
-    /// production — the counter proves chaos tests actually injected).
-    pub faults_injected: u64,
-    /// Service-wide latency distributions (v6): the per-shard extension
-    /// and stall histograms merged across shards, plus the serving path's
-    /// request→first-byte and chunk-push timings (those two are recorded
-    /// per shard and merged the same way). Like the aggregate counters,
-    /// this is denormalized — the decoder does not cross-check it against
-    /// `shard_stats`.
-    pub latency: LatencyStats,
-    /// Per-shard occupancy and refill counters (in shard order); the
-    /// spread across shards is what makes warm-up effectiveness and
-    /// routing skew observable from a plain `Stats` request.
-    pub shard_stats: Vec<ShardStat>,
+/// One exported row of a counter table ([`ServiceStats::METRICS`]): the
+/// Prometheus family it feeds and how to read its value from a snapshot.
+#[derive(Clone, Copy, Debug)]
+pub struct CounterMetric<S> {
+    /// Family name.
+    pub name: &'static str,
+    /// Prometheus type: `counter` or `gauge`.
+    pub kind: &'static str,
+    /// The family's `# HELP` text.
+    pub help: &'static str,
+    /// The sample value, in the family's unit.
+    pub value: fn(&S) -> f64,
+}
+
+/// Declares a `Stats` struct whose `u64` counters are written once, in
+/// wire order, and derives from that one list the struct's fields, the
+/// counters' encode and decode, and the struct's `METRICS` catalogue.
+/// A row is `field` or `field => kind "family" [/ divisor]: "help"` for
+/// an exported one (the sample is `field / divisor`). The fields after
+/// the `counters` group are declared as written and coded by hand.
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            counters {
+                $(
+                    $(#[$fattr:meta])*
+                    $field:ident $(=> $kind:ident $metric:literal $(/ $per:literal)?: $help:literal)?,
+                )*
+            }
+            $($(#[$tattr:meta])* pub $tail:ident: $tty:ty,)*
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $name {
+            $($(#[$fattr])* pub $field: u64,)*
+            $($(#[$tattr])* pub $tail: $tty,)*
+        }
+
+        impl $name {
+            /// The counters exported to `/metrics`, in wire order.
+            pub const METRICS: &'static [CounterMetric<$name>] = &[$($(CounterMetric {
+                name: $metric,
+                kind: stringify!($kind),
+                help: $help,
+                value: |s| s.$field as f64 $(/ $per)?,
+            },)?)*];
+
+            /// Wire bytes of the counters.
+            const COUNTERS_LEN: usize = 8 * [$(stringify!($field)),*].len();
+
+            fn encode_counters(&self, out: &mut Vec<u8>) {
+                out.reserve(Self::COUNTERS_LEN);
+                $(out.extend_from_slice(&self.$field.to_le_bytes());)*
+            }
+
+            /// The counters, with every later field at its default.
+            fn decode_counters(r: &mut Reader<'_>) -> Result<$name, ChannelError> {
+                Ok($name {
+                    $($field: r.u64()?,)*
+                    ..$name::default()
+                })
+            }
+        }
+    };
+}
+
+counters! {
+    /// A point-in-time view of the service's counters.
+    ///
+    /// The counters are declared once, in wire order, in the table below:
+    /// it gives each its field, its place in the `Stats` reply and, when
+    /// exported, its `/metrics` family ([`ServiceStats::METRICS`]). Adding
+    /// a counter takes two steps: a row here, and its producer in
+    /// [`CotService`](crate::CotService)'s snapshot (for a service-owned
+    /// count, an atomic in its counters and the site that bumps it).
+    ///
+    /// The aggregate fields (`available`, `extensions_run`, `shards`) are the
+    /// server's own sums over `shard_stats`, carried denormalized for cheap
+    /// consumption; the decoder does not re-derive or cross-check them, so a
+    /// misbehaving server could send disagreeing values — treat `shard_stats`
+    /// as the source of truth when both are read.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ServiceStats {
+        counters {
+            /// Sessions accepted since start.
+            clients_served,
+            /// Correlations handed out since start.
+            cots_served => counter "ironman_server_cots_served_total":
+                "Correlations handed out since server start.",
+            /// FERRET extensions executed across all pool shards.
+            extensions_run => counter "ironman_server_extensions_total":
+                "FERRET extensions run since server start.",
+            /// Correlations currently buffered across all shards.
+            available => gauge "ironman_server_available_cots":
+                "Correlations buffered on this server.",
+            /// Pool shard count.
+            shards,
+            /// Refills performed by the warm-up sweep (extensions run *before*
+            /// demand arrived, rather than inline on a client's request): the
+            /// sum of the per-shard [`ShardStat::warm_refills`] in this reply.
+            warmup_refills,
+            /// Batch-carrying responses (`Cots`/`CotChunk` — only those; control
+            /// and error replies are not counted) served from an already-sized
+            /// per-session scratch buffer, i.e. with no allocation between pool
+            /// storage and the socket write — the observable half of the
+            /// zero-copy claim.
+            scratch_reuses,
+            /// Batch-carrying responses that had to grow a per-session scratch
+            /// buffer (a session's first batches, or a larger batch than any
+            /// before it). Steady state is `scratch_allocs ≪ scratch_reuses`.
+            scratch_allocs,
+            /// Sessions refused because their socket handle could not be
+            /// registered for shutdown tracking (`try_clone` failure): serving an
+            /// untracked session would leave its thread unreachable at shutdown.
+            register_failures,
+            /// The server's directory epoch at snapshot time (0 when the server
+            /// carries no membership directory) — how tests and operators observe
+            /// that a membership change propagated to every survivor.
+            directory_epoch => gauge "ironman_server_directory_epoch":
+                "The server's own directory-replica epoch at scrape time (v9).",
+            /// Correlations promised to active subscriptions but not yet pushed
+            /// (granted credits × chunk size, summed over live streams): the
+            /// demand backlog an observer sees building on this server.
+            pending_stream_cots,
+            /// Nanoseconds since this server process constructed its service
+            /// (v7) — a *monotonic* age, not wall-clock time. A scraper deriving
+            /// rates from the cumulative counters compares uptimes across two
+            /// snapshots: a later scrape reporting a *smaller* uptime proves the
+            /// process restarted in between, so the counters restarted from
+            /// zero and a naive subtraction would go negative.
+            uptime_nanos => gauge "ironman_server_uptime_seconds" / 1e9:
+                "Monotonic seconds since this server's service constructed.",
+            /// Subscribers evicted by the slow-consumer guard (v8): their socket
+            /// would not accept a pushed chunk within the service's write
+            /// deadline, so the session was closed (tracked, traced) instead of
+            /// pinning a serving thread on a zero-window reader.
+            subscribers_evicted => counter "ironman_server_subscribers_evicted_total":
+                "Stuck streaming subscribers evicted past the push write deadline.",
+            /// Correlation-serving requests declined with
+            /// [`Response::Unavailable`] while the server was degraded (v8).
+            unavailable_sent => counter "ironman_server_unavailable_sent_total":
+                "Unavailable{retry_after_ms} declines sent while degraded.",
+            /// Faults fired by an attached fault-injection plan (v8; always 0 in
+            /// production — the counter proves chaos tests actually injected).
+            faults_injected => counter "ironman_server_faults_injected_total":
+                "Faults the server's injector fired into its own data path (chaos drills).",
+        }
+        /// Service-wide latency distributions (v6): the per-shard extension
+        /// and stall histograms merged across shards, plus the serving path's
+        /// request→first-byte and chunk-push timings (those two are recorded
+        /// per shard and merged the same way). Like the aggregate counters,
+        /// this is denormalized — the decoder does not cross-check it against
+        /// `shard_stats`.
+        pub latency: LatencyStats,
+        /// Per-shard occupancy and refill counters (in shard order); the
+        /// spread across shards is what makes warm-up effectiveness and
+        /// routing skew observable from a plain `Stats` request.
+        pub shard_stats: Vec<ShardStat>,
+    }
 }
 
 /// The four serving-path latency distributions carried by a v6 `Stats`
@@ -452,38 +538,43 @@ impl LatencyStats {
     }
 }
 
-/// One pool shard's occupancy, demand, and refill counters. The server
-/// reads each from the shard's lock-free counters independently, so two
-/// fields may reflect instants a take apart.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardStat {
-    /// Correlations buffered in this shard, as of its last take or
-    /// refill.
-    pub available: u64,
-    /// Extensions this shard has executed (inline or warm-up).
-    pub extensions_run: u64,
-    /// Correlations drained from this shard since start (demand),
-    /// including any whose write then failed: summed over shards, the
-    /// excess over [`ServiceStats::cots_served`] never reached a client.
-    pub taken: u64,
-    /// Refills this shard received through the warm-up path.
-    pub warm_refills: u64,
-    /// Extensions completed by the shard's pipelined FERRET session
-    /// threads ahead of demand (0 for inline shards). Interpretation:
-    /// this is *supply-side* throughput — it growing while
-    /// `session_stalls` stays flat means the extension pipeline is
-    /// keeping ahead of demand (serving-bound, the healthy state); read
-    /// the two together to tell which side of the shard is bound.
-    pub session_extensions: u64,
-    /// Times a drain blocked on the session's staging buffer because it
-    /// was empty — the raw-supply pressure signal (v5): a shard whose
-    /// `session_stalls` grows under load is extension-bound, not
-    /// serving-bound. The v6 `latency.stall` histogram adds *how long*
-    /// each of those blocks lasted.
-    pub session_stalls: u64,
-    /// This shard's latency distributions (v6); the service-wide
-    /// [`ServiceStats::latency`] is the merge of these across shards.
-    pub latency: LatencyStats,
+counters! {
+    /// One pool shard's occupancy, demand, and refill counters. The server
+    /// reads each from the shard's lock-free counters independently, so two
+    /// fields may reflect instants a take apart. None is exported to
+    /// `/metrics` yet.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ShardStat {
+        counters {
+            /// Correlations buffered in this shard, as of its last take or
+            /// refill.
+            available,
+            /// Extensions this shard has executed (inline or warm-up).
+            extensions_run,
+            /// Correlations drained from this shard since start (demand),
+            /// including any whose write then failed: summed over shards, the
+            /// excess over [`ServiceStats::cots_served`] never reached a client.
+            taken,
+            /// Refills this shard received through the warm-up path.
+            warm_refills,
+            /// Extensions completed by the shard's pipelined FERRET session
+            /// threads ahead of demand (0 for inline shards). Interpretation:
+            /// this is *supply-side* throughput — it growing while
+            /// `session_stalls` stays flat means the extension pipeline is
+            /// keeping ahead of demand (serving-bound, the healthy state); read
+            /// the two together to tell which side of the shard is bound.
+            session_extensions,
+            /// Times a drain blocked on the session's staging buffer because it
+            /// was empty — the raw-supply pressure signal (v5): a shard whose
+            /// `session_stalls` grows under load is extension-bound, not
+            /// serving-bound. The v6 `latency.stall` histogram adds *how long*
+            /// each of those blocks lasted.
+            session_stalls,
+        }
+        /// This shard's latency distributions (v6); the service-wide
+        /// [`ServiceStats::latency`] is the merge of these across shards.
+        pub latency: LatencyStats,
+    }
 }
 
 const OP_HELLO: u8 = 0x01;
@@ -943,34 +1034,11 @@ impl Response {
             Response::Cots(batch) => encode_cots_into(out, batch.as_slice()),
             Response::Stats(s) => {
                 out.push(OP_STATS_REPLY);
-                for v in [
-                    s.clients_served,
-                    s.cots_served,
-                    s.extensions_run,
-                    s.available,
-                    s.shards,
-                    s.warmup_refills,
-                    s.scratch_reuses,
-                    s.scratch_allocs,
-                    s.register_failures,
-                    s.directory_epoch,
-                    s.pending_stream_cots,
-                    s.uptime_nanos,
-                    s.subscribers_evicted,
-                    s.unavailable_sent,
-                    s.faults_injected,
-                ] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                s.encode_counters(out);
                 s.latency.encode_into(out);
                 out.extend_from_slice(&(s.shard_stats.len() as u64).to_le_bytes());
                 for shard in &s.shard_stats {
-                    out.extend_from_slice(&shard.available.to_le_bytes());
-                    out.extend_from_slice(&shard.extensions_run.to_le_bytes());
-                    out.extend_from_slice(&shard.taken.to_le_bytes());
-                    out.extend_from_slice(&shard.warm_refills.to_le_bytes());
-                    out.extend_from_slice(&shard.session_extensions.to_le_bytes());
-                    out.extend_from_slice(&shard.session_stalls.to_le_bytes());
+                    shard.encode_counters(out);
                     shard.latency.encode_into(out);
                 }
             }
@@ -1029,27 +1097,13 @@ impl Response {
             },
             OP_COTS => Response::Cots(read_batch(&mut r, rest)?),
             OP_STATS_REPLY => {
-                let clients_served = r.u64()?;
-                let cots_served = r.u64()?;
-                let extensions_run = r.u64()?;
-                let available = r.u64()?;
-                let shards = r.u64()?;
-                let warmup_refills = r.u64()?;
-                let scratch_reuses = r.u64()?;
-                let scratch_allocs = r.u64()?;
-                let register_failures = r.u64()?;
-                let directory_epoch = r.u64()?;
-                let pending_stream_cots = r.u64()?;
-                let uptime_nanos = r.u64()?;
-                let subscribers_evicted = r.u64()?;
-                let unavailable_sent = r.u64()?;
-                let faults_injected = r.u64()?;
-                let latency = LatencyStats::decode(&mut r)?;
+                let mut stats = ServiceStats::decode_counters(&mut r)?;
+                stats.latency = LatencyStats::decode(&mut r)?;
                 let count = r.u64()? as usize;
                 // A hostile shard count must not drive allocation past the
-                // actual payload (48 bytes of counters plus four empty
-                // histograms is the smallest shard entry).
-                const SHARD_MIN: usize = 48 + LatencyStats::ENCODED_MIN_LEN;
+                // actual payload (the counters plus four empty histograms is
+                // the smallest shard entry).
+                const SHARD_MIN: usize = ShardStat::COUNTERS_LEN + LatencyStats::ENCODED_MIN_LEN;
                 let remaining = rest.len().saturating_sub(r.pos);
                 if count
                     .checked_mul(SHARD_MIN)
@@ -1057,38 +1111,14 @@ impl Response {
                 {
                     return Err(malformed(count.saturating_mul(SHARD_MIN), remaining));
                 }
-                let shard_stats = (0..count)
+                stats.shard_stats = (0..count)
                     .map(|_| {
-                        Ok(ShardStat {
-                            available: r.u64()?,
-                            extensions_run: r.u64()?,
-                            taken: r.u64()?,
-                            warm_refills: r.u64()?,
-                            session_extensions: r.u64()?,
-                            session_stalls: r.u64()?,
-                            latency: LatencyStats::decode(&mut r)?,
-                        })
+                        let mut shard = ShardStat::decode_counters(&mut r)?;
+                        shard.latency = LatencyStats::decode(&mut r)?;
+                        Ok(shard)
                     })
                     .collect::<Result<Vec<_>, ChannelError>>()?;
-                Response::Stats(Box::new(ServiceStats {
-                    clients_served,
-                    cots_served,
-                    extensions_run,
-                    available,
-                    shards,
-                    warmup_refills,
-                    scratch_reuses,
-                    scratch_allocs,
-                    register_failures,
-                    directory_epoch,
-                    pending_stream_cots,
-                    uptime_nanos,
-                    subscribers_evicted,
-                    unavailable_sent,
-                    faults_injected,
-                    latency,
-                    shard_stats,
-                }))
+                Response::Stats(Box::new(stats))
             }
             OP_GOODBYE => Response::Goodbye,
             OP_COT_CHUNK => {

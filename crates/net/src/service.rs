@@ -110,6 +110,8 @@ impl ServiceTelemetry {
     }
 }
 
+/// The `Stats` counters the service bumps itself; the rest of
+/// [`ServiceStats`] is derived when the snapshot is taken.
 #[derive(Debug, Default)]
 struct Counters {
     clients_served: AtomicU64,

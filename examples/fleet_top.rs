@@ -143,7 +143,7 @@ fn main() {
         let max_epoch = snapshot
             .servers
             .iter()
-            .map(|o| o.directory_epoch)
+            .map(|o| o.stats.directory_epoch)
             .max()
             .unwrap_or(0);
         println!(
@@ -164,13 +164,21 @@ fn main() {
                 })
                 .unwrap_or((0.0, 0.0));
             let (faults, unavailable, evicted) = obs
-                .map(|o| (o.faults_injected, o.unavailable_sent, o.subscribers_evicted))
+                .map(|o| {
+                    (
+                        o.stats.faults_injected,
+                        o.stats.unavailable_sent,
+                        o.stats.subscribers_evicted,
+                    )
+                })
                 .unwrap_or((0, 0, 0));
             let (epoch, lag) = obs
                 .map(|o| {
                     (
-                        o.directory_epoch.to_string(),
-                        max_epoch.saturating_sub(o.directory_epoch).to_string(),
+                        o.stats.directory_epoch.to_string(),
+                        max_epoch
+                            .saturating_sub(o.stats.directory_epoch)
+                            .to_string(),
                     )
                 })
                 .unwrap_or_else(|| ("-".into(), "-".into()));

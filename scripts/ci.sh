@@ -13,7 +13,8 @@
 #      fleet tests (cluster smoke, churn, multi-process partition/heal,
 #      SLO e2e, chaos soak) included; the full-scale LPN matrix pins in
 #      release; the kernel crates again on the forced-scalar tier;
-#      ironman-ot again with telemetry compiled out
+#      ironman-ot and ironman-net's unit tests again with telemetry
+#      compiled out
 #   3. benchmark/'s own tests and its --smoke run, on both tiers
 #   4. the benchmark gate: a fresh --runs 3 suite from benchmark/ judged
 #      against scripts/bench_baseline.json by benchmark --compare
@@ -107,12 +108,15 @@ echo "==> cargo test, kernel crates, forced-scalar dispatch"
 IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
 IRONMAN_SIMD=scalar cargo test -q -p ironman-lpn --lib -- --ignored forced_scalar_pins_every_tier
 
-echo "==> cargo test -q -p ironman-ot, telemetry compiled out"
+echo "==> cargo test -q -p ironman-ot and ironman-net --lib, telemetry compiled out"
 # The noop feature empties histogram records and trace pushes. The shard
 # counters Stats reports live beside them, in the pool's SessionTelemetry,
 # but must keep counting; this run fails if one of them is ever compiled
-# out with the histograms.
+# out with the histograms. ironman-net's unit tests then check the
+# service counters, the Stats codec and its frozen v11 bytes in the same
+# build (--lib only: the crate's debug proptests take over a minute).
 cargo test -q -p ironman-ot --features ironman-telemetry/noop
+cargo test -q -p ironman-net --lib --features ironman-telemetry/noop
 
 echo "==> benchmark harness: its own unit tests, then a --smoke run of every workload"
 # benchmark/ is its own package (own workspace and lock file, path
