@@ -407,8 +407,8 @@ pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultyStream};
 pub use frame::{FrameError, MAGIC, MAX_FRAME_LEN, VERSION};
 pub use http::{http_get, HttpRequest, HttpResponse, HttpServer};
 pub use proto::{
-    CounterMetric, DirectoryDelta, LatencyStats, MemberRecord, MemberWireState, Request, Response,
-    ServiceStats, ShardStat, EPOCH_UNAWARE,
+    DirectoryDelta, LatencyStats, MemberRecord, MemberWireState, Request, Response, ServiceStats,
+    ShardStat, EPOCH_UNAWARE,
 };
 pub use retry::{OpTimeouts, RetryBudget, RetryPolicy};
 pub use service::{CotService, CotServiceConfig, DirectoryView};
