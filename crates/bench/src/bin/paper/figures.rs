@@ -11,7 +11,8 @@ use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::channel::run_protocol;
 use ironman_ot::dealer::Dealer;
 use ironman_ot::params::FerretParams;
-use ironman_ot::spcot::{spcot_recv, spcot_send, SpcotConfig};
+use ironman_ot::spcot::SpcotConfig;
+use ironman_ot::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
 use ironman_perf::roofline::{lpn_ops, lpn_traffic_bytes, spcot_traffic_bytes};
 use ironman_perf::{CpuModel, NetworkModel, OteWorkload, Roofline};
 use ironman_ppml::matmul::FIG16_DIMS;
@@ -135,24 +136,27 @@ pub fn fig07_mary(_: Size) {
             leaves: p.leaves,
             session_key: Block::from(7u128),
         };
-        // One real SPCOT: measure PRG calls and bytes on the wire.
+        // One real one-tree SPCOT: measure PRG calls and bytes on the wire.
         let mut dealer = Dealer::new(arity.get() as u64);
         let delta = dealer.random_delta();
         let (mut sb, mut rb) = dealer.deal_cot(delta, cfg.base_cots_needed());
         let seed = dealer.random_block();
-        let (s_out, _r_out, s_stats, r_stats) = run_protocol(
+        let (calls, (), s_stats, r_stats) = run_protocol(
             move |ch| {
-                let mut tweak = 0;
-                spcot_send(ch, &cfg, &mut sb, seed, &mut tweak).unwrap()
+                let mut calls = 0;
+                spcot_batch_send_into(ch, &cfg, &mut sb, &[seed], &mut 0, |_, _, c| {
+                    calls = c.total();
+                })
+                .unwrap();
+                calls
             },
             move |ch| {
-                let mut tweak = 0;
-                spcot_recv(ch, &cfg, &mut rb, 1234, &mut tweak).unwrap()
+                spcot_batch_recv_into(ch, &cfg, &mut rb, &[1234], &mut 0, |_, _, _, _| {}).unwrap()
             },
         );
         // Scale to the whole execution: t trees, batched per level so the
         // round count is per-level, not per-tree.
-        let ops = s_out.counter.total() as f64 * p.t as f64;
+        let ops = calls as f64 * p.t as f64;
         if arity == Arity::BINARY {
             ops_m2 = ops;
         }

@@ -857,7 +857,7 @@ impl Directory {
     /// not the drainer itself. `Some` only while member `self_id` is
     /// actually `Draining` — this doubles as the drain check, so the
     /// serving path asks one question per push.
-    pub fn handoff_successor(&self, session: &str, self_id: u64) -> Option<Member> {
+    fn handoff_successor(&self, session: &str, self_id: u64) -> Option<Member> {
         let snap = self.snapshot();
         if snap.member(ServerId(self_id))?.state != MemberState::Draining {
             return None;

@@ -336,7 +336,7 @@ fn render_servers(
     w.family(
         "ironman_server_predicted_supply_cots_per_second",
         "gauge",
-        "Modeled supply ceiling (roofline + link) for this server.",
+        "Modeled supply ceiling (roofline) for this server.",
         per_server(|h| h.predicted_cots_per_sec),
     );
     w.family(
@@ -523,7 +523,7 @@ ironman_server_stall_ratio{server="1",window="5s"} 0
 ironman_server_supply_cots_per_second{server="2",window="5s"} 1000
 ironman_server_chunk_push_p99_nanoseconds{server="2",window="5s"} 0
 ironman_server_stall_ratio{server="2",window="5s"} 0
-# HELP ironman_server_predicted_supply_cots_per_second Modeled supply ceiling (roofline + link) for this server.
+# HELP ironman_server_predicted_supply_cots_per_second Modeled supply ceiling (roofline) for this server.
 # TYPE ironman_server_predicted_supply_cots_per_second gauge
 # HELP ironman_server_supply_utilization Measured windowed supply over the modeled ceiling.
 # TYPE ironman_server_supply_utilization gauge

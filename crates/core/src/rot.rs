@@ -24,7 +24,7 @@ pub struct RotReceiver {
 
 impl RotSender {
     /// Hashes a COT batch into sender pads.
-    pub fn from_cots(delta: Block, z: &[Block], tweak_base: u64) -> Self {
+    fn from_cots(delta: Block, z: &[Block], tweak_base: u64) -> Self {
         let crhf = Crhf::new();
         let pads = z
             .iter()
@@ -71,7 +71,7 @@ impl RotSender {
 
 impl RotReceiver {
     /// Hashes the receiver's COT batch into `(choice, pad)` pairs.
-    pub fn from_cots(x: &[bool], y: &[Block], tweak_base: u64) -> Self {
+    fn from_cots(x: &[bool], y: &[Block], tweak_base: u64) -> Self {
         assert_eq!(x.len(), y.len());
         let crhf = Crhf::new();
         let pads = y

@@ -16,7 +16,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,7 +97,6 @@ pub type HttpHandler = dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync;
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    requests_served: Arc<AtomicU64>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -118,16 +117,13 @@ impl HttpServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let requests_served = Arc::new(AtomicU64::new(0));
         let thread = {
             let stop = Arc::clone(&stop);
-            let served = Arc::clone(&requests_served);
-            std::thread::spawn(move || accept_loop(&listener, &handler, &stop, &served))
+            std::thread::spawn(move || accept_loop(&listener, &handler, &stop))
         };
         Ok(HttpServer {
             addr,
             stop,
-            requests_served,
             thread: Some(thread),
         })
     }
@@ -135,11 +131,6 @@ impl HttpServer {
     /// The bound address (resolves ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Requests answered so far (any status).
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
     }
 
     /// Stops the accept loop and joins the thread.
@@ -165,25 +156,17 @@ impl std::fmt::Debug for HttpServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HttpServer")
             .field("addr", &self.addr)
-            .field("requests_served", &self.requests_served())
             .finish()
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    handler: &HttpHandler,
-    stop: &AtomicBool,
-    served: &AtomicU64,
-) {
+fn accept_loop(listener: &TcpListener, handler: &HttpHandler, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Per-connection errors (resets, timeouts, garbage) end
                 // that connection only; the loop keeps serving.
-                if serve_connection(stream, handler).is_ok() {
-                    served.fetch_add(1, Ordering::Relaxed);
-                }
+                let _ = serve_connection(stream, handler);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
@@ -339,7 +322,6 @@ mod tests {
         assert!(body.contains("fleet"));
         let (status, _) = http_get(server.addr(), "/nope").unwrap();
         assert_eq!(status, 404);
-        assert_eq!(server.requests_served(), 3);
         server.stop();
     }
 

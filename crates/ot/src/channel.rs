@@ -157,25 +157,21 @@ fn unpack_octet(byte: u8) -> [bool; 8] {
     ones.to_le_bytes().map(|b| b != 0)
 }
 
-/// Inverse of [`encode_bits`].
-///
-/// # Errors
-///
-/// Returns [`ChannelError::Malformed`] when the header is truncated or the
-/// payload length disagrees with the declared bit count.
-pub fn decode_bits(bytes: &[u8]) -> Result<Vec<bool>, ChannelError> {
+/// [`decode_bits_into`] into a fresh vector.
+fn decode_bits(bytes: &[u8]) -> Result<Vec<bool>, ChannelError> {
     let mut bits = Vec::new();
     decode_bits_into(bytes, &mut bits)?;
     Ok(bits)
 }
 
-/// Buffer-reusing form of [`decode_bits`]: clears `out` and fills it with
-/// the decoded bits, keeping its allocation (a byte expands into eight
-/// bools at a time, with no data-dependent branch).
+/// Inverse of [`encode_bits`] into a reused buffer: clears `out` and fills
+/// it with the decoded bits, keeping its allocation (a byte expands into
+/// eight bools at a time, with no data-dependent branch).
 ///
 /// # Errors
 ///
-/// Same failure modes as [`decode_bits`].
+/// Returns [`ChannelError::Malformed`] when the header is truncated or the
+/// payload length disagrees with the declared bit count.
 pub fn decode_bits_into(bytes: &[u8], out: &mut Vec<bool>) -> Result<(), ChannelError> {
     if bytes.len() < 8 {
         return Err(ChannelError::Malformed {

@@ -10,7 +10,7 @@
 //! it again, so the receiver keeps no separate bit vector.
 //!
 //! 1. **SPCOT phase** — `t` GGM trees are built and punctured interactively
-//!    ([`crate::spcot`]); tree `i` contributes a one-hot stripe of the
+//!    ([`crate::spcot_batch`]); tree `i` contributes a one-hot stripe of the
 //!    length-`n` noise vector `u` and the corresponding `w`/`v` blocks.
 //!    Leaves are folded into the LPN accumulator with bit 0 masked off
 //!    (`acc ^= leaf & !1`, both parties); the receiver then flips bit 0 at
@@ -426,7 +426,7 @@ impl FerretSender {
     }
 
     /// PRG calls consumed so far (all extensions).
-    pub fn prg_counter(&self) -> PrgCounter {
+    fn prg_counter(&self) -> PrgCounter {
         self.prg_counter
     }
 
@@ -535,7 +535,7 @@ impl FerretReceiver {
     }
 
     /// PRG calls consumed so far (all extensions).
-    pub fn prg_counter(&self) -> PrgCounter {
+    fn prg_counter(&self) -> PrgCounter {
         self.prg_counter
     }
 

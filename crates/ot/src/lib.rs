@@ -15,10 +15,12 @@
 //!   [`CotReceiver`]).
 //! * [`chosen`] — chosen-message 1-out-of-2 OT from a COT correlation plus
 //!   the correlation-robust hash (Fig. 2's online phase).
-//! * [`mot`] — (m−1)-out-of-m OT from an m-leaf GGM tree (§4.2), consuming
-//!   only `log2(m)` base COTs.
-//! * [`spcot`] — the single-point COT sub-protocol over GGM trees, generic
-//!   over arity and PRG (the §4.1 optimization space).
+//! * [`spcot`] — the configuration of the single-point COT sub-protocol
+//!   over GGM trees, generic over arity and PRG (the §4.1 optimization
+//!   space).
+//! * [`spcot_batch`] — the SPCOT protocol: an extension's `t` trees
+//!   advance level by level, each level's OTs (the §4.2 (m−1)-out-of-m
+//!   OT from an m-leaf pad tree on m-ary levels) one chosen-OT batch.
 //! * [`ferret`] — the Ferret-style OTE main loop: `t` SPCOTs + LPN encoding
 //!   per extension, with bootstrapping of the next iteration's base COTs.
 //! * [`session`] — a persistent two-party FERRET session that stages
@@ -29,8 +31,6 @@
 //!   lock-free per-shard counters ([`ShardSnapshot`]): what the serving
 //!   crates drain. A pool needs only a [`ferret::FerretConfig`].
 //! * [`iknp`] — the IKNP extension, the §2.3 communication baseline.
-//! * [`spcot_batch`] — the `t` SPCOTs of one extension advancing level by
-//!   level, one message per GGM level instead of one conversation per tree.
 //! * [`params`] — Table 4's parameter sets with the bit-security estimate.
 //!
 //! # Example: one full extension
@@ -55,7 +55,6 @@ pub mod cot;
 pub mod dealer;
 pub mod ferret;
 pub mod iknp;
-pub mod mot;
 pub mod params;
 pub mod pool;
 pub mod session;

@@ -7,7 +7,8 @@ use ironman_ot::cot::{CotBatch, CotReceiver, CotSlice};
 use ironman_ot::dealer::Dealer;
 use ironman_ot::ferret::{run_extension, FerretConfig, FerretReceiver, FerretSender};
 use ironman_ot::params::FerretParams;
-use ironman_ot::spcot::{spcot_recv, spcot_send, verify_spcot, SpcotConfig};
+use ironman_ot::spcot::SpcotConfig;
+use ironman_ot::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
 use ironman_prg::Block;
 
 /// A transport that corrupts message number `target` (counting sent
@@ -40,12 +41,16 @@ impl Transport for Tamper {
     }
 }
 
-fn run_tampered_spcot(target: usize) -> Result<(), usize> {
+/// A batch of `trees` SPCOTs at ℓ = 256 (four quad levels) whose sender
+/// message `target` is corrupted: per tree, the first leaf violating
+/// `w = v ⊕ u·Δ` (or `None`), and the messages the sender sent.
+fn run_tampered_batch(trees: usize, target: usize) -> (Vec<Option<usize>>, u64) {
     let cfg = SpcotConfig::ironman(256, Block::from(5u128));
     let mut dealer = Dealer::new(3);
     let delta = dealer.random_delta();
-    let (mut sb, mut rb) = dealer.deal_cot(delta, cfg.base_cots_needed());
-    let seed = dealer.random_block();
+    let (mut sb, mut rb) = dealer.deal_cot(delta, trees * cfg.base_cots_needed());
+    let seeds: Vec<Block> = (0..trees).map(|_| dealer.random_block()).collect();
+    let alphas: Vec<usize> = (0..trees).map(|t| (77 + 61 * t) % cfg.leaves).collect();
 
     let (a, b) = LocalChannel::pair();
     let mut sender_ch = Tamper {
@@ -54,37 +59,70 @@ fn run_tampered_spcot(target: usize) -> Result<(), usize> {
         target,
     };
     let mut receiver_ch = b;
-    let (s_out, r_out) = std::thread::scope(|scope| {
-        let s = scope.spawn(move || {
-            let mut tweak = 0;
-            spcot_send(&mut sender_ch, &cfg, &mut sb, seed, &mut tweak).unwrap()
+    let ((w, messages), v) = std::thread::scope(|scope| {
+        let s = scope.spawn(|| {
+            let mut w = Vec::new();
+            spcot_batch_send_into(
+                &mut sender_ch,
+                &cfg,
+                &mut sb,
+                &seeds,
+                &mut 0,
+                |_, leaves, _| w.push(leaves.to_vec()),
+            )
+            .unwrap();
+            (w, sender_ch.stats().messages_sent)
         });
-        let r = scope.spawn(move || {
-            let mut tweak = 0;
-            spcot_recv(&mut receiver_ch, &cfg, &mut rb, 77, &mut tweak).unwrap()
+        let r = scope.spawn(|| {
+            let mut v = Vec::new();
+            spcot_batch_recv_into(
+                &mut receiver_ch,
+                &cfg,
+                &mut rb,
+                &alphas,
+                &mut 0,
+                |_, _, leaves, _| v.push(leaves.to_vec()),
+            )
+            .unwrap();
+            v
         });
         (s.join().unwrap(), r.join().unwrap())
     });
-    verify_spcot(delta, &s_out, &r_out)
+    let violations = w
+        .iter()
+        .zip(&v)
+        .zip(&alphas)
+        .map(|((w, v), &alpha)| (0..w.len()).find(|&i| w[i] != v[i] ^ delta.and_bit(i == alpha)))
+        .collect();
+    (violations, messages)
 }
 
 #[test]
-fn corrupting_any_sender_message_breaks_the_correlation() {
-    // Whatever sender message is corrupted — an OT payload, a masked
-    // message batch, or the final masked leaf sum — the output COT
-    // correlation must fail verification (never silently pass).
-    for target in 0..6 {
-        assert!(
-            run_tampered_spcot(target).is_err(),
-            "tampering with sender message {target} went undetected"
-        );
+fn corrupting_any_sender_message_breaks_every_tree() {
+    // Whatever sender message is corrupted — a level's OT payload, its
+    // masked sums, or the final masked leaf sums — every tree's output
+    // correlation must fail (never silently pass), in a one-tree batch
+    // and in a batch of many.
+    for trees in [1, 16] {
+        let (clean, messages) = run_tampered_batch(trees, usize::MAX);
+        assert_eq!(clean, vec![None; trees], "{trees} trees: untampered run");
+        for target in 0..messages as usize {
+            let (broken, _) = run_tampered_batch(trees, target);
+            assert!(
+                broken.iter().all(Option::is_some),
+                "{trees} trees: tampering with sender message {target} of {messages} \
+                 left a tree correlated: {broken:?}"
+            );
+        }
     }
 }
 
 #[test]
-fn untampered_control_case_passes() {
-    // Sanity: the same harness with an out-of-range target is clean.
-    assert!(run_tampered_spcot(usize::MAX).is_ok());
+fn message_count_does_not_grow_with_the_tree_count() {
+    // One OT batch and one masked-sum message per level, then the final
+    // masked leaf sums: 4 · 2 + 1, however many trees ride along.
+    assert_eq!(run_tampered_batch(1, usize::MAX).1, 9);
+    assert_eq!(run_tampered_batch(16, usize::MAX).1, 9);
 }
 
 #[test]

@@ -53,7 +53,7 @@ impl PowerEnvelope {
     /// # Panics
     ///
     /// Panics if `outputs == 0`.
-    pub fn energy_per_cot_nj(&self, latency_s: f64, outputs: u64) -> f64 {
+    fn energy_per_cot_nj(&self, latency_s: f64, outputs: u64) -> f64 {
         assert!(outputs > 0, "need at least one output COT");
         self.energy_j(latency_s) / outputs as f64 * 1e9
     }

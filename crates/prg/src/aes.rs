@@ -89,7 +89,7 @@ impl Aes128 {
 
     /// Expands a raw 16-byte key (as written in FIPS-197: `bytes[0]` is the
     /// first key byte).
-    pub fn from_key_bytes(key: [u8; 16]) -> Self {
+    fn from_key_bytes(key: [u8; 16]) -> Self {
         let mut rk = [[0u8; 16]; 11];
         rk[0] = key;
         for round in 1..11 {

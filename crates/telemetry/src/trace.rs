@@ -186,7 +186,7 @@ impl TraceLog {
 
     /// Records an event with an explicit timestamp (tests, replaying
     /// decoded dumps). Not gated by `noop`.
-    pub fn push_at(&self, at_nanos: u64, kind: EventKind, arg: u64) {
+    fn push_at(&self, at_nanos: u64, kind: EventKind, arg: u64) {
         let mut events = self.lock();
         if events.len() == self.capacity {
             events.pop_front();
