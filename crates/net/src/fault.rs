@@ -29,8 +29,8 @@ const BLACKHOLE_POLL: Duration = Duration::from_millis(5);
 /// nobody heals.
 const BLACKHOLE_CAP: Duration = Duration::from_secs(30);
 
-/// The injectable fault classes, recorded as the `FaultInjected`
-/// trace-event argument.
+/// The injectable fault classes, used for per-kind counters and as the
+/// `FaultInjected` trace-event argument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FaultKind {
@@ -92,6 +92,8 @@ struct FaultState {
     /// (drives `reset_after_bytes`).
     bytes_since_armed: AtomicU64,
     injected: AtomicU64,
+    /// Faults fired per kind, indexed by discriminant.
+    per_kind: [AtomicU64; FaultKind::Blackhole as usize + 1],
     /// Optional trace sink: each fired fault is pushed as a
     /// `FaultInjected` event (arg: the fault-kind discriminant). Only
     /// consulted while a plan is armed, so the disarmed fast path never
@@ -117,6 +119,7 @@ impl FaultInjector {
                 rng: Mutex::new(seed | 1),
                 bytes_since_armed: AtomicU64::new(0),
                 injected: AtomicU64::new(0),
+                per_kind: Default::default(),
                 trace: Mutex::new(None),
             }),
         }
@@ -140,6 +143,12 @@ impl FaultInjector {
     /// Total faults fired since construction.
     pub fn injected(&self) -> u64 {
         self.state.injected.load(Ordering::Relaxed)
+    }
+
+    /// Faults of one kind fired since construction.
+    #[cfg(test)]
+    fn injected_of(&self, kind: FaultKind) -> u64 {
+        self.state.per_kind[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Attaches a trace sink: every fired fault is recorded as a
@@ -172,6 +181,7 @@ impl FaultInjector {
 impl FaultState {
     fn fire(&self, kind: FaultKind) {
         self.injected.fetch_add(1, Ordering::Relaxed);
+        self.per_kind[kind as usize].fetch_add(1, Ordering::Relaxed);
         if let Some(trace) = self
             .trace
             .lock()
@@ -380,7 +390,7 @@ mod tests {
             let mut reader = injector.wrap(io::Cursor::new(vec![0u8; 256]));
             let mut out = vec![0u8; 256];
             reader.read_exact(&mut out).unwrap();
-            (out, injector.injected())
+            (out, injector.injected_of(FaultKind::BitFlip))
         };
         // Seeds land in distinct odd PRNG states (`seed | 1` maps even
         // seeds onto their odd neighbor, so 42/43 would collide).
@@ -404,7 +414,7 @@ mod tests {
         writer.write_all(b"abcd").unwrap();
         let err = writer.write_all(b"e").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        assert_eq!(injector.injected(), 1);
+        assert_eq!(injector.injected_of(FaultKind::Reset), 1);
     }
 
     #[test]
@@ -417,7 +427,7 @@ mod tests {
         let mut writer = injector.wrap(Sink::default());
         writer.write_all(b"0123456789").unwrap();
         assert_eq!(writer.get_ref().0, b"0123456789");
-        assert!(injector.injected() >= 3);
+        assert!(injector.injected_of(FaultKind::PartialWrite) >= 3);
     }
 
     #[test]

@@ -184,8 +184,10 @@ impl TraceLog {
         let _ = (kind, arg);
     }
 
-    /// Records an event with an explicit timestamp (tests, replaying
-    /// decoded dumps). Not gated by `noop`.
+    /// Records an event with an explicit timestamp: [`push`](Self::push)'s
+    /// body, and the tests' way to stamp events deterministically. Unused
+    /// outside tests under `noop`, where `push` records nothing.
+    #[cfg_attr(feature = "noop", allow(dead_code))]
     fn push_at(&self, at_nanos: u64, kind: EventKind, arg: u64) {
         let mut events = self.lock();
         if events.len() == self.capacity {
