@@ -329,22 +329,24 @@ fn supply_slo_fires_during_starvation_and_resolves_after_heal() {
     let handle = cluster.observer_handle().expect("observer running");
 
     // Outage-tolerant load: keeps pools draining so supply is
-    // demand-driven, and rides the starvation on typed declines.
+    // demand-driven, and rides the starvation on typed declines. It
+    // raises `declined` on its first `Unavailable`.
     let stop = Arc::new(AtomicBool::new(false));
+    let declined = Arc::new(AtomicBool::new(false));
     let worker = {
         let directory = cluster.directory();
-        let stop = Arc::clone(&stop);
+        let (stop, declined) = (Arc::clone(&stop), Arc::clone(&declined));
         std::thread::spawn(move || {
             let mut client = ClusterClient::connect(directory, "soak-load").expect("connect");
             client.set_failover_cooldown(Duration::from_millis(20));
-            let mut unavailable_seen_any = false;
             while !stop.load(Ordering::SeqCst) {
                 if client.request_cots_with(300, |_| {}).is_err() {
                     std::thread::sleep(Duration::from_millis(5));
                 }
-                unavailable_seen_any |= client.unavailable_seen() > 0;
+                if client.unavailable_seen() > 0 {
+                    declined.store(true, Ordering::SeqCst);
+                }
             }
-            unavailable_seen_any
         })
     };
 
@@ -388,6 +390,17 @@ fn supply_slo_fires_during_starvation_and_resolves_after_heal() {
         Duration::from_secs(30),
         "starvation outage",
     );
+    // The alert reads only the extension rate, which collapses just as
+    // well while the worker is between requests (descheduled, or asleep
+    // in a backoff): heal only once the worker has been declined.
+    let declined_by = Instant::now() + Duration::from_secs(30);
+    while !declined.load(Ordering::SeqCst) {
+        assert!(
+            Instant::now() < declined_by,
+            "the load client never observed an Unavailable decline"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     // Heal: declines lift, load drains pools again, supply recovers,
     // and the alert resolves after the hysteresis window.
@@ -395,11 +408,7 @@ fn supply_slo_fires_during_starvation_and_resolves_after_heal() {
     await_state(AlertState::Resolved, Duration::from_secs(60), "heal");
 
     stop.store(true, Ordering::SeqCst);
-    let worker_saw_unavailable = worker.join().expect("load worker");
-    assert!(
-        worker_saw_unavailable,
-        "the load client never observed an Unavailable decline"
-    );
+    worker.join().expect("load worker");
     let unavailable_sent: u64 = cluster
         .server_ids()
         .iter()

@@ -139,11 +139,6 @@ impl PuncturedTree {
         self.levels.last().expect("tree has at least one level")
     }
 
-    /// Consumes the tree, returning the leaf vector.
-    pub fn into_leaves(mut self) -> Vec<Block> {
-        self.levels.pop().expect("tree has at least one level")
-    }
-
     /// PRG primitive calls consumed by the reconstruction.
     pub fn counter(&self) -> PrgCounter {
         self.counter

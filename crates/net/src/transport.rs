@@ -389,9 +389,9 @@ mod tests {
     #[test]
     fn tcp_round_trip_and_accounting() {
         let (mut a, mut b) = tcp_loopback_pair().unwrap();
-        a.send_block(Block::from(0xfeedu128)).unwrap();
+        a.send_blocks(&[Block::from(0xfeedu128)]).unwrap();
         a.flush().unwrap();
-        assert_eq!(b.recv_block().unwrap(), Block::from(0xfeedu128));
+        assert_eq!(b.recv_blocks().unwrap(), [Block::from(0xfeedu128)]);
         // Payload accounting matches LocalChannel semantics...
         assert_eq!(a.stats().bytes_sent, 16);
         assert_eq!(b.stats().bytes_received, 16);
@@ -406,11 +406,11 @@ mod tests {
     fn tcp_coalesced_sends_arrive_in_order() {
         let (mut a, mut b) = tcp_loopback_pair().unwrap();
         for i in 0..100u128 {
-            a.send_block(Block::from(i)).unwrap();
+            a.send_blocks(&[Block::from(i)]).unwrap();
         }
         a.flush().unwrap();
         for i in 0..100u128 {
-            assert_eq!(b.recv_block().unwrap(), Block::from(i));
+            assert_eq!(b.recv_blocks().unwrap(), [Block::from(i)]);
         }
     }
 
@@ -424,16 +424,16 @@ mod tests {
     #[test]
     fn tcp_round_counting_matches_local_semantics() {
         let (mut a, mut b) = tcp_loopback_pair().unwrap();
-        a.send_bit(true).unwrap();
-        a.send_bit(false).unwrap();
+        a.send_bits(&[true]).unwrap();
+        a.send_bits(&[false]).unwrap();
         let t = std::thread::spawn(move || {
-            b.recv_bit().unwrap();
-            b.recv_bit().unwrap();
-            b.send_bit(true).unwrap();
+            b.recv_bits().unwrap();
+            b.recv_bits().unwrap();
+            b.send_bits(&[true]).unwrap();
             b.flush().unwrap();
             b.stats()
         });
-        a.recv_bit().unwrap();
+        a.recv_bits().unwrap();
         assert_eq!(a.stats().rounds, 1);
         // b never received after sending, so its direction-switch counter
         // stays at zero — the same as LocalChannel's round_counting test.

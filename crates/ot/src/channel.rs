@@ -223,7 +223,7 @@ impl ChannelStats {
 
 /// A duplex message transport with accounting.
 ///
-/// Blanket helpers serialize [`Block`]s, bit vectors and integers; all
+/// Blanket helpers serialize [`Block`] vectors and bit vectors; all
 /// protocol messages go through [`Transport::send_bytes`] /
 /// [`Transport::recv_bytes`] so accounting is exact.
 pub trait Transport {
@@ -243,32 +243,6 @@ pub trait Transport {
 
     /// Accounting snapshot.
     fn stats(&self) -> ChannelStats;
-
-    /// Sends a single block.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    fn send_block(&mut self, b: Block) -> Result<(), ChannelError> {
-        self.send_bytes(b.to_le_bytes().to_vec())
-    }
-
-    /// Receives a single block.
-    ///
-    /// # Errors
-    ///
-    /// Fails on disconnect or if the message is not exactly 16 bytes.
-    fn recv_block(&mut self) -> Result<Block, ChannelError> {
-        let bytes = self.recv_bytes()?;
-        let arr: [u8; 16] = bytes
-            .as_slice()
-            .try_into()
-            .map_err(|_| ChannelError::Malformed {
-                expected: 16,
-                actual: bytes.len(),
-            })?;
-        Ok(Block::from_le_bytes(arr))
-    }
 
     /// Sends a slice of blocks as one message.
     ///
@@ -300,32 +274,6 @@ pub trait Transport {
             .chunks_exact(16)
             .map(|c| Block::from_le_bytes(c.try_into().expect("16-byte chunk")))
             .collect())
-    }
-
-    /// Sends one bit (as one byte; the paper's comm model also rounds bits
-    /// up to transport granularity).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    fn send_bit(&mut self, bit: bool) -> Result<(), ChannelError> {
-        self.send_bytes(vec![bit as u8])
-    }
-
-    /// Receives one bit.
-    ///
-    /// # Errors
-    ///
-    /// Fails on disconnect or wrong length.
-    fn recv_bit(&mut self) -> Result<bool, ChannelError> {
-        let bytes = self.recv_bytes()?;
-        if bytes.len() != 1 {
-            return Err(ChannelError::Malformed {
-                expected: 1,
-                actual: bytes.len(),
-            });
-        }
-        Ok(bytes[0] != 0)
     }
 
     /// Sends a packed bit vector.
@@ -366,8 +314,8 @@ impl LocalChannel {
     /// use ironman_prg::Block;
     ///
     /// let (mut a, mut b) = LocalChannel::pair();
-    /// a.send_block(Block::from(7u128)).unwrap();
-    /// assert_eq!(b.recv_block().unwrap(), Block::from(7u128));
+    /// a.send_blocks(&[Block::from(7u128)]).unwrap();
+    /// assert_eq!(b.recv_blocks().unwrap(), [Block::from(7u128)]);
     /// ```
     pub fn pair() -> (LocalChannel, LocalChannel) {
         let (tx_ab, rx_ab) = mpsc::channel();
@@ -479,13 +427,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn block_round_trip() {
-        let (mut a, mut b) = LocalChannel::pair();
-        a.send_block(Block::from(0x1234u128)).unwrap();
-        assert_eq!(b.recv_block().unwrap(), Block::from(0x1234u128));
-    }
-
-    #[test]
     fn blocks_round_trip() {
         let (mut a, mut b) = LocalChannel::pair();
         let v = vec![Block::from(1u128), Block::from(2u128), Block::from(3u128)];
@@ -511,8 +452,8 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let (mut a, mut b) = LocalChannel::pair();
-        a.send_block(Block::ZERO).unwrap();
-        b.recv_block().unwrap();
+        a.send_blocks(&[Block::ZERO]).unwrap();
+        b.recv_blocks().unwrap();
         assert_eq!(a.stats().bytes_sent, 16);
         assert_eq!(b.stats().bytes_received, 16);
         assert_eq!(a.stats().messages_sent, 1);
@@ -522,12 +463,12 @@ mod tests {
     fn round_counting() {
         let (mut a, mut b) = LocalChannel::pair();
         // a: send, send, recv => 1 round.
-        a.send_bit(true).unwrap();
-        a.send_bit(false).unwrap();
-        b.recv_bit().unwrap();
-        b.recv_bit().unwrap();
-        b.send_bit(true).unwrap();
-        a.recv_bit().unwrap();
+        a.send_bits(&[true]).unwrap();
+        a.send_bits(&[false]).unwrap();
+        b.recv_bits().unwrap();
+        b.recv_bits().unwrap();
+        b.send_bits(&[true]).unwrap();
+        a.recv_bits().unwrap();
         assert_eq!(a.stats().rounds, 1);
     }
 
@@ -542,17 +483,17 @@ mod tests {
     fn run_protocol_exchanges() {
         let (s, r, ss, rs) = run_protocol(
             |ch| {
-                ch.send_block(Block::from(5u128)).unwrap();
-                ch.recv_block().unwrap()
+                ch.send_blocks(&[Block::from(5u128)]).unwrap();
+                ch.recv_blocks().unwrap()
             },
             |ch| {
-                let x = ch.recv_block().unwrap();
-                ch.send_block(x ^ Block::from(1u128)).unwrap();
+                let x = ch.recv_blocks().unwrap();
+                ch.send_blocks(&[x[0] ^ Block::from(1u128)]).unwrap();
                 x
             },
         );
-        assert_eq!(r, Block::from(5u128));
-        assert_eq!(s, Block::from(4u128));
+        assert_eq!(r, [Block::from(5u128)]);
+        assert_eq!(s, [Block::from(4u128)]);
         assert_eq!(ss.bytes_sent, 16);
         assert_eq!(rs.bytes_sent, 16);
     }
@@ -562,7 +503,7 @@ mod tests {
         let (mut a, mut b) = LocalChannel::pair();
         a.send_bytes(vec![0u8; 3]).unwrap();
         assert!(matches!(
-            b.recv_block(),
+            b.recv_blocks(),
             Err(ChannelError::Malformed { .. })
         ));
     }

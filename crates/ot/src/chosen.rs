@@ -18,7 +18,8 @@ use ironman_prg::{Block, Crhf};
 ///
 /// # Errors
 ///
-/// Propagates channel failures.
+/// Propagates channel failures, and returns [`ChannelError::Malformed`]
+/// if the receiver's flip vector is not `pairs.len()` bits long.
 ///
 /// # Panics
 ///
@@ -32,7 +33,12 @@ pub fn send_chosen<T: Transport + ?Sized>(
     let batch = base.split_off_front(pairs.len());
     let crhf = Crhf::new();
     let flips = ch.recv_bits()?;
-    assert_eq!(flips.len(), pairs.len(), "receiver flip count mismatch");
+    if flips.len() != pairs.len() {
+        return Err(ChannelError::Malformed {
+            expected: 8 + pairs.len().div_ceil(8),
+            actual: 8 + flips.len().div_ceil(8),
+        });
+    }
     let mut payload = Vec::with_capacity(2 * pairs.len());
     for (i, (&(m0, m1), &d)) in pairs.iter().zip(flips.iter()).enumerate() {
         let (r0, r1) = batch.pair(i);
@@ -48,7 +54,8 @@ pub fn send_chosen<T: Transport + ?Sized>(
 ///
 /// # Errors
 ///
-/// Propagates channel failures.
+/// Propagates channel failures, and returns [`ChannelError::Malformed`]
+/// if the sender's payload is not two blocks per choice.
 ///
 /// # Panics
 ///
@@ -68,11 +75,12 @@ pub fn recv_chosen<T: Transport + ?Sized>(
         .collect();
     ch.send_bits(&flips)?;
     let payload = ch.recv_blocks()?;
-    assert_eq!(
-        payload.len(),
-        2 * choices.len(),
-        "sender payload size mismatch"
-    );
+    if payload.len() != 2 * choices.len() {
+        return Err(ChannelError::Malformed {
+            expected: 32 * choices.len(),
+            actual: 16 * payload.len(),
+        });
+    }
     Ok(choices
         .iter()
         .enumerate()
@@ -132,6 +140,20 @@ mod tests {
     fn empty_batch() {
         let got = run_batch(vec![], vec![]);
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn a_short_flip_vector_is_malformed() {
+        // The flips come from the peer: one too few is an error, not a panic.
+        let mut dealer = Dealer::new(5);
+        let delta = dealer.random_delta();
+        let (mut s_base, _) = dealer.deal_cot(delta, 4);
+        let pairs = vec![(Block::ZERO, Block::ZERO); 4];
+        let (sent, (), _, _) = run_protocol(
+            move |ch| send_chosen(ch, &mut s_base, &pairs, 0),
+            |ch| ch.send_bits(&[false; 3]).unwrap(),
+        );
+        assert!(matches!(sent, Err(ChannelError::Malformed { .. })));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! * [`spcot`] — the configuration of the single-point COT sub-protocol
 //!   over GGM trees, generic over arity and PRG (the §4.1 optimization
 //!   space).
-//! * [`spcot_batch`] — the SPCOT protocol: an extension's `t` trees
-//!   advance level by level, each level's OTs (the §4.2 (m−1)-out-of-m
-//!   OT from an m-leaf pad tree on m-ary levels) one chosen-OT batch.
+//! * [`spcot_batch`] — the SPCOT protocol: every OT of an extension's `t`
+//!   trees (the §4.2 (m−1)-out-of-m OT from an m-leaf pad tree on m-ary
+//!   levels) in one chosen-OT batch, one round trip per extension.
 //! * [`ferret`] — the Ferret-style OTE main loop: `t` SPCOTs + LPN encoding
 //!   per extension, with bootstrapping of the next iteration's base COTs.
 //! * [`session`] — a persistent two-party FERRET session that stages

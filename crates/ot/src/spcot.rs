@@ -9,8 +9,8 @@
 //! * receiver: `v` — equal to `w` everywhere except `v[α] = w[α] ⊕ Δ`.
 //!
 //! [`SpcotConfig`] spans the §4.1 optimization space (tree arity and PRG);
-//! the protocol, which runs all of an extension's trees level by level,
-//! is [`crate::spcot_batch`].
+//! the protocol, which runs all of an extension's trees in one round
+//! trip, is [`crate::spcot_batch`].
 
 use ironman_ggm::Arity;
 use ironman_prg::{Block, PrgKind};

@@ -1,5 +1,4 @@
-//! The SPCOT protocol: all `t` trees of an extension advance through their
-//! GGM levels together, one level at a time.
+//! The SPCOT protocol: all `t` trees of an extension in one exchange.
 //!
 //! Per m-ary level the receiver learns, for every tree, the branch sums of
 //! every branch *except* the one on its punctured path: an
@@ -11,13 +10,14 @@
 //! binary level transfers its one non-path sum by a single chosen OT.
 //! Either way a depth-`ℓ` tree consumes exactly `log2(ℓ)` base COTs.
 //!
-//! Each level's OTs, every tree's and (on an m-ary level) every pad-tree
-//! level's, go out as one chosen-OT batch, ordered pad-level-major across
-//! trees, followed on an m-ary level by one message with every tree's
-//! masked sums. A level costs one round trip whatever `t` and `m` are, so
-//! an extension's round count is `O(depth)`, not `O(t · depth)` —
-//! decisive under WAN RTTs (Fig. 7(c)'s regime) and the execution shape
-//! the Ironman DIMM module's inter-tree parallelism (§4.3) assumes.
+//! No OT choice depends on an earlier answer (each is a digit of a tree's
+//! `α`), so every level's OTs go out as one chosen-OT batch, level-major
+//! and pad-level-major across trees, answered by one payload and one
+//! message with every tree's masked leaf sum and every m-ary level's
+//! masked sums. An extension costs one round trip whatever `t`, `m` and
+//! the depth are — decisive under WAN RTTs (Fig. 7(c)'s regime) and the
+//! execution shape the Ironman DIMM module's inter-tree parallelism
+//! (§4.3) assumes.
 
 use crate::channel::{ChannelError, Transport};
 use crate::chosen::{recv_chosen, send_chosen};
@@ -68,7 +68,8 @@ fn level_seed(seeder: &Aes128, outer_seed: Block, lvl: usize) -> Block {
 ///
 /// # Errors
 ///
-/// Propagates channel failures.
+/// Propagates channel failures, and returns [`ChannelError::Malformed`]
+/// if the receiver's flip vector does not cover every OT.
 pub fn spcot_batch_send_into<T: Transport + ?Sized>(
     ch: &mut T,
     cfg: &SpcotConfig,
@@ -81,32 +82,33 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
     let shape = LevelShape::new(cfg.arity, cfg.leaves);
     let mut tree = GgmTree::with_shape(shape.clone());
     let mut sums: Vec<Vec<Vec<Block>>> = Vec::with_capacity(seeds.len());
-    let mut finals = Vec::with_capacity(seeds.len());
+    // Every tree's masked leaf sum (step ④), then each m-ary level's
+    // masked sums, tree-major within the level.
+    let mut masked = Vec::with_capacity(seeds.len());
     for (i, &seed) in seeds.iter().enumerate() {
         tree.expand_from(prg.as_ref(), seed);
         sums.push(tree.level_sums());
-        finals.push(base.delta() ^ tree.leaf_sum());
+        masked.push(base.delta() ^ tree.leaf_sum());
         sink(i, tree.leaves(), tree.counter());
     }
 
     let trees = seeds.len();
     let inner = pad_prg(cfg.session_key);
     let seeder = level_seeder(cfg.session_key);
+    let mut pairs = Vec::with_capacity(trees * cfg.base_cots_needed());
     for (lvl, &fanout) in shape.fanouts().iter().enumerate() {
-        // Pair (inner level l, tree t) sits at `l · trees + t`.
-        let mut pairs = vec![(Block::ZERO, Block::ZERO); fanout.trailing_zeros() as usize * trees];
-        let mut masked = Vec::new();
+        // This level's pair (inner level l, tree t) sits at `l · trees + t`.
+        let mut level = vec![(Block::ZERO, Block::ZERO); fanout.trailing_zeros() as usize * trees];
         if fanout == 2 {
-            for (pair, sum) in pairs.iter_mut().zip(&sums) {
+            for (pair, sum) in level.iter_mut().zip(&sums) {
                 *pair = (sum[lvl][0], sum[lvl][1]);
             }
         } else {
             let mut pad_tree = GgmTree::with_shape(LevelShape::new(Arity::BINARY, fanout));
-            masked.reserve(trees * fanout);
             for (t, (&seed, sum)) in seeds.iter().zip(&sums).enumerate() {
                 pad_tree.expand_from(&inner, level_seed(&seeder, seed, lvl));
                 for (l, pad_sum) in pad_tree.level_sums().iter().enumerate() {
-                    pairs[l * trees + t] = (pad_sum[0], pad_sum[1]);
+                    level[l * trees + t] = (pad_sum[0], pad_sum[1]);
                 }
                 masked.extend(
                     sum[lvl]
@@ -116,14 +118,11 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
                 );
             }
         }
-        send_chosen(ch, base, &pairs, *tweak)?;
-        *tweak += pairs.len() as u64;
-        if fanout > 2 {
-            ch.send_blocks(&masked)?;
-        }
+        pairs.extend(level);
     }
-    // One message with every tree's masked leaf sum (step ④).
-    ch.send_blocks(&finals)
+    send_chosen(ch, base, &pairs, *tweak)?;
+    *tweak += pairs.len() as u64;
+    ch.send_blocks(&masked)
 }
 
 /// Receiver side: `sink` is handed each tree's index, its punctured
@@ -132,7 +131,8 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
 ///
 /// # Errors
 ///
-/// Propagates channel failures.
+/// Propagates channel failures, and returns [`ChannelError::Malformed`]
+/// if a sender message holds the wrong number of blocks.
 ///
 /// # Panics
 ///
@@ -148,55 +148,62 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
     let prg = build_tree_prg(cfg.prg, cfg.session_key, cfg.arity.get());
     let shape = LevelShape::new(cfg.arity, cfg.leaves);
     let digits: Vec<Vec<usize>> = alphas.iter().map(|&a| shape.digits(a)).collect();
+    let trees = alphas.len();
 
-    // Collected per-tree, per-level branch sums.
+    // Per level, per (inner level, tree), pad-level-major as the sender
+    // pairs them: the complement of the tree's path bit at that level of
+    // its pad tree (the level's digit in binary, top bit first) — we want
+    // the sum of the branch we did NOT take.
+    let mut choices = Vec::with_capacity(trees * cfg.base_cots_needed());
+    for (lvl, &fanout) in shape.fanouts().iter().enumerate() {
+        for bit in (0..fanout.trailing_zeros()).rev() {
+            choices.extend(digits.iter().map(|d| (d[lvl] >> bit) & 1 == 0));
+        }
+    }
+    let mut got = &recv_chosen(ch, base, &choices, *tweak)?[..];
+    *tweak += choices.len() as u64;
+    let masked = ch.recv_blocks()?;
+    let expected = trees * (1 + shape.fanouts().iter().filter(|&&f| f > 2).sum::<usize>());
+    if masked.len() != expected {
+        return Err(ChannelError::Malformed {
+            expected: 16 * expected,
+            actual: 16 * masked.len(),
+        });
+    }
+    let (finals, mut masked) = masked.split_at(trees);
+
+    // Per-tree, per-level branch sums, recovered level by level.
     let mut level_sums: Vec<Vec<Vec<Block>>> = alphas
         .iter()
         .map(|_| Vec::with_capacity(shape.depth()))
         .collect();
-
-    let trees = alphas.len();
     let inner = pad_prg(cfg.session_key);
     for (lvl, &fanout) in shape.fanouts().iter().enumerate() {
-        // Per (inner level, tree), pad-level-major as the sender pairs
-        // them: the complement of the tree's path bit at that level of its
-        // pad tree — we want the sum of the branch we did NOT take.
-        let inner_shape = LevelShape::new(Arity::BINARY, fanout);
-        let inner_digits: Vec<Vec<usize>> =
-            digits.iter().map(|d| inner_shape.digits(d[lvl])).collect();
-        let choices: Vec<bool> = (0..inner_shape.depth())
-            .flat_map(|l| inner_digits.iter().map(move |d| d[l] == 0))
-            .collect();
-        let got = recv_chosen(ch, base, &choices, *tweak)?;
-        *tweak += choices.len() as u64;
+        let level_got;
+        (level_got, got) = got.split_at(fanout.trailing_zeros() as usize * trees);
         if fanout == 2 {
             for (t, sums) in level_sums.iter_mut().enumerate() {
                 let mut s = vec![Block::ZERO; 2];
-                s[1 - digits[t][lvl]] = got[t];
+                s[1 - digits[t][lvl]] = level_got[t];
                 sums.push(s);
             }
             continue;
         }
-        let masked = ch.recv_blocks()?;
-        assert_eq!(masked.len(), trees * fanout, "masked sum batch size");
-        let mut pads = PuncturedTree::with_shape(inner_shape);
+        let level_masked;
+        (level_masked, masked) = masked.split_at(trees * fanout);
+        let mut pads = PuncturedTree::with_shape(LevelShape::new(Arity::BINARY, fanout));
         for (t, sums) in level_sums.iter_mut().enumerate() {
-            pads.reconstruct_at(&inner, digits[t][lvl], |l, j| {
-                debug_assert_ne!(j, inner_digits[t][l]);
-                got[l * trees + t]
-            });
+            pads.reconstruct_at(&inner, digits[t][lvl], |l, _| level_got[l * trees + t]);
             let mut s = vec![Block::ZERO; fanout];
             for j in 0..fanout {
                 if j != digits[t][lvl] {
-                    s[j] = masked[t * fanout + j] ^ pads.leaves()[j];
+                    s[j] = level_masked[t * fanout + j] ^ pads.leaves()[j];
                 }
             }
             sums.push(s);
         }
     }
 
-    let finals = ch.recv_blocks()?;
-    assert_eq!(finals.len(), trees, "final masked-sum batch size");
     // One scratch tree serves all `t` reconstructions.
     let mut punct = PuncturedTree::with_shape(shape);
     for (t, &alpha) in alphas.iter().enumerate() {

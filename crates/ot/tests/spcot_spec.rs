@@ -86,11 +86,11 @@ fn one_tree_transcript_is_pinned() {
     //  sender bytes / messages / rounds, receiver bytes / messages / rounds)
     #[rustfmt::skip]
     let pins = [
-        (2, 4095, 4083, [400, 13, 11], [108, 12, 12]),
-        (4, 1365, 1359, [784, 13, 5], [54, 6, 6]),
-        (8, 1170, 1162, [912, 9, 3], [36, 4, 4]),
-        (16, 1092, 1080, [1168, 7, 2], [27, 3, 3]),
-        (32, 1288, 1271, [1488, 7, 2], [27, 3, 3]),
+        (2, 4095, 4083, [400, 2, 0], [10, 1, 1]),
+        (4, 1365, 1359, [784, 2, 0], [10, 1, 1]),
+        (8, 1170, 1162, [912, 2, 0], [10, 1, 1]),
+        (16, 1092, 1080, [1168, 2, 0], [10, 1, 1]),
+        (32, 1288, 1271, [1488, 2, 0], [10, 1, 1]),
     ];
     for (arity, (m, s_calls, r_calls, s_wire, r_wire)) in Arity::SWEEP.into_iter().zip(pins) {
         assert_eq!(arity.get(), m);

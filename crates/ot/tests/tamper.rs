@@ -11,22 +11,19 @@ use ironman_ot::spcot::SpcotConfig;
 use ironman_ot::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
 use ironman_prg::Block;
 
-/// A transport that corrupts message number `target` (counting sent
-/// messages). Every 16-byte block of the payload is flipped: corrupting a
-/// *single* OT message half would be undetectable whenever the receiver's
-/// choice discards that half — which is exactly OT privacy, not a bug.
+/// A transport that passes message number `target` (counting sent
+/// messages) through `edit` on its way out.
 struct Tamper {
     inner: LocalChannel,
     sent: usize,
     target: usize,
+    edit: fn(&mut Vec<u8>),
 }
 
 impl Transport for Tamper {
     fn send_bytes(&mut self, mut bytes: Vec<u8>) -> Result<(), ChannelError> {
         if self.sent == self.target && !bytes.is_empty() {
-            for chunk_start in (0..bytes.len()).step_by(16) {
-                bytes[chunk_start] ^= 0x80;
-            }
+            (self.edit)(&mut bytes);
         }
         self.sent += 1;
         self.inner.send_bytes(bytes)
@@ -42,9 +39,14 @@ impl Transport for Tamper {
 }
 
 /// A batch of `trees` SPCOTs at ℓ = 256 (four quad levels) whose sender
-/// message `target` is corrupted: per tree, the first leaf violating
-/// `w = v ⊕ u·Δ` (or `None`), and the messages the sender sent.
-fn run_tampered_batch(trees: usize, target: usize) -> (Vec<Option<usize>>, u64) {
+/// message `target` goes through `edit`: per tree, the first leaf
+/// violating `w = v ⊕ u·Δ` (or `None`), or the receiver's error; and the
+/// messages the sender sent.
+fn run_edited_batch(
+    trees: usize,
+    target: usize,
+    edit: fn(&mut Vec<u8>),
+) -> (Result<Vec<Option<usize>>, ChannelError>, u64) {
     let cfg = SpcotConfig::ironman(256, Block::from(5u128));
     let mut dealer = Dealer::new(3);
     let delta = dealer.random_delta();
@@ -57,23 +59,24 @@ fn run_tampered_batch(trees: usize, target: usize) -> (Vec<Option<usize>>, u64) 
         inner: a,
         sent: 0,
         target,
+        edit,
     };
-    let mut receiver_ch = b;
-    let ((w, messages), v) = std::thread::scope(|scope| {
+    let ((w, sent, messages), v) = std::thread::scope(|scope| {
         let s = scope.spawn(|| {
             let mut w = Vec::new();
-            spcot_batch_send_into(
+            let sent = spcot_batch_send_into(
                 &mut sender_ch,
                 &cfg,
                 &mut sb,
                 &seeds,
                 &mut 0,
                 |_, leaves, _| w.push(leaves.to_vec()),
-            )
-            .unwrap();
-            (w, sender_ch.stats().messages_sent)
+            );
+            (w, sent, sender_ch.stats().messages_sent)
         });
         let r = scope.spawn(|| {
+            // Owned here, so a receiver that panics hangs up on the sender.
+            let mut receiver_ch = b;
             let mut v = Vec::new();
             spcot_batch_recv_into(
                 &mut receiver_ch,
@@ -83,17 +86,36 @@ fn run_tampered_batch(trees: usize, target: usize) -> (Vec<Option<usize>>, u64) 
                 &mut 0,
                 |_, _, leaves, _| v.push(leaves.to_vec()),
             )
-            .unwrap();
-            v
+            .map(|()| v)
         });
         (s.join().unwrap(), r.join().unwrap())
     });
-    let violations = w
-        .iter()
-        .zip(&v)
-        .zip(&alphas)
-        .map(|((w, v), &alpha)| (0..w.len()).find(|&i| w[i] != v[i] ^ delta.and_bit(i == alpha)))
-        .collect();
+    // A receiver that rejects a message hangs up, which can fail the
+    // sender's last send; one that finishes leaves the sender finished.
+    let violations = v.map(|v| {
+        sent.expect("sender");
+        w.iter()
+            .zip(&v)
+            .zip(&alphas)
+            .map(|((w, v), &alpha)| {
+                (0..w.len()).find(|&i| w[i] != v[i] ^ delta.and_bit(i == alpha))
+            })
+            .collect()
+    });
+    (violations, messages)
+}
+
+/// [`run_edited_batch`] with every 16-byte block of message `target`
+/// flipped: corrupting a *single* OT message half would be undetectable
+/// whenever the receiver's choice discards that half — which is exactly
+/// OT privacy, not a bug.
+fn run_tampered_batch(trees: usize, target: usize) -> (Vec<Option<usize>>, u64) {
+    let (violations, messages) = run_edited_batch(trees, target, |bytes| {
+        for chunk_start in (0..bytes.len()).step_by(16) {
+            bytes[chunk_start] ^= 0x80;
+        }
+    });
+    let violations = violations.expect("a flipped message keeps its length");
     (violations, messages)
 }
 
@@ -119,10 +141,29 @@ fn corrupting_any_sender_message_breaks_every_tree() {
 
 #[test]
 fn message_count_does_not_grow_with_the_tree_count() {
-    // One OT batch and one masked-sum message per level, then the final
-    // masked leaf sums: 4 · 2 + 1, however many trees ride along.
-    assert_eq!(run_tampered_batch(1, usize::MAX).1, 9);
-    assert_eq!(run_tampered_batch(16, usize::MAX).1, 9);
+    // One chosen-OT payload for every level's OTs, then one message with
+    // every masked sum: 2, however many trees ride along.
+    assert_eq!(run_tampered_batch(1, usize::MAX).1, 2);
+    assert_eq!(run_tampered_batch(16, usize::MAX).1, 2);
+}
+
+#[test]
+fn a_sender_message_one_block_short_is_a_framing_error() {
+    // A peer over a socket can send any length: a short OT payload or
+    // masked-sum message must come back as `Malformed`, not panic the
+    // receiver's thread.
+    for trees in [1, 16] {
+        let messages = run_tampered_batch(trees, usize::MAX).1 as usize;
+        for target in 0..messages {
+            let (got, _) = run_edited_batch(trees, target, |bytes| {
+                bytes.truncate(bytes.len() - 16);
+            });
+            assert!(
+                matches!(got, Err(ChannelError::Malformed { .. })),
+                "{trees} trees: message {target} cut short gave {got:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -130,7 +171,7 @@ fn truncated_block_message_is_a_framing_error() {
     let (mut a, mut b) = LocalChannel::pair();
     a.send_bytes(vec![0u8; 15]).unwrap(); // one byte short of a block
     assert!(matches!(
-        b.recv_block(),
+        b.recv_blocks(),
         Err(ChannelError::Malformed { .. })
     ));
 }
