@@ -103,6 +103,51 @@ impl XorLane for SliceLane<'_> {
     }
 }
 
+/// Two block lanes over one index stream: each gather XORs `r[col]` into
+/// `z[row]` and `s[col]` into `y[row]`. Both parties' LPN phase as one
+/// pass when one thread runs both (the sender's `z = r·A ⊕ w`, the
+/// receiver's `y = s·A ⊕ v`): only the public matrix is shared, and each
+/// accumulator still reads only its own input.
+pub(crate) struct BlockPairLane<'a> {
+    /// The first length-`k` input.
+    pub(crate) r: &'a [Block],
+    /// The second length-`k` input.
+    pub(crate) s: &'a [Block],
+    /// The first length-`n` accumulator (`r`'s).
+    pub(crate) z: &'a mut [Block],
+    /// The second length-`n` accumulator (`s`'s).
+    pub(crate) y: &'a mut [Block],
+}
+
+impl XorLane for BlockPairLane<'_> {
+    #[inline(always)]
+    fn xor_gather(&mut self, row: usize, col: usize) {
+        let (a, b) = (self.r[col], self.s[col]);
+        self.z[row] ^= a;
+        self.y[row] ^= b;
+    }
+
+    #[inline(always)]
+    fn xor_gather_bucket(
+        &mut self,
+        row_base: usize,
+        col_base: usize,
+        col_bits: u32,
+        entries: &[u32],
+    ) {
+        // The four slices in locals, rebased once per bucket: per entry
+        // only the two gathers and the two accumulator updates remain.
+        let mask = (1u32 << col_bits) - 1;
+        let (r, s) = (&self.r[col_base..], &self.s[col_base..]);
+        let (z, y) = (&mut self.z[row_base..], &mut self.y[row_base..]);
+        for &e in entries {
+            let (row, col) = ((e >> col_bits) as usize, (e & mask) as usize);
+            z[row] ^= r[col];
+            y[row] ^= s[col];
+        }
+    }
+}
+
 /// Single-bit masks indexed by bit position (`BIT_MASK[i] == 1 << i`).
 const BIT_MASK: [u64; 64] = {
     let mut m = [0u64; 64];

@@ -12,7 +12,9 @@
 //!   XOR latency chains overlap; the tiled bucket loop issues four input
 //!   loads ahead of its four accumulator read-xor-writes and indexes
 //!   without per-gather bounds checks, standing on the range invariant
-//!   [`TileSchedule::build_with`] asserts for every entry;
+//!   [`TileSchedule::build_with`] asserts for every entry. Its two-vector
+//!   form ([`encode_block_pair_tiled_with`]) decodes each entry once for
+//!   both parties' vectors;
 //! * the row-major packed-bit pass is a **gather** kernel: eight column
 //!   indices at a time, one `VPGATHERDD` fetches the eight 32-bit words
 //!   of the (L1-resident) packed input, a per-lane variable shift moves
@@ -184,6 +186,53 @@ pub fn encode_blocks_tiled_with(
     let _ = (level, cpu);
     tiles.encode_with(&mut encoder::SliceLane { input, acc }, |lane, rows| {
         finished(&lane.acc[rows])
+    });
+}
+
+/// Two [`encode_blocks_tiled_with`] passes in one replay of the schedule:
+/// `z ^= r·A` and `y ^= s·A`, each decoded entry XORing `r[col]` into
+/// `z[row]` and `s[col]` into `y[row]`.
+/// `finished` is handed each finished row block's rows of `y`. One thread
+/// running both parties of an extension reads the index stream once
+/// instead of twice.
+///
+/// # Panics
+///
+/// Panics if either input is not `tiles.cols()` long or either
+/// accumulator not `tiles.rows()`.
+#[allow(unsafe_code)]
+pub fn encode_block_pair_tiled_with(
+    level: SimdLevel,
+    tiles: &TileSchedule,
+    r: &[Block],
+    s: &[Block],
+    z: &mut [Block],
+    y: &mut [Block],
+    mut finished: impl FnMut(&[Block]),
+) {
+    assert_eq!(r.len(), tiles.cols(), "first input length must equal k");
+    assert_eq!(s.len(), tiles.cols(), "second input length must equal k");
+    assert_eq!(
+        z.len(),
+        tiles.rows(),
+        "first accumulator length must equal n"
+    );
+    assert_eq!(
+        y.len(),
+        tiles.rows(),
+        "second accumulator length must equal n"
+    );
+    let cpu = cpu::detected();
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Wide && cpu.avx2 && cpu.bmi2 {
+        // SAFETY: the CPU has AVX2 and BMI2 (checked just above), and
+        // the four asserts above are the length contract.
+        unsafe { wide::encode_block_pair_tiled(tiles, r, s, z, y, finished) };
+        return;
+    }
+    let _ = (level, cpu);
+    tiles.encode_with(&mut encoder::BlockPairLane { r, s, z, y }, |lane, rows| {
+        finished(&lane.y[rows])
     });
 }
 
@@ -438,6 +487,90 @@ mod wide {
         }
     }
 
+    /// XMM twin of [`encoder::BlockPairLane`] (tile-major only): per
+    /// entry one decoded row and column, two input loads and two
+    /// accumulator read-xor-writes. Built only by the `unsafe`
+    /// [`encode_block_pair_tiled`], under the same kind of length
+    /// contract as [`XmmBlockLane`]'s bucket method.
+    struct XmmBlockPairLane<'a> {
+        r: &'a [Block],
+        s: &'a [Block],
+        z: &'a mut [Block],
+        y: &'a mut [Block],
+    }
+
+    impl XorLane for XmmBlockPairLane<'_> {
+        #[inline(always)]
+        fn xor_gather(&mut self, row: usize, col: usize) {
+            let v = xor128(load(&self.z[row]), load(&self.r[col]));
+            store(&mut self.z[row], v);
+            let v = xor128(load(&self.y[row]), load(&self.s[col]));
+            store(&mut self.y[row], v);
+        }
+
+        #[inline(always)]
+        fn xor_gather_bucket(
+            &mut self,
+            row_base: usize,
+            col_base: usize,
+            col_bits: u32,
+            entries: &[u32],
+        ) {
+            let mask = (1u32 << col_bits) - 1;
+            // SAFETY: as in `XmmBlockLane::xor_gather_bucket`, for two
+            // lanes at once. Buckets reach this lane only through
+            // `encode_block_pair_tiled` below, whose contract — asserted
+            // by its one caller, `simd::encode_block_pair_tiled_with` —
+            // is `r.len() == s.len() == tiles.cols()` and
+            // `z.len() == y.len() == tiles.rows()` for the schedule whose
+            // buckets `TileSchedule::encode_with` replays here. Every
+            // entry decodes (the schedule's invariant, asserted by each
+            // of its constructors) to `row_base + (e >> col_bits) < rows`
+            // and `col_base + (e & mask) < cols`, so every access below
+            // is inside its slice; the four slices are distinct live
+            // borrows, and unaligned 16-byte accesses are what
+            // `_mm_loadu/storeu_si128` are for.
+            unsafe {
+                let z = self.z.as_mut_ptr().add(row_base).cast::<__m128i>();
+                let y = self.y.as_mut_ptr().add(row_base).cast::<__m128i>();
+                let r = self.r.as_ptr().add(col_base).cast::<__m128i>();
+                let s = self.s.as_ptr().add(col_base).cast::<__m128i>();
+                let gather =
+                    |from: *const __m128i, e: u32| _mm_loadu_si128(from.add((e & mask) as usize));
+                let accumulate = |acc: *mut __m128i, e: u32, v: __m128i| {
+                    let slot = acc.add((e >> col_bits) as usize);
+                    _mm_storeu_si128(slot, _mm_xor_si128(_mm_loadu_si128(slot), v));
+                };
+                // Eight input loads in flight before the eight
+                // accumulator read-xor-writes, which stay in entry order
+                // per accumulator (two entries of a quad may share a row).
+                let mut quads = entries.chunks_exact(4);
+                for q in &mut quads {
+                    let vr = [
+                        gather(r, q[0]),
+                        gather(r, q[1]),
+                        gather(r, q[2]),
+                        gather(r, q[3]),
+                    ];
+                    let vs = [
+                        gather(s, q[0]),
+                        gather(s, q[1]),
+                        gather(s, q[2]),
+                        gather(s, q[3]),
+                    ];
+                    for i in 0..4 {
+                        accumulate(z, q[i], vr[i]);
+                        accumulate(y, q[i], vs[i]);
+                    }
+                }
+                for &e in quads.remainder() {
+                    accumulate(z, e, gather(r, e));
+                    accumulate(y, e, gather(s, e));
+                }
+            }
+        }
+    }
+
     /// XMM twin of [`encoder::CotPairLane`] (tile-major only): XMM block
     /// half, shift-probe bit half.
     struct XmmCotPairLane<'a> {
@@ -496,6 +629,25 @@ mod wide {
     ) {
         tiles.encode_with(&mut XmmBlockLane { input, acc }, |lane, rows| {
             finished(&lane.acc[rows])
+        });
+    }
+
+    /// # Safety
+    ///
+    /// Besides the target features: `r.len() == s.len() == tiles.cols()`
+    /// and `z.len() == y.len() == tiles.rows()` — the lane's bucket loop
+    /// indexes unchecked on the strength of it.
+    #[target_feature(enable = "avx2", enable = "bmi2")]
+    pub(super) unsafe fn encode_block_pair_tiled(
+        tiles: &TileSchedule,
+        r: &[Block],
+        s: &[Block],
+        z: &mut [Block],
+        y: &mut [Block],
+        mut finished: impl FnMut(&[Block]),
+    ) {
+        tiles.encode_with(&mut XmmBlockPairLane { r, s, z, y }, |lane, rows| {
+            finished(&lane.y[rows])
         });
     }
 
@@ -878,6 +1030,8 @@ mod tests {
         let s: Vec<Block> = (0..k as u128).map(|i| Block::from(i * 11 + 1)).collect();
         let e = PackedBits::from_bools(&(0..k).map(|i| i % 2 == 0).collect::<Vec<_>>());
         let mut y = vec![Block::ZERO; n];
+        let r: Vec<Block> = (0..k as u128).map(|i| Block::from(i * 13 + 5)).collect();
+        let mut z = vec![Block::ZERO; n];
         let mut x = PackedBits::zeros(n);
         let time = |label: &str, f: &mut dyn FnMut()| {
             let mut secs: Vec<f64> = (0..REPS)
@@ -903,6 +1057,10 @@ mod tests {
             time(&format!("{level:?} blocks tiled"), &mut || {
                 encode_blocks_tiled(level, tiles, &s, &mut y)
             });
+            time(
+                &format!("{level:?} block pair tiled (two vectors)"),
+                &mut || encode_block_pair_tiled_with(level, tiles, &r, &s, &mut z, &mut y, |_| {}),
+            );
             time(&format!("{level:?} packed row-major"), &mut || {
                 encode_bits_packed(level, &m, &e, &mut x)
             });
@@ -1009,20 +1167,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tiled_block_lane_matches_naive_at_every_unroll_remainder() {
-        // Geometries with a last partial row block and a last partial
-        // column tile, small enough that bucket lengths sweep every
-        // remainder of the lane's 4-entry unroll.
+    /// Tiled geometries `(rows, cols, weight, row_block, col_tile)` with a
+    /// last partial row block and a last partial column tile, small
+    /// enough that bucket lengths sweep every remainder of the block
+    /// lanes' 4-entry unroll: each matrix, its schedule, and every
+    /// bucket length seen (checked to cover `0..=9`).
+    fn unroll_geometries() -> Vec<(LpnMatrix, TileSchedule)> {
         use crate::tile::TileConfig;
         let mut bucket_lens = std::collections::BTreeSet::new();
-        for (rows, cols, weight, row_block, col_tile) in [
+        let cases: Vec<_> = [
             (10usize, 23usize, 3usize, 4usize, 5usize),
             (37, 19, 5, 7, 3),
             (9, 50, 9, 2, 16),
             (130, 70, 4, 64, 32),
             (5, 3, 1, 2, 2),
-        ] {
+        ]
+        .into_iter()
+        .map(|(rows, cols, weight, row_block, col_tile)| {
             let m = LpnMatrix::generate(rows, cols, weight, Block::from(rows as u128));
             let tiles = TileSchedule::build(
                 &m,
@@ -1032,18 +1193,85 @@ mod tests {
                 },
             );
             bucket_lens.extend(tiles.bucket_lens());
-            let s: Vec<Block> = (0..cols as u128).map(|i| Block::from(i * 77 + 3)).collect();
-            let dirty: Vec<Block> = (0..rows as u128).map(|i| Block::from(i * 5 + 1)).collect();
+            (m, tiles)
+        })
+        .collect();
+        for len in 0..=9 {
+            assert!(bucket_lens.contains(&len), "no bucket of {len} entries");
+        }
+        cases
+    }
+
+    /// `len` distinct blocks from `seed`.
+    fn blocks(seed: u128, len: usize) -> Vec<Block> {
+        (0..len as u128)
+            .map(|i| Block::from(i * 77 + seed))
+            .collect()
+    }
+
+    #[test]
+    fn tiled_block_lane_matches_naive_at_every_unroll_remainder() {
+        for (m, tiles) in unroll_geometries() {
+            let s = blocks(3, m.cols());
+            let dirty = blocks(1, m.rows());
             let mut y_ref = dirty.clone();
             encoder::encode_blocks(&m, &s, &mut y_ref);
             for &level in SimdLevel::available() {
                 let mut y = dirty.clone();
                 encode_blocks_tiled(level, &tiles, &s, &mut y);
-                assert_eq!(y, y_ref, "{level:?} {rows}x{cols} d={weight}");
+                assert_eq!(y, y_ref, "{level:?} {}x{}", m.rows(), m.cols());
             }
         }
-        for len in 0..=9 {
-            assert!(bucket_lens.contains(&len), "no bucket of {len} entries");
+    }
+
+    #[test]
+    fn tiled_block_pair_is_two_single_passes_at_every_unroll_remainder() {
+        // One replay for two vectors equals a one-vector pass per vector,
+        // onto dirty accumulators, on every tier; `finished` hands over
+        // the second accumulator's final rows, ascending, once each.
+        for (m, tiles) in unroll_geometries() {
+            let (r, s) = (blocks(3, m.cols()), blocks(5, m.cols()));
+            let (dirty_z, dirty_y) = (blocks(1, m.rows()), blocks(2, m.rows()));
+            for &level in SimdLevel::available() {
+                let what = format!("{level:?} {}x{}", m.rows(), m.cols());
+                let (mut z_ref, mut y_ref) = (dirty_z.clone(), dirty_y.clone());
+                encode_blocks_tiled(level, &tiles, &r, &mut z_ref);
+                encode_blocks_tiled(level, &tiles, &s, &mut y_ref);
+                let (mut z, mut y) = (dirty_z.clone(), dirty_y.clone());
+                let mut seen = Vec::new();
+                encode_block_pair_tiled_with(level, &tiles, &r, &s, &mut z, &mut y, |rows| {
+                    seen.extend_from_slice(rows)
+                });
+                assert_eq!(z, z_ref, "{what}: first accumulator");
+                assert_eq!(y, y_ref, "{what}: second accumulator");
+                assert_eq!(seen, y_ref, "{what}: finished rows");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "second input length")]
+    fn tiled_block_pair_checks_both_inputs() {
+        let (m, tiles) = unroll_geometries().swap_remove(0);
+        let r = blocks(3, m.cols());
+        let (mut z, mut y) = (blocks(1, m.rows()), blocks(2, m.rows()));
+        encode_block_pair_tiled_with(
+            SimdLevel::detect(),
+            &tiles,
+            &r,
+            &r[1..],
+            &mut z,
+            &mut y,
+            |_| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "second accumulator length")]
+    fn tiled_block_pair_checks_both_accumulators() {
+        let (m, tiles) = unroll_geometries().swap_remove(0);
+        let r = blocks(3, m.cols());
+        let (mut z, mut y) = (blocks(1, m.rows()), blocks(2, m.rows() - 1));
+        encode_block_pair_tiled_with(SimdLevel::detect(), &tiles, &r, &r, &mut z, &mut y, |_| {});
     }
 }

@@ -1,8 +1,8 @@
 //! Kernel-equivalence properties: every LPN kernel variant — row-major
 //! naive, cache-blocked tiled (arbitrary geometries), packed bits, and
-//! the whole [`ironman_lpn::simd`] dispatch layer (including
-//! the gather bit pass, the per-row-block hand-off and the split and
-//! fused pairs the benchmark harness still probes) at
+//! the whole [`ironman_lpn::simd`] dispatch layer (including the gather
+//! bit pass, the per-row-block hand-off, the two-vector block pass, and
+//! the split and fused pairs the benchmark harness still probes) at
 //! every runtime-available SIMD level (scalar always; AVX2/BMI2 where
 //! the host has it) — computes the same GF(2)/GF(2^128) product, onto
 //! dirty accumulators, across matrix shapes including the `toy()` and
@@ -93,6 +93,19 @@ fn assert_all_kernels_equal(m: &LpnMatrix, tile_cfg: TileConfig, seed: u64) {
         });
         assert_eq!(y, y_ref, "simd tiled blocks, row-block hook ({level:?})");
         assert_eq!(handed, y_ref, "finished row blocks ({level:?})");
+
+        // Two vectors in one replay: the first against its own pass.
+        let r = blocks_from(seed ^ 4, k);
+        let mut z_ref = dirty_blocks.clone();
+        encoder::encode_blocks(m, &r, &mut z_ref);
+        let (mut z, mut y) = (dirty_blocks.clone(), dirty_blocks.clone());
+        let mut handed = Vec::new();
+        simd::encode_block_pair_tiled_with(level, &tiles, &r, &s, &mut z, &mut y, |rows| {
+            handed.extend_from_slice(rows)
+        });
+        assert_eq!(z, z_ref, "simd tiled block pair, first ({level:?})");
+        assert_eq!(y, y_ref, "simd tiled block pair, second ({level:?})");
+        assert_eq!(handed, y_ref, "block pair's finished rows ({level:?})");
 
         let mut y = dirty_blocks.clone();
         let mut x = PackedBits::from_bools(&dirty_bits);

@@ -363,7 +363,7 @@ pub struct CotServiceConfig {
     /// Seed for the per-shard FERRET sessions.
     pub seed: u64,
     /// Pipelined supply (the default): each shard keeps one persistent
-    /// FERRET session extending ahead of demand on background threads,
+    /// FERRET session extending ahead of demand on its own thread,
     /// with a fixed per-shard `Δ` and remnant-merging refills, so a
     /// request under the shard lock is a cursor bump — never a session
     /// bootstrap. `false` restores the PR-1 shape (a fresh session per

@@ -4,109 +4,118 @@
 //! `(r0, r1 = r0 ⊕ Δ)` / `(b, r_b)` is derandomized to the receiver's real
 //! choice `c` (one bit of communication) and the messages are masked with
 //! the correlation-robust hash. One base COT is consumed per OT.
+//!
+//! The protocol is three local steps — the receiver's [`flips`], the
+//! sender's [`answer`], the receiver's [`finish`] — with one message
+//! between each: the flips one way, the answer's payload the other.
+//! [`crate::spcot_batch`] runs a batch of them per extension.
 
-use crate::channel::{ChannelError, Transport};
+use crate::channel::ChannelError;
 use crate::cot::{CotReceiver, CotSender};
 use ironman_prg::{Block, Crhf};
 
-/// Sends chosen messages `(m0, m1)` for a batch of OTs, consuming
-/// `pairs.len()` COT correlations from `base`.
-///
-/// Protocol: the receiver reveals `d = c ⊕ b`; the sender transmits
-/// `y_j = m_j ⊕ H(idx, r_{j ⊕ d})`; the receiver unmasks `y_c` with
-/// `H(idx, r_b)` since `r_b = r_{c ⊕ d}`.
-///
-/// # Errors
-///
-/// Propagates channel failures, and returns [`ChannelError::Malformed`]
-/// if the receiver's flip vector is not `pairs.len()` bits long.
+/// The receiver's first half: the flips `d = c ⊕ b` it reveals, one per
+/// choice, from the `choices.len()` correlations in `base`.
 ///
 /// # Panics
 ///
-/// Panics if `base` holds fewer than `pairs.len()` correlations.
-pub fn send_chosen<T: Transport + ?Sized>(
-    ch: &mut T,
-    base: &mut CotSender,
+/// Panics unless `base` holds exactly `choices.len()` correlations.
+pub fn flips(base: &CotReceiver, choices: &[bool]) -> Vec<bool> {
+    assert_eq!(base.len(), choices.len(), "one base COT per chosen OT");
+    choices
+        .iter()
+        .zip(base.bits())
+        .map(|(&c, &b)| c ^ b)
+        .collect()
+}
+
+/// The sender's answer to the receiver's `flips`: for OT `i`,
+/// `y_j = m_j ⊕ H(tweak_base + i, r_{j ⊕ d})`, two blocks per OT, from
+/// the `pairs.len()` correlations in `base`.
+///
+/// # Errors
+///
+/// [`ChannelError::Malformed`] if `flips` is not one bit per pair.
+///
+/// # Panics
+///
+/// Panics unless `base` holds exactly `pairs.len()` correlations.
+pub fn answer(
+    base: &CotSender,
     pairs: &[(Block, Block)],
+    flips: &[bool],
     tweak_base: u64,
-) -> Result<(), ChannelError> {
-    let batch = base.split_off_front(pairs.len());
-    let crhf = Crhf::new();
-    let flips = ch.recv_bits()?;
+) -> Result<Vec<Block>, ChannelError> {
+    assert_eq!(base.len(), pairs.len(), "one base COT per chosen OT");
     if flips.len() != pairs.len() {
         return Err(ChannelError::Malformed {
             expected: 8 + pairs.len().div_ceil(8),
             actual: 8 + flips.len().div_ceil(8),
         });
     }
+    let crhf = Crhf::new();
     let mut payload = Vec::with_capacity(2 * pairs.len());
-    for (i, (&(m0, m1), &d)) in pairs.iter().zip(flips.iter()).enumerate() {
-        let (r0, r1) = batch.pair(i);
+    for (i, (&(m0, m1), &d)) in pairs.iter().zip(flips).enumerate() {
+        let (r0, r1) = base.pair(i);
         let (pad0, pad1) = if d { (r1, r0) } else { (r0, r1) };
         payload.push(m0 ^ crhf.hash(tweak_base + i as u64, pad0));
         payload.push(m1 ^ crhf.hash(tweak_base + i as u64, pad1));
     }
-    ch.send_blocks(&payload)
+    Ok(payload)
 }
 
-/// Receives the chosen message for each OT in the batch, consuming
-/// `choices.len()` COT correlations from `base`.
+/// The receiver's second half: unmasks `y_c` of each OT with
+/// `H(tweak_base + i, r_b)`, since `r_b = r_{c ⊕ d}`. `base` and
+/// `choices` are those [`flips`] was given.
 ///
 /// # Errors
 ///
-/// Propagates channel failures, and returns [`ChannelError::Malformed`]
-/// if the sender's payload is not two blocks per choice.
+/// [`ChannelError::Malformed`] if `payload` is not two blocks per choice.
 ///
 /// # Panics
 ///
-/// Panics if `base` holds fewer than `choices.len()` correlations.
-pub fn recv_chosen<T: Transport + ?Sized>(
-    ch: &mut T,
-    base: &mut CotReceiver,
+/// Panics unless `base` holds exactly `choices.len()` correlations.
+pub fn finish(
+    base: &CotReceiver,
     choices: &[bool],
+    payload: &[Block],
     tweak_base: u64,
 ) -> Result<Vec<Block>, ChannelError> {
-    let batch = base.split_off_front(choices.len());
-    let crhf = Crhf::new();
-    let flips: Vec<bool> = choices
-        .iter()
-        .zip(batch.bits())
-        .map(|(&c, &b)| c ^ b)
-        .collect();
-    ch.send_bits(&flips)?;
-    let payload = ch.recv_blocks()?;
+    assert_eq!(base.len(), choices.len(), "one base COT per chosen OT");
     if payload.len() != 2 * choices.len() {
         return Err(ChannelError::Malformed {
             expected: 32 * choices.len(),
             actual: 16 * payload.len(),
         });
     }
+    let crhf = Crhf::new();
     Ok(choices
         .iter()
         .enumerate()
-        .map(|(i, &c)| {
-            let y = payload[2 * i + c as usize];
-            y ^ crhf.hash(tweak_base + i as u64, batch.rb()[i])
-        })
+        .map(|(i, &c)| payload[2 * i + c as usize] ^ crhf.hash(tweak_base + i as u64, base.rb()[i]))
         .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::run_protocol;
     use crate::dealer::Dealer;
 
-    fn run_batch(choices: Vec<bool>, pairs: Vec<(Block, Block)>) -> Vec<Block> {
-        let mut dealer = Dealer::new(42);
+    /// The dealt halves of `n` correlations.
+    fn bases(seed: u64, n: usize) -> (CotSender, CotReceiver) {
+        let mut dealer = Dealer::new(seed);
         let delta = dealer.random_delta();
-        let (mut s_base, mut r_base) = dealer.deal_cot(delta, choices.len());
-        let pairs2 = pairs.clone();
-        let (_, received, _, _) = run_protocol(
-            move |ch| send_chosen(ch, &mut s_base, &pairs2, 0).unwrap(),
-            move |ch| recv_chosen(ch, &mut r_base, &choices, 0).unwrap(),
-        );
-        received
+        dealer.deal_cot(delta, n)
+    }
+
+    /// The three steps, end to end: what the receiver gets.
+    fn run_batch(choices: Vec<bool>, pairs: Vec<(Block, Block)>) -> Vec<Block> {
+        let (s_base, r_base) = bases(42, choices.len());
+        let flips = flips(&r_base, &choices);
+        assert_eq!(flips.len(), choices.len(), "one flip bit per OT");
+        let payload = answer(&s_base, &pairs, &flips, 0).unwrap();
+        assert_eq!(payload.len(), 2 * pairs.len(), "two blocks per OT");
+        finish(&r_base, &choices, &payload, 0).unwrap()
     }
 
     #[test]
@@ -145,33 +154,17 @@ mod tests {
     #[test]
     fn a_short_flip_vector_is_malformed() {
         // The flips come from the peer: one too few is an error, not a panic.
-        let mut dealer = Dealer::new(5);
-        let delta = dealer.random_delta();
-        let (mut s_base, _) = dealer.deal_cot(delta, 4);
+        let (s_base, _) = bases(5, 4);
         let pairs = vec![(Block::ZERO, Block::ZERO); 4];
-        let (sent, (), _, _) = run_protocol(
-            move |ch| send_chosen(ch, &mut s_base, &pairs, 0),
-            |ch| ch.send_bits(&[false; 3]).unwrap(),
-        );
-        assert!(matches!(sent, Err(ChannelError::Malformed { .. })));
+        let got = answer(&s_base, &pairs, &[false; 3], 0);
+        assert!(matches!(got, Err(ChannelError::Malformed { .. })));
     }
 
     #[test]
-    fn communication_cost_is_two_blocks_per_ot() {
-        let mut dealer = Dealer::new(9);
-        let delta = dealer.random_delta();
-        let n = 16;
-        let (mut s_base, mut r_base) = dealer.deal_cot(delta, n);
-        let pairs: Vec<(Block, Block)> = (0..n as u128)
-            .map(|i| (Block::from(i), Block::from(i + 100)))
-            .collect();
-        let choices = vec![true; n];
-        let (_, _, s_stats, r_stats) = run_protocol(
-            move |ch| send_chosen(ch, &mut s_base, &pairs, 0).unwrap(),
-            move |ch| recv_chosen(ch, &mut r_base, &choices, 0).unwrap(),
-        );
-        assert_eq!(s_stats.bytes_sent, 2 * 16 * n as u64);
-        // Receiver sends n flip bits (packed) + 8-byte length header.
-        assert_eq!(r_stats.bytes_sent, (n as u64).div_ceil(8) + 8);
+    fn a_short_payload_is_malformed() {
+        // So does the answer: one block short is an error, not a panic.
+        let (_, r_base) = bases(6, 4);
+        let got = finish(&r_base, &[true; 4], &[Block::ZERO; 7], 0);
+        assert!(matches!(got, Err(ChannelError::Malformed { .. })));
     }
 }

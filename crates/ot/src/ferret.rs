@@ -29,6 +29,15 @@
 //!    out). Every output row is an equally valid COT, so which end
 //!    bootstraps is a free choice both parties must merely agree on.
 //!
+//! An extension is channel-free steps: the receiver's
+//! [`FerretReceiver::flips`], the sender's [`FerretSender::answer`], the
+//! receiver's [`FerretReceiver::finish`], then each party's LPN phase and
+//! bootstrap. [`FerretSender::extend`] and [`FerretReceiver::extend`] run
+//! one party's steps over a [`Transport`] (two parties, two threads or two
+//! hosts); one thread holding both parties — a
+//! [`crate::session::CotSession`] — runs the steps back to back and both
+//! LPN phases as one pass over the shared matrix (`encode_both`).
+//!
 //! Outputs for a given seed are specific to this revision of the protocol
 //! (which end bootstraps, the bit-0 lane, the dealer's draw order):
 //! compare kernels and tiers against each other, not against fixtures
@@ -39,7 +48,7 @@ use crate::cot::{CotBatch, CotReceiver, CotSender};
 use crate::dealer::Dealer;
 use crate::params::FerretParams;
 use crate::spcot::SpcotConfig;
-use crate::spcot_batch::{spcot_batch_recv_into, spcot_batch_send_into};
+use crate::spcot_batch::{self, SpcotAnswer};
 use ironman_ggm::Arity;
 use ironman_lpn::{
     simd, LpnMatrix, SimdLevel, SimdMode, TileConfig, TileSchedule, DEFAULT_ROW_WEIGHT,
@@ -185,7 +194,12 @@ impl FerretConfig {
     /// Base COTs each party must hold before an extension:
     /// `k` LPN inputs + `t · log2(ℓ)` SPCOT consumptions.
     pub fn base_cots_required(&self) -> usize {
-        self.params.k + self.params.t * self.params.leaves.trailing_zeros() as usize
+        self.params.k + self.spcot_cots()
+    }
+
+    /// Base COTs an extension's SPCOT consumes: `t · log2(ℓ)`.
+    fn spcot_cots(&self) -> usize {
+        self.params.t * self.params.leaves.trailing_zeros() as usize
     }
 
     /// Outputs available to the application per extension.
@@ -205,8 +219,8 @@ impl FerretConfig {
     /// Prebuilds the shared LPN matrix for this config if not already
     /// present, returning a cheap handle to it. Pools call this **once**
     /// before cloning the config across parties and shards, so N shards
-    /// (2N party threads) generate one matrix instead of 2N — the
-    /// dominant spawn cost at Table-4 scale.
+    /// (2N parties) generate one matrix instead of 2N — the dominant
+    /// spawn cost at Table-4 scale.
     pub fn ensure_shared_matrix(&mut self) -> &SharedLpnMatrix {
         if self.shared_matrix.is_none() {
             self.shared_matrix = Some(SharedLpnMatrix::build(self));
@@ -309,8 +323,8 @@ impl SharedLpnMatrix {
     }
 }
 
-/// The session's matrix storage, shared freely across party threads and
-/// shards (immutable after generation): the one form the session's kernel
+/// The session's matrix storage, shared freely across parties, threads
+/// and shards (immutable after generation): the one form the session's kernel
 /// reads.
 #[derive(Clone, Debug)]
 enum MatrixRepr {
@@ -349,6 +363,29 @@ impl SessionMatrix {
             }
         }
     }
+
+    /// Both parties' LPN phase: `z ^= r·A` and `y ^= s·A`, `finished`
+    /// handed `y`'s rows as in [`SessionMatrix::encode_blocks`]. The tiled
+    /// path replays the schedule once for both; the row-major one (toy
+    /// scale, cache-resident) makes one pass each.
+    fn encode_pair(
+        &self,
+        r: &[Block],
+        s: &[Block],
+        z: &mut [Block],
+        y: &mut [Block],
+        finished: impl FnMut(&[Block]),
+    ) {
+        match &self.repr {
+            MatrixRepr::RowMajor(_) => {
+                self.encode_blocks(r, z, |_| {});
+                self.encode_blocks(s, y, finished);
+            }
+            MatrixRepr::Tiled(t) => {
+                simd::encode_block_pair_tiled_with(self.level, t, r, s, z, y, finished)
+            }
+        }
+    }
 }
 
 /// Adds one tree's SPCOT leaves to the LPN accumulator stripe at `start`
@@ -376,6 +413,22 @@ fn fold_leaves(acc: &mut Vec<Block>, start: usize, leaves: &[Block]) {
     }
 }
 
+/// Tree `i`'s stripe of the length-`n` accumulator, its first row and
+/// width: stripes are assigned round-robin, and the last may be narrower
+/// than a tree.
+fn stripe(p: FerretParams, i: usize) -> (usize, usize) {
+    let start = (i % p.stripes()) * p.leaves;
+    (start, p.leaves.min(p.n - start))
+}
+
+/// Hands the application's choice bits off finished rows of the
+/// receiver's accumulator: bit 0 of each, up to `usable` in all (the
+/// rest are the next base and stay blocks).
+fn read_off_choice_bits(x: &mut Vec<bool>, usable: usize, rows: &[Block]) {
+    let wanted = usable - x.len();
+    x.extend(rows.iter().take(wanted).map(|r| r.lsb()));
+}
+
 /// The sender's long-lived extension state.
 #[derive(Debug)]
 pub struct FerretSender {
@@ -385,6 +438,9 @@ pub struct FerretSender {
     seeds: Dealer,
     tweak: u64,
     prg_counter: PrgCounter,
+    /// The extension in flight's `w` accumulator, from
+    /// [`FerretSender::answer`] to its LPN phase.
+    w: Option<Vec<Block>>,
 }
 
 impl FerretSender {
@@ -417,6 +473,7 @@ impl FerretSender {
             seeds: Dealer::new(seed ^ 0x5e4d),
             tweak: 0,
             prg_counter: PrgCounter::new(),
+            w: None,
         }
     }
 
@@ -430,8 +487,73 @@ impl FerretSender {
         self.prg_counter
     }
 
-    /// Runs one extension, returning the application's `n − k − t·log2(ℓ)`
-    /// fresh `r0` blocks (new correlations under the same `Δ`).
+    /// The sender's SPCOT step of an extension: answers the receiver's
+    /// [`FerretReceiver::flips`], consuming the `t·log2(ℓ)` SPCOT base
+    /// correlations, and fills its `w` accumulator (stripes assigned
+    /// round-robin; each tree's leaves fold straight into its stripe, no
+    /// per-tree leaf vectors, no zero-fill first). The extension ends with
+    /// the LPN phase: [`FerretSender::extend`]'s, or the session's joint
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// [`ChannelError::Malformed`] if `flips` does not cover every OT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the previous extension's LPN phase has not run.
+    pub fn answer(&mut self, flips: &[bool]) -> Result<SpcotAnswer, ChannelError> {
+        assert!(self.w.is_none(), "the previous extension is unfinished");
+        let p = self.cfg.params;
+        // The SPCOT's correlations are the front of the base; the rest,
+        // the k LPN inputs, are read in place by the LPN phase.
+        let spcot_base = CotSender::new(
+            self.delta(),
+            self.base.r0()[..self.cfg.spcot_cots()].to_vec(),
+        );
+        let mut w = Vec::with_capacity(p.n);
+        let seeds: Vec<Block> = (0..p.t).map(|_| self.seeds.random_block()).collect();
+        let prg_counter = &mut self.prg_counter;
+        let answer = spcot_batch::answer(
+            &self.cfg.spcot_config(),
+            &spcot_base,
+            &seeds,
+            flips,
+            &mut self.tweak,
+            |i, leaves, counter| {
+                *prg_counter += counter;
+                let (start, width) = stripe(p, i);
+                fold_leaves(&mut w, start, &leaves[..width]);
+            },
+        )?;
+        w.resize(p.n, Block::ZERO);
+        self.w = Some(w);
+        Ok(answer)
+    }
+
+    /// The answered extension's `w` accumulator, for its LPN phase.
+    fn take_w(&mut self) -> Vec<Block> {
+        self.w.take().expect("the extension was answered")
+    }
+
+    /// The LPN input `r`: the base past the SPCOT's correlations.
+    fn lpn_input(&self) -> &[Block] {
+        &self.base.r0()[self.cfg.spcot_cots()..]
+    }
+
+    /// Bootstrap: retains the tail of `z` as the next iteration's base;
+    /// `z` itself, truncated, is the application's output (no copy of
+    /// the large half).
+    fn bootstrap(&mut self, mut z: Vec<Block>) -> Vec<Block> {
+        let base = z.split_off(self.cfg.usable_outputs());
+        self.base = CotSender::new(self.base.delta(), base);
+        z
+    }
+
+    /// Runs one extension over `ch`, returning the application's
+    /// `n − k − t·log2(ℓ)` fresh `r0` blocks (new correlations under the
+    /// same `Δ`): receives the flips, sends the [`FerretSender::answer`],
+    /// then runs the LPN phase `z = r·A ⊕ w` and the bootstrap.
     ///
     /// # Errors
     ///
@@ -440,47 +562,22 @@ impl FerretSender {
         &mut self,
         ch: &mut T,
     ) -> Result<Vec<Block>, ChannelError> {
-        let p = self.cfg.params;
-        let spcot_cfg = self.cfg.spcot_config();
-        let spcot_budget = p.t * p.leaves.trailing_zeros() as usize;
-        let mut spcot_base = self.base.split_off_front(spcot_budget);
-        // What remains in self.base are the k LPN inputs, borrowed
-        // directly at encode time (no staging copy).
-        debug_assert_eq!(self.base.len(), p.k);
-
-        // SPCOT phase: t trees, stripes assigned round-robin; each
-        // tree's leaves accumulate straight into the LPN accumulator
-        // stripe (no per-tree leaf vectors, no zero-fill first).
-        let stripes = p.stripes();
-        let mut w_full = Vec::with_capacity(p.n);
-        let seeds: Vec<Block> = (0..p.t).map(|_| self.seeds.random_block()).collect();
-        let prg_counter = &mut self.prg_counter;
-        spcot_batch_send_into(
-            ch,
-            &spcot_cfg,
-            &mut spcot_base,
-            &seeds,
-            &mut self.tweak,
-            |i, leaves, counter| {
-                *prg_counter += counter;
-                let start = (i % stripes) * p.leaves;
-                let width = p.leaves.min(p.n - start);
-                fold_leaves(&mut w_full, start, &leaves[..width]);
-            },
-        )?;
-        w_full.resize(p.n, Block::ZERO);
-
-        // LPN phase: z = r·A ⊕ w.
-        let mut z = w_full;
-        self.matrix.encode_blocks(self.base.r0(), &mut z, |_| {});
-
-        // Bootstrap: retain the tail as next iteration's base; `z`
-        // itself, truncated, is the application's output (no copy of the
-        // large half).
-        let base = z.split_off(p.n - self.cfg.base_cots_required());
-        self.base = CotSender::new(self.base.delta(), base);
-        Ok(z)
+        let flips = ch.recv_bits()?;
+        self.answer(&flips)?.send(ch)?;
+        let mut z = self.take_w();
+        self.matrix.encode_blocks(self.lpn_input(), &mut z, |_| {});
+        Ok(self.bootstrap(z))
     }
+}
+
+/// The receiver's extension in flight, from [`FerretReceiver::flips`] to
+/// [`FerretReceiver::finish`].
+#[derive(Debug)]
+struct Punctures {
+    /// Each tree's punctured position.
+    alphas: Vec<usize>,
+    /// The SPCOT base correlations the flips were made from.
+    base: CotReceiver,
 }
 
 /// The receiver's long-lived extension state. Its base correlations are
@@ -495,11 +592,11 @@ pub struct FerretReceiver {
     alphas: Dealer,
     tweak: u64,
     prg_counter: PrgCounter,
-    /// `(SPCOT, LPN)` nanoseconds of the most recent extension — the
-    /// per-phase split the session trace surfaces (zeros under the
-    /// telemetry `noop` feature, where the stopwatch never reads the
-    /// clock).
-    last_phase_nanos: (u64, u64),
+    /// Between [`FerretReceiver::flips`] and [`FerretReceiver::finish`].
+    punctures: Option<Punctures>,
+    /// The extension in flight's `v` accumulator, from
+    /// [`FerretReceiver::finish`] to its LPN phase.
+    v: Option<Vec<Block>>,
 }
 
 impl FerretReceiver {
@@ -530,7 +627,8 @@ impl FerretReceiver {
             alphas: Dealer::new(seed ^ 0xa1fa),
             tweak: 0,
             prg_counter: PrgCounter::new(),
-            last_phase_nanos: (0, 0),
+            punctures: None,
+            v: None,
         }
     }
 
@@ -539,16 +637,91 @@ impl FerretReceiver {
         self.prg_counter
     }
 
-    /// `(SPCOT, LPN)` nanoseconds of the most recent
-    /// [`FerretReceiver::extend`] — the phase split behind the paper's
-    /// Fig. 1c-style latency breakdowns. Zeros before the first
-    /// extension and under the telemetry `noop` feature.
-    pub fn last_phase_nanos(&self) -> (u64, u64) {
-        self.last_phase_nanos
+    /// The receiver's first step of an extension: draws each tree's
+    /// punctured position `α` and returns the flip vector of every
+    /// SPCOT OT, made from the first `t·log2(ℓ)` base correlations (their
+    /// choice bits read back from bit 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the previous extension is unfinished.
+    pub fn flips(&mut self) -> Vec<bool> {
+        assert!(
+            self.punctures.is_none() && self.v.is_none(),
+            "the previous extension is unfinished"
+        );
+        let p = self.cfg.params;
+        let spcot_rb = self.base_rb[..self.cfg.spcot_cots()].to_vec();
+        let spcot_bits = spcot_rb.iter().map(|r| r.lsb()).collect();
+        let base = CotReceiver::new(spcot_bits, spcot_rb);
+        let alphas: Vec<usize> = (0..p.t)
+            .map(|i| self.alphas.random_index(stripe(p, i).1))
+            .collect();
+        let flips = spcot_batch::flips(&self.cfg.spcot_config(), &base, &alphas);
+        self.punctures = Some(Punctures { alphas, base });
+        flips
     }
 
-    /// Runs one extension, returning the application's fresh `(x, y)`
-    /// correlations: `z = y ⊕ x·Δ` against the sender's output.
+    /// The receiver's last SPCOT step: recovers every tree from the
+    /// sender's [`FerretSender::answer`] into its `v` accumulator — each
+    /// tree's leaves fold straight into its stripe and its one-hot noise
+    /// bit lands in bit 0 at `α`. The extension ends with the LPN phase:
+    /// [`FerretReceiver::extend`]'s, or the session's joint one.
+    ///
+    /// # Errors
+    ///
+    /// [`ChannelError::Malformed`] if `answer` holds the wrong number of
+    /// blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`FerretReceiver::flips`] came first.
+    pub fn finish(&mut self, answer: &SpcotAnswer) -> Result<(), ChannelError> {
+        let Punctures { alphas, base } = self.punctures.take().expect("flips come first");
+        let p = self.cfg.params;
+        let mut v = Vec::with_capacity(p.n);
+        let prg_counter = &mut self.prg_counter;
+        spcot_batch::finish(
+            &self.cfg.spcot_config(),
+            &base,
+            &alphas,
+            answer,
+            &mut self.tweak,
+            |i, alpha, leaves, counter| {
+                *prg_counter += counter;
+                let (start, width) = stripe(p, i);
+                fold_leaves(&mut v, start, &leaves[..width]);
+                v[start + alpha] ^= Block::from(1u128);
+            },
+        )?;
+        v.resize(p.n, Block::ZERO);
+        self.v = Some(v);
+        Ok(())
+    }
+
+    /// The finished SPCOT step's `v` accumulator, for its LPN phase.
+    fn take_v(&mut self) -> Vec<Block> {
+        self.v.take().expect("the SPCOT step finished")
+    }
+
+    /// The LPN input `s`: the base past the SPCOT's correlations.
+    fn lpn_input(&self) -> &[Block] {
+        &self.base_rb[self.cfg.spcot_cots()..]
+    }
+
+    /// Bootstrap: the tail of `y` is the next base; `y` itself,
+    /// truncated, is the block output.
+    fn bootstrap(&mut self, mut y: Vec<Block>) -> Vec<Block> {
+        self.base_rb = y.split_off(self.cfg.usable_outputs());
+        y
+    }
+
+    /// Runs one extension over `ch`, returning the application's fresh
+    /// `(x, y)` correlations (`z = y ⊕ x·Δ` against the sender's output):
+    /// sends the [`FerretReceiver::flips`], [`FerretReceiver::finish`]es
+    /// on the answer, then runs the LPN phase `y = s·A ⊕ v` — the
+    /// sender's pass — reading `x`, bit 0 of `y`, off each row block as
+    /// it finishes, and the bootstrap.
     ///
     /// # Errors
     ///
@@ -557,64 +730,49 @@ impl FerretReceiver {
         &mut self,
         ch: &mut T,
     ) -> Result<(Vec<bool>, Vec<Block>), ChannelError> {
-        let p = self.cfg.params;
-        let spcot_cfg = self.cfg.spcot_config();
-        let spcot_budget = p.t * p.leaves.trailing_zeros() as usize;
-        // SPCOT consumes the first `budget` base correlations, its choice
-        // bits read back from bit 0; the remaining k are the LPN input.
-        let spcot_rb = self.base_rb[..spcot_budget].to_vec();
-        let spcot_bits = spcot_rb.iter().map(|r| r.lsb()).collect();
-        let mut spcot_base = CotReceiver::new(spcot_bits, spcot_rb);
-
-        // SPCOT phase: each tree's leaves fold straight into the y
-        // accumulator stripe (no per-tree vectors, no zero-fill first)
-        // and its one-hot noise bit lands in bit 0 at α.
-        let stripes = p.stripes();
-        let spcot_watch = ironman_telemetry::Stopwatch::start();
-        let mut y = Vec::with_capacity(p.n);
-        let stripe_width = |i: usize| {
-            let start = (i % stripes) * p.leaves;
-            (start, p.leaves.min(p.n - start))
-        };
-        let mut fold_tree = |i: usize, alpha: usize, leaves: &[Block]| {
-            let (start, width) = stripe_width(i);
-            fold_leaves(&mut y, start, &leaves[..width]);
-            y[start + alpha] ^= Block::from(1u128);
-        };
-        let alphas: Vec<usize> = (0..p.t)
-            .map(|i| self.alphas.random_index(stripe_width(i).1))
-            .collect();
-        let prg_counter = &mut self.prg_counter;
-        spcot_batch_recv_into(
-            ch,
-            &spcot_cfg,
-            &mut spcot_base,
-            &alphas,
-            &mut self.tweak,
-            |i, alpha, leaves, counter| {
-                *prg_counter += counter;
-                fold_tree(i, alpha, leaves);
-            },
-        )?;
-        y.resize(p.n, Block::ZERO);
-        let spcot_nanos = spcot_watch.elapsed_nanos();
-
-        // LPN phase: y = s·A ⊕ v — the sender's pass — and x, bit 0 of
-        // y, read off each row block as it finishes. The last
-        // `k + t·log2(ℓ)` rows are the next base and stay blocks.
-        let lpn_watch = ironman_telemetry::Stopwatch::start();
-        let usable = p.n - self.cfg.base_cots_required();
+        ch.send_bits(&self.flips())?;
+        self.finish(&SpcotAnswer::recv(ch)?)?;
+        let usable = self.cfg.usable_outputs();
+        let mut y = self.take_v();
         let mut x = Vec::with_capacity(usable);
-        self.matrix
-            .encode_blocks(&self.base_rb[spcot_budget..], &mut y, |rows| {
-                let wanted = usable - x.len();
-                x.extend(rows.iter().take(wanted).map(|r| r.lsb()));
-            });
-        self.last_phase_nanos = (spcot_nanos, lpn_watch.elapsed_nanos());
+        self.matrix.encode_blocks(self.lpn_input(), &mut y, |rows| {
+            read_off_choice_bits(&mut x, usable, rows)
+        });
+        Ok((x, self.bootstrap(y)))
+    }
+}
 
-        // Bootstrap: `y` itself, truncated, is the block output.
-        self.base_rb = y.split_off(usable);
-        Ok((x, y))
+/// Both parties' LPN phase of an extension that one thread ran through
+/// [`FerretReceiver::flips`], [`FerretSender::answer`] and
+/// [`FerretReceiver::finish`]: `z = r·A ⊕ w` and `y = s·A ⊕ v` as one
+/// pass over the matrix (one read of the tile schedule, not one per
+/// party), `x` read off `y` per finished row block, then both
+/// bootstraps. Only the public index stream is shared: each output
+/// depends on its own party's inputs alone, exactly as in
+/// [`FerretSender::extend`] and [`FerretReceiver::extend`]. The pass
+/// runs on the sender's copy of the matrix, which is the receiver's:
+/// [`crate::session::CotSession`] builds both parties from one config
+/// carrying its shared matrix.
+///
+/// # Panics
+///
+/// Panics unless both parties finished their SPCOT step.
+pub(crate) fn encode_both(sender: &mut FerretSender, receiver: &mut FerretReceiver) -> CotBatch {
+    let usable = receiver.cfg.usable_outputs();
+    let (mut z, mut y) = (sender.take_w(), receiver.take_v());
+    let mut x = Vec::with_capacity(usable);
+    sender.matrix.encode_pair(
+        sender.lpn_input(),
+        receiver.lpn_input(),
+        &mut z,
+        &mut y,
+        |rows| read_off_choice_bits(&mut x, usable, rows),
+    );
+    CotBatch {
+        delta: sender.delta(),
+        z: sender.bootstrap(z),
+        x,
+        y: receiver.bootstrap(y),
     }
 }
 

@@ -88,7 +88,8 @@ impl BitColumns {
 ///
 /// # Errors
 ///
-/// Propagates channel failures.
+/// Propagates channel failures, and returns [`ChannelError::Malformed`]
+/// if a column message is not `8·⌈n/64⌉` bytes long.
 pub fn iknp_send<T: Transport + ?Sized>(
     ch: &mut T,
     delta: Block,
@@ -99,12 +100,19 @@ pub fn iknp_send<T: Transport + ?Sized>(
     for (c, &seed) in base_seeds.iter().enumerate() {
         q.fill_from_seed(c, seed);
     }
-    // Receive the masked columns and fold them in where Δ_i = 1.
+    // Receive the masked columns and fold them in where Δ_i = 1. Every
+    // column comes from the peer, so its length is checked, not trusted.
     let delta_bits = u128::from(delta);
+    let words_per_col = q.words_per_col;
     for c in 0..128 {
         let u_bytes = ch.recv_bytes()?;
+        if u_bytes.len() != 8 * words_per_col {
+            return Err(ChannelError::Malformed {
+                expected: 8 * words_per_col,
+                actual: u_bytes.len(),
+            });
+        }
         if (delta_bits >> c) & 1 == 1 {
-            let words_per_col = q.words_per_col;
             let col = q.col_mut(c);
             for w in 0..words_per_col {
                 let mut word = [0u8; 8];
@@ -206,6 +214,22 @@ mod tests {
             },
         );
         (s, r, bytes)
+    }
+
+    #[test]
+    fn a_short_column_is_malformed() {
+        // The columns come from the peer (a TCP client, say): one byte
+        // short is an error, not a panic. Dealt deltas are odd, so
+        // column 0 is one the sender folds in.
+        let n = 256;
+        let mut dealer = Dealer::new(7);
+        let delta = dealer.random_delta();
+        let (sender_seeds, _) = setup_base(&mut dealer, delta);
+        let (sent, (), _, _) = run_protocol(
+            move |ch| iknp_send(ch, delta, &sender_seeds, n).map(|_| ()),
+            |ch| ch.send_bytes(vec![0; n / 8 - 1]).unwrap(),
+        );
+        assert!(matches!(sent, Err(ChannelError::Malformed { .. })));
     }
 
     #[test]

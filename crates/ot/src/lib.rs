@@ -20,11 +20,12 @@
 //!   space).
 //! * [`spcot_batch`] — the SPCOT protocol: every OT of an extension's `t`
 //!   trees (the §4.2 (m−1)-out-of-m OT from an m-leaf pad tree on m-ary
-//!   levels) in one chosen-OT batch, one round trip per extension.
+//!   levels) in one chosen-OT batch, one round trip per extension — three
+//!   channel-free steps, with [`Transport`] drivers over them.
 //! * [`ferret`] — the Ferret-style OTE main loop: `t` SPCOTs + LPN encoding
 //!   per extension, with bootstrapping of the next iteration's base COTs.
 //! * [`session`] — a persistent two-party FERRET session that stages
-//!   extension outputs ahead of demand on background threads.
+//!   extension outputs ahead of demand on one background thread.
 //! * [`pool`] — [`CotPool`], which buffers a session's (or fresh
 //!   extensions') batches and serves takes of any size, and
 //!   [`shared_pool`]'s [`SharedCotPool`], its mutex-sharded form with

@@ -15,11 +15,11 @@
 //!   every session boundary. Simple, but the bootstrap (dealer, LPN
 //!   matrix, thread spawns) costs several times the marginal extension.
 //! * **Pipelined** ([`CotPool::pipelined`]) — one persistent
-//!   [`CotSession`] extends ahead of demand on background threads and a
+//!   [`CotSession`] extends ahead of demand on a background thread and a
 //!   refill just drains its staging channel: a cursor bump plus at most
 //!   one memcpy, never a protocol run on the demand path. `Δ` is fixed
 //!   for the pool's lifetime, so remnants are *merged* across refills
-//!   instead of discarded. If the session threads die the pool degrades
+//!   instead of discarded. If the session thread dies the pool degrades
 //!   permanently to inline refills.
 //!
 //! # Zero-copy consumption
@@ -97,14 +97,14 @@ impl CotPool {
     }
 
     /// Creates a pool over a persistent pipelined session on `cfg`:
-    /// extensions run on background threads ahead of demand, `Δ` is
+    /// extensions run on a background thread ahead of demand, `Δ` is
     /// fixed for the pool's lifetime, and refills merge with any buffered
-    /// remnant. Records into `telemetry`, shared with the session's party
-    /// threads (extension durations, their SPCOT/LPN phase split and
+    /// remnant. Records into `telemetry`, shared with the session's
+    /// thread (extension durations, their SPCOT/LPN phase split and
     /// staged extensions come from the session; stalls, refill events and
     /// the pool's counters from the drain path).
     pub fn pipelined(mut cfg: FerretConfig, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
-        // One matrix for the session's two party threads (and zero new
+        // One matrix for the session's two parties (and zero new
         // allocations when a shard pool already prebuilt it).
         cfg.ensure_shared_matrix();
         let session = CotSession::spawn_with(&cfg, seed, SESSION_LOOKAHEAD, Arc::clone(&telemetry));

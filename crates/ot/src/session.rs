@@ -1,27 +1,29 @@
-//! A persistent, pipelined two-party FERRET session.
+//! A persistent, pipelined FERRET session.
 //!
 //! [`crate::ferret::run_extensions`] bootstraps a fresh session — dealer,
 //! base correlations, LPN matrix, two protocol threads — for every call,
 //! which costs several times the marginal extension itself and forces a
 //! new `Δ` on every refill. [`CotSession`] instead keeps one bootstrapped
 //! session alive (the deployment shape the paper's host-side streaming
-//! assumes): the two party threads run [`crate::ferret::FerretSender`] /
-//! [`crate::ferret::FerretReceiver`] in lockstep over an in-process
-//! channel pair and push each extension's matched output into a **bounded
-//! staging channel**. Consumers drain staged outputs with a plain channel
-//! receive — no protocol work on their critical path — and the bound is
-//! the backpressure: once `lookahead` extensions are staged, the party
-//! threads block until demand drains one, so an idle session costs no CPU.
+//! assumes) on **one thread**, which holds both parties and runs each
+//! extension's steps back to back: the receiver's flips, the sender's
+//! answer, the receiver's finish, one LPN pass for both parties over the
+//! shared matrix (`ferret::encode_both`) and both bootstraps. It
+//! pushes each extension's matched output into a **bounded staging
+//! channel**. Consumers drain staged outputs with a plain channel receive
+//! — no protocol work on their critical path — and the bound is the
+//! backpressure: once `lookahead` extensions are staged, the session
+//! thread blocks until demand drains one, so an idle session costs no
+//! CPU.
 //!
 //! Because the session never restarts, `Δ` is fixed for its whole
 //! lifetime: every staged [`CotBatch`] carries the same offset, and
 //! downstream buffers may merge outputs across refills instead of
 //! discarding session-boundary remnants.
 
-use crate::channel::LocalChannel;
 use crate::cot::CotBatch;
 use crate::dealer::Dealer;
-use crate::ferret::{FerretConfig, FerretReceiver, FerretSender};
+use crate::ferret::{encode_both, FerretConfig, FerretReceiver, FerretSender};
 use ironman_prg::Block;
 use ironman_telemetry::{pack_phase_split, EventKind, Histogram, Stopwatch, TraceLog};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +31,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 /// One supply's lock-free telemetry and counter home, shared (`Arc`)
-/// between a session's party threads, its consumer and — for a pool
+/// between a session's thread, its consumer and — for a pool
 /// shard — the pool and the serving layer, so nothing that reads it
 /// takes the shard's lock. [`CotSession::spawn`] wires a fresh private
 /// one.
@@ -49,10 +51,10 @@ pub struct SessionTelemetry {
     pub stall: Histogram,
     /// Extension/stall event timeline.
     pub trace: TraceLog,
-    /// Extensions completed and staged by the session's party threads.
+    /// Extensions completed and staged by the session's thread.
     pub extensions_staged: AtomicU64,
     /// Consumer receives that found the staging buffer empty and had to
-    /// block on the party threads (a *stall*: demand arrived faster than
+    /// block on the session thread (a *stall*: demand arrived faster than
     /// the session extends). Steady state for a well-provisioned supply
     /// is `consumer_stalls ≪ extensions_staged`.
     pub consumer_stalls: AtomicU64,
@@ -67,35 +69,35 @@ pub struct SessionTelemetry {
     pub available: AtomicU64,
 }
 
-/// The session's party threads have exited (panic or teardown); no
+/// The session's thread has exited (panic or teardown); no
 /// further batches will arrive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionStopped;
 
 impl std::fmt::Display for SessionStopped {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FERRET session threads stopped")
+        write!(f, "FERRET session thread stopped")
     }
 }
 
 impl std::error::Error for SessionStopped {}
 
 /// A live two-party FERRET session producing extension outputs ahead of
-/// demand. Dropping the handle stops both party threads and joins them.
+/// demand on one thread. Dropping the handle stops the thread and joins
+/// it.
 #[derive(Debug)]
 pub struct CotSession {
     delta: Block,
     per_extension: usize,
     telemetry: Arc<SessionTelemetry>,
-    /// `Option` so `Drop` can hang up before joining the threads.
+    /// `Option` so `Drop` can hang up before joining the thread.
     out_rx: Option<mpsc::Receiver<CotBatch>>,
-    sender_thread: Option<JoinHandle<()>>,
-    receiver_thread: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl CotSession {
     /// Bootstraps a session (dealer, base correlations, both parties) and
-    /// starts its two protocol threads. `seed` drives the dealer exactly
+    /// starts its thread. `seed` drives the dealer exactly
     /// as in [`crate::ferret::run_extensions`], so the output stream is
     /// bit-identical to per-call runs with the same seed. `lookahead` is
     /// the number of extensions staged ahead of demand (clamped to ≥ 1).
@@ -117,56 +119,36 @@ impl CotSession {
         let mut dealer = Dealer::new(seed);
         let delta = dealer.random_delta();
         let (s_base, r_base) = dealer.deal_cot(delta, cfg.base_cots_required());
-        let (mut cs, mut cr) = LocalChannel::pair();
-        // Unbounded z hand-off: the protocol's own interactivity already
-        // keeps the sender within one extension of the receiver.
-        let (z_tx, z_rx) = mpsc::channel::<Vec<Block>>();
         let (out_tx, out_rx) = mpsc::sync_channel::<CotBatch>(lookahead.max(1));
-        // One matrix generation per session, not per party thread — and
-        // zero if the caller (a shard pool) already prebuilt the shared
-        // matrix into `cfg`.
+        // One matrix for both parties, and no new one if the caller (a
+        // shard pool) already prebuilt the shared matrix into `cfg`.
         let mut cfg = cfg.clone();
         cfg.ensure_shared_matrix();
         let per_extension = cfg.usable_outputs();
-        let cfg_s = cfg.clone();
-        let cfg_r = cfg;
-
-        let sender_thread = std::thread::spawn(move || {
-            let mut sender = FerretSender::new(cfg_s, s_base, seed);
-            // A channel error in either direction means the peer thread or
-            // the consumer hung up: exit quietly, teardown is in progress.
-            while let Ok(z) = sender.extend(&mut cs) {
-                if z_tx.send(z).is_err() {
-                    return;
-                }
-            }
-        });
         let thread_telemetry = Arc::clone(&telemetry);
-        let receiver_thread = std::thread::spawn(move || {
-            // The receiver thread also merges: iteration i's (x, y) pairs
-            // with iteration i's z (both sides run extensions in lockstep,
-            // so the z queue is index-aligned).
-            let mut receiver = FerretReceiver::new(cfg_r, r_base, seed);
-            let mut ordinal = 0u64;
-            loop {
-                thread_telemetry
-                    .trace
-                    .push(EventKind::ExtensionStart, ordinal);
+        let thread = std::thread::spawn(move || {
+            let mut sender = FerretSender::new(cfg.clone(), s_base, seed);
+            let mut receiver = FerretReceiver::new(cfg, r_base, seed);
+            let telemetry = thread_telemetry;
+            for ordinal in 0u64.. {
+                telemetry.trace.push(EventKind::ExtensionStart, ordinal);
                 let watch = Stopwatch::start();
-                let Ok((x, y)) = receiver.extend(&mut cr) else {
-                    return;
-                };
-                thread_telemetry.extension.record(watch.elapsed_nanos());
-                let (spcot, lpn) = receiver.last_phase_nanos();
-                thread_telemetry
+                let answer = sender
+                    .answer(&receiver.flips())
+                    .expect("the flips cover every OT");
+                receiver
+                    .finish(&answer)
+                    .expect("the answer covers every OT");
+                let spcot = watch.elapsed_nanos();
+                let lpn_watch = Stopwatch::start();
+                let batch = encode_both(&mut sender, &mut receiver);
+                let lpn = lpn_watch.elapsed_nanos();
+                telemetry.extension.record(watch.elapsed_nanos());
+                telemetry
                     .trace
                     .push(EventKind::ExtensionEnd, pack_phase_split(spcot, lpn));
-                ordinal += 1;
-                let Ok(z) = z_rx.recv() else { return };
-                thread_telemetry
-                    .extensions_staged
-                    .fetch_add(1, Ordering::Relaxed);
-                if out_tx.send(CotBatch { delta, z, x, y }).is_err() {
+                telemetry.extensions_staged.fetch_add(1, Ordering::Relaxed);
+                if out_tx.send(batch).is_err() {
                     return;
                 }
             }
@@ -177,8 +159,7 @@ impl CotSession {
             per_extension,
             telemetry,
             out_rx: Some(out_rx),
-            sender_thread: Some(sender_thread),
-            receiver_thread: Some(receiver_thread),
+            thread: Some(thread),
         }
     }
 
@@ -192,7 +173,7 @@ impl CotSession {
         self.per_extension
     }
 
-    /// Extensions completed and staged by the party threads so far.
+    /// Extensions completed and staged by the session thread so far.
     pub fn extensions_staged(&self) -> u64 {
         self.telemetry.extensions_staged.load(Ordering::Relaxed)
     }
@@ -211,7 +192,7 @@ impl CotSession {
     ///
     /// # Errors
     ///
-    /// [`SessionStopped`] when the party threads have exited.
+    /// [`SessionStopped`] when the session thread has exited.
     pub fn recv(&self) -> Result<CotBatch, SessionStopped> {
         let rx = self.out_rx.as_ref().expect("receiver present until drop");
         match rx.try_recv() {
@@ -240,12 +221,12 @@ impl CotSession {
     }
 
     /// Takes a staged extension output if one is ready; `Ok(None)` when
-    /// the staging buffer is merely empty (the threads are still
+    /// the staging buffer is merely empty (the thread is still
     /// extending), without blocking.
     ///
     /// # Errors
     ///
-    /// [`SessionStopped`] when the party threads have exited — distinct
+    /// [`SessionStopped`] when the session thread has exited — distinct
     /// from the empty case so pollers (e.g. a warm-up sweep) can react
     /// to a dead session instead of waiting for output that will never
     /// come.
@@ -264,16 +245,12 @@ impl CotSession {
 }
 
 impl Drop for CotSession {
-    /// Hangs up the staging channel (which unwinds both party threads:
-    /// the receiver's next staged send fails, and the sender's next
-    /// protocol receive disconnects) and joins them.
+    /// Hangs up the staging channel (the session thread's next staged
+    /// send fails, and it returns) and joins the thread.
     fn drop(&mut self) {
         self.out_rx = None;
-        for t in [self.receiver_thread.take(), self.sender_thread.take()]
-            .into_iter()
-            .flatten()
-        {
-            let _ = t.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -302,6 +279,27 @@ mod tests {
     }
 
     #[test]
+    fn one_thread_session_matches_the_two_thread_driver_on_tiled_configs() {
+        // One LPN pass for both parties and no channel between them, yet
+        // the same bits as `run_extensions`, whose parties run on their
+        // own threads over an in-process channel: every arity, a mixed
+        // final tree level, three chained extensions.
+        use ironman_ggm::Arity;
+        for arity in Arity::SWEEP {
+            let cfg = FerretConfig {
+                arity,
+                kernel: crate::ferret::LpnKernel::Tiled,
+                ..FerretConfig::new(FerretParams::toy_large())
+            };
+            let reference = run_extensions(&cfg, 23, 3);
+            let session = CotSession::spawn(&cfg, 23, 1);
+            for (i, r) in reference.iter().enumerate() {
+                assert_eq!(session.recv().unwrap(), r.cots, "{arity}: extension {i}");
+            }
+        }
+    }
+
+    #[test]
     fn staged_batches_verify_under_fixed_delta() {
         let cfg = toy_cfg();
         let session = CotSession::spawn(&cfg, 7, 1);
@@ -315,13 +313,13 @@ mod tests {
 
     #[test]
     fn lookahead_bounds_staging() {
-        // The party threads stall once `lookahead` batches are staged;
+        // The session thread stalls once `lookahead` batches are staged;
         // dropping the handle must still tear the session down cleanly.
         let cfg = toy_cfg();
         let session = CotSession::spawn(&cfg, 11, 2);
         let first = session.recv().unwrap();
         assert_eq!(first.len(), cfg.usable_outputs());
-        drop(session); // joins threads; hangs if backpressure deadlocks
+        drop(session); // joins the thread; hangs if backpressure deadlocks
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl SharedCotPool {
     }
 
     /// Builds `shards` pipelined pools: each shard owns a persistent
-    /// FERRET session extending ahead of demand on background threads,
+    /// FERRET session extending ahead of demand on its own thread,
     /// with a fixed per-shard `Δ` and remnant-merging refills (see
     /// [`CotPool::pipelined`]) — the serving-path configuration.
     ///
@@ -104,9 +104,9 @@ impl SharedCotPool {
     fn build(cfg: &FerretConfig, shards: usize, seed: u64, pipelined: bool) -> Self {
         assert!(shards > 0, "need at least one shard");
         // Generate the LPN matrix exactly once here; every shard's
-        // config clone (and both party threads inside each shard's
-        // session) then shares the one `Arc` — N shards would otherwise
-        // pay 2N generations, the dominant spawn cost at Table-4 scale.
+        // config clone (and both parties inside each shard's session)
+        // then shares the one `Arc` — N shards would otherwise pay N
+        // generations, the dominant spawn cost at Table-4 scale.
         let mut cfg = cfg.clone();
         cfg.ensure_shared_matrix();
         let telemetry: Vec<Arc<SessionTelemetry>> = (0..shards).map(|_| Arc::default()).collect();

@@ -18,9 +18,16 @@
 //! the depth are — decisive under WAN RTTs (Fig. 7(c)'s regime) and the
 //! execution shape the Ironman DIMM module's inter-tree parallelism
 //! (§4.3) assumes.
+//!
+//! The protocol is three local steps with no channel in them — the
+//! receiver's [`flips`], the sender's [`answer`], the receiver's
+//! [`finish`] — so one thread can run both parties back to back.
+//! [`spcot_batch_send_into`] and [`spcot_batch_recv_into`] run them over
+//! a [`Transport`]: one flip vector one way, the answer's two messages
+//! the other.
 
 use crate::channel::{ChannelError, Transport};
-use crate::chosen::{recv_chosen, send_chosen};
+use crate::chosen;
 use crate::cot::{CotReceiver, CotSender};
 use crate::spcot::SpcotConfig;
 use ironman_ggm::{Arity, GgmTree, LevelShape, PuncturedTree};
@@ -51,33 +58,103 @@ fn level_seed(seeder: &Aes128, outer_seed: Block, lvl: usize) -> Block {
     seeder.encrypt_block(outer_seed ^ Block::from(lvl as u128))
 }
 
-/// Sender side: runs `seeds.len()` SPCOTs, one tree per seed.
-/// `sink` is handed each tree's index, its leaf slice (borrowed from the
-/// expanded tree) and its PRG counter, and accumulates wherever the
-/// caller wants — the extension loop XORs straight into its length-`n`
-/// LPN accumulator stripe.
+/// The sender's whole reply to a batch's flips: the chosen-OT payload
+/// (two blocks per OT, every level's OTs level-major and pad-level-major
+/// across trees), then every tree's masked leaf sum followed by every
+/// m-ary level's masked sums, tree-major within the level. Over a
+/// [`Transport`] it is two messages, in that order.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SpcotAnswer {
+    /// The chosen-OT payload.
+    pub payload: Vec<Block>,
+    /// The masked leaf sums, then the masked m-ary level sums.
+    pub masked: Vec<Block>,
+}
+
+impl SpcotAnswer {
+    /// Sends the answer as its two messages.
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel failures.
+    pub(crate) fn send<T: Transport + ?Sized>(&self, ch: &mut T) -> Result<(), ChannelError> {
+        ch.send_blocks(&self.payload)?;
+        ch.send_blocks(&self.masked)
+    }
+
+    /// Receives an answer's two messages (their lengths are checked by
+    /// [`finish`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel failures.
+    pub(crate) fn recv<T: Transport + ?Sized>(ch: &mut T) -> Result<SpcotAnswer, ChannelError> {
+        Ok(SpcotAnswer {
+            payload: ch.recv_blocks()?,
+            masked: ch.recv_blocks()?,
+        })
+    }
+}
+
+/// Every chosen OT's choice, pad-level-major within each level as the
+/// sender pairs them: per (inner level, tree) the complement of the
+/// tree's path bit at that level of its pad tree (the level's digit in
+/// binary, top bit first) — the receiver wants the sum of the branch it
+/// did NOT take.
+fn choices(shape: &LevelShape, digits: &[Vec<usize>]) -> Vec<bool> {
+    let mut choices = Vec::new();
+    for (lvl, &fanout) in shape.fanouts().iter().enumerate() {
+        for bit in (0..fanout.trailing_zeros()).rev() {
+            choices.extend(digits.iter().map(|d| (d[lvl] >> bit) & 1 == 0));
+        }
+    }
+    choices
+}
+
+/// The receiver's first step for trees punctured at `alphas`: the flip
+/// vector of every level's OTs, from the batch's `alphas.len() ·
+/// cfg.base_cots_needed()` correlations in `base`.
+///
+/// # Panics
+///
+/// Panics if `base` holds another number of correlations, or if any
+/// `alpha` is out of range for `cfg.leaves`.
+pub fn flips(cfg: &SpcotConfig, base: &CotReceiver, alphas: &[usize]) -> Vec<bool> {
+    let shape = LevelShape::new(cfg.arity, cfg.leaves);
+    let digits: Vec<Vec<usize>> = alphas.iter().map(|&a| shape.digits(a)).collect();
+    chosen::flips(base, &choices(&shape, &digits))
+}
+
+/// The sender's step: expands one tree per seed and answers `flips`
+/// from the batch's `seeds.len() · cfg.base_cots_needed()` correlations
+/// in `base`. `sink` is handed each tree's index, its leaf slice
+/// (borrowed from the expanded tree) and its PRG counter, and
+/// accumulates wherever the caller wants — the extension loop XORs
+/// straight into its length-`n` LPN accumulator stripe.
 ///
 /// The sender streams: one tree buffer is expanded, drained into `sink`
-/// and reused, in index order and before the first message goes out; per
-/// tree only the level sums and the masked leaf sum the messages need
-/// stay resident (a few hundred bytes instead of every level of every
-/// tree).
+/// and reused, in index order; per tree only the level sums and the
+/// masked leaf sum the answer needs stay resident (a few hundred bytes
+/// instead of every level of every tree).
 ///
 /// `tweak` is a monotone CRHF domain-separation counter shared by all OTs
 /// of the session; it is advanced by the number of chosen OTs executed.
 ///
 /// # Errors
 ///
-/// Propagates channel failures, and returns [`ChannelError::Malformed`]
-/// if the receiver's flip vector does not cover every OT.
-pub fn spcot_batch_send_into<T: Transport + ?Sized>(
-    ch: &mut T,
+/// [`ChannelError::Malformed`] if `flips` does not cover every OT.
+///
+/// # Panics
+///
+/// Panics if `base` holds another number of correlations.
+pub fn answer(
     cfg: &SpcotConfig,
-    base: &mut CotSender,
+    base: &CotSender,
     seeds: &[Block],
+    flips: &[bool],
     tweak: &mut u64,
     mut sink: impl FnMut(usize, &[Block], PrgCounter),
-) -> Result<(), ChannelError> {
+) -> Result<SpcotAnswer, ChannelError> {
     let prg = build_tree_prg(cfg.prg, cfg.session_key, cfg.arity.get());
     let shape = LevelShape::new(cfg.arity, cfg.leaves);
     let mut tree = GgmTree::with_shape(shape.clone());
@@ -120,28 +197,30 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
         }
         pairs.extend(level);
     }
-    send_chosen(ch, base, &pairs, *tweak)?;
+    let payload = chosen::answer(base, &pairs, flips, *tweak)?;
     *tweak += pairs.len() as u64;
-    ch.send_blocks(&masked)
+    Ok(SpcotAnswer { payload, masked })
 }
 
-/// Receiver side: `sink` is handed each tree's index, its punctured
-/// position `α`, its recovered leaf slice (`w` with `Δ` added at `α`)
-/// and its PRG counter (see [`spcot_batch_send_into`]).
+/// The receiver's last step: recovers every tree from the sender's
+/// `answer`, with the `base` and `alphas` [`flips`] was given. `sink` is
+/// handed each tree's index, its punctured position `α`, its recovered
+/// leaf slice (`w` with `Δ` added at `α`) and its PRG counter (see
+/// [`answer`]); `tweak` advances as the sender's does.
 ///
 /// # Errors
 ///
-/// Propagates channel failures, and returns [`ChannelError::Malformed`]
-/// if a sender message holds the wrong number of blocks.
+/// [`ChannelError::Malformed`] if either part of `answer` holds the wrong
+/// number of blocks.
 ///
 /// # Panics
 ///
-/// Panics if any `alpha` is out of range for `cfg.leaves`.
-pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
-    ch: &mut T,
+/// As [`flips`].
+pub fn finish(
     cfg: &SpcotConfig,
-    base: &mut CotReceiver,
+    base: &CotReceiver,
     alphas: &[usize],
+    answer: &SpcotAnswer,
     tweak: &mut u64,
     mut sink: impl FnMut(usize, usize, &[Block], PrgCounter),
 ) -> Result<(), ChannelError> {
@@ -150,27 +229,17 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
     let digits: Vec<Vec<usize>> = alphas.iter().map(|&a| shape.digits(a)).collect();
     let trees = alphas.len();
 
-    // Per level, per (inner level, tree), pad-level-major as the sender
-    // pairs them: the complement of the tree's path bit at that level of
-    // its pad tree (the level's digit in binary, top bit first) — we want
-    // the sum of the branch we did NOT take.
-    let mut choices = Vec::with_capacity(trees * cfg.base_cots_needed());
-    for (lvl, &fanout) in shape.fanouts().iter().enumerate() {
-        for bit in (0..fanout.trailing_zeros()).rev() {
-            choices.extend(digits.iter().map(|d| (d[lvl] >> bit) & 1 == 0));
-        }
-    }
-    let mut got = &recv_chosen(ch, base, &choices, *tweak)?[..];
-    *tweak += choices.len() as u64;
-    let masked = ch.recv_blocks()?;
+    let choices = choices(&shape, &digits);
+    let mut got = &chosen::finish(base, &choices, &answer.payload, *tweak)?[..];
     let expected = trees * (1 + shape.fanouts().iter().filter(|&&f| f > 2).sum::<usize>());
-    if masked.len() != expected {
+    if answer.masked.len() != expected {
         return Err(ChannelError::Malformed {
             expected: 16 * expected,
-            actual: 16 * masked.len(),
+            actual: 16 * answer.masked.len(),
         });
     }
-    let (finals, mut masked) = masked.split_at(trees);
+    *tweak += choices.len() as u64;
+    let (finals, mut masked) = answer.masked.split_at(trees);
 
     // Per-tree, per-level branch sums, recovered level by level.
     let mut level_sums: Vec<Vec<Vec<Block>>> = alphas
@@ -215,6 +284,53 @@ pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
         sink(t, alpha, punct.leaves(), punct.counter());
     }
     Ok(())
+}
+
+/// Sender side over `ch`: runs `seeds.len()` SPCOTs, one tree per seed,
+/// consuming their base correlations from the front of `base` — receives
+/// the flips and sends the [`answer`] (whose `sink` and `tweak` these
+/// are).
+///
+/// # Errors
+///
+/// Propagates channel failures, and returns [`ChannelError::Malformed`]
+/// if the receiver's flip vector does not cover every OT.
+pub fn spcot_batch_send_into<T: Transport + ?Sized>(
+    ch: &mut T,
+    cfg: &SpcotConfig,
+    base: &mut CotSender,
+    seeds: &[Block],
+    tweak: &mut u64,
+    sink: impl FnMut(usize, &[Block], PrgCounter),
+) -> Result<(), ChannelError> {
+    let batch = base.split_off_front(seeds.len() * cfg.base_cots_needed());
+    let flips = ch.recv_bits()?;
+    answer(cfg, &batch, seeds, &flips, tweak, sink)?.send(ch)
+}
+
+/// Receiver side over `ch`, consuming the batch's base correlations from
+/// the front of `base`: sends the [`flips`] and [`finish`]es on the
+/// answer (whose `sink` and `tweak` these are).
+///
+/// # Errors
+///
+/// Propagates channel failures, and returns [`ChannelError::Malformed`]
+/// if a sender message holds the wrong number of blocks.
+///
+/// # Panics
+///
+/// Panics if any `alpha` is out of range for `cfg.leaves`.
+pub fn spcot_batch_recv_into<T: Transport + ?Sized>(
+    ch: &mut T,
+    cfg: &SpcotConfig,
+    base: &mut CotReceiver,
+    alphas: &[usize],
+    tweak: &mut u64,
+    sink: impl FnMut(usize, usize, &[Block], PrgCounter),
+) -> Result<(), ChannelError> {
+    let batch = base.split_off_front(alphas.len() * cfg.base_cots_needed());
+    ch.send_bits(&flips(cfg, &batch, alphas))?;
+    finish(cfg, &batch, alphas, &SpcotAnswer::recv(ch)?, tweak, sink)
 }
 
 #[cfg(test)]

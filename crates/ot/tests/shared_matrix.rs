@@ -1,5 +1,5 @@
-//! Matrix-sharing accounting: N shards (2N party threads) must generate
-//! **one** LPN matrix, not 2N.
+//! Matrix-sharing accounting: N shards (2N parties) must generate **one**
+//! LPN matrix, not 2N.
 //!
 //! This file deliberately holds a single `#[test]` so it compiles to a
 //! test binary with no concurrent tests: [`LpnMatrix::generated_count`]
@@ -20,7 +20,8 @@ fn n_shards_generate_one_matrix() {
     // configs and never touch the matrix).
     assert_eq!(LpnMatrix::generated_count(), 0);
 
-    // 3 pipelined shards = 6 party threads + 3 shard pools: one generate.
+    // 3 pipelined shards = 6 parties on 3 session threads + 3 shard
+    // pools: one generate.
     let before = LpnMatrix::generated_count();
     let pool = SharedCotPool::new_pipelined(&cfg, 3, 11);
     pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
@@ -46,7 +47,7 @@ fn n_shards_generate_one_matrix() {
     );
 
     // A single pipelined pool still generates exactly once for its two
-    // party threads (the per-session dedup, without shard pre-sharing).
+    // parties (the per-session dedup, without shard pre-sharing).
     let before = LpnMatrix::generated_count();
     let single = CotPool::pipelined(cfg.clone(), 13, Arc::default());
     drop(single);

@@ -121,10 +121,11 @@ fn run_tampered_batch(trees: usize, target: usize) -> (Vec<Option<usize>>, u64) 
 
 #[test]
 fn corrupting_any_sender_message_breaks_every_tree() {
-    // Whatever sender message is corrupted — a level's OT payload, its
-    // masked sums, or the final masked leaf sums — every tree's output
-    // correlation must fail (never silently pass), in a one-tree batch
-    // and in a batch of many.
+    // Whichever of the two sender messages is corrupted — the chosen-OT
+    // payload of every level's OTs, or the masked leaf sums with every
+    // m-ary level's masked sums — every tree's output correlation must
+    // fail (never silently pass), in a one-tree batch and in a batch of
+    // many.
     for trees in [1, 16] {
         let (clean, messages) = run_tampered_batch(trees, usize::MAX);
         assert_eq!(clean, vec![None; trees], "{trees} trees: untampered run");
