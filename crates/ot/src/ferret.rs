@@ -36,7 +36,7 @@
 //! one party's steps over a [`Transport`] (two parties, two threads or two
 //! hosts); one thread holding both parties — a
 //! [`crate::session::CotSession`] — runs the steps back to back and both
-//! LPN phases as one pass over the shared matrix (`encode_both`).
+//! LPN phases as one pass over the shared matrix (`Parties::extend`).
 //!
 //! Outputs for a given seed are specific to this revision of the protocol
 //! (which end bootstraps, the bit-0 lane, the dealer's draw order):
@@ -54,6 +54,7 @@ use ironman_lpn::{
     simd, LpnMatrix, SimdLevel, SimdMode, TileConfig, TileSchedule, DEFAULT_ROW_WEIGHT,
 };
 use ironman_prg::{Block, PrgCounter, PrgKind};
+use ironman_telemetry::Stopwatch;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -438,9 +439,6 @@ pub struct FerretSender {
     seeds: Dealer,
     tweak: u64,
     prg_counter: PrgCounter,
-    /// The extension in flight's `w` accumulator, from
-    /// [`FerretSender::answer`] to its LPN phase.
-    w: Option<Vec<Block>>,
 }
 
 impl FerretSender {
@@ -473,7 +471,6 @@ impl FerretSender {
             seeds: Dealer::new(seed ^ 0x5e4d),
             tweak: 0,
             prg_counter: PrgCounter::new(),
-            w: None,
         }
     }
 
@@ -489,21 +486,21 @@ impl FerretSender {
 
     /// The sender's SPCOT step of an extension: answers the receiver's
     /// [`FerretReceiver::flips`], consuming the `t·log2(ℓ)` SPCOT base
-    /// correlations, and fills its `w` accumulator (stripes assigned
-    /// round-robin; each tree's leaves fold straight into its stripe, no
-    /// per-tree leaf vectors, no zero-fill first). The extension ends with
-    /// the LPN phase: [`FerretSender::extend`]'s, or the session's joint
-    /// one.
+    /// correlations, and returns the answer with its `w` accumulator
+    /// (stripes assigned round-robin; each tree's leaves fold straight
+    /// into its stripe, no per-tree leaf vectors, no zero-fill first).
+    /// `flips` is called once the trees are expanded (see
+    /// [`spcot_batch::answer`]). The extension ends with the LPN phase on
+    /// `w`: [`FerretSender::extend`]'s, or the session's joint one.
     ///
     /// # Errors
     ///
-    /// [`ChannelError::Malformed`] if `flips` does not cover every OT.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the previous extension's LPN phase has not run.
-    pub fn answer(&mut self, flips: &[bool]) -> Result<SpcotAnswer, ChannelError> {
-        assert!(self.w.is_none(), "the previous extension is unfinished");
+    /// Propagates an error from `flips`, and returns
+    /// [`ChannelError::Malformed`] if the flips do not cover every OT.
+    pub fn answer(
+        &mut self,
+        flips: impl FnOnce() -> Result<Vec<bool>, ChannelError>,
+    ) -> Result<(SpcotAnswer, Vec<Block>), ChannelError> {
         let p = self.cfg.params;
         // The SPCOT's correlations are the front of the base; the rest,
         // the k LPN inputs, are read in place by the LPN phase.
@@ -527,13 +524,7 @@ impl FerretSender {
             },
         )?;
         w.resize(p.n, Block::ZERO);
-        self.w = Some(w);
-        Ok(answer)
-    }
-
-    /// The answered extension's `w` accumulator, for its LPN phase.
-    fn take_w(&mut self) -> Vec<Block> {
-        self.w.take().expect("the extension was answered")
+        Ok((answer, w))
     }
 
     /// The LPN input `r`: the base past the SPCOT's correlations.
@@ -552,8 +543,8 @@ impl FerretSender {
 
     /// Runs one extension over `ch`, returning the application's
     /// `n − k − t·log2(ℓ)` fresh `r0` blocks (new correlations under the
-    /// same `Δ`): receives the flips, sends the [`FerretSender::answer`],
-    /// then runs the LPN phase `z = r·A ⊕ w` and the bootstrap.
+    /// same `Δ`): sends the [`FerretSender::answer`] to the flips it
+    /// receives, then runs the LPN phase `z = r·A ⊕ w` and the bootstrap.
     ///
     /// # Errors
     ///
@@ -562,9 +553,8 @@ impl FerretSender {
         &mut self,
         ch: &mut T,
     ) -> Result<Vec<Block>, ChannelError> {
-        let flips = ch.recv_bits()?;
-        self.answer(&flips)?.send(ch)?;
-        let mut z = self.take_w();
+        let (answer, mut z) = self.answer(|| ch.recv_bits())?;
+        answer.send(ch)?;
         self.matrix.encode_blocks(self.lpn_input(), &mut z, |_| {});
         Ok(self.bootstrap(z))
     }
@@ -573,7 +563,7 @@ impl FerretSender {
 /// The receiver's extension in flight, from [`FerretReceiver::flips`] to
 /// [`FerretReceiver::finish`].
 #[derive(Debug)]
-struct Punctures {
+pub struct Punctures {
     /// Each tree's punctured position.
     alphas: Vec<usize>,
     /// The SPCOT base correlations the flips were made from.
@@ -592,11 +582,6 @@ pub struct FerretReceiver {
     alphas: Dealer,
     tweak: u64,
     prg_counter: PrgCounter,
-    /// Between [`FerretReceiver::flips`] and [`FerretReceiver::finish`].
-    punctures: Option<Punctures>,
-    /// The extension in flight's `v` accumulator, from
-    /// [`FerretReceiver::finish`] to its LPN phase.
-    v: Option<Vec<Block>>,
 }
 
 impl FerretReceiver {
@@ -627,8 +612,6 @@ impl FerretReceiver {
             alphas: Dealer::new(seed ^ 0xa1fa),
             tweak: 0,
             prg_counter: PrgCounter::new(),
-            punctures: None,
-            v: None,
         }
     }
 
@@ -640,16 +623,9 @@ impl FerretReceiver {
     /// The receiver's first step of an extension: draws each tree's
     /// punctured position `α` and returns the flip vector of every
     /// SPCOT OT, made from the first `t·log2(ℓ)` base correlations (their
-    /// choice bits read back from bit 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the previous extension is unfinished.
-    pub fn flips(&mut self) -> Vec<bool> {
-        assert!(
-            self.punctures.is_none() && self.v.is_none(),
-            "the previous extension is unfinished"
-        );
+    /// choice bits read back from bit 0), with the [`Punctures`]
+    /// [`FerretReceiver::finish`] takes.
+    pub fn flips(&mut self) -> (Vec<bool>, Punctures) {
         let p = self.cfg.params;
         let spcot_rb = self.base_rb[..self.cfg.spcot_cots()].to_vec();
         let spcot_bits = spcot_rb.iter().map(|r| r.lsb()).collect();
@@ -658,26 +634,26 @@ impl FerretReceiver {
             .map(|i| self.alphas.random_index(stripe(p, i).1))
             .collect();
         let flips = spcot_batch::flips(&self.cfg.spcot_config(), &base, &alphas);
-        self.punctures = Some(Punctures { alphas, base });
-        flips
+        (flips, Punctures { alphas, base })
     }
 
-    /// The receiver's last SPCOT step: recovers every tree from the
-    /// sender's [`FerretSender::answer`] into its `v` accumulator — each
+    /// The receiver's last SPCOT step: recovers every tree of the
+    /// extension [`FerretReceiver::flips`] began from the sender's
+    /// [`FerretSender::answer`] into the returned `v` accumulator — each
     /// tree's leaves fold straight into its stripe and its one-hot noise
-    /// bit lands in bit 0 at `α`. The extension ends with the LPN phase:
-    /// [`FerretReceiver::extend`]'s, or the session's joint one.
+    /// bit lands in bit 0 at `α`. The extension ends with the LPN phase on
+    /// `v`: [`FerretReceiver::extend`]'s, or the session's joint one.
     ///
     /// # Errors
     ///
     /// [`ChannelError::Malformed`] if `answer` holds the wrong number of
     /// blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`FerretReceiver::flips`] came first.
-    pub fn finish(&mut self, answer: &SpcotAnswer) -> Result<(), ChannelError> {
-        let Punctures { alphas, base } = self.punctures.take().expect("flips come first");
+    pub fn finish(
+        &mut self,
+        punctures: Punctures,
+        answer: &SpcotAnswer,
+    ) -> Result<Vec<Block>, ChannelError> {
+        let Punctures { alphas, base } = punctures;
         let p = self.cfg.params;
         let mut v = Vec::with_capacity(p.n);
         let prg_counter = &mut self.prg_counter;
@@ -695,13 +671,7 @@ impl FerretReceiver {
             },
         )?;
         v.resize(p.n, Block::ZERO);
-        self.v = Some(v);
-        Ok(())
-    }
-
-    /// The finished SPCOT step's `v` accumulator, for its LPN phase.
-    fn take_v(&mut self) -> Vec<Block> {
-        self.v.take().expect("the SPCOT step finished")
+        Ok(v)
     }
 
     /// The LPN input `s`: the base past the SPCOT's correlations.
@@ -730,10 +700,10 @@ impl FerretReceiver {
         &mut self,
         ch: &mut T,
     ) -> Result<(Vec<bool>, Vec<Block>), ChannelError> {
-        ch.send_bits(&self.flips())?;
-        self.finish(&SpcotAnswer::recv(ch)?)?;
+        let (flips, punctures) = self.flips();
+        ch.send_bits(&flips)?;
+        let mut y = self.finish(punctures, &SpcotAnswer::recv(ch)?)?;
         let usable = self.cfg.usable_outputs();
-        let mut y = self.take_v();
         let mut x = Vec::with_capacity(usable);
         self.matrix.encode_blocks(self.lpn_input(), &mut y, |rows| {
             read_off_choice_bits(&mut x, usable, rows)
@@ -742,37 +712,65 @@ impl FerretReceiver {
     }
 }
 
-/// Both parties' LPN phase of an extension that one thread ran through
-/// [`FerretReceiver::flips`], [`FerretSender::answer`] and
-/// [`FerretReceiver::finish`]: `z = r·A ⊕ w` and `y = s·A ⊕ v` as one
-/// pass over the matrix (one read of the tile schedule, not one per
-/// party), `x` read off `y` per finished row block, then both
-/// bootstraps. Only the public index stream is shared: each output
-/// depends on its own party's inputs alone, exactly as in
-/// [`FerretSender::extend`] and [`FerretReceiver::extend`]. The pass
-/// runs on the sender's copy of the matrix, which is the receiver's:
-/// [`crate::session::CotSession`] builds both parties from one config
-/// carrying its shared matrix.
-///
-/// # Panics
-///
-/// Panics unless both parties finished their SPCOT step.
-pub(crate) fn encode_both(sender: &mut FerretSender, receiver: &mut FerretReceiver) -> CotBatch {
-    let usable = receiver.cfg.usable_outputs();
-    let (mut z, mut y) = (sender.take_w(), receiver.take_v());
-    let mut x = Vec::with_capacity(usable);
-    sender.matrix.encode_pair(
-        sender.lpn_input(),
-        receiver.lpn_input(),
-        &mut z,
-        &mut y,
-        |rows| read_off_choice_bits(&mut x, usable, rows),
-    );
-    CotBatch {
-        delta: sender.delta(),
-        z: sender.bootstrap(z),
-        x,
-        y: receiver.bootstrap(y),
+/// Both parties of one session, run back to back on one thread — a
+/// [`crate::session::CotSession`]'s thread, or an inline
+/// [`crate::pool::CotPool`] refill — with no channel between them.
+#[derive(Debug)]
+pub(crate) struct Parties {
+    sender: FerretSender,
+    receiver: FerretReceiver,
+}
+
+impl Parties {
+    /// Builds both parties from `bases` (as [`deal`] deals them) on
+    /// `cfg`, whose shared matrix the callers prebuild. Build them on the
+    /// thread that extends them: a session whose parties were built on
+    /// the spawning thread spent more CPU per COT whenever it had a core
+    /// of its own.
+    pub(crate) fn new(cfg: FerretConfig, bases: (CotSender, CotReceiver), seed: u64) -> Self {
+        Parties {
+            sender: FerretSender::new(cfg.clone(), bases.0, seed),
+            receiver: FerretReceiver::new(cfg, bases.1, seed),
+        }
+    }
+
+    /// One extension: the receiver's [`FerretReceiver::flips`], the
+    /// sender's [`FerretSender::answer`] and the receiver's
+    /// [`FerretReceiver::finish`], then both LPN phases `z = r·A ⊕ w` and
+    /// `y = s·A ⊕ v` as one pass over the shared matrix (one read of the
+    /// tile schedule, not one per party) with `x` read off `y` per
+    /// finished row block, then both bootstraps. Only the public index
+    /// stream is shared: each output depends on its own party's inputs
+    /// alone, exactly as in [`FerretSender::extend`] and
+    /// [`FerretReceiver::extend`]. Returns the matched outputs and the
+    /// nanoseconds the SPCOT steps took (the rest is the LPN pass).
+    pub(crate) fn extend(&mut self) -> (CotBatch, u64) {
+        let Parties { sender, receiver } = self;
+        let watch = Stopwatch::start();
+        let (flips, punctures) = receiver.flips();
+        let (answer, mut z) = sender
+            .answer(|| Ok(flips))
+            .expect("the flips cover every OT");
+        let mut y = receiver
+            .finish(punctures, &answer)
+            .expect("the answer covers every OT");
+        let spcot = watch.elapsed_nanos();
+        let usable = receiver.cfg.usable_outputs();
+        let mut x = Vec::with_capacity(usable);
+        sender.matrix.encode_pair(
+            sender.lpn_input(),
+            receiver.lpn_input(),
+            &mut z,
+            &mut y,
+            |rows| read_off_choice_bits(&mut x, usable, rows),
+        );
+        let batch = CotBatch {
+            delta: sender.delta(),
+            z: sender.bootstrap(z),
+            x,
+            y: receiver.bootstrap(y),
+        };
+        (batch, spcot)
     }
 }
 
@@ -800,6 +798,15 @@ impl std::ops::Deref for FerretOutput {
     fn deref(&self) -> &CotBatch {
         &self.cots
     }
+}
+
+/// A fresh session's base correlations for both parties, dealt from
+/// `seed` (`Δ` first), as every driver deals them: the same seed gives
+/// bit-identical outputs whichever runs the session.
+pub(crate) fn deal(cfg: &FerretConfig, seed: u64) -> (CotSender, CotReceiver) {
+    let mut dealer = Dealer::new(seed);
+    let delta = dealer.random_delta();
+    dealer.deal_cot(delta, cfg.base_cots_required())
 }
 
 /// Convenience harness: deals fresh bases, runs one extension on two
@@ -842,10 +849,8 @@ where
     TR: crate::channel::Transport + Send,
 {
     assert!(iterations > 0, "need at least one iteration");
-    let mut dealer = Dealer::new(seed);
-    let delta = dealer.random_delta();
-    let required = cfg.base_cots_required();
-    let (s_base, r_base) = dealer.deal_cot(delta, required);
+    let (s_base, r_base) = deal(cfg, seed);
+    let delta = s_base.delta();
     // Both parties pin the identical matrix: build it once and hand each
     // thread the Arc instead of paying two generations.
     let mut cfg = cfg.clone();

@@ -10,10 +10,11 @@
 //! # Supply modes
 //!
 //! * **Inline** ([`CotPool::new`]) — each refill bootstraps a fresh FERRET
-//!   session via [`run_extension`]. `Δ` changes per refill, so a batch
-//!   never straddles a refill and a below-request remnant is discarded at
-//!   every session boundary. Simple, but the bootstrap (dealer, LPN
-//!   matrix, thread spawns) costs several times the marginal extension.
+//!   session and runs one extension of both parties on the calling
+//!   thread. `Δ` changes per refill, so a batch never straddles a refill
+//!   and a below-request remnant is discarded at every session boundary.
+//!   Simple, but the bootstrap (dealer, base correlations) is paid on
+//!   every refill.
 //! * **Pipelined** ([`CotPool::pipelined`]) — one persistent
 //!   [`CotSession`] extends ahead of demand on a background thread and a
 //!   refill just drains its staging channel: a cursor bump plus at most
@@ -40,7 +41,7 @@
 //! pool reads them there without taking the shard's lock.
 
 use crate::cot::{CotBatch, CotSlice};
-use crate::ferret::{run_extension, FerretConfig};
+use crate::ferret::{deal, FerretConfig, Parties};
 use crate::session::{CotSession, SessionTelemetry};
 use ironman_telemetry::{EventKind, Stopwatch};
 use std::sync::atomic::Ordering;
@@ -49,7 +50,7 @@ use std::sync::Arc;
 /// Where refills come from (see the module docs).
 #[derive(Debug)]
 enum Supply {
-    /// Fresh session per refill via [`run_extension`].
+    /// Fresh session per refill, extended on the calling thread.
     Inline,
     /// Persistent pipelined session staging extensions ahead of demand.
     Session(CotSession),
@@ -71,8 +72,8 @@ pub struct CotPool {
     cots: CotBatch,
     cursor: usize,
     /// The histograms, trace and counters this pool records into.
-    /// Pipelined supply shares it with its session (the session threads
-    /// record extension durations and staged extensions); inline refills
+    /// Pipelined supply shares it with its session (the session's thread
+    /// records extension durations and staged extensions); inline refills
     /// record here directly, so both supply modes feed the same home.
     telemetry: Arc<SessionTelemetry>,
 }
@@ -156,15 +157,16 @@ impl CotPool {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(1);
         let watch = Stopwatch::start();
-        let out = run_extension(&self.cfg, self.seed);
+        let bases = deal(&self.cfg, self.seed);
+        let (batch, _) = Parties::new(self.cfg.clone(), bases, self.seed).extend();
         // Inline extensions run on the demand path, so they record into
-        // the same extension histogram the pipelined session threads
-        // use — either supply mode shows up in the shard's latencies.
+        // the same extension histogram a pipelined session's thread
+        // uses — either supply mode shows up in the shard's latencies.
         self.telemetry.extension.record(watch.elapsed_nanos());
         // With per-refill sessions Δ changes; expose each batch under its
         // own Δ by draining the remainder first.
-        debug_assert!(self.available() == 0 || self.cots.delta == out.cots.delta);
-        self.cots = out.cots;
+        debug_assert!(self.available() == 0 || self.cots.delta == batch.delta);
+        self.cots = batch;
         self.cursor = 0;
         self.telemetry
             .extensions_run
@@ -217,7 +219,7 @@ impl CotPool {
                 Some(batch) => self.append(batch),
                 None => {
                     if self.merges_remnants() {
-                        // Session threads died: degrade permanently to
+                        // The session thread died: degrade permanently to
                         // inline refills rather than failing the request.
                         self.supply = Supply::Inline;
                     }
@@ -236,7 +238,7 @@ impl CotPool {
     /// [`CotPool::take_slice`] applies — and clamps watermarks to one
     /// extension's output.
     /// Pipelined mode instead drains already-staged session outputs
-    /// **without blocking** (the session threads do the extending) and
+    /// **without blocking** (the session thread does the extending) and
     /// merges them with the remnant; the watermark is clamped to two
     /// extensions' output so a sweeping refiller cannot grow the buffer
     /// without bound.
@@ -263,7 +265,7 @@ impl CotPool {
                         self.append(batch);
                         refilled = true;
                     }
-                    // Staging merely empty: the threads are still
+                    // Staging merely empty: the thread is still
                     // extending; the next sweep catches the output.
                     Ok(None) => return refilled,
                     // Session died: degrade permanently and fall through

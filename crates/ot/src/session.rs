@@ -8,7 +8,7 @@
 //! assumes) on **one thread**, which holds both parties and runs each
 //! extension's steps back to back: the receiver's flips, the sender's
 //! answer, the receiver's finish, one LPN pass for both parties over the
-//! shared matrix (`ferret::encode_both`) and both bootstraps. It
+//! shared matrix and both bootstraps (`ferret::Parties::extend`). It
 //! pushes each extension's matched output into a **bounded staging
 //! channel**. Consumers drain staged outputs with a plain channel receive
 //! — no protocol work on their critical path — and the bound is the
@@ -22,8 +22,7 @@
 //! discarding session-boundary remnants.
 
 use crate::cot::CotBatch;
-use crate::dealer::Dealer;
-use crate::ferret::{encode_both, FerretConfig, FerretReceiver, FerretSender};
+use crate::ferret::{deal, FerretConfig, Parties};
 use ironman_prg::Block;
 use ironman_telemetry::{pack_phase_split, EventKind, Histogram, Stopwatch, TraceLog};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,9 +115,8 @@ impl CotSession {
         lookahead: usize,
         telemetry: Arc<SessionTelemetry>,
     ) -> CotSession {
-        let mut dealer = Dealer::new(seed);
-        let delta = dealer.random_delta();
-        let (s_base, r_base) = dealer.deal_cot(delta, cfg.base_cots_required());
+        let bases = deal(cfg, seed);
+        let delta = bases.0.delta();
         let (out_tx, out_rx) = mpsc::sync_channel::<CotBatch>(lookahead.max(1));
         // One matrix for both parties, and no new one if the caller (a
         // shard pool) already prebuilt the shared matrix into `cfg`.
@@ -127,26 +125,18 @@ impl CotSession {
         let per_extension = cfg.usable_outputs();
         let thread_telemetry = Arc::clone(&telemetry);
         let thread = std::thread::spawn(move || {
-            let mut sender = FerretSender::new(cfg.clone(), s_base, seed);
-            let mut receiver = FerretReceiver::new(cfg, r_base, seed);
+            let mut parties = Parties::new(cfg, bases, seed);
             let telemetry = thread_telemetry;
             for ordinal in 0u64.. {
                 telemetry.trace.push(EventKind::ExtensionStart, ordinal);
                 let watch = Stopwatch::start();
-                let answer = sender
-                    .answer(&receiver.flips())
-                    .expect("the flips cover every OT");
-                receiver
-                    .finish(&answer)
-                    .expect("the answer covers every OT");
-                let spcot = watch.elapsed_nanos();
-                let lpn_watch = Stopwatch::start();
-                let batch = encode_both(&mut sender, &mut receiver);
-                let lpn = lpn_watch.elapsed_nanos();
-                telemetry.extension.record(watch.elapsed_nanos());
-                telemetry
-                    .trace
-                    .push(EventKind::ExtensionEnd, pack_phase_split(spcot, lpn));
+                let (batch, spcot) = parties.extend();
+                let elapsed = watch.elapsed_nanos();
+                telemetry.extension.record(elapsed);
+                telemetry.trace.push(
+                    EventKind::ExtensionEnd,
+                    pack_phase_split(spcot, elapsed.saturating_sub(spcot)),
+                );
                 telemetry.extensions_staged.fetch_add(1, Ordering::Relaxed);
                 if out_tx.send(batch).is_err() {
                     return;

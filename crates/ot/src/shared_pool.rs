@@ -51,7 +51,7 @@ pub struct ShardSnapshot {
     pub taken_cots: u64,
     /// Refills performed through the warm-up path (`ensure`).
     pub warm_refills: u64,
-    /// Extensions completed by the shard's pipelined session threads
+    /// Extensions completed by the shard's pipelined session's thread
     /// (0 for shards built inline).
     pub session_extensions: u64,
     /// Times a drain blocked on the session's staging buffer — the
@@ -238,7 +238,7 @@ impl SharedCotPool {
     /// The watermark is re-clamped **per shard, per sweep** against that
     /// shard's *live* supply mode: a remnant-merging (pipelined) shard
     /// allows up to two extensions' output, while a buffer-replacing
-    /// (inline — by construction or because its session threads died)
+    /// (inline — by construction or because its session thread died)
     /// shard is capped at **half** an extension, since a post-drain
     /// refill there discards the live remnant and the half cap bounds
     /// the discard to at most half the work each refill buys.

@@ -24,7 +24,8 @@
 //! [`finish`] — so one thread can run both parties back to back.
 //! [`spcot_batch_send_into`] and [`spcot_batch_recv_into`] run them over
 //! a [`Transport`]: one flip vector one way, the answer's two messages
-//! the other.
+//! the other. The sender takes the flips only once its trees are
+//! expanded, so over a channel the expansion overlaps their trip.
 
 use crate::channel::{ChannelError, Transport};
 use crate::chosen;
@@ -125,12 +126,16 @@ pub fn flips(cfg: &SpcotConfig, base: &CotReceiver, alphas: &[usize]) -> Vec<boo
     chosen::flips(base, &choices(&shape, &digits))
 }
 
-/// The sender's step: expands one tree per seed and answers `flips`
-/// from the batch's `seeds.len() · cfg.base_cots_needed()` correlations
-/// in `base`. `sink` is handed each tree's index, its leaf slice
-/// (borrowed from the expanded tree) and its PRG counter, and
-/// accumulates wherever the caller wants — the extension loop XORs
-/// straight into its length-`n` LPN accumulator stripe.
+/// The sender's step: expands one tree per seed and answers the
+/// receiver's flips from the batch's `seeds.len() ·
+/// cfg.base_cots_needed()` correlations in `base`. `flips` is called
+/// once, after every tree is expanded and just before the chosen-OT
+/// payload is made: only the payload depends on the flips, so a driver
+/// over a channel receives them while the trees expand. `sink` is handed
+/// each tree's index, its leaf slice (borrowed from the expanded tree)
+/// and its PRG counter, and accumulates wherever the caller wants — the
+/// extension loop XORs straight into its length-`n` LPN accumulator
+/// stripe.
 ///
 /// The sender streams: one tree buffer is expanded, drained into `sink`
 /// and reused, in index order; per tree only the level sums and the
@@ -142,7 +147,8 @@ pub fn flips(cfg: &SpcotConfig, base: &CotReceiver, alphas: &[usize]) -> Vec<boo
 ///
 /// # Errors
 ///
-/// [`ChannelError::Malformed`] if `flips` does not cover every OT.
+/// Propagates an error from `flips`, and returns
+/// [`ChannelError::Malformed`] if the flips do not cover every OT.
 ///
 /// # Panics
 ///
@@ -151,7 +157,7 @@ pub fn answer(
     cfg: &SpcotConfig,
     base: &CotSender,
     seeds: &[Block],
-    flips: &[bool],
+    flips: impl FnOnce() -> Result<Vec<bool>, ChannelError>,
     tweak: &mut u64,
     mut sink: impl FnMut(usize, &[Block], PrgCounter),
 ) -> Result<SpcotAnswer, ChannelError> {
@@ -197,7 +203,7 @@ pub fn answer(
         }
         pairs.extend(level);
     }
-    let payload = chosen::answer(base, &pairs, flips, *tweak)?;
+    let payload = chosen::answer(base, &pairs, &flips()?, *tweak)?;
     *tweak += pairs.len() as u64;
     Ok(SpcotAnswer { payload, masked })
 }
@@ -287,9 +293,9 @@ pub fn finish(
 }
 
 /// Sender side over `ch`: runs `seeds.len()` SPCOTs, one tree per seed,
-/// consuming their base correlations from the front of `base` — receives
-/// the flips and sends the [`answer`] (whose `sink` and `tweak` these
-/// are).
+/// consuming their base correlations from the front of `base` — sends
+/// the [`answer`] (whose `sink` and `tweak` these are) to the flips it
+/// receives once the trees are expanded.
 ///
 /// # Errors
 ///
@@ -304,8 +310,7 @@ pub fn spcot_batch_send_into<T: Transport + ?Sized>(
     sink: impl FnMut(usize, &[Block], PrgCounter),
 ) -> Result<(), ChannelError> {
     let batch = base.split_off_front(seeds.len() * cfg.base_cots_needed());
-    let flips = ch.recv_bits()?;
-    answer(cfg, &batch, seeds, &flips, tweak, sink)?.send(ch)
+    answer(cfg, &batch, seeds, || ch.recv_bits(), tweak, sink)?.send(ch)
 }
 
 /// Receiver side over `ch`, consuming the batch's base correlations from
@@ -338,6 +343,32 @@ mod tests {
     use super::*;
     use crate::channel::run_protocol;
     use crate::dealer::Dealer;
+
+    #[test]
+    fn sender_takes_the_flips_after_expanding_every_tree() {
+        // Over a channel the flips' trip overlaps the expansion: `answer`
+        // asks for them only once `sink` has seen every tree.
+        let cfg = SpcotConfig::ironman(256, Block::from(9u128));
+        let trees = 4;
+        let mut dealer = Dealer::new(9);
+        let delta = dealer.random_delta();
+        let (sb, rb) = dealer.deal_cot(delta, trees * cfg.base_cots_needed());
+        let seeds: Vec<Block> = (0..trees).map(|_| dealer.random_block()).collect();
+        let alphas: Vec<usize> = (0..trees).map(|t| 3 * t + 1).collect();
+        let expanded = std::cell::Cell::new(0);
+        answer(
+            &cfg,
+            &sb,
+            &seeds,
+            || {
+                assert_eq!(expanded.get(), trees, "flips taken before every tree");
+                Ok(flips(&cfg, &rb, &alphas))
+            },
+            &mut 0,
+            |_, _, _| expanded.set(expanded.get() + 1),
+        )
+        .unwrap();
+    }
 
     #[test]
     fn sender_streams_trees_in_order_through_one_buffer() {

@@ -2,18 +2,17 @@
 # Before/after pairs of the benchmark, as a change's CHANGES.md table
 # quotes them.
 #
-#   scripts/pair.sh [-n PAIRS] [-s SECONDS] [--cores one|all] <ref> [workload ...]
+#   scripts/pair.sh [--cores one|all] <ref> [workload ...]
 #   scripts/pair.sh --report target/pair/runs-<time>.jsonl
 #
 # Builds the benchmark harness of <ref> (any commit-ish) from a `git
 # archive` export under target/pair/, with its own CARGO_TARGET_DIR, then
 # the working tree's harness with another. Then, per workload (default:
-# every workload BENCHMARK.json lists), it runs PAIRS pairs (default 10)
-# of `--seconds SECONDS` runs (default 16), one run of each side per pair,
-# each a single `--workload W --seed i --trace 0` run: pair i uses seed i,
-# and the side that runs first alternates from pair to pair, so drift of
-# the host within a pair falls on both sides alike. Both sides run from
-# the repo root.
+# every workload BENCHMARK.json lists), it runs ten pairs, one run of
+# each side per pair, each a single `--workload W --seed i --seconds 16
+# --trace 0` run: pair i uses seed i, and the side that runs first
+# alternates from pair to pair, so drift of the host within a pair falls
+# on both sides alike. Both sides run from the repo root.
 #
 # Per workload and end-to-end metric it prints the reference's median and
 # the working tree's, the distance between the quartiles of the
@@ -32,7 +31,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/pair.sh [-n PAIRS] [-s SECONDS] [--cores one|all] <ref> [workload ...]"
+  echo "usage: scripts/pair.sh [--cores one|all] <ref> [workload ...]"
   echo "       scripts/pair.sh --report target/pair/runs-<time>.jsonl"
 }
 
@@ -83,13 +82,10 @@ report() {
   fi
 }
 
-pairs=10
-seconds=16
+readonly pairs=10 seconds=16
 cores=one
 while [ $# -gt 0 ]; do
   case "$1" in
-    -n) pairs=$2; shift 2 ;;
-    -s) seconds=$2; shift 2 ;;
     --cores) cores=$2; shift 2 ;;
     --report) report "$2"; exit ;;
     -h|--help) usage; exit 0 ;;
