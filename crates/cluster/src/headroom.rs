@@ -17,7 +17,7 @@
 //! supply is not the bottleneck (the fleet is serving- or demand-bound).
 //!
 //! `ironman-perf` is the one model crate the serving stack links, on
-//! purpose: it depends only on serde, and its roofline is the prediction
+//! purpose: it depends on no other crate, and its roofline is the prediction
 //! the CPU-model drift check compares measured supply against. The NMP,
 //! DRAM and cache simulators stay out of the serving crates.
 

@@ -35,7 +35,7 @@ pub struct WarmupConfig {
     /// to two extensions' output for remnant-merging (pipelined) shards,
     /// and half an extension for buffer-replacing (inline) shards —
     /// including a pipelined shard that degraded to inline after its
-    /// session threads died — where a post-drain refill discards the
+    /// session thread died — where a post-drain refill discards the
     /// live remnant and the half cap bounds the discard to at most half
     /// the work each refill buys.
     pub low_watermark: usize,

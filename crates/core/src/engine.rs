@@ -4,7 +4,6 @@ use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::cot::CotBatch;
 use ironman_ot::ferret::{run_extensions, FerretConfig, FerretOutput};
 use ironman_perf::{CpuModel, OteWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Which hardware executes (or is simulated to execute) the extension.
 // The NmpConfig payload makes the variant large, but Backend must stay
@@ -27,7 +26,7 @@ impl Backend {
 }
 
 /// Timing summary of one extension.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Timing {
     /// Analytical CPU-baseline latency for the same work, ms.
     pub cpu_model_ms: f64,

@@ -7,16 +7,15 @@
 
 use ironman_ot::cot::CotSlice;
 use ironman_prg::{Block, Crhf};
-use serde::{Deserialize, Serialize};
 
 /// The sender's random-OT pads: one `(H(z), H(z ⊕ Δ))` pair per OT.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RotSender {
     pads: Vec<(Block, Block)>,
 }
 
 /// The receiver's random-OT share: the choice bit and its pad.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RotReceiver {
     choices: Vec<bool>,
     pads: Vec<Block>,

@@ -6,10 +6,9 @@ use ironman_nmp::{NmpConfig, OteSimulator, OteWork, Role};
 use ironman_ot::params::FerretParams;
 use ironman_perf::{CpuModel, GpuModel, OteWorkload};
 use ironman_prg::PrgKind;
-use serde::{Deserialize, Serialize};
 
 /// One cell of the Fig. 12 grid.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeedupRow {
     /// Parameter set (log2 of the target OT count).
     pub log_target: u32,

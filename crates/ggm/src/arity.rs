@@ -1,6 +1,5 @@
 //! Validated tree arity and level-shape computation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The branching factor of a GGM tree.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(m.log2(), 2);
 /// assert!(Arity::new(3).is_err());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Arity(usize);
 
 /// Error returned when constructing an invalid [`Arity`].

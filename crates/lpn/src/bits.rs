@@ -14,10 +14,8 @@
 //! still probes need: construction from/unpacking to `bool`s, bit
 //! get/toggle, and word-level XOR for bulk accumulation.
 
-use serde::{Deserialize, Serialize};
-
 /// A bit vector packed least-significant-bit-first into `u64` words.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackedBits {
     words: Vec<u64>,
     len: usize,

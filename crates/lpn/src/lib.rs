@@ -68,7 +68,7 @@ pub mod tile;
 
 pub use bits::PackedBits;
 pub use matrix::LpnMatrix;
-pub use simd::{SimdLevel, SimdMode};
+pub use simd::SimdLevel;
 pub use tile::{TileConfig, TileSchedule};
 
 /// The paper's row weight: every row of `A` has exactly ten nonzeros.

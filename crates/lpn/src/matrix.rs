@@ -20,7 +20,6 @@
 use crate::tile::{TileConfig, TileSchedule};
 use crate::DEFAULT_ROW_WEIGHT;
 use ironman_prg::{Aes128, Block};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -39,9 +38,8 @@ pub(crate) fn count_generation() {
 ///
 /// Invariant (the wide bit pass in [`crate::simd`] gathers unchecked on
 /// it): every stored column index is `< cols`. Both constructors
-/// establish it — hence `Serialize` only: no deserializer may mint a
-/// matrix that skipped them.
-#[derive(Clone, Debug, Serialize)]
+/// establish it.
+#[derive(Clone, Debug)]
 pub struct LpnMatrix {
     rows: usize,
     cols: usize,
@@ -49,8 +47,7 @@ pub struct LpnMatrix {
     colidx: Vec<u32>,
     /// Default-geometry tile schedule, built once on first use (the
     /// matrix never changes, so the schedule is a pure function of it —
-    /// derived state, excluded from equality and serialization).
-    #[serde(skip)]
+    /// derived state, excluded from equality).
     tiles: OnceLock<TileSchedule>,
 }
 

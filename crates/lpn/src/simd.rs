@@ -33,11 +33,11 @@
 //! Dispatch is by [`SimdLevel`]: [`SimdLevel::detect`] is the wide tier
 //! where [`ironman_prg::cpu::enabled`] has AVX2 and BMI2 — the one CPU
 //! decision every kernel tier shares, so `IRONMAN_SIMD=scalar` turns the
-//! wide tier off with the others — and `FerretConfig`'s simd policy in
-//! `ironman-ot` can pin the scalar tier per session. Every entry point
-//! takes the level explicitly so benches and proptests can pin either
-//! tier, and checks [`ironman_prg::cpu::detected`] before it runs a wide
-//! kernel. The scalar tier calls the unchanged [`encoder`] kernels — the
+//! wide tier off with the others; it is the tier every FERRET session
+//! in `ironman-ot` runs. Every entry point takes the level explicitly so
+//! benches and proptests can pin either tier, and checks
+//! [`ironman_prg::cpu::detected`] before it runs a wide kernel. The
+//! scalar tier calls the unchanged [`encoder`] kernels — the
 //! always-available fallback, and the only tier on non-x86-64 targets.
 //! Both tiers are bit-identical in output (checked by the
 //! `kernel_props` proptests under both forced-scalar and auto
@@ -56,11 +56,10 @@ use crate::tile::TileSchedule;
 use crate::LpnMatrix;
 use ironman_prg::cpu::{self, Features};
 use ironman_prg::Block;
-use serde::{Deserialize, Serialize};
 
 /// Which kernel tier an encode runs. Output-identical; only the
 /// instruction selection differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
     /// Baseline x86-64 lanes (GPR-pair block XORs, mask-table bit
     /// probes) — the always-available fallback.
@@ -70,28 +69,6 @@ pub enum SimdLevel {
     /// features are absent (every entry point re-checks, so passing
     /// `Wide` on a machine without AVX2 is safe, just pointless).
     Wide,
-}
-
-/// Per-session dispatch policy (the config knob: `FerretConfig` carries
-/// one so tests force the scalar tier without touching the process-wide
-/// environment).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimdMode {
-    /// Use [`SimdLevel::detect`] (honors `IRONMAN_SIMD=scalar`).
-    #[default]
-    Auto,
-    /// Pin the scalar tier regardless of CPU features.
-    ForceScalar,
-}
-
-impl SimdMode {
-    /// Resolves the policy to a concrete level.
-    pub fn resolve(self) -> SimdLevel {
-        match self {
-            SimdMode::Auto => SimdLevel::detect(),
-            SimdMode::ForceScalar => SimdLevel::Scalar,
-        }
-    }
 }
 
 impl SimdLevel {
@@ -994,12 +971,6 @@ mod tests {
     #[test]
     fn available_contains_scalar() {
         assert!(SimdLevel::available().contains(&SimdLevel::Scalar));
-    }
-
-    #[test]
-    fn mode_resolution() {
-        assert_eq!(SimdMode::ForceScalar.resolve(), SimdLevel::Scalar);
-        assert_eq!(SimdMode::Auto.resolve(), SimdLevel::detect());
     }
 
     #[test]

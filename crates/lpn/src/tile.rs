@@ -26,10 +26,9 @@ use crate::encoder::{self, XorLane};
 use crate::matrix::{count_generation, RowGenerator};
 use crate::{simd, LpnMatrix};
 use ironman_prg::Block;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of the tile partition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileConfig {
     /// Rows per accumulator block. The default (131072 = 2 MB of block
     /// accumulator) was swept on the reference single-core box: large
@@ -67,8 +66,7 @@ impl TileConfig {
 /// it): every entry of bucket `(block, tile)` decodes to a
 /// `(row, col)` with `row < rows` and `col < cols`. Every constructor
 /// ([`TileSchedule::build`], [`TileSchedule::generate`],
-/// [`TileSchedule::build_with`]) checks it for every gather — hence no
-/// `Deserialize`: nothing may mint a schedule that skipped that check.
+/// [`TileSchedule::build_with`]) checks it for every gather.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TileSchedule {
     g: Geometry,

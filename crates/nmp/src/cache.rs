@@ -19,10 +19,8 @@
 //! assert!((c.stats().hit_rate() - 0.5).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Cache geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -68,7 +66,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that hit.
     pub hits: u64,

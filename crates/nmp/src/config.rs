@@ -2,14 +2,13 @@
 
 use crate::cache::CacheConfig;
 use crate::dram::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Ironman-NMP deployment.
 ///
 /// The paper's system (Table 3) has 4 channels × 2 DIMMs × 2 ranks;
 /// experiments sweep the number of *active* ranks (2–16, Fig. 12) and the
 /// per-rank memory-side cache (32 KB–2 MB, Fig. 14).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NmpConfig {
     /// Active ranks (each contributes one Rank-NMP module).
     pub ranks: usize,

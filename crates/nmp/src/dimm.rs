@@ -17,10 +17,9 @@ use crate::schedule::{self, ExpansionSchedule, PipelineModel};
 use crate::{NmpConfig, Role};
 use ironman_ggm::Arity;
 use ironman_prg::PrgKind;
-use serde::{Deserialize, Serialize};
 
 /// SPCOT work for one protocol execution (all DIMMs together).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpcotWork {
     /// Number of GGM trees (`t`).
     pub trees: usize,
@@ -49,7 +48,7 @@ impl SpcotWork {
 }
 
 /// Simulation result for the SPCOT phase on one DIMM module.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DimmSpcotReport {
     /// Cycles until the last leaf is produced (per DIMM; DIMMs run in
     /// parallel).

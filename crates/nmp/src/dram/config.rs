@@ -1,12 +1,10 @@
 //! DDR4 configuration: geometry and timing (paper Table 3).
 
-use serde::{Deserialize, Serialize};
-
 /// DDR4 timing parameters in memory-clock cycles.
 ///
 /// Values are the paper's Table 3 row for DDR4-2400. `tRAS` is not listed
 /// there; we derive it as `tRC − tRP` (the JEDEC identity).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramTiming {
     /// ACT → internal READ delay.
     pub t_rcd: u64,
@@ -62,7 +60,7 @@ impl DramTiming {
 
 /// Geometry plus timing of one DRAM device hierarchy level used by the
 /// simulator (one rank's view).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DramConfig {
     /// Timing parameters.
     pub timing: DramTiming,

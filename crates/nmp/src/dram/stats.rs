@@ -1,9 +1,7 @@
 //! Simulation statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of running a request trace through a [`super::RankSim`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DramStats {
     /// Read requests completed.
     pub reads: u64,

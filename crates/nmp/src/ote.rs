@@ -14,7 +14,6 @@ use crate::{DimmSpcotReport, NmpConfig, Role};
 use ironman_ggm::Arity;
 use ironman_lpn::LpnMatrix;
 use ironman_prg::{Block, PrgKind};
-use serde::{Deserialize, Serialize};
 
 /// Work content of one OTE protocol execution.
 #[derive(Clone, Debug)]
@@ -72,7 +71,7 @@ impl OteWork {
 }
 
 /// Simulation result of one OTE execution.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OteReport {
     /// SPCOT-phase cycles (critical-path DIMM).
     pub spcot_cycles: u64,
@@ -283,7 +282,7 @@ mod tests {
 /// latency"). The unified unit (§5.2) is what makes this possible on one
 /// PU: the same XOR-tree datapath serves the Key-Generator and
 /// Message-Decoder passes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DualRoleReport {
     /// This party acting as sender.
     pub as_sender: OteReport,

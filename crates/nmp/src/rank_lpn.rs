@@ -10,7 +10,6 @@ use crate::cache::{Cache, CacheStats};
 use crate::dram::{DramStats, RankSim, Request};
 use crate::NmpConfig;
 use ironman_prg::Block;
-use serde::{Deserialize, Serialize};
 
 /// The LPN work assigned to one rank module.
 #[derive(Clone, Debug)]
@@ -45,7 +44,7 @@ impl LpnWork {
 }
 
 /// Simulation result for one rank module.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RankLpnReport {
     /// Total cycles to drain the gather (after sampling scale-up).
     pub cycles: u64,

@@ -21,11 +21,10 @@
 //! with SIMD lanes standing in for pipeline stages.
 
 use ironman_ggm::Arity;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which traversal order feeds the pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExpansionSchedule {
     /// Strict depth-first, one tree at a time.
     DepthFirst,
@@ -61,7 +60,7 @@ impl fmt::Display for ExpansionSchedule {
 }
 
 /// The pipelined PRG core being modeled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineModel {
     /// Pipeline depth in cycles (8 for the paper's ChaCha8 core: one stage
     /// per double round).
@@ -90,7 +89,7 @@ impl PipelineModel {
 }
 
 /// Outcome of simulating a schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduleReport {
     /// Total cycles until the last call's results are available.
     pub cycles: u64,

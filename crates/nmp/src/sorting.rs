@@ -24,10 +24,9 @@
 //! matrix's [`LpnMatrix::colidx`], replayed through [`crate::cache`].
 
 use ironman_lpn::LpnMatrix;
-use serde::Serialize;
 
 /// A sorted LPN matrix: same code, better locality.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SortedLpnMatrix {
     matrix: LpnMatrix,
     /// `col_perm[old]` = new location of input element `old`.

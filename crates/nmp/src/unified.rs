@@ -8,10 +8,8 @@
 //! tree's cycles ([`crate::dimm::simulate_dimm`]); the XOR algebra itself
 //! is [`ironman_ggm::GgmTree::level_sums`].
 
-use serde::{Deserialize, Serialize};
-
 /// Which protocol role the unit is serving.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Key Generator: compute per-branch level sums for the OT messages.
     Sender,

@@ -7,7 +7,6 @@
 //! these counters combined with the `ironman-perf` network model.
 
 use ironman_prg::Block;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::mpsc;
 
@@ -201,7 +200,7 @@ pub fn decode_bits_into(bytes: &[u8], out: &mut Vec<bool>) -> Result<(), Channel
 }
 
 /// Communication statistics of one endpoint.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Bytes sent by this endpoint.
     pub bytes_sent: u64,

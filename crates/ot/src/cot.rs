@@ -14,7 +14,6 @@
 //!   such as the dealt base correlations.
 
 use ironman_prg::Block;
-use serde::{Deserialize, Serialize};
 
 /// A matched batch of correlations handed to the application.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,7 +138,7 @@ impl CotSlice<'_> {
 
 /// The sender's share of a batch of COT correlations: the global `Δ` and
 /// one string `z` (here `r0`) per correlation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CotSender {
     delta: Block,
     r0: Vec<Block>,
@@ -147,7 +146,7 @@ pub struct CotSender {
 
 /// The receiver's share of a batch of COT correlations: choice bits `x`
 /// (here `bits`) and the chosen strings `y` (here `rb`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CotReceiver {
     bits: Vec<bool>,
     rb: Vec<Block>,
@@ -195,7 +194,7 @@ impl CotSender {
     /// # Panics
     ///
     /// Panics if `count > len()`.
-    pub fn split_off_front(&mut self, count: usize) -> CotSender {
+    pub(crate) fn split_off_front(&mut self, count: usize) -> CotSender {
         assert!(
             count <= self.r0.len(),
             "cannot split {count} of {}",
@@ -247,7 +246,7 @@ impl CotReceiver {
     /// # Panics
     ///
     /// Panics if `count > len()`.
-    pub fn split_off_front(&mut self, count: usize) -> CotReceiver {
+    pub(crate) fn split_off_front(&mut self, count: usize) -> CotReceiver {
         assert!(
             count <= self.rb.len(),
             "cannot split {count} of {}",

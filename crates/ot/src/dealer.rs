@@ -47,11 +47,6 @@ impl Dealer {
         self.prf.encrypt_block(Block::from(self.counter))
     }
 
-    /// Draws a pseudorandom bit.
-    pub fn random_bit(&mut self) -> bool {
-        self.random_block().lsb()
-    }
-
     /// Draws a uniformly-ish random index in `0..bound` (rejection-free
     /// modular reduction; the tiny bias is irrelevant for workloads).
     ///
@@ -131,7 +126,7 @@ mod tests {
         let mut single = d.clone();
         let (s, r) = d.deal_cot(delta, 5);
         let strings: Vec<Block> = (0..5).map(|_| single.random_block()).collect();
-        let bits: Vec<bool> = (0..5).map(|_| single.random_bit()).collect();
+        let bits: Vec<bool> = (0..5).map(|_| single.random_block().lsb()).collect();
         assert_eq!(s.r0(), strings.as_slice());
         assert_eq!(r.bits(), bits.as_slice());
         assert_eq!(d.random_block(), single.random_block());

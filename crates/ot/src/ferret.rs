@@ -50,19 +50,16 @@ use crate::params::FerretParams;
 use crate::spcot::SpcotConfig;
 use crate::spcot_batch::{self, SpcotAnswer};
 use ironman_ggm::Arity;
-use ironman_lpn::{
-    simd, LpnMatrix, SimdLevel, SimdMode, TileConfig, TileSchedule, DEFAULT_ROW_WEIGHT,
-};
+use ironman_lpn::{simd, LpnMatrix, SimdLevel, TileConfig, TileSchedule, DEFAULT_ROW_WEIGHT};
 use ironman_prg::{Block, PrgCounter, PrgKind};
 use ironman_telemetry::Stopwatch;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which traversal of `ironman_lpn` the extension's one LPN block pass
 /// runs — and with it which form of the matrix the session stores.
 /// Bit-identical in output and interchangeable per party (the choice
 /// never touches the wire).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LpnKernel {
     /// Row-major gathers over the row-major `colidx` — the CPU baseline
     /// shape of Fig. 1(c), and the simple path at toy scale.
@@ -80,8 +77,25 @@ pub enum LpnKernel {
     Split,
 }
 
-/// Full configuration of a Ferret session (must be identical on both
-/// parties: it pins the LPN matrix, tree shape and PRG).
+/// The SIMD tier of a party's LPN pass: the CPU's, never the session's.
+/// [`CpuTier::resolve`] is [`SimdLevel::detect`], the tier
+/// `ironman_prg::cpu` picks once per process (scalar under
+/// `IRONMAN_SIMD=scalar`); every tier gives the same bits.
+#[derive(Clone, Copy, Debug)]
+pub struct CpuTier;
+
+impl CpuTier {
+    /// The tier every party in this process runs: [`SimdLevel::detect`].
+    pub fn resolve(self) -> SimdLevel {
+        SimdLevel::detect()
+    }
+}
+
+/// Full configuration of a Ferret session. `params`, `arity`, `prg`,
+/// `session_key`, `lpn_seed` and `row_weight` pin the LPN matrix, the
+/// trees and the PRG, so they must be identical on both parties. `kernel`
+/// and `shared_matrix` are local to each party: they change neither an
+/// output nor a wire byte. The SIMD tier is not configured ([`CpuTier`]).
 #[derive(Clone, Debug)]
 pub struct FerretConfig {
     /// Table 4 parameter set.
@@ -99,11 +113,9 @@ pub struct FerretConfig {
     /// LPN kernel family for the online encode (output-identical; see
     /// [`LpnKernel`]).
     pub kernel: LpnKernel,
-    /// SIMD dispatch policy for the plain-matrix LPN kernels
-    /// (output-identical; local to each party, never on the wire). The
-    /// default [`SimdMode::Auto`] uses the widest tier the CPU offers;
-    /// `IRONMAN_SIMD=scalar` in the environment forces scalar regardless.
-    pub simd: SimdMode,
+    /// Zero-sized: holds no choice, and no session reads it. It stays
+    /// while the harness under `benchmark/` spells `cfg.simd.resolve()`.
+    pub simd: CpuTier,
     /// A prebuilt LPN matrix to share instead of generating one per
     /// party. Matrix generation dominates session-spawn latency at
     /// Table-4 scale and every party's matrix is identical (a pure
@@ -127,7 +139,7 @@ impl FerretConfig {
             lpn_seed: Block::from(0x004c_504e_u128),
             row_weight: DEFAULT_ROW_WEIGHT,
             kernel: LpnKernel::Naive,
-            simd: SimdMode::Auto,
+            simd: CpuTier,
             shared_matrix: None,
         }
     }
@@ -159,9 +171,6 @@ impl FerretConfig {
     /// (The packed-bit, fused-pair and split-pair rows this table used to
     /// carry decided the shape of a receiver-only second pass; they are
     /// in CHANGES.md's PR-14 entry.)
-    ///
-    /// SIMD stays [`SimdMode::Auto`]: the wide tier wins or ties every
-    /// lane it covers and `IRONMAN_SIMD=scalar` remains the escape hatch.
     ///
     /// Serving-path constructors (`CotSession`-backed pools, the bench
     /// and example binaries) build their configs through this.
@@ -245,7 +254,7 @@ impl FerretConfig {
         };
         SessionMatrix {
             repr,
-            level: self.simd.resolve(),
+            level: SimdLevel::detect(),
         }
     }
 }
@@ -898,15 +907,79 @@ where
         .collect()
 }
 
+/// Test hooks that run a party's LPN pass on one tier rather than the
+/// detected one, as `ironman-ggm`'s `OnTier` runs a tree's levels on one
+/// level tier: every tier must give the same bits, and a process only
+/// ever detects one.
+#[cfg(test)]
+impl FerretSender {
+    pub(crate) fn on_tier(mut self, level: SimdLevel) -> Self {
+        self.matrix.level = level;
+        self
+    }
+}
+
+#[cfg(test)]
+impl FerretReceiver {
+    pub(crate) fn on_tier(mut self, level: SimdLevel) -> Self {
+        self.matrix.level = level;
+        self
+    }
+}
+
+#[cfg(test)]
+impl Parties {
+    /// Both parties, and so their joint pass, on `level`.
+    pub(crate) fn on_tier(self, level: SimdLevel) -> Self {
+        Parties {
+            sender: self.sender.on_tier(level),
+            receiver: self.receiver.on_tier(level),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The COTs of `iterations` chained extensions.
     fn cots(cfg: &FerretConfig, seed: u64, iterations: usize) -> Vec<CotBatch> {
         run_extensions(cfg, seed, iterations)
             .into_iter()
             .map(|out| out.cots)
+            .collect()
+    }
+
+    /// [`run_extensions`]' bases and party seeds, but each party on its
+    /// own config (its kernel is a local choice) and LPN tier: the COTs
+    /// of `iterations` chained extensions.
+    fn run_parties(
+        (sender_cfg, sender_tier): (FerretConfig, SimdLevel),
+        (receiver_cfg, receiver_tier): (FerretConfig, SimdLevel),
+        seed: u64,
+        iterations: usize,
+    ) -> Vec<CotBatch> {
+        let (s_base, r_base) = deal(&sender_cfg, seed);
+        let delta = s_base.delta();
+        let (zs, xys, _, _) = crate::channel::run_protocol(
+            move |ch| {
+                let mut sender = FerretSender::new(sender_cfg, s_base, seed).on_tier(sender_tier);
+                (0..iterations)
+                    .map(|_| sender.extend(ch).expect("sender extension"))
+                    .collect::<Vec<_>>()
+            },
+            move |ch| {
+                let mut receiver =
+                    FerretReceiver::new(receiver_cfg, r_base, seed).on_tier(receiver_tier);
+                (0..iterations)
+                    .map(|_| receiver.extend(ch).expect("receiver extension"))
+                    .collect::<Vec<_>>()
+            },
+        );
+        zs.into_iter()
+            .zip(xys)
+            .map(|(z, (x, y))| CotBatch { delta, z, x, y })
             .collect()
     }
 
@@ -959,35 +1032,24 @@ mod tests {
         // correlates with a naive receiver, and a naive sender with a
         // split receiver.
         let naive_cfg = FerretConfig::new(FerretParams::toy());
+        let tier = SimdLevel::detect();
         for (sender_kernel, receiver_kernel) in [
             (LpnKernel::Tiled, LpnKernel::Naive),
             (LpnKernel::Naive, LpnKernel::Split),
         ] {
-            let sender_cfg = FerretConfig {
-                kernel: sender_kernel,
+            let party = |kernel| FerretConfig {
+                kernel,
                 ..naive_cfg.clone()
             };
-            let receiver_cfg = FerretConfig {
-                kernel: receiver_kernel,
-                ..naive_cfg.clone()
-            };
-            let mut dealer = Dealer::new(42);
-            let delta = dealer.random_delta();
-            let (s_base, r_base) = dealer.deal_cot(delta, naive_cfg.base_cots_required());
-            let (z, (x, y), _, _) = crate::channel::run_protocol(
-                move |ch| {
-                    let mut sender = FerretSender::new(sender_cfg, s_base, 42);
-                    sender.extend(ch).expect("sender extension")
-                },
-                move |ch| {
-                    let mut receiver = FerretReceiver::new(receiver_cfg, r_base, 42);
-                    receiver.extend(ch).expect("receiver extension")
-                },
+            let cots = run_parties(
+                (party(sender_kernel), tier),
+                (party(receiver_kernel), tier),
+                42,
+                1,
             );
-            let cots = CotBatch { delta, z, x, y };
-            assert_eq!(cots.len(), naive_cfg.usable_outputs());
+            assert_eq!(cots[0].len(), naive_cfg.usable_outputs());
             assert_eq!(
-                cots.verify(),
+                cots[0].verify(),
                 Ok(()),
                 "{sender_kernel:?}/{receiver_kernel:?}"
             );
@@ -999,7 +1061,6 @@ mod tests {
         for p in FerretParams::TABLE4 {
             let cfg = FerretConfig::recommended(p);
             assert_eq!(cfg.kernel, LpnKernel::Split, "{p}");
-            assert_eq!(cfg.simd, SimdMode::Auto, "{p}");
         }
         // Toy-scale inputs are cache-resident; the simple path stays.
         assert_eq!(
@@ -1011,38 +1072,95 @@ mod tests {
     #[test]
     fn split_kernel_matches_naive() {
         // Split only tiles the block pass ⇒ bit-identical outputs,
-        // bootstrap included — on the scalar tier and on whatever `Auto`
-        // resolves to here (the unchecked tiled lane on AVX2 hosts).
+        // bootstrap included — with both parties on each tier this
+        // machine runs (the unchecked tiled lane on AVX2 hosts).
         let naive_cfg = FerretConfig::new(FerretParams::toy());
         let naive = cots(&naive_cfg, 44, 2);
-        for simd in [SimdMode::Auto, SimdMode::ForceScalar] {
-            let split_cfg = FerretConfig {
-                kernel: LpnKernel::Split,
-                simd,
-                ..naive_cfg.clone()
-            };
-            let split = cots(&split_cfg, 44, 2);
-            assert_eq!(naive, split, "{simd:?}");
+        let split_cfg = FerretConfig {
+            kernel: LpnKernel::Split,
+            ..naive_cfg
+        };
+        for &tier in SimdLevel::available() {
+            let split = run_parties((split_cfg.clone(), tier), (split_cfg.clone(), tier), 44, 2);
+            assert_eq!(naive, split, "{tier:?}");
             split.last().unwrap().verify().unwrap();
         }
     }
 
     #[test]
-    fn forced_scalar_matches_auto() {
+    fn every_party_tier_matches_the_detected_tier() {
         // The SIMD tier is pure instruction selection: outputs must be
-        // bit-identical whichever tier dispatch lands on.
-        let auto_cfg = FerretConfig {
+        // bit-identical whichever tier each party runs.
+        let cfg = FerretConfig {
             kernel: LpnKernel::Split,
             ..FerretConfig::new(FerretParams::toy())
         };
-        let scalar_cfg = FerretConfig {
-            simd: SimdMode::ForceScalar,
-            ..auto_cfg.clone()
-        };
-        assert_eq!(
-            run_extension(&auto_cfg, 46).cots,
-            run_extension(&scalar_cfg, 46).cots
-        );
+        let detected = run_extension(&cfg, 46).cots;
+        for &sender_tier in SimdLevel::available() {
+            for &receiver_tier in SimdLevel::available() {
+                let cots = run_parties(
+                    (cfg.clone(), sender_tier),
+                    (cfg.clone(), receiver_tier),
+                    46,
+                    1,
+                );
+                assert_eq!(cots[0], detected, "{sender_tier:?}/{receiver_tier:?}");
+            }
+        }
+    }
+
+    const KERNELS: [LpnKernel; 3] = [LpnKernel::Naive, LpnKernel::Tiled, LpnKernel::Split];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Seeds × {toy, toy_large} × every arity × each party's own kernel
+        /// and tier, four chained extensions: every output verifies, `Δ`
+        /// is odd, every `z` is even, `x` is bit 0 of `y` — and the whole
+        /// `(z, x, y)` stream is the naive session's at the detected tier,
+        /// bit for bit, so mixed-kernel and mixed-tier parties
+        /// interoperate.
+        #[test]
+        fn bit0_convention_holds_across_kernels_tiers_and_bootstraps(
+            seed in any::<u64>(),
+            large in any::<bool>(),
+            arity in 0..Arity::SWEEP.len(),
+            sender_kernel in 0..KERNELS.len(),
+            sender_tier in 0..SimdLevel::available().len(),
+            receiver_kernel in 0..KERNELS.len(),
+            receiver_tier in 0..SimdLevel::available().len(),
+        ) {
+            const CHAINED: usize = 4;
+            let params = if large { FerretParams::toy_large() } else { FerretParams::toy() };
+            let base_cfg = FerretConfig {
+                arity: Arity::SWEEP[arity],
+                ..FerretConfig::new(params)
+            };
+            let party = |kernel: usize, tier: usize| {
+                let cfg = FerretConfig {
+                    kernel: KERNELS[kernel],
+                    ..base_cfg.clone()
+                };
+                (cfg, SimdLevel::available()[tier])
+            };
+            let outs = run_parties(
+                party(sender_kernel, sender_tier),
+                party(receiver_kernel, receiver_tier),
+                seed,
+                CHAINED,
+            );
+            let reference = cots(&base_cfg, seed, CHAINED);
+            for (i, (out, want)) in outs.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(out.len(), base_cfg.usable_outputs(), "extension {}", i);
+                prop_assert_eq!(out.verify(), Ok(()), "extension {}", i);
+                prop_assert!(out.delta.lsb(), "delta must be odd");
+                for j in 0..out.len() {
+                    prop_assert!(!out.z[j].lsb(), "extension {} z[{}]", i, j);
+                    prop_assert_eq!(out.x[j], out.y[j].lsb(), "extension {} x[{}]", i, j);
+                }
+                prop_assert_eq!(out, want, "extension {}", i);
+            }
+        }
     }
 
     #[test]

@@ -205,7 +205,9 @@ mod tests {
         let mut dealer = Dealer::new(seed);
         let delta = dealer.random_delta();
         let (sender_seeds, pairs) = setup_base(&mut dealer, delta);
-        let x: Vec<bool> = (0..n).map(|j| dealer.random_bit() ^ (j % 7 == 0)).collect();
+        let x: Vec<bool> = (0..n)
+            .map(|j| dealer.random_block().lsb() ^ (j % 7 == 0))
+            .collect();
         let (s, (r, bytes), _, _) = run_protocol(
             move |ch| iknp_send(ch, delta, &sender_seeds, n).unwrap(),
             move |ch| {

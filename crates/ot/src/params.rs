@@ -8,11 +8,10 @@
 //! for these regimes per the paper's citation \[59\]) as a constructor-time
 //! guard.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One row of Table 4.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FerretParams {
     /// Target OTs per protocol execution (`2^log_target`).
     pub log_target: u32,
@@ -174,9 +173,14 @@ impl FerretParams {
 
     /// Number of `ℓ`-wide stripes the LPN output is partitioned into; each
     /// GGM tree is assigned a stripe round-robin (`tree i → stripe i mod
-    /// stripes`). For Table 4's larger rows `t·ℓ < n`, so some stripes
-    /// carry no noise — harmless for COT correctness, and the security
-    /// estimate already uses the printed `(n, k, t)`.
+    /// stripes`). Where `t·ℓ < n` (Table 4's 2^23 and 2^24 rows) the rows
+    /// past `t·ℓ` get no tree, so their choice bits are `x = e·A` exactly,
+    /// with no noise: at OT_2POW23 that is 478 000 rows, and any more than
+    /// `k` of them satisfy public parity checks through `A`. The outputs
+    /// still correlate, but [`FerretParams::security_bits`] assumes `t`
+    /// noise positions spread over all `n` rows, which these sets do not
+    /// have. ROADMAP.md item 22 plans FERRET's regular noise, every row
+    /// in exactly one tree's stripe.
     pub fn stripes(&self) -> usize {
         self.n.div_ceil(self.leaves)
     }

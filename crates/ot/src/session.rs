@@ -273,8 +273,10 @@ mod tests {
         // One LPN pass for both parties and no channel between them, yet
         // the same bits as `run_extensions`, whose parties run on their
         // own threads over an in-process channel: every arity, a mixed
-        // final tree level, three chained extensions.
+        // final tree level, three chained extensions — and the joint pass
+        // on every tier this machine runs, against the detected tier.
         use ironman_ggm::Arity;
+        use ironman_lpn::SimdLevel;
         for arity in Arity::SWEEP {
             let cfg = FerretConfig {
                 arity,
@@ -285,6 +287,13 @@ mod tests {
             let session = CotSession::spawn(&cfg, 23, 1);
             for (i, r) in reference.iter().enumerate() {
                 assert_eq!(session.recv().unwrap(), r.cots, "{arity}: extension {i}");
+            }
+            for &tier in SimdLevel::available() {
+                let mut parties = Parties::new(cfg.clone(), deal(&cfg, 23), 23).on_tier(tier);
+                for (i, r) in reference.iter().enumerate() {
+                    let (batch, _) = parties.extend();
+                    assert_eq!(batch, r.cots, "{arity}, {tier:?}: extension {i}");
+                }
             }
         }
     }

@@ -14,10 +14,9 @@
 
 use ironman_ggm::Arity;
 use ironman_prg::{Block, PrgKind};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one SPCOT execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpcotConfig {
     /// GGM tree arity (`m`).
     pub arity: Arity,

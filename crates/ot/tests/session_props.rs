@@ -3,11 +3,11 @@
 //! on every staged batch, and its output stream is bit-identical to the
 //! naive-kernel session with the same seed; and the bit-0 convention —
 //! `Δ` odd, sender strings even, the receiver's choice bit in bit 0 of
-//! its string — holds across chained extensions whichever kernel and
-//! SIMD tier each party runs.
+//! its string — holds across chained extensions whichever kernel each
+//! party runs. (Each party's SIMD tier is the CPU's; `ferret`'s unit
+//! tests run every tier through a test hook.)
 
 use ironman_ggm::Arity;
-use ironman_lpn::SimdMode;
 use ironman_ot::channel::run_protocol;
 use ironman_ot::cot::CotBatch;
 use ironman_ot::dealer::Dealer;
@@ -17,11 +17,10 @@ use ironman_ot::session::CotSession;
 use proptest::prelude::*;
 
 const KERNELS: [LpnKernel; 3] = [LpnKernel::Naive, LpnKernel::Tiled, LpnKernel::Split];
-const TIERS: [SimdMode; 2] = [SimdMode::Auto, SimdMode::ForceScalar];
 const CHAINED: usize = 4;
 
-/// [`run_extensions`] with a config per party (kernel and tier are
-/// local choices): same dealer draws, same party seeds.
+/// [`run_extensions`] with a config per party (the kernel is a local
+/// choice): same dealer draws, same party seeds.
 fn run_mixed(sender_cfg: FerretConfig, receiver_cfg: FerretConfig, seed: u64) -> Vec<CotBatch> {
     let mut dealer = Dealer::new(seed);
     let delta = dealer.random_delta();
@@ -49,36 +48,29 @@ fn run_mixed(sender_cfg: FerretConfig, receiver_cfg: FerretConfig, seed: u64) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Seeds × {toy, toy_large} × every arity × each party's own kernel
-    /// and tier, four chained extensions: every output verifies, `Δ` is
-    /// odd, every `z` is even, `x` is bit 0 of `y` — and the whole
-    /// `(z, x, y)` stream is the naive/auto session's, bit for bit, so
-    /// mixed-kernel and mixed-tier parties interoperate.
+    /// Seeds × {toy, toy_large} × every arity × each party's own kernel,
+    /// four chained extensions: every output verifies, `Δ` is odd, every
+    /// `z` is even, `x` is bit 0 of `y` — and the whole `(z, x, y)` stream
+    /// is the naive session's, bit for bit, so mixed-kernel parties
+    /// interoperate.
     #[test]
-    fn bit0_convention_holds_across_kernels_tiers_and_bootstraps(
+    fn bit0_convention_holds_across_kernels_and_bootstraps(
         seed in any::<u64>(),
         large in any::<bool>(),
         arity in 0..Arity::SWEEP.len(),
         sender_kernel in 0..KERNELS.len(),
-        sender_tier in 0..TIERS.len(),
         receiver_kernel in 0..KERNELS.len(),
-        receiver_tier in 0..TIERS.len(),
     ) {
         let params = if large { FerretParams::toy_large() } else { FerretParams::toy() };
         let base_cfg = FerretConfig {
             arity: Arity::SWEEP[arity],
             ..FerretConfig::new(params)
         };
-        let party = |kernel: usize, tier: usize| FerretConfig {
+        let party = |kernel: usize| FerretConfig {
             kernel: KERNELS[kernel],
-            simd: TIERS[tier],
             ..base_cfg.clone()
         };
-        let outs = run_mixed(
-            party(sender_kernel, sender_tier),
-            party(receiver_kernel, receiver_tier),
-            seed,
-        );
+        let outs = run_mixed(party(sender_kernel), party(receiver_kernel), seed);
         let reference = run_extensions(&base_cfg, seed, CHAINED);
         for (i, (out, want)) in outs.iter().zip(&reference).enumerate() {
             prop_assert_eq!(out.len(), base_cfg.usable_outputs(), "extension {}", i);

@@ -4,10 +4,8 @@
 //! evaluates SRAM with CACTI; we reproduce the reported constants and the
 //! arithmetic that combines them into Table 6's Ironman-NMP totals.
 
-use serde::{Deserialize, Serialize};
-
 /// A PRG hardware core's cost figures (one row of Table 2).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PrgCore {
     /// Display name.
     pub name: &'static str,
@@ -59,7 +57,7 @@ impl PrgCore {
 }
 
 /// The Ironman-NMP processing-unit cost summary (one column of Table 6).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NmpCost {
     /// Memory-side cache capacity per rank module, bytes.
     pub cache_bytes: usize,

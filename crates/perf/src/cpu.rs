@@ -16,10 +16,8 @@
 //! of the Table 4 set used — consistent with the CPU anchors implied by
 //! Fig. 12's speedup ranges (e.g. 237× over a 2.7 ms Ironman run).
 
-use serde::{Deserialize, Serialize};
-
 /// The work content of one OTE execution, backend-agnostic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OteWorkload {
     /// AES-equivalent PRG operations in the SPCOT phase.
     pub spcot_ops: u64,
@@ -52,7 +50,7 @@ impl OteWorkload {
 }
 
 /// Latency decomposition of one execution, in seconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseLatency {
     /// One-time initialization share (zero when amortized).
     pub init_s: f64,
@@ -70,7 +68,7 @@ impl PhaseLatency {
 }
 
 /// The calibrated CPU model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CpuModel {
     /// AES-equivalent operations per second (all threads).
     pub aes_ops_per_s: f64,

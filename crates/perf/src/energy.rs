@@ -5,10 +5,9 @@
 
 use crate::area_power::{NMP_1MB, NMP_256KB};
 use crate::gpu::GpuModel;
-use serde::Serialize;
 
 /// A backend's power envelope under the OTE workload.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PowerEnvelope {
     /// Display name.
     pub name: &'static str,
@@ -60,7 +59,7 @@ impl PowerEnvelope {
 }
 
 /// One row of the energy comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyRow {
     /// The backend.
     pub envelope: PowerEnvelope,

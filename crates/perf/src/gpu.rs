@@ -7,10 +7,9 @@
 //! measured ratios.
 
 use crate::cpu::{CpuModel, OteWorkload, PhaseLatency};
-use serde::{Deserialize, Serialize};
 
 /// Analytical A6000 baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpuModel {
     /// Measured throughput gain over the full-thread CPU (paper: 5.88×).
     pub speedup_vs_cpu: f64,

@@ -7,10 +7,8 @@
 //! byte/round counters from `ironman-ot`'s channels this regenerates
 //! Fig. 7(c) and Table 5's two column groups.
 
-use serde::{Deserialize, Serialize};
-
 /// A symmetric link with fixed bandwidth and round-trip time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Bandwidth in bits per second.
     pub bandwidth_bps: f64,

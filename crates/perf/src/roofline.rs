@@ -7,10 +7,8 @@
 //! justifies the whole design split — compute acceleration for SPCOT, NMP
 //! for LPN — so we reproduce it quantitatively.
 
-use serde::{Deserialize, Serialize};
-
 /// A two-parameter roofline: compute ceiling and memory slope.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Roofline {
     /// Peak compute in AES-equivalent operations per second.
     pub peak_ops_per_s: f64,
@@ -19,7 +17,7 @@ pub struct Roofline {
 }
 
 /// One plotted kernel: measured operation and byte counts.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RooflinePoint {
     /// Operational intensity in ops/byte.
     pub intensity: f64,

@@ -16,10 +16,9 @@
 
 use crate::zoo::{Workload, TABLE5_WORKLOADS};
 use ironman_perf::NetworkModel;
-use serde::{Deserialize, Serialize};
 
 /// Speedup assumptions fed into the composition.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeedupAssumptions {
     /// Hardware OTE speedup measured from the NMP simulator (Fig. 12; the
     /// flagship configuration lands near 90×).
@@ -53,7 +52,7 @@ impl SpeedupAssumptions {
 }
 
 /// One computed Table 5 row.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct E2eRow {
     /// The workload.
     pub workload: Workload,

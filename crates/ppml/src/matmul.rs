@@ -11,12 +11,11 @@
 //! layers.
 
 use ironman_perf::NetworkModel;
-use serde::{Deserialize, Serialize};
 
 /// A MatMul layer shape `(input, hidden, output)` as in Fig. 16 — the
 /// client activation is `input × hidden`, the server weight
 /// `hidden × output`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MatMulDims {
     /// Rows of the activation (sequence length × batch).
     pub input: usize,

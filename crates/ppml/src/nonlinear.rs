@@ -8,10 +8,9 @@
 //! residual computation unchanged.
 
 use crate::zoo::Framework;
-use serde::{Deserialize, Serialize};
 
 /// The nonlinear operators of Fig. 15.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NonlinearOp {
     /// Layer normalization.
     LayerNorm,
@@ -44,7 +43,7 @@ impl NonlinearOp {
 }
 
 /// One Fig. 15 bar: an operator benchmarked inside a framework.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OpProfile {
     /// Operator.
     pub op: NonlinearOp,

@@ -1,10 +1,9 @@
 //! The model/framework zoo with the paper's measured baselines.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Hybrid HE/MPC private-inference frameworks evaluated in the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Framework {
     /// CrypTFlow2 (Rathee et al., CCS 2020).
     CrypTFlow2,
@@ -29,7 +28,7 @@ impl fmt::Display for Framework {
 }
 
 /// Network architecture family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Convolutional networks (ReLU nonlinearities).
     Cnn,
@@ -38,7 +37,7 @@ pub enum ModelKind {
 }
 
 /// One Table 5 row: a (framework, model) pair with measured baselines.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Workload {
     /// Framework executing the inference.
     pub framework: Framework,

@@ -6,7 +6,6 @@
 //! thin newtype over `u128` with XOR-centric arithmetic, because all protocol
 //! algebra happens in GF(2)^128.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitAndAssign, BitXor, BitXorAssign, Not};
 
@@ -28,7 +27,7 @@ use std::ops::{BitAnd, BitAndAssign, BitXor, BitXorAssign, Not};
 /// the size, alignment and byte representation of its `u128`, which is what
 /// lets [`Block::wire_bytes`] hand a `&[Block]` to the socket as raw bytes
 /// on little-endian targets without a serialization copy.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct Block(pub u128);
 

@@ -7,7 +7,6 @@
 //! tallies its primitive invocations into a [`PrgCounter`] so the benches
 //! can *measure* the reduction factors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
@@ -23,7 +22,7 @@ use std::ops::{Add, AddAssign};
 /// c.add_chacha(1);
 /// assert_eq!(c.total(), 7);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PrgCounter {
     /// Number of AES-128 block encryptions.
     pub aes_calls: u64,

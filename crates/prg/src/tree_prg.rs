@@ -24,13 +24,12 @@
 use crate::chacha::CHACHA_BLOCKS_PER_CALL;
 use crate::level::{self, LevelTier};
 use crate::{Aes128, Block, ChaCha};
-use serde::{Deserialize, Serialize};
 
 /// Which PRG family instantiates the GGM expansion.
 ///
 /// These are the four cells of the paper's Fig. 6 / Fig. 13(a) ablation grid
 /// (combined with the tree arity, which lives in `ironman-ggm`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PrgKind {
     /// AES-128 based: one block-cipher call per child.
     Aes,

@@ -47,9 +47,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc, first-party crates, broken or private intra-doc links denied"
 # What a deletion leaves behind first is a doc comment naming the item
-# that went. vendor/ is excluded: stand-ins, not ours to document.
+# that went. vendor/ is excluded: a stand-in, not ours to document.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
-  cargo doc --offline --no-deps --workspace --exclude proptest --exclude serde --exclude serde_derive
+  cargo doc --offline --no-deps --workspace --exclude proptest
 
 echo "==> serving crates link no hardware model"
 # A pool needs only a FerretConfig, so ironman-net and ironman-cluster
@@ -99,12 +99,12 @@ cargo test --release -q -p ironman-lpn --lib -- --ignored table4_matrix_is_pinne
 echo "==> cargo test, kernel crates, forced-scalar dispatch"
 # Every kernel tier derives from ironman_prg::cpu, which reads
 # IRONMAN_SIMD once per process: the AES cipher, the ChaCha level kernel,
-# the LPN session kernels (SimdMode::Auto) and the schedule placement. The
-# pass above only ever ran the widest tier the host has. ironman-lpn rides
-# along so its portable lanes and the software cipher behind the index
-# generator are exercised under the override too. Every tier gives the
-# same output, so the ignored test then checks that each kernel really
-# took its portable tier.
+# the LPN session kernels (each party runs SimdLevel::detect's tier) and
+# the schedule placement. The pass above only ever ran the widest tier the
+# host has. ironman-lpn rides along so its portable lanes and the software
+# cipher behind the index generator are exercised under the override
+# too. Every tier gives the same output, so the ignored test then checks
+# that each kernel really took its portable tier.
 IRONMAN_SIMD=scalar cargo test -q -p ironman-prg -p ironman-ggm -p ironman-lpn -p ironman-ot
 IRONMAN_SIMD=scalar cargo test -q -p ironman-lpn --lib -- --ignored forced_scalar_pins_every_tier
 
