@@ -107,6 +107,7 @@ mod tests {
     use super::*;
     use ironman_ot::ferret::FerretConfig;
     use ironman_ot::params::FerretParams;
+    use ironman_ot::CotSlice;
     use std::time::Instant;
 
     #[test]
@@ -125,7 +126,7 @@ mod tests {
         let extensions_run =
             || -> u64 { pool.shard_stats().iter().map(|s| s.extensions_run).sum() };
         let extensions_before = extensions_run();
-        pool.take_with_shard(100, |slice, _| slice.verify())
+        pool.take_with_shard(100, |runs, _| runs.iter().try_for_each(CotSlice::verify))
             .unwrap();
         assert_eq!(extensions_run(), extensions_before);
     }

@@ -11,7 +11,7 @@ use ironman_cluster::{ClusterClient, ClusterServerConfig, Directory, WarmupConfi
 use ironman_net::CotServiceConfig;
 use ironman_ot::channel::ChannelError;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn warm_cluster_cfg() -> ClusterServerConfig {
     ClusterServerConfig {
@@ -68,21 +68,33 @@ fn three_server_fleet_serves_routed_and_split_requests() {
 
     // Per-shard observability: the stats request reports every shard and
     // the warm-up refills that filled them, plus the directory epoch
-    // every member agrees on.
+    // every member agrees on. The requests above may have drained every
+    // staged extension before a sweep saw one, so the refills are polled
+    // for until a sweep has been observed, under a bounded deadline.
     let epoch = cluster.directory().epoch();
-    let mut warm_refills = 0;
-    for (_, _, stats) in client.stats_all() {
-        let stats = stats.expect("all servers reachable");
-        assert_eq!(stats.shards, 2);
-        assert_eq!(stats.shard_stats.len(), 2);
-        assert_eq!(
-            stats.available,
-            stats.shard_stats.iter().map(|s| s.available).sum::<u64>()
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let mut warm_refills = 0;
+        for (_, _, stats) in client.stats_all() {
+            let stats = stats.expect("all servers reachable");
+            assert_eq!(stats.shards, 2);
+            assert_eq!(stats.shard_stats.len(), 2);
+            assert_eq!(
+                stats.available,
+                stats.shard_stats.iter().map(|s| s.available).sum::<u64>()
+            );
+            assert_eq!(stats.directory_epoch, epoch);
+            warm_refills += stats.warmup_refills;
+        }
+        if warm_refills > 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "warm-up never refilled any server"
         );
-        assert_eq!(stats.directory_epoch, epoch);
-        warm_refills += stats.warmup_refills;
+        std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(warm_refills > 0, "warm-up never refilled any server");
 
     cluster.shutdown();
 }

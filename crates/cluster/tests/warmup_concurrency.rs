@@ -6,7 +6,7 @@
 use ironman_cluster::{Warmup, WarmupConfig};
 use ironman_ot::ferret::FerretConfig;
 use ironman_ot::params::FerretParams;
-use ironman_ot::{CotBatch, SharedCotPool};
+use ironman_ot::{CotBatch, CotSlice, SharedCotPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,6 +69,6 @@ fn eight_threads_hammer_pool_under_warmup() {
     assert!(extensions_run >= pool.warmup_refills());
 
     // The pool is still fully serviceable afterwards.
-    pool.take_with_shard(BATCH, |slice, _| slice.verify())
+    pool.take_with_shard(BATCH, |runs, _| runs.iter().try_for_each(CotSlice::verify))
         .unwrap();
 }

@@ -191,6 +191,7 @@ pub fn spcot_aes_equiv_ops(arity: usize, leaves: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ironman_ot::cot::CotSlice;
     use ironman_ot::params::FerretParams;
 
     fn toy_engine(backend: Backend) -> Engine {
@@ -255,7 +256,8 @@ mod tests {
         // compiled through the `Deref`.
         let engine = toy_engine(Backend::ironman_default());
         let pool = crate::SharedCotPool::new_pipelined(&engine, 1, 3);
-        pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
+        pool.take_with_shard(64, |runs, _| runs.iter().try_for_each(CotSlice::verify))
+            .unwrap();
     }
 
     #[test]

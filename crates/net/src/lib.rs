@@ -44,27 +44,32 @@
 //! # The hot path: the vectored-write contract
 //!
 //! Correlation payloads cross this crate with **zero serialization
-//! copies** of their bulk: a request borrows the pool shard's ring as a
-//! [`CotSlice`](ironman_ot::CotSlice) ([`SharedCotPool::take_with_shard`](ironman_ot::SharedCotPool::take_with_shard))
-//! and the server scatter-gathers the response onto the socket with one
+//! copies** of their bulk: a request borrows the pool shard's queued
+//! batches as one or two [`CotSlice`](ironman_ot::CotSlice) runs
+//! ([`SharedCotPool::take_with_shard`](ironman_ot::SharedCotPool::take_with_shard);
+//! two when the take crosses a batch boundary) and the server
+//! scatter-gathers the response onto the socket with one
 //! `write_vectored` loop ([`StreamTransport::send_frame_parts`]). The
-//! frame is split into four parts — a fixed-size *head* (length prefix
-//! reserved by [`frame::begin_frame`], opcode, `delta`, `n`), the `z`
-//! and `y` block runs **aliased straight from pool storage** (on
-//! little-endian targets [`Block::wire_bytes`](ironman_prg::Block::wire_bytes)
-//! is a pointer cast), and a *tail* of packed choice bits — by
-//! [`proto::encode_cot_batch_split`], then
+//! frame is split into parts — a fixed-size *head* (length prefix
+//! reserved by [`frame::begin_frame`], opcode, `delta`, the total `n`),
+//! each run's `z` then each run's `y` block run **aliased straight from
+//! pool storage** (on little-endian targets
+//! [`Block::wire_bytes`](ironman_prg::Block::wire_bytes) is a pointer
+//! cast), and a *tail* of the runs' choice bits packed as one — by
+//! [`proto::encode_cot_runs_split`], then
 //! [`frame::finish_frame_with_tail`] patches the length prefix to cover
-//! all four. Batch frames go out only this way; control frames are
-//! encoded whole into the session's frame buffer and sent with
-//! [`StreamTransport::send_frame`]. The contiguous batch encoders
-//! ([`proto::encode_cot_batch_into`] and its `encode_cots_into` /
-//! `encode_cot_chunk_into` wrappers) are on no serving path: they back
-//! [`proto::Response::encode`], are the reference the split encoders
-//! are tested against byte for byte, and build the frame `benchmark/`'s
-//! decode stage times. Because the gather references the ring, the
-//! write happens while the shard's take is still borrowed — i.e. under
-//! the shard lock, for as long as the consumer's socket makes it block.
+//! them all: four parts for one run, six for two, and the same bytes as
+//! one contiguous batch either way. Batch frames go out only this way;
+//! control frames are encoded whole into the session's frame buffer and
+//! sent with [`StreamTransport::send_frame`]. The contiguous batch
+//! encoders ([`proto::encode_cot_batch_into`] and its
+//! `encode_cots_into` / `encode_cot_chunk_into` wrappers) are on no
+//! serving path: they back [`proto::Response::encode`], are the
+//! reference the split encoders are tested against byte for byte, and
+//! build the frame `benchmark/`'s decode stage times. Because the
+//! gather references the pool's batches, the write happens while the
+//! shard's take is still borrowed — i.e. under the shard lock, for as
+//! long as the consumer's socket makes it block.
 //! Nothing but another take waits on that lock: the lock-stealing router
 //! keeps concurrent clients on other shards, and a `Stats` reply reads
 //! each shard's counters from its lock-free
@@ -91,7 +96,7 @@
 //!   session keeps one frame buffer, reused by every response; batch
 //!   responses additionally retain a bit-tail buffer. Every send
 //!   completes its socket write before returning, so the next response
-//!   may overwrite the frame and ring borrows never outlive the take.
+//!   may overwrite the frame and pool borrows never outlive the take.
 //! * **The client frame buffer** belongs to the `CotClient` and holds a
 //!   batch frame's head and bit tail only (a control frame whole); it is
 //!   valid between a receive and the next call on the same session.

@@ -88,7 +88,7 @@
 //! roundtrips discovering where its stream went.
 
 use crate::transport::StreamTransport;
-use ironman_ot::channel::{decode_bits_into, encode_bits_into, ChannelError};
+use ironman_ot::channel::{decode_bits_into, encode_bit_runs_into, encode_bits_into, ChannelError};
 use ironman_ot::{CotBatch, CotSlice};
 use ironman_prg::Block;
 use ironman_telemetry::{EventKind, HistogramSnapshot, TraceEvent};
@@ -792,7 +792,7 @@ fn read_delta<'a>(r: &mut Reader<'a>, rest: &'a [u8]) -> Result<DirectoryDelta, 
 /// by both [`Response::Cots`] and [`Response::CotChunk`]: one exact
 /// reservation, then bulk little-endian word writes straight into `out`.
 /// No serving path calls it — servers send batches with
-/// [`encode_cot_batch_split`] — it backs [`Response::encode`] and is the
+/// [`encode_cot_runs_split`] — it backs [`Response::encode`] and is the
 /// contiguous reference the split encoders are tested against.
 pub fn encode_cot_batch_into(out: &mut Vec<u8>, batch: CotSlice<'_>) {
     out.reserve(16 + 8 + 32 * batch.len() + batch.len().div_ceil(8) + 8);
@@ -818,40 +818,66 @@ pub fn encode_cot_chunk_into(out: &mut Vec<u8>, seq: u64, batch: CotSlice<'_>) {
     encode_cot_batch_into(out, batch);
 }
 
-/// Splits the shared batch layout across a scatter-gather send: the
-/// fixed-size prefix (`delta, n`) is appended to `head`, the packed
-/// choice bits to `tail` (cleared first), and the bulk `z`/`y` block
-/// runs are **borrowed** from pool storage via [`Block::wire_bytes`] —
-/// zero-copy on little-endian targets; the staging vectors exist only
-/// for the big-endian fallback and stay empty otherwise.
+/// Splits a batch response ([`Response::CotChunk`] for `Some(seq)`,
+/// else [`Response::Cots`]) whose correlations are the concatenation of
+/// `runs` across a scatter-gather send: the fixed-size prefix (opcode,
+/// `seq`, `delta`, the total `n`) is appended to `head`, the packed
+/// choice bits of every run to `tail` (cleared first; a byte that
+/// straddles two runs is packed in place, see
+/// [`encode_bit_runs_into`]), and the bulk `z`/`y` block runs are
+/// **borrowed** from pool storage via [`Block::wire_bytes`] — zero-copy
+/// on little-endian targets; the staging vectors (one per run) exist
+/// only for the big-endian fallback and stay empty otherwise.
 ///
-/// Writing the returned views in `[head-suffix, z, y, tail]` order
-/// reproduces [`encode_cot_batch_into`]'s bytes exactly: the wire
-/// format is identical, only the number of copies differs. Callers
-/// hand all four parts to
+/// Returns the `z` runs and the `y` runs, an empty view past the last
+/// run. Writing `[head-suffix, z runs, y runs, tail]` in order
+/// reproduces [`encode_cots_into`] / [`encode_cot_chunk_into`] of the
+/// concatenated batch exactly: the wire format is identical, only the
+/// number of copies differs. Callers hand every part to
 /// [`StreamTransport::send_frame_parts`](crate::transport::StreamTransport::send_frame_parts)
-/// so the block runs go from the pool ring to the socket without ever
-/// landing in a scratch buffer.
-pub fn encode_cot_batch_split<'a>(
+/// so the block runs go from the pool's batches to the socket without
+/// ever landing in a scratch buffer.
+///
+/// # Panics
+///
+/// Panics unless there are one or two runs and a staging vector per run.
+pub fn encode_cot_runs_split<'a>(
     head: &mut Vec<u8>,
     tail: &mut Vec<u8>,
-    z_staging: &'a mut Vec<u8>,
-    y_staging: &'a mut Vec<u8>,
-    batch: CotSlice<'a>,
-) -> (&'a [u8], &'a [u8]) {
-    head.extend_from_slice(&batch.delta.to_le_bytes());
-    head.extend_from_slice(&(batch.len() as u64).to_le_bytes());
+    z_staging: &'a mut [Vec<u8>],
+    y_staging: &'a mut [Vec<u8>],
+    seq: Option<u64>,
+    runs: &[CotSlice<'a>],
+) -> ([&'a [u8]; 2], [&'a [u8]; 2]) {
+    assert!(
+        (1..=2).contains(&runs.len()) && z_staging.len().min(y_staging.len()) >= runs.len(),
+        "one or two runs, each with its staging"
+    );
+    match seq {
+        Some(seq) => {
+            head.push(OP_COT_CHUNK);
+            head.extend_from_slice(&seq.to_le_bytes());
+        }
+        None => head.push(OP_COTS),
+    }
+    let n: usize = runs.iter().map(CotSlice::len).sum();
+    head.extend_from_slice(&runs[0].delta.to_le_bytes());
+    head.extend_from_slice(&(n as u64).to_le_bytes());
     tail.clear();
-    encode_bits_into(batch.x, tail);
-    (
-        Block::wire_bytes(batch.z, z_staging),
-        Block::wire_bytes(batch.y, y_staging),
-    )
+    let second = runs.get(1).map_or(&[][..], |run| run.x);
+    encode_bit_runs_into(&[runs[0].x, second], tail);
+    let (mut z, mut y) = ([&[][..]; 2], [&[][..]; 2]);
+    let staging = z_staging.iter_mut().zip(y_staging);
+    for (i, (run, (zs, ys))) in runs.iter().zip(staging).enumerate() {
+        debug_assert_eq!(run.delta, runs[0].delta, "runs of one take share Δ");
+        z[i] = Block::wire_bytes(run.z, zs);
+        y[i] = Block::wire_bytes(run.y, ys);
+    }
+    (z, y)
 }
 
-/// [`encode_cots_into`] in split form: the [`Response::Cots`] opcode
-/// joins the fixed prefix in `head`; everything else as
-/// [`encode_cot_batch_split`].
+/// [`encode_cots_into`] in split form: [`encode_cot_runs_split`] of one
+/// run, returning its `z` and `y` views.
 pub fn encode_cots_split<'a>(
     head: &mut Vec<u8>,
     tail: &mut Vec<u8>,
@@ -859,13 +885,20 @@ pub fn encode_cots_split<'a>(
     y_staging: &'a mut Vec<u8>,
     batch: CotSlice<'a>,
 ) -> (&'a [u8], &'a [u8]) {
-    head.push(OP_COTS);
-    encode_cot_batch_split(head, tail, z_staging, y_staging, batch)
+    let zs = std::slice::from_mut(z_staging);
+    let ([z, _], [y, _]) = encode_cot_runs_split(
+        head,
+        tail,
+        zs,
+        std::slice::from_mut(y_staging),
+        None,
+        &[batch],
+    );
+    (z, y)
 }
 
-/// [`encode_cot_chunk_into`] in split form: opcode and sequence number
-/// join the fixed prefix in `head`; everything else as
-/// [`encode_cot_batch_split`].
+/// [`encode_cot_chunk_into`] in split form: [`encode_cot_runs_split`] of
+/// one run, returning its `z` and `y` views.
 pub fn encode_cot_chunk_split<'a>(
     head: &mut Vec<u8>,
     tail: &mut Vec<u8>,
@@ -874,9 +907,16 @@ pub fn encode_cot_chunk_split<'a>(
     seq: u64,
     batch: CotSlice<'a>,
 ) -> (&'a [u8], &'a [u8]) {
-    head.push(OP_COT_CHUNK);
-    head.extend_from_slice(&seq.to_le_bytes());
-    encode_cot_batch_split(head, tail, z_staging, y_staging, batch)
+    let zs = std::slice::from_mut(z_staging);
+    let ([z, _], [y, _]) = encode_cot_runs_split(
+        head,
+        tail,
+        zs,
+        std::slice::from_mut(y_staging),
+        Some(seq),
+        &[batch],
+    );
+    (z, y)
 }
 
 /// Appends a complete [`Response::Error`] payload from a borrowed

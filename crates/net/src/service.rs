@@ -11,8 +11,8 @@
 use crate::fault::{FaultInjector, FaultPlan, FaultyStream};
 use crate::frame::{self, VERSION};
 use crate::proto::{
-    encode_cot_chunk_split, encode_cots_split, encode_error_into, DirectoryDelta, LatencyStats,
-    MemberRecord, Request, Response, ServiceStats, ShardStat, EPOCH_UNAWARE,
+    encode_cot_runs_split, encode_error_into, DirectoryDelta, LatencyStats, MemberRecord, Request,
+    Response, ServiceStats, ShardStat, EPOCH_UNAWARE,
 };
 use crate::transport::StreamTransport;
 use ironman_ot::channel::ChannelError;
@@ -142,8 +142,8 @@ struct Counters {
 /// go only through [`Scratch::send_batch_vectored`]: the frame buffer
 /// then holds just the fixed-size head (header, opcode, `delta`, `n`),
 /// the packed choice bits land in the retained `tail`, and the bulk
-/// `z`/`y` block runs are written to the socket straight from the pool
-/// ring.
+/// `z`/`y` block runs are written to the socket straight from the pool's
+/// batches.
 #[derive(Debug, Default)]
 struct Scratch {
     buf: Vec<u8>,
@@ -151,10 +151,12 @@ struct Scratch {
     /// Packed choice bits of the in-flight batch (the only payload piece
     /// the vectored path still serializes, at 1 bit per correlation).
     tail: Vec<u8>,
-    /// Big-endian fallback staging for `z`/`y`; stays empty (and
-    /// unallocated) on little-endian targets, where the wire views alias
-    /// the pool ring directly.
-    staging: [Vec<u8>; 2],
+    /// Big-endian fallback staging for the `z` and `y` of each of a
+    /// take's (at most two) runs; stays empty (and unallocated) on
+    /// little-endian targets, where the wire views alias the pool's
+    /// batches directly.
+    z_staging: [Vec<u8>; 2],
+    y_staging: [Vec<u8>; 2],
 }
 
 impl Scratch {
@@ -178,16 +180,18 @@ impl Scratch {
     }
 
     /// Encodes and sends one batch-carrying response as a scatter-gather
-    /// frame: `[head, z, y, tail]` through one `write_vectored` loop,
-    /// with the `z`/`y` block runs borrowed from the pool ring (see
-    /// [`crate::proto::encode_cot_batch_split`]). Must be called with
-    /// the borrow of the shard's ring still live — i.e. inside the
-    /// pool's `take_with_shard` closure — so the socket write still
-    /// happens under the shard lock; that is the deliberate trade for
-    /// deleting the megabyte-scale ring→scratch copy. Other takes route
-    /// around the held shard, and `Stats` does not take the lock at all
-    /// (it reads the shard's lock-free counters), so a write blocked on a
-    /// slow consumer delays neither.
+    /// frame: `[head, z runs, y runs, tail]` through one `write_vectored`
+    /// loop, with the `z`/`y` block runs borrowed from the pool's batches
+    /// (see [`crate::proto::encode_cot_runs_split`]). A take is one run,
+    /// or two when it crosses a batch boundary; either way the frame is
+    /// the one batch of their concatenation. Must be called with the
+    /// borrow of the shard's batches still live — i.e. inside the pool's
+    /// `take_with_shard` closure — so the socket write still happens
+    /// under the shard lock; that is the deliberate trade for deleting
+    /// the megabyte-scale pool→scratch copy. Other takes route around the
+    /// held shard, and `Stats` does not take the lock at all (it reads
+    /// the shard's lock-free counters), so a write blocked on a slow
+    /// consumer delays neither.
     ///
     /// `seq` selects the chunk (`Some`) vs one-shot (`None`) opcode.
     /// Wire bytes are identical to the contiguous encoders
@@ -195,24 +199,28 @@ impl Scratch {
     /// [`crate::proto::encode_cot_chunk_into`], which no serving path
     /// calls: they are the reference the split encoders are tested
     /// against byte for byte. A response counts as a scratch reuse only
-    /// if neither retained buffer (head frame, bit tail) had to grow.
+    /// if neither retained buffer (head frame, bit tail) had to grow,
+    /// however many runs it carried.
     fn send_batch_vectored<R: Read, W: Write>(
         &mut self,
         ch: &mut StreamTransport<R, W>,
         seq: Option<u64>,
-        slice: CotSlice<'_>,
+        runs: &[CotSlice<'_>],
         counters: &Counters,
     ) -> Result<(), ChannelError> {
         let cap_before = self.cap_before;
         let tail_cap_before = self.tail.capacity();
         let head = &mut self.buf;
-        let [zs, ys] = &mut self.staging;
-        let (z, y) = match seq {
-            Some(seq) => encode_cot_chunk_split(head, &mut self.tail, zs, ys, seq, slice),
-            None => encode_cots_split(head, &mut self.tail, zs, ys, slice),
-        };
-        frame::finish_frame_with_tail(head, z.len() + y.len() + self.tail.len())
-            .map_err(ChannelError::from)?;
+        let ([z0, z1], [y0, y1]) = encode_cot_runs_split(
+            head,
+            &mut self.tail,
+            &mut self.z_staging,
+            &mut self.y_staging,
+            seq,
+            runs,
+        );
+        let bulk = z0.len() + z1.len() + y0.len() + y1.len();
+        frame::finish_frame_with_tail(head, bulk + self.tail.len()).map_err(ChannelError::from)?;
         if cap_before > 0
             && head.capacity() == cap_before
             && tail_cap_before > 0
@@ -222,7 +230,7 @@ impl Scratch {
         } else {
             counters.scratch_allocs.fetch_add(1, Ordering::Relaxed);
         }
-        ch.send_frame_parts(&[head.as_slice(), z, y, &self.tail])?;
+        ch.send_frame_parts(&[head.as_slice(), z0, z1, y0, y1, &self.tail])?;
         ch.flush()
     }
 }
@@ -717,7 +725,7 @@ fn admit(
 }
 
 /// The one push path for correlations: takes `n` from the pool and
-/// writes them as one batch frame straight from the shard's ring (see
+/// writes them as one batch frame straight from the shard's batches (see
 /// [`Scratch::send_batch_vectored`]; `seq` picks chunk vs one-shot).
 ///
 /// Once it returns, `cots_served` counts only completed writes, so a
@@ -744,8 +752,8 @@ fn push_batch<R: Read, W: Write>(
     served.fetch_add(n as u64, Ordering::Relaxed);
     let mut sent = Ok(());
     let take = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.pool.take_with_shard(n, |slice, shard| {
-            sent = scratch.send_batch_vectored(ch, seq, slice, &shared.counters);
+        shared.pool.take_with_shard(n, |runs, shard| {
+            sent = scratch.send_batch_vectored(ch, seq, runs, &shared.counters);
             shard
         })
     }));
@@ -1134,6 +1142,71 @@ mod tests {
         );
         assert_eq!(stats.register_failures, 0);
         service.shutdown();
+    }
+
+    /// A take handed out as two runs goes on the wire as the one batch of
+    /// their concatenation. For every split point `0 < a < n` (most not
+    /// multiples of 8, so the packed choice bits straddle a byte), the
+    /// bytes the vectored send writes for the runs `(b[..a], b[a..])` are
+    /// the frame of `encode_cot_chunk_into` / `encode_cots_into` of the
+    /// whole batch `b`. Once the retained buffers are sized, a two-run
+    /// send counts as a scratch reuse.
+    #[test]
+    fn two_run_sends_write_the_contiguous_frame() {
+        use crate::frame::{HANDSHAKE_LEN, MAGIC};
+        use crate::proto::{encode_cot_chunk_into, encode_cots_into};
+        use ironman_prg::Block;
+
+        const N: usize = 37;
+        let delta = Block::from(0x0dd5_eed5_u128 << 64 | 0x2b);
+        let x: Vec<bool> = (0..N).map(|i| i % 3 == 0 || i % 5 == 1).collect();
+        let y: Vec<Block> = (0..N as u128)
+            .map(|i| Block::from(i * 0x9e37 + 5))
+            .collect();
+        let z = y
+            .iter()
+            .zip(&x)
+            .map(|(&y, &x)| y ^ delta.and_bit(x))
+            .collect();
+        let b = CotBatch { delta, z, x, y };
+        let run = |range: std::ops::Range<usize>| CotSlice {
+            delta,
+            z: &b.z[range.clone()],
+            x: &b.x[range.clone()],
+            y: &b.y[range],
+        };
+        let mut hello = MAGIC.to_vec();
+        hello.extend_from_slice(&VERSION.to_le_bytes());
+        let counters = Counters::default();
+        let mut scratch = Scratch::default();
+        let mut sends = 0;
+        for seq in [Some(7u64), None] {
+            let mut expect = Vec::new();
+            frame::begin_frame(&mut expect);
+            match seq {
+                Some(seq) => encode_cot_chunk_into(&mut expect, seq, b.as_slice()),
+                None => encode_cots_into(&mut expect, b.as_slice()),
+            }
+            frame::finish_frame(&mut expect).unwrap();
+            for a in 1..N {
+                let mut wire = Vec::new();
+                let mut ch = StreamTransport::from_split(hello.as_slice(), &mut wire).unwrap();
+                scratch.begin();
+                scratch
+                    .send_batch_vectored(&mut ch, seq, &[run(0..a), run(a..N)], &counters)
+                    .unwrap();
+                drop(ch);
+                assert_eq!(
+                    wire[HANDSHAKE_LEN..],
+                    expect[..],
+                    "seq {seq:?}, split at {a}"
+                );
+                sends += 1;
+            }
+        }
+        // Only the first send sized the head frame and the bit tail.
+        assert_eq!(counters.scratch_allocs.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.scratch_reuses.load(Ordering::Relaxed), sends - 1);
     }
 
     #[test]

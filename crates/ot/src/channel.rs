@@ -126,14 +126,40 @@ pub fn encode_bits(bits: &[bool]) -> Vec<u8> {
 /// the identical framing onto the end of `out`, reusing its allocation.
 /// Eight bools fold into a byte at a time, with no data-dependent branch.
 pub fn encode_bits_into(bits: &[bool], out: &mut Vec<u8>) {
-    out.reserve(8 + bits.len().div_ceil(8));
-    out.extend_from_slice(&(bits.len() as u64).to_le_bytes());
-    let (octets, rest) = bits.as_chunks::<8>();
-    out.extend(octets.iter().map(pack_octet));
-    if !rest.is_empty() {
-        let mut last = [false; 8];
-        last[..rest.len()].copy_from_slice(rest);
-        out.push(pack_octet(&last));
+    encode_bit_runs_into(&[bits], out);
+}
+
+/// [`encode_bits_into`] of the runs' concatenation, packed without
+/// concatenating them first: a byte that straddles two runs is assembled
+/// from the end of one and the start of the next, and each run's whole
+/// octets are packed in place.
+pub fn encode_bit_runs_into(runs: &[&[bool]], out: &mut Vec<u8>) {
+    let n: usize = runs.iter().map(|run| run.len()).sum();
+    out.reserve(8 + n.div_ceil(8));
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    // The bits of a byte not yet complete, carried into the next run.
+    let mut partial = [false; 8];
+    let mut held = 0;
+    for &run in runs {
+        let fill = if held == 0 {
+            0
+        } else {
+            (8 - held).min(run.len())
+        };
+        partial[held..held + fill].copy_from_slice(&run[..fill]);
+        held += fill;
+        if held == 8 {
+            out.push(pack_octet(&partial));
+            held = 0;
+        }
+        let (octets, rest) = run[fill..].as_chunks::<8>();
+        out.extend(octets.iter().map(pack_octet));
+        partial[held..held + rest.len()].copy_from_slice(rest);
+        held += rest.len();
+    }
+    if held > 0 {
+        partial[held..].fill(false);
+        out.push(pack_octet(&partial));
     }
 }
 
@@ -446,6 +472,18 @@ mod tests {
         let (mut a, mut b) = LocalChannel::pair();
         a.send_bits(&[]).unwrap();
         assert_eq!(b.recv_bits().unwrap(), Vec::<bool>::new());
+    }
+
+    #[test]
+    fn bit_runs_pack_like_their_concatenation() {
+        let bits: Vec<bool> = (0..29).map(|i| i % 3 == 0 || i % 7 == 1).collect();
+        for a in 0..=bits.len() {
+            for b in a..=bits.len() {
+                let mut runs = Vec::new();
+                encode_bit_runs_into(&[&bits[..a], &bits[a..b], &bits[b..]], &mut runs);
+                assert_eq!(runs, encode_bits(&bits), "runs split at {a} and {b}");
+            }
+        }
     }
 
     #[test]

@@ -124,15 +124,25 @@ impl CotSlice<'_> {
         Ok(())
     }
 
-    /// Copies this view into `out`, reusing `out`'s allocations.
-    pub fn copy_into(&self, out: &mut CotBatch) {
-        out.delta = self.delta;
+    /// Copies `runs` end to end into `out`, reusing `out`'s allocations:
+    /// how a take handed out as several runs (see
+    /// [`crate::CotPool::take_with`]) becomes one owned batch. The runs
+    /// share one `Δ`; an empty list leaves `out` empty under its old `Δ`.
+    pub fn concat_into(runs: &[Self], out: &mut CotBatch) {
+        let n = runs.iter().map(CotSlice::len).sum();
         out.z.clear();
-        out.z.extend_from_slice(self.z);
+        out.z.reserve(n);
         out.x.clear();
-        out.x.extend_from_slice(self.x);
+        out.x.reserve(n);
         out.y.clear();
-        out.y.extend_from_slice(self.y);
+        out.y.reserve(n);
+        for run in runs {
+            debug_assert_eq!(run.delta, runs[0].delta, "runs of one take share Δ");
+            out.delta = run.delta;
+            out.z.extend_from_slice(run.z);
+            out.x.extend_from_slice(run.x);
+            out.y.extend_from_slice(run.y);
+        }
     }
 }
 
@@ -386,10 +396,18 @@ mod tests {
     }
 
     #[test]
-    fn copy_into_overwrites_the_target() {
+    fn concat_into_overwrites_the_target() {
         let b = batch(9);
-        let mut out = batch(3);
-        b.as_slice().copy_into(&mut out);
-        assert_eq!(out, b);
+        for split in 0..=b.len() {
+            let mut out = batch(3);
+            let run = |range: std::ops::Range<usize>| CotSlice {
+                delta: b.delta,
+                z: &b.z[range.clone()],
+                x: &b.x[range.clone()],
+                y: &b.y[range],
+            };
+            CotSlice::concat_into(&[run(0..split), run(split..b.len())], &mut out);
+            assert_eq!(out, b, "split at {split}");
+        }
     }
 }

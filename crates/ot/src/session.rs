@@ -18,8 +18,8 @@
 //!
 //! Because the session never restarts, `Δ` is fixed for its whole
 //! lifetime: every staged [`CotBatch`] carries the same offset, and
-//! downstream buffers may merge outputs across refills instead of
-//! discarding session-boundary remnants.
+//! downstream buffers may keep a remnant across refills instead of
+//! discarding it at a session boundary.
 
 use crate::cot::CotBatch;
 use crate::ferret::{deal, FerretConfig, Parties};
@@ -57,7 +57,7 @@ pub struct SessionTelemetry {
     /// the session extends). Steady state for a well-provisioned supply
     /// is `consumer_stalls ≪ extensions_staged`.
     pub consumer_stalls: AtomicU64,
-    /// Extensions a pool merged into its buffer (staged or inline).
+    /// Extensions a pool adopted into its buffer (staged or inline).
     pub extensions_run: AtomicU64,
     /// Correlations a pool handed out.
     pub taken: AtomicU64,

@@ -9,9 +9,9 @@
 //! shard thus overlap with serving on the others — the host-side analogue
 //! of the Ironman PU streaming extensions while the CPU consumes.
 //!
-//! Each shard is an independent FERRET session with its own `Δ`; a batch
-//! never straddles shards, so every [`CotBatch`] stays homogeneous in `Δ`
-//! (the invariant [`CotPool::take_slice`] already guarantees per session).
+//! Each shard is an independent FERRET session with its own `Δ`; a take
+//! never straddles shards, so every take stays homogeneous in `Δ` (the
+//! invariant [`CotPool::take_with`] already guarantees per session).
 //!
 //! Only the takes and the warm-up sweep lock a shard. Every read —
 //! occupancy, counters, latencies, traces — goes to the shard's
@@ -44,7 +44,7 @@ pub struct ShardSnapshot {
     /// Correlations buffered in this shard, as of its last take or
     /// refill.
     pub available: u64,
-    /// Extensions this shard has merged into its buffer (staged or
+    /// Extensions this shard has adopted into its buffer (staged or
     /// inline).
     pub extensions_run: u64,
     /// Correlations drained from this shard since construction.
@@ -91,7 +91,7 @@ impl SharedCotPool {
 
     /// Builds `shards` pipelined pools: each shard owns a persistent
     /// FERRET session extending ahead of demand on its own thread,
-    /// with a fixed per-shard `Δ` and remnant-merging refills (see
+    /// with a fixed per-shard `Δ` and remnant-keeping refills (see
     /// [`CotPool::pipelined`]) — the serving-path configuration.
     ///
     /// # Panics
@@ -158,13 +158,14 @@ impl SharedCotPool {
     ///
     /// Panics if `count` exceeds [`SharedCotPool::max_request`].
     pub fn take_into(&self, count: usize, out: &mut CotBatch) {
-        self.take_with_shard(count, |slice, _shard| slice.copy_into(out));
+        self.take_with_shard(count, |runs, _shard| CotSlice::concat_into(runs, out));
     }
 
-    /// The zero-copy take: locks one shard and hands `f` a [`CotSlice`]
-    /// borrowing the shard's ring directly (always homogeneous in `Δ`),
+    /// The zero-copy take: locks one shard and hands `f` the take as one
+    /// or two [`CotSlice`] runs borrowing the shard's queued batches
+    /// directly (see [`CotPool::take_with`]; always homogeneous in `Δ`),
     /// plus the index of the shard that served it, so the serving layer
-    /// can serialize the batch straight into its own buffer and attribute
+    /// can write the runs straight to its socket and attribute
     /// per-request measurements to the shard that did the work.
     ///
     /// Tries each shard without blocking first (starting at this request's
@@ -177,20 +178,31 @@ impl SharedCotPool {
     /// # Panics
     ///
     /// Panics if `count` exceeds [`SharedCotPool::max_request`].
-    pub fn take_with_shard<R>(&self, count: usize, f: impl FnOnce(CotSlice<'_>, usize) -> R) -> R {
+    pub fn take_with_shard<R>(
+        &self,
+        count: usize,
+        f: impl FnOnce(&[CotSlice<'_>], usize) -> R,
+    ) -> R {
+        let (mut pool, shard) = self.lock_for_take();
+        pool.take_with(count, |runs| f(runs, shard))
+    }
+
+    /// The first shard that locks without blocking, starting at the next
+    /// round-robin home, or else the home shard once it frees up.
+    fn lock_for_take(&self) -> (MutexGuard<'_, CotPool>, usize) {
         let n = self.shards.len();
         let home = self.next.fetch_add(1, Ordering::Relaxed) % n;
         for offset in 0..n {
             let shard = (home + offset) % n;
             match self.shards[shard].try_lock() {
-                Ok(mut pool) => return f(pool.take_slice(count), shard),
+                Ok(pool) => return (pool, shard),
                 Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-                    return f(poisoned.into_inner().take_slice(count), shard)
+                    return (poisoned.into_inner(), shard)
                 }
                 Err(std::sync::TryLockError::WouldBlock) => {}
             }
         }
-        f(lock_shard(&self.shards[home]).take_slice(count), home)
+        (lock_shard(&self.shards[home]), home)
     }
 
     /// Total correlations buffered across all shards, as of each shard's
@@ -236,7 +248,7 @@ impl SharedCotPool {
     /// consumption. Returns the number of shards refilled.
     ///
     /// The watermark is re-clamped **per shard, per sweep** against that
-    /// shard's *live* supply mode: a remnant-merging (pipelined) shard
+    /// shard's *live* supply mode: a remnant-keeping (pipelined) shard
     /// allows up to two extensions' output, while a buffer-replacing
     /// (inline — by construction or because its session thread died)
     /// shard is capped at **half** an extension, since a post-drain
@@ -349,7 +361,7 @@ mod tests {
         assert_eq!(stats.iter().map(|s| s.taken_cots).sum::<u64>(), 0);
         // Demand after warm-up is served without an inline extension.
         let before = extensions_run(&pool);
-        pool.take_with_shard(100, |slice, _| slice.verify())
+        pool.take_with_shard(100, |runs, _| runs.iter().try_for_each(CotSlice::verify))
             .unwrap();
         assert_eq!(extensions_run(&pool), before);
     }
@@ -365,12 +377,14 @@ mod tests {
     fn take_with_shard_encodes_under_the_shard_lock() {
         let pool = shared(2);
         let mut sink: Vec<u8> = Vec::new();
-        let (n, shard) = pool.take_with_shard(300, |slice, shard| {
-            slice.verify().unwrap();
-            for b in slice.z {
-                sink.extend_from_slice(&b.to_le_bytes());
+        let (n, shard) = pool.take_with_shard(300, |runs, shard| {
+            for run in runs {
+                run.verify().unwrap();
+                for b in run.z {
+                    sink.extend_from_slice(&b.to_le_bytes());
+                }
             }
-            (slice.len(), shard)
+            (runs.iter().map(CotSlice::len).sum::<usize>(), shard)
         });
         assert_eq!(n, 300);
         assert_eq!(sink.len(), 300 * 16);
@@ -415,8 +429,8 @@ mod tests {
         let mut reused = CotBatch::default();
         let mut deltas = [None; 2];
         for _ in 0..6 {
-            let shard = pool.take_with_shard(1500, |slice, shard| {
-                slice.copy_into(&mut reused);
+            let shard = pool.take_with_shard(1500, |runs, shard| {
+                CotSlice::concat_into(runs, &mut reused);
                 shard
             });
             reused.verify().unwrap();

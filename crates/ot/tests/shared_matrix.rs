@@ -9,7 +9,7 @@
 use ironman_lpn::LpnMatrix;
 use ironman_ot::ferret::{FerretConfig, LpnKernel};
 use ironman_ot::params::FerretParams;
-use ironman_ot::{CotPool, SharedCotPool};
+use ironman_ot::{CotPool, CotSlice, SharedCotPool};
 use std::sync::Arc;
 
 #[test]
@@ -24,7 +24,8 @@ fn n_shards_generate_one_matrix() {
     // pools: one generate.
     let before = LpnMatrix::generated_count();
     let pool = SharedCotPool::new_pipelined(&cfg, 3, 11);
-    pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
+    pool.take_with_shard(64, |runs, _| runs.iter().try_for_each(CotSlice::verify))
+        .unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,
@@ -37,7 +38,9 @@ fn n_shards_generate_one_matrix() {
     let inline = SharedCotPool::new(&cfg, 2, 12);
     for _ in 0..3 {
         inline
-            .take_with_shard(inline.max_request(), |slice, _| slice.verify())
+            .take_with_shard(inline.max_request(), |runs, _| {
+                runs.iter().try_for_each(CotSlice::verify)
+            })
             .unwrap();
     }
     assert_eq!(
@@ -60,7 +63,8 @@ fn n_shards_generate_one_matrix() {
     prepared.ensure_shared_matrix();
     assert_eq!(LpnMatrix::generated_count() - before, 1);
     let pool = SharedCotPool::new_pipelined(&prepared, 2, 14);
-    pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
+    pool.take_with_shard(64, |runs, _| runs.iter().try_for_each(CotSlice::verify))
+        .unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,
@@ -75,7 +79,8 @@ fn n_shards_generate_one_matrix() {
     };
     let before = LpnMatrix::generated_count();
     let pool = SharedCotPool::new_pipelined(&tiled, 3, 15);
-    pool.take_with_shard(64, |slice, _| slice.verify()).unwrap();
+    pool.take_with_shard(64, |runs, _| runs.iter().try_for_each(CotSlice::verify))
+        .unwrap();
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,

@@ -85,8 +85,10 @@ awk -v s="$paper_start" -v e="$(date +%s.%N)" \
   'BEGIN { printf "paper all: %.2f s wall clock (information only)\n", e - s }'
 sed -n 's/^(software check, \(.*\))$/Table 2 software check (information only): \1/p' target/paper_all.txt
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+echo "==> cargo test -q --workspace --no-fail-fast"
+# Every test binary runs and reports even after one fails; the stage
+# still fails if any did.
+cargo test -q --workspace --no-fail-fast
 
 echo "==> the Table-4 matrix and schedule, bit for bit (release, ~1 s)"
 # The generator's proptests compare it with its definition at toy sizes
