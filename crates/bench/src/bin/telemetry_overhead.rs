@@ -122,9 +122,9 @@ fn service(ferret: &FerretConfig) -> CotService {
 }
 
 /// One-shot round trips: each records one request→first-byte histogram
-/// sample (or, in the no-op build, exactly nothing), and the pool's
-/// inline/pipelined refills under the drain record extension and stall
-/// durations — the full serving path the v6 instrumentation touches.
+/// sample (or, in the no-op build, exactly nothing), and the shards'
+/// sessions and the drains on them record extension and stall durations
+/// — the full serving path the v6 instrumentation touches.
 fn bench_roundtrip(ferret: &FerretConfig, requests: usize, batch: usize) -> Result {
     let svc = service(ferret);
     let mut client = CotClient::connect(svc.addr(), "telemetry-rt").expect("connect");

@@ -85,7 +85,7 @@ use ironman_net::{DirectoryDelta, DirectoryView, MemberRecord, MemberWireState};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Virtual nodes per unit of member weight on the hash ring; enough that
 /// a 3-server directory spreads sessions within a few percent of evenly.
@@ -540,7 +540,7 @@ pub struct Directory {
 /// Recovers a poisoned lock: every mutation leaves the directory state
 /// consistent before unlocking, so a panicking *caller* must not wedge
 /// membership for the whole fleet.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -630,12 +630,14 @@ impl Directory {
         self.snapshot().lease_holder()
     }
 
-    /// Publishes a committed snapshot. Mutations commit under the inner
-    /// mutex but publish after dropping it, so two racing mutations can
-    /// arrive here out of order — the epoch guard keeps the published
-    /// view (which `epoch()`, `snapshot()`, and the server fence all
-    /// read) from ever regressing to a stale membership.
-    fn publish(&self, snapshot: Arc<RingSnapshot>) {
+    /// Publishes the snapshot of a mutation committed under `inner`, then
+    /// releases the inner mutex. Publishing before the unlock orders the
+    /// two views: a reader that sees a vector (`epoch_vector`, a gossip
+    /// delta) and then reads `snapshot()` finds at least that membership.
+    /// The epoch guard keeps the published view (which `epoch()`,
+    /// `snapshot()`, and the server fence all read) from ever regressing.
+    fn publish(&self, inner: MutexGuard<'_, DirInner>) {
+        let snapshot = inner.snapshot();
         let mut published = self
             .published
             .write()
@@ -686,9 +688,7 @@ impl Directory {
             Some(existing) => *existing = member,
             None => inner.members.push(member),
         }
-        let snap = inner.snapshot();
-        drop(inner);
-        self.publish(snap);
+        self.publish(inner);
         true
     }
 
@@ -737,9 +737,7 @@ impl Directory {
         let member = inner.member_mut(id).expect("member checked above");
         member.state = to;
         member.stamp = stamp;
-        let snap = inner.snapshot();
-        drop(inner);
-        self.publish(snap);
+        self.publish(inner);
         true
     }
 
@@ -779,9 +777,7 @@ impl Directory {
                 member.stamp = stamp;
             }
         }
-        let snap = inner.snapshot();
-        drop(inner);
-        self.publish(snap);
+        self.publish(inner);
         true
     }
 
@@ -817,9 +813,7 @@ impl Directory {
             .values()
             .fold(0u64, |a, &v| a.saturating_add(v));
         inner.epoch = inner.epoch.max(sum);
-        let snap = inner.snapshot();
-        drop(inner);
-        self.publish(snap);
+        self.publish(inner);
         true
     }
 

@@ -30,14 +30,9 @@ use std::time::Duration;
 pub struct WarmupConfig {
     /// Refill a shard when its buffered correlations drop below this.
     ///
-    /// The effective value is clamped per shard, per sweep, by
-    /// `SharedCotPool::warm` against the shard's *live* supply mode: up
-    /// to two extensions' output for remnant-merging (pipelined) shards,
-    /// and half an extension for buffer-replacing (inline) shards —
-    /// including a pipelined shard that degraded to inline after its
-    /// session thread died — where a post-drain refill discards the
-    /// live remnant and the half cap bounds the discard to at most half
-    /// the work each refill buys.
+    /// Each shard clamps the effective value to two extensions' output
+    /// (`CotPool::ensure`), so a sweeping refiller cannot grow a buffer
+    /// without bound.
     pub low_watermark: usize,
     /// Base pause between sweeps (the cadence while refills happen).
     pub interval: Duration,
@@ -50,7 +45,7 @@ pub struct WarmupConfig {
 impl Default for WarmupConfig {
     fn default() -> Self {
         WarmupConfig {
-            // As warm as the half-buffer cap allows.
+            // As warm as the two-extension cap allows.
             low_watermark: usize::MAX,
             interval: Duration::from_millis(5),
             max_interval: Duration::from_millis(80),
@@ -68,19 +63,17 @@ pub struct Warmup {
 
 impl Warmup {
     /// Starts the refiller thread over `pool` (the watermark is clamped
-    /// per shard on every sweep; see [`WarmupConfig::low_watermark`]).
+    /// per shard; see [`WarmupConfig::low_watermark`]).
     pub fn spawn(pool: Arc<SharedCotPool>, cfg: WarmupConfig) -> Warmup {
-        // Per-shard, per-sweep supply-mode clamping happens inside
-        // SharedCotPool::warm (see WarmupConfig::low_watermark).
         let low_watermark = cfg.low_watermark.max(1);
         let max_interval = cfg.max_interval.max(cfg.interval);
         let mut pause = cfg.interval;
         let inner = BackgroundLoop::spawn(move || {
-            // A panicking refill must not poison shutdown (the serve
-            // paths guard their pool calls the same way); the
-            // refiller retires and the service degrades to inline
-            // extensions, which `warmup_refills` stalling makes
-            // observable.
+            // A panicking refill (a shard whose respawned session died
+            // too) must not poison shutdown (the serve paths guard
+            // their pool calls the same way); the refiller retires and
+            // demand drains the sessions directly, which
+            // `warmup_refills` stalling makes observable.
             let sweep =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.warm(low_watermark)));
             pause = match sweep {
@@ -113,10 +106,16 @@ mod tests {
     #[test]
     fn warmup_fills_pool_before_demand() {
         let ferret = FerretConfig::new(FerretParams::toy());
-        let pool = Arc::new(SharedCotPool::new(&ferret, 2, 3));
+        let pool = Arc::new(SharedCotPool::new_pipelined(&ferret, 2, 3));
         let warmup = Warmup::spawn(Arc::clone(&pool), WarmupConfig::default());
         let deadline = Instant::now() + Duration::from_secs(30);
-        while pool.available() < 2 * pool.max_request() {
+        // Every shard holds a take's worth, so the take below cannot
+        // land on a shard that still has to wait on its session.
+        while pool
+            .shard_stats()
+            .iter()
+            .any(|s| s.available < pool.max_request() as u64)
+        {
             assert!(Instant::now() < deadline, "warm-up never filled the pool");
             std::thread::sleep(Duration::from_millis(2));
         }

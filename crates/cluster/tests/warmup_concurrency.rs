@@ -17,7 +17,7 @@ fn eight_threads_hammer_pool_under_warmup() {
     const BATCH: usize = 333;
 
     let ferret = FerretConfig::new(FerretParams::toy());
-    let pool = Arc::new(SharedCotPool::new(&ferret, 4, 0xFEED));
+    let pool = Arc::new(SharedCotPool::new_pipelined(&ferret, 4, 0xFEED));
     let warmup = Warmup::spawn(
         Arc::clone(&pool),
         WarmupConfig {
@@ -29,10 +29,11 @@ fn eight_threads_hammer_pool_under_warmup() {
             max_interval: Duration::from_micros(800),
         },
     );
-    // The refiller wins a sweep only on a shard that is unlocked and
-    // below the clamped watermark. Eight consumers on four shards leave
-    // almost no such moment, so if its thread first runs after they have
-    // locked every shard it may never win before `stop`. Wait, as
+    // The refiller wins a sweep only on a shard that is unlocked, below
+    // the clamped watermark and has a staged batch. Eight consumers on
+    // four shards leave almost no such moment, so if its thread first
+    // runs after they have locked every shard it may never win before
+    // `stop`. Wait, as
     // `warmup_fills_pool_before_demand` does, for its first win on the
     // still-empty pool, where every shard is below the watermark.
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -12,7 +12,8 @@
 //!
 //! The production cost is one relaxed atomic load per buffered I/O call
 //! while no plan is armed — the same class of overhead as the serving
-//! counters, held to the bench floors and the telemetry gate in CI.
+//! counters. Nothing measures it on its own: the benchmark's serving
+//! workloads run through it disarmed, so it is inside their numbers.
 
 use ironman_telemetry::{EventKind, TraceLog};
 use std::io::{self, Read, Write};

@@ -407,8 +407,8 @@ counters! {
                 "Correlations buffered on this server.",
             /// Pool shard count.
             shards,
-            /// Refills performed by the warm-up sweep (extensions run *before*
-            /// demand arrived, rather than inline on a client's request): the
+            /// Refills performed by the warm-up sweep (staged extensions queued
+            /// *before* demand arrived, rather than on a client's request): the
             /// sum of the per-shard [`ShardStat::warm_refills`] in this reply.
             warmup_refills,
             /// Batch-carrying responses (`Cots`/`CotChunk` — only those; control
@@ -483,8 +483,8 @@ pub struct LatencyStats {
     /// Per-chunk push latency of streaming subscriptions: pool drain →
     /// chunk bytes handed to the transport.
     pub chunk_push: HistogramSnapshot,
-    /// FERRET extension wall time (pipelined session threads and inline
-    /// refills both land here).
+    /// FERRET extension wall time, as the shards' session threads
+    /// measured it.
     pub extension: HistogramSnapshot,
     /// Consumer-stall time: how long pool drains blocked waiting on the
     /// extension pipeline's staging buffer.
@@ -549,7 +549,8 @@ counters! {
             /// Correlations buffered in this shard, as of its last take or
             /// refill.
             available,
-            /// Extensions this shard has executed (inline or warm-up).
+            /// Extensions this shard has adopted from its session, on demand or
+            /// through warm-up.
             extensions_run,
             /// Correlations drained from this shard since start (demand),
             /// including any whose write then failed: summed over shards, the
@@ -557,8 +558,8 @@ counters! {
             taken,
             /// Refills this shard received through the warm-up path.
             warm_refills,
-            /// Extensions completed by the shard's pipelined FERRET session
-            /// threads ahead of demand (0 for inline shards). Interpretation:
+            /// Extensions completed by the shard's FERRET session thread ahead
+            /// of demand. Interpretation:
             /// this is *supply-side* throughput — it growing while
             /// `session_stalls` stays flat means the extension pipeline is
             /// keeping ahead of demand (serving-bound, the healthy state); read

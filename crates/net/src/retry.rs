@@ -161,7 +161,7 @@ impl RetryBudget {
     /// Spends one token if available. `false` means the budget is
     /// exhausted and the failure must propagate.
     pub fn try_spend(&mut self) -> bool {
-        self.refill();
+        self.top_up();
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
             true
@@ -172,11 +172,11 @@ impl RetryBudget {
 
     /// Whole tokens currently available.
     pub fn available(&mut self) -> u32 {
-        self.refill();
+        self.top_up();
         self.tokens as u32
     }
 
-    fn refill(&mut self) {
+    fn top_up(&mut self) {
         let now = Instant::now();
         let dt = now.duration_since(self.last_refill).as_secs_f64();
         self.last_refill = now;

@@ -370,12 +370,12 @@ pub struct CotServiceConfig {
     pub shards: usize,
     /// Seed for the per-shard FERRET sessions.
     pub seed: u64,
-    /// Pipelined supply (the default): each shard keeps one persistent
-    /// FERRET session extending ahead of demand on its own thread,
-    /// with a fixed per-shard `Δ` and remnant-merging refills, so a
-    /// request under the shard lock is a cursor bump — never a session
-    /// bootstrap. `false` restores the PR-1 shape (a fresh session per
-    /// refill, inline on the demand path).
+    /// Must be `true`, the default: every shard keeps one persistent
+    /// FERRET session extending ahead of demand on its own thread (see
+    /// [`SharedCotPool::new_pipelined`]), and there is no other supply.
+    /// The field stays only because `benchmark/` spells
+    /// `pipelined: true`; [`CotServiceConfig::build_pool`] rejects
+    /// `false`.
     pub pipelined: bool,
 }
 
@@ -390,15 +390,18 @@ impl Default for CotServiceConfig {
 }
 
 impl CotServiceConfig {
-    /// Builds the [`SharedCotPool`] this configuration describes (the
-    /// single dispatch point on `pipelined`, shared by [`CotService`]
-    /// and `ironman-cluster`'s server composition).
+    /// Builds the [`SharedCotPool`] this configuration describes (shared
+    /// by [`CotService`] and `ironman-cluster`'s server composition).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pipelined` is `false`, or if `shards` is 0.
     pub fn build_pool(&self, ferret: &FerretConfig) -> SharedCotPool {
-        if self.pipelined {
-            SharedCotPool::new_pipelined(ferret, self.shards, self.seed)
-        } else {
-            SharedCotPool::new(ferret, self.shards, self.seed)
-        }
+        assert!(
+            self.pipelined,
+            "pipelined: false names a supply that no longer exists"
+        );
+        SharedCotPool::new_pipelined(ferret, self.shards, self.seed)
     }
 }
 
@@ -1422,7 +1425,7 @@ mod tests {
             let p50 = stats.latency.request_first_byte.p50();
             let p99 = stats.latency.request_first_byte.p99();
             assert!(0 < p50 && p50 <= p99);
-            // The pipelined pool ran extensions; their durations are in
+            // The shards' sessions ran extensions; their durations are in
             // the merged extension histogram.
             assert!(stats.latency.extension.count() > 0);
 

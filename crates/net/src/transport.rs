@@ -16,10 +16,14 @@
 
 use crate::frame::{self, FrameError, FRAME_HEADER_LEN, HANDSHAKE_LEN};
 use ironman_ot::channel::{ChannelError, ChannelStats, Transport};
-use std::io::{BufReader, BufWriter, Read, Take, Write};
+use std::io::{BufReader, BufWriter, IoSlice, Read, Take, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
+
+/// Most parts [`StreamTransport::send_frame_parts`] takes: a batch frame's
+/// head, two `z` runs, two `y` runs and its tail.
+const MAX_FRAME_PARTS: usize = 6;
 
 /// A framed, buffered transport over a split byte stream.
 #[derive(Debug)]
@@ -159,9 +163,17 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
     ///
     /// # Panics
     ///
+    /// Panics if `parts` has more than six entries: a head, two `z` runs,
+    /// two `y` runs and a tail, the most a batch frame has. The slices
+    /// are gathered in a fixed array, not a per-frame allocation.
     /// Debug-asserts that the header's declared length matches the total
     /// payload actually present across all parts.
     pub fn send_frame_parts(&mut self, parts: &[&[u8]]) -> Result<(), ChannelError> {
+        assert!(
+            parts.len() <= MAX_FRAME_PARTS,
+            "{} frame parts, at most {MAX_FRAME_PARTS} fit",
+            parts.len()
+        );
         let head = parts.first().copied().unwrap_or(&[]);
         if head.len() < FRAME_HEADER_LEN {
             return Err(ChannelError::Malformed {
@@ -176,12 +188,13 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
             payload_len as u32,
             "frame not finished with finish_frame_with_tail"
         );
-        let mut slices: Vec<std::io::IoSlice<'_>> = parts
-            .iter()
-            .filter(|p| !p.is_empty())
-            .map(|p| std::io::IoSlice::new(p))
-            .collect();
-        let mut slices = slices.as_mut_slice();
+        let mut gathered = [IoSlice::new(&[]); MAX_FRAME_PARTS];
+        let mut used = 0;
+        for part in parts.iter().filter(|p| !p.is_empty()) {
+            gathered[used] = IoSlice::new(part);
+            used += 1;
+        }
+        let mut slices = &mut gathered[..used];
         while !slices.is_empty() {
             match self.writer.write_vectored(slices) {
                 Ok(0) => {
@@ -190,7 +203,7 @@ impl<R: Read, W: Write> StreamTransport<R, W> {
                         "vectored frame write made no progress",
                     )))
                 }
-                Ok(n) => std::io::IoSlice::advance_slices(&mut slices, n),
+                Ok(n) => IoSlice::advance_slices(&mut slices, n),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ChannelError::from(e)),
             }
@@ -529,6 +542,17 @@ mod tests {
             a.send_frame_parts(&[]),
             Err(ChannelError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "7 frame parts, at most 6 fit")]
+    fn vectored_send_bounds_its_parts() {
+        let (mut a, _b) = tcp_loopback_pair().unwrap();
+        let mut head = Vec::new();
+        frame::begin_frame(&mut head);
+        frame::finish_frame_with_tail(&mut head, 6).unwrap();
+        let parts: [&[u8]; 7] = [&head, b"a", b"b", b"c", b"d", b"e", b"f"];
+        let _ = a.send_frame_parts(&parts);
     }
 
     #[test]

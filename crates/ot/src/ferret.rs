@@ -721,9 +721,8 @@ impl FerretReceiver {
     }
 }
 
-/// Both parties of one session, run back to back on one thread — a
-/// [`crate::session::CotSession`]'s thread, or an inline
-/// [`crate::pool::CotPool`] refill — with no channel between them.
+/// Both parties of one session, run back to back on one
+/// [`crate::session::CotSession`]'s thread with no channel between them.
 #[derive(Debug)]
 pub(crate) struct Parties {
     sender: FerretSender,

@@ -26,8 +26,8 @@
 //!   per extension, with bootstrapping of the next iteration's base COTs.
 //! * [`session`] — a persistent two-party FERRET session that stages
 //!   extension outputs ahead of demand on one background thread.
-//! * [`pool`] — [`CotPool`], which buffers a session's (or fresh
-//!   extensions') batches and serves takes of any size, and
+//! * [`pool`] — [`CotPool`], which owns a session, queues its staged
+//!   batches and serves takes of any size, and
 //!   [`shared_pool`]'s [`SharedCotPool`], its mutex-sharded form with
 //!   lock-free per-shard counters ([`ShardSnapshot`]): what the serving
 //!   crates drain. A pool needs only a [`ferret::FerretConfig`].

@@ -7,22 +7,20 @@
 //! when the buffer runs dry — the host-side behavior the Ironman PU's
 //! streaming offload is designed for.
 //!
-//! # Supply modes
+//! # Supply
 //!
-//! * **Inline** ([`CotPool::new`]) — each refill bootstraps a fresh FERRET
-//!   session and runs one extension of both parties on the calling
-//!   thread. `Δ` changes per refill, so a batch never straddles a refill
-//!   and a below-request remnant is discarded at every session boundary.
-//!   Simple, but the bootstrap (dealer, base correlations) is paid on
-//!   every refill.
-//! * **Pipelined** ([`CotPool::pipelined`]) — one persistent
-//!   [`CotSession`] extends ahead of demand on a background thread and a
-//!   refill just moves a staged batch from its channel onto the pool's
-//!   queue: no copy, never a protocol run on the demand path. `Δ` is
-//!   fixed for the pool's lifetime, so a remnant is *kept* across refills
-//!   (its batch stays queued ahead of the new one) instead of discarded.
-//!   If the session thread dies the pool degrades permanently to inline
-//!   refills.
+//! A pool owns one persistent [`CotSession`], which extends ahead of
+//! demand on a background thread; a refill just moves a staged batch from
+//! its channel onto the pool's queue: no copy, never a protocol run on
+//! the demand path. `Δ` is fixed for the session's lifetime, so a
+//! remnant is kept across refills (its batch stays queued ahead of the
+//! new one).
+//!
+//! If the session's thread dies, the next refill respawns it once, with
+//! the next seed, the same prebuilt matrix and the same
+//! [`SessionTelemetry`]. The batches queued under the old `Δ` are
+//! dropped and the pool adopts the new one, so a take never mixes the
+//! two. A respawned session that is already dead again panics the call.
 //!
 //! # Zero-copy consumption
 //!
@@ -46,35 +44,28 @@
 //! pool reads them there without taking the shard's lock.
 
 use crate::cot::{CotBatch, CotSlice};
-use crate::ferret::{deal, FerretConfig, Parties};
-use crate::session::{CotSession, SessionTelemetry};
+use crate::ferret::FerretConfig;
+use crate::session::{CotSession, SessionStopped, SessionTelemetry};
 use ironman_prg::Block;
-use ironman_telemetry::{EventKind, Stopwatch};
+use ironman_telemetry::EventKind;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Where refills come from (see the module docs).
-#[derive(Debug)]
-enum Supply {
-    /// Fresh session per refill, extended on the calling thread.
-    Inline,
-    /// Persistent pipelined session staging extensions ahead of demand.
-    Session(CotSession),
-}
-
-/// Extensions a pipelined session keeps staged ahead of demand. Two is
-/// enough to hide one extension behind consumption of the previous one
-/// without hoarding memory (each staged extension is one full output).
+/// Extensions a session keeps staged ahead of demand. Two is enough to
+/// hide one extension behind consumption of the previous one without
+/// hoarding memory (each staged extension is one full output).
 const SESSION_LOOKAHEAD: usize = 2;
 
 /// A replenishing store of COT correlations over one [`FerretConfig`].
 #[derive(Debug)]
 pub struct CotPool {
-    /// The config every refill extends with, its LPN matrix prebuilt.
+    /// The config the session extends with, its LPN matrix prebuilt (a
+    /// respawned session reuses it).
     cfg: FerretConfig,
+    /// The seed of the current session.
     seed: u64,
-    supply: Supply,
+    session: CotSession,
     /// Adopted extension outputs, oldest first, all under `delta`.
     batches: VecDeque<CotBatch>,
     /// Correlations handed out from the front of `batches`, as an offset
@@ -82,12 +73,13 @@ pub struct CotPool {
     /// its closure returns, so between takes this is below the front
     /// batch's length.
     cursor: usize,
-    /// The `Δ` of every queued batch, and of an empty take.
+    /// The session's `Δ`: that of every queued batch, and of an empty
+    /// take.
     delta: Block,
-    /// The histograms, trace and counters this pool records into.
-    /// Pipelined supply shares it with its session (the session's thread
-    /// records extension durations and staged extensions); inline refills
-    /// record here directly, so both supply modes feed the same home.
+    /// The histograms, trace and counters this pool records into, shared
+    /// with its session (the session's thread records extension
+    /// durations and staged extensions; the drain path records stalls,
+    /// refill events and the pool's counters).
     telemetry: Arc<SessionTelemetry>,
 }
 
@@ -103,55 +95,31 @@ fn run(batch: &CotBatch, start: usize, len: usize) -> CotSlice<'_> {
 }
 
 impl CotPool {
-    /// Creates an empty inline-mode pool over `cfg`; the first request
-    /// triggers a fresh-session extension. Records into `telemetry` (a
-    /// sharded pool shares one per shard so the serving layer reads
-    /// counters and latencies without locking the shard).
+    /// Creates an empty pool over a session on `cfg` that starts
+    /// extending at once, on its own thread. Records into `telemetry`,
+    /// shared with the session's thread (a sharded pool gives each shard
+    /// its own, so the serving layer reads counters and latencies
+    /// without locking the shard).
     pub fn new(mut cfg: FerretConfig, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
-        // Inline refills bootstrap a fresh session each time; prebuild
-        // the matrix once so refills only pay for protocol work.
-        cfg.ensure_shared_matrix();
-        CotPool {
-            cfg,
-            seed,
-            supply: Supply::Inline,
-            batches: VecDeque::new(),
-            cursor: 0,
-            delta: Block::ZERO,
-            telemetry,
-        }
-    }
-
-    /// Creates a pool over a persistent pipelined session on `cfg`:
-    /// extensions run on a background thread ahead of demand, `Δ` is
-    /// fixed for the pool's lifetime, and refills queue behind any
-    /// buffered remnant. Records into `telemetry`, shared with the
-    /// session's thread (extension durations, their SPCOT/LPN phase split
-    /// and staged extensions come from the session; stalls, refill events
-    /// and the pool's counters from the drain path).
-    pub fn pipelined(mut cfg: FerretConfig, seed: u64, telemetry: Arc<SessionTelemetry>) -> Self {
-        // One matrix for the session's two parties (and zero new
-        // allocations when a shard pool already prebuilt it).
+        // One matrix for the session's two parties and for any respawn
+        // (and zero new allocations when a shard pool already prebuilt
+        // it).
         cfg.ensure_shared_matrix();
         let session = CotSession::spawn_with(&cfg, seed, SESSION_LOOKAHEAD, Arc::clone(&telemetry));
         CotPool {
             delta: session.delta(),
-            supply: Supply::Session(session),
-            ..CotPool::new(cfg, seed, telemetry)
+            cfg,
+            seed,
+            session,
+            batches: VecDeque::new(),
+            cursor: 0,
+            telemetry,
         }
     }
 
-    /// The telemetry and counters this pool (and its session, when
-    /// pipelined) records into.
+    /// The telemetry and counters this pool and its session record into.
     pub fn telemetry(&self) -> &SessionTelemetry {
         &self.telemetry
-    }
-
-    /// Whether refills keep buffered remnants, queued ahead of the new
-    /// batch (fixed-`Δ` pipelined supply), instead of discarding them
-    /// (fresh `Δ` per refill).
-    pub fn merges_remnants(&self) -> bool {
-        matches!(self.supply, Supply::Session(_))
     }
 
     /// Correlations currently buffered and unconsumed.
@@ -159,7 +127,7 @@ impl CotPool {
         self.batches.iter().map(CotBatch::len).sum::<usize>() - self.cursor
     }
 
-    /// Extensions adopted into the buffer so far (staged or inline).
+    /// Extensions adopted into the buffer so far.
     pub fn extensions_run(&self) -> u64 {
         self.telemetry.extensions_run.load(Ordering::Relaxed)
     }
@@ -170,33 +138,6 @@ impl CotPool {
         self.telemetry
             .available
             .store(self.available() as u64, Ordering::Relaxed);
-    }
-
-    /// Runs one fresh-session extension and makes its output the whole
-    /// buffer: the remnant goes, because its `Δ` dies with its session.
-    fn refill(&mut self) {
-        self.seed = self
-            .seed
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(1);
-        let watch = Stopwatch::start();
-        let bases = deal(&self.cfg, self.seed);
-        let (batch, _) = Parties::new(self.cfg.clone(), bases, self.seed).extend();
-        // Inline extensions run on the demand path, so they record into
-        // the same extension histogram a pipelined session's thread
-        // uses — either supply mode shows up in the shard's latencies.
-        self.telemetry.extension.record(watch.elapsed_nanos());
-        self.batches.clear();
-        self.cursor = 0;
-        self.delta = batch.delta;
-        self.batches.push_back(batch);
-        self.telemetry
-            .extensions_run
-            .fetch_add(1, Ordering::Relaxed);
-        self.publish_available();
-        self.telemetry
-            .trace
-            .push(EventKind::Refill, self.available() as u64);
     }
 
     /// Queues one staged session batch behind the buffered ones (same
@@ -214,6 +155,33 @@ impl CotPool {
         self.publish_available();
     }
 
+    /// Replaces a session whose thread has exited with a fresh one on
+    /// the next seed, and drops the batches queued under the old `Δ`.
+    /// `respawned` records that the calling refill has spent its one
+    /// respawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the calling refill already respawned the session.
+    fn respawn(&mut self, stopped: SessionStopped, respawned: &mut bool) {
+        assert!(!*respawned, "{stopped}, and again after a respawn");
+        *respawned = true;
+        self.seed = self
+            .seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(1);
+        self.session = CotSession::spawn_with(
+            &self.cfg,
+            self.seed,
+            SESSION_LOOKAHEAD,
+            Arc::clone(&self.telemetry),
+        );
+        self.delta = self.session.delta();
+        self.batches.clear();
+        self.cursor = 0;
+        self.publish_available();
+    }
+
     /// Pops every front batch the cursor has moved past.
     fn drop_consumed(&mut self) {
         while let Some(front) = self.batches.front() {
@@ -225,85 +193,47 @@ impl CotPool {
         }
     }
 
-    /// Brings `available()` to at least `count`, blocking on the session
-    /// (pipelined) or running a fresh-session extension (inline; the
-    /// refill drops the remnant — its `Δ` dies with its session).
+    /// Brings `available()` to at least `count`, blocking on the session.
     fn top_up(&mut self, count: usize) {
+        let mut respawned = false;
         while self.available() < count {
-            let staged = match &self.supply {
-                Supply::Session(session) => session.recv().ok(),
-                Supply::Inline => None,
-            };
-            match staged {
-                Some(batch) => self.append(batch),
-                None => {
-                    // The session thread died: degrade permanently to
-                    // inline refills rather than failing the request.
-                    self.supply = Supply::Inline;
-                    self.refill();
-                }
+            match self.session.recv() {
+                Ok(batch) => self.append(batch),
+                Err(stopped) => self.respawn(stopped, &mut respawned),
             }
         }
     }
 
-    /// Tops the buffer up to at least `min_available` correlations.
-    /// Returns whether a refill happened.
+    /// Queues already-staged session outputs behind the remnant until at
+    /// least `min_available` correlations are buffered, **without
+    /// blocking**: the session's thread does the extending, and a sweep
+    /// that finds its staging empty returns. The watermark is clamped to
+    /// two extensions' output, so a sweeping refiller cannot grow the
+    /// buffer without bound. Returns whether a batch was queued.
     ///
-    /// Inline mode runs (at most) one fresh-session extension, discarding
-    /// a below-watermark remnant first — the same rule
-    /// [`CotPool::take_with`] applies — and clamps watermarks to one
-    /// extension's output.
-    /// Pipelined mode instead queues already-staged session outputs
-    /// **without blocking** (the session thread does the extending)
-    /// behind the remnant; the watermark is clamped to two extensions'
-    /// output so a sweeping refiller cannot grow the buffer without
-    /// bound.
+    /// # Panics
+    ///
+    /// Panics if the session stops again after this call respawned it.
     pub fn ensure(&mut self, min_available: usize) -> bool {
-        let refilled = self.ensure_inner(min_available);
+        let min = min_available.min(2 * self.cfg.usable_outputs());
+        let mut refilled = false;
+        let mut respawned = false;
+        while self.available() < min {
+            match self.session.try_recv() {
+                Ok(Some(batch)) => {
+                    self.append(batch);
+                    refilled = true;
+                }
+                // Staging merely empty: the thread is still extending;
+                // the next sweep catches the output.
+                Ok(None) => break,
+                Err(stopped) => self.respawn(stopped, &mut respawned),
+            }
+        }
         if refilled {
             self.telemetry.warm_refills.fetch_add(1, Ordering::Relaxed);
         }
         refilled
-    }
-
-    fn ensure_inner(&mut self, min_available: usize) -> bool {
-        let per = self.cfg.usable_outputs();
-        let mut refilled = false;
-        if let Supply::Session(_) = &self.supply {
-            let min = min_available.min(2 * per);
-            while self.available() < min {
-                let staged = match &self.supply {
-                    Supply::Session(session) => session.try_recv(),
-                    Supply::Inline => unreachable!("supply mode fixed in this arm"),
-                };
-                match staged {
-                    Ok(Some(batch)) => {
-                        self.append(batch);
-                        refilled = true;
-                    }
-                    // Staging merely empty: the thread is still
-                    // extending; the next sweep catches the output.
-                    Ok(None) => return refilled,
-                    // Session died: degrade permanently and fall through
-                    // to the inline path below, so a sweeping refiller
-                    // heals the shard instead of leaving the bootstrap
-                    // to the next request's critical path.
-                    Err(_) => {
-                        self.supply = Supply::Inline;
-                        break;
-                    }
-                }
-            }
-            if matches!(self.supply, Supply::Session(_)) {
-                return refilled;
-            }
-        }
-        let min = min_available.min(per);
-        if self.available() >= min {
-            return refilled;
-        }
-        self.refill();
-        true
     }
 
     /// Takes `count` correlations and hands them to `f` as one or two
@@ -311,15 +241,15 @@ impl CotPool {
     /// behind [`CotPool::take_into`] and every sharded take. A take that
     /// crosses a batch boundary is two runs, the front batch's tail then
     /// the next batch's head; otherwise it is one (an empty one for
-    /// `count == 0`). The runs share one `Δ` (inline mode never lets a
-    /// take straddle a session boundary; pipelined mode has a single `Δ`
-    /// for the pool's lifetime). The take is counted before `f` runs,
-    /// and a batch it used up is dropped once `f` returns.
+    /// `count == 0`). The runs share the session's one `Δ`. The take is
+    /// counted before `f` runs, and a batch it used up is dropped once `f`
+    /// returns.
     ///
     /// # Panics
     ///
     /// Panics if `count` exceeds one extension's usable output (split such
-    /// requests at the application level).
+    /// requests at the application level), or if the session stops again
+    /// after this call respawned it.
     pub fn take_with<R>(&mut self, count: usize, f: impl FnOnce(&[CotSlice<'_>]) -> R) -> R {
         let per_extension = self.cfg.usable_outputs();
         assert!(
@@ -359,8 +289,7 @@ impl CotPool {
     }
 
     /// Takes `count` correlations into a caller-retained batch, reusing
-    /// its allocations (same semantics — including the inline-mode
-    /// drop-remnant-on-refill `Δ` rule — as [`CotPool::take_with`]). The
+    /// its allocations (same semantics as [`CotPool::take_with`]). The
     /// one take that copies: the runs are concatenated into `out`.
     ///
     /// # Panics
@@ -382,12 +311,8 @@ mod tests {
         FerretConfig::new(FerretParams::toy())
     }
 
-    fn pool() -> CotPool {
-        CotPool::new(cfg(), 42, Arc::default())
-    }
-
-    fn pipelined(seed: u64) -> CotPool {
-        CotPool::pipelined(cfg(), seed, Arc::default())
+    fn pool(seed: u64) -> CotPool {
+        CotPool::new(cfg(), seed, Arc::default())
     }
 
     /// Takes `n` through the zero-copy path, checks that the runs add up
@@ -406,7 +331,7 @@ mod tests {
 
     #[test]
     fn first_take_triggers_extension() {
-        let mut p = pool();
+        let mut p = pool(42);
         assert_eq!(p.extensions_run(), 0);
         take_checked(&mut p, 100);
         assert_eq!(p.extensions_run(), 1);
@@ -414,7 +339,7 @@ mod tests {
 
     #[test]
     fn buffered_takes_do_not_re_extend() {
-        let mut p = pool();
+        let mut p = pool(42);
         take_checked(&mut p, 100);
         let before = p.available();
         take_checked(&mut p, 200);
@@ -427,47 +352,8 @@ mod tests {
     }
 
     #[test]
-    fn partial_drain_then_refill_discards_remnant() {
-        // Regression: a refill with a partially drained buffer used to
-        // trip refill's drained-buffer invariant (the remnant's Δ differs
-        // from the new session's).
-        let mut p = pool();
-        let usable = p.cfg.usable_outputs();
-        take_checked(&mut p, usable - 10); // leaves a 10-correlation remnant
-        let (_, runs) = take_checked(&mut p, 20); // cannot be served from the remnant
-        assert_eq!(runs, 1, "an inline take never straddles a refill");
-        assert_eq!(p.extensions_run(), 2);
-    }
-
-    #[test]
-    fn take_into_preserves_drop_remnant_delta_invariant() {
-        // take_into must follow exactly the Δ rule of take_slice: an inline-mode
-        // refill drops the old session's remnant, and the refilled batch
-        // is homogeneous under the *new* session's Δ.
-        let mut p = pool();
-        let usable = p.cfg.usable_outputs();
-        let mut reused = CotBatch::default();
-        p.take_into(usable - 10, &mut reused);
-        reused.verify().unwrap();
-        let first_delta = reused.delta;
-        let remnant = p.available();
-        assert_eq!(remnant, 10);
-        p.take_into(20, &mut reused); // forces a refill; remnant dropped
-        reused.verify().unwrap();
-        assert_eq!(reused.len(), 20);
-        assert_ne!(
-            reused.delta, first_delta,
-            "fresh session must carry a fresh Δ"
-        );
-        assert_eq!(p.extensions_run(), 2);
-        // The dropped remnant is really gone: a full-buffer drain now
-        // yields exactly one extension's output minus the 20 just taken.
-        assert_eq!(p.available(), usable - 20);
-    }
-
-    #[test]
     fn take_into_reuses_capacity() {
-        let mut p = pool();
+        let mut p = pool(42);
         let mut reused = CotBatch::default();
         p.take_into(500, &mut reused);
         reused.verify().unwrap();
@@ -494,7 +380,7 @@ mod tests {
 
     #[test]
     fn exhaustion_triggers_refill() {
-        let mut p = pool();
+        let mut p = pool(42);
         let usable = p.cfg.usable_outputs();
         take_checked(&mut p, usable); // drains the first extension fully
         take_checked(&mut p, 10);
@@ -503,7 +389,7 @@ mod tests {
 
     #[test]
     fn batches_are_internally_consistent() {
-        let mut p = pool();
+        let mut p = pool(42);
         for _ in 0..5 {
             take_checked(&mut p, 500);
         }
@@ -512,21 +398,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds one extension")]
     fn oversized_request_rejected() {
-        let mut p = pool();
+        let mut p = pool(42);
         let usable = p.cfg.usable_outputs();
         p.take_with(usable + 1, |_| ());
     }
 
     #[test]
-    fn pipelined_pool_merges_remnants_under_fixed_delta() {
-        let mut p = pipelined(42);
-        assert!(p.merges_remnants());
+    fn remnants_are_kept_under_the_fixed_delta() {
+        let mut p = pool(42);
         let usable = p.cfg.usable_outputs();
-        let (a_delta, _) = take_checked(&mut p, usable - 10); // leaves a 10-correlation remnant
-                                                              // Straddles the refill: the remnant's batch, then the new one.
+        // Leaves a 10-correlation remnant; the next take straddles the
+        // refill: the remnant's batch, then the new one.
+        let (a_delta, _) = take_checked(&mut p, usable - 10);
         let (b_delta, runs) = take_checked(&mut p, 20);
         assert_eq!(runs, 2);
-        assert_eq!(b_delta, a_delta, "pipelined Δ is fixed for life");
+        assert_eq!(b_delta, a_delta, "the session's Δ is fixed for life");
         assert_eq!(p.extensions_run(), 2);
         // Nothing was discarded: two extensions in, (usable - 10) + 20 out,
         // and the used-up first batch is gone from the queue.
@@ -535,8 +421,8 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_inline_delta_contract() {
-        let mut p = pipelined(7);
+    fn zero_copy_and_copying_takes_interleave() {
+        let mut p = pool(7);
         for _ in 0..5 {
             take_checked(&mut p, 500);
         }
@@ -547,8 +433,8 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_ensure_drains_staged_without_blocking() {
-        let mut p = pipelined(9);
+    fn ensure_drains_staged_without_blocking() {
+        let mut p = pool(9);
         let usable = p.cfg.usable_outputs();
         // The session stages in the background; ensure() eventually
         // observes it without ever running an extension on this thread.
@@ -568,7 +454,7 @@ mod tests {
 
     #[test]
     fn take_with_lends_the_queued_batch() {
-        let mut p = pool();
+        let mut p = pool(42);
         take_checked(&mut p, 1); // prime the buffer
         let available = p.available();
         let (first_z, owned) = p.take_with(300, |runs| {
@@ -583,20 +469,77 @@ mod tests {
         assert_eq!(p.available(), available - 300);
     }
 
+    #[test]
+    fn a_dead_session_is_respawned_under_a_new_delta() {
+        let mut p = pool(3);
+        let usable = p.cfg.usable_outputs();
+        // Leaves a 10-correlation remnant queued under the first Δ.
+        let (old_delta, _) = take_checked(&mut p, usable - 10);
+        p.session = CotSession::stopped();
+        let adopted_before = p.extensions_run();
+        // The remnant cannot serve 20: the refill finds the session dead,
+        // respawns it and drops the remnant.
+        let (new_delta, runs) = take_checked(&mut p, 20);
+        assert_ne!(new_delta, old_delta, "the respawned session has its own Δ");
+        assert_eq!(runs, 1, "the remnant under the old Δ was dropped");
+        assert!(p.cfg.shared_matrix.is_some(), "respawns reuse the matrix");
+        // Nothing under the old Δ comes out afterwards, across refills.
+        let mut taken_after = 20;
+        for _ in 0..4 {
+            let (delta, _) = take_checked(&mut p, usable / 2 + 1);
+            assert_eq!(delta, new_delta);
+            taken_after += usable / 2 + 1;
+        }
+        // What the new session's batches brought in is what was taken
+        // since, plus what is buffered; the counters agree.
+        let adopted = (p.extensions_run() - adopted_before) as usize;
+        assert_eq!(taken_after + p.available(), adopted * usable);
+        let t = p.telemetry();
+        assert_eq!(
+            t.taken.load(Ordering::Relaxed) as usize,
+            usable - 10 + taken_after
+        );
+        assert_eq!(t.available.load(Ordering::Relaxed) as usize, p.available());
+    }
+
+    #[test]
+    fn ensure_respawns_a_dead_session() {
+        let mut p = pool(5);
+        let usable = p.cfg.usable_outputs();
+        let (old_delta, _) = take_checked(&mut p, 10);
+        p.session = CotSession::stopped();
+        // The sweep that finds the session dead respawns it and drops the
+        // remnant, then queues whatever the new session has staged.
+        p.ensure(usable);
+        assert_ne!(p.delta, old_delta);
+        assert!(p.batches.iter().all(|b| b.delta == p.delta));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while p.available() < usable {
+            p.ensure(usable);
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the respawned session never staged"
+            );
+            std::thread::yield_now();
+        }
+        let (delta, _) = take_checked(&mut p, usable);
+        assert_eq!(delta, p.delta);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// A pipelined pool drained by random take sizes, some ending
+        /// A pool drained by random take sizes, some ending
         /// exactly on a batch boundary and many straddling one, hands out
         /// every correlation at most once: every take verifies under the
         /// pool's one `Δ`, no `z` comes out twice, and what was taken plus
         /// what is buffered is exactly what the session staged.
         #[test]
-        fn pipelined_takes_hand_out_each_correlation_once(
+        fn takes_hand_out_each_correlation_once(
             seed in any::<u64>(),
             picks in proptest::collection::vec(any::<u64>(), 12..32),
         ) {
-            let mut p = pipelined(seed);
+            let mut p = pool(seed);
             let usable = p.cfg.usable_outputs();
             let pool_delta = p.delta;
             let mut seen = HashSet::new();

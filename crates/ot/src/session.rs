@@ -57,7 +57,7 @@ pub struct SessionTelemetry {
     /// the session extends). Steady state for a well-provisioned supply
     /// is `consumer_stalls ≪ extensions_staged`.
     pub consumer_stalls: AtomicU64,
-    /// Extensions a pool adopted into its buffer (staged or inline).
+    /// Extensions a pool adopted into its buffer.
     pub extensions_run: AtomicU64,
     /// Correlations a pool handed out.
     pub taken: AtomicU64,
@@ -241,6 +241,25 @@ impl Drop for CotSession {
         self.out_rx = None;
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
+        }
+    }
+}
+
+#[cfg(test)]
+impl CotSession {
+    /// A session whose thread has already exited, as after a panic:
+    /// every receive answers [`SessionStopped`].
+    pub(crate) fn stopped() -> CotSession {
+        let (out_tx, out_rx) = mpsc::sync_channel::<CotBatch>(1);
+        std::thread::spawn(move || drop(out_tx))
+            .join()
+            .expect("the thread only hangs up");
+        CotSession {
+            delta: Block::ZERO,
+            per_extension: 0,
+            telemetry: Arc::default(),
+            out_rx: Some(out_rx),
+            thread: None,
         }
     }
 }

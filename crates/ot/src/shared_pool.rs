@@ -44,21 +44,19 @@ pub struct ShardSnapshot {
     /// Correlations buffered in this shard, as of its last take or
     /// refill.
     pub available: u64,
-    /// Extensions this shard has adopted into its buffer (staged or
-    /// inline).
+    /// Extensions this shard has adopted into its buffer.
     pub extensions_run: u64,
     /// Correlations drained from this shard since construction.
     pub taken_cots: u64,
     /// Refills performed through the warm-up path (`ensure`).
     pub warm_refills: u64,
-    /// Extensions completed by the shard's pipelined session's thread
-    /// (0 for shards built inline).
+    /// Extensions completed by the shard's session's thread.
     pub session_extensions: u64,
     /// Times a drain blocked on the session's staging buffer — the
-    /// shard's supply-pressure counter (0 for shards built inline).
+    /// shard's supply-pressure counter.
     pub session_stalls: u64,
-    /// Per-extension wall time, nanoseconds (pipelined session runs and
-    /// inline demand-path refills both record here).
+    /// Per-extension wall time, nanoseconds, as the shard's session
+    /// measured it.
     pub extension_latency: HistogramSnapshot,
     /// Time drains spent blocked on the session's empty staging buffer,
     /// nanoseconds (one sample per stall).
@@ -78,30 +76,16 @@ pub struct SharedCotPool {
 }
 
 impl SharedCotPool {
-    /// Builds `shards` inline-mode pools over `cfg`, with per-shard seeds
-    /// derived from `seed` (each refill bootstraps a fresh FERRET
-    /// session; see [`CotPool::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(cfg: &FerretConfig, shards: usize, seed: u64) -> Self {
-        Self::build(cfg, shards, seed, false)
-    }
-
-    /// Builds `shards` pipelined pools: each shard owns a persistent
-    /// FERRET session extending ahead of demand on its own thread,
-    /// with a fixed per-shard `Δ` and remnant-keeping refills (see
-    /// [`CotPool::pipelined`]) — the serving-path configuration.
+    /// Builds `shards` pools over `cfg`, with per-shard seeds derived
+    /// from `seed`: each shard owns a persistent FERRET session extending
+    /// ahead of demand on its own thread, with a fixed per-shard `Δ` and
+    /// remnant-keeping refills (see [`CotPool::new`]). Every pool is
+    /// built this way; the name is kept because `benchmark/` spells it.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     pub fn new_pipelined(cfg: &FerretConfig, shards: usize, seed: u64) -> Self {
-        Self::build(cfg, shards, seed, true)
-    }
-
-    fn build(cfg: &FerretConfig, shards: usize, seed: u64, pipelined: bool) -> Self {
         assert!(shards > 0, "need at least one shard");
         // Generate the LPN matrix exactly once here; every shard's
         // config clone (and both parties inside each shard's session)
@@ -116,13 +100,11 @@ impl SharedCotPool {
             .map(|(i, shard_telemetry)| {
                 let shard_seed =
                     seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1));
-                let shard_telemetry = Arc::clone(shard_telemetry);
-                let pool = if pipelined {
-                    CotPool::pipelined(cfg.clone(), shard_seed, shard_telemetry)
-                } else {
-                    CotPool::new(cfg.clone(), shard_seed, shard_telemetry)
-                };
-                Mutex::new(pool)
+                Mutex::new(CotPool::new(
+                    cfg.clone(),
+                    shard_seed,
+                    Arc::clone(shard_telemetry),
+                ))
             })
             .collect();
         SharedCotPool {
@@ -241,19 +223,13 @@ impl SharedCotPool {
             .sum()
     }
 
-    /// One warm-up sweep: refills every shard whose buffered correlations
-    /// have fallen below `low_watermark`, so demand that arrives later is
-    /// served from the buffer instead of paying an inline extension — the
-    /// host-side analogue of the Ironman PU extending ahead of the CPU's
-    /// consumption. Returns the number of shards refilled.
-    ///
-    /// The watermark is re-clamped **per shard, per sweep** against that
-    /// shard's *live* supply mode: a remnant-keeping (pipelined) shard
-    /// allows up to two extensions' output, while a buffer-replacing
-    /// (inline — by construction or because its session thread died)
-    /// shard is capped at **half** an extension, since a post-drain
-    /// refill there discards the live remnant and the half cap bounds
-    /// the discard to at most half the work each refill buys.
+    /// One warm-up sweep: queues already-staged session output on every
+    /// shard whose buffered correlations have fallen below
+    /// `low_watermark`, so demand that arrives later is served from the
+    /// buffer instead of blocking on its session — the host-side analogue
+    /// of the Ironman PU extending ahead of the CPU's consumption.
+    /// Returns the number of shards refilled. Each shard clamps the
+    /// watermark to two extensions' output (see [`CotPool::ensure`]).
     ///
     /// The sweep never blocks behind a busy shard: a shard currently
     /// serving (or already being refilled by) another thread is skipped
@@ -267,12 +243,7 @@ impl SharedCotPool {
                 Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
                 Err(std::sync::TryLockError::WouldBlock) => continue,
             };
-            let cap = if pool.merges_remnants() {
-                2 * self.max_request
-            } else {
-                self.max_request / 2
-            };
-            if pool.ensure(low_watermark.min(cap.max(1))) {
+            if pool.ensure(low_watermark) {
                 refills += 1;
             }
         }
@@ -292,7 +263,25 @@ mod tests {
     }
 
     fn shared(shards: usize) -> SharedCotPool {
-        SharedCotPool::new(&cfg(), shards, 7)
+        SharedCotPool::new_pipelined(&cfg(), shards, 7)
+    }
+
+    /// Waits until every shard's session has staged a batch, without a
+    /// take: `extensions_staged` is bumped before the send, so a count of
+    /// two means the first batch is in the channel.
+    fn wait_staged(pool: &SharedCotPool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while pool
+            .shard_telemetry()
+            .iter()
+            .any(|t| t.extensions_staged.load(Ordering::Relaxed) < 2)
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a session never staged"
+            );
+            std::thread::yield_now();
+        }
     }
 
     fn extensions_run(pool: &SharedCotPool) -> u64 {
@@ -347,6 +336,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(occupancy(&pool), vec![0, 0, 0]);
+        wait_staged(&pool);
         let refilled = pool.warm(pool.max_request());
         assert_eq!(refilled, 3);
         assert_eq!(pool.warmup_refills(), 3);
@@ -359,7 +349,7 @@ mod tests {
         let stats = pool.shard_stats();
         assert!(stats.iter().all(|s| s.warm_refills == 1));
         assert_eq!(stats.iter().map(|s| s.taken_cots).sum::<u64>(), 0);
-        // Demand after warm-up is served without an inline extension.
+        // Demand after warm-up is served without waiting on a session.
         let before = extensions_run(&pool);
         pool.take_with_shard(100, |runs, _| runs.iter().try_for_each(CotSlice::verify))
             .unwrap();
@@ -369,6 +359,7 @@ mod tests {
     #[test]
     fn per_shard_counters_track_refills() {
         let pool = shared(2);
+        wait_staged(&pool);
         pool.warm(1);
         assert!(pool.shard_stats().iter().all(|s| s.extensions_run == 1));
     }
@@ -465,13 +456,6 @@ mod tests {
             stalls >= 1,
             "back-to-back drains must record supply pressure"
         );
-        // Inline pools have no session counters.
-        let inline = shared(1);
-        inline.take_into(10, &mut reused);
-        reused.verify().unwrap();
-        let istats = inline.shard_stats();
-        assert_eq!(istats[0].session_extensions, 0);
-        assert_eq!(istats[0].session_stalls, 0);
     }
 
     #[test]

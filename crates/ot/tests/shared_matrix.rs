@@ -9,7 +9,7 @@
 use ironman_lpn::LpnMatrix;
 use ironman_ot::ferret::{FerretConfig, LpnKernel};
 use ironman_ot::params::FerretParams;
-use ironman_ot::{CotPool, CotSlice, SharedCotPool};
+use ironman_ot::{CotPool, CotSession, CotSlice, SharedCotPool};
 use std::sync::Arc;
 
 #[test]
@@ -20,8 +20,8 @@ fn n_shards_generate_one_matrix() {
     // configs and never touch the matrix).
     assert_eq!(LpnMatrix::generated_count(), 0);
 
-    // 3 pipelined shards = 6 parties on 3 session threads + 3 shard
-    // pools: one generate.
+    // 3 shards = 6 parties on 3 session threads + 3 shard pools: one
+    // generate.
     let before = LpnMatrix::generated_count();
     let pool = SharedCotPool::new_pipelined(&cfg, 3, 11);
     pool.take_with_shard(64, |runs, _| runs.iter().try_for_each(CotSlice::verify))
@@ -29,30 +29,13 @@ fn n_shards_generate_one_matrix() {
     assert_eq!(
         LpnMatrix::generated_count() - before,
         1,
-        "3 pipelined shards must share one generated matrix"
+        "3 shards must share one generated matrix"
     );
 
-    // Inline shards bootstrap a fresh session per refill; the prebuilt
-    // matrix must survive across refills too.
+    // A single pool still generates exactly once for its two parties
+    // (the per-session dedup, without shard pre-sharing).
     let before = LpnMatrix::generated_count();
-    let inline = SharedCotPool::new(&cfg, 2, 12);
-    for _ in 0..3 {
-        inline
-            .take_with_shard(inline.max_request(), |runs, _| {
-                runs.iter().try_for_each(CotSlice::verify)
-            })
-            .unwrap();
-    }
-    assert_eq!(
-        LpnMatrix::generated_count() - before,
-        1,
-        "inline shards and their refills must share one matrix"
-    );
-
-    // A single pipelined pool still generates exactly once for its two
-    // parties (the per-session dedup, without shard pre-sharing).
-    let before = LpnMatrix::generated_count();
-    let single = CotPool::pipelined(cfg.clone(), 13, Arc::default());
+    let single = CotPool::new(cfg.clone(), 13, Arc::default());
     drop(single);
     assert_eq!(LpnMatrix::generated_count() - before, 1);
 
@@ -69,6 +52,19 @@ fn n_shards_generate_one_matrix() {
         LpnMatrix::generated_count() - before,
         1,
         "a prepared config must add no generations at spawn time"
+    );
+
+    // A respawned session generates no new matrix: a pool replaces a
+    // session whose thread died by spawning the next one from the config
+    // it prebuilt its matrix into, as this spawn does (the pool's unit
+    // test `a_dead_session_is_respawned_under_a_new_delta` checks that
+    // the pool keeps that config).
+    let respawned = CotSession::spawn(&prepared, 16, 2);
+    respawned.recv().unwrap().verify().unwrap();
+    assert_eq!(
+        LpnMatrix::generated_count() - before,
+        1,
+        "a respawned session must generate no new matrix"
     );
 
     // A tiled kernel stores the streamed tile schedule instead of

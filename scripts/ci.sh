@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Workspace CI, cheapest check first. Run from anywhere; operates on the
 # repo root and leaves everything it writes under target/ (plus ci.log).
-#   0. scripts/loc.sh's total, printed for information (not a gate)
+#   0. scripts/loc.sh's total and the count of sleep( call sites under
+#      crates/, tests/ and examples/, printed for information (not gates)
 #   1. cargo fmt --check, cargo clippy -D warnings, cargo doc over the
 #      first-party crates with broken/private intra-doc links denied, the
 #      serving crates' dependency tree free of the hardware models, and
@@ -38,6 +39,11 @@ trap 'status=$?; if [ "$status" -ne 0 ]; then echo "CI FAILED (exit $status)"; f
 
 echo "==> non-test, non-blank lines under crates/*/src (information only)"
 scripts/loc.sh | tail -n 1
+
+echo "==> sleep( call sites under crates/, tests/ and examples/ (information only)"
+# A test that sleeps waits on time instead of on the event it needs;
+# each site is a candidate flake. The count should only fall.
+{ git grep --untracked -o -e 'sleep(' -- crates tests examples || true; } | wc -l
 
 echo "==> cargo fmt --check"
 cargo fmt --check
